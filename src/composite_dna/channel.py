@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import itemgetter
 
 from .alphabet import Word, all_letters
 
@@ -544,18 +545,18 @@ def oracle_is_code(codebook, model: ErrorModel) -> OracleResult:
     On failure the witness is the lexicographically smallest colliding pair
     (by rank sequence) together with one shared output (smallest by rows).
     """
-    words = sorted(set(codebook), key=lambda w: w.ranks())
+    keyed = sorted(((w.ranks(), w) for w in set(codebook)), key=itemgetter(0))
     first_owner: dict[ReceivedRows, int] = {}
-    collisions: list[tuple[int, int, ReceivedRows]] = []
-    for idx, w in enumerate(words):
+    best_key = best = None  # the smallest collision seen so far
+    for idx, (ranks, w) in enumerate(keyed):
         for received in raw_received_set(w, model):
             owner = first_owner.setdefault(received, idx)
-            if owner != idx:
-                collisions.append((owner, idx, received))
-    if not collisions:
+            if owner == idx:
+                continue
+            owner_ranks, owner_word = keyed[owner]
+            key = (owner_ranks, ranks, received.sort_key())
+            if best_key is None or key < best_key:
+                best_key, best = key, (owner_word, w, received)
+    if best is None:
         return OracleResult(True, None)
-    i, j, received = min(
-        collisions,
-        key=lambda c: (words[c[0]].ranks(), words[c[1]].ranks(), c[2].sort_key()),
-    )
-    return OracleResult(False, (words[i], words[j], received))
+    return OracleResult(False, best)

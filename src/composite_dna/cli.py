@@ -468,6 +468,7 @@ def _substitution_patterns(word: Word, t: int):
     """All patterns hitting <= t rows, one changed digit per hit row."""
     yield {}
     k, n, q = word.k, word.n, word.q
+    rows = word.rows()
     for size in range(1, t + 1):
         for rows_subset in itertools.combinations(range(k), size):
             cell_choices = []
@@ -476,7 +477,7 @@ def _substitution_patterns(word: Word, t: int):
                     (pos, value)
                     for pos in range(n)
                     for value in range(q)
-                    if value != word.rows()[row][pos]
+                    if value != rows[row][pos]
                 ]
                 cell_choices.append(cells)
             for combo in itertools.product(*cell_choices):

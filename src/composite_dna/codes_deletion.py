@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .alphabet import Letter, Word, alphabet_size, letter_unrank
 from .algebra import (
@@ -37,6 +38,7 @@ from .algebra import (
 )
 from .channel import ReceivedRows
 from .vt_core import (
+    DecodeFailure,
     qary_decode_one_deletion,
     qary_vt_syndrome,
     vt_decode_one_deletion,
@@ -130,7 +132,8 @@ def c1d_decode(received: ReceivedRows, a: int) -> Word:
     rows = list(received.rows)
     rows[short] = restored
     word = Word.from_rows(rows, 2)
-    assert c1d_contains(word, a)
+    if not c1d_contains(word, a):
+        raise DecodeFailure("decoded word does not satisfy the code congruence")
     return word
 
 
@@ -222,7 +225,8 @@ def congruence_decode_binary_t(received: ReceivedRows, targets, p: int) -> Word:
     for i, residue in zip(short, solved):
         rows[i] = vt_decode_one_deletion(received.rows[i], residue, p)
     word = Word.from_rows(rows, 2)
-    assert congruence_contains_binary_t(word, targets, p)
+    if not congruence_contains_binary_t(word, targets, p):
+        raise DecodeFailure("decoded word does not satisfy the code congruences")
     return word
 
 
@@ -244,7 +248,8 @@ def congruence_decode_qary_one(received: ReceivedRows, a: int) -> Word:
     rows = list(received.rows)
     rows[short] = qary_decode_one_deletion(received.rows[short], residue, q, n)
     word = Word.from_rows(rows, q)
-    assert congruence_contains_qary_one(word, a)
+    if not congruence_contains_qary_one(word, a):
+        raise DecodeFailure("decoded word does not satisfy the code congruence")
     return word
 
 
@@ -276,7 +281,8 @@ def congruence_decode_qary_t(received: ReceivedRows, targets, p: int) -> Word:
             raise ValueError("solved syndrome does not lift below qn; inputs breach the model")
         rows[i] = qary_decode_one_deletion(received.rows[i], residue, q, n)
     word = Word.from_rows(rows, q)
-    assert congruence_contains_qary_t(word, targets, p)
+    if not congruence_contains_qary_t(word, targets, p):
+        raise DecodeFailure("decoded word does not satisfy the code congruences")
     return word
 
 
@@ -305,11 +311,11 @@ class C2DSpec:
     def q(self) -> int:
         return 2
 
-    @property
+    @cached_property
     def p(self) -> int:
         return next_prime_bertrand(self.m)
 
-    @property
+    @cached_property
     def delta(self) -> int:
         return digit_width(self.k + 1, self.p)
 
@@ -375,11 +381,11 @@ class C4DSpec:
         if self.m < need:
             raise ValueError(f"payload length m={self.m} below f(k,t)={need}")
 
-    @property
+    @cached_property
     def p(self) -> int:
         return next_prime_bertrand(self.q * self.m)
 
-    @property
+    @cached_property
     def delta(self) -> int:
         return digit_width(alphabet_size(self.q, self.k), self.p)
 

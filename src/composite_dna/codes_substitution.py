@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .alphabet import Letter, Word, alphabet_size, letter_unrank
@@ -572,15 +572,15 @@ class C1SSpec:
         if self.m < self.q:
             raise ValueError("need payload length m >= q")
 
-    @property
+    @cached_property
     def p1(self) -> int:
         return smallest_prime_at_least(self.m)
 
-    @property
+    @cached_property
     def p2(self) -> int:
         return smallest_prime_at_least(self.q)
 
-    @property
+    @cached_property
     def delta(self) -> int:
         return digit_width(alphabet_size(self.q, self.k), self.p1 * self.p2)
 
@@ -675,11 +675,11 @@ class C2SSpec:
     def span(self) -> int:
         return 2 * self.m * (self.q - 1)
 
-    @property
+    @cached_property
     def p(self) -> int:
         return next_prime_bertrand(max(self.span, f_threshold(self.k, self.t)))
 
-    @property
+    @cached_property
     def delta(self) -> int:
         return digit_width(alphabet_size(self.q, self.k), self.p)
 

@@ -4,13 +4,20 @@ This module works on plain digit sequences (rows), not composite words.  It
 provides:
 
 * the weighted syndrome VT(x) = sum_i i * x_i (1-indexed),
-* single-deletion decoding from VT(x) mod N with N > len(x),
+* single-deletion decoding from VT(x) mod N with N > len(x): O(n) for binary
+  rows by Levenshtein's placement rule, O(q * n) otherwise,
 * the difference transform psi and q-ary single-deletion decoding from
-  VT(psi(x)) mod q*n,
+  VT(psi(x)) mod q*n in O(q * n), from prefix and suffix sums of psi(y),
 * q-ary single-substitution decoding from the pair (VT(x) mod 2n(q-1),
   Sum(x) mod q),
 * the 1-limited-magnitude code {c : VT(c) = a mod 2n+1} over Sigma_Q with its
   systematic encoder and decoder.
+
+The two single-deletion decoders evaluate each candidate insertion in O(1)
+instead of recomputing its syndrome.  The brute-force enumerators they
+replace, O(q * n^2), are kept as ``_reference_vt_decode_one_deletion`` and
+``_reference_qary_decode_one_deletion``; the tests check that both give the
+same rows and the same failures.
 """
 
 from __future__ import annotations
@@ -49,13 +56,77 @@ def syndromes(x) -> Syndromes:
 # single deletion, direct VT syndrome
 # ---------------------------------------------------------------------------
 
+# Both row decoders below look only at *canonical* insertions (pos, sym):
+# inserting sym at pos gives the same row as inserting it at pos - 1 when
+# y[pos - 1] == sym, so those are skipped and every distinct supersequence
+# of y is visited exactly once.  The number of canonical insertions whose
+# syndrome matches is then the number of distinct candidate rows, which is
+# what the reference enumerators count.
+
+def _single_insertion(y, hits):
+    """The row y with the one matching insertion applied."""
+    if len(hits) != 1:
+        raise DecodeFailure(f"expected exactly one candidate, found {len(hits)}")
+    ((pos, sym),) = hits
+    return y[:pos] + (sym,) + y[pos:]
+
+
 def vt_decode_one_deletion(y, a: int, modulus: int, q: int = 2):
     """Recover x from y in D_1(x) given VT(x) = a (mod modulus).
 
-    Uniqueness requires modulus > len(x) = len(y) + 1 for q = 2.  Candidates
-    are enumerated by inserting every symbol at every position; exactly one
-    must satisfy the congruence.
+    Uniqueness requires modulus > len(x) = len(y) + 1 for q = 2.  Inserting
+    sym at pos raises VT by (pos + 1) * sym + (sum of y[pos:]), so with
+    d = a - VT(y) every candidate costs O(1) and a decode costs O(q * n).
+    Binary rows use Levenshtein's placement rule instead: the n + 1 distinct
+    insertions raise VT by 0..n, and d alone says where the symbol goes.
+    ``_reference_vt_decode_one_deletion`` is the brute-force oracle.
     """
+    y = tuple(y)
+    n = len(y) + 1
+    if modulus <= n:
+        raise ValueError(f"modulus {modulus} too small for length {n}")
+    if any(not 0 <= v < q for v in y):
+        raise ValueError(f"received row is not over Sigma_{q}")
+    d = (a - vt_syndrome(y)) % modulus
+    if q == 2:
+        return _levenshtein_insert(y, d)
+    hits = []
+    weight = 0  # sum of y[pos:]
+    for pos in range(n - 1, -1, -1):
+        before = y[pos - 1] if pos else None
+        for sym in range(q):
+            if sym != before and ((pos + 1) * sym + weight) % modulus == d:
+                hits.append((pos, sym))
+        if pos:
+            weight += y[pos - 1]
+    return _single_insertion(y, hits)
+
+
+def _levenshtein_insert(y, d: int):
+    """Insert the binary symbol that raises VT(y) by d, 0 <= d < modulus.
+
+    d <= w (the weight of y): a 0 with d ones to its right.  w < d <= n: a 1
+    with d - w - 1 zeros to its left.  Larger d matches no insertion.
+    """
+    weight = sum(y)
+    if d <= weight:
+        pos, ones = len(y), 0
+        while ones < d:
+            pos -= 1
+            ones += y[pos]
+        return y[:pos] + (0,) + y[pos:]
+    if d <= len(y) + 1:
+        pos, zeros = 0, 0
+        while zeros < d - weight - 1:
+            zeros += 1 - y[pos]
+            pos += 1
+        return y[:pos] + (1,) + y[pos:]
+    raise DecodeFailure("expected exactly one candidate, found 0")
+
+
+def _reference_vt_decode_one_deletion(y, a: int, modulus: int, q: int = 2):
+    """Brute-force oracle for ``vt_decode_one_deletion``: insert every symbol
+    at every position and recompute the syndrome, O(q * n^2)."""
     y = tuple(y)
     n = len(y) + 1
     if modulus <= n:
@@ -106,7 +177,50 @@ def qary_vt_syndrome(x, q: int) -> int:
 
 def qary_decode_one_deletion(y, a: int, q: int, n: int):
     """Recover x of length n over Sigma_q from one deletion, given
-    VT(psi(x)) = a (mod q*n)."""
+    VT(psi(x)) = a (mod q*n).
+
+    Inserting sym at pos < n - 1 changes only the psi entries at pos - 1 and
+    pos; the psi entries of the tail are those of y, each one weight further
+    right.  With prefix sums head[r] = sum_{i<r} (i+1) psi(y)_i and suffix
+    sums tail[r] = sum_{j>=r} (j+2) psi(y)_j every candidate costs O(1), so
+    a decode costs O(q * n).  Appending at pos = n - 1 makes sym the last
+    psi entry, with weight n.  ``_reference_qary_decode_one_deletion`` is the
+    brute-force oracle.
+    """
+    y = tuple(y)
+    if len(y) != n - 1:
+        raise ValueError(f"received length {len(y)}, expected {n - 1}")
+    if any(not 0 <= v < q for v in y):
+        raise ValueError(f"received row is not over Sigma_{q}")
+    modulus = q * n
+    target = a % modulus
+    z = psi(y, q) if y else ()
+    head = [0] * n
+    for i in range(n - 2):
+        head[i + 1] = head[i] + (i + 1) * z[i]
+    tail = [0] * n
+    for j in range(n - 2, -1, -1):
+        tail[j] = tail[j + 1] + (j + 2) * z[j]
+    hits = []
+    for pos in range(n):
+        before = y[pos - 1] if pos else None
+        for sym in range(q):
+            if sym == before:
+                continue
+            # psi entries left of pos - 1 are those of y; pos - 1 becomes before - sym
+            syn = (head[pos - 1] + pos * ((before - sym) % q)) if pos else 0
+            if pos < n - 1:
+                syn += (pos + 1) * ((sym - y[pos]) % q) + tail[pos]
+            else:
+                syn += n * sym
+            if syn % modulus == target:
+                hits.append((pos, sym))
+    return _single_insertion(y, hits)
+
+
+def _reference_qary_decode_one_deletion(y, a: int, q: int, n: int):
+    """Brute-force oracle for ``qary_decode_one_deletion``: insert every
+    symbol at every position and recompute VT(psi), O(q * n^2)."""
     y = tuple(y)
     if len(y) != n - 1:
         raise ValueError(f"received length {len(y)}, expected {n - 1}")

@@ -1,6 +1,6 @@
 """Channel tests: corruption plans, output-set enumeration, oracle."""
 
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -424,6 +424,43 @@ def test_oracle_witness_is_lex_smallest_pair():
     assert not res.is_code
     a, b, _ = res.witness
     assert (a.ranks(), b.ranks()) == ((0,), (1,))
+
+
+def brute_force_witness(codebook, model):
+    """The smallest (ranks, ranks, rows) over every pair sharing an output."""
+    words = sorted(set(codebook), key=lambda w: w.ranks())
+    balls = [raw_received_set(w, model) for w in words]
+    best = None
+    for i, j in combinations(range(len(words)), 2):
+        for shared in balls[i] & balls[j]:
+            key = (words[i].ranks(), words[j].ranks(), shared.rows)
+            if best is None or key < best[0]:
+                best = (key, (words[i], words[j], shared))
+    return None if best is None else best[1]
+
+
+@pytest.mark.parametrize(
+    "codebook,model",
+    [
+        # the c1d (k=2, n=5, a=0) code beyond its single-deletion guarantee
+        (
+            [
+                w
+                for w in (Word.from_ranks(r, 2, 2) for r in product(range(3), repeat=5))
+                if sum(j * v for j, v in enumerate(w.ranks(), 1)) % 6 == 0
+            ],
+            del_total(2),
+        ),
+        ([Word.from_ranks(r, 2, 3) for r in product(range(4), repeat=2)], sub_per_row(1, 0, 1)),
+        ([Word.from_ranks(r, 3, 2) for r in product(range(6), repeat=2)][::5], sub_total(1)),
+    ],
+)
+def test_oracle_witness_is_the_smallest_collision(codebook, model):
+    res = oracle_is_code(codebook, model)
+    expected = brute_force_witness(codebook, model)
+    assert expected is not None
+    assert not res.is_code
+    assert res.witness == expected
 
 
 @settings(max_examples=40, deadline=None)

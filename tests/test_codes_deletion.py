@@ -5,11 +5,17 @@ explicit position) so the decoders are exercised against an independent
 notion of "one deletion per row", not against channel.apply_errors.
 """
 
+import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from composite_dna import codes_deletion
 from composite_dna.alphabet import Word, alphabet_size
 from composite_dna.channel import (
     ReceivedRows,
@@ -39,7 +45,7 @@ from composite_dna.codes_deletion import (
     congruence_decode_qary_one,
     congruence_decode_qary_t,
 )
-from composite_dna.vt_core import qary_vt_syndrome, vt_syndrome
+from composite_dna.vt_core import DecodeFailure, qary_vt_syndrome, vt_syndrome
 
 
 def received_after(word, hits):
@@ -330,3 +336,96 @@ def test_marker_specs_redundancy_accounting():
         assert spec.n - spec.m == spec.t * (spec.delta + 2)
     for spec in [C4DSpec(3, 2, 2, 4), C4DSpec(4, 3, 2, 6)]:
         assert spec.n - spec.m == spec.t * (spec.delta + 2)
+
+
+# ---------------------------------------------------------------------------
+# typed failures and spec caching
+# ---------------------------------------------------------------------------
+
+def test_out_of_model_congruence_decodes_fail_typed():
+    # one deletion from a word outside the code: only the first |I| = 1
+    # congruence is solved, so the decoded word can miss the second one
+    rng = random.Random(3)
+    post_check = 0
+    for _ in range(300):
+        word = Word.from_ranks([rng.randrange(4) for _ in range(6)], 2, 3)
+        rows = [list(r) for r in word.rows()]
+        del rows[rng.randrange(3)][rng.randrange(6)]
+        try:
+            got = congruence_decode_binary_t(ReceivedRows(rows, 2, 6), (0, 0), 11)
+        except DecodeFailure as exc:
+            post_check += "does not satisfy" in str(exc)
+        except ValueError:
+            continue
+        else:
+            assert congruence_contains_binary_t(got, (0, 0), 11)
+    assert post_check == 79
+
+
+def test_qary_t_post_decode_check_is_typed():
+    rng = random.Random(4)
+    post_check = 0
+    for _ in range(200):
+        word = Word.from_ranks([rng.randrange(10) for _ in range(4)], 3, 3)
+        rows = [list(r) for r in word.rows()]
+        del rows[rng.randrange(3)][rng.randrange(4)]
+        try:
+            got = congruence_decode_qary_t(ReceivedRows(rows, 3, 4), (0, 0), 13)
+        except DecodeFailure as exc:
+            post_check += "does not satisfy" in str(exc)
+        except ValueError:
+            continue
+        else:
+            assert congruence_contains_qary_t(got, (0, 0), 13)
+    assert post_check > 0
+
+
+def test_post_decode_check_survives_optimised_python():
+    # python -O strips assert statements; the membership check must still run
+    script = (
+        "from composite_dna.channel import ReceivedRows\n"
+        "from composite_dna.codes_deletion import congruence_decode_binary_t\n"
+        "from composite_dna.vt_core import DecodeFailure\n"
+        "rows = ((0, 0, 0, 0, 0), (0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 1, 1))\n"
+        "assert False, 'asserts are live'\n"
+        "try:\n"
+        "    congruence_decode_binary_t(ReceivedRows(rows, 2, 6), (0, 0), 11)\n"
+        "except DecodeFailure as exc:\n"
+        "    print('DecodeFailure:', exc)\n"
+    )
+    src = str(Path(codes_deletion.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "DecodeFailure: decoded word does not satisfy the code congruences\n"
+    )
+
+
+def test_marker_spec_primes_are_searched_once(monkeypatch):
+    searches = []
+    original = codes_deletion.next_prime_bertrand
+
+    def counting(value):
+        searches.append(value)
+        return original(value)
+
+    monkeypatch.setattr(codes_deletion, "next_prime_bertrand", counting)
+    for spec, encode, decode in [
+        (C2DSpec(k=3, t=2, m=16), c2d_encode, c2d_decode),
+        (C4DSpec(q=3, k=3, t=2, m=6), c4d_encode, c4d_decode),
+    ]:
+        searches.clear()
+        (payload,) = sample_payloads(spec.q, spec.k, spec.m, 1, seed=11)
+        word = encode(payload, spec)
+        assert decode(received_after(word, {0: 2, 2: 5}), spec) == payload
+        assert len(searches) == 1
+        # cached values live outside the fields: equality and hash are unchanged
+        fresh = dataclasses.replace(spec)
+        assert spec == fresh and hash(spec) == hash(fresh)

@@ -6,11 +6,13 @@ channel.apply_errors.  Disjointness invariants go through the brute-force
 channel oracle, which is the point of that oracle.
 """
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from composite_dna import codes_substitution
 from composite_dna.alphabet import Word, alphabet_size
 from composite_dna.channel import (
     ReceivedRows,
@@ -435,6 +437,22 @@ class TestC1S:
         assert len(set(codebook)) == 6**3
         assert oracle_is_code(codebook, sub_total(1))
 
+    def test_primes_are_searched_once(self, monkeypatch):
+        searches = []
+        original = codes_substitution.smallest_prime_at_least
+
+        def counting(value):
+            searches.append(value)
+            return original(value)
+
+        monkeypatch.setattr(codes_substitution, "smallest_prime_at_least", counting)
+        spec = C1SSpec(3, 2, 5)
+        (payload,) = sample_payloads(3, 2, 5, 1, seed=23)
+        word = c1s_encode(payload, spec)
+        received = substituted(word, 1, 2, (word.rows()[1][2] + 1) % 3)
+        assert c1s_decode(received, spec) == payload
+        assert sorted(searches) == [3, 5]  # p2 from q, p1 from m
+
     def test_rejections(self):
         with pytest.raises(ValueError, match="q > 2"):
             C1SSpec(2, 2, 3)
@@ -517,6 +535,25 @@ class TestC2S:
                     value = rng.choice([v for v in range(3) if v != old])
                     received = substituted(received, row, pos, value)
                 assert c2s_decode(received, spec) == payload
+
+    def test_prime_is_searched_once(self, monkeypatch):
+        searches = []
+        original = codes_substitution.next_prime_bertrand
+
+        def counting(value):
+            searches.append(value)
+            return original(value)
+
+        monkeypatch.setattr(codes_substitution, "next_prime_bertrand", counting)
+        spec = C2SSpec(3, 3, 2, 6)
+        (payload,) = sample_payloads(3, 3, 6, 1, seed=23)
+        word = c2s_encode(payload, spec)
+        received = substituted(substituted(word, 0, 1, (word.rows()[0][1] + 1) % 3),
+                               2, 4, (word.rows()[2][4] + 2) % 3)
+        assert c2s_decode(received, spec) == payload
+        assert len(searches) == 1
+        fresh = dataclasses.replace(spec)
+        assert spec == fresh and hash(spec) == hash(fresh)
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="2 <= t <= k"):

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from composite_dna import vt_core
 from composite_dna.vt_core import (
+    _reference_qary_decode_one_deletion,
+    _reference_vt_decode_one_deletion,
     DecodeFailure,
     digit_sum,
     lme_contains,
@@ -260,6 +263,118 @@ def test_qary_deletion_cross_checks_binary(data):
     y = x[:pos] + x[pos + 1:]
     a = qary_vt_syndrome(x, 2)
     assert qary_decode_one_deletion(y, a, 2, n) == x
+
+
+# ---------------------------------------------------------------------------
+# linear-time row decoders against the brute-force reference enumerators
+# ---------------------------------------------------------------------------
+
+def outcome(decode, *args):
+    """The decoded row, or the exception's type and message."""
+    try:
+        return decode(*args)
+    except Exception as exc:  # the type and message are part of the outcome
+        return type(exc), str(exc)
+
+
+@st.composite
+def received_rows(draw):
+    """(y, n, q): a row of length n - 1, sometimes holding a digit outside Sigma_q."""
+    q = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 12))
+    y = draw(st.lists(st.integers(0, q - 1), min_size=n - 1, max_size=n - 1))
+    if y and draw(st.integers(0, 19)) == 0:
+        y[draw(st.integers(0, n - 2))] = draw(st.sampled_from((-1, q)))
+    return tuple(y), n, q
+
+
+@settings(max_examples=400, deadline=None)
+@given(received_rows(), st.data())
+def test_vt_decode_matches_reference(received, data):
+    y, n, q = received
+    modulus = data.draw(st.integers(n, 3 * n + 3))  # modulus = n is rejected
+    a = data.draw(st.integers(-2 * modulus, 2 * modulus))
+    for q_arg in (2, q):
+        assert outcome(vt_decode_one_deletion, y, a, modulus, q_arg) == outcome(
+            _reference_vt_decode_one_deletion, y, a, modulus, q_arg
+        )
+
+
+@settings(max_examples=400, deadline=None)
+@given(received_rows(), st.integers(-100, 100), st.integers(-1, 1))
+def test_qary_decode_matches_reference(received, a, length_offset):
+    y, n, q = received
+    n = max(1, n + length_offset)  # an offset != 0 is a length mismatch
+    assert outcome(qary_decode_one_deletion, y, a, q, n) == outcome(
+        _reference_qary_decode_one_deletion, y, a, q, n
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_vt_decode_matches_reference_exhaustively(n):
+    # every binary row, every residue, with moduli at and above n + 1 (the
+    # larger one leaves residues that no insertion reaches); and every
+    # ternary row up to n = 6 through the O(q * n) branch
+    cases = [(2, n + 1), (2, 2 * n + 1)]
+    if n <= 6:
+        cases.append((3, n + 2))
+    for q, modulus in cases:
+        for y in product(range(q), repeat=n - 1):
+            for a in range(modulus):
+                assert outcome(vt_decode_one_deletion, y, a, modulus, q) == outcome(
+                    _reference_vt_decode_one_deletion, y, a, modulus, q
+                )
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 6), (4, 5), (5, 4)])
+def test_qary_decode_matches_reference_exhaustively(q, n):
+    for length in range(1, n + 1):
+        for y in product(range(q), repeat=length - 1):
+            for a in range(q * length):
+                assert outcome(qary_decode_one_deletion, y, a, q, length) == outcome(
+                    _reference_qary_decode_one_deletion, y, a, q, length
+                )
+
+
+def _row_400(q):
+    """A fixed row of length 400 over Sigma_q."""
+    return tuple((7 * i * i + 3 * i) % q for i in range(400))
+
+
+@pytest.mark.parametrize(
+    "decode,reference,call,q,unique",
+    [
+        # binary VT: Levenshtein's placement rule
+        (vt_decode_one_deletion, _reference_vt_decode_one_deletion,
+         lambda x: (x[:-1], vt_syndrome(x), 401, 2), 2, True),
+        # direct VT over Sigma_4: O(1) per canonical insertion (the modulus
+        # does not make the code unique, so both sides report the same failure)
+        (vt_decode_one_deletion, _reference_vt_decode_one_deletion,
+         lambda x: (x[:-1], vt_syndrome(x), 401, 4), 4, False),
+        # VT(psi) over Sigma_4: prefix and suffix sums of psi(y)
+        (qary_decode_one_deletion, _reference_qary_decode_one_deletion,
+         lambda x: (x[:-1], qary_vt_syndrome(x, 4), 4, 400), 4, True),
+    ],
+)
+def test_row_decode_makes_constant_syndrome_evaluations(
+    monkeypatch, decode, reference, call, q, unique
+):
+    x = _row_400(q)
+    args = call(x)
+    calls = []
+    original = vt_core.vt_syndrome
+
+    def counting(row):
+        calls.append(len(row))
+        return original(row)
+
+    monkeypatch.setattr(vt_core, "vt_syndrome", counting)
+    got = outcome(decode, *args)
+    assert len(calls) <= 1
+    assert (got == x) is unique
+    calls.clear()
+    assert outcome(reference, *args) == got
+    assert len(calls) == q * 400  # the enumerator: one per (position, symbol)
 
 
 if __name__ == "__main__":
