@@ -3,7 +3,8 @@
 Contents: primality and Bertrand-interval prime search, fixed-width base-Q
 expansions, ranking/unranking of constant-weight binary sequences, semistandard
 tableau enumeration with Schur polynomial evaluation, shape-shifted Vandermonde
-determinants, Gaussian elimination over a prime field, and the threshold
+determinants, Gaussian elimination over a prime field, the weighted power sums
+of the t-row codes with their Vandermonde solve, and the threshold
 function f(k, t) under which every square submatrix of the syndrome
 coefficient matrix [i^(j-1)] is invertible mod p.
 """
@@ -290,6 +291,30 @@ def solve_mod_p(matrix, rhs, p: int) -> list[int]:
                 factor = aug[r][col]
                 aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[col])]
     return [row[n] for row in aug]
+
+
+def power_sums(values, exponents, p: int) -> list[int]:
+    """[sum_i (i + 1)^j * values[i] mod p for j in exponents].
+
+    These are the weighted syndromes of the t-row codes: row i (0-indexed)
+    carries the node i + 1, and a row left out of a sum has the value 0.
+    """
+    return [
+        sum(pow(i + 1, j, p) * v for i, v in enumerate(values)) % p
+        for j in exponents
+    ]
+
+
+def solve_power_sums(rows, exponents, rhs, p: int) -> list[int]:
+    """The values u_i of the given rows with sum_i (i + 1)^j * u_i = rhs[j]
+    (mod p) for each exponent j, by a Vandermonde solve over F_p.
+
+    The matrix is square when there are as many exponents as rows; it is
+    invertible when p exceeds every node difference and the exponents are
+    consecutive, or when p > f(k, t).
+    """
+    matrix = [[pow(i + 1, j, p) for i in rows] for j in exponents]
+    return solve_mod_p(matrix, rhs, p)
 
 
 def det_mod_p(matrix, p: int) -> int:

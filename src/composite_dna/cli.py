@@ -13,10 +13,15 @@ transform         letterwise equivalence maps on word files
 table             class-size table of the enumeration code, CSV output
 roundtrip         encode -> corrupt -> decode sweeps with a pass/fail report
 
-Exit codes: 0 success, 1 domain error (invalid word, precondition breach),
-2 usage error.  Diagnostics go to stderr, data to stdout or --out.  The
-same argv with the same seed always produces byte-identical output; the
-COMPOSITE_DNA_SEED environment variable supplies the default --seed.
+Every code family is one record of the FAMILIES table: the flags each verb
+requires, its spec, encoder, decoder, membership test and native roundtrip
+patterns.  The --family choices of each verb come from that table.
+
+Exit codes: 0 success, 1 domain error (invalid word, precondition breach, a
+flag the family needs is missing), 2 usage error.  Diagnostics go to
+stderr, data to stdout or --out.  The same argv with the same seed always
+produces byte-identical output; the COMPOSITE_DNA_SEED environment variable
+supplies the default --seed.
 
 CSV column orders (fixed, locale-free):
   bounds: q,k,n,extra,family,value,floor,asymptotic
@@ -30,6 +35,8 @@ import itertools
 import os
 import random
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from .alphabet import Word, alphabet_size, word_from_text, word_to_text
 from .bounds import (
@@ -63,6 +70,7 @@ from .codes_deletion import (
     c1d_decode,
     c1d_encode,
     c1d_message,
+    c1d_message_length,
     c2d_decode,
     c2d_encode,
     c3d_decode,
@@ -92,10 +100,8 @@ from .codes_substitution import (
     enc_doll,
 )
 from .equivalence import MAP_NAMES, EquivalenceMap
+from .vt_core import lme_message_length
 
-MESSAGE_FAMILIES = ("c1d", "lme1", "doll")
-PAYLOAD_FAMILIES = ("c2d", "c3d", "c4d", "c1s", "c2s")
-CONGRUENCE_FAMILIES = ("cong-binary-t", "cong-qary-1", "cong-qary-t")
 MODEL_NAMES = (
     "sub-per-row",
     "sub-total",
@@ -156,20 +162,6 @@ def build_model(name: str, e: str, t: int | None) -> ErrorModel:
     raise ValueError(f"unknown model {name!r}")
 
 
-def _marker_spec(args):
-    if args.family == "c2d":
-        return C2DSpec(args.k, args.t, args.m)
-    if args.family == "c3d":
-        return C3DSpec(args.q, args.k, args.m)
-    if args.family == "c4d":
-        return C4DSpec(args.q, args.k, args.t, args.m)
-    if args.family == "c1s":
-        return C1SSpec(args.q, args.k, args.m)
-    if args.family == "c2s":
-        return C2SSpec(args.q, args.k, args.t, args.m)
-    raise AssertionError(args.family)
-
-
 def _spec_text(args, n: int) -> str:
     keys = ["family", "q", "k", "t", "m", "n", "a"]
     values = {
@@ -207,49 +199,161 @@ def _require(args, *names):
 
 
 # ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One code family, as every verb sees it.
+
+    ``flags`` maps each verb the family supports to the flags that verb
+    requires, in the order they are checked.  ``spec`` turns the parsed
+    arguments into the parameters that the other fields take last; a verb
+    builds it once.  ``decode`` returns the message of a message family and
+    the payload word of the others.  ``message_space`` gives (alphabet size,
+    length) of the messages a roundtrip enumerates; families without one
+    sample --trials payloads instead.  ``patterns`` yields (label, received)
+    for every error of the family's native model.  The fields name the
+    codec functions inside lambdas, so they are looked up at call time.
+    """
+
+    flags: dict[str, tuple[str, ...]]
+    decode: Callable
+    spec: Callable = lambda args: args
+    encode: Callable | None = None
+    contains: Callable | None = None
+    message_space: Callable | None = None
+    patterns: Callable | None = None
+
+
+def _payload_flags(*names):
+    return dict.fromkeys(("encode", "decode", "roundtrip"), names)
+
+
+# c1d and lme1: a class code {VT-type sum = a}, with a systematic encoder
+_CLASS_CODE_FLAGS = {
+    "encode": ("k", "n", "a", "message"),
+    "decode": ("a",),
+    "contains": ("a",),
+    "roundtrip": ("k", "n", "a"),
+}
+
+
+FAMILIES = {
+    "c1d": Family(
+        flags=_CLASS_CODE_FLAGS,
+        encode=lambda message, args: c1d_encode(message, args.a, args.k, args.n),
+        decode=lambda received, args: c1d_message(c1d_decode(received, args.a)),
+        contains=lambda word, args: c1d_contains(word, args.a),
+        message_space=lambda args, _: (args.k + 1, c1d_message_length(args.k, args.n)),
+        patterns=lambda word, _: _any_one_deletion(word),
+    ),
+    "lme1": Family(
+        flags=_CLASS_CODE_FLAGS,
+        encode=lambda message, args: cecc1_encode(message, args.a, args.k, args.n),
+        decode=lambda received, args: cecc1_message(cecc1_decode(received, args.a)),
+        contains=lambda word, args: cecc1_contains(word, args.a),
+        message_space=lambda args, _: (
+            args.k + 1,
+            lme_message_length(args.n, args.k + 1),
+        ),
+        patterns=lambda word, _: _substitutions(word, 1),
+    ),
+    "doll": Family(
+        flags={
+            "encode": ("k", "n", "message"),
+            "decode": ("k", "n"),
+            "roundtrip": ("k", "n"),
+        },
+        spec=lambda args: DollSpec(2 if args.q is None else args.q, args.k, args.n),
+        encode=lambda message, spec: enc_doll(message, spec),
+        decode=lambda received, spec: dec_doll(received, spec),
+        message_space=lambda _, spec: (alphabet_size(spec.q, spec.k), spec.m),
+        patterns=lambda word, _: _first_row_substitutions(word),
+    ),
+    "c2d": Family(
+        flags=_payload_flags("k", "t", "m"),
+        spec=lambda args: C2DSpec(args.k, args.t, args.m),
+        encode=lambda payload, spec: c2d_encode(payload, spec),
+        decode=lambda received, spec: c2d_decode(received, spec),
+        patterns=lambda word, spec: _deletions(word, spec.t),
+    ),
+    "c3d": Family(
+        flags=_payload_flags("q", "k", "m"),
+        spec=lambda args: C3DSpec(args.q, args.k, args.m),
+        encode=lambda payload, spec: c3d_encode(payload, spec),
+        decode=lambda received, spec: c3d_decode(received, spec),
+        patterns=lambda word, _: _deletions(word, 1),
+    ),
+    "c4d": Family(
+        flags=_payload_flags("q", "k", "m", "t"),
+        spec=lambda args: C4DSpec(args.q, args.k, args.t, args.m),
+        encode=lambda payload, spec: c4d_encode(payload, spec),
+        decode=lambda received, spec: c4d_decode(received, spec),
+        patterns=lambda word, spec: _deletions(word, spec.t),
+    ),
+    "c1s": Family(
+        flags=_payload_flags("q", "k", "m"),
+        spec=lambda args: C1SSpec(args.q, args.k, args.m),
+        encode=lambda payload, spec: c1s_encode(payload, spec),
+        decode=lambda received, spec: c1s_decode(received, spec),
+        patterns=lambda word, _: _substitutions(word, 1),
+    ),
+    "c2s": Family(
+        flags=_payload_flags("q", "k", "m", "t"),
+        spec=lambda args: C2SSpec(args.q, args.k, args.t, args.m),
+        encode=lambda payload, spec: c2s_encode(payload, spec),
+        decode=lambda received, spec: c2s_decode(received, spec),
+        patterns=lambda word, spec: _substitutions(word, spec.t),
+    ),
+    "cong-binary-t": Family(
+        flags=dict.fromkeys(("decode", "contains"), ("p", "targets")),
+        spec=lambda args: (_ints(args.targets), args.p),
+        decode=lambda received, spec: congruence_decode_binary_t(received, *spec),
+        contains=lambda word, spec: congruence_contains_binary_t(word, *spec),
+    ),
+    "cong-qary-1": Family(
+        flags=dict.fromkeys(("decode", "contains"), ("a",)),
+        decode=lambda received, args: congruence_decode_qary_one(received, args.a),
+        contains=lambda word, args: congruence_contains_qary_one(word, args.a),
+    ),
+    "cong-qary-t": Family(
+        flags=dict.fromkeys(("decode", "contains"), ("p", "targets")),
+        spec=lambda args: (_ints(args.targets), args.p),
+        decode=lambda received, spec: congruence_decode_qary_t(received, *spec),
+        contains=lambda word, spec: congruence_contains_qary_t(word, *spec),
+    ),
+}
+
+
+def _families_with(verb: str) -> list[str]:
+    return [name for name, family in FAMILIES.items() if verb in family.flags]
+
+
+# ---------------------------------------------------------------------------
 # encode / decode / contains
 # ---------------------------------------------------------------------------
 
-def _encode_word(args) -> Word:
-    family = args.family
-    if family == "c1d":
-        _require(args, "k", "n", "a", "message")
-        return c1d_encode(_ints(args.message), args.a, args.k, args.n)
-    if family == "lme1":
-        _require(args, "k", "n", "a", "message")
-        return cecc1_encode(_ints(args.message), args.a, args.k, args.n)
-    if family == "doll":
-        _require(args, "k", "n", "message")
-        q = args.q if args.q is not None else 2
-        return enc_doll(_ints(args.message), DollSpec(q, args.k, args.n))
-    if family in PAYLOAD_FAMILIES:
-        if family == "c2d":
-            _require(args, "k", "t", "m")
-        elif family == "c3d":
-            _require(args, "q", "k", "m")
-        else:
-            _require(args, "q", "k", "m")
-            if family in ("c4d", "c2s"):
-                _require(args, "t")
-        spec = _marker_spec(args)
-        if args.message is not None:
-            q = getattr(spec, "q", 2)
-            payload = Word.from_ranks(_ints(args.message), q, args.k)
-        else:
-            payload = word_from_text(_read_text(args.infile))
-        encoder = {
-            "c2d": c2d_encode,
-            "c3d": c3d_encode,
-            "c4d": c4d_encode,
-            "c1s": c1s_encode,
-            "c2s": c2s_encode,
-        }[family]
-        return encoder(payload, spec)
-    raise ValueError(f"family {family!r} has no encoder")
+def _checked_family(args, verb: str) -> Family:
+    family = FAMILIES[args.family]
+    _require(args, *family.flags[verb])
+    return family
+
+
+def _read_message(family: Family, args, spec):
+    """What encode takes: a message tuple, or a payload word for the
+    families that sample payloads."""
+    if family.message_space is not None:
+        return _ints(args.message)
+    if args.message is not None:
+        return Word.from_ranks(_ints(args.message), spec.q, args.k)
+    return word_from_text(_read_text(args.infile))
 
 
 def cmd_encode(args) -> int:
-    word = _encode_word(args)
+    family = _checked_family(args, "encode")
+    spec = family.spec(args)
+    word = family.encode(_read_message(family, args, spec), spec)
     _write_text(args.out, word_to_text(word))
     if args.spec_out:
         _write_text(args.spec_out, _spec_text(args, word.n))
@@ -262,67 +366,21 @@ def cmd_decode(args) -> int:
     if args.family is None:
         raise ValueError("--family is required (flag or spec file)")
     received = received_from_text(_read_text(args.infile))
-    family = args.family
-    if family == "c1d":
-        _require(args, "a")
-        word = c1d_decode(received, args.a)
-        _write_text(args.out, ",".join(map(str, c1d_message(word))) + "\n")
-    elif family == "lme1":
-        _require(args, "a")
-        word = cecc1_decode(received, args.a)
-        _write_text(args.out, ",".join(map(str, cecc1_message(word))) + "\n")
-    elif family == "doll":
-        _require(args, "k", "n")
-        q = args.q if args.q is not None else 2
-        message = dec_doll(received, DollSpec(q, args.k, args.n))
-        _write_text(args.out, ",".join(map(str, message)) + "\n")
-    elif family in PAYLOAD_FAMILIES:
-        spec = _marker_spec(args)
-        decoder = {
-            "c2d": c2d_decode,
-            "c3d": c3d_decode,
-            "c4d": c4d_decode,
-            "c1s": c1s_decode,
-            "c2s": c2s_decode,
-        }[family]
-        _write_text(args.out, word_to_text(decoder(received, spec)))
-    elif family == "cong-binary-t":
-        _require(args, "p", "targets")
-        word = congruence_decode_binary_t(received, _ints(args.targets), args.p)
-        _write_text(args.out, word_to_text(word))
-    elif family == "cong-qary-1":
-        _require(args, "a")
-        word = congruence_decode_qary_one(received, args.a)
-        _write_text(args.out, word_to_text(word))
-    elif family == "cong-qary-t":
-        _require(args, "p", "targets")
-        word = congruence_decode_qary_t(received, _ints(args.targets), args.p)
-        _write_text(args.out, word_to_text(word))
+    if args.family not in FAMILIES:
+        raise ValueError(f"family {args.family!r} has no decoder")
+    family = _checked_family(args, "decode")
+    decoded = family.decode(received, family.spec(args))
+    if isinstance(decoded, Word):
+        _write_text(args.out, word_to_text(decoded))
     else:
-        raise ValueError(f"family {family!r} has no decoder")
+        _write_text(args.out, ",".join(map(str, decoded)) + "\n")
     return 0
 
 
 def cmd_contains(args) -> int:
     word = word_from_text(_read_text(args.infile))
-    family = args.family
-    if family == "c1d":
-        _require(args, "a")
-        verdict = c1d_contains(word, args.a)
-    elif family == "lme1":
-        _require(args, "a")
-        verdict = cecc1_contains(word, args.a)
-    elif family == "cong-binary-t":
-        _require(args, "p", "targets")
-        verdict = congruence_contains_binary_t(word, _ints(args.targets), args.p)
-    elif family == "cong-qary-1":
-        _require(args, "a")
-        verdict = congruence_contains_qary_one(word, args.a)
-    elif family == "cong-qary-t":
-        _require(args, "p", "targets")
-        verdict = congruence_contains_qary_t(word, _ints(args.targets), args.p)
-    else:
-        raise ValueError(f"family {family!r} has no membership predicate")
+    family = _checked_family(args, "contains")
+    verdict = family.contains(word, family.spec(args))
     _write_text(args.out, ("true" if verdict else "false") + "\n")
     return 0
 
@@ -456,154 +514,86 @@ def _substituted(word: Word, hits: dict[int, tuple[int, int]]) -> ReceivedRows:
     return ReceivedRows(tuple(tuple(r) for r in rows), word.q, word.n)
 
 
-def _deletion_patterns(k: int, n: int, t: int):
-    yield {}
-    for size in range(1, t + 1):
-        for rows_subset in itertools.combinations(range(k), size):
-            for positions in itertools.product(range(n), repeat=size):
-                yield dict(zip(rows_subset, positions))
+def _any_one_deletion(word: Word):
+    """c1d's model: one deletion anywhere in the word."""
+    for row in range(word.k):
+        for pos in range(word.n):
+            yield f"row={row} pos={pos}", _dropped(word, {row: pos})
 
 
-def _substitution_patterns(word: Word, t: int):
-    """All patterns hitting <= t rows, one changed digit per hit row."""
-    yield {}
-    k, n, q = word.k, word.n, word.q
-    rows = word.rows()
-    for size in range(1, t + 1):
-        for rows_subset in itertools.combinations(range(k), size):
-            cell_choices = []
-            for row in rows_subset:
-                cells = [
-                    (pos, value)
-                    for pos in range(n)
-                    for value in range(q)
-                    if value != rows[row][pos]
-                ]
-                cell_choices.append(cells)
-            for combo in itertools.product(*cell_choices):
-                yield dict(zip(rows_subset, combo))
+def _first_row_substitutions(word: Word):
+    """doll's model: one substitution in the first row."""
+    first = word.rows()[0]
+    for pos, digit in enumerate(first):
+        for value in range(word.q):
+            if value != digit:
+                yield f"pos={pos} value={value}", _substituted(word, {0: (pos, value)})
 
 
-def _sample_payloads(q: int, k: int, m: int, count: int, seed: int):
-    rng = random.Random(seed)
-    big_q = alphabet_size(q, k)
+def _t_rows(word: Word, t: int, cells, corrupt):
+    """No error, then every way to corrupt 1..t rows, taking one of cells[i]
+    in each corrupted row i."""
+    for size in range(t + 1):
+        for rows_subset in itertools.combinations(range(word.k), size):
+            for combo in itertools.product(*(cells[i] for i in rows_subset)):
+                pattern = dict(zip(rows_subset, combo))
+                yield f"pattern={sorted(pattern.items())}", corrupt(word, pattern)
+
+
+def _deletions(word: Word, t: int):
+    """One deletion in each of <= t rows."""
+    return _t_rows(word, t, [range(word.n)] * word.k, _dropped)
+
+
+def _substitutions(word: Word, t: int):
+    """One changed digit in each of <= t rows."""
+    cells = [
+        [
+            (pos, value)
+            for pos, digit in enumerate(row)
+            for value in range(word.q)
+            if value != digit
+        ]
+        for row in word.rows()
+    ]
+    return _t_rows(word, t, cells, _substituted)
+
+
+def _messages(family: Family, args, spec):
+    """(label, message) pairs of a sweep: every message of a message family,
+    or --trials payloads drawn with --seed."""
+    if family.message_space is not None:
+        symbols, length = family.message_space(args, spec)
+        return (
+            (f"message={message}", message)
+            for message in itertools.product(range(symbols), repeat=length)
+        )
+    rng = random.Random(_default_seed(args))
+    big_q = alphabet_size(spec.q, args.k)
+    draws = ([rng.randrange(big_q) for _ in range(args.m)] for _ in range(args.trials))
     return [
-        Word.from_ranks([rng.randrange(big_q) for _ in range(m)], q, k)
-        for _ in range(count)
+        (f"payload#{index}", Word.from_ranks(ranks, spec.q, args.k))
+        for index, ranks in enumerate(draws)
     ]
 
 
-def _roundtrip_cases(args):
-    """Yield (label, expected, received, decode) per corruption case."""
-    family = args.family
-    if family == "c1d":
-        _require(args, "k", "n", "a")
-        from .codes_deletion import c1d_message_length
-
-        k, n, a = args.k, args.n, args.a
-        for message in itertools.product(
-            range(k + 1), repeat=c1d_message_length(k, n)
-        ):
-            word = c1d_encode(message, a, k, n)
-            for row in range(k):
-                for pos in range(n):
-                    received = _dropped(word, {row: pos})
-                    yield (
-                        f"message={message} row={row} pos={pos}",
-                        message,
-                        received,
-                        lambda r: c1d_message(c1d_decode(r, a)),
-                    )
-    elif family == "lme1":
-        _require(args, "k", "n", "a")
-        from .vt_core import lme_message_length
-
-        k, n, a = args.k, args.n, args.a
-        length = lme_message_length(n, k + 1)
-        for message in itertools.product(range(k + 1), repeat=length):
-            word = cecc1_encode(message, a, k, n)
-            for pattern in _substitution_patterns(word, 1):
-                received = _substituted(word, pattern)
-                yield (
-                    f"message={message} pattern={sorted(pattern.items())}",
-                    message,
-                    received,
-                    lambda r: cecc1_message(cecc1_decode(r, a)),
-                )
-    elif family == "doll":
-        _require(args, "k", "n")
-        q = args.q if args.q is not None else 2
-        spec = DollSpec(q, args.k, args.n)
-        big_q = alphabet_size(q, args.k)
-        for message in itertools.product(range(big_q), repeat=spec.m):
-            word = enc_doll(message, spec)
-            for pos in range(spec.n):
-                old = word.rows()[0][pos]
-                for value in range(q):
-                    if value == old:
-                        continue
-                    received = _substituted(word, {0: (pos, value)})
-                    yield (
-                        f"message={message} pos={pos} value={value}",
-                        message,
-                        received,
-                        lambda r: dec_doll(r, spec),
-                    )
-    elif family in PAYLOAD_FAMILIES:
-        spec = _marker_spec(args)
-        q = getattr(spec, "q", 2)
-        decoder = {
-            "c2d": c2d_decode,
-            "c3d": c3d_decode,
-            "c4d": c4d_decode,
-            "c1s": c1s_decode,
-            "c2s": c2s_decode,
-        }[family]
-        payloads = _sample_payloads(
-            q, args.k, args.m, args.trials, _default_seed(args)
-        )
-        deletions = family in ("c2d", "c3d", "c4d")
-        t = getattr(spec, "t", 1)
-        for index, payload in enumerate(payloads):
-            encoder = {
-                "c2d": c2d_encode,
-                "c3d": c3d_encode,
-                "c4d": c4d_encode,
-                "c1s": c1s_encode,
-                "c2s": c2s_encode,
-            }[family]
-            word = encoder(payload, spec)
-            if deletions:
-                patterns = _deletion_patterns(word.k, spec.n, t)
-                corrupt = _dropped
-            else:
-                patterns = _substitution_patterns(word, t)
-                corrupt = _substituted
-            for pattern in patterns:
-                received = corrupt(word, pattern)
-                yield (
-                    f"payload#{index} pattern={sorted(pattern.items())}",
-                    payload,
-                    received,
-                    lambda r: decoder(r, spec),
-                )
-    else:
-        raise ValueError(f"family {family!r} has no roundtrip runner")
-
-
 def cmd_roundtrip(args) -> int:
+    family = _checked_family(args, "roundtrip")
+    spec = family.spec(args)
     cases = failures = 0
     first_failure = None
-    for label, expected, received, decode in _roundtrip_cases(args):
-        cases += 1
-        try:
-            ok = decode(received) == expected
-        except ValueError:
-            ok = False
-        if not ok:
-            failures += 1
-            if first_failure is None:
-                first_failure = (label, received)
+    for label, message in _messages(family, args, spec):
+        word = family.encode(message, spec)
+        for pattern, received in family.patterns(word, spec):
+            cases += 1
+            try:
+                ok = family.decode(received, spec) == message
+            except ValueError:
+                ok = False
+            if not ok:
+                failures += 1
+                if first_failure is None:
+                    first_failure = (f"{label} {pattern}", received)
     lines = [
         f"family={args.family}",
         f"cases={cases} failures={failures}",
@@ -654,11 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     enc = sub.add_parser("encode", help="encode a message or payload word")
-    enc.add_argument(
-        "--family",
-        required=True,
-        choices=MESSAGE_FAMILIES + PAYLOAD_FAMILIES,
-    )
+    enc.add_argument("--family", required=True, choices=_families_with("encode"))
     enc.add_argument("--message", default=None, help="comma-separated symbols")
     enc.add_argument("--spec-out", default=None, help="write key=value spec file")
     _add_params(enc)
@@ -666,22 +652,14 @@ def build_parser() -> argparse.ArgumentParser:
     enc.set_defaults(func=cmd_encode)
 
     dec = sub.add_parser("decode", help="decode received rows")
-    dec.add_argument(
-        "--family",
-        default=None,
-        choices=MESSAGE_FAMILIES + PAYLOAD_FAMILIES + CONGRUENCE_FAMILIES,
-    )
+    dec.add_argument("--family", default=None, choices=_families_with("decode"))
     dec.add_argument("--spec", default=None, help="read key=value spec file")
     _add_params(dec)
     _add_io(dec)
     dec.set_defaults(func=cmd_decode)
 
     con = sub.add_parser("contains", help="membership check for class codes")
-    con.add_argument(
-        "--family",
-        required=True,
-        choices=("c1d", "lme1") + CONGRUENCE_FAMILIES,
-    )
+    con.add_argument("--family", required=True, choices=_families_with("contains"))
     _add_params(con)
     _add_io(con)
     con.set_defaults(func=cmd_contains)
@@ -737,11 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.set_defaults(func=cmd_table)
 
     rou = sub.add_parser("roundtrip", help="encode->corrupt->decode sweep")
-    rou.add_argument(
-        "--family",
-        required=True,
-        choices=MESSAGE_FAMILIES + PAYLOAD_FAMILIES,
-    )
+    rou.add_argument("--family", required=True, choices=_families_with("roundtrip"))
     rou.add_argument("--trials", type=int, default=20, help="sampled payloads")
     rou.add_argument("--seed", type=int, default=None)
     _add_params(rou)

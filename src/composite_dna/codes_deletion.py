@@ -34,7 +34,8 @@ from .algebra import (
     f_threshold,
     is_prime,
     next_prime_bertrand,
-    solve_mod_p,
+    power_sums,
+    solve_power_sums,
 )
 from .channel import ReceivedRows
 from .vt_core import (
@@ -61,6 +62,16 @@ def _row_deficits(received: ReceivedRows) -> dict[int, int]:
         if d:
             deficits[i] = d
     return deficits
+
+
+def _repaired_word(rows, q: int) -> Word:
+    """Word.from_rows for rows that a decoder repaired.  A repair that leaves
+    an invalid column means the received word lay outside the model, so that
+    is a DecodeFailure, not the ValueError of malformed input."""
+    try:
+        return Word.from_rows(rows, q)
+    except ValueError as exc:
+        raise DecodeFailure(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +142,7 @@ def c1d_decode(received: ReceivedRows, a: int) -> Word:
     restored = vt_decode_one_deletion(received.rows[short], residue, n + 1)
     rows = list(received.rows)
     rows[short] = restored
-    word = Word.from_rows(rows, 2)
+    word = _repaired_word(rows, 2)
     if not c1d_contains(word, a):
         raise DecodeFailure("decoded word does not satisfy the code congruence")
     return word
@@ -148,19 +159,12 @@ def _check_prime_above(p: int, floor: int, what: str):
         raise ValueError(f"{what} needs p > {floor}, got {p}")
 
 
-def _weighted_sums(values, t: int, p: int):
-    """[sum_i i^j * v_i mod p for j in 0..t-1], rows 1-indexed."""
-    return [
-        sum(i**j * v for i, v in enumerate(values, start=1)) % p for j in range(t)
-    ]
-
-
 def congruence_contains_binary_t(word: Word, targets, p: int) -> bool:
     targets = tuple(targets)
     if word.q != 2:
         raise ValueError("binary congruence family needs q = 2")
     _check_prime_above(p, max(word.k - 1, word.n), "the binary t-row family")
-    sums = _weighted_sums([vt_syndrome(r) for r in word.rows()], len(targets), p)
+    sums = power_sums([vt_syndrome(r) for r in word.rows()], range(len(targets)), p)
     return sums == [t % p for t in targets]
 
 
@@ -174,21 +178,39 @@ def congruence_contains_qary_t(word: Word, targets, p: int) -> bool:
     targets = tuple(targets)
     _check_prime_above(p, max(word.k - 1, word.q * word.n), "the q-ary t-row family")
     values = [qary_vt_syndrome(r, word.q) for r in word.rows()]
-    return _weighted_sums(values, len(targets), p) == [t % p for t in targets]
+    return power_sums(values, range(len(targets)), p) == [t % p for t in targets]
 
 
-def _solve_short_rows(short_rows, intact_contrib, targets, p):
-    """Solve sum_{i in I} i^j u_i = targets[j] - intact_contrib[j] over F_p.
-
-    Uses the first |I| congruences; with consecutive powers j = 0..s-1 the
-    coefficient matrix is a plain Vandermonde in the distinct row nodes, so
-    it is invertible whenever p exceeds every node difference.
-    """
-    s = len(short_rows)
-    nodes = [i + 1 for i in short_rows]
-    matrix = [[pow(node, j, p) for node in nodes] for j in range(s)]
-    rhs = [(targets[j] - intact_contrib[j]) % p for j in range(s)]
-    return solve_mod_p(matrix, rhs, p)
+def _congruence_decode_t(received, targets, p, syndrome, contains, decode_row):
+    """Repair up to t = len(targets) short rows: the weighted sums of the
+    intact rows' syndromes leave a Vandermonde system for the short rows'
+    syndromes, and each short row is then decoded on its own."""
+    deficits = _row_deficits(received)
+    if len(deficits) > len(targets):
+        raise ValueError(
+            f"{len(deficits)} rows lost symbols; family handles {len(targets)}"
+        )
+    if not deficits:
+        word = Word.from_rows(received.rows, received.q)
+        if not contains(word, targets, p):
+            raise ValueError("clean rows do not satisfy the code congruences")
+        return word
+    # the first |I| congruences suffice: with consecutive powers the matrix is
+    # a plain Vandermonde in the distinct row nodes, invertible since p > k - 1
+    short = sorted(deficits)
+    exponents = range(len(short))
+    values = [
+        0 if i in deficits else syndrome(row) for i, row in enumerate(received.rows)
+    ]
+    intact = power_sums(values, exponents, p)
+    rhs = [a - s for a, s in zip(targets, intact)]
+    rows = list(received.rows)
+    for i, residue in zip(short, solve_power_sums(short, exponents, rhs, p)):
+        rows[i] = decode_row(rows[i], residue)
+    word = _repaired_word(rows, received.q)
+    if not contains(word, targets, p):
+        raise DecodeFailure("decoded word does not satisfy the code congruences")
+    return word
 
 
 def congruence_decode_binary_t(received: ReceivedRows, targets, p: int) -> Word:
@@ -203,31 +225,10 @@ def congruence_decode_binary_t(received: ReceivedRows, targets, p: int) -> Word:
             "decoding still uses consecutive syndrome indices, which stay invertible",
             stacklevel=2,
         )
-    deficits = _row_deficits(received)
-    if len(deficits) > t:
-        raise ValueError(f"{len(deficits)} rows lost symbols; family handles {t}")
-    if not deficits:
-        word = Word.from_rows(received.rows, 2)
-        if not congruence_contains_binary_t(word, targets, p):
-            raise ValueError("clean rows do not satisfy the code congruences")
-        return word
-    short = sorted(deficits)
-    intact = [
-        sum(
-            (i + 1) ** j * vt_syndrome(row)
-            for i, row in enumerate(received.rows)
-            if i not in deficits
-        )
-        for j in range(len(short))
-    ]
-    solved = _solve_short_rows(short, intact, targets, p)
-    rows = list(received.rows)
-    for i, residue in zip(short, solved):
-        rows[i] = vt_decode_one_deletion(received.rows[i], residue, p)
-    word = Word.from_rows(rows, 2)
-    if not congruence_contains_binary_t(word, targets, p):
-        raise DecodeFailure("decoded word does not satisfy the code congruences")
-    return word
+    return _congruence_decode_t(
+        received, targets, p, vt_syndrome, congruence_contains_binary_t,
+        lambda row, residue: vt_decode_one_deletion(row, residue, p),
+    )
 
 
 def congruence_decode_qary_one(received: ReceivedRows, a: int) -> Word:
@@ -247,7 +248,7 @@ def congruence_decode_qary_one(received: ReceivedRows, a: int) -> Word:
     ) % modulus
     rows = list(received.rows)
     rows[short] = qary_decode_one_deletion(received.rows[short], residue, q, n)
-    word = Word.from_rows(rows, q)
+    word = _repaired_word(rows, q)
     if not congruence_contains_qary_one(word, a):
         raise DecodeFailure("decoded word does not satisfy the code congruence")
     return word
@@ -255,35 +256,20 @@ def congruence_decode_qary_one(received: ReceivedRows, a: int) -> Word:
 
 def congruence_decode_qary_t(received: ReceivedRows, targets, p: int) -> Word:
     targets = tuple(targets)
-    q, n, k, t = received.q, received.n, received.k, len(targets)
+    q, n, k = received.q, received.n, received.k
     _check_prime_above(p, max(k - 1, q * n), "the q-ary t-row family")
-    deficits = _row_deficits(received)
-    if len(deficits) > t:
-        raise ValueError(f"{len(deficits)} rows lost symbols; family handles {t}")
-    if not deficits:
-        word = Word.from_rows(received.rows, q)
-        if not congruence_contains_qary_t(word, targets, p):
-            raise ValueError("clean rows do not satisfy the code congruences")
-        return word
-    short = sorted(deficits)
-    intact = [
-        sum(
-            (i + 1) ** j * qary_vt_syndrome(row, q)
-            for i, row in enumerate(received.rows)
-            if i not in deficits
-        )
-        for j in range(len(short))
-    ]
-    solved = _solve_short_rows(short, intact, targets, p)
-    rows = list(received.rows)
-    for i, residue in zip(short, solved):
+
+    def decode_row(row, residue):
         if residue >= q * n:
-            raise ValueError("solved syndrome does not lift below qn; inputs breach the model")
-        rows[i] = qary_decode_one_deletion(received.rows[i], residue, q, n)
-    word = Word.from_rows(rows, q)
-    if not congruence_contains_qary_t(word, targets, p):
-        raise DecodeFailure("decoded word does not satisfy the code congruences")
-    return word
+            raise ValueError(
+                "solved syndrome does not lift below qn; inputs breach the model"
+            )
+        return qary_decode_one_deletion(row, residue, q, n)
+
+    return _congruence_decode_t(
+        received, targets, p, lambda row: qary_vt_syndrome(row, q),
+        congruence_contains_qary_t, decode_row,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +310,8 @@ class C2DSpec:
         return self.m + self.t * (self.delta + 2)
 
     def syndromes(self, payload: Word):
-        rows_vt = [vt_syndrome(r) for r in payload.rows()]
-        return [
-            sum(i**j * v for i, v in enumerate(rows_vt, start=1)) % self.p
-            for j in range(self.t)
-        ]
+        values = [vt_syndrome(r) for r in payload.rows()]
+        return power_sums(values, range(self.t), self.p)
 
 
 @dataclass(frozen=True)
@@ -395,10 +378,7 @@ class C4DSpec:
 
     def syndromes(self, payload: Word):
         values = [qary_vt_syndrome(r, self.q) for r in payload.rows()]
-        return [
-            sum(i**j * v for i, v in enumerate(values, start=1)) % self.p
-            for j in range(self.t)
-        ]
+        return power_sums(values, range(self.t), self.p)
 
 
 def _marker_encode(payload: Word, spec, digit_base: int) -> Word:
@@ -495,30 +475,23 @@ def _marker_decode(received: ReceivedRows, spec, digit_base, lift_bound, row_dec
             rows[i] = row[: spec.m]
 
     if unknown:
-        s = len(unknown)
         blocked = {seg for seg in damage.values() if seg is not None and seg >= 0}
-        intact_blocks = [j for j in range(t) if j not in blocked]
-        if len(intact_blocks) < s:
+        chosen = [j for j in range(t) if j not in blocked][: len(unknown)]
+        if len(chosen) < len(unknown):
             raise ValueError("fewer intact syndrome blocks than damaged payload rows")
-        chosen = intact_blocks[:s]
-        known = [
-            (i + 1, row_syndrome(rows[i]))
-            for i in range(received.k)
-            if damage[i] is not None
-        ]
-        matrix = [[pow(i + 1, j, spec.p) for i in unknown] for j in chosen]
+        values = [0 if row is None else row_syndrome(row) for row in rows]
+        known = power_sums(values, chosen, spec.p)
         rhs = [
-            (_read_block_digits(received, spec, damage, j, digit_base)
-             - sum(node**j * v for node, v in known)) % spec.p
-            for j in chosen
+            _read_block_digits(received, spec, damage, j, digit_base) - v
+            for j, v in zip(chosen, known)
         ]
-        solved = solve_mod_p(matrix, rhs, spec.p)
-        for i, value in zip(unknown, solved):
+        for i, value in zip(unknown, solve_power_sums(unknown, chosen, rhs, spec.p)):
             if value >= lift_bound:
                 raise ValueError("syndrome residue does not lift; inputs breach the model")
             rows[i] = row_decode(received.rows[i][: spec.m - 1], value)
-
-    payload = Word.from_rows(rows, received.q)
+        payload = _repaired_word(rows, received.q)
+    else:
+        payload = Word.from_rows(rows, received.q)
     codeword = _marker_encode(payload, spec, digit_base)
     for got, want in zip(received.rows, codeword.rows()):
         if not _is_subsequence(got, want):
@@ -545,38 +518,26 @@ def c3d_decode(received: ReceivedRows, spec: C3DSpec) -> Word:
     deficits = _row_deficits(received)
     if len(deficits) > 1:
         raise ValueError("more than one row lost a symbol")
-    if deficits:
-        (short,) = deficits
-        y = received.rows[short]
-        if y[spec.m] == 1:
-            # zero-marker position reads 1: the deletion hit at or before it,
-            # so the payload lost a symbol and every later column shifted
-            digits = []
-            for idx in range(spec.delta):
-                column = []
-                for i, row in enumerate(received.rows):
-                    shift = 1 if i == short else 0
-                    column.append(row[spec.m + 2 + idx - shift])
-                digits.append(Letter(tuple(column), spec.q).rank)
-            value = compose_base(digits, alphabet_size(spec.q, spec.k))
-            residue = (
-                value
-                - sum(
-                    qary_vt_syndrome(row[: spec.m], spec.q)
-                    for i, row in enumerate(received.rows)
-                    if i != short
-                )
-            ) % spec.modulus
-            rows = [r[: spec.m] for r in received.rows]
-            rows[short] = qary_decode_one_deletion(
-                y[: spec.m - 1], residue, spec.q, spec.m
-            )
-        else:
-            # deletion after the zero marker: payload columns are untouched
-            rows = [r[: spec.m] for r in received.rows]
+    rows = [r[: spec.m] for r in received.rows]
+    short = next(iter(deficits), None)
+    if short is not None and received.rows[short][spec.m] == 1:
+        # zero-marker position reads 1: the deletion hit at or before it,
+        # so the payload lost a symbol and every later column shifted
+        damage = {i: None if i == short else -1 for i in range(received.k)}
+        value = _read_block_digits(
+            received, spec, damage, 0, alphabet_size(spec.q, spec.k)
+        )
+        residue = (
+            value
+            - sum(qary_vt_syndrome(r, spec.q) for i, r in enumerate(rows) if i != short)
+        ) % spec.modulus
+        rows[short] = qary_decode_one_deletion(
+            received.rows[short][: spec.m - 1], residue, spec.q, spec.m
+        )
+        payload = _repaired_word(rows, spec.q)
     else:
-        rows = [r[: spec.m] for r in received.rows]
-    payload = Word.from_rows(rows, spec.q)
+        # no deletion, or one after the zero marker: payload columns are untouched
+        payload = Word.from_rows(rows, spec.q)
     codeword = c3d_encode(payload, spec)
     for got, want in zip(received.rows, codeword.rows()):
         if not _is_subsequence(got, want):

@@ -39,8 +39,9 @@ from .algebra import (
     f_threshold,
     is_prime,
     next_prime_bertrand,
+    power_sums,
     smallest_prime_at_least,
-    solve_mod_p,
+    solve_power_sums,
 )
 from .channel import ReceivedRows
 from .vt_core import (
@@ -186,15 +187,6 @@ def hamming_build(l: int, field: int = 2) -> HammingFamily:
     )
 
 
-def _code_size(l: int, field: int) -> int:
-    if l <= 2:
-        return 1
-    r = 1
-    while (field**r - 1) // (field - 1) < l:
-        r += 1
-    return field ** (l - r)
-
-
 # ---------------------------------------------------------------------------
 # the enumeration code for one row-1 substitution
 # ---------------------------------------------------------------------------
@@ -245,7 +237,8 @@ class DollSpec:
         return len(self.a2_ranks)
 
     def class_size(self, l: int) -> int:
-        return comb(self.n, l) * self.fill ** (self.n - l) * _code_size(l, self.field)
+        inner = hamming_build(l, self.field).size
+        return comb(self.n, l) * self.fill ** (self.n - l) * inner
 
     @property
     def size(self) -> int:
@@ -274,7 +267,7 @@ class DollSpec:
                 l,
                 comb(self.n, l),
                 self.fill ** (self.n - l),
-                _code_size(l, self.field),
+                hamming_build(l, self.field).size,
                 self.class_size(l),
             )
             for l in range(self.n + 1)
@@ -691,11 +684,7 @@ class C2SSpec:
         return [vt_syndrome(row) % self.span for row in payload.rows()]
 
     def syndromes(self, payload: Word) -> list[int]:
-        bars = self.row_syndromes(payload)
-        return [
-            sum(i**j * v for i, v in enumerate(bars, start=1)) % self.p
-            for j in range(self.t)
-        ]
+        return power_sums(self.row_syndromes(payload), range(self.t), self.p)
 
 
 def c2s_encode(payload: Word, spec: C2SSpec) -> Word:
@@ -757,23 +746,19 @@ def c2s_decode(received: ReceivedRows, spec: C2SSpec) -> Word:
             raise ValueError("fewer intact syndrome blocks than dirty rows; breach")
         chosen = intact[: len(dirty)]
         big_q = alphabet_size(q, k)
-        known = [
-            (i + 1, vt_syndrome(payload_rows[i]) % spec.span)
-            for i in range(k)
-            if i not in dirty
+        values = [
+            0 if i in dirty else vt_syndrome(row) % spec.span
+            for i, row in enumerate(payload_rows)
         ]
-        matrix = [[pow(i + 1, j, spec.p) for i in dirty] for j in chosen]
         rhs = []
-        for j in chosen:
+        for j, known in zip(chosen, power_sums(values, chosen, spec.p)):
             start = base + j * stride
             digits = [
                 Letter(tuple(row[start + idx] for row in rows), q).rank
                 for idx in range(spec.delta)
             ]
-            value = compose_base(digits, big_q)
-            rhs.append((value - sum(node**j * v for node, v in known)) % spec.p)
-        solved = solve_mod_p(matrix, rhs, spec.p)
-        for i, bar in zip(dirty, solved):
+            rhs.append(compose_base(digits, big_q) - known)
+        for i, bar in zip(dirty, solve_power_sums(dirty, chosen, rhs, spec.p)):
             if bar >= spec.span:
                 raise ValueError("solved VT residue does not lift; breach")
             copies = (rows[i][m + 2 * i], rows[i][m + 2 * i + 1])

@@ -4,8 +4,8 @@ This module works on plain digit sequences (rows), not composite words.  It
 provides:
 
 * the weighted syndrome VT(x) = sum_i i * x_i (1-indexed),
-* single-deletion decoding from VT(x) mod N with N > len(x): O(n) for binary
-  rows by Levenshtein's placement rule, O(q * n) otherwise,
+* binary single-deletion decoding from VT(x) mod N with N > len(x), in O(n)
+  by Levenshtein's placement rule,
 * the difference transform psi and q-ary single-deletion decoding from
   VT(psi(x)) mod q*n in O(q * n), from prefix and suffix sums of psi(y),
 * q-ary single-substitution decoding from the pair (VT(x) mod 2n(q-1),
@@ -13,9 +13,10 @@ provides:
 * the 1-limited-magnitude code {c : VT(c) = a mod 2n+1} over Sigma_Q with its
   systematic encoder and decoder.
 
-The two single-deletion decoders evaluate each candidate insertion in O(1)
-instead of recomputing its syndrome.  The brute-force enumerators they
-replace, O(q * n^2), are kept as ``_reference_vt_decode_one_deletion`` and
+Neither single-deletion decoder recomputes a syndrome per candidate: the
+binary one places the symbol directly, the q-ary one evaluates each candidate
+insertion in O(1).  The brute-force enumerators they replace, O(q * n^2), are
+kept as ``_reference_vt_decode_one_deletion`` and
 ``_reference_qary_decode_one_deletion``; the tests check that both give the
 same rows and the same failures.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import compose_base, digit_width, expand_base
+from .algebra import digit_width, expand_base
 
 
 class DecodeFailure(ValueError):
@@ -56,50 +57,22 @@ def syndromes(x) -> Syndromes:
 # single deletion, direct VT syndrome
 # ---------------------------------------------------------------------------
 
-# Both row decoders below look only at *canonical* insertions (pos, sym):
-# inserting sym at pos gives the same row as inserting it at pos - 1 when
-# y[pos - 1] == sym, so those are skipped and every distinct supersequence
-# of y is visited exactly once.  The number of canonical insertions whose
-# syndrome matches is then the number of distinct candidate rows, which is
-# what the reference enumerators count.
+def vt_decode_one_deletion(y, a: int, modulus: int):
+    """Recover the binary row x from y in D_1(x) given VT(x) = a (mod modulus).
 
-def _single_insertion(y, hits):
-    """The row y with the one matching insertion applied."""
-    if len(hits) != 1:
-        raise DecodeFailure(f"expected exactly one candidate, found {len(hits)}")
-    ((pos, sym),) = hits
-    return y[:pos] + (sym,) + y[pos:]
-
-
-def vt_decode_one_deletion(y, a: int, modulus: int, q: int = 2):
-    """Recover x from y in D_1(x) given VT(x) = a (mod modulus).
-
-    Uniqueness requires modulus > len(x) = len(y) + 1 for q = 2.  Inserting
-    sym at pos raises VT by (pos + 1) * sym + (sum of y[pos:]), so with
-    d = a - VT(y) every candidate costs O(1) and a decode costs O(q * n).
-    Binary rows use Levenshtein's placement rule instead: the n + 1 distinct
-    insertions raise VT by 0..n, and d alone says where the symbol goes.
-    ``_reference_vt_decode_one_deletion`` is the brute-force oracle.
+    Uniqueness requires modulus > len(x) = len(y) + 1.  Levenshtein's
+    placement rule decodes in O(n): the n + 1 distinct insertions raise VT by
+    0..n, and d = a - VT(y) alone says where the symbol goes.  q-ary rows use
+    ``qary_decode_one_deletion``.  ``_reference_vt_decode_one_deletion`` is
+    the brute-force oracle.
     """
     y = tuple(y)
     n = len(y) + 1
     if modulus <= n:
         raise ValueError(f"modulus {modulus} too small for length {n}")
-    if any(not 0 <= v < q for v in y):
-        raise ValueError(f"received row is not over Sigma_{q}")
-    d = (a - vt_syndrome(y)) % modulus
-    if q == 2:
-        return _levenshtein_insert(y, d)
-    hits = []
-    weight = 0  # sum of y[pos:]
-    for pos in range(n - 1, -1, -1):
-        before = y[pos - 1] if pos else None
-        for sym in range(q):
-            if sym != before and ((pos + 1) * sym + weight) % modulus == d:
-                hits.append((pos, sym))
-        if pos:
-            weight += y[pos - 1]
-    return _single_insertion(y, hits)
+    if any(v not in (0, 1) for v in y):
+        raise ValueError("received row is not over Sigma_2")
+    return _levenshtein_insert(y, (a - vt_syndrome(y)) % modulus)
 
 
 def _levenshtein_insert(y, d: int):
@@ -124,18 +97,18 @@ def _levenshtein_insert(y, d: int):
     raise DecodeFailure("expected exactly one candidate, found 0")
 
 
-def _reference_vt_decode_one_deletion(y, a: int, modulus: int, q: int = 2):
-    """Brute-force oracle for ``vt_decode_one_deletion``: insert every symbol
-    at every position and recompute the syndrome, O(q * n^2)."""
+def _reference_vt_decode_one_deletion(y, a: int, modulus: int):
+    """Brute-force oracle for ``vt_decode_one_deletion``: insert every bit at
+    every position and recompute the syndrome, O(n^2)."""
     y = tuple(y)
     n = len(y) + 1
     if modulus <= n:
         raise ValueError(f"modulus {modulus} too small for length {n}")
-    if any(not 0 <= v < q for v in y):
-        raise ValueError(f"received row is not over Sigma_{q}")
+    if any(v not in (0, 1) for v in y):
+        raise ValueError("received row is not over Sigma_2")
     candidates = set()
     for pos in range(n):
-        for sym in range(q):
+        for sym in (0, 1):
             cand = y[:pos] + (sym,) + y[pos:]
             if vt_syndrome(cand) % modulus == a % modulus:
                 candidates.add(cand)
@@ -186,6 +159,12 @@ def qary_decode_one_deletion(y, a: int, q: int, n: int):
     a decode costs O(q * n).  Appending at pos = n - 1 makes sym the last
     psi entry, with weight n.  ``_reference_qary_decode_one_deletion`` is the
     brute-force oracle.
+
+    Only *canonical* insertions (pos, sym) are counted: inserting sym at pos
+    gives the same row as inserting it at pos - 1 when y[pos - 1] == sym, so
+    those are skipped and every distinct supersequence of y is visited once.
+    The number of matches is then the number of distinct candidate rows,
+    which is what the reference enumerator counts.
     """
     y = tuple(y)
     if len(y) != n - 1:
@@ -215,7 +194,10 @@ def qary_decode_one_deletion(y, a: int, q: int, n: int):
                 syn += n * sym
             if syn % modulus == target:
                 hits.append((pos, sym))
-    return _single_insertion(y, hits)
+    if len(hits) != 1:
+        raise DecodeFailure(f"expected exactly one candidate, found {len(hits)}")
+    ((pos, sym),) = hits
+    return y[:pos] + (sym,) + y[pos:]
 
 
 def _reference_qary_decode_one_deletion(y, a: int, q: int, n: int):

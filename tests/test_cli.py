@@ -301,6 +301,99 @@ class TestRoundtrip:
         assert out == ""
 
 
+# flags each verb requires, per family, in the order they are checked
+REQUIRED = {
+    "c1d": {
+        "encode": ("k", "n", "a", "message"),
+        "decode": ("a",),
+        "contains": ("a",),
+        "roundtrip": ("k", "n", "a"),
+    },
+    "lme1": {
+        "encode": ("k", "n", "a", "message"),
+        "decode": ("a",),
+        "contains": ("a",),
+        "roundtrip": ("k", "n", "a"),
+    },
+    "doll": {
+        "encode": ("k", "n", "message"),
+        "decode": ("k", "n"),
+        "roundtrip": ("k", "n"),
+    },
+    "c2d": dict.fromkeys(("encode", "decode", "roundtrip"), ("k", "t", "m")),
+    "c3d": dict.fromkeys(("encode", "decode", "roundtrip"), ("q", "k", "m")),
+    "c4d": dict.fromkeys(("encode", "decode", "roundtrip"), ("q", "k", "m", "t")),
+    "c1s": dict.fromkeys(("encode", "decode", "roundtrip"), ("q", "k", "m")),
+    "c2s": dict.fromkeys(("encode", "decode", "roundtrip"), ("q", "k", "m", "t")),
+    "cong-binary-t": dict.fromkeys(("decode", "contains"), ("p", "targets")),
+    "cong-qary-1": dict.fromkeys(("decode", "contains"), ("a",)),
+    "cong-qary-t": dict.fromkeys(("decode", "contains"), ("p", "targets")),
+}
+
+# valid values for every flag a family takes
+VALUES = {
+    "c1d": {"k": "2", "n": "4", "a": "0", "message": "0,1"},
+    "lme1": {"k": "3", "n": "6", "a": "0", "message": "1,2,3"},
+    "doll": {"k": "2", "n": "4", "message": "1,2"},
+    "c2d": {"k": "3", "t": "2", "m": "4", "message": "1,0,2,3"},
+    "c3d": {"q": "3", "k": "2", "m": "3", "message": "5,0,3"},
+    "c4d": {"q": "3", "k": "3", "t": "2", "m": "3", "message": "9,4,1"},
+    "c1s": {"q": "3", "k": "2", "m": "5", "message": "0,5,3,1,4"},
+    "c2s": {"q": "3", "k": "2", "t": "2", "m": "3", "message": "2,5,1"},
+    "cong-binary-t": {"p": "7", "targets": "6,1"},
+    "cong-qary-1": {"a": "11"},
+    "cong-qary-t": {"p": "13", "targets": "3,9"},
+}
+
+
+@pytest.mark.parametrize(
+    "family,verb",
+    [(family, verb) for family, verbs in REQUIRED.items() for verb in verbs],
+)
+def test_missing_flag_is_a_domain_error(family, verb, capsys, tmp_path):
+    word_file = tmp_path / "word.txt"
+    word_file.write_text("2 2 4\n0000\n1001\n")
+    required = REQUIRED[family][verb]
+    extra = []
+    if verb == "encode" and "message" not in required:
+        extra = ["--message", VALUES[family]["message"]]
+    if verb in ("decode", "contains"):
+        extra = ["--in", str(word_file)]
+    for missing in required:
+        argv = [verb, "--family", family, *extra]
+        for flag in required:
+            if flag != missing:
+                argv += [f"--{flag}", VALUES[family][flag]]
+        assert run(capsys, *argv) == (
+            1,
+            "",
+            f"error: --{missing} is required for family {family}\n",
+        )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("decode", "--family", "c2d"), "--k is required for family c2d"),
+        (
+            ("roundtrip", "--family", "c4d", "--q", "3", "--k", "3", "--m", "3"),
+            "--t is required for family c4d",
+        ),
+        (
+            ("roundtrip", "--family", "c3d", "--k", "3", "--m", "8"),
+            "--q is required for family c3d",
+        ),
+    ],
+    ids=["decode-c2d", "roundtrip-c4d", "roundtrip-c3d"],
+)
+def test_missing_spec_flag_is_not_a_crash(argv, message, capsys, tmp_path):
+    received = tmp_path / "r.txt"
+    received.write_text("2 3 12\n00010100100\n001101000110\n10110100110\n")
+    if argv[0] == "decode":
+        argv += ("--in", str(received))
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 class TestUsageErrors:
     def test_missing_family_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:

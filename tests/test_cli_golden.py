@@ -1,0 +1,724 @@
+"""Golden outputs of the command-line front end.
+
+Each scenario runs main() in-process, step by step, in a fresh working
+directory holding its input files.  A step pins the exit code, stdout,
+stderr and every file the command writes or changes.  The recorded bytes
+cover the README examples, one roundtrip per family, encode --spec-out then
+decode --spec for every payload family, encode --in, the message families,
+decode and contains for every congruence family, and domain errors.
+FIRST_FAILURES makes one decode call fail per pattern style, which pins the
+four first-failure label formats, and USAGE_ERRORS pins each verb's family
+choices.
+"""
+
+import pytest
+
+from composite_dna import cli
+from composite_dna.vt_core import DecodeFailure
+
+SCENARIOS = {
+    "readme-c1d": (
+        {},
+        [
+            (
+                "encode --family c1d --k 2 --n 4 --a 0 --message 0,1 --out word.txt",
+                0,
+                "",
+                "",
+                {"word.txt": "2 2 4\n0000\n1001\n"},
+            ),
+            (
+                "corrupt --model del-per-row --e 1,0 --seed 7 --in word.txt --out received.txt",
+                0,
+                "",
+                "",
+                {"received.txt": "2 2 4\n000\n1001\n"},
+            ),
+            ("decode --family c1d --a 0 --in received.txt", 0, "0,1\n", "", {}),
+        ],
+    ),
+    "readme-bounds": (
+        {},
+        [
+            (
+                "bounds --family sp-total --q 2 --k 2 --n 2 --e 1",
+                0,
+                ("q,k,n,extra,family,value,floor,asymptotic\n"
+                 "2,2,2,e=1,sp-total,3,3,false\n"),
+                "",
+                {},
+            ),
+        ],
+    ),
+    "readme-verify-code": (
+        {
+            "book.txt": ("2 2 3\n"
+                         "000\n"
+                         "000\n"
+                         "\n"
+                         "2 2 3\n"
+                         "000\n"
+                         "110\n"
+                         "\n"
+                         "2 2 3\n"
+                         "010\n"
+                         "011\n"
+                         "\n"
+                         "2 2 3\n"
+                         "101\n"
+                         "101\n"
+                         "\n"
+                         "2 2 3\n"
+                         "111\n"
+                         "111\n"),
+        },
+        [
+            (
+                "verify-code --model sub-total --e 1 --in book.txt",
+                0,
+                ("verdict: false\n"
+                 "witness codeword A:\n"
+                 "2 2 3\n"
+                 "000\n"
+                 "000\n"
+                 "witness codeword B:\n"
+                 "2 2 3\n"
+                 "000\n"
+                 "110\n"
+                 "shared received:\n"
+                 "2 2 3\n"
+                 "000\n"
+                 "010\n"),
+                "",
+                {},
+            ),
+            (
+                "verify-code --model del-total --e 1 --in book.txt",
+                0,
+                "verdict: true\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "readme-roundtrip": (
+        {},
+        [
+            (
+                "roundtrip --family lme1 --k 2 --n 7 --a 0",
+                0,
+                "family=lme1\ncases=1215 failures=0\nPASS\n",
+                "",
+                {},
+            ),
+            (
+                "roundtrip --family c2s --q 2 --k 3 --t 2 --m 3 --trials 5 --seed 1",
+                0,
+                "family=c2s\ncases=5705 failures=0\nPASS\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "roundtrip-c2d": (
+        {},
+        [
+            (
+                "roundtrip --family c2d --k 3 --t 2 --m 4 --trials 1 --seed 1",
+                0,
+                "family=c2d\ncases=469 failures=0\nPASS\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "roundtrip-c2s": (
+        {},
+        [
+            (
+                "roundtrip --family c2s --q 3 --k 2 --t 2 --m 3 --trials 1 --seed 1",
+                0,
+                "family=c2s\ncases=961 failures=0\nPASS\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "roundtrip-c4d": (
+        {},
+        [
+            (
+                "roundtrip --family c4d --q 3 --k 3 --t 2 --m 3 --trials 1 --seed 1",
+                0,
+                "family=c4d\ncases=397 failures=0\nPASS\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "roundtrip-c3d": (
+        {},
+        [
+            (
+                "roundtrip --family c3d --q 3 --k 3 --m 8 --trials 8 --seed 1",
+                0,
+                "family=c3d\ncases=296 failures=0\nPASS\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "roundtrip-c1s": (
+        {},
+        [
+            (
+                "roundtrip --family c1s --q 3 --k 2 --m 5 --trials 24 --seed 1",
+                0,
+                "family=c1s\ncases=888 failures=0\nPASS\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "roundtrip-c1d": (
+        {},
+        [
+            (
+                "roundtrip --family c1d --k 2 --n 6 --a 0",
+                0,
+                "family=c1d\ncases=972 failures=0\nPASS\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "roundtrip-lme1": (
+        {},
+        [
+            (
+                "roundtrip --family lme1 --k 2 --n 7 --a 1",
+                0,
+                "family=lme1\ncases=1215 failures=0\nPASS\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "roundtrip-doll": (
+        {},
+        [
+            (
+                "roundtrip --family doll --k 3 --n 6",
+                0,
+                "family=doll\ncases=1536 failures=0\nPASS\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "spec-c2d": (
+        {},
+        [
+            (
+                "encode --family c2d --k 3 --t 2 --m 4 --message 1,0,2,3 --out cw.txt --spec-out cw.spec",
+                0,
+                "",
+                "",
+                {
+                    "cw.spec": "family=c2d\nk=3\nt=2\nm=4\nn=12\n",
+                    "cw.txt": ("2 3 12\n"
+                               "000101000100\n"
+                               "001101000110\n"
+                               "101101010110\n"),
+                },
+            ),
+            (
+                "corrupt --model del-t-rows --t 2 --e 1,1 --seed 3 --in cw.txt --out rx.txt",
+                0,
+                "",
+                "",
+                {"rx.txt": "2 3 12\n00010100100\n001101000110\n10110100110\n"},
+            ),
+            (
+                "decode --spec cw.spec --in rx.txt",
+                0,
+                "2 3 4\n0001\n0011\n1011\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "spec-c3d": (
+        {},
+        [
+            (
+                "encode --family c3d --q 3 --k 2 --m 3 --message 5,0,3 --out cw.txt --spec-out cw.spec",
+                0,
+                "",
+                "",
+                {
+                    "cw.spec": "family=c3d\nq=3\nk=2\nm=3\nn=7\n",
+                    "cw.txt": "3 2 7\n2000100\n2020120\n",
+                },
+            ),
+            (
+                "corrupt --model del-per-row --e 1,0 --seed 4 --in cw.txt --out rx.txt",
+                0,
+                "",
+                "",
+                {"rx.txt": "3 2 7\n200010\n2020120\n"},
+            ),
+            (
+                "decode --spec cw.spec --in rx.txt --out payload.txt",
+                0,
+                "",
+                "",
+                {"payload.txt": "3 2 3\n200\n202\n"},
+            ),
+        ],
+    ),
+    "spec-c4d": (
+        {},
+        [
+            (
+                "encode --family c4d --q 3 --k 3 --t 2 --m 3 --message 9,4,1 --out cw.txt --spec-out cw.spec",
+                0,
+                "",
+                "",
+                {
+                    "cw.spec": "family=c4d\nq=3\nk=3\nt=2\nm=3\nn=11\n",
+                    "cw.txt": "3 3 11\n20001200100\n20001200100\n22101200101\n",
+                },
+            ),
+            (
+                "corrupt --model del-t-rows --t 2 --e 1,1 --seed 5 --in cw.txt --out rx.txt",
+                0,
+                "",
+                "",
+                {"rx.txt": "3 3 11\n20001200100\n0001200100\n2210100101\n"},
+            ),
+            ("decode --spec cw.spec --in rx.txt", 0, "3 3 3\n200\n200\n221\n", "", {}),
+        ],
+    ),
+    "spec-c1s": (
+        {},
+        [
+            (
+                "encode --family c1s --q 3 --k 2 --m 5 --message 0,5,3,1,4 --out cw.txt --spec-out cw.spec",
+                0,
+                "",
+                "",
+                {
+                    "cw.spec": "family=c1s\nq=3\nk=2\nm=5\nn=9\n",
+                    "cw.txt": "3 2 9\n020010000\n022120020\n",
+                },
+            ),
+            (
+                "corrupt --model sub-total --e 1 --seed 6 --in cw.txt --out rx.txt",
+                0,
+                "",
+                "",
+                {"rx.txt": "3 2 9\n020010000\n022122020\n"},
+            ),
+            ("decode --spec cw.spec --in rx.txt", 0, "3 2 5\n02001\n02212\n", "", {}),
+        ],
+    ),
+    "spec-c2s": (
+        {},
+        [
+            (
+                "encode --family c2s --q 3 --k 2 --t 2 --m 3 --message 2,5,1 --out cw.txt --spec-out cw.spec",
+                0,
+                "",
+                "",
+                {
+                    "cw.spec": "family=c2s\nq=3\nk=2\nt=2\nm=3\nn=15\n",
+                    "cw.txt": "3 2 15\n120001100001012\n121001100001112\n",
+                },
+            ),
+            (
+                "corrupt --model sub-t-rows --t 2 --e 1,1 --seed 7 --in cw.txt --out rx.txt",
+                0,
+                "",
+                "",
+                {"rx.txt": "3 2 15\n120021100001012\n121001000001112\n"},
+            ),
+            ("decode --spec cw.spec --in rx.txt", 0, "3 2 3\n120\n121\n", "", {}),
+        ],
+    ),
+    "encode-from-file": (
+        {"payload.txt": "2 3 4\n0011\n0111\n1111\n"},
+        [
+            (
+                "encode --family c2d --k 3 --t 2 --m 4 --in payload.txt",
+                0,
+                "2 3 12\n001101000100\n011101000100\n111101100100\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "encode-spec-to-stdout": (
+        {},
+        [
+            (
+                "encode --family c2d --q 3 --k 3 --t 2 --m 4 --message 3,2,1,0 --spec-out -",
+                0,
+                ("2 3 12\n"
+                 "100001000100\n"
+                 "110001000100\n"
+                 "111001000100\n"
+                 "family=c2d\n"
+                 "q=3\n"
+                 "k=3\n"
+                 "t=2\n"
+                 "m=4\n"
+                 "n=12\n"),
+                "",
+                {},
+            ),
+        ],
+    ),
+    "message-families": (
+        {},
+        [
+            (
+                "encode --family c1d --k 2 --n 6 --a 1 --message 2,0,1,1 --out c1d.txt --spec-out c1d.spec",
+                0,
+                "",
+                "",
+                {
+                    "c1d.spec": "family=c1d\nk=2\nn=6\na=1\n",
+                    "c1d.txt": "2 2 6\n010000\n010011\n",
+                },
+            ),
+            (
+                "corrupt --model del-total --e 1 --seed 2 --in c1d.txt --out c1d.rx",
+                0,
+                "",
+                "",
+                {"c1d.rx": "2 2 6\n010000\n01001\n"},
+            ),
+            ("decode --spec c1d.spec --in c1d.rx", 0, "2,0,1,1\n", "", {}),
+            ("contains --family c1d --a 1 --in c1d.txt", 0, "true\n", "", {}),
+            (
+                "encode --family lme1 --k 3 --n 6 --a 0 --message 1,2,3 --out lme1.txt --spec-out lme1.spec",
+                0,
+                "",
+                "",
+                {
+                    "lme1.spec": "family=lme1\nk=3\nn=6\na=0\n",
+                    "lme1.txt": "2 3 6\n100010\n101010\n111010\n",
+                },
+            ),
+            (
+                "corrupt --model sub-total --e 1 --seed 5 --in lme1.txt --out lme1.rx",
+                0,
+                "",
+                "",
+                {"lme1.rx": "2 3 6\n100010\n100010\n111010\n"},
+            ),
+            ("decode --family lme1 --a 0 --in lme1.rx", 0, "1,2,3\n", "", {}),
+            ("contains --family lme1 --a 0 --in lme1.txt", 0, "true\n", "", {}),
+            ("contains --family lme1 --a 2 --in lme1.txt", 0, "false\n", "", {}),
+            (
+                "encode --family doll --k 2 --n 4 --message 1,2 --out doll.txt --spec-out doll.spec",
+                0,
+                "",
+                "",
+                {
+                    "doll.spec": "family=doll\nk=2\nn=4\n",
+                    "doll.txt": "2 2 4\n0110\n0110\n",
+                },
+            ),
+            (
+                "corrupt --model sub-per-row --e 1,0 --seed 11 --in doll.txt --out doll.rx",
+                0,
+                "",
+                "",
+                {"doll.rx": "2 2 4\n0010\n0110\n"},
+            ),
+            ("decode --spec doll.spec --in doll.rx", 0, "1,2\n", "", {}),
+            (
+                "encode --family doll --q 2 --k 3 --n 6 --message 3,1,0,2 --spec-out doll3.spec",
+                0,
+                "2 3 6\n001000\n001000\n111100\n",
+                "",
+                {"doll3.spec": "family=doll\nq=2\nk=3\nn=6\n"},
+            ),
+        ],
+    ),
+    "congruence-families": (
+        {
+            "bin.txt": "2 3 5\n00100\n10100\n10111\n",
+            "bin.rx": "2 3 5\n0100\n10100\n1011\n",
+            "q1.txt": "3 2 4\n2001\n2021\n",
+            "q1.rx": "3 2 4\n2001\n201\n",
+            "qt.txt": "3 3 4\n2001\n2001\n2202\n",
+            "qt.rx": "3 3 4\n200\n001\n2202\n",
+        },
+        [
+            (
+                "decode --family cong-binary-t --p 7 --targets 6,1 --in bin.rx",
+                0,
+                "2 3 5\n00100\n10100\n10111\n",
+                "",
+                {},
+            ),
+            (
+                "contains --family cong-binary-t --p 7 --targets 6,1 --in bin.txt",
+                0,
+                "true\n",
+                "",
+                {},
+            ),
+            (
+                "contains --family cong-binary-t --p 7 --targets 0,0 --in bin.txt",
+                0,
+                "false\n",
+                "",
+                {},
+            ),
+            (
+                "decode --family cong-qary-1 --a 11 --in q1.rx",
+                0,
+                "3 2 4\n2001\n2021\n",
+                "",
+                {},
+            ),
+            ("contains --family cong-qary-1 --a 11 --in q1.txt", 0, "true\n", "", {}),
+            (
+                "decode --family cong-qary-t --p 13 --targets 3,9 --in qt.rx",
+                0,
+                "3 3 4\n2001\n2001\n2202\n",
+                "",
+                {},
+            ),
+            (
+                "contains --family cong-qary-t --p 13 --targets 3,9 --in qt.txt",
+                0,
+                "true\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "domain-errors": (
+        {
+            "bad.txt": "2 2 4\n010\n001\n",
+            "bogus.spec": "family=bogus\n",
+            "word.txt": "2 2 3\n001\n011\n",
+        },
+        [
+            (
+                "decode --family c1d --a 0 --in bad.txt",
+                1,
+                "",
+                "error: more than one row lost a symbol\n",
+                {},
+            ),
+            (
+                "roundtrip --family c2s --q 2 --k 3 --t 4 --m 3",
+                1,
+                "",
+                "error: need 2 <= t <= k\n",
+                {},
+            ),
+            (
+                "encode --family c1d --k 2 --n 4 --message 0,1",
+                1,
+                "",
+                "error: --a is required for family c1d\n",
+                {},
+            ),
+            (
+                "encode --family c4d --q 3 --k 3 --m 3 --message 1,2,3",
+                1,
+                "",
+                "error: --t is required for family c4d\n",
+                {},
+            ),
+            (
+                "encode --family c2d --k 3 --t 2 --m 2 --message 1,2",
+                1,
+                "",
+                "error: payload length m=2 below f(k,t)=3\n",
+                {},
+            ),
+            (
+                "decode --family cong-binary-t --p 7 --in bad.txt",
+                1,
+                "",
+                "error: --targets is required for family cong-binary-t\n",
+                {},
+            ),
+            (
+                "decode --family cong-qary-t --targets 1 --in word.txt",
+                1,
+                "",
+                "error: --p is required for family cong-qary-t\n",
+                {},
+            ),
+            (
+                "contains --family lme1 --in word.txt",
+                1,
+                "",
+                "error: --a is required for family lme1\n",
+                {},
+            ),
+            (
+                "roundtrip --family doll --k 3",
+                1,
+                "",
+                "error: --n is required for family doll\n",
+                {},
+            ),
+            (
+                "roundtrip --family c1d --k 2 --a 0",
+                1,
+                "",
+                "error: --n is required for family c1d\n",
+                {},
+            ),
+            (
+                "decode --spec bogus.spec --in word.txt",
+                1,
+                "",
+                "error: family 'bogus' has no decoder\n",
+                {},
+            ),
+            (
+                "decode --in word.txt",
+                1,
+                "",
+                "error: --family is required (flag or spec file)\n",
+                {},
+            ),
+        ],
+    ),
+}
+
+# name -> (cli global to patch, call that raises DecodeFailure, argv, stdout)
+FIRST_FAILURES = {
+    "first-failure-c1d": (
+        "c1d_decode",
+        3,
+        "roundtrip --family c1d --k 2 --n 4 --a 0",
+        ("family=c1d\n"
+         "cases=72 failures=1\n"
+         "FAIL\n"
+         "first failure: message=(0, 0) row=0 pos=2\n"
+         "received rows were:\n"
+         "2 2 4\n"
+         "000\n"
+         "0000\n"),
+    ),
+    "first-failure-lme1": (
+        "cecc1_decode",
+        5,
+        "roundtrip --family lme1 --k 2 --n 7 --a 0",
+        ("family=lme1\n"
+         "cases=1215 failures=1\n"
+         "FAIL\n"
+         "first failure: message=(0, 0, 0, 0) pattern=[(0, (3, 1))]\n"
+         "received rows were:\n"
+         "2 2 7\n"
+         "0001000\n"
+         "0000000\n"),
+    ),
+    "first-failure-doll": (
+        "dec_doll",
+        2,
+        "roundtrip --family doll --k 2 --n 4",
+        ("family=doll\n"
+         "cases=36 failures=1\n"
+         "FAIL\n"
+         "first failure: message=(0, 0) pos=1 value=1\n"
+         "received rows were:\n"
+         "2 2 4\n"
+         "0100\n"
+         "0000\n"),
+    ),
+    "first-failure-c2d": (
+        "c2d_decode",
+        7,
+        "roundtrip --family c2d --k 3 --t 2 --m 4 --trials 1 --seed 1",
+        ("family=c2d\n"
+         "cases=469 failures=1\n"
+         "FAIL\n"
+         "first failure: payload#0 pattern=[(0, 5)]\n"
+         "received rows were:\n"
+         "2 3 12\n"
+         "00000000110\n"
+         "001001100110\n"
+         "101001100110\n"),
+    ),
+}
+
+# argv -> last line of the usage error (exit 2), which lists the family choices
+USAGE_ERRORS = {
+    "encode --family cong-qary-1": (
+        "composite-dna encode: error: argument --family: invalid choice: 'cong-qary-1'"
+        " (choose from 'c1d', 'lme1', 'doll', 'c2d', 'c3d', 'c4d', 'c1s', 'c2s')"
+    ),
+    "decode --family nope": (
+        "composite-dna decode: error: argument --family: invalid choice: 'nope'"
+        " (choose from 'c1d', 'lme1', 'doll', 'c2d', 'c3d', 'c4d', 'c1s', 'c2s', 'cong-binary-t', 'cong-qary-1', 'cong-qary-t')"
+    ),
+    "contains --family doll": (
+        "composite-dna contains: error: argument --family: invalid choice: 'doll'"
+        " (choose from 'c1d', 'lme1', 'cong-binary-t', 'cong-qary-1', 'cong-qary-t')"
+    ),
+    "roundtrip --family cong-binary-t": (
+        "composite-dna roundtrip: error: argument --family: invalid choice: 'cong-binary-t'"
+        " (choose from 'c1d', 'lme1', 'doll', 'c2d', 'c3d', 'c4d', 'c1s', 'c2s')"
+    ),
+}
+
+
+def run(capsys, argv):
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def snapshot(directory):
+    return {path.name: path.read_text() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_scenario(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    inputs, steps = SCENARIOS[name]
+    for file_name, text in inputs.items():
+        (tmp_path / file_name).write_text(text)
+    for argv, code, out, err, files in steps:
+        before = snapshot(tmp_path)
+        assert run(capsys, argv) == (code, out, err), argv
+        after = snapshot(tmp_path)
+        written = {key: text for key, text in after.items() if before.get(key) != text}
+        assert written == files, argv
+
+
+@pytest.mark.parametrize("name", list(FIRST_FAILURES))
+def test_first_failure_label(name, monkeypatch, capsys):
+    func, failing_call, argv, out = FIRST_FAILURES[name]
+    original = getattr(cli, func)
+    calls = []
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise DecodeFailure("forced")
+        return original(*args)
+
+    monkeypatch.setattr(cli, func, flaky)
+    assert run(capsys, argv) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS))
+def test_usage_error_lists_the_family_choices(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv.split())
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == USAGE_ERRORS[argv]
