@@ -15,12 +15,14 @@ and the rank alphabet {0, ..., Q_{q,k}-1} used by every code construction in
 this package.  For q = 2 the rank of a column is simply its number of ones.
 
 A word is a sequence of n letters, equivalently a k x n matrix whose rows are
-length-n digit strings and whose columns are all nondecreasing.
+length-n digit strings and whose columns are all nondecreasing.  A Word is
+stored as its rank sequence, checked once against the rank table; its digit
+rows are a view built once, its letters the shared ones of all_letters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -54,12 +56,7 @@ class Letter:
 
     def __post_init__(self):
         object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
-        if self.q < 2:
-            raise ValueError(f"alphabet base q must be >= 2, got {self.q}")
-        if len(self.digits) < 2:
-            raise ValueError(f"resolution k must be >= 2, got {len(self.digits)}")
-        if not letter_is_valid(self.digits, self.q):
-            raise ValueError(f"invalid letter over Sigma_{self.q}: {self.digits}")
+        column_rank(self.digits, self.q)
 
     @property
     def k(self) -> int:
@@ -82,11 +79,14 @@ def _v_value(digits: tuple[int, ...], q: int) -> int:
 @lru_cache(maxsize=None)
 def _rank_tables(q: int, k: int):
     """(ascending letter tuples, digits -> rank lookup) for Phi_{q,k}."""
+    if q < 2:
+        raise ValueError(f"alphabet base q must be >= 2, got {q}")
+    if k < 2:
+        raise ValueError(f"resolution k must be >= 2, got {k}")
     # combinations_with_replacement yields exactly the nondecreasing tuples
     tuples = sorted(
         combinations_with_replacement(range(q), k), key=lambda ds: _v_value(ds, q)
     )
-    assert len(tuples) == alphabet_size(q, k)
     return tuple(tuples), {ds: r for r, ds in enumerate(tuples)}
 
 
@@ -96,91 +96,108 @@ def letter_values(q: int, k: int) -> tuple[int, ...]:
     return tuple(_v_value(ds, q) for ds in tuples)
 
 
+def column_rank(column, q: int) -> int:
+    """Rank of a digit column; ValueError if it is not a letter over Sigma_q."""
+    column = tuple(column)
+    rank = _rank_tables(q, len(column))[1].get(column)
+    if rank is None:
+        raise ValueError(f"invalid letter over Sigma_{q}: {column}")
+    return rank
+
+
 def letter_rank(letter: Letter) -> int:
     """Rank of a letter: its index in the ascending value set A_{q,k}."""
-    _, lookup = _rank_tables(letter.q, letter.k)
-    return lookup[letter.digits]
+    return column_rank(letter.digits, letter.q)
 
 
 def letter_unrank(rank: int, q: int, k: int) -> Letter:
     """Inverse of letter_rank."""
-    tuples, _ = _rank_tables(q, k)
-    if not 0 <= rank < len(tuples):
+    letters = all_letters(q, k)
+    if not 0 <= rank < len(letters):
         raise ValueError(
-            f"rank {rank} out of range for Phi_{{{q},{k}}} (size {len(tuples)})"
+            f"rank {rank} out of range for Phi_{{{q},{k}}} (size {len(letters)})"
         )
-    return Letter(tuples[rank], q)
+    return letters[rank]
 
 
+@lru_cache(maxsize=None)
 def all_letters(q: int, k: int) -> tuple[Letter, ...]:
     """All of Phi_{q,k} in rank order."""
     tuples, _ = _rank_tables(q, k)
     return tuple(Letter(ds, q) for ds in tuples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Word:
-    """A word over Phi_{q,k}: n letters, i.e. a k x n matrix of digits."""
+    """A word over Phi_{q,k}: its rank sequence, checked by Word(q, k, ranks).
 
-    letters: tuple[Letter, ...]
+    Equality and hashing look at (q, k, ranks); the rows are a cached view."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if not self.letters:
+    q: int
+    k: int
+    _ranks: tuple[int, ...]
+    _rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+
+    def __init__(self, q: int, k: int, ranks):
+        tuples, _ = _rank_tables(q, k)
+        ranks = tuple(ranks)
+        if not ranks:
             raise ValueError("a word must contain at least one letter")
-        q, k = self.letters[0].q, self.letters[0].k
-        for lt in self.letters:
-            if lt.q != q or lt.k != k:
-                raise ValueError("all letters in a word must share q and k")
-
-    @property
-    def q(self) -> int:
-        return self.letters[0].q
-
-    @property
-    def k(self) -> int:
-        return self.letters[0].k
+        if min(ranks) < 0 or max(ranks) >= len(tuples):
+            bad = next(r for r in ranks if not 0 <= r < len(tuples))
+            raise ValueError(
+                f"rank {bad} out of range for Phi_{{{q},{k}}} (size {len(tuples)})"
+            )
+        rows = tuple(zip(*[tuples[r] for r in ranks]))
+        for name, value in (("q", q), ("k", k), ("_ranks", ranks), ("_rows", rows)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return len(self.letters)
+        return len(self._ranks)
 
-    def column(self, j: int) -> Letter:
-        return self.letters[j]
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        letters = all_letters(self.q, self.k)
+        return tuple(letters[r] for r in self._ranks)
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Row view: row i collects digit i of every column."""
-        return tuple(
-            tuple(lt.digits[i] for lt in self.letters) for i in range(self.k)
-        )
+        return self._rows
 
     def ranks(self) -> tuple[int, ...]:
         """Rank-sequence view over {0, ..., Q_{q,k}-1}."""
-        return tuple(letter_rank(lt) for lt in self.letters)
+        return self._ranks
 
     @classmethod
     def from_rows(cls, rows, q: int) -> "Word":
-        rows = [tuple(int(d) for d in row) for row in rows]
+        rows = [tuple(map(int, row)) for row in rows]
         if len(rows) < 2:
             raise ValueError("a word needs at least two rows (k >= 2)")
         n = len(rows[0])
         if any(len(row) != n for row in rows):
             raise ValueError("all rows of a word must have equal length")
-        letters = []
-        for j in range(n):
+        lookup = _rank_tables(q, len(rows))[1]
+        ranks = [lookup.get(col) for col in zip(*rows)]
+        if None in ranks:
+            j = ranks.index(None)
             col = tuple(row[j] for row in rows)
-            if not letter_is_valid(col, q):
-                raise ValueError(f"column {j} is not nondecreasing over Sigma_{q}: {col}")
-            letters.append(Letter(col, q))
-        return cls(tuple(letters))
+            raise ValueError(f"column {j} is not nondecreasing over Sigma_{q}: {col}")
+        return cls(q, len(rows), ranks)
 
     @classmethod
     def from_ranks(cls, ranks, q: int, k: int) -> "Word":
-        return cls(tuple(letter_unrank(r, q, k) for r in ranks))
+        return cls(q, k, ranks)
 
     @classmethod
     def from_letters(cls, letters) -> "Word":
-        return cls(tuple(letters))
+        letters = tuple(letters)
+        if not letters:
+            raise ValueError("a word must contain at least one letter")
+        q, k = letters[0].q, letters[0].k
+        if any(lt.q != q or lt.k != k for lt in letters):
+            raise ValueError("all letters in a word must share q and k")
+        return cls(q, k, [letter_rank(lt) for lt in letters])
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ class ReceivedRows:
         for row in self.rows:
             if len(row) > self.n:
                 raise ValueError("row longer than the nominal length")
-            if any(not 0 <= d < self.q for d in row):
+            if row and not (0 <= min(row) and max(row) < self.q):
                 raise ValueError(f"row digits must lie in Sigma_{self.q}")
 
     @property
@@ -456,26 +456,20 @@ def raw_received_set(word: Word, model: ErrorModel) -> set[ReceivedRows]:
             if all(d <= n for d in split):
                 emit([sorted(deletion_ball(rows[i], d)) for i, d in enumerate(split)])
     else:
-        # t-rows kinds: any subset of <= t rows, budgets assigned to the
-        # chosen rows injectively, in every order
+        # t-rows kinds: any subset of <= t rows, each distinct assignment
+        # of budgets to the chosen rows once (equal budgets in one order)
         for s in range(model.t + 1):
             for row_sel in combinations(range(k), s):
-                for budget_sel in permutations(range(model.t), s):
-                    row_sets = []
-                    for i in range(k):
-                        if i in row_sel:
-                            e = model.budgets[budget_sel[row_sel.index(i)]]
-                            if kind == "sub-t-rows":
-                                row_sets.append(sorted(hamming_ball(rows[i], e, q)))
-                            else:
-                                if e > n:
-                                    row_sets = None
-                                    break
-                                row_sets.append(sorted(deletion_ball(rows[i], e)))
+                for budgets in set(permutations(model.budgets, s)):
+                    if kind == "del-t-rows" and any(e > n for e in budgets):
+                        continue
+                    row_sets = [[row] for row in rows]
+                    for i, e in zip(row_sel, budgets):
+                        if kind == "sub-t-rows":
+                            row_sets[i] = sorted(hamming_ball(rows[i], e, q))
                         else:
-                            row_sets.append([rows[i]])
-                    if row_sets is not None:
-                        emit(row_sets)
+                            row_sets[i] = sorted(deletion_ball(rows[i], e))
+                    emit(row_sets)
     return out
 
 
@@ -491,7 +485,7 @@ def valid_sub_ball(word: Word, per_row=None, total: int | None = None) -> set[Wo
         raise ValueError("give exactly one of per_row and total")
     q, k, n = word.q, word.k, word.n
     letters = all_letters(q, k)
-    cols = [word.column(j).digits for j in range(n)]
+    cols = list(zip(*word.rows()))
 
     results: set[Word] = set()
 

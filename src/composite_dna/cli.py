@@ -18,10 +18,10 @@ requires, its spec, encoder, decoder, membership test and native roundtrip
 patterns.  The --family choices of each verb come from that table.
 
 Exit codes: 0 success, 1 domain error (invalid word, precondition breach, a
-flag the family needs is missing), 2 usage error.  Diagnostics go to
-stderr, data to stdout or --out.  The same argv with the same seed always
-produces byte-identical output; the COMPOSITE_DNA_SEED environment variable
-supplies the default --seed.
+flag the family needs is missing, a file that cannot be read or written), 2
+usage error.  Diagnostics go to stderr, data to stdout or --out.  The same
+argv with the same seed always produces byte-identical output; the
+COMPOSITE_DNA_SEED environment variable supplies the default --seed.
 
 CSV column orders (fixed, locale-free):
   bounds: q,k,n,extra,family,value,floor,asymptotic
@@ -730,7 +730,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

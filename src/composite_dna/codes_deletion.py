@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-from .alphabet import Letter, Word, alphabet_size, letter_unrank
+from .alphabet import Word, alphabet_size, column_rank
 from .algebra import (
     compose_base,
     digit_width,
@@ -387,16 +387,12 @@ def _marker_encode(payload: Word, spec, digit_base: int) -> Word:
         raise ValueError(
             f"payload must be a ({spec.q},{spec.k}) word of length {spec.m}"
         )
-    zero = Letter((0,) * k, q)
-    one = Letter((1,) * k, q)
-    letters = list(payload.letters)
+    markers = [column_rank((0,) * k, q), column_rank((1,) * k, q)]
+    ranks = list(payload.ranks())
     for value in spec.syndromes(payload):
-        letters += [zero, one]
-        letters += [
-            letter_unrank(d, q, k)
-            for d in expand_base(value, digit_base, digit_base**spec.delta)
-        ]
-    word = Word.from_letters(letters)
+        ranks += markers
+        ranks += expand_base(value, digit_base, digit_base**spec.delta)
+    word = Word.from_ranks(ranks, q, k)
     assert word.n == spec.n
     return word
 
@@ -451,7 +447,7 @@ def _read_block_digits(received, spec, damage, j: int, digit_base: int) -> int:
             seg = damage[i]
             shift = 1 if (seg is None or 0 <= seg < j) else 0
             column.append(row[start + idx - shift])
-        digits.append(Letter(tuple(column), received.q).rank)
+        digits.append(column_rank(column, received.q))
     return compose_base(digits, digit_base)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 
-from .alphabet import Letter, Word, alphabet_size, letter_unrank
+from .alphabet import Word, alphabet_size, column_rank, letter_unrank
 from .algebra import (
     compose_base,
     cw_rank,
@@ -357,7 +357,7 @@ def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
     for j in range(spec.n):
         col = tuple(row[j] for row in received.rows)
         if all(col[i] <= col[i + 1] for i in range(spec.k - 1)):
-            ranks.append(Letter(col, spec.q).rank)
+            ranks.append(column_rank(col, spec.q))
             continue
         tail = col[1:]
         if any(tail[i] > tail[i + 1] for i in range(len(tail) - 1)):
@@ -365,7 +365,7 @@ def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
         repaired += 1
         if repaired > 1:
             raise ValueError("more than one invalid column; model breach")
-        ranks.append(Letter((col[1],) + tail, spec.q).rank)
+        ranks.append(column_rank((col[1],) + tail, spec.q))
     support = [1 if r in a2_index else 0 for r in ranks]
     l = sum(support)
     fam = hamming_build(l, spec.field)
@@ -542,7 +542,7 @@ def q1cecc_decode(
         col.remove(corrupted)
         col.append(alpha)
         col.sort()
-    word = Word.from_letters(Letter(tuple(col), q) for col in columns)
+    word = Word.from_rows(zip(*columns), q)
     if q1cecc_checksums(word, p1, p2) != (a1 % span, a2 % p1, a3 % p2):
         raise ValueError("repaired word fails the checksums; breach")
     return word
@@ -589,16 +589,12 @@ def c1s_encode(payload: Word, spec: C1SSpec) -> Word:
         )
     a1, a2, a3 = q1cecc_checksums(payload, spec.p1, spec.p2)
     a, b = divmod(a1, spec.q)
-    letters = list(payload.letters)
-    letters.append(Letter((a,) * spec.k, spec.q))
-    letters.append(Letter((b,) * spec.k, spec.q))
+    ranks = list(payload.ranks())
+    ranks.append(column_rank((a,) * spec.k, spec.q))
+    ranks.append(column_rank((b,) * spec.k, spec.q))
     big_q = alphabet_size(spec.q, spec.k)
-    packed = a2 + spec.p1 * a3
-    letters += [
-        letter_unrank(d, spec.q, spec.k)
-        for d in expand_base(packed, big_q, big_q**spec.delta)
-    ]
-    word = Word.from_letters(letters)
+    ranks += expand_base(a2 + spec.p1 * a3, big_q, big_q**spec.delta)
+    word = Word.from_ranks(ranks, spec.q, spec.k)
     assert word.n == spec.n
     return word
 
@@ -629,7 +625,7 @@ def c1s_decode(received: ReceivedRows, spec: C1SSpec) -> Word:
     # payload checksum is off, so the error is there and the digits are clean
     big_q = alphabet_size(q, spec.k)
     digits = [
-        Letter(tuple(row[m + 2 + idx] for row in rows), q).rank
+        column_rank((row[m + 2 + idx] for row in rows), q)
         for idx in range(spec.delta)
     ]
     packed = compose_base(digits, big_q)
@@ -694,20 +690,15 @@ def c2s_encode(payload: Word, spec: C2SSpec) -> Word:
         )
     q, k = spec.q, spec.k
     big_q = alphabet_size(q, k)
-    letters = list(payload.letters)
+    ranks = list(payload.ranks())
     for row in payload.rows():
-        parity = Letter((sum(row) % q,) * k, q)
-        letters += [parity, parity]
+        ranks += [column_rank((sum(row) % q,) * k, q)] * 2
     for value in spec.syndromes(payload):
-        block = [
-            letter_unrank(d, q, k)
-            for d in expand_base(value, big_q, big_q**spec.delta)
-        ]
-        letters += block
-        for i in range(k):
-            parity = sum(lt.digits[i] for lt in block) % q
-            letters.append(Letter((parity,) * k, q))
-    word = Word.from_letters(letters)
+        block = expand_base(value, big_q, big_q**spec.delta)
+        ranks += block
+        block_rows = zip(*(letter_unrank(d, q, k).digits for d in block))
+        ranks += [column_rank((sum(row) % q,) * k, q) for row in block_rows]
+    word = Word.from_ranks(ranks, q, k)
     assert word.n == spec.n
     return word
 
@@ -754,7 +745,7 @@ def c2s_decode(received: ReceivedRows, spec: C2SSpec) -> Word:
         for j, known in zip(chosen, power_sums(values, chosen, spec.p)):
             start = base + j * stride
             digits = [
-                Letter(tuple(row[start + idx] for row in rows), q).rank
+                column_rank((row[start + idx] for row in rows), q)
                 for idx in range(spec.delta)
             ]
             rhs.append(compose_base(digits, big_q) - known)

@@ -125,6 +125,122 @@ def test_rank_row_views_agree(w):
 
 
 @given(words())
+def test_word_views_agree(w):
+    rows, ranks, letters = w.rows(), w.ranks(), w.letters
+    assert len(rows) == w.k
+    assert len(ranks) == len(letters) == w.n
+    for j, lt in enumerate(letters):
+        assert (lt.q, lt.k) == (w.q, w.k)
+        assert ranks[j] == lt.rank
+        for i in range(w.k):
+            assert rows[i][j] == lt.digits[i]
+    for again in (
+        Word.from_letters(w.letters),
+        Word.from_rows(rows, w.q),
+        Word.from_ranks(list(ranks), w.q, w.k),
+    ):
+        assert again == w
+        assert hash(again) == hash(w)
+    assert len({w, Word.from_letters(w.letters)}) == 1
+
+
+# (constructor call, exact ValueError message)
+WORD_ERRORS = {
+    "invalid-column": (
+        lambda: Word.from_rows([(0, 1, 0), (0, 0, 1)], 2),
+        "column 1 is not nondecreasing over Sigma_2: (1, 0)",
+    ),
+    "digit-out-of-range": (
+        lambda: Word.from_rows([(0, 0), (0, 2)], 2),
+        "column 1 is not nondecreasing over Sigma_2: (0, 2)",
+    ),
+    "ragged-rows": (
+        lambda: Word.from_rows([(0, 0), (0, 1, 1)], 2),
+        "all rows of a word must have equal length",
+    ),
+    "one-row": (
+        lambda: Word.from_rows([(0, 1)], 2),
+        "a word needs at least two rows (k >= 2)",
+    ),
+    "empty-letters": (
+        lambda: Word.from_letters([]),
+        "a word must contain at least one letter",
+    ),
+    "empty-ranks": (
+        lambda: Word.from_ranks([], 2, 3),
+        "a word must contain at least one letter",
+    ),
+    "empty-rows": (
+        lambda: Word.from_rows([(), ()], 2),
+        "a word must contain at least one letter",
+    ),
+    "rank-too-large": (
+        lambda: Word.from_ranks([0, 3, 4], 2, 3),
+        "rank 4 out of range for Phi_{2,3} (size 4)",
+    ),
+    "rank-negative": (
+        lambda: Word.from_ranks([1, -1], 3, 2),
+        "rank -1 out of range for Phi_{3,2} (size 6)",
+    ),
+    "ranks-q-below-2": (
+        lambda: Word.from_ranks([0], 1, 3),
+        "alphabet base q must be >= 2, got 1",
+    ),
+    "rows-q-below-2": (
+        lambda: Word.from_rows([(0,), (0,)], 1),
+        "alphabet base q must be >= 2, got 1",
+    ),
+    "ranks-k-below-2": (
+        lambda: Word.from_ranks([0], 2, 1),
+        "resolution k must be >= 2, got 1",
+    ),
+    "letters-mixed-k": (
+        lambda: Word.from_letters([Letter((0, 0), 2), Letter((0, 0, 1), 2)]),
+        "all letters in a word must share q and k",
+    ),
+    "letters-mixed-q": (
+        lambda: Word.from_letters([Letter((0, 1), 2), Letter((0, 1), 3)]),
+        "all letters in a word must share q and k",
+    ),
+    "letter-decreasing": (
+        lambda: Letter((1, 0), 2),
+        "invalid letter over Sigma_2: (1, 0)",
+    ),
+    "letter-digit-out-of-range": (
+        lambda: Letter((0, 3), 3),
+        "invalid letter over Sigma_3: (0, 3)",
+    ),
+    "letter-k-below-2": (
+        lambda: Letter((0,), 2),
+        "resolution k must be >= 2, got 1",
+    ),
+    "letter-q-below-2": (
+        lambda: Letter((0, 0), 1),
+        "alphabet base q must be >= 2, got 1",
+    ),
+    "unrank-out-of-range": (
+        lambda: letter_unrank(6, 3, 2),
+        "rank 6 out of range for Phi_{3,2} (size 6)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WORD_ERRORS)
+def test_word_constructor_error_messages(case):
+    build, message = WORD_ERRORS[case]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_direct_word_constructor_validates():
+    assert Word(2, 3, (0, 3, 1)) == Word.from_ranks((0, 3, 1), 2, 3)
+    with pytest.raises(ValueError) as info:
+        Word(2, 3, (9,))
+    assert str(info.value) == "rank 9 out of range for Phi_{2,3} (size 4)"
+
+
+@given(words())
 def test_text_round_trip(w):
     assert word_from_text(word_to_text(w)) == w
     assert word_from_text(word_to_rank_text(w)) == w

@@ -31,6 +31,8 @@ from composite_dna.channel import (
     sub_total,
     valid_sub_ball,
 )
+from composite_dna.codes_deletion import C2DSpec, c2d_encode
+from composite_dna.codes_substitution import C2SSpec, c2s_encode
 
 
 def brute_deletion_ball(x, t):
@@ -511,9 +513,44 @@ def test_received_from_text_rejects_garbage():
 
 
 def test_received_rows_validation():
-    with pytest.raises(ValueError):
-        ReceivedRows(((0, 1, 1),), q=2, n=3)  # k >= 2
-    with pytest.raises(ValueError):
-        ReceivedRows(((0, 1, 1, 1), (0, 1)), q=2, n=3)  # too long
-    with pytest.raises(ValueError):
-        ReceivedRows(((0, 2), (0, 1)), q=2, n=3)  # digit out of range
+    cases = [
+        (((0, 1, 1),), 2, "need k >= 2 rows"),
+        (((0, 1, 1, 1), (0, 1)), 2, "row longer than the nominal length"),
+        (((0, 2), (0, 1)), 2, "row digits must lie in Sigma_2"),
+        (((0, 1), (1, -1)), 2, "row digits must lie in Sigma_2"),
+        (((), (0, 3, 1)), 3, "row digits must lie in Sigma_3"),
+    ]
+    for rows, q, message in cases:
+        with pytest.raises(ValueError) as info:
+            ReceivedRows(rows, q=q, n=3)
+        assert str(info.value) == message
+    assert ReceivedRows(((), (0, 2, 1)), q=3, n=3).rows == ((), (0, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "family, model, built, distinct",
+    [
+        ("c2s", sub_t_rows(2, (1, 1)), 1261, 1141),
+        ("c2d", del_t_rows(2, (1, 1)), 309, 309),
+    ],
+)
+def test_raw_set_t_rows_builds_each_budget_assignment_once(
+    family, model, built, distinct, monkeypatch
+):
+    """Equal budgets are assigned to the chosen rows once, not in both
+    orders; the output set is unchanged."""
+    if family == "c2s":
+        word = c2s_encode(Word.from_ranks((0, 1, 2), 2, 3), C2SSpec(2, 3, 2, 3))
+    else:
+        payload = Word.from_ranks((0, 1, 2, 3, 0, 1, 2, 3), 2, 3)
+        word = c2d_encode(payload, C2DSpec(3, 2, 8))
+    calls = []
+    original = ReceivedRows.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(ReceivedRows, "__post_init__", counting)
+    outputs = raw_received_set(word, model)
+    assert (len(calls), len(outputs)) == (built, distinct)

@@ -394,6 +394,30 @@ def test_missing_spec_flag_is_not_a_crash(argv, message, capsys, tmp_path):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("corrupt", "--model", "sub-total", "--e", "1", "--in", "{missing}"),
+        ("verify-code", "--model", "sub-total", "--e", "1", "--in", "{directory}"),
+        (
+            "encode", "--family", "c1d", "--k", "2", "--n", "4", "--a", "0",
+            "--message", "0,1", "--out", "{missing_dir}",
+        ),
+    ],
+    ids=["missing-input", "input-is-a-directory", "output-in-missing-directory"],
+)
+def test_unreadable_or_unwritable_file_is_a_domain_error(argv, capsys, tmp_path):
+    paths = {
+        "missing": str(tmp_path / "missing.txt"),
+        "directory": str(tmp_path),
+        "missing_dir": str(tmp_path / "no-such-dir" / "out.txt"),
+    }
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestUsageErrors:
     def test_missing_family_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
