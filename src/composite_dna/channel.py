@@ -12,6 +12,13 @@ are supported:
 * ``del-t-rows``   — up to t rows affected, an affected row with budget e_i
   loses exactly e_i symbols.
 
+Each model is one rule on the per-row error counts (c_1, ..., c_k), where c_i
+is the number of edits or deletions in row i (_counts_fit).  Plan validation
+checks a plan's counts against that rule, and raw_received_set enumerates the
+outputs one admissible count vector at a time: the product of the rows'
+exact-distance Hamming spheres or deletion balls.  Distinct count vectors give
+disjoint outputs, so each output is built once.
+
 The decodability oracle works on RAW outputs: a received matrix is just k
 digit rows (possibly of unequal lengths) with no column-monotonicity
 requirement, because a decoder must handle every channel output.  The
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, product
 from operator import itemgetter
 
 from .alphabet import Word, all_letters
@@ -89,6 +96,30 @@ def del_total(e: int) -> ErrorModel:
 
 def del_t_rows(t: int, budgets) -> ErrorModel:
     return ErrorModel("del-t-rows", budgets=tuple(budgets), t=t)
+
+
+def _counts_fit(counts, model: ErrorModel) -> bool:
+    """Whether per-row error counts (c_1, ..., c_k) lie in the model.
+
+    A t-rows model takes at most t affected rows, each matched to a budget of
+    its own: substitution counts fit when the sorted counts lie under the
+    sorted budgets, deletion counts when they are a sub-multiset of them.
+    """
+    kind = model.kind
+    if kind == "sub-per-row":
+        return all(c <= e for c, e in zip(counts, model.budgets))
+    if kind == "del-per-row":
+        return tuple(counts) == model.budgets
+    if kind == "sub-total":
+        return sum(counts) <= model.total
+    if kind == "del-total":
+        return sum(counts) == model.total
+    affected = sorted((c for c in counts if c > 0), reverse=True)
+    if len(affected) > model.t:
+        return False
+    if kind == "sub-t-rows":
+        return all(c <= e for c, e in zip(affected, sorted(model.budgets, reverse=True)))
+    return not Counter(affected) - Counter(model.budgets)
 
 
 def _check_model_fits(model: ErrorModel, k: int):
@@ -201,14 +232,6 @@ def hamming_sphere(row, d: int, q: int) -> set[tuple[int, ...]]:
     return out
 
 
-def hamming_ball(row, e: int, q: int) -> set[tuple[int, ...]]:
-    """All rows at Hamming distance at most e from row."""
-    out = set()
-    for d in range(min(e, len(row)) + 1):
-        out |= hamming_sphere(row, d, q)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # explicit corruption plans
 # ---------------------------------------------------------------------------
@@ -260,32 +283,10 @@ def _validate_plan(word: Word, model: ErrorModel, plan: Plan):
         raise ValueError("plan touches the same cell twice")
 
     counts = _row_counts(cells, k)
-    kind = model.kind
-    if kind == "sub-per-row":
-        for i, (c, e) in enumerate(zip(counts, model.budgets)):
-            if c > e:
-                raise ValueError(f"row {i} has {c} edits, budget {e}")
-    elif kind == "del-per-row":
-        for i, (c, e) in enumerate(zip(counts, model.budgets)):
-            if c != e:
-                raise ValueError(f"row {i} has {c} deletions, model requires exactly {e}")
-    elif kind == "sub-total":
-        if sum(counts) > model.total:
-            raise ValueError(f"{sum(counts)} edits exceed total budget {model.total}")
-    elif kind == "del-total":
-        if sum(counts) != model.total:
-            raise ValueError(f"model requires exactly {model.total} deletions, plan has {sum(counts)}")
-    elif kind == "sub-t-rows":
-        affected = sorted((c for c in counts if c > 0), reverse=True)
-        budgets = sorted(model.budgets, reverse=True)
-        if len(affected) > model.t or any(
-            c > e for c, e in zip(affected, budgets)
-        ):
-            raise ValueError("edits cannot be covered by any budget-to-row assignment")
-    elif kind == "del-t-rows":
-        affected = Counter(c for c in counts if c > 0)
-        if sum(affected.values()) > model.t or affected - Counter(model.budgets):
-            raise ValueError("deletion counts cannot be matched to the row budgets")
+    if not _counts_fit(counts, model):
+        raise ValueError(
+            f"per-row error counts {tuple(counts)} do not fit the {model.kind} model"
+        )
 
 
 def apply_errors(word: Word, model: ErrorModel, plan: Plan) -> ReceivedRows:
@@ -411,65 +412,26 @@ def random_errors(word: Word, model: ErrorModel, seed: int) -> tuple[ReceivedRow
 # exact output-set enumeration (raw) and valid substitution balls
 # ---------------------------------------------------------------------------
 
-def _compositions(total: int, parts: int):
-    """all tuples of `parts` nonnegative ints summing to exactly `total`"""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def raw_received_set(word: Word, model: ErrorModel) -> set[ReceivedRows]:
     """Every channel output reachable from word under the model (raw rows)."""
     _check_model_fits(model, word.k)
     rows = word.rows()
     k, n, q = word.k, word.n, word.q
+    if model.kind == "del-per-row" and max(model.budgets) > n:
+        raise ValueError(f"cannot delete {max(model.budgets)} symbols from length {n}")
+    if model.kind == "del-total" and model.total > k * n:
+        raise ValueError(f"budget {model.total} exceeds the {k}x{n} grid")
+    cap = max(model.budgets, default=0) if model.total is None else model.total
     out: set[ReceivedRows] = set()
-
-    def emit(row_sets):
-        def rec(idx, acc):
-            if idx == k:
-                out.add(ReceivedRows(tuple(acc), q, n))
-                return
-            for variant in row_sets[idx]:
-                rec(idx + 1, acc + [variant])
-
-        rec(0, [])
-
-    kind = model.kind
-    if kind == "sub-per-row":
-        emit([sorted(hamming_ball(rows[i], e, q)) for i, e in enumerate(model.budgets)])
-    elif kind == "del-per-row":
-        emit([sorted(deletion_ball(rows[i], e)) for i, e in enumerate(model.budgets)])
-    elif kind == "sub-total":
-        for budget in range(model.total + 1):
-            for split in _compositions(budget, k):
-                if all(d <= n for d in split):
-                    emit([sorted(hamming_sphere(rows[i], d, q)) for i, d in enumerate(split)])
-    elif kind == "del-total":
-        if model.total > k * n:
-            raise ValueError(f"budget {model.total} exceeds the {k}x{n} grid")
-        for split in _compositions(model.total, k):
-            if all(d <= n for d in split):
-                emit([sorted(deletion_ball(rows[i], d)) for i, d in enumerate(split)])
-    else:
-        # t-rows kinds: any subset of <= t rows, each distinct assignment
-        # of budgets to the chosen rows once (equal budgets in one order)
-        for s in range(model.t + 1):
-            for row_sel in combinations(range(k), s):
-                for budgets in set(permutations(model.budgets, s)):
-                    if kind == "del-t-rows" and any(e > n for e in budgets):
-                        continue
-                    row_sets = [[row] for row in rows]
-                    for i, e in zip(row_sel, budgets):
-                        if kind == "sub-t-rows":
-                            row_sets[i] = sorted(hamming_ball(rows[i], e, q))
-                        else:
-                            row_sets[i] = sorted(deletion_ball(rows[i], e))
-                    emit(row_sets)
+    for counts in product(range(min(cap, n) + 1), repeat=k):
+        if not _counts_fit(counts, model):
+            continue
+        if model.is_substitution:
+            row_sets = [hamming_sphere(row, c, q) for row, c in zip(rows, counts)]
+        else:
+            row_sets = [deletion_ball(row, c) for row, c in zip(rows, counts)]
+        for received in product(*row_sets):
+            out.add(ReceivedRows(received, q, n))
     return out
 
 

@@ -15,7 +15,9 @@ roundtrip         encode -> corrupt -> decode sweeps with a pass/fail report
 
 Every code family is one record of the FAMILIES table: the flags each verb
 requires, its spec, encoder, decoder, membership test and native roundtrip
-patterns.  The --family choices of each verb come from that table.
+patterns.  The --family choices of each verb come from that table.  Every
+bound family is one entry of BOUND_FAMILIES: its required flags, calculator
+and CSV extra column.  encode --spec-out writes the built spec's values.
 
 Exit codes: 0 success, 1 domain error (invalid word, precondition breach, a
 flag the family needs is missing, a file that cannot be read or written), 2
@@ -162,18 +164,16 @@ def build_model(name: str, e: str, t: int | None) -> ErrorModel:
     raise ValueError(f"unknown model {name!r}")
 
 
-def _spec_text(args, n: int) -> str:
-    keys = ["family", "q", "k", "t", "m", "n", "a"]
-    values = {
-        "family": args.family,
-        "q": getattr(args, "q", None),
-        "k": getattr(args, "k", None),
-        "t": getattr(args, "t", None),
-        "m": getattr(args, "m", None),
-        "n": n,
-        "a": getattr(args, "a", None),
-    }
-    lines = [f"{key}={values[key]}" for key in keys if values[key] is not None]
+def _spec_text(args, spec, n: int) -> str:
+    """The spec file of an encode: the family, the codeword length n, and
+    each parameter flag that was given, with the value the built spec holds
+    for it.  A flag the spec does not take is left out."""
+    lines = [f"family={args.family}"]
+    for key in ("q", "k", "t", "m", "n", "a"):
+        if key == "n":
+            lines.append(f"n={n}")
+        elif getattr(args, key) is not None and getattr(spec, key, None) is not None:
+            lines.append(f"{key}={getattr(spec, key)}")
     return "\n".join(lines) + "\n"
 
 
@@ -356,7 +356,7 @@ def cmd_encode(args) -> int:
     word = family.encode(_read_message(family, args, spec), spec)
     _write_text(args.out, word_to_text(word))
     if args.spec_out:
-        _write_text(args.spec_out, _spec_text(args, word.n))
+        _write_text(args.spec_out, _spec_text(args, spec, word.n))
     return 0
 
 
@@ -440,41 +440,60 @@ def cmd_transform(args) -> int:
 # bounds / table
 # ---------------------------------------------------------------------------
 
+def _budgets_extra(args, _report) -> str:
+    return "budgets=" + "|".join(map(str, _ints(args.budgets)))
+
+
+def _asym_total(args):
+    if args.l is None:
+        return best_asym_total(args.q, args.k, args.n, args.e)
+    return asym_bound_total(args.q, args.k, args.n, args.e, args.l)
+
+
+# bound family -> (flags it requires in the order they are checked,
+#                  calculator, text of the CSV extra column)
+BOUND_FAMILIES = {
+    "sp-per-row": (
+        ("q", "k", "n", "budgets"),
+        lambda args: sp_bound_per_row(args.q, args.k, args.n, _ints(args.budgets)),
+        _budgets_extra,
+    ),
+    "sp-total": (
+        ("q", "k", "n", "e"),
+        lambda args: sp_bound_total(args.q, args.k, args.n, args.e),
+        lambda args, _: f"e={args.e}",
+    ),
+    "asym-total": (
+        ("q", "k", "n", "e"),
+        _asym_total,
+        lambda args, report: f"e={args.e} l={report.params['l']}",
+    ),
+    "asym-general": (
+        ("q", "k", "n", "budgets"),
+        lambda args: asym_bound_general(args.q, args.k, args.n, _ints(args.budgets)),
+        _budgets_extra,
+    ),
+    "gspb-deletion": (
+        ("k", "n"),
+        lambda args: gspb_deletion_bound(args.n, args.k),
+        lambda *_: "",
+    ),
+    "asym-deletion": (
+        ("k", "n"),
+        lambda args: asym_deletion_bound(args.k, args.n),
+        lambda *_: "",
+    ),
+}
+
+
 def cmd_bounds(args) -> int:
-    family = args.family
-    if family == "sp-per-row":
-        _require(args, "q", "k", "n", "budgets")
-        report = sp_bound_per_row(args.q, args.k, args.n, _ints(args.budgets))
-        extra = "budgets=" + "|".join(map(str, _ints(args.budgets)))
-    elif family == "sp-total":
-        _require(args, "q", "k", "n", "e")
-        report = sp_bound_total(args.q, args.k, args.n, args.e)
-        extra = f"e={args.e}"
-    elif family == "asym-total":
-        _require(args, "q", "k", "n", "e")
-        if args.l is not None:
-            report = asym_bound_total(args.q, args.k, args.n, args.e, args.l)
-        else:
-            report = best_asym_total(args.q, args.k, args.n, args.e)
-        extra = f"e={args.e} l={report.params['l']}"
-    elif family == "asym-general":
-        _require(args, "q", "k", "n", "budgets")
-        report = asym_bound_general(args.q, args.k, args.n, _ints(args.budgets))
-        extra = "budgets=" + "|".join(map(str, _ints(args.budgets)))
-    elif family == "gspb-deletion":
-        _require(args, "k", "n")
-        report = gspb_deletion_bound(args.n, args.k)
-        extra = ""
-    elif family == "asym-deletion":
-        _require(args, "k", "n")
-        report = asym_deletion_bound(args.k, args.n)
-        extra = ""
-    else:
-        raise ValueError(f"unknown bound family {family!r}")
+    flags, calculate, extra = BOUND_FAMILIES[args.family]
+    _require(args, *flags)
+    report = calculate(args)
     q = args.q if args.q is not None else 2
     lines = [
         "q,k,n,extra,family,value,floor,asymptotic",
-        f"{q},{args.k},{args.n},{extra},{report.family},{report.value},"
+        f"{q},{args.k},{args.n},{extra(args, report)},{report.family},{report.value},"
         f"{report.floor},{'true' if report.asymptotic else 'false'}",
     ]
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -680,18 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify_code)
 
     bou = sub.add_parser("bounds", help="bound calculators (CSV)")
-    bou.add_argument(
-        "--family",
-        required=True,
-        choices=(
-            "sp-per-row",
-            "sp-total",
-            "asym-total",
-            "asym-general",
-            "gspb-deletion",
-            "asym-deletion",
-        ),
-    )
+    bou.add_argument("--family", required=True, choices=list(BOUND_FAMILIES))
     bou.add_argument("--e", type=int, default=None)
     bou.add_argument("--l", type=int, default=None)
     bou.add_argument("--budgets", default=None, help="comma-separated budgets")

@@ -23,8 +23,6 @@ same rows and the same failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import digit_width, expand_base
 
 
@@ -39,18 +37,6 @@ def vt_syndrome(x) -> int:
 
 def digit_sum(x) -> int:
     return sum(x)
-
-
-@dataclass(frozen=True)
-class Syndromes:
-    """The (VT, Sum) pair used by the substitution decoders."""
-
-    vt: int
-    total: int
-
-
-def syndromes(x) -> Syndromes:
-    return Syndromes(vt_syndrome(x), digit_sum(x))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Channel tests: corruption plans, output-set enumeration, oracle."""
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -17,7 +17,6 @@ from composite_dna.channel import (
     del_t_rows,
     del_total,
     deletion_ball,
-    hamming_ball,
     hamming_sphere,
     oracle_is_code,
     random_errors,
@@ -91,12 +90,11 @@ def test_deletion_ball_matches_subsequence_oracle():
                 assert deletion_ball(x, t) == brute_deletion_ball(x, t)
 
 
-def test_hamming_ball_sizes():
+def test_hamming_sphere_sizes():
     row = (0, 1, 2, 0)
     q = 3
-    for e in range(0, 5):
-        expect = sum(comb(4, d) * (q - 1) ** d for d in range(e + 1))
-        assert len(hamming_ball(row, e, q)) == expect
+    for d in range(0, 6):
+        assert len(hamming_sphere(row, d, q)) == comb(4, d) * (q - 1) ** d
     assert hamming_sphere((0, 0), 1, 2) == {(1, 0), (0, 1)}
 
 
@@ -300,6 +298,113 @@ def test_raw_set_del_t_rows_budget_assignment_union():
     outs = {r.rows for r in raw_received_set(w, del_t_rows(2, (2, 1)))}
     for y in deletion_ball(w.rows()[0], 2) | deletion_ball(w.rows()[0], 1):
         assert (y, w.rows()[1]) in outs
+
+
+def is_subsequence(y, x):
+    it = iter(x)
+    return all(v in it for v in y)
+
+
+def brute_received_set(word, model):
+    """Independent oracle: judge every candidate row tuple by the model's
+    definition, trying each budget-to-row assignment explicitly."""
+    rows, q, n = word.rows(), word.q, word.n
+    sub = model.is_substitution
+    lengths = [n] if sub else range(n + 1)
+    candidates = [y for length in lengths for y in product(range(q), repeat=length)]
+
+    def errors(y, x):
+        """Edits or deletions turning x into y; None if no such error."""
+        if sub:
+            return sum(a != b for a, b in zip(x, y))
+        return n - len(y) if is_subsequence(y, x) else None
+
+    def assignable(errs, within):
+        # rows outside the chosen set are untouched; a chosen row takes one
+        # budget of its own
+        for size in range(model.t + 1):
+            for chosen in combinations(range(len(rows)), size):
+                for budgets in permutations(model.budgets, size):
+                    if all(
+                        within(errs[i], budgets[chosen.index(i)]) if i in chosen
+                        else errs[i] == 0
+                        for i in range(len(rows))
+                    ):
+                        return True
+        return False
+
+    fits = {
+        "sub-per-row": lambda errs: all(c <= e for c, e in zip(errs, model.budgets)),
+        "del-per-row": lambda errs: all(c == e for c, e in zip(errs, model.budgets)),
+        "sub-total": lambda errs: sum(errs) <= model.total,
+        "del-total": lambda errs: sum(errs) == model.total,
+        "sub-t-rows": lambda errs: assignable(errs, lambda c, e: c <= e),
+        "del-t-rows": lambda errs: assignable(errs, lambda c, e: c == e),
+    }[model.kind]
+    out = set()
+    for received in product(candidates, repeat=len(rows)):
+        errs = [errors(y, x) for y, x in zip(received, rows)]
+        if None not in errs and fits(errs):
+            out.add(ReceivedRows(received, q, n))
+    return out
+
+
+@pytest.mark.parametrize(
+    "rows, q, models",
+    [
+        (
+            ["001", "011"],
+            2,
+            [sub_per_row(1, 0), sub_per_row(2, 1), del_per_row(1, 0), del_per_row(2, 1),
+             sub_total(1), sub_total(2), del_total(1), del_total(2),
+             sub_t_rows(1, (2,)), sub_t_rows(2, (2, 1)), sub_t_rows(2, (1, 2)),
+             sub_t_rows(2, (1, 1)), del_t_rows(1, (1,)), del_t_rows(2, (2, 1)),
+             del_t_rows(2, (1, 1))],
+        ),
+        (
+            ["012", "112"],
+            3,
+            [sub_per_row(0, 2), del_per_row(0, 2), sub_total(2), del_total(2),
+             sub_t_rows(1, (1,)), sub_t_rows(2, (2, 1)), del_t_rows(2, (2, 1))],
+        ),
+        (
+            ["01", "12", "22"],
+            3,
+            [sub_per_row(1, 0, 1), del_per_row(1, 0, 2), sub_total(1), del_total(2),
+             sub_t_rows(2, (2, 1)), sub_t_rows(1, (1,)), del_t_rows(2, (2, 1)),
+             del_t_rows(2, (1, 1)), del_t_rows(3, (1, 0, 2))],
+        ),
+        (
+            ["001", "011", "111"],
+            2,
+            [sub_per_row(1, 1, 0), del_per_row(2, 0, 1), sub_total(2), del_total(1),
+             sub_t_rows(2, (2, 1)), del_t_rows(2, (2, 1)), del_t_rows(2, (1, 1))],
+        ),
+        (
+            ["001", "012", "122"],
+            3,
+            [sub_per_row(2, 0, 1), del_total(2), sub_t_rows(2, (2, 1)), del_t_rows(2, (2, 1))],
+        ),
+    ],
+)
+def test_raw_set_matches_model_definition(rows, q, models):
+    word = Word.from_rows(rows, q=q)
+    for model in models:
+        assert raw_received_set(word, model) == brute_received_set(word, model), model
+
+
+def test_raw_set_budgets_beyond_the_word():
+    w = word_001_011()  # n = 3
+    # exact deletion counts that no output can have are errors
+    with pytest.raises(ValueError, match="cannot delete 4 symbols from length 3"):
+        raw_received_set(w, del_per_row(4, 0))
+    with pytest.raises(ValueError, match="budget 7 exceeds the 2x3 grid"):
+        raw_received_set(w, del_total(7))
+    # elsewhere a budget past the row length just never applies in full
+    assert raw_received_set(w, sub_per_row(5, 0)) == raw_received_set(w, sub_per_row(3, 0))
+    assert raw_received_set(w, sub_total(9)) == raw_received_set(w, sub_total(6))
+    assert raw_received_set(w, sub_t_rows(1, (4,))) == raw_received_set(w, sub_t_rows(1, (3,)))
+    assert raw_received_set(w, del_t_rows(2, (4, 1))) == raw_received_set(w, del_t_rows(1, (1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +635,15 @@ def test_received_rows_validation():
 @pytest.mark.parametrize(
     "family, model, built, distinct",
     [
-        ("c2s", sub_t_rows(2, (1, 1)), 1261, 1141),
+        ("c2s", sub_t_rows(2, (1, 1)), 1141, 1141),
         ("c2d", del_t_rows(2, (1, 1)), 309, 309),
     ],
 )
 def test_raw_set_t_rows_builds_each_budget_assignment_once(
     family, model, built, distinct, monkeypatch
 ):
-    """Equal budgets are assigned to the chosen rows once, not in both
-    orders; the output set is unchanged."""
+    """Each output is built once: equal budgets are not assigned in both
+    orders, and a row subset does not repeat the outputs of its subsets."""
     if family == "c2s":
         word = c2s_encode(Word.from_ranks((0, 1, 2), 2, 3), C2SSpec(2, 3, 2, 3))
     else:

@@ -143,6 +143,16 @@ class TestEncodeDecode:
         assert code == 0
         assert word_from_text(out).ranks() == (1, 0, 2, 1)
 
+    def test_spec_file_states_the_built_spec(self, capsys):
+        # c2d is binary and takes no --a: the spec says q=2 and leaves a out
+        code, out, _ = run(
+            capsys,
+            "encode", "--family", "c2d", "--q", "3", "--k", "3", "--t", "2",
+            "--m", "4", "--a", "7", "--message", "3,2,1,0", "--spec-out", "-",
+        )
+        assert code == 0
+        assert out.splitlines()[-6:] == ["family=c2d", "q=2", "k=3", "t=2", "m=4", "n=12"]
+
     def test_decode_breach_from_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 2 4\n010\n001\n")

@@ -5,10 +5,10 @@ directory holding its input files.  A step pins the exit code, stdout,
 stderr and every file the command writes or changes.  The recorded bytes
 cover the README examples, one roundtrip per family, encode --spec-out then
 decode --spec for every payload family, encode --in, the message families,
-decode and contains for every congruence family, and domain errors.
-FIRST_FAILURES makes one decode call fail per pattern style, which pins the
-four first-failure label formats, and USAGE_ERRORS pins each verb's family
-choices.
+decode and contains for every congruence family, every bound family, and
+domain errors.  FIRST_FAILURES makes one decode call fail per pattern style,
+which pins the four first-failure label formats, and USAGE_ERRORS pins each
+verb's family choices.
 """
 
 import pytest
@@ -46,6 +46,89 @@ SCENARIOS = {
                 ("q,k,n,extra,family,value,floor,asymptotic\n"
                  "2,2,2,e=1,sp-total,3,3,false\n"),
                 "",
+                {},
+            ),
+        ],
+    ),
+    "bounds-families": (
+        {},
+        [
+            (
+                "bounds --family sp-per-row --q 3 --k 3 --n 4 --budgets 2,1,1",
+                0,
+                ("q,k,n,extra,family,value,floor,asymptotic\n"
+                 "3,3,4,budgets=2|1|1,sp-per-row,10000/37,270,false\n"),
+                "",
+                {},
+            ),
+            (
+                "bounds --family sp-total --q 3 --k 2 --n 5 --e 2",
+                0,
+                ("q,k,n,extra,family,value,floor,asymptotic\n"
+                 "3,2,5,e=2,sp-total,7776/41,189,false\n"),
+                "",
+                {},
+            ),
+            (
+                "bounds --family asym-total --q 4 --k 2 --n 6 --e 2",
+                0,
+                ("q,k,n,extra,family,value,floor,asymptotic\n"
+                 "4,2,6,e=2 l=1,asym-total,1562500/81,19290,true\n"),
+                "",
+                {},
+            ),
+            (
+                "bounds --family asym-total --q 4 --k 2 --n 6 --e 2 --l 3",
+                0,
+                ("q,k,n,extra,family,value,floor,asymptotic\n"
+                 "4,2,6,e=2 l=3,asym-total,25000000/81,308641,true\n"),
+                "",
+                {},
+            ),
+            (
+                "bounds --family asym-general --q 3 --k 3 --n 5 --budgets 1,0,1",
+                0,
+                ("q,k,n,extra,family,value,floor,asymptotic\n"
+                 "3,3,5,budgets=1|0|1,asym-general,200000/3,66666,true\n"),
+                "",
+                {},
+            ),
+            (
+                "bounds --family gspb-deletion --k 2 --n 4",
+                0,
+                ("q,k,n,extra,family,value,floor,asymptotic\n"
+                 "2,2,4,,gspb-deletion,143/3,47,false\n"),
+                "",
+                {},
+            ),
+            (
+                "bounds --family gspb-deletion --q 2 --k 3 --n 3",
+                0,
+                ("q,k,n,extra,family,value,floor,asymptotic\n"
+                 "2,3,3,,gspb-deletion,49,49,false\n"),
+                "",
+                {},
+            ),
+            (
+                "bounds --family asym-deletion --k 3 --n 5",
+                0,
+                ("q,k,n,extra,family,value,floor,asymptotic\n"
+                 "2,3,5,,asym-deletion,2048/3,682,true\n"),
+                "",
+                {},
+            ),
+            (
+                "bounds --family asym-general --q 3 --k 3 --n 5",
+                1,
+                "",
+                "error: --budgets is required for family asym-general\n",
+                {},
+            ),
+            (
+                "bounds --family asym-deletion --n 5",
+                1,
+                "",
+                "error: --k is required for family asym-deletion\n",
                 {},
             ),
         ],
@@ -369,7 +452,7 @@ SCENARIOS = {
                  "110001000100\n"
                  "111001000100\n"
                  "family=c2d\n"
-                 "q=3\n"
+                 "q=2\n"
                  "k=3\n"
                  "t=2\n"
                  "m=4\n"
@@ -668,6 +751,10 @@ USAGE_ERRORS = {
     "contains --family doll": (
         "composite-dna contains: error: argument --family: invalid choice: 'doll'"
         " (choose from 'c1d', 'lme1', 'cong-binary-t', 'cong-qary-1', 'cong-qary-t')"
+    ),
+    "bounds --family nope": (
+        "composite-dna bounds: error: argument --family: invalid choice: 'nope'"
+        " (choose from 'sp-per-row', 'sp-total', 'asym-total', 'asym-general', 'gspb-deletion', 'asym-deletion')"
     ),
     "roundtrip --family cong-binary-t": (
         "composite-dna roundtrip: error: argument --family: invalid choice: 'cong-binary-t'"

@@ -1,0 +1,51 @@
+"""The benchmark's trace targets and the demos keep working.
+
+The traced benchmark run patches every ``(module, attribute)`` in
+``perfbench/tracing.py``'s TARGETS, so each must still name something in
+``composite_dna``; each demo must still run to completion.
+"""
+
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_targets_resolve():
+    targets = load_tracing().TARGETS
+    assert targets
+    for module_name, attribute, _bucket, _key in targets:
+        obj = importlib.import_module(f"composite_dna.{module_name}")
+        for part in attribute.split("."):
+            assert hasattr(obj, part), f"composite_dna.{module_name}.{attribute}"
+            obj = getattr(obj, part)
+        assert callable(obj), f"composite_dna.{module_name}.{attribute}"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -22,7 +22,6 @@ from composite_dna.vt_core import (
     qary_decode_one_deletion,
     qary_decode_one_substitution,
     qary_vt_syndrome,
-    syndromes,
     vt_decode_one_deletion,
     vt_syndrome,
 )
@@ -37,8 +36,8 @@ def test_vt_syndrome_values():
     assert vt_syndrome((0, 1, 1)) == 5
     assert vt_syndrome((0, 1, 1, 0)) == 5
     assert vt_syndrome((0, 0, 0, 0)) == 0
-    assert syndromes((1, 2, 0)).vt == 5
-    assert syndromes((1, 2, 0)).total == 3
+    assert vt_syndrome((1, 2, 0)) == 5
+    assert digit_sum((1, 2, 0)) == 3
     assert digit_sum(()) == 0
 
 
