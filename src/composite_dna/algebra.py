@@ -3,22 +3,23 @@
 Contents: primality and Bertrand-interval prime search, fixed-width base-Q
 expansions, ranking/unranking of constant-weight binary sequences, semistandard
 tableau enumeration with Schur polynomial evaluation, shape-shifted Vandermonde
-determinants, Gaussian elimination over a prime field, the weighted power sums
-of the t-row codes with their Vandermonde solve, and the threshold
-function f(k, t) under which every square submatrix of the syndrome
-coefficient matrix [i^(j-1)] is invertible mod p.
+determinants, one linear-algebra kernel pair (an exact Bareiss determinant
+and a Gauss-Jordan solve over Z/m with unit pivots), the weighted power sums
+of the deletion and substitution codes with the one Vandermonde solve that
+recovers the unknown rows' values from them, and the threshold function
+f(k, t) under which every square submatrix of the syndrome coefficient
+matrix [i^(j-1)] is invertible mod p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 
 class SingularMatrixError(ValueError):
-    """Raised when a linear system over F_p has no unique solution."""
+    """Raised when a linear system mod m has no unit pivot in some column."""
 
 
 # ---------------------------------------------------------------------------
@@ -58,23 +59,6 @@ def smallest_prime_at_least(m: int) -> int:
     while not is_prime(p):
         p += 1
     return p
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """A prime modulus validated at construction."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.p}")
-        return pow(a, self.p - 2, self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +136,6 @@ def cw_unrank(index: int, n: int, w: int) -> tuple[int, ...]:
             bits[pos - 1] = 1
             temp -= comb(pos - 1, left)
             left -= 1
-    assert left == 0 and temp == 0
     return tuple(bits)
 
 
@@ -220,28 +203,6 @@ def sst_count(shape, s: int) -> int:
     return len(enumerate_ssts(shape, s))
 
 
-def _det_fraction(matrix) -> Fraction:
-    """exact determinant by fraction-free-ish Gaussian elimination"""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
 def vandermonde_shape_det(shape, xs, p: int | None = None) -> int:
     """Determinant of the shape-shifted Vandermonde matrix V_shape.
 
@@ -258,33 +219,63 @@ def vandermonde_shape_det(shape, xs, p: int | None = None) -> int:
         raise ValueError("shape and point must have equal length")
     s = len(xs)
     exponents = [shape[s - 1 - i] + i for i in range(s)]
-    matrix = [[x ** e for x in xs] for e in exponents]
-    det = _det_fraction(matrix)
-    assert det.denominator == 1
-    value = det.numerator
+    value = det([[x ** e for x in xs] for e in exponents])
     return value % p if p is not None else value
 
 
 # ---------------------------------------------------------------------------
-# prime-field linear algebra
+# linear algebra: one exact determinant, one modular solve
 # ---------------------------------------------------------------------------
 
-def solve_mod_p(matrix, rhs, p: int) -> list[int]:
-    """Solve A x = b over F_p by Gaussian elimination.
+def det(matrix) -> int:
+    """Exact determinant of a square integer matrix by Bareiss's
+    fraction-free elimination: every division is exact."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("det expects a square matrix")
+    sign, prev = 1, 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        head = m[col]
+        for row in m[col + 1 :]:
+            for c in range(col + 1, n):
+                row[c] = (row[c] * head[col] - row[col] * head[c]) // prev
+        prev = head[col]
+    return sign * prev
 
-    Raises SingularMatrixError when A is singular mod p.
+
+def det_mod_p(matrix, p: int) -> int:
+    """The exact determinant reduced mod p."""
+    return det(matrix) % p
+
+
+def solve_mod_p(matrix, rhs, p: int) -> list[int]:
+    """Solve A x = b over Z/p by Gauss-Jordan elimination with unit pivots.
+
+    Over a prime p every nonzero pivot is a unit, so this is the usual solve
+    over F_p.  Over a composite p it solves every system whose columns each
+    offer a unit pivot, such as the 1 x 1 system [[1]].  Raises
+    SingularMatrixError when a column has none: over a prime, when A is
+    singular.
     """
-    field = PrimeField(p)
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve_mod_p expects a square system")
+    if p < 2:
+        raise ValueError(f"modulus must be >= 2, got {p}")
     aug = [[x % p for x in row] + [b % p] for row, b in zip(matrix, rhs)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if gcd(aug[r][col], p) == 1), None)
         if pivot is None:
-            raise SingularMatrixError(f"matrix singular mod {p}")
+            raise SingularMatrixError(f"no unit pivot in column {col} mod {p}")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
+        inv = pow(aug[col][col], -1, p)
         aug[col] = [(x * inv) % p for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
@@ -297,7 +288,8 @@ def power_sums(values, exponents, p: int) -> list[int]:
     """[sum_i (i + 1)^j * values[i] mod p for j in exponents].
 
     These are the weighted syndromes of the t-row codes: row i (0-indexed)
-    carries the node i + 1, and a row left out of a sum has the value 0.
+    carries the node i + 1.  A single exponent 0 gives the plain sum mod p
+    of the single-row codes.
     """
     return [
         sum(pow(i + 1, j, p) * v for i, v in enumerate(values)) % p
@@ -305,37 +297,20 @@ def power_sums(values, exponents, p: int) -> list[int]:
     ]
 
 
-def solve_power_sums(rows, exponents, rhs, p: int) -> list[int]:
-    """The values u_i of the given rows with sum_i (i + 1)^j * u_i = rhs[j]
-    (mod p) for each exponent j, by a Vandermonde solve over F_p.
+def solve_power_sums(values, exponents, sums, p: int) -> list[int]:
+    """The unknown entries (None) of values, in row order, given the power
+    sums read for the given exponents: the known rows' part is subtracted
+    and the rest is a Vandermonde solve mod p in the unknown rows' nodes.
 
-    The matrix is square when there are as many exponents as rows; it is
-    invertible when p exceeds every node difference and the exponents are
-    consecutive, or when p > f(k, t).
+    The system is square when there are as many exponents as unknowns.  It
+    is invertible when p is a prime above every node difference and the
+    exponents are consecutive from 0, when p > f(k, t), or when there is one
+    unknown and the exponent is 0, for any modulus.
     """
-    matrix = [[pow(i + 1, j, p) for i in rows] for j in exponents]
-    return solve_mod_p(matrix, rhs, p)
-
-
-def det_mod_p(matrix, p: int) -> int:
-    field = PrimeField(p)
-    n = len(matrix)
-    m = [[x % p for x in row] for row in matrix]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = (-det) % p
-        det = (det * m[col][col]) % p
-        inv = field.inv(m[col][col])
-        for r in range(col + 1, n):
-            factor = (m[r][col] * inv) % p
-            if factor:
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[col])]
-    return det % p
+    unknown = [i for i, v in enumerate(values) if v is None]
+    known = power_sums([0 if v is None else v for v in values], exponents, p)
+    matrix = [[pow(i + 1, j, p) for i in unknown] for j in exponents]
+    return solve_mod_p(matrix, [s - c for s, c in zip(sums, known)], p)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +344,8 @@ def all_submatrices_invertible(k: int, t: int, p: int) -> bool:
     """Exhaustively check every s x s submatrix of [i^(j-1)] mod p, s = 1..t."""
     if not 2 <= t <= k:
         raise ValueError(f"need 2 <= t <= k, got t={t}, k={k}")
-    PrimeField(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     rows = [[pow(i, j, p) for i in range(1, k + 1)] for j in range(t)]
     for s in range(1, t + 1):
         for row_sel in combinations(range(t), s):

@@ -230,7 +230,17 @@ def _payload_flags(*names):
     return dict.fromkeys(("encode", "decode", "roundtrip"), names)
 
 
-# c1d and lme1: a class code {VT-type sum = a}, with a systematic encoder
+@dataclass(frozen=True)
+class _ClassCode:
+    """c1d and lme1: the binary class code {VT-type sum = a} of length n over
+    k rows, with a systematic encoder; decode and contains need only a."""
+
+    k: int | None
+    n: int | None
+    a: int
+    q = 2
+
+
 _CLASS_CODE_FLAGS = {
     "encode": ("k", "n", "a", "message"),
     "decode": ("a",),
@@ -242,20 +252,22 @@ _CLASS_CODE_FLAGS = {
 FAMILIES = {
     "c1d": Family(
         flags=_CLASS_CODE_FLAGS,
-        encode=lambda message, args: c1d_encode(message, args.a, args.k, args.n),
-        decode=lambda received, args: c1d_message(c1d_decode(received, args.a)),
-        contains=lambda word, args: c1d_contains(word, args.a),
-        message_space=lambda args, _: (args.k + 1, c1d_message_length(args.k, args.n)),
+        spec=lambda args: _ClassCode(args.k, args.n, args.a),
+        encode=lambda message, spec: c1d_encode(message, spec.a, spec.k, spec.n),
+        decode=lambda received, spec: c1d_message(c1d_decode(received, spec.a)),
+        contains=lambda word, spec: c1d_contains(word, spec.a),
+        message_space=lambda _, spec: (spec.k + 1, c1d_message_length(spec.k, spec.n)),
         patterns=lambda word, _: _any_one_deletion(word),
     ),
     "lme1": Family(
         flags=_CLASS_CODE_FLAGS,
-        encode=lambda message, args: cecc1_encode(message, args.a, args.k, args.n),
-        decode=lambda received, args: cecc1_message(cecc1_decode(received, args.a)),
-        contains=lambda word, args: cecc1_contains(word, args.a),
-        message_space=lambda args, _: (
-            args.k + 1,
-            lme_message_length(args.n, args.k + 1),
+        spec=lambda args: _ClassCode(args.k, args.n, args.a),
+        encode=lambda message, spec: cecc1_encode(message, spec.a, spec.k, spec.n),
+        decode=lambda received, spec: cecc1_message(cecc1_decode(received, spec.a)),
+        contains=lambda word, spec: cecc1_contains(word, spec.a),
+        message_space=lambda _, spec: (
+            spec.k + 1,
+            lme_message_length(spec.n, spec.k + 1),
         ),
         patterns=lambda word, _: _substitutions(word, 1),
     ),

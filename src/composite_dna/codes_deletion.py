@@ -1,20 +1,26 @@
 """Deletion-correcting code families over the composite channel.
 
-Four constructions plus a family of congruence-defined codes:
+Two decoders do all the work, one per construction shape.  Both read the
+short rows' syndromes off the intact rows' weighted power sums with one
+Vandermonde solve (algebra.solve_power_sums), then decode each short row
+on its own; a single-deletion code is their t = 1 case, whose solve is the
+1 x 1 system [[1]] over a modulus that need not be prime.
 
-* c1d_*: binary single-composite-deletion code fixing sum_i VT(c_i) mod n+1,
-  with a systematic encoder whose redundancy lives on the base-(k+1) power
+* congruence_*: codes cut out by syndrome congruences, decoded by
+  _congruence_decode_t.  Binary t-row variants weight the per-row VT sums
+  by i^j mod p, q-ary ones the VT(psi(.)) sums; cong-qary-1 is the t = 1
+  q-ary code mod qn.  No encoders (these families exist by pigeonhole on
+  the best class); membership tests and decoders are given.
+* c1d_*: the binary t = 1 congruence code sum_i VT(c_i) = a mod n+1, with a
+  systematic encoder whose redundancy lives on the base-(k+1) power
   positions {(k+1)^j}.
-* congruence_*: existential families cut out by syndrome congruences —
-  binary t-row variants weight the per-row VT sums by i^j mod p, q-ary
-  variants use VT(psi(.)) mod qn.  No encoders (these families exist by
-  pigeonhole on the best class); membership tests and decoders are given.
-* C2D/C4D: systematic t-row single-deletion codes that append, per syndrome
-  index j, a marker column pair (all-zero, all-one) followed by the base-Q
-  digits of the j-th weighted syndrome mod p.  The marker pair localizes
-  which segment of an affected row lost its symbol.
-* C3D: the q-ary single-deletion analogue with one marker pair and one
-  syndrome block mod qm.
+* C2D/C4D: systematic t-row single-deletion codes, decoded by
+  _marker_decode.  They append, per syndrome index j, a marker column pair
+  (all-zero, all-one) followed by the base-Q digits of the j-th weighted
+  syndrome mod p.  The marker pair localizes which segment of an affected
+  row lost its symbol.
+* C3D: the q-ary t = 1 marker code, with one marker pair and one syndrome
+  block mod qm.
 
 Row indices inside syndrome weights are 1-based (i = 1..k), as are the
 congruence targets; everything else in the code is 0-indexed.
@@ -52,16 +58,21 @@ def _is_subsequence(sub, sup) -> bool:
     return all(any(v == w for w in it) for v in sub)
 
 
-def _row_deficits(received: ReceivedRows) -> dict[int, int]:
-    """row index -> number of missing symbols; rejects deficits above one."""
-    deficits = {}
+def _row_deficits(received: ReceivedRows, limit: int) -> list[int]:
+    """The rows that lost a symbol, in order; rejects a row that lost more
+    than one, and more than limit short rows."""
+    short = []
     for i, row in enumerate(received.rows):
         d = received.n - len(row)
         if d < 0 or d > 1:
             raise ValueError(f"row {i} lost {d} symbols; these codes handle one")
         if d:
-            deficits[i] = d
-    return deficits
+            short.append(i)
+    if len(short) > limit:
+        if limit == 1:
+            raise ValueError("more than one row lost a symbol")
+        raise ValueError(f"{len(short)} rows lost symbols; the code handles {limit}")
+    return short
 
 
 def _repaired_word(rows, q: int) -> Word:
@@ -113,9 +124,7 @@ def c1d_encode(message, a: int, k: int, n: int) -> Word:
     d = (a - current) % (n + 1)
     for power, digit in zip(powers, expand_base(d, k + 1, n + 1)):
         ranks[power] = digit
-    word = Word.from_ranks(ranks[1:], 2, k)
-    assert c1d_contains(word, a)
-    return word
+    return Word.from_ranks(ranks[1:], 2, k)
 
 
 def c1d_message(word: Word) -> tuple[int, ...]:
@@ -124,28 +133,17 @@ def c1d_message(word: Word) -> tuple[int, ...]:
 
 
 def c1d_decode(received: ReceivedRows, a: int) -> Word:
-    """Recover from at most one deletion anywhere: the short row's VT residue
-    is a minus the intact rows' VT sums, then one-deletion VT decoding."""
+    """Recover from at most one deletion anywhere: the t = 1 congruence
+    decode mod n+1, whose short row's VT residue is a minus the intact
+    rows' VT sums."""
     if received.q != 2:
         raise ValueError("c1d is a binary family")
-    n = received.n
-    deficits = _row_deficits(received)
-    if len(deficits) > 1:
-        raise ValueError("more than one row lost a symbol")
-    if not deficits:
-        word = Word.from_rows(received.rows, 2)
-        if not c1d_contains(word, a):
-            raise ValueError("clean rows do not satisfy the code congruence")
-        return word
-    (short,) = deficits
-    residue = (a - sum(vt_syndrome(r) for i, r in enumerate(received.rows) if i != short)) % (n + 1)
-    restored = vt_decode_one_deletion(received.rows[short], residue, n + 1)
-    rows = list(received.rows)
-    rows[short] = restored
-    word = _repaired_word(rows, 2)
-    if not c1d_contains(word, a):
-        raise DecodeFailure("decoded word does not satisfy the code congruence")
-    return word
+    modulus = received.n + 1
+    return _congruence_decode_t(
+        received, (a,), modulus, vt_syndrome,
+        lambda word: c1d_contains(word, a),
+        lambda row, residue: vt_decode_one_deletion(row, residue, modulus),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,32 +181,25 @@ def congruence_contains_qary_t(word: Word, targets, p: int) -> bool:
 
 def _congruence_decode_t(received, targets, p, syndrome, contains, decode_row):
     """Repair up to t = len(targets) short rows: the weighted sums of the
-    intact rows' syndromes leave a Vandermonde system for the short rows'
-    syndromes, and each short row is then decoded on its own."""
-    deficits = _row_deficits(received)
-    if len(deficits) > len(targets):
-        raise ValueError(
-            f"{len(deficits)} rows lost symbols; family handles {len(targets)}"
-        )
-    if not deficits:
+    intact rows' syndromes leave a Vandermonde system mod p for the short
+    rows' syndromes, and each short row is then decoded on its own.  At
+    t = 1 the system is [[1]], so p may be any modulus."""
+    short = _row_deficits(received, len(targets))
+    if not short:
         word = Word.from_rows(received.rows, received.q)
-        if not contains(word, targets, p):
+        if not contains(word):
             raise ValueError("clean rows do not satisfy the code congruences")
         return word
     # the first |I| congruences suffice: with consecutive powers the matrix is
     # a plain Vandermonde in the distinct row nodes, invertible since p > k - 1
-    short = sorted(deficits)
-    exponents = range(len(short))
     values = [
-        0 if i in deficits else syndrome(row) for i, row in enumerate(received.rows)
+        None if i in short else syndrome(row) for i, row in enumerate(received.rows)
     ]
-    intact = power_sums(values, exponents, p)
-    rhs = [a - s for a, s in zip(targets, intact)]
     rows = list(received.rows)
-    for i, residue in zip(short, solve_power_sums(short, exponents, rhs, p)):
+    for i, residue in zip(short, solve_power_sums(values, range(len(short)), targets, p)):
         rows[i] = decode_row(rows[i], residue)
     word = _repaired_word(rows, received.q)
-    if not contains(word, targets, p):
+    if not contains(word):
         raise DecodeFailure("decoded word does not satisfy the code congruences")
     return word
 
@@ -226,32 +217,20 @@ def congruence_decode_binary_t(received: ReceivedRows, targets, p: int) -> Word:
             stacklevel=2,
         )
     return _congruence_decode_t(
-        received, targets, p, vt_syndrome, congruence_contains_binary_t,
+        received, targets, p, vt_syndrome,
+        lambda word: congruence_contains_binary_t(word, targets, p),
         lambda row, residue: vt_decode_one_deletion(row, residue, p),
     )
 
 
 def congruence_decode_qary_one(received: ReceivedRows, a: int) -> Word:
+    """The t = 1 q-ary congruence decode mod qn."""
     q, n = received.q, received.n
-    deficits = _row_deficits(received)
-    if len(deficits) > 1:
-        raise ValueError("more than one row lost a symbol")
-    if not deficits:
-        word = Word.from_rows(received.rows, q)
-        if not congruence_contains_qary_one(word, a):
-            raise ValueError("clean rows do not satisfy the code congruence")
-        return word
-    (short,) = deficits
-    modulus = q * n
-    residue = (
-        a - sum(qary_vt_syndrome(r, q) for i, r in enumerate(received.rows) if i != short)
-    ) % modulus
-    rows = list(received.rows)
-    rows[short] = qary_decode_one_deletion(received.rows[short], residue, q, n)
-    word = _repaired_word(rows, q)
-    if not congruence_contains_qary_one(word, a):
-        raise DecodeFailure("decoded word does not satisfy the code congruence")
-    return word
+    return _congruence_decode_t(
+        received, (a,), q * n, lambda row: qary_vt_syndrome(row, q),
+        lambda word: congruence_contains_qary_one(word, a),
+        lambda row, residue: qary_decode_one_deletion(row, residue, q, n),
+    )
 
 
 def congruence_decode_qary_t(received: ReceivedRows, targets, p: int) -> Word:
@@ -268,7 +247,7 @@ def congruence_decode_qary_t(received: ReceivedRows, targets, p: int) -> Word:
 
     return _congruence_decode_t(
         received, targets, p, lambda row: qary_vt_syndrome(row, q),
-        congruence_contains_qary_t, decode_row,
+        lambda word: congruence_contains_qary_t(word, targets, p), decode_row,
     )
 
 
@@ -316,11 +295,13 @@ class C2DSpec:
 
 @dataclass(frozen=True)
 class C3DSpec:
-    """q-ary single-deletion code with one marker pair and a mod-qm block."""
+    """q-ary single-deletion code: the t = 1 marker code, with one marker
+    pair and one syndrome block mod qm."""
 
     q: int
     k: int
     m: int
+    t = 1
 
     def __post_init__(self):
         if self.q < 3:
@@ -338,12 +319,11 @@ class C3DSpec:
 
     @property
     def n(self) -> int:
-        return self.m + 2 + self.delta
+        return self.m + self.t * (self.delta + 2)
 
     def syndromes(self, payload: Word):
-        return [
-            sum(qary_vt_syndrome(r, self.q) for r in payload.rows()) % self.modulus
-        ]
+        values = [qary_vt_syndrome(r, self.q) for r in payload.rows()]
+        return power_sums(values, range(self.t), self.modulus)
 
 
 @dataclass(frozen=True)
@@ -392,9 +372,7 @@ def _marker_encode(payload: Word, spec, digit_base: int) -> Word:
     for value in spec.syndromes(payload):
         ranks += markers
         ranks += expand_base(value, digit_base, digit_base**spec.delta)
-    word = Word.from_ranks(ranks, q, k)
-    assert word.n == spec.n
-    return word
+    return Word.from_ranks(ranks, q, k)
 
 
 def c2d_encode(payload: Word, spec: C2DSpec) -> Word:
@@ -409,7 +387,7 @@ def c4d_encode(payload: Word, spec: C4DSpec) -> Word:
     return _marker_encode(payload, spec, alphabet_size(spec.q, spec.k))
 
 
-def _segment_of(row, deficit: int, spec) -> int | None:
+def _segment_of(row, short: bool, spec) -> int | None:
     """Which block the row's deletion damaged, or None for a payload hit.
 
     The zero/one marker pair opening block j sits at positions
@@ -419,7 +397,7 @@ def _segment_of(row, deficit: int, spec) -> int | None:
     a first 1 at j = 0 means the payload (or its trailing marker) was hit,
     and a first 1 at j >= 1 localizes the hit to block j-1.
     """
-    if not deficit:
+    if not short:
         return -1  # clean row: damages nothing, shifts nothing
     flags = [row[spec.m + j * (spec.delta + 2)] == 1 for j in range(spec.t)]
     if any(flags[j] and not flags[j + 1] for j in range(spec.t - 1)):
@@ -451,18 +429,19 @@ def _read_block_digits(received, spec, damage, j: int, digit_base: int) -> int:
     return compose_base(digits, digit_base)
 
 
-def _marker_decode(received: ReceivedRows, spec, digit_base, lift_bound, row_decode, row_syndrome) -> Word:
+def _marker_decode(received: ReceivedRows, spec, digit_base, modulus, lift_bound, row_decode, row_syndrome) -> Word:
+    """Repair up to spec.t short rows of a marker code: each short row's
+    marker flags say which segment lost its symbol, the intact syndrome
+    blocks give the payload-hit rows' syndromes by one solve mod modulus,
+    and the decoded payload must re-encode to a supersequence of every row."""
     if (received.q, received.k) != (spec.q, spec.k) or received.n != spec.n:
         raise ValueError("received shape does not match the code spec")
     t = spec.t
-    deficits = _row_deficits(received)
-    if len(deficits) > t:
-        raise ValueError(f"{len(deficits)} rows lost symbols; construction handles {t}")
+    short = _row_deficits(received, t)
 
     # damage[i]: -1 clean, None payload hit, j >= 0 block j hit
     damage = {
-        i: _segment_of(row, deficits.get(i, 0), spec)
-        for i, row in enumerate(received.rows)
+        i: _segment_of(row, i in short, spec) for i, row in enumerate(received.rows)
     }
     unknown = sorted(i for i, seg in damage.items() if seg is None)
     rows = [None] * received.k
@@ -475,13 +454,9 @@ def _marker_decode(received: ReceivedRows, spec, digit_base, lift_bound, row_dec
         chosen = [j for j in range(t) if j not in blocked][: len(unknown)]
         if len(chosen) < len(unknown):
             raise ValueError("fewer intact syndrome blocks than damaged payload rows")
-        values = [0 if row is None else row_syndrome(row) for row in rows]
-        known = power_sums(values, chosen, spec.p)
-        rhs = [
-            _read_block_digits(received, spec, damage, j, digit_base) - v
-            for j, v in zip(chosen, known)
-        ]
-        for i, value in zip(unknown, solve_power_sums(unknown, chosen, rhs, spec.p)):
+        values = [None if row is None else row_syndrome(row) for row in rows]
+        sums = [_read_block_digits(received, spec, damage, j, digit_base) for j in chosen]
+        for i, value in zip(unknown, solve_power_sums(values, chosen, sums, modulus)):
             if value >= lift_bound:
                 raise ValueError("syndrome residue does not lift; inputs breach the model")
             rows[i] = row_decode(received.rows[i][: spec.m - 1], value)
@@ -500,55 +475,34 @@ def c2d_decode(received: ReceivedRows, spec: C2DSpec) -> Word:
         received,
         spec,
         digit_base=spec.k + 1,
+        modulus=spec.p,
         lift_bound=spec.p,
         row_decode=lambda prefix, value: vt_decode_one_deletion(prefix, value, spec.p),
         row_syndrome=vt_syndrome,
     )
 
 
-def c3d_decode(received: ReceivedRows, spec: C3DSpec) -> Word:
-    """Single deletion anywhere: the lone marker pair says whether the short
-    row's payload was hit; if so the syndrome block drives VT(psi) decoding."""
-    if (received.q, received.k) != (spec.q, spec.k) or received.n != spec.n:
-        raise ValueError("received shape does not match the code spec")
-    deficits = _row_deficits(received)
-    if len(deficits) > 1:
-        raise ValueError("more than one row lost a symbol")
-    rows = [r[: spec.m] for r in received.rows]
-    short = next(iter(deficits), None)
-    if short is not None and received.rows[short][spec.m] == 1:
-        # zero-marker position reads 1: the deletion hit at or before it,
-        # so the payload lost a symbol and every later column shifted
-        damage = {i: None if i == short else -1 for i in range(received.k)}
-        value = _read_block_digits(
-            received, spec, damage, 0, alphabet_size(spec.q, spec.k)
-        )
-        residue = (
-            value
-            - sum(qary_vt_syndrome(r, spec.q) for i, r in enumerate(rows) if i != short)
-        ) % spec.modulus
-        rows[short] = qary_decode_one_deletion(
-            received.rows[short][: spec.m - 1], residue, spec.q, spec.m
-        )
-        payload = _repaired_word(rows, spec.q)
-    else:
-        # no deletion, or one after the zero marker: payload columns are untouched
-        payload = Word.from_rows(rows, spec.q)
-    codeword = c3d_encode(payload, spec)
-    for got, want in zip(received.rows, codeword.rows()):
-        if not _is_subsequence(got, want):
-            raise ValueError("decoded payload is inconsistent with the received rows")
-    return payload
-
-
-def c4d_decode(received: ReceivedRows, spec: C4DSpec) -> Word:
+def _qary_marker_decode(received: ReceivedRows, spec, modulus: int) -> Word:
+    """C3D and C4D: VT(psi) rows, whose syndromes lift below qm."""
     return _marker_decode(
         received,
         spec,
         digit_base=alphabet_size(spec.q, spec.k),
+        modulus=modulus,
         lift_bound=spec.q * spec.m,
         row_decode=lambda prefix, value: qary_decode_one_deletion(
             prefix, value, spec.q, spec.m
         ),
         row_syndrome=lambda row: qary_vt_syndrome(row, spec.q),
     )
+
+
+def c3d_decode(received: ReceivedRows, spec: C3DSpec) -> Word:
+    """Single deletion anywhere: the t = 1 marker decode mod qm.  The lone
+    marker pair says whether the short row's payload was hit; if so the
+    syndrome block drives VT(psi) decoding."""
+    return _qary_marker_decode(received, spec, spec.modulus)
+
+
+def c4d_decode(received: ReceivedRows, spec: C4DSpec) -> Word:
+    return _qary_marker_decode(received, spec, spec.p)

@@ -738,18 +738,18 @@ def c2s_decode(received: ReceivedRows, spec: C2SSpec) -> Word:
         chosen = intact[: len(dirty)]
         big_q = alphabet_size(q, k)
         values = [
-            0 if i in dirty else vt_syndrome(row) % spec.span
+            None if i in dirty else vt_syndrome(row) % spec.span
             for i, row in enumerate(payload_rows)
         ]
-        rhs = []
-        for j, known in zip(chosen, power_sums(values, chosen, spec.p)):
+        sums = []
+        for j in chosen:
             start = base + j * stride
             digits = [
                 column_rank((row[start + idx] for row in rows), q)
                 for idx in range(spec.delta)
             ]
-            rhs.append(compose_base(digits, big_q) - known)
-        for i, bar in zip(dirty, solve_power_sums(dirty, chosen, rhs, spec.p)):
+            sums.append(compose_base(digits, big_q))
+        for i, bar in zip(dirty, solve_power_sums(values, chosen, sums, spec.p)):
             if bar >= spec.span:
                 raise ValueError("solved VT residue does not lift; breach")
             copies = (rows[i][m + 2 * i], rows[i][m + 2 * i + 1])

@@ -1,8 +1,9 @@
 """Tests for the shared algebra helpers."""
 
+import random
 from fractions import Fraction
-from itertools import product
-from math import comb
+from itertools import permutations, product
+from math import comb, prod
 
 import pytest
 import sympy
@@ -10,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_dna.algebra import (
-    PrimeField,
     SingularMatrixError,
     all_submatrices_invertible,
     compose_base,
     cw_rank,
     cw_unrank,
+    det,
     det_mod_p,
     digit_width,
     enumerate_ssts,
@@ -60,15 +61,6 @@ def test_smallest_prime_at_least():
     assert smallest_prime_at_least(14) == 17
     with pytest.raises(ValueError):
         smallest_prime_at_least(1)
-
-
-def test_prime_field_validation():
-    f = PrimeField(7)
-    assert (f.inv(3) * 3) % 7 == 1
-    with pytest.raises(ValueError):
-        PrimeField(6)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +200,34 @@ def test_schur_division_identity(data):
 
 
 # ---------------------------------------------------------------------------
-# prime-field linear algebra
+# linear algebra: Bareiss determinant and modular solve
 # ---------------------------------------------------------------------------
+
+def leibniz_det(matrix):
+    """The permutation-sum determinant: an oracle independent of elimination."""
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(matrix[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_det_matches_leibniz():
+    rng = random.Random(17)
+    for n in range(6):
+        for _ in range(40):
+            matrix = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if n and rng.random() < 0.5:
+                # a zero leading pivot forces a row swap
+                matrix[0][0] = 0
+            assert det(matrix) == leibniz_det(matrix)
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[0, 0], [3, 4]]) == 0
+    assert det([]) == 1
+    with pytest.raises(ValueError):
+        det([[1, 2]])
+
 
 def test_solve_mod_p():
     # x + y = 3, x + 2y = 5 over F_7 -> x = 1, y = 2
@@ -222,6 +240,15 @@ def test_solve_mod_p_singular():
     # invertible over Q but singular mod 3
     with pytest.raises(SingularMatrixError):
         solve_mod_p([[1, 1], [1, 4]], [0, 0], 3)
+
+
+def test_solve_mod_p_composite_modulus():
+    for b in range(-9, 18):
+        assert solve_mod_p([[1]], [b], 9) == [b % 9]
+    assert solve_mod_p([[2]], [1], 9) == [5]
+    # 3 is no unit mod 9
+    with pytest.raises(SingularMatrixError):
+        solve_mod_p([[3]], [3], 9)
 
 
 @settings(max_examples=40)
@@ -258,6 +285,11 @@ def test_all_submatrices_invertible_known_values():
     assert all_submatrices_invertible(3, 2, 5) is True
     assert all_submatrices_invertible(2, 2, 3) is True
     assert all_submatrices_invertible(4, 2, 3) is False
+
+
+def test_all_submatrices_invertible_needs_a_prime():
+    with pytest.raises(ValueError, match="not prime"):
+        all_submatrices_invertible(3, 2, 6)
 
 
 def test_invertibility_beyond_threshold():

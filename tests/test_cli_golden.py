@@ -462,6 +462,40 @@ SCENARIOS = {
             ),
         ],
     ),
+    "class-code-spec-to-stdout": (
+        {},
+        [
+            (
+                "encode --family c1d --q 3 --k 2 --n 4 --a 0 --message 0,1 --spec-out -",
+                0,
+                ("2 2 4\n"
+                 "0000\n"
+                 "1001\n"
+                 "family=c1d\n"
+                 "q=2\n"
+                 "k=2\n"
+                 "n=4\n"
+                 "a=0\n"),
+                "",
+                {},
+            ),
+            (
+                "encode --family lme1 --q 3 --k 3 --n 6 --a 0 --message 1,2,3 --spec-out -",
+                0,
+                ("2 3 6\n"
+                 "100010\n"
+                 "101010\n"
+                 "111010\n"
+                 "family=lme1\n"
+                 "q=2\n"
+                 "k=3\n"
+                 "n=6\n"
+                 "a=0\n"),
+                "",
+                {},
+            ),
+        ],
+    ),
     "message-families": (
         {},
         [

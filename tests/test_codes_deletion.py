@@ -6,6 +6,7 @@ notion of "one deletion per row", not against channel.apply_errors.
 """
 
 import dataclasses
+import functools
 import itertools
 import os
 import random
@@ -363,6 +364,83 @@ def test_out_of_model_congruence_decodes_fail_typed():
             assert congruence_contains_binary_t(got, (0, 0), 11)
     assert post_check == 79
     assert (failures, successes) == (294, 6)
+
+
+def single_row_decoder_inputs(seed, count):
+    """Seeded (family, decode, received) triples for the three single-row
+    decoders, cycling c1d, cong-qary-1 and c3d.  Each word takes zero to two
+    deletions in random rows; before that, a third of them get a wrong target
+    (c3d: a random syndrome block) and a third one or two stray substitutions."""
+    rng = random.Random(seed)
+    for index in range(count):
+        family = ("c1d", "cong-qary-1", "c3d")[index % 3]
+        if family == "c1d":
+            k, n = rng.randrange(2, 4), rng.randrange(4, 8)
+            a = rng.randrange(n + 1)
+            message = [rng.randrange(k + 1) for _ in range(c1d_message_length(k, n))]
+            ranks = list(c1d_encode(message, a, k, n).ranks())
+            q = 2
+        elif family == "cong-qary-1":
+            q, k, n = rng.randrange(3, 5), rng.randrange(2, 4), rng.randrange(3, 6)
+            ranks = [rng.randrange(alphabet_size(q, k)) for _ in range(n)]
+            word = Word.from_ranks(ranks, q, k)
+            a = sum(qary_vt_syndrome(r, q) for r in word.rows())
+        else:
+            spec = C3DSpec(rng.randrange(3, 5), 2, rng.randrange(3, 6))
+            q, k = spec.q, spec.k
+            (payload,) = sample_payloads(q, k, spec.m, 1, seed=rng.randrange(10**6))
+            ranks = list(c3d_encode(payload, spec).ranks())
+        corruption = rng.choice(("none", "target", "substitutions"))
+        if corruption == "target" and family == "c3d":
+            big_q = alphabet_size(q, k)
+            ranks[spec.m + 2 :] = [rng.randrange(big_q) for _ in ranks[spec.m + 2 :]]
+        elif corruption == "target":
+            a += rng.randrange(1, 4)
+        rows = [list(r) for r in Word.from_ranks(ranks, q, k).rows()]
+        if corruption == "substitutions":
+            for _ in range(rng.randrange(1, 3)):
+                row = rows[rng.randrange(k)]
+                pos = rng.randrange(len(row))
+                row[pos] = rng.choice([v for v in range(q) if v != row[pos]])
+        for _ in range(rng.randrange(3)):
+            row = rows[rng.randrange(k)]
+            del row[rng.randrange(len(row))]
+        n = len(ranks)
+        if family == "c1d":
+            decode = functools.partial(c1d_decode, a=a)
+        elif family == "cong-qary-1":
+            decode = functools.partial(congruence_decode_qary_one, a=a)
+        else:
+            decode = functools.partial(c3d_decode, spec=spec)
+        yield family, decode, ReceivedRows(tuple(map(tuple, rows)), q, n)
+
+
+def test_single_row_decoders_out_of_model():
+    # out-of-model words end as DecodeFailure or the ValueError of a rejected
+    # input, never as another exception; the counts pin the t = 1 decoders'
+    # outcomes, recorded before they became calls of the t-row decoders
+    counts = {}
+    for family, decode, received in single_row_decoder_inputs(5, 900):
+        try:
+            decode(received)
+        except DecodeFailure:
+            outcome = "DecodeFailure"
+        except ValueError:
+            outcome = "ValueError"
+        else:
+            outcome = "decoded"
+        counts[family, outcome] = counts.get((family, outcome), 0) + 1
+    assert counts == {
+        ("c1d", "DecodeFailure"): 37,
+        ("c1d", "ValueError"): 162,
+        ("c1d", "decoded"): 101,
+        ("cong-qary-1", "DecodeFailure"): 25,
+        ("cong-qary-1", "ValueError"): 163,
+        ("cong-qary-1", "decoded"): 112,
+        ("c3d", "DecodeFailure"): 19,
+        ("c3d", "ValueError"): 208,
+        ("c3d", "decoded"): 73,
+    }
 
 
 def test_qary_t_post_decode_check_is_typed():
