@@ -1,0 +1,94 @@
+"""Steps shared by the deletion and substitution code families.
+
+* intake: the decoders' check of the received shape against the spec, and
+  of full-length rows for the substitution codes;
+* check_payload: the systematic encoders' payload check;
+* invalid_column: the one column of a received word that is no letter;
+* block_value: the value that a block of digit columns spells;
+* out_of_model: a ValueError from a lower layer, met after the intake,
+  means the received word lay outside the model, so it becomes a
+  DecodeFailure;
+* repair_rows: the row-repair core of every t-row syndrome decoder.
+"""
+
+from __future__ import annotations
+
+from .alphabet import Word, column_rank
+from .algebra import compose_base, solve_power_sums
+from .vt_core import DecodeFailure
+
+
+def intake(received, spec=None, full_length: bool = True):
+    """The received rows, after checking (q, k, n) against the spec when one
+    is given and, for substitution codes, that every row has full length."""
+    if spec is not None and (received.q, received.k, received.n) != (
+        spec.q, spec.k, spec.n
+    ):
+        raise ValueError("received shape does not match the code spec")
+    if full_length and any(len(row) != received.n for row in received.rows):
+        raise ValueError("substitution decoding expects full-length rows")
+    return received.rows
+
+
+def check_payload(payload: Word, spec) -> None:
+    if (payload.q, payload.k, payload.n) != (spec.q, spec.k, spec.m):
+        raise ValueError(
+            f"payload must be a ({spec.q},{spec.k}) word of length {spec.m}"
+        )
+
+
+def invalid_column(columns) -> int | None:
+    """The index of the only column that is not nondecreasing, or None; a
+    second one is a DecodeFailure."""
+    invalid = [
+        j
+        for j, col in enumerate(columns)
+        if any(col[i] > col[i + 1] for i in range(len(col) - 1))
+    ]
+    if len(invalid) > 1:
+        raise DecodeFailure("more than one invalid column; model breach")
+    return invalid[0] if invalid else None
+
+
+def block_value(segments, q: int, base: int) -> int:
+    """The value of a block given each row's segment of it: its columns are
+    base-`base` digits, least significant first, each the rank of a letter."""
+    return compose_base([column_rank(col, q) for col in zip(*segments)], base)
+
+
+def out_of_model(func, *args):
+    """func(*args), where a ValueError means that the received word lay
+    outside the model: it leaves as a DecodeFailure."""
+    try:
+        return func(*args)
+    except ValueError as exc:
+        raise DecodeFailure(str(exc)) from None
+
+
+def repair_rows(
+    rows, q: int, unknown, usable, read_sum, row_syndrome, modulus: int,
+    lift_bound: int, decode_row,
+) -> Word:
+    """Rebuild the rows listed in unknown and return the repaired word.
+
+    The known rows' syndromes, row_syndrome(row), and the sums read_sum(j)
+    of the first len(unknown) usable syndrome indices j leave one
+    Vandermonde solve mod modulus for the unknown rows' syndromes
+    (algebra.solve_power_sums).  Each solved residue must lie below
+    lift_bound, the range of a true row syndrome, and decode_row(i, residue)
+    then rebuilds row i.  Too few usable indices, a residue that does not
+    lift and a repaired word with an invalid column are DecodeFailures.
+    """
+    chosen = list(usable)[: len(unknown)]
+    if len(chosen) < len(unknown):
+        raise DecodeFailure("fewer intact syndrome blocks than dirty rows; breach")
+    values = [
+        None if i in unknown else row_syndrome(row) for i, row in enumerate(rows)
+    ]
+    sums = [read_sum(j) for j in chosen]
+    rows = list(rows)
+    for i, value in zip(unknown, solve_power_sums(values, chosen, sums, modulus)):
+        if value >= lift_bound:
+            raise DecodeFailure("solved syndrome residue does not lift; breach")
+        rows[i] = decode_row(i, value)
+    return out_of_model(Word.from_rows, rows, q)

@@ -259,16 +259,22 @@ def solve_mod_p(matrix, rhs, p: int) -> list[int]:
     """Solve A x = b over Z/p by Gauss-Jordan elimination with unit pivots.
 
     Over a prime p every nonzero pivot is a unit, so this is the usual solve
-    over F_p.  Over a composite p it solves every system whose columns each
-    offer a unit pivot, such as the 1 x 1 system [[1]].  Raises
-    SingularMatrixError when a column has none: over a prime, when A is
-    singular.
+    over F_p, and SingularMatrixError means A is singular.  A composite p is
+    accepted only for a 1 x 1 system (the single-row codes solve [[1]]),
+    where SingularMatrixError means the entry is no unit; a larger system
+    over a composite p is a ValueError, since an invertible A need not offer
+    a unit pivot in every column there.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve_mod_p expects a square system")
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
+    if n > 1 and not is_prime(p):
+        raise ValueError(
+            "solve_mod_p solves only 1 x 1 systems over a composite modulus, "
+            f"got {n} x {n} mod {p}"
+        )
     aug = [[x % p for x in row] + [b % p] for row, b in zip(matrix, rhs)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if gcd(aug[r][col], p) == 1), None)

@@ -1,10 +1,20 @@
 """Deletion-correcting code families over the composite channel.
 
-Two decoders do all the work, one per construction shape.  Both read the
-short rows' syndromes off the intact rows' weighted power sums with one
-Vandermonde solve (algebra.solve_power_sums), then decode each short row
-on its own; a single-deletion code is their t = 1 case, whose solve is the
-1 x 1 system [[1]] over a modulus that need not be prime.
+Two decoders do all the work, one per construction shape.  Both hand the
+short rows to the row-repair core shared with the substitution codes
+(_codec.repair_rows): one Vandermonde solve of the intact rows' weighted
+power sums gives the short rows' syndromes, and each short row is then
+decoded on its own.  A single-deletion code is their t = 1 case, whose
+solve is the 1 x 1 system [[1]] over a modulus that need not be prime.
+
+Failures: malformed input (a shape that does not match the spec, a row that
+lost more than one symbol, more short rows than the code handles) is a
+ValueError.  The core's failures (too few intact syndrome blocks, a solved
+residue that does not lift, a repaired word with an invalid column) and the
+post-decode congruence check are DecodeFailures.  Some out-of-model words
+still end in a plain ValueError: clean rows outside the code, an invalid
+column or block letter read off unrepaired rows, non-monotone marker flags,
+and a decoded payload whose codeword is not a supersequence of every row.
 
 * congruence_*: codes cut out by syndrome congruences, decoded by
   _congruence_decode_t.  Binary t-row variants weight the per-row VT sums
@@ -32,16 +42,15 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
+from ._codec import block_value, check_payload, intake, repair_rows
 from .alphabet import Word, alphabet_size, column_rank
 from .algebra import (
-    compose_base,
     digit_width,
     expand_base,
     f_threshold,
     is_prime,
     next_prime_bertrand,
     power_sums,
-    solve_power_sums,
 )
 from .channel import ReceivedRows
 from .vt_core import (
@@ -73,16 +82,6 @@ def _row_deficits(received: ReceivedRows, limit: int) -> list[int]:
             raise ValueError("more than one row lost a symbol")
         raise ValueError(f"{len(short)} rows lost symbols; the code handles {limit}")
     return short
-
-
-def _repaired_word(rows, q: int) -> Word:
-    """Word.from_rows for rows that a decoder repaired.  A repair that leaves
-    an invalid column means the received word lay outside the model, so that
-    is a DecodeFailure, not the ValueError of malformed input."""
-    try:
-        return Word.from_rows(rows, q)
-    except ValueError as exc:
-        raise DecodeFailure(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ def c1d_decode(received: ReceivedRows, a: int) -> Word:
         raise ValueError("c1d is a binary family")
     modulus = received.n + 1
     return _congruence_decode_t(
-        received, (a,), modulus, vt_syndrome,
+        received, (a,), modulus, modulus, vt_syndrome,
         lambda word: c1d_contains(word, a),
         lambda row, residue: vt_decode_one_deletion(row, residue, modulus),
     )
@@ -179,11 +178,12 @@ def congruence_contains_qary_t(word: Word, targets, p: int) -> bool:
     return power_sums(values, range(len(targets)), p) == [t % p for t in targets]
 
 
-def _congruence_decode_t(received, targets, p, syndrome, contains, decode_row):
+def _congruence_decode_t(received, targets, p, lift_bound, syndrome, contains, decode_row):
     """Repair up to t = len(targets) short rows: the weighted sums of the
     intact rows' syndromes leave a Vandermonde system mod p for the short
-    rows' syndromes, and each short row is then decoded on its own.  At
-    t = 1 the system is [[1]], so p may be any modulus."""
+    rows' syndromes, which must lie below lift_bound, and each short row is
+    then decoded on its own.  At t = 1 the system is [[1]], so p may be any
+    modulus."""
     short = _row_deficits(received, len(targets))
     if not short:
         word = Word.from_rows(received.rows, received.q)
@@ -192,13 +192,11 @@ def _congruence_decode_t(received, targets, p, syndrome, contains, decode_row):
         return word
     # the first |I| congruences suffice: with consecutive powers the matrix is
     # a plain Vandermonde in the distinct row nodes, invertible since p > k - 1
-    values = [
-        None if i in short else syndrome(row) for i, row in enumerate(received.rows)
-    ]
-    rows = list(received.rows)
-    for i, residue in zip(short, solve_power_sums(values, range(len(short)), targets, p)):
-        rows[i] = decode_row(rows[i], residue)
-    word = _repaired_word(rows, received.q)
+    word = repair_rows(
+        received.rows, received.q, short, range(len(targets)),
+        lambda j: targets[j], syndrome, p, lift_bound,
+        lambda i, residue: decode_row(received.rows[i], residue),
+    )
     if not contains(word):
         raise DecodeFailure("decoded word does not satisfy the code congruences")
     return word
@@ -217,7 +215,7 @@ def congruence_decode_binary_t(received: ReceivedRows, targets, p: int) -> Word:
             stacklevel=2,
         )
     return _congruence_decode_t(
-        received, targets, p, vt_syndrome,
+        received, targets, p, p, vt_syndrome,
         lambda word: congruence_contains_binary_t(word, targets, p),
         lambda row, residue: vt_decode_one_deletion(row, residue, p),
     )
@@ -227,7 +225,7 @@ def congruence_decode_qary_one(received: ReceivedRows, a: int) -> Word:
     """The t = 1 q-ary congruence decode mod qn."""
     q, n = received.q, received.n
     return _congruence_decode_t(
-        received, (a,), q * n, lambda row: qary_vt_syndrome(row, q),
+        received, (a,), q * n, q * n, lambda row: qary_vt_syndrome(row, q),
         lambda word: congruence_contains_qary_one(word, a),
         lambda row, residue: qary_decode_one_deletion(row, residue, q, n),
     )
@@ -237,17 +235,10 @@ def congruence_decode_qary_t(received: ReceivedRows, targets, p: int) -> Word:
     targets = tuple(targets)
     q, n, k = received.q, received.n, received.k
     _check_prime_above(p, max(k - 1, q * n), "the q-ary t-row family")
-
-    def decode_row(row, residue):
-        if residue >= q * n:
-            raise ValueError(
-                "solved syndrome does not lift below qn; inputs breach the model"
-            )
-        return qary_decode_one_deletion(row, residue, q, n)
-
     return _congruence_decode_t(
-        received, targets, p, lambda row: qary_vt_syndrome(row, q),
-        lambda word: congruence_contains_qary_t(word, targets, p), decode_row,
+        received, targets, p, q * n, lambda row: qary_vt_syndrome(row, q),
+        lambda word: congruence_contains_qary_t(word, targets, p),
+        lambda row, residue: qary_decode_one_deletion(row, residue, q, n),
     )
 
 
@@ -362,11 +353,8 @@ class C4DSpec:
 
 
 def _marker_encode(payload: Word, spec, digit_base: int) -> Word:
+    check_payload(payload, spec)
     q, k = payload.q, payload.k
-    if (q, k, payload.n) != (spec.q, spec.k, spec.m):
-        raise ValueError(
-            f"payload must be a ({spec.q},{spec.k}) word of length {spec.m}"
-        )
     markers = [column_rank((0,) * k, q), column_rank((1,) * k, q)]
     ranks = list(payload.ranks())
     for value in spec.syndromes(payload):
@@ -417,16 +405,14 @@ def _read_block_digits(received, spec, damage, j: int, digit_base: int) -> int:
     precedes j.  Rows damaged at or after block j (and clean rows, seg = -1)
     read in place.
     """
-    start = spec.m + j * (spec.delta + 2) + 2
-    digits = []
-    for idx in range(spec.delta):
-        column = []
-        for i, row in enumerate(received.rows):
-            seg = damage[i]
-            shift = 1 if (seg is None or 0 <= seg < j) else 0
-            column.append(row[start + idx - shift])
-        digits.append(column_rank(column, received.q))
-    return compose_base(digits, digit_base)
+    width = spec.delta
+    start = spec.m + j * (width + 2) + 2
+    segments = []
+    for i, row in enumerate(received.rows):
+        seg = damage[i]
+        at = start - (1 if (seg is None or 0 <= seg < j) else 0)
+        segments.append(row[at : at + width])
+    return block_value(segments, received.q, digit_base)
 
 
 def _marker_decode(received: ReceivedRows, spec, digit_base, modulus, lift_bound, row_decode, row_syndrome) -> Word:
@@ -434,8 +420,7 @@ def _marker_decode(received: ReceivedRows, spec, digit_base, modulus, lift_bound
     marker flags say which segment lost its symbol, the intact syndrome
     blocks give the payload-hit rows' syndromes by one solve mod modulus,
     and the decoded payload must re-encode to a supersequence of every row."""
-    if (received.q, received.k) != (spec.q, spec.k) or received.n != spec.n:
-        raise ValueError("received shape does not match the code spec")
+    intake(received, spec, full_length=False)
     t = spec.t
     short = _row_deficits(received, t)
 
@@ -451,16 +436,12 @@ def _marker_decode(received: ReceivedRows, spec, digit_base, modulus, lift_bound
 
     if unknown:
         blocked = {seg for seg in damage.values() if seg is not None and seg >= 0}
-        chosen = [j for j in range(t) if j not in blocked][: len(unknown)]
-        if len(chosen) < len(unknown):
-            raise ValueError("fewer intact syndrome blocks than damaged payload rows")
-        values = [None if row is None else row_syndrome(row) for row in rows]
-        sums = [_read_block_digits(received, spec, damage, j, digit_base) for j in chosen]
-        for i, value in zip(unknown, solve_power_sums(values, chosen, sums, modulus)):
-            if value >= lift_bound:
-                raise ValueError("syndrome residue does not lift; inputs breach the model")
-            rows[i] = row_decode(received.rows[i][: spec.m - 1], value)
-        payload = _repaired_word(rows, received.q)
+        payload = repair_rows(
+            rows, received.q, unknown, [j for j in range(t) if j not in blocked],
+            lambda j: _read_block_digits(received, spec, damage, j, digit_base),
+            row_syndrome, modulus, lift_bound,
+            lambda i, value: row_decode(received.rows[i][: spec.m - 1], value),
+        )
     else:
         payload = Word.from_rows(rows, received.q)
     codeword = _marker_encode(payload, spec, digit_base)

@@ -19,7 +19,12 @@ Four groups of constructions:
   with duplicated row parities and marker-checked syndrome blocks.
 
 Substitution decoders take ReceivedRows with full-length rows; columns may
-be non-monotone (that is the visible half of the error).
+be non-monotone (that is the visible half of the error).  A decoder raises
+ValueError only at its intake (a shape that does not match the spec, short
+rows, parameters that do not fit); every failure after that, an invalid
+column on the clean path included, is a DecodeFailure.  The intake, the
+invalid-column locator, the block-value read and the t-row repair core live
+in _codec, shared with the deletion codes.
 """
 
 from __future__ import annotations
@@ -29,6 +34,14 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 
+from ._codec import (
+    block_value,
+    check_payload,
+    intake,
+    invalid_column,
+    out_of_model,
+    repair_rows,
+)
 from .alphabet import Word, alphabet_size, column_rank, letter_unrank
 from .algebra import (
     compose_base,
@@ -41,7 +54,6 @@ from .algebra import (
     next_prime_bertrand,
     power_sums,
     smallest_prime_at_least,
-    solve_power_sums,
 )
 from .channel import ReceivedRows
 from .vt_core import (
@@ -303,29 +315,29 @@ def _doll_unrank(index: int, spec: DollSpec) -> Word:
     """The index-th codeword, 1-based, in (l, inner word, support, fill) order."""
     if not 1 <= index <= spec.size:
         raise ValueError(f"index {index} out of [1, {spec.size}]")
+    # spec.size is the sum of the class sizes, so some class holds the index
     remaining = index
     for l in range(spec.n + 1):
         cls = spec.class_size(l)
-        if remaining > cls:
-            remaining -= cls
-            continue
-        fam = hamming_build(l, spec.field)
-        per_support = spec.fill ** (spec.n - l)
-        per_codeword = comb(spec.n, l) * per_support
-        temp1 = -(-remaining // per_codeword)
-        n2 = remaining - (temp1 - 1) * per_codeword
-        width = l - fam.r if l >= 3 else 0
-        image = fam.encode(_fixed_digits(temp1 - 1, fam.field, width))
-        temp2 = -(-n2 // per_support)
-        n3 = n2 - (temp2 - 1) * per_support
-        support = cw_unrank(temp2, spec.n, l)
-        fills = _fixed_digits(n3 - 1, spec.fill, spec.n - l)
-        ranks = []
-        si, fi = iter(image), iter(fills)
-        for bit in support:
-            ranks.append(spec.a2_ranks[next(si)] if bit else spec.a1_ranks[next(fi)])
-        return Word.from_ranks(ranks, spec.q, spec.k)
-    raise AssertionError("index exhausted the class sizes")
+        if remaining <= cls:
+            break
+        remaining -= cls
+    fam = hamming_build(l, spec.field)
+    per_support = spec.fill ** (spec.n - l)
+    per_codeword = comb(spec.n, l) * per_support
+    temp1 = -(-remaining // per_codeword)
+    n2 = remaining - (temp1 - 1) * per_codeword
+    width = l - fam.r if l >= 3 else 0
+    image = fam.encode(_fixed_digits(temp1 - 1, fam.field, width))
+    temp2 = -(-n2 // per_support)
+    n3 = n2 - (temp2 - 1) * per_support
+    support = cw_unrank(temp2, spec.n, l)
+    fills = _fixed_digits(n3 - 1, spec.fill, spec.n - l)
+    ranks = []
+    si, fi = iter(image), iter(fills)
+    for bit in support:
+        ranks.append(spec.a2_ranks[next(si)] if bit else spec.a1_ranks[next(fi)])
+    return Word.from_ranks(ranks, spec.q, spec.k)
 
 
 def enc_doll(x, spec: DollSpec) -> Word:
@@ -346,26 +358,16 @@ def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
     A1 are always restored exactly this way, letters of A2 at worst turn
     into a different A2 letter, which the inner C(l) decoder then fixes.
     """
-    if (received.q, received.k, received.n) != (spec.q, spec.k, spec.n):
-        raise ValueError("received shape does not match the code spec")
-    if any(len(row) != spec.n for row in received.rows):
-        raise ValueError("substitution decoding expects full-length rows")
+    columns = list(zip(*intake(received, spec)))
+    j = invalid_column(columns)
+    if j is not None:
+        tail = columns[j][1:]
+        if any(tail[i] > tail[i + 1] for i in range(len(tail) - 1)):
+            raise DecodeFailure(f"column {j} is corrupted below row 1; model breach")
+        columns[j] = (tail[0],) + tail
     a1_index = {r: i for i, r in enumerate(spec.a1_ranks)}
     a2_index = {r: i for i, r in enumerate(spec.a2_ranks)}
-    ranks = []
-    repaired = 0
-    for j in range(spec.n):
-        col = tuple(row[j] for row in received.rows)
-        if all(col[i] <= col[i + 1] for i in range(spec.k - 1)):
-            ranks.append(column_rank(col, spec.q))
-            continue
-        tail = col[1:]
-        if any(tail[i] > tail[i + 1] for i in range(len(tail) - 1)):
-            raise ValueError(f"column {j} is corrupted below row 1; model breach")
-        repaired += 1
-        if repaired > 1:
-            raise ValueError("more than one invalid column; model breach")
-        ranks.append(column_rank((col[1],) + tail, spec.q))
+    ranks = [column_rank(col, spec.q) for col in columns]
     support = [1 if r in a2_index else 0 for r in ranks]
     l = sum(support)
     fam = hamming_build(l, spec.field)
@@ -382,7 +384,7 @@ def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
     )
     base = alphabet_size(spec.q, spec.k)
     if index - 1 >= base**spec.m:
-        raise ValueError("codeword index lies outside the encoder image")
+        raise DecodeFailure("codeword index lies outside the encoder image")
     return _fixed_digits(index - 1, base, spec.m)
 
 
@@ -420,19 +422,10 @@ def cecc1_decode(received: ReceivedRows, a: int) -> Word:
     if received.q != 2:
         raise ValueError("this family is binary")
     n, k = received.n, received.k
-    if any(len(row) != n for row in received.rows):
-        raise ValueError("substitution decoding expects full-length rows")
+    columns = list(zip(*intake(received)))
     mod = 2 * n + 1
-    columns = [tuple(row[j] for row in received.rows) for j in range(n)]
-    invalid = [
-        j
-        for j, col in enumerate(columns)
-        if any(col[i] > col[i + 1] for i in range(k - 1))
-    ]
-    if len(invalid) > 1:
-        raise ValueError("more than one invalid column; model breach")
-    if invalid:
-        j = invalid[0]
+    j = invalid_column(columns)
+    if j is not None:
         w = sum(columns[j])
         others = sum((p + 1) * sum(col) for p, col in enumerate(columns) if p != j)
         fits = [
@@ -441,7 +434,7 @@ def cecc1_decode(received: ReceivedRows, a: int) -> Word:
             if 0 <= cand <= k and (others + (j + 1) * cand) % mod == a % mod
         ]
         if len(fits) != 1:
-            raise ValueError("invalid column admits no consistent completion")
+            raise DecodeFailure("invalid column admits no consistent completion")
         ranks = [sum(col) for col in columns]
         ranks[j] = fits[0]
         return Word.from_ranks(ranks, 2, k)
@@ -493,35 +486,26 @@ def q1cecc_decode(
     _check_q1_primes(q, n, p1, p2)
     if n < q:
         raise ValueError("the three-checksum decoder needs n >= q")
-    rows = received.rows
-    if any(len(row) != n for row in rows):
-        raise ValueError("substitution decoding expects full-length rows")
+    rows = intake(received)
     span = 2 * q - 1
     delta1 = (sum(v for row in rows for v in row) - a1) % span
     delta = delta1 if delta1 <= q - 1 else delta1 - span
-    columns = [list(row[j] for row in rows) for j in range(n)]
-    invalid = [
-        j
-        for j, col in enumerate(columns)
-        if any(col[i] > col[i + 1] for i in range(k - 1))
-    ]
-    if len(invalid) > 1:
-        raise ValueError("more than one invalid column; model breach")
+    columns = [list(col) for col in zip(*rows)]
+    invalid = invalid_column(columns)
     if delta == 0:
-        if invalid:
-            raise ValueError("digit sum clean but a column is invalid; breach")
+        if invalid is not None:
+            raise DecodeFailure("digit sum clean but a column is invalid; breach")
         word = Word.from_rows(rows, q)
         if q1cecc_checksums(word, p1, p2) != (a1 % span, a2 % p1, a3 % p2):
-            raise ValueError("checksums disagree on an allegedly clean word")
+            raise DecodeFailure("checksums disagree on an allegedly clean word")
         return word
-    if invalid:
-        j = invalid[0]
-        col = columns[j]
+    if invalid is not None:
+        col = columns[invalid]
         r = next(i for i in range(k - 1) if col[i] > col[i + 1])
         target = r if delta > 0 else r + 1
         col[target] -= delta
         if not 0 <= col[target] < q:
-            raise ValueError("repaired digit leaves Sigma_q; breach")
+            raise DecodeFailure("repaired digit leaves Sigma_q; breach")
     else:
         delta2 = (sum(vt_syndrome(row) for row in rows) - a2) % p1
         inv1 = pow(delta % p1, -1, p1)
@@ -529,22 +513,22 @@ def q1cecc_decode(
         if j == 0:
             j = p1
         if j > n:
-            raise ValueError("implied column index out of range; breach")
+            raise DecodeFailure("implied column index out of range; breach")
         delta3 = (_square_sum(rows) - a3) % p2
         inv2 = pow(delta % p2, -1, p2)
         alpha = (delta3 * inv2 - delta) * pow(2, -1, p2) % p2
         corrupted = alpha + delta
         if alpha >= q or not 0 <= corrupted < q:
-            raise ValueError("implied digit values leave Sigma_q; breach")
+            raise DecodeFailure("implied digit values leave Sigma_q; breach")
         col = columns[j - 1]
         if corrupted not in col:
-            raise ValueError("implied digit absent from the implied column; breach")
+            raise DecodeFailure("implied digit absent from the implied column; breach")
         col.remove(corrupted)
         col.append(alpha)
         col.sort()
-    word = Word.from_rows(zip(*columns), q)
+    word = out_of_model(Word.from_rows, zip(*columns), q)
     if q1cecc_checksums(word, p1, p2) != (a1 % span, a2 % p1, a3 % p2):
-        raise ValueError("repaired word fails the checksums; breach")
+        raise DecodeFailure("repaired word fails the checksums; breach")
     return word
 
 
@@ -583,10 +567,7 @@ class C1SSpec:
 
 
 def c1s_encode(payload: Word, spec: C1SSpec) -> Word:
-    if (payload.q, payload.k, payload.n) != (spec.q, spec.k, spec.m):
-        raise ValueError(
-            f"payload must be a ({spec.q},{spec.k}) word of length {spec.m}"
-        )
+    check_payload(payload, spec)
     a1, a2, a3 = q1cecc_checksums(payload, spec.p1, spec.p2)
     a, b = divmod(a1, spec.q)
     ranks = list(payload.ranks())
@@ -594,43 +575,34 @@ def c1s_encode(payload: Word, spec: C1SSpec) -> Word:
     ranks.append(column_rank((b,) * spec.k, spec.q))
     big_q = alphabet_size(spec.q, spec.k)
     ranks += expand_base(a2 + spec.p1 * a3, big_q, big_q**spec.delta)
-    word = Word.from_ranks(ranks, spec.q, spec.k)
-    assert word.n == spec.n
-    return word
+    return Word.from_ranks(ranks, spec.q, spec.k)
 
 
 def c1s_decode(received: ReceivedRows, spec: C1SSpec) -> Word:
     """Decode by elimination: marker hit, then payload checksum, then the
     three-checksum decoder on the packed digits."""
-    if (received.q, received.k) != (spec.q, spec.k) or received.n != spec.n:
-        raise ValueError("received shape does not match the code spec")
-    rows = received.rows
-    if any(len(row) != spec.n for row in rows):
-        raise ValueError("substitution decoding expects full-length rows")
+    rows = intake(received, spec)
     q, m = spec.q, spec.m
     payload_rows = tuple(row[:m] for row in rows)
     marker_a = {row[m] for row in rows}
     marker_b = {row[m + 1] for row in rows}
     if len(marker_a) > 1 and len(marker_b) > 1:
-        raise ValueError("both marker columns disagree; model breach")
+        raise DecodeFailure("both marker columns disagree; model breach")
     if len(marker_a) > 1 or len(marker_b) > 1:
         # the lone substitution hit a marker column; the rest is intact
-        return Word.from_rows(payload_rows, q)
+        return out_of_model(Word.from_rows, payload_rows, q)
     a, b = marker_a.pop(), marker_b.pop()
     if a not in (0, 1):
-        raise ValueError("first marker digit outside {0, 1}; breach")
+        raise DecodeFailure("first marker digit outside {0, 1}; breach")
     a1 = a * q + b
     if sum(v for row in payload_rows for v in row) % (2 * q - 1) == a1:
-        return Word.from_rows(payload_rows, q)
+        return out_of_model(Word.from_rows, payload_rows, q)
     # payload checksum is off, so the error is there and the digits are clean
-    big_q = alphabet_size(q, spec.k)
-    digits = [
-        column_rank((row[m + 2 + idx] for row in rows), q)
-        for idx in range(spec.delta)
-    ]
-    packed = compose_base(digits, big_q)
+    packed = out_of_model(
+        block_value, [row[m + 2 :] for row in rows], q, alphabet_size(q, spec.k)
+    )
     if packed >= spec.p1 * spec.p2:
-        raise ValueError("packed checksum value out of range; breach")
+        raise DecodeFailure("packed checksum value out of range; breach")
     a3, a2 = divmod(packed, spec.p1)
     return q1cecc_decode(
         ReceivedRows(payload_rows, q, m), a1, a2, a3, spec.p1, spec.p2
@@ -684,10 +656,7 @@ class C2SSpec:
 
 
 def c2s_encode(payload: Word, spec: C2SSpec) -> Word:
-    if (payload.q, payload.k, payload.n) != (spec.q, spec.k, spec.m):
-        raise ValueError(
-            f"payload must be a ({spec.q},{spec.k}) word of length {spec.m}"
-        )
+    check_payload(payload, spec)
     q, k = spec.q, spec.k
     big_q = alphabet_size(q, k)
     ranks = list(payload.ranks())
@@ -698,20 +667,14 @@ def c2s_encode(payload: Word, spec: C2SSpec) -> Word:
         ranks += block
         block_rows = zip(*(letter_unrank(d, q, k).digits for d in block))
         ranks += [column_rank((sum(row) % q,) * k, q) for row in block_rows]
-    word = Word.from_ranks(ranks, q, k)
-    assert word.n == spec.n
-    return word
+    return Word.from_ranks(ranks, q, k)
 
 
 def c2s_decode(received: ReceivedRows, spec: C2SSpec) -> Word:
     """Row parities identify dirty payload rows; block parities identify
     intact syndrome blocks; a Vandermonde solve mod p recovers the dirty
     rows' VT residues, and the q-ary single-substitution decoder finishes."""
-    if (received.q, received.k) != (spec.q, spec.k) or received.n != spec.n:
-        raise ValueError("received shape does not match the code spec")
-    rows = received.rows
-    if any(len(row) != spec.n for row in rows):
-        raise ValueError("substitution decoding expects full-length rows")
+    rows = intake(received, spec)
     q, k, m, t = spec.q, spec.k, spec.m, spec.t
     dirty = [
         i
@@ -719,45 +682,33 @@ def c2s_decode(received: ReceivedRows, spec: C2SSpec) -> Word:
         if sum(row[:m]) % q not in (row[m + 2 * i], row[m + 2 * i + 1])
     ]
     if len(dirty) > t:
-        raise ValueError(f"{len(dirty)} corrupted payload rows; handles {t}")
-    payload_rows = [tuple(row[:m]) for row in rows]
-    if dirty:
-        base = m + 2 * k
-        stride = spec.delta + k
-        intact = [
-            j
-            for j in range(t)
-            if all(
-                sum(row[base + j * stride : base + j * stride + spec.delta]) % q
-                == row[base + j * stride + spec.delta + i]
-                for i, row in enumerate(rows)
+        raise DecodeFailure(f"{len(dirty)} corrupted payload rows; handles {t}")
+    payload_rows = [row[:m] for row in rows]
+    if not dirty:
+        return out_of_model(Word.from_rows, payload_rows, q)
+    starts = [m + 2 * k + j * (spec.delta + k) for j in range(t)]
+    intact = [
+        j
+        for j, start in enumerate(starts)
+        if all(
+            sum(row[start : start + spec.delta]) % q == row[start + spec.delta + i]
+            for i, row in enumerate(rows)
+        )
+    ]
+
+    def read_sum(j):
+        segments = [row[starts[j] : starts[j] + spec.delta] for row in rows]
+        return out_of_model(block_value, segments, q, alphabet_size(q, k))
+
+    def decode_row(i, bar):
+        copies = (rows[i][m + 2 * i], rows[i][m + 2 * i + 1])
+        if copies[0] != copies[1]:
+            raise DecodeFailure(
+                "dirty payload row with disagreeing parity copies; breach"
             )
-        ]
-        if len(intact) < len(dirty):
-            raise ValueError("fewer intact syndrome blocks than dirty rows; breach")
-        chosen = intact[: len(dirty)]
-        big_q = alphabet_size(q, k)
-        values = [
-            None if i in dirty else vt_syndrome(row) % spec.span
-            for i, row in enumerate(payload_rows)
-        ]
-        sums = []
-        for j in chosen:
-            start = base + j * stride
-            digits = [
-                column_rank((row[start + idx] for row in rows), q)
-                for idx in range(spec.delta)
-            ]
-            sums.append(compose_base(digits, big_q))
-        for i, bar in zip(dirty, solve_power_sums(values, chosen, sums, spec.p)):
-            if bar >= spec.span:
-                raise ValueError("solved VT residue does not lift; breach")
-            copies = (rows[i][m + 2 * i], rows[i][m + 2 * i + 1])
-            if copies[0] != copies[1]:
-                raise ValueError(
-                    "dirty payload row with disagreeing parity copies; breach"
-                )
-            payload_rows[i] = qary_decode_one_substitution(
-                rows[i][:m], bar, copies[0], q
-            )
-    return Word.from_rows(payload_rows, q)
+        return qary_decode_one_substitution(rows[i][:m], bar, copies[0], q)
+
+    return repair_rows(
+        payload_rows, q, dirty, intact, read_sum,
+        lambda row: vt_syndrome(row) % spec.span, spec.p, spec.span, decode_row,
+    )

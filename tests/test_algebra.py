@@ -249,6 +249,11 @@ def test_solve_mod_p_composite_modulus():
     # 3 is no unit mod 9
     with pytest.raises(SingularMatrixError):
         solve_mod_p([[3]], [3], 9)
+    # the determinant -5 is a unit mod 6, but no entry of column 0 is: larger
+    # systems over a composite modulus are refused before any elimination
+    with pytest.raises(ValueError, match="only 1 x 1 systems over a composite") as info:
+        solve_mod_p([[2, 3], [3, 2]], [1, 1], 6)
+    assert not isinstance(info.value, SingularMatrixError)
 
 
 @settings(max_examples=40)

@@ -55,7 +55,7 @@ def test_demo_runs(demo):
 
 
 # modules whose remaining asserts are still to be replaced by real checks
-ASSERT_ALLOWED = {"bounds", "codes_substitution", "equivalence", "vt_core"}
+ASSERT_ALLOWED = {"bounds", "equivalence"}
 
 
 def test_no_asserts_outside_the_allow_list():
