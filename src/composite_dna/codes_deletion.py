@@ -300,11 +300,11 @@ class C3DSpec:
         if self.k < 2 or self.m < 3:
             raise ValueError("need k >= 2 and m >= 3")
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.q * self.m
 
-    @property
+    @cached_property
     def delta(self) -> int:
         return digit_width(alphabet_size(self.q, self.k), self.modulus)
 

@@ -1,12 +1,14 @@
 """Channel tests: corruption plans, output-set enumeration, oracle."""
 
-from itertools import combinations, permutations, product
+import random
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from composite_dna import channel
 from composite_dna.alphabet import Word, all_letters, alphabet_size
 from composite_dna.channel import (
     Plan,
@@ -32,6 +34,10 @@ from composite_dna.channel import (
 )
 from composite_dna.codes_deletion import C2DSpec, c2d_encode
 from composite_dna.codes_substitution import C2SSpec, c2s_encode
+
+
+def all_words(q, k, n):
+    return [Word.from_ranks(r, q, k) for r in product(range(alphabet_size(q, k)), repeat=n)]
 
 
 def brute_deletion_ball(x, t):
@@ -560,6 +566,9 @@ def brute_force_witness(codebook, model):
         ),
         ([Word.from_ranks(r, 2, 3) for r in product(range(4), repeat=2)], sub_per_row(1, 0, 1)),
         ([Word.from_ranks(r, 3, 2) for r in product(range(6), repeat=2)][::5], sub_total(1)),
+        # the t-rows kinds, decided pair by pair; neither witness is the first pair
+        (all_words(2, 3, 3)[::7], del_t_rows(2, (2, 1))),
+        (all_words(3, 2, 2)[::8], sub_t_rows(1, (1,))),
     ],
 )
 def test_oracle_witness_is_the_smallest_collision(codebook, model):
@@ -568,6 +577,61 @@ def test_oracle_witness_is_the_smallest_collision(codebook, model):
     assert expected is not None
     assert not res.is_code
     assert res.witness == expected
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", [sub_t_rows, del_t_rows])
+def test_pairwise_oracle_matches_the_enumerator(kind, k):
+    """The t-rows kinds' pair test gives the ball enumerator's verdict and
+    witness, for every t from 1 to k and budgets from 0 to 2."""
+    rng = random.Random(2026 + k)
+    verdicts = []
+    for t in range(1, k + 1):
+        for budgets in combinations_with_replacement(range(3), t):
+            model = kind(t, rng.sample(budgets, t))
+            for _ in range(4):
+                q, n = rng.choice((2, 3)), rng.randint(1, 3)
+                size = alphabet_size(q, k)
+                book = [
+                    Word.from_ranks([rng.randrange(size) for _ in range(n)], q, k)
+                    for _ in range(rng.randint(2, 6))
+                ]
+                result = channel._oracle_by_pairs(book, model)
+                assert result == channel._oracle_by_balls(book, model), (book, model)
+                verdicts.append(result.is_code)
+    assert True in verdicts and False in verdicts
+    # words of unequal length share no output, however close their rows
+    mixed = [Word.from_ranks([0], 2, k), Word.from_ranks([0, 0], 2, k)]
+    assert channel._oracle_by_pairs(mixed, kind(k, [2] * k)).is_code
+    assert channel._oracle_by_balls(mixed, kind(k, [2] * k)).is_code
+
+
+@pytest.mark.parametrize(
+    "codebook, model, calls",
+    [
+        # the C2S (q=2, k=3, t=2, m=1) code: a true verdict builds no ball
+        (
+            [c2s_encode(p, C2SSpec(2, 3, 2, 1)) for p in all_words(2, 3, 1)],
+            sub_t_rows(2, (1, 1)),
+            0,
+        ),
+        # a false verdict builds the balls of the witness pair only
+        (all_words(2, 3, 2), sub_t_rows(2, (1, 1)), 2),
+        (all_words(2, 3, 2), del_t_rows(2, (1, 1)), 2),
+    ],
+)
+def test_t_rows_oracle_builds_balls_only_for_the_witness(codebook, model, calls, monkeypatch):
+    seen = []
+    original = channel.raw_received_set
+
+    def counting(word, model):
+        seen.append(word)
+        return original(word, model)
+
+    monkeypatch.setattr(channel, "raw_received_set", counting)
+    result = oracle_is_code(codebook, model)
+    assert len(seen) == calls
+    assert result.is_code == (calls == 0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,16 +5,24 @@ directory holding its input files.  A step pins the exit code, stdout,
 stderr and every file the command writes or changes.  The recorded bytes
 cover the README examples, one roundtrip per family, encode --spec-out then
 decode --spec for every payload family, encode --in, the message families,
-decode and contains for every congruence family, every bound family, and
-domain errors.  FIRST_FAILURES makes one decode call fail per pattern style,
+decode and contains for every congruence family, every bound family,
+verify-code under both t-row models, and domain errors.  FIRST_FAILURES makes one decode call fail per pattern style,
 which pins the four first-failure label formats, and USAGE_ERRORS pins each
 verb's family choices.
 """
+
+from itertools import product
 
 import pytest
 
 from composite_dna import cli
 from composite_dna.vt_core import DecodeFailure
+
+# every word over Phi_{2,3} of length 2, as a codebook file in rank order
+ALL_WORDS_2_3_2 = "\n".join(
+    "2 3 2\n" + "".join(a[i] + b[i] + "\n" for i in range(3))
+    for a, b in product(("000", "001", "011", "111"), repeat=2)
+)
 
 SCENARIOS = {
     "readme-c1d": (
@@ -177,6 +185,62 @@ SCENARIOS = {
             ),
             (
                 "verify-code --model del-total --e 1 --in book.txt",
+                0,
+                "verdict: true\n",
+                "",
+                {},
+            ),
+        ],
+    ),
+    "verify-code-t-rows": (
+        {
+            "all.txt": ALL_WORDS_2_3_2,
+            # the C2S (q=2, k=3, t=2, m=1) code: one codeword per payload
+            "c2s.txt": ("2 3 17\n"
+                        "00000000000000000\n"
+                        "00000000000000000\n"
+                        "00000000000000000\n"
+                        "\n"
+                        "2 3 17\n"
+                        "00000110000110111\n"
+                        "00000110000110111\n"
+                        "10000111000110111\n"
+                        "\n"
+                        "2 3 17\n"
+                        "00011110001100000\n"
+                        "10011111001100000\n"
+                        "10011111001100000\n"
+                        "\n"
+                        "2 3 17\n"
+                        "11111111011100001\n"
+                        "11111111011100001\n"
+                        "11111111011110001\n"),
+        },
+        [
+            (
+                "verify-code --model del-t-rows --t 2 --e 1,1 --in all.txt",
+                0,
+                ("verdict: false\n"
+                 "witness codeword A:\n"
+                 "2 3 2\n"
+                 "00\n"
+                 "00\n"
+                 "00\n"
+                 "witness codeword B:\n"
+                 "2 3 2\n"
+                 "00\n"
+                 "00\n"
+                 "01\n"
+                 "shared received:\n"
+                 "2 3 2\n"
+                 "0\n"
+                 "00\n"
+                 "0\n"),
+                "",
+                {},
+            ),
+            (
+                "verify-code --model sub-t-rows --t 2 --e 1,1 --in c2s.txt",
                 0,
                 "verdict: true\n",
                 "",
