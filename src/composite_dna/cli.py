@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import random
 import sys
@@ -212,9 +213,11 @@ class Family:
     builds it once.  ``decode`` returns the message of a message family and
     the payload word of the others.  ``message_space`` gives (alphabet size,
     length) of the messages a roundtrip enumerates; families without one
-    sample --trials payloads instead.  ``patterns`` yields (label, received)
-    for every error of the family's native model.  The fields name the
-    codec functions inside lambdas, so they are looked up at call time.
+    sample --trials payloads instead.  ``patterns`` yields (label, received,
+    count) once for each distinct output of the family's native model:
+    count is the number of errors that give it, and label names the first
+    of them.  The fields name the codec functions inside lambdas, so they
+    are looked up at call time.
     """
 
     flags: dict[str, tuple[str, ...]]
@@ -545,11 +548,23 @@ def _substituted(word: Word, hits: dict[int, tuple[int, int]]) -> ReceivedRows:
     return ReceivedRows(tuple(tuple(r) for r in rows), word.q, word.n)
 
 
+def _runs(row) -> list[tuple[int, int]]:
+    """(first position, length) of each run of equal symbols in row.  A
+    deletion anywhere in a run leaves the same row."""
+    runs, start = [], 0
+    for _, group in itertools.groupby(row):
+        length = sum(1 for _ in group)
+        runs.append((start, length))
+        start += length
+    return runs
+
+
 def _any_one_deletion(word: Word):
-    """c1d's model: one deletion anywhere in the word."""
-    for row in range(word.k):
-        for pos in range(word.n):
-            yield f"row={row} pos={pos}", _dropped(word, {row: pos})
+    """c1d's model: one deletion anywhere in the word, one per run of equal
+    symbols."""
+    for index, row in enumerate(word.rows()):
+        for pos, length in _runs(row):
+            yield f"row={index} pos={pos}", _dropped(word, {index: pos}), length
 
 
 def _first_row_substitutions(word: Word):
@@ -558,29 +573,33 @@ def _first_row_substitutions(word: Word):
     for pos, digit in enumerate(first):
         for value in range(word.q):
             if value != digit:
-                yield f"pos={pos} value={value}", _substituted(word, {0: (pos, value)})
+                yield f"pos={pos} value={value}", _substituted(word, {0: (pos, value)}), 1
 
 
 def _t_rows(word: Word, t: int, cells, corrupt):
-    """No error, then every way to corrupt 1..t rows, taking one of cells[i]
-    in each corrupted row i."""
+    """No error, then every way to corrupt 1..t rows, taking one (cell,
+    count) pair of cells[i] in each corrupted row i.  The count of a
+    pattern is the product of its cells' counts."""
     for size in range(t + 1):
         for rows_subset in itertools.combinations(range(word.k), size):
             for combo in itertools.product(*(cells[i] for i in rows_subset)):
-                pattern = dict(zip(rows_subset, combo))
-                yield f"pattern={sorted(pattern.items())}", corrupt(word, pattern)
+                pattern = {i: cell for i, (cell, _) in zip(rows_subset, combo)}
+                count = math.prod(c for _, c in combo)
+                yield f"pattern={sorted(pattern.items())}", corrupt(word, pattern), count
 
 
 def _deletions(word: Word, t: int):
-    """One deletion in each of <= t rows."""
-    return _t_rows(word, t, [range(word.n)] * word.k, _dropped)
+    """One deletion in each of <= t rows, one per run of equal symbols.
+    Outputs of different row subsets differ in their row lengths, so each
+    output comes once."""
+    return _t_rows(word, t, [_runs(row) for row in word.rows()], _dropped)
 
 
 def _substitutions(word: Word, t: int):
     """One changed digit in each of <= t rows."""
     cells = [
         [
-            (pos, value)
+            ((pos, value), 1)
             for pos, digit in enumerate(row)
             for value in range(word.q)
             if value != digit
@@ -615,14 +634,14 @@ def cmd_roundtrip(args) -> int:
     first_failure = None
     for label, message in _messages(family, args, spec):
         word = family.encode(message, spec)
-        for pattern, received in family.patterns(word, spec):
-            cases += 1
+        for pattern, received, count in family.patterns(word, spec):
+            cases += count
             try:
                 ok = family.decode(received, spec) == message
             except ValueError:
                 ok = False
             if not ok:
-                failures += 1
+                failures += count
                 if first_failure is None:
                     first_failure = (f"{label} {pattern}", received)
     lines = [

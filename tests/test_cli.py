@@ -6,10 +6,14 @@ raw bytes of repeated runs.
 """
 
 import itertools
+import math
+import random
+from collections import Counter
 
 import pytest
 
-from composite_dna.alphabet import Word, word_from_text, word_to_text
+from composite_dna import cli
+from composite_dna.alphabet import Word, alphabet_size, word_from_text, word_to_text
 from composite_dna.cli import main
 from composite_dna.codes_deletion import c1d_contains
 from composite_dna.codes_substitution import doll_size
@@ -309,6 +313,184 @@ class TestRoundtrip:
         assert code == 1
         assert err.startswith("error:")
         assert out == ""
+
+
+def _drop(rows, hits):
+    return tuple(
+        row[: hits[i]] + row[hits[i] + 1 :] if i in hits else row
+        for i, row in enumerate(rows)
+    )
+
+
+def _reference_deletions(word, t):
+    """The reference sweep, position by position: (label, rows) for one
+    deletion in each of <= t rows, duplicates included."""
+    for size in range(t + 1):
+        for subset in itertools.combinations(range(word.k), size):
+            for positions in itertools.product(range(word.n), repeat=size):
+                hits = dict(zip(subset, positions))
+                yield f"pattern={sorted(hits.items())}", _drop(word.rows(), hits)
+
+
+def _reference_any_one_deletion(word):
+    for row in range(word.k):
+        for pos in range(word.n):
+            yield f"row={row} pos={pos}", _drop(word.rows(), {row: pos})
+
+
+def _random_words(seed, count):
+    """(word, t) pairs of seeded random tiny words: q in {2,3,4}, k in {2,3},
+    n <= 6, t <= k."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q, k = rng.choice((2, 3, 4)), rng.choice((2, 3))
+        ranks = [rng.randrange(alphabet_size(q, k)) for _ in range(rng.randint(1, 6))]
+        yield Word.from_ranks(ranks, q, k), rng.randint(1, k)
+
+
+def _tally(patterns):
+    """{rows: count} and {rows: label} of a pattern generator; each output
+    must come once."""
+    counts, labels = {}, {}
+    for label, received, count in patterns:
+        assert received.rows not in counts
+        counts[received.rows], labels[received.rows] = count, label
+    return counts, labels
+
+
+def _first_labels(reference):
+    first = {}
+    for label, rows in reference:
+        first.setdefault(rows, label)
+    return first
+
+
+class TestDeletionPatterns:
+    """The sweeps yield each distinct output once, weighted by the number of
+    position-by-position errors that give it, under the label of the first."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_t_row_deletions_match_the_position_sweep(self, seed):
+        for word, t in _random_words(seed, 40):
+            counts, labels = _tally(cli._deletions(word, t))
+            reference = list(_reference_deletions(word, t))
+            assert counts == Counter(rows for _, rows in reference)
+            assert labels == _first_labels(reference)
+            assert sum(counts.values()) == sum(
+                math.comb(word.k, s) * word.n**s for s in range(t + 1)
+            )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_one_deletion_matches_the_position_sweep(self, seed):
+        for word, _ in _random_words(seed, 40):
+            counts, labels = _tally(cli._any_one_deletion(word))
+            reference = list(_reference_any_one_deletion(word))
+            assert counts == Counter(rows for _, rows in reference)
+            assert labels == _first_labels(reference)
+            assert sum(counts.values()) == word.k * word.n
+
+    def test_runs(self):
+        assert cli._runs((0, 0, 1, 2, 2, 2, 0)) == [(0, 2), (2, 1), (3, 3), (6, 1)]
+
+
+def _counting(monkeypatch, name):
+    """Replace cli.<name> with a wrapper that records (first argument,
+    result) of each call, and return that record."""
+    original, seen = getattr(cli, name), []
+
+    def counted(*args):
+        result = original(*args)
+        seen.append((args[0], result))
+        return result
+
+    monkeypatch.setattr(cli, name, counted)
+    return seen
+
+
+class TestDecodeCalls:
+    """roundtrip decodes each distinct received word of a deletion sweep
+    once; counted in calls, not timed."""
+
+    @pytest.mark.parametrize(
+        "family,argv",
+        [
+            ("c2d", "--k 3 --t 2 --m 4 --trials 1 --seed 1"),
+            ("c4d", "--q 3 --k 3 --t 2 --m 3 --trials 1 --seed 1"),
+        ],
+    )
+    def test_one_decode_per_distinct_word(self, family, argv, monkeypatch, capsys):
+        words = _counting(monkeypatch, f"{family}_encode")
+        decoded = _counting(monkeypatch, f"{family}_decode")
+        code, out, _ = run(capsys, "roundtrip", "--family", family, *argv.split())
+        assert code == 0 and "PASS" in out
+        ((_, word),) = words
+        distinct = {rows for _, rows in _reference_deletions(word, 2)}
+        assert len(decoded) == len(distinct)
+        assert {received.rows for received, _ in decoded} == distinct
+
+    def test_substitution_sweep_decodes_once_per_case(self, monkeypatch, capsys):
+        decoded = _counting(monkeypatch, "c2s_decode")
+        code, out, _ = run(
+            capsys,
+            "roundtrip", "--family", "c2s",
+            "--q", "3", "--k", "2", "--t", "2", "--m", "3",
+            "--trials", "1", "--seed", "1",
+        )
+        assert code == 0
+        assert f"cases={len(decoded)} failures=0" in out
+
+
+# tiny roundtrip sizes of every family with a roundtrip verb
+ROUNDTRIP_SIZES = {
+    "c1d": {"k": 2, "n": 4, "a": 0},
+    "lme1": {"k": 2, "n": 5, "a": 0},
+    "doll": {"k": 2, "n": 4},
+    "c2d": {"k": 3, "t": 2, "m": 4, "trials": 2},
+    "c3d": {"q": 3, "k": 2, "m": 3, "trials": 2},
+    "c4d": {"q": 3, "k": 3, "t": 2, "m": 3, "trials": 1},
+    "c1s": {"q": 3, "k": 2, "m": 3, "trials": 2},
+    "c2s": {"q": 3, "k": 2, "t": 2, "m": 3, "trials": 1},
+}
+
+
+def _closed_form_cases(family, p, args, spec):
+    """cases= of a sweep: trials x sum_{s<=t} C(k,s) per_row^s, with per_row
+    n for deletions and n(q-1) for substitutions; messages x k n for c1d,
+    messages x (1 + k n) for lme1 and messages x n for doll."""
+    k = p["k"]
+    if family in ("c1d", "lme1", "doll"):
+        symbols, length = cli.FAMILIES[family].message_space(args, spec)
+        n, messages = p["n"], symbols**length
+        per_message = {"c1d": k * n, "lme1": 1 + k * n, "doll": n}[family]
+        return messages * per_message
+    q, t = p.get("q", 2), p.get("t", 1)
+    n = cli.FAMILIES[family].encode(Word.from_ranks([0] * p["m"], q, k), spec).n
+    per_row = n if family in ("c2d", "c3d", "c4d") else n * (q - 1)
+    return p["trials"] * sum(math.comb(k, s) * per_row**s for s in range(t + 1))
+
+
+class TestPatternsContract:
+    def test_sizes_cover_every_roundtrip_family(self):
+        assert set(ROUNDTRIP_SIZES) == set(cli._families_with("roundtrip"))
+
+    @pytest.mark.parametrize("family", list(ROUNDTRIP_SIZES))
+    def test_patterns_and_cases(self, family, capsys):
+        p = ROUNDTRIP_SIZES[family]
+        argv = ["roundtrip", "--family", family, "--seed", "2"]
+        for key, value in p.items():
+            argv += [f"--{key}", str(value)]
+        args = cli.build_parser().parse_args(argv)
+        fam = cli.FAMILIES[family]
+        spec = fam.spec(args)
+        for _, message in itertools.islice(cli._messages(fam, args, spec), 3):
+            for item in fam.patterns(fam.encode(message, spec), spec):
+                assert len(item) == 3
+                count = item[2]
+                assert type(count) is int and count > 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        expected = _closed_form_cases(family, p, args, spec)
+        assert out.splitlines()[1] == f"cases={expected} failures=0"
 
 
 # flags each verb requires, per family, in the order they are checked

@@ -6,9 +6,10 @@ stderr and every file the command writes or changes.  The recorded bytes
 cover the README examples, one roundtrip per family, encode --spec-out then
 decode --spec for every payload family, encode --in, the message families,
 decode and contains for every congruence family, every bound family,
-verify-code under both t-row models, and domain errors.  FIRST_FAILURES makes one decode call fail per pattern style,
-which pins the four first-failure label formats, and USAGE_ERRORS pins each
-verb's family choices.
+verify-code under both t-row models, and domain errors.  FIRST_FAILURES
+makes a decoder fail on one named received word per pattern style, which
+pins the four first-failure label formats and the count of error patterns
+behind one failing word; USAGE_ERRORS pins each verb's family choices.
 """
 
 from itertools import product
@@ -780,15 +781,24 @@ SCENARIOS = {
 }
 
 # name -> (cli global to patch, call that raises DecodeFailure, argv, stdout)
+def _rows(*texts):
+    """Received rows as digit tuples, from one string of digits per row."""
+    return tuple(tuple(map(int, text)) for text in texts)
+
+
+# case -> (decoder name in cli, the received rows it fails on, argv, stdout).
+# failures= counts every error pattern that yields the failing rows: four
+# deletion positions in the run 0000 for c1d, and 3 x 2 positions in the
+# runs 000 and 00 of the two hit rows for c4d.
 FIRST_FAILURES = {
     "first-failure-c1d": (
         "c1d_decode",
-        3,
+        _rows("000", "0000"),
         "roundtrip --family c1d --k 2 --n 4 --a 0",
         ("family=c1d\n"
-         "cases=72 failures=1\n"
+         "cases=72 failures=4\n"
          "FAIL\n"
-         "first failure: message=(0, 0) row=0 pos=2\n"
+         "first failure: message=(0, 0) row=0 pos=0\n"
          "received rows were:\n"
          "2 2 4\n"
          "000\n"
@@ -796,7 +806,7 @@ FIRST_FAILURES = {
     ),
     "first-failure-lme1": (
         "cecc1_decode",
-        5,
+        _rows("0001000", "0000000"),
         "roundtrip --family lme1 --k 2 --n 7 --a 0",
         ("family=lme1\n"
          "cases=1215 failures=1\n"
@@ -809,7 +819,7 @@ FIRST_FAILURES = {
     ),
     "first-failure-doll": (
         "dec_doll",
-        2,
+        _rows("0100", "0000"),
         "roundtrip --family doll --k 2 --n 4",
         ("family=doll\n"
          "cases=36 failures=1\n"
@@ -822,7 +832,7 @@ FIRST_FAILURES = {
     ),
     "first-failure-c2d": (
         "c2d_decode",
-        7,
+        _rows("00000000110", "001001100110", "101001100110"),
         "roundtrip --family c2d --k 3 --t 2 --m 4 --trials 1 --seed 1",
         ("family=c2d\n"
          "cases=469 failures=1\n"
@@ -833,6 +843,20 @@ FIRST_FAILURES = {
          "00000000110\n"
          "001001100110\n"
          "101001100110\n"),
+    ),
+    "first-failure-c4d-two-runs": (
+        "c4d_decode",
+        _rows("0200100100", "1201200110", "12101200120"),
+        "roundtrip --family c4d --q 3 --k 3 --t 2 --m 3 --trials 1 --seed 1",
+        ("family=c4d\n"
+         "cases=397 failures=6\n"
+         "FAIL\n"
+         "first failure: payload#0 pattern=[(0, 5), (1, 2)]\n"
+         "received rows were:\n"
+         "3 3 11\n"
+         "0200100100\n"
+         "1201200110\n"
+         "12101200120\n"),
     ),
 }
 
@@ -887,13 +911,11 @@ def test_scenario(name, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("name", list(FIRST_FAILURES))
 def test_first_failure_label(name, monkeypatch, capsys):
-    func, failing_call, argv, out = FIRST_FAILURES[name]
+    func, target, argv, out = FIRST_FAILURES[name]
     original = getattr(cli, func)
-    calls = []
 
     def flaky(*args):
-        calls.append(None)
-        if len(calls) == failing_call:
+        if args[0].rows == target:
             raise DecodeFailure("forced")
         return original(*args)
 
