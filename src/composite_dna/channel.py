@@ -14,10 +14,16 @@ are supported:
 
 Each model is one rule on the per-row error counts (c_1, ..., c_k), where c_i
 is the number of edits or deletions in row i (_counts_fit).  Plan validation
-checks a plan's counts against that rule, and raw_received_set enumerates the
-outputs one admissible count vector at a time: the product of the rows'
-exact-distance Hamming spheres or deletion balls.  Distinct count vectors give
-disjoint outputs, so each output is built once.
+checks a plan's counts against that rule.  One enumerator, outputs(word,
+model), yields (errors, received, count) once for each distinct raw output.
+The fitting count vectors come by number of affected rows, then row subset in
+combinations order, then counts; each gives the product of its affected rows'
+outputs at exactly c_i errors (_row_levels), every row's in the order of
+their first error patterns, cells by position and value.  count is the
+number of error patterns that give the output and errors the first of them,
+as (row, cell) pairs.  Distinct count vectors give disjoint outputs, so each
+output is built once.  raw_received_set, hamming_sphere and deletion_ball
+are set views of the same rows' outputs.
 
 The decodability oracle works on RAW outputs: a received matrix is just k
 digit rows (possibly of unequal lengths) with no column-monotonicity
@@ -40,7 +46,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import product
 from operator import itemgetter
 
 from .alphabet import Word, all_letters
@@ -145,13 +152,13 @@ class ReceivedRows:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         if len(self.rows) < 2:
             raise ValueError("need k >= 2 rows")
         for row in self.rows:
             if len(row) > self.n:
                 raise ValueError("row longer than the nominal length")
-            if row and not (0 <= min(row) and max(row) < self.q):
+            if row and (min(row) < 0 or max(row) >= self.q):
                 raise ValueError(f"row digits must lie in Sigma_{self.q}")
 
     @property
@@ -199,13 +206,73 @@ def received_from_text(text: str) -> ReceivedRows:
 
 
 # ---------------------------------------------------------------------------
-# runs and deletion balls
+# runs and the outputs of one row
 # ---------------------------------------------------------------------------
+
+def run_spans(row) -> list[tuple[int, int]]:
+    """(first position, length) of each maximal run of equal symbols."""
+    spans, start = [], 0
+    for i in range(1, len(row)):
+        if row[i] != row[i - 1]:
+            spans.append((start, i - start))
+            start = i
+    if row:
+        spans.append((start, len(row) - start))
+    return spans
+
 
 def runs(x) -> int:
     """Number of maximal constant substrings; runs of the empty sequence is 0."""
-    x = tuple(x)
-    return sum(1 for i, v in enumerate(x) if i == 0 or v != x[i - 1])
+    return len(run_spans(tuple(x)))
+
+
+def _row_levels(row, index: int, c: int, q: int, deletion: bool) -> list[dict]:
+    """The distinct outputs of row `index` under exactly 0, 1, ..., c
+    deletions, or substitutions over Sigma_q: one {output: (cells, count)}
+    per number of errors, each in the order of its outputs' first error
+    patterns.  count is the number of patterns that give the output and
+    cells the first of them in position (and value) order, as (row, cell)
+    pairs whose cell is a position or a (position, value) pair.
+
+    A pattern of j + 1 errors extends one of j by a cell after its last.
+    Distinct substitution patterns give distinct rows.  Deleting any d
+    symbols of a run of length L leaves the same row as deleting its first
+    d, the first of the C(L, d) ways, so a deletion pattern only extends by
+    the next symbol of its last run or the first of a later run, and counts
+    the ways of every run it touches.  Those that still meet, when a run is
+    deleted whole, add up."""
+    spans = run_spans(row) if deletion else None
+    # (output, cells, count, last run or next position, symbols taken of that run)
+    level, levels = [(row, (), 1, 0, 0)], [{row: ((), 1)}]
+    for j in range(1, c + 1):
+        if deletion:
+            # delete start + t, after the j - 1 earlier deletions; the run's
+            # C(L, t + 1) ways are C(L, t) (L - t) / (t + 1)
+            level = [
+                (out[:start + t - j + 1] + out[start + t - j + 2:],
+                 cells + ((index, start + t),), count * (length - t) // (t + 1), r, t + 1)
+                for out, cells, count, last, taken in level
+                for r, (start, length) in enumerate(spans[last:], last)
+                for t in (taken if r == last else 0,)
+                if t < length
+            ]
+        else:
+            level = [
+                (out[:p] + (v,) + out[p + 1:], cells + ((index, (p, v)),), 1, p + 1, 0)
+                for out, cells, _, first, _ in level
+                for p in range(first, len(row))
+                for v in range(q)
+                if v != row[p]
+            ]
+        if deletion and j > 1:  # from two deletions on, patterns can meet
+            table = {}
+            for out, cells, count, _, _ in level:
+                first, total = table.get(out, (cells, 0))
+                table[out] = (first, total + count)
+        else:
+            table = {out: (cells, count) for out, cells, count, _, _ in level}
+        levels.append(table)
+    return levels
 
 
 def deletion_ball(x, t: int) -> set[tuple[int, ...]]:
@@ -213,30 +280,14 @@ def deletion_ball(x, t: int) -> set[tuple[int, ...]]:
     x = tuple(x)
     if t < 0 or t > len(x):
         raise ValueError(f"cannot delete {t} symbols from length {len(x)}")
-    current = {x}
-    for _ in range(t):
-        current = {y[:i] + y[i + 1:] for y in current for i in range(len(y))}
-    return current
+    return set(_row_levels(x, 0, t, 0, True)[t])
 
 
 def hamming_sphere(row, d: int, q: int) -> set[tuple[int, ...]]:
     """All rows at Hamming distance exactly d from row, over Sigma_q."""
-    row = tuple(row)
-    out = set()
-    for positions in combinations(range(len(row)), d):
-        def expand(idx, current):
-            if idx == len(positions):
-                out.add(tuple(current))
-                return
-            pos = positions[idx]
-            for val in range(q):
-                if val != row[pos]:
-                    current[pos] = val
-                    expand(idx + 1, current)
-            current[pos] = row[pos]
-
-        expand(0, list(row))
-    return out
+    if d < 0:
+        raise ValueError(f"cannot change {d} symbols")
+    return set(_row_levels(tuple(row), 0, d, q, False)[d])
 
 
 # ---------------------------------------------------------------------------
@@ -416,30 +467,68 @@ def random_errors(word: Word, model: ErrorModel, seed: int) -> tuple[ReceivedRow
 
 
 # ---------------------------------------------------------------------------
-# exact output-set enumeration (raw) and valid substitution balls
+# the output enumerator (raw) and valid substitution balls
 # ---------------------------------------------------------------------------
 
-def raw_received_set(word: Word, model: ErrorModel) -> set[ReceivedRows]:
-    """Every channel output reachable from word under the model (raw rows)."""
-    _check_model_fits(model, word.k)
-    rows = word.rows()
-    k, n, q = word.k, word.n, word.q
+@lru_cache(maxsize=None)
+def _count_vectors(model: ErrorModel, k: int, n: int):
+    """The per-row count vectors that fit the model, each as the (row,
+    count) pairs of its hit rows, in sweep order: by number of hit rows,
+    then row subset in combinations order, then counts; and the largest
+    count of each row.  They depend on (model, k, n) alone, so each
+    model's are found once."""
+    _check_model_fits(model, k)
     if model.kind == "del-per-row" and max(model.budgets) > n:
         raise ValueError(f"cannot delete {max(model.budgets)} symbols from length {n}")
     if model.kind == "del-total" and model.total > k * n:
         raise ValueError(f"budget {model.total} exceeds the {k}x{n} grid")
     cap = max(model.budgets, default=0) if model.total is None else model.total
-    out: set[ReceivedRows] = set()
-    for counts in product(range(min(cap, n) + 1), repeat=k):
-        if not _counts_fit(counts, model):
-            continue
-        if model.is_substitution:
-            row_sets = [hamming_sphere(row, c, q) for row, c in zip(rows, counts)]
-        else:
-            row_sets = [deletion_ball(row, c) for row, c in zip(rows, counts)]
-        for received in product(*row_sets):
-            out.add(ReceivedRows(received, q, n))
-    return out
+    fitting = [c for c in product(range(min(cap, n) + 1), repeat=k) if _counts_fit(c, model)]
+    vectors = sorted(
+        (tuple((i, c) for i, c in enumerate(counts) if c) for counts in fitting),
+        key=lambda hits: (len(hits), [i for i, _ in hits]),
+    )
+    return tuple(vectors), tuple(max(column) for column in zip(*fitting))
+
+
+def _row_tables(rows, q: int, model: ErrorModel):
+    """(hits, the outputs of each hit row at its count) for each fitting
+    count vector of a word's rows (_row_levels, once per row)."""
+    vectors, tops = _count_vectors(model, len(rows), len(rows[0]))
+    deletion = not model.is_substitution
+    levels = [
+        _row_levels(row, i, top, q, deletion) if top else None
+        for i, (row, top) in enumerate(zip(rows, tops))
+    ]
+    for hits in vectors:
+        yield hits, [levels[i][c] for i, c in hits]
+
+
+def outputs(word: Word, model: ErrorModel):
+    """(errors, received, count) once for each distinct raw output of word
+    under the model, in sweep order (_count_vectors, then the hit rows'
+    outputs in the order of their first error patterns).  received is the
+    output's digit rows, count the number of error patterns that give it
+    and errors the first of them, as (row, cell) pairs."""
+    rows = word.rows()
+    for hits, tables in _row_tables(rows, word.q, model):
+        for combo in product(*map(dict.items, tables)):
+            received, errors, count = list(rows), (), 1
+            for (i, _), (out, (cells, ways)) in zip(hits, combo):
+                received[i], errors, count = out, errors + cells, count * ways
+            yield errors, tuple(received), count
+
+
+def raw_received_set(word: Word, model: ErrorModel) -> set[ReceivedRows]:
+    """Every channel output reachable from word under the model (raw rows)."""
+    rows, q, n = word.rows(), word.q, word.n
+    unhit, received = [(row,) for row in rows], set()
+    for hits, tables in _row_tables(rows, q, model):
+        spread = unhit.copy()
+        for (i, _), table in zip(hits, tables):
+            spread[i] = table
+        received.update(ReceivedRows(r, q, n) for r in product(*spread))
+    return received
 
 
 def valid_sub_ball(word: Word, per_row=None, total: int | None = None) -> set[Word]:

@@ -14,10 +14,11 @@ table             class-size table of the enumeration code, CSV output
 roundtrip         encode -> corrupt -> decode sweeps with a pass/fail report
 
 Every code family is one record of the FAMILIES table: the flags each verb
-requires, its spec, encoder, decoder, membership test and native roundtrip
-patterns.  The --family choices of each verb come from that table.  Every
-bound family is one entry of BOUND_FAMILIES: its required flags, calculator
-and CSV extra column.  encode --spec-out writes the built spec's values.
+requires, its spec, encoder, decoder, membership test and the native error
+model that roundtrip sweeps.  The --family choices of each verb come from
+that table.  Every bound family is one entry of BOUND_FAMILIES: its required
+flags, calculator and CSV extra column.  encode --spec-out writes the built
+spec's values.
 
 Exit codes: 0 success, 1 domain error (invalid word, precondition breach, a
 flag the family needs is missing, a file that cannot be read or written), 2
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import os
 import random
 import sys
@@ -58,6 +58,7 @@ from .channel import (
     del_t_rows,
     del_total,
     oracle_is_code,
+    outputs,
     random_errors,
     received_from_text,
     received_to_text,
@@ -213,11 +214,12 @@ class Family:
     builds it once.  ``decode`` returns the message of a message family and
     the payload word of the others.  ``message_space`` gives (alphabet size,
     length) of the messages a roundtrip enumerates; families without one
-    sample --trials payloads instead.  ``patterns`` yields (label, received,
-    count) once for each distinct output of the family's native model:
-    count is the number of errors that give it, and label names the first
-    of them.  The fields name the codec functions inside lambdas, so they
-    are looked up at call time.
+    sample --trials payloads instead.  ``model`` gives the channel model the
+    code corrects, whose every distinct output (channel.outputs) a
+    roundtrip decodes once, weighted by the number of error patterns that
+    give it.  ``sweeps_clean_word`` is False for doll alone: its sweep
+    leaves out the error-free word, n cases per message.  The fields name
+    the codec functions inside lambdas, so they are looked up at call time.
     """
 
     flags: dict[str, tuple[str, ...]]
@@ -226,7 +228,8 @@ class Family:
     encode: Callable | None = None
     contains: Callable | None = None
     message_space: Callable | None = None
-    patterns: Callable | None = None
+    model: Callable | None = None
+    sweeps_clean_word: bool = True
 
 
 def _payload_flags(*names):
@@ -260,7 +263,7 @@ FAMILIES = {
         decode=lambda received, spec: c1d_message(c1d_decode(received, spec.a)),
         contains=lambda word, spec: c1d_contains(word, spec.a),
         message_space=lambda _, spec: (spec.k + 1, c1d_message_length(spec.k, spec.n)),
-        patterns=lambda word, _: _any_one_deletion(word),
+        model=lambda _: del_total(1),
     ),
     "lme1": Family(
         flags=_CLASS_CODE_FLAGS,
@@ -272,7 +275,7 @@ FAMILIES = {
             spec.k + 1,
             lme_message_length(spec.n, spec.k + 1),
         ),
-        patterns=lambda word, _: _substitutions(word, 1),
+        model=lambda _: sub_total(1),
     ),
     "doll": Family(
         flags={
@@ -284,42 +287,43 @@ FAMILIES = {
         encode=lambda message, spec: enc_doll(message, spec),
         decode=lambda received, spec: dec_doll(received, spec),
         message_space=lambda _, spec: (alphabet_size(spec.q, spec.k), spec.m),
-        patterns=lambda word, _: _first_row_substitutions(word),
+        model=lambda spec: sub_per_row(1, *[0] * (spec.k - 1)),
+        sweeps_clean_word=False,
     ),
     "c2d": Family(
         flags=_payload_flags("k", "t", "m"),
         spec=lambda args: C2DSpec(args.k, args.t, args.m),
         encode=lambda payload, spec: c2d_encode(payload, spec),
         decode=lambda received, spec: c2d_decode(received, spec),
-        patterns=lambda word, spec: _deletions(word, spec.t),
+        model=lambda spec: del_t_rows(spec.t, [1] * spec.t),
     ),
     "c3d": Family(
         flags=_payload_flags("q", "k", "m"),
         spec=lambda args: C3DSpec(args.q, args.k, args.m),
         encode=lambda payload, spec: c3d_encode(payload, spec),
         decode=lambda received, spec: c3d_decode(received, spec),
-        patterns=lambda word, _: _deletions(word, 1),
+        model=lambda _: del_t_rows(1, [1]),
     ),
     "c4d": Family(
         flags=_payload_flags("q", "k", "m", "t"),
         spec=lambda args: C4DSpec(args.q, args.k, args.t, args.m),
         encode=lambda payload, spec: c4d_encode(payload, spec),
         decode=lambda received, spec: c4d_decode(received, spec),
-        patterns=lambda word, spec: _deletions(word, spec.t),
+        model=lambda spec: del_t_rows(spec.t, [1] * spec.t),
     ),
     "c1s": Family(
         flags=_payload_flags("q", "k", "m"),
         spec=lambda args: C1SSpec(args.q, args.k, args.m),
         encode=lambda payload, spec: c1s_encode(payload, spec),
         decode=lambda received, spec: c1s_decode(received, spec),
-        patterns=lambda word, _: _substitutions(word, 1),
+        model=lambda _: sub_total(1),
     ),
     "c2s": Family(
         flags=_payload_flags("q", "k", "m", "t"),
         spec=lambda args: C2SSpec(args.q, args.k, args.t, args.m),
         encode=lambda payload, spec: c2s_encode(payload, spec),
         decode=lambda received, spec: c2s_decode(received, spec),
-        patterns=lambda word, spec: _substitutions(word, spec.t),
+        model=lambda spec: sub_t_rows(spec.t, [1] * spec.t),
     ),
     "cong-binary-t": Family(
         flags=dict.fromkeys(("decode", "contains"), ("p", "targets")),
@@ -530,85 +534,6 @@ def cmd_table(args) -> int:
 # roundtrip
 # ---------------------------------------------------------------------------
 
-def _dropped(word: Word, hits: dict[int, int]) -> ReceivedRows:
-    rows = []
-    for i, row in enumerate(word.rows()):
-        if i in hits:
-            p = hits[i]
-            rows.append(row[:p] + row[p + 1 :])
-        else:
-            rows.append(row)
-    return ReceivedRows(tuple(rows), word.q, word.n)
-
-
-def _substituted(word: Word, hits: dict[int, tuple[int, int]]) -> ReceivedRows:
-    rows = [list(r) for r in word.rows()]
-    for row, (pos, value) in hits.items():
-        rows[row][pos] = value
-    return ReceivedRows(tuple(tuple(r) for r in rows), word.q, word.n)
-
-
-def _runs(row) -> list[tuple[int, int]]:
-    """(first position, length) of each run of equal symbols in row.  A
-    deletion anywhere in a run leaves the same row."""
-    runs, start = [], 0
-    for _, group in itertools.groupby(row):
-        length = sum(1 for _ in group)
-        runs.append((start, length))
-        start += length
-    return runs
-
-
-def _any_one_deletion(word: Word):
-    """c1d's model: one deletion anywhere in the word, one per run of equal
-    symbols."""
-    for index, row in enumerate(word.rows()):
-        for pos, length in _runs(row):
-            yield f"row={index} pos={pos}", _dropped(word, {index: pos}), length
-
-
-def _first_row_substitutions(word: Word):
-    """doll's model: one substitution in the first row."""
-    first = word.rows()[0]
-    for pos, digit in enumerate(first):
-        for value in range(word.q):
-            if value != digit:
-                yield f"pos={pos} value={value}", _substituted(word, {0: (pos, value)}), 1
-
-
-def _t_rows(word: Word, t: int, cells, corrupt):
-    """No error, then every way to corrupt 1..t rows, taking one (cell,
-    count) pair of cells[i] in each corrupted row i.  The count of a
-    pattern is the product of its cells' counts."""
-    for size in range(t + 1):
-        for rows_subset in itertools.combinations(range(word.k), size):
-            for combo in itertools.product(*(cells[i] for i in rows_subset)):
-                pattern = {i: cell for i, (cell, _) in zip(rows_subset, combo)}
-                count = math.prod(c for _, c in combo)
-                yield f"pattern={sorted(pattern.items())}", corrupt(word, pattern), count
-
-
-def _deletions(word: Word, t: int):
-    """One deletion in each of <= t rows, one per run of equal symbols.
-    Outputs of different row subsets differ in their row lengths, so each
-    output comes once."""
-    return _t_rows(word, t, [_runs(row) for row in word.rows()], _dropped)
-
-
-def _substitutions(word: Word, t: int):
-    """One changed digit in each of <= t rows."""
-    cells = [
-        [
-            ((pos, value), 1)
-            for pos, digit in enumerate(row)
-            for value in range(word.q)
-            if value != digit
-        ]
-        for row in word.rows()
-    ]
-    return _t_rows(word, t, cells, _substituted)
-
-
 def _messages(family: Family, args, spec):
     """(label, message) pairs of a sweep: every message of a message family,
     or --trials payloads drawn with --seed."""
@@ -630,11 +555,15 @@ def _messages(family: Family, args, spec):
 def cmd_roundtrip(args) -> int:
     family = _checked_family(args, "roundtrip")
     spec = family.spec(args)
+    model = family.model(spec)
     cases = failures = 0
     first_failure = None
     for label, message in _messages(family, args, spec):
         word = family.encode(message, spec)
-        for pattern, received, count in family.patterns(word, spec):
+        for errors, rows, count in outputs(word, model):
+            if not (errors or family.sweeps_clean_word):
+                continue
+            received = ReceivedRows(rows, word.q, word.n)
             cases += count
             try:
                 ok = family.decode(received, spec) == message
@@ -643,15 +572,15 @@ def cmd_roundtrip(args) -> int:
             if not ok:
                 failures += count
                 if first_failure is None:
-                    first_failure = (f"{label} {pattern}", received)
+                    first_failure = (label, errors, received)
     lines = [
         f"family={args.family}",
         f"cases={cases} failures={failures}",
         "PASS" if failures == 0 else "FAIL",
     ]
     if first_failure is not None:
-        label, received = first_failure
-        lines.append(f"first failure: {label}")
+        label, errors, received = first_failure
+        lines.append(f"first failure: {label} pattern={list(errors)}")
         lines.append("received rows were:")
         lines.append(received_to_text(received).rstrip("\n"))
     _write_text(args.out, "\n".join(lines) + "\n")

@@ -10,11 +10,12 @@ solve is the 1 x 1 system [[1]] over a modulus that need not be prime.
 Failures: malformed input (a shape that does not match the spec, a row that
 lost more than one symbol, more short rows than the code handles) is a
 ValueError.  The core's failures (too few intact syndrome blocks, a solved
-residue that does not lift, a repaired word with an invalid column) and the
-post-decode congruence check are DecodeFailures.  Some out-of-model words
-still end in a plain ValueError: clean rows outside the code, an invalid
-column or block letter read off unrepaired rows, non-monotone marker flags,
-and a decoded payload whose codeword is not a supersequence of every row.
+residue that does not lift, a repaired word with an invalid column), the
+post-decode congruence check, clean rows outside the code and a decoded
+payload whose codeword is not a supersequence of every row are
+DecodeFailures.  Some out-of-model words still end in a plain ValueError:
+an invalid column or block letter read off unrepaired rows and
+non-monotone marker flags.
 
 * congruence_*: codes cut out by syndrome congruences, decoded by
   _congruence_decode_t.  Binary t-row variants weight the per-row VT sums
@@ -188,7 +189,7 @@ def _congruence_decode_t(received, targets, p, lift_bound, syndrome, contains, d
     if not short:
         word = Word.from_rows(received.rows, received.q)
         if not contains(word):
-            raise ValueError("clean rows do not satisfy the code congruences")
+            raise DecodeFailure("clean rows do not satisfy the code congruences")
         return word
     # the first |I| congruences suffice: with consecutive powers the matrix is
     # a plain Vandermonde in the distinct row nodes, invertible since p > k - 1
@@ -447,7 +448,7 @@ def _marker_decode(received: ReceivedRows, spec, digit_base, modulus, lift_bound
     codeword = _marker_encode(payload, spec, digit_base)
     for got, want in zip(received.rows, codeword.rows()):
         if not _is_subsequence(got, want):
-            raise ValueError("decoded payload is inconsistent with the received rows")
+            raise DecodeFailure("decoded payload is inconsistent with the received rows")
     return payload
 
 

@@ -1,8 +1,9 @@
 """Channel tests: corruption plans, output-set enumeration, oracle."""
 
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from composite_dna.channel import (
     deletion_ball,
     hamming_sphere,
     oracle_is_code,
+    outputs,
     random_errors,
     raw_received_set,
     received_from_text,
@@ -311,9 +313,36 @@ def is_subsequence(y, x):
     return all(v in it for v in y)
 
 
+def model_admits(errs, model):
+    """Whether per-row error counts lie in the model, by its definition:
+    rows outside the chosen set are untouched and a chosen row takes one
+    budget of its own, trying each budget-to-row assignment explicitly."""
+
+    def assignable(within):
+        for size in range(model.t + 1):
+            for chosen in combinations(range(len(errs)), size):
+                for budgets in permutations(model.budgets, size):
+                    if all(
+                        within(errs[i], budgets[chosen.index(i)]) if i in chosen
+                        else errs[i] == 0
+                        for i in range(len(errs))
+                    ):
+                        return True
+        return False
+
+    return {
+        "sub-per-row": lambda: all(c <= e for c, e in zip(errs, model.budgets)),
+        "del-per-row": lambda: all(c == e for c, e in zip(errs, model.budgets)),
+        "sub-total": lambda: sum(errs) <= model.total,
+        "del-total": lambda: sum(errs) == model.total,
+        "sub-t-rows": lambda: assignable(lambda c, e: c <= e),
+        "del-t-rows": lambda: assignable(lambda c, e: c == e),
+    }[model.kind]()
+
+
 def brute_received_set(word, model):
     """Independent oracle: judge every candidate row tuple by the model's
-    definition, trying each budget-to-row assignment explicitly."""
+    definition (model_admits)."""
     rows, q, n = word.rows(), word.q, word.n
     sub = model.is_substitution
     lengths = [n] if sub else range(n + 1)
@@ -325,32 +354,10 @@ def brute_received_set(word, model):
             return sum(a != b for a, b in zip(x, y))
         return n - len(y) if is_subsequence(y, x) else None
 
-    def assignable(errs, within):
-        # rows outside the chosen set are untouched; a chosen row takes one
-        # budget of its own
-        for size in range(model.t + 1):
-            for chosen in combinations(range(len(rows)), size):
-                for budgets in permutations(model.budgets, size):
-                    if all(
-                        within(errs[i], budgets[chosen.index(i)]) if i in chosen
-                        else errs[i] == 0
-                        for i in range(len(rows))
-                    ):
-                        return True
-        return False
-
-    fits = {
-        "sub-per-row": lambda errs: all(c <= e for c, e in zip(errs, model.budgets)),
-        "del-per-row": lambda errs: all(c == e for c, e in zip(errs, model.budgets)),
-        "sub-total": lambda errs: sum(errs) <= model.total,
-        "del-total": lambda errs: sum(errs) == model.total,
-        "sub-t-rows": lambda errs: assignable(errs, lambda c, e: c <= e),
-        "del-t-rows": lambda errs: assignable(errs, lambda c, e: c == e),
-    }[model.kind]
     out = set()
     for received in product(candidates, repeat=len(rows)):
         errs = [errors(y, x) for y, x in zip(received, rows)]
-        if None not in errs and fits(errs):
+        if None not in errs and model_admits(errs, model):
             out.add(ReceivedRows(received, q, n))
     return out
 
@@ -396,7 +403,9 @@ def brute_received_set(word, model):
 def test_raw_set_matches_model_definition(rows, q, models):
     word = Word.from_rows(rows, q=q)
     for model in models:
-        assert raw_received_set(word, model) == brute_received_set(word, model), model
+        brute = brute_received_set(word, model)
+        assert raw_received_set(word, model) == brute, model
+        assert {received for _, received, _ in outputs(word, model)} == {r.rows for r in brute}
 
 
 def test_raw_set_budgets_beyond_the_word():
@@ -411,6 +420,123 @@ def test_raw_set_budgets_beyond_the_word():
     assert raw_received_set(w, sub_total(9)) == raw_received_set(w, sub_total(6))
     assert raw_received_set(w, sub_t_rows(1, (4,))) == raw_received_set(w, sub_t_rows(1, (3,)))
     assert raw_received_set(w, del_t_rows(2, (4, 1))) == raw_received_set(w, del_t_rows(1, (1,)))
+
+
+# ---------------------------------------------------------------------------
+# the output enumerator
+# ---------------------------------------------------------------------------
+
+def reference_patterns(word, model):
+    """Every error pattern of the model, position by position and value by
+    value, as (errors, rows) with duplicates, in sweep order: count vectors
+    admitted by the definition, by number of affected rows, then row subset,
+    then counts; within one, each row's patterns in the order of their
+    cells, (row, position) or (row, (position, value))."""
+    rows, k, n, q = word.rows(), word.k, word.n, word.q
+    vectors = sorted(
+        (c for c in product(range(n + 1), repeat=k) if model_admits(c, model)),
+        key=lambda c: (sum(x > 0 for x in c), [i for i, x in enumerate(c) if x]),
+    )
+    for counts in vectors:
+        choices = []
+        for i, (row, c) in enumerate(zip(rows, counts)):
+            patterns = []
+            for positions in combinations(range(n), c):
+                if model.is_substitution:
+                    others = [[v for v in range(q) if v != row[p]] for p in positions]
+                    for values in product(*others):
+                        out = list(row)
+                        for p, v in zip(positions, values):
+                            out[p] = v
+                        cells = tuple((i, pv) for pv in zip(positions, values))
+                        patterns.append((cells, tuple(out)))
+                else:
+                    out = tuple(x for j, x in enumerate(row) if j not in positions)
+                    patterns.append((tuple((i, p) for p in positions), out))
+            choices.append(sorted(patterns))
+        for combo in product(*choices):
+            yield sum((cells for cells, _ in combo), ()), tuple(out for _, out in combo)
+
+
+def closed_form_patterns(word, model):
+    """Sum over admitted count vectors of prod C(n, c_i), times (q-1)^c_i
+    for substitutions."""
+    n, per_cell = word.n, word.q - 1 if model.is_substitution else 1
+    return sum(
+        prod(comb(n, c) * per_cell**c for c in counts)
+        for counts in product(range(n + 1), repeat=word.k)
+        if model_admits(counts, model)
+    )
+
+
+def tiny_words_and_models(seed, count):
+    """(word, model) pairs over seeded random tiny words (q in {2,3,4}, k in
+    {2,3}, n <= 5), each word under one model of each of the six kinds."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q, k = rng.choice((2, 3, 4)), rng.choice((2, 3))
+        n = rng.randint(1, 5)
+        word = Word.from_ranks([rng.randrange(alphabet_size(q, k)) for _ in range(n)], q, k)
+        t = rng.randint(1, k)
+        yield word, sub_per_row(*(rng.randint(0, 2) for _ in range(k)))
+        yield word, sub_total(rng.randint(0, 2))
+        yield word, sub_t_rows(t, [rng.randint(1, 2) for _ in range(t)])
+        yield word, del_per_row(*(rng.randint(0, min(n, 2)) for _ in range(k)))
+        yield word, del_total(rng.randint(1, 2))
+        yield word, del_t_rows(t, [rng.randint(1, min(n, 2)) for _ in range(t)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_outputs_match_the_pattern_by_pattern_sweep(seed):
+    """Each distinct output comes once, in the order of its first pattern,
+    with the number of patterns that give it and the first of them."""
+    for word, model in tiny_words_and_models(seed, 12):
+        got = list(outputs(word, model))
+        reference = list(reference_patterns(word, model))
+        firsts = {}
+        for errors, rows in reference:
+            firsts.setdefault(rows, errors)
+        assert [received for _, received, _ in got] == list(firsts), model
+        assert {received: count for _, received, count in got} == Counter(
+            rows for _, rows in reference
+        ), model
+        assert {received: errors for errors, received, _ in got} == firsts, model
+        assert sum(count for _, _, count in got) == closed_form_patterns(word, model), model
+
+
+def test_outputs_are_what_the_channel_gives():
+    # every output is apply_errors of its first pattern, and raw_received_set
+    # is the set of the outputs
+    for word, model in tiny_words_and_models(5, 6):
+        for errors, received, _ in outputs(word, model):
+            if model.is_substitution:
+                plan = Plan(substitutions=[(i, p, v) for i, (p, v) in errors])
+            else:
+                plan = Plan(deletions=errors)
+            assert apply_errors(word, model, plan).rows == received
+        assert raw_received_set(word, model) == {
+            ReceivedRows(received, word.q, word.n) for _, received, _ in outputs(word, model)
+        }
+
+
+def test_outputs_step_over_runs():
+    # one deletion anywhere in a run leaves the same row: the first cell is
+    # the run's start and the count its length
+    word = Word.from_rows([(0, 0, 0, 1, 1, 1, 1), (0, 0, 1, 1, 1, 1, 1)], q=2)
+    got = list(outputs(word, del_total(1)))
+    assert [(errors, count) for errors, _, count in got] == [
+        (((0, 0),), 3), (((0, 3),), 4), (((1, 0),), 2), (((1, 2),), 5)
+    ]
+    assert channel.run_spans((0, 0, 1, 2, 2, 2, 0)) == [(0, 2), (2, 1), (3, 3), (6, 1)]
+    assert channel.run_spans(()) == []
+
+
+def test_outputs_reject_what_the_model_cannot_apply():
+    word = word_001_011()
+    with pytest.raises(ValueError, match="cannot delete 4 symbols from length 3"):
+        list(outputs(word, del_per_row(4, 0)))
+    with pytest.raises(ValueError, match="t=3 exceeds the number of rows k=2"):
+        list(outputs(word, sub_t_rows(3, (1, 1, 1))))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from collections import Counter
 
 import pytest
 
-from composite_dna import cli
+from composite_dna import channel, cli
 from composite_dna.alphabet import Word, alphabet_size, word_from_text, word_to_text
+from composite_dna.channel import del_t_rows, del_total, oracle_is_code
 from composite_dna.cli import main
 from composite_dna.codes_deletion import c1d_contains
 from composite_dna.codes_substitution import doll_size
@@ -335,7 +336,7 @@ def _reference_deletions(word, t):
 def _reference_any_one_deletion(word):
     for row in range(word.k):
         for pos in range(word.n):
-            yield f"row={row} pos={pos}", _drop(word.rows(), {row: pos})
+            yield f"pattern={[(row, pos)]}", _drop(word.rows(), {row: pos})
 
 
 def _random_words(seed, count):
@@ -348,13 +349,13 @@ def _random_words(seed, count):
         yield Word.from_ranks(ranks, q, k), rng.randint(1, k)
 
 
-def _tally(patterns):
-    """{rows: count} and {rows: label} of a pattern generator; each output
-    must come once."""
+def _tally(outputs):
+    """{rows: count} and {rows: label} of an output sweep, labelled as
+    roundtrip labels its first failure; each output must come once."""
     counts, labels = {}, {}
-    for label, received, count in patterns:
-        assert received.rows not in counts
-        counts[received.rows], labels[received.rows] = count, label
+    for errors, received, count in outputs:
+        assert received not in counts
+        counts[received], labels[received] = count, f"pattern={list(errors)}"
     return counts, labels
 
 
@@ -366,13 +367,15 @@ def _first_labels(reference):
 
 
 class TestDeletionPatterns:
-    """The sweeps yield each distinct output once, weighted by the number of
+    """The deletion sweeps of roundtrip, channel.outputs under the native
+    models of c2d/c3d/c4d (del-t-rows t (1,...,1)) and of c1d (del-total 1),
+    yield each distinct output once, weighted by the number of
     position-by-position errors that give it, under the label of the first."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_t_row_deletions_match_the_position_sweep(self, seed):
         for word, t in _random_words(seed, 40):
-            counts, labels = _tally(cli._deletions(word, t))
+            counts, labels = _tally(channel.outputs(word, del_t_rows(t, [1] * t)))
             reference = list(_reference_deletions(word, t))
             assert counts == Counter(rows for _, rows in reference)
             assert labels == _first_labels(reference)
@@ -383,14 +386,14 @@ class TestDeletionPatterns:
     @pytest.mark.parametrize("seed", range(4))
     def test_any_one_deletion_matches_the_position_sweep(self, seed):
         for word, _ in _random_words(seed, 40):
-            counts, labels = _tally(cli._any_one_deletion(word))
+            counts, labels = _tally(channel.outputs(word, del_total(1)))
             reference = list(_reference_any_one_deletion(word))
             assert counts == Counter(rows for _, rows in reference)
             assert labels == _first_labels(reference)
             assert sum(counts.values()) == word.k * word.n
 
     def test_runs(self):
-        assert cli._runs((0, 0, 1, 2, 2, 2, 0)) == [(0, 2), (2, 1), (3, 3), (6, 1)]
+        assert channel.run_spans((0, 0, 1, 2, 2, 2, 0)) == [(0, 2), (2, 1), (3, 3), (6, 1)]
 
 
 def _counting(monkeypatch, name):
@@ -482,15 +485,40 @@ class TestPatternsContract:
         args = cli.build_parser().parse_args(argv)
         fam = cli.FAMILIES[family]
         spec = fam.spec(args)
+        model = fam.model(spec)
         for _, message in itertools.islice(cli._messages(fam, args, spec), 3):
-            for item in fam.patterns(fam.encode(message, spec), spec):
+            word = fam.encode(message, spec)
+            for item in channel.outputs(word, model):
                 assert len(item) == 3
-                count = item[2]
+                errors, received, count = item
+                assert all(0 <= row < word.k for row, _ in errors)
                 assert type(count) is int and count > 0
         code, out, _ = run(capsys, *argv)
         assert code == 0
         expected = _closed_form_cases(family, p, args, spec)
         assert out.splitlines()[1] == f"cases={expected} failures=0"
+
+
+class TestModelContract:
+    """Each roundtrip family names the model its code corrects: a sampled
+    codebook is a code for it by the brute-force oracle.  doll runs at n = 5,
+    where its code corrects no substitution outside the first row."""
+
+    @pytest.mark.parametrize("family", list(ROUNDTRIP_SIZES))
+    def test_sampled_codebook_is_a_code_for_the_native_model(self, family):
+        p = {**ROUNDTRIP_SIZES[family], "trials": 8}
+        if family == "doll":
+            p["n"] = 5
+        argv = ["roundtrip", "--family", family, "--seed", "5"]
+        for key, value in p.items():
+            argv += [f"--{key}", str(value)]
+        args = cli.build_parser().parse_args(argv)
+        fam = cli.FAMILIES[family]
+        spec = fam.spec(args)
+        messages = itertools.islice(cli._messages(fam, args, spec), 12)
+        book = [fam.encode(message, spec) for _, message in messages]
+        assert len(set(book)) > 1
+        assert oracle_is_code(book, fam.model(spec))
 
 
 # flags each verb requires, per family, in the order they are checked

@@ -7,9 +7,10 @@ cover the README examples, one roundtrip per family, encode --spec-out then
 decode --spec for every payload family, encode --in, the message families,
 decode and contains for every congruence family, every bound family,
 verify-code under both t-row models, and domain errors.  FIRST_FAILURES
-makes a decoder fail on one named received word per pattern style, which
-pins the four first-failure label formats and the count of error patterns
-behind one failing word; USAGE_ERRORS pins each verb's family choices.
+makes a decoder fail on one named received word per family shape, which
+pins the first-failure label (the message or payload and the first error
+pattern) and the count of error patterns behind one failing word;
+USAGE_ERRORS pins each verb's family choices.
 """
 
 from itertools import product
@@ -798,7 +799,7 @@ FIRST_FAILURES = {
         ("family=c1d\n"
          "cases=72 failures=4\n"
          "FAIL\n"
-         "first failure: message=(0, 0) row=0 pos=0\n"
+         "first failure: message=(0, 0) pattern=[(0, 0)]\n"
          "received rows were:\n"
          "2 2 4\n"
          "000\n"
@@ -824,7 +825,7 @@ FIRST_FAILURES = {
         ("family=doll\n"
          "cases=36 failures=1\n"
          "FAIL\n"
-         "first failure: message=(0, 0) pos=1 value=1\n"
+         "first failure: message=(0, 0) pattern=[(0, (1, 1))]\n"
          "received rows were:\n"
          "2 2 4\n"
          "0100\n"
