@@ -104,7 +104,8 @@ def asym_bound_total(q: int, k: int, n: int, e: int, l: int) -> BoundReport:
         raise ValueError("need e >= 1 and n >= 1")
     Q = alphabet_size(q, k)
     n0 = Q - (q - l) * alphabet_size(l, k - 1) - alphabet_size(l, k)
-    assert n0 > 0, "n0 <= 0 cannot occur"
+    if n0 <= 0:
+        raise ValueError(f"n0 = {n0} must be positive")
     value = Fraction(Q ** (n + e) * e**e, (n0 * (q - 1 + l)) ** e * n**e)
     return BoundReport(
         "asym-total", value, True, {"q": q, "k": k, "n": n, "e": e, "l": l, "n0": n0}

@@ -23,7 +23,8 @@ their first error patterns, cells by position and value.  count is the
 number of error patterns that give the output and errors the first of them,
 as (row, cell) pairs.  Distinct count vectors give disjoint outputs, so each
 output is built once.  raw_received_set, hamming_sphere and deletion_ball
-are set views of the same rows' outputs.
+are set views of the same rows' outputs, and valid_sub_ball keeps the
+outputs whose columns are all letters.
 
 The decodability oracle works on RAW outputs: a received matrix is just k
 digit rows (possibly of unequal lengths) with no column-monotonicity
@@ -50,7 +51,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .alphabet import Word, all_letters
+from .alphabet import Word, _rank_tables
 
 _SUB_KINDS = ("sub-per-row", "sub-total", "sub-t-rows")
 _DEL_KINDS = ("del-per-row", "del-total", "del-t-rows")
@@ -437,28 +438,19 @@ def random_errors(word: Word, model: ErrorModel, seed: int) -> tuple[ReceivedRow
 
     subs: list[tuple[int, int, int]] = []
     dels: list[tuple[int, int]] = []
-    if kind in ("sub-per-row", "del-per-row"):
-        for i, e in enumerate(model.budgets):
-            pos = row_positions(e)
-            if kind == "sub-per-row":
-                subs += [(i, p, v) for p, v in _random_row_subs(rng, rows[i], pos, q)]
-            else:
-                dels += [(i, p) for p in pos]
-    elif kind in ("sub-total", "del-total"):
+    if kind.endswith("-total"):
         if model.total > k * n:
             raise ValueError(f"budget {model.total} exceeds the {k}x{n} grid")
         cells = [divmod(c, n) for c in rng.distinct(model.total, k * n)]
-        if kind == "sub-total":
-            for r, p in cells:
-                new = (rows[r][p] + 1 + rng.below(q - 1)) % q
-                subs.append((r, p, new))
+        if model.is_substitution:
+            subs += [(r, p, (rows[r][p] + 1 + rng.below(q - 1)) % q) for r, p in cells]
         else:
             dels += cells
-    else:  # t-rows kinds
-        chosen = rng.distinct(model.t, k)
-        for i, e in zip(chosen, model.budgets):
+    else:  # per-row kinds hit every row, t-rows kinds t rows drawn first
+        hit = rng.distinct(model.t, k) if kind.endswith("-t-rows") else range(k)
+        for i, e in zip(hit, model.budgets):
             pos = row_positions(e)
-            if kind == "sub-t-rows":
+            if model.is_substitution:
                 subs += [(i, p, v) for p, v in _random_row_subs(rng, rows[i], pos, q)]
             else:
                 dels += [(i, p) for p in pos]
@@ -532,7 +524,8 @@ def raw_received_set(word: Word, model: ErrorModel) -> set[ReceivedRows]:
 
 
 def valid_sub_ball(word: Word, per_row=None, total: int | None = None) -> set[Word]:
-    """Column-valid substitution ball around word.
+    """Column-valid substitution ball around word: the outputs of
+    sub_per_row(*per_row) or sub_total(total) whose columns are all letters.
 
     Exactly one of per_row (budgets e_1..e_k) and total may be given.  The
     result contains word itself and every valid word reachable within the
@@ -541,41 +534,11 @@ def valid_sub_ball(word: Word, per_row=None, total: int | None = None) -> set[Wo
     """
     if (per_row is None) == (total is None):
         raise ValueError("give exactly one of per_row and total")
-    q, k, n = word.q, word.k, word.n
-    letters = all_letters(q, k)
-    cols = list(zip(*word.rows()))
-
-    results: set[Word] = set()
-
-    def rec(j, acc, budget):
-        if j == n:
-            results.add(Word.from_letters(acc))
-            return
-        original = cols[j]
-        for lt in letters:
-            diff = [i for i in range(k) if lt.digits[i] != original[i]]
-            if per_row is not None:
-                new_budget = list(budget)
-                ok = True
-                for i in diff:
-                    new_budget[i] -= 1
-                    if new_budget[i] < 0:
-                        ok = False
-                        break
-                if ok:
-                    rec(j + 1, acc + [lt], tuple(new_budget))
-            else:
-                if len(diff) <= budget:
-                    rec(j + 1, acc + [lt], budget - len(diff))
-
-    if per_row is not None:
-        per_row = tuple(per_row)
-        if len(per_row) != k:
-            raise ValueError(f"expected {k} row budgets, got {len(per_row)}")
-        rec(0, [], per_row)
-    else:
-        rec(0, [], total)
-    return results
+    model = sub_total(total) if per_row is None else sub_per_row(*per_row)
+    q, k = word.q, word.k
+    lookup = _rank_tables(q, k)[1]
+    columns = ([lookup.get(col) for col in zip(*rows)] for _, rows, _ in outputs(word, model))
+    return {Word(q, k, ranks) for ranks in columns if None not in ranks}
 
 
 # ---------------------------------------------------------------------------

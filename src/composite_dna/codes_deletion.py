@@ -1,21 +1,24 @@
 """Deletion-correcting code families over the composite channel.
 
-Two decoders do all the work, one per construction shape.  Both hand the
-short rows to the row-repair core shared with the substitution codes
-(_codec.repair_rows): one Vandermonde solve of the intact rows' weighted
-power sums gives the short rows' syndromes, and each short row is then
-decoded on its own.  A single-deletion code is their t = 1 case, whose
-solve is the 1 x 1 system [[1]] over a modulus that need not be prime.
+Every family here follows one recipe.  Each row carries a single-deletion
+row code (_RowCode): VT(x) for binary rows and VT(psi(x)) for q-ary ones,
+mod a modulus.  The code's congruences, or its syndrome blocks, carry the
+weighted power sums of those row syndromes.  Two decoders do all the work,
+one per construction shape.  Both hand the short rows to the row-repair
+core shared with the substitution codes (_codec.repair_rows): one
+Vandermonde solve of the intact rows' weighted power sums gives the short
+rows' syndromes, and each short row is then decoded by its row code.  A
+single-deletion code is their t = 1 case, whose solve is the 1 x 1 system
+[[1]] over a modulus that need not be prime.
 
 Failures: malformed input (a shape that does not match the spec, a row that
 lost more than one symbol, more short rows than the code handles) is a
-ValueError.  The core's failures (too few intact syndrome blocks, a solved
-residue that does not lift, a repaired word with an invalid column), the
+ValueError.  Everything after that is a DecodeFailure: the core's failures
+(too few intact syndrome blocks, a solved residue that does not lift, a
+repaired word with an invalid column), an invalid column in clean or
+unrepaired rows, an invalid block letter, non-monotone marker flags, the
 post-decode congruence check, clean rows outside the code and a decoded
-payload whose codeword is not a supersequence of every row are
-DecodeFailures.  Some out-of-model words still end in a plain ValueError:
-an invalid column or block letter read off unrepaired rows and
-non-monotone marker flags.
+payload whose codeword is not a supersequence of every row.
 
 * congruence_*: codes cut out by syndrome congruences, decoded by
   _congruence_decode_t.  Binary t-row variants weight the per-row VT sums
@@ -25,13 +28,13 @@ non-monotone marker flags.
 * c1d_*: the binary t = 1 congruence code sum_i VT(c_i) = a mod n+1, with a
   systematic encoder whose redundancy lives on the base-(k+1) power
   positions {(k+1)^j}.
-* C2D/C4D: systematic t-row single-deletion codes, decoded by
-  _marker_decode.  They append, per syndrome index j, a marker column pair
-  (all-zero, all-one) followed by the base-Q digits of the j-th weighted
-  syndrome mod p.  The marker pair localizes which segment of an affected
-  row lost its symbol.
-* C3D: the q-ary t = 1 marker code, with one marker pair and one syndrome
-  block mod qm.
+* marker codes C2D, C3D, C4D: one MarkerSpec(q, k, t, m) describes them
+  all, and _marker_encode / _marker_decode serve them all.  The encoder
+  appends, per syndrome index j, a marker column pair (all-zero, all-one)
+  followed by the base-|Phi_{q,k}| digits of the j-th weighted syndrome.
+  The marker pair localizes which segment of an affected row lost its
+  symbol.  C2D is binary with t >= 2 rows, C4D q-ary with t >= 2, and C3D
+  the q-ary t = 1 code with one marker pair and one block mod qm.
 
 Row indices inside syndrome weights are 1-based (i = 1..k), as are the
 congruence targets; everything else in the code is 0-indexed.
@@ -43,7 +46,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._codec import block_value, check_payload, intake, repair_rows
+from ._codec import block_value, check_payload, intake, out_of_model, repair_rows
 from .alphabet import Word, alphabet_size, column_rank
 from .algebra import (
     digit_width,
@@ -61,6 +64,32 @@ from .vt_core import (
     vt_decode_one_deletion,
     vt_syndrome,
 )
+
+
+class _RowCode:
+    """The single-deletion code of one row of length n: VT(x) mod modulus
+    for binary rows, VT(psi(x)) mod modulus for psi rows.  A true row
+    syndrome lies below lift_bound: the modulus, or qn for psi rows."""
+
+    def __init__(self, q: int, n: int, modulus: int, psi: bool):
+        self.q, self.n, self.modulus, self.psi = q, n, modulus, psi
+        self.lift_bound = q * n if psi else modulus
+
+    def syndrome(self, row) -> int:
+        return qary_vt_syndrome(row, self.q) if self.psi else vt_syndrome(row)
+
+    def decode(self, row, residue: int):
+        """The row one symbol longer than row whose syndrome is residue."""
+        if self.psi:
+            return qary_decode_one_deletion(row, residue, self.q, self.n)
+        return vt_decode_one_deletion(row, residue, self.modulus)
+
+    def sums(self, rows, t: int) -> list[int]:
+        """The first t weighted power sums of the rows' syndromes."""
+        return power_sums([self.syndrome(r) for r in rows], range(t), self.modulus)
+
+    def holds(self, rows, targets) -> bool:
+        return self.sums(rows, len(targets)) == [a % self.modulus for a in targets]
 
 
 def _is_subsequence(sub, sup) -> bool:
@@ -135,14 +164,12 @@ def c1d_message(word: Word) -> tuple[int, ...]:
 def c1d_decode(received: ReceivedRows, a: int) -> Word:
     """Recover from at most one deletion anywhere: the t = 1 congruence
     decode mod n+1, whose short row's VT residue is a minus the intact
-    rows' VT sums."""
+    rows' VT sums.  The post-decode check is the rank form of c1d_contains."""
     if received.q != 2:
         raise ValueError("c1d is a binary family")
-    modulus = received.n + 1
+    n = received.n
     return _congruence_decode_t(
-        received, (a,), modulus, modulus, vt_syndrome,
-        lambda word: c1d_contains(word, a),
-        lambda row, residue: vt_decode_one_deletion(row, residue, modulus),
+        received, (a,), _RowCode(2, n, n + 1, False), lambda word: c1d_contains(word, a)
     )
 
 
@@ -162,44 +189,41 @@ def congruence_contains_binary_t(word: Word, targets, p: int) -> bool:
     if word.q != 2:
         raise ValueError("binary congruence family needs q = 2")
     _check_prime_above(p, max(word.k - 1, word.n), "the binary t-row family")
-    sums = power_sums([vt_syndrome(r) for r in word.rows()], range(len(targets)), p)
-    return sums == [t % p for t in targets]
+    return _RowCode(2, word.n, p, False).holds(word.rows(), targets)
 
 
 def congruence_contains_qary_one(word: Word, a: int) -> bool:
-    modulus = word.q * word.n
-    total = sum(qary_vt_syndrome(r, word.q) for r in word.rows()) % modulus
-    return total == a % modulus
+    q, n = word.q, word.n
+    return _RowCode(q, n, q * n, True).holds(word.rows(), (a,))
 
 
 def congruence_contains_qary_t(word: Word, targets, p: int) -> bool:
     targets = tuple(targets)
     _check_prime_above(p, max(word.k - 1, word.q * word.n), "the q-ary t-row family")
-    values = [qary_vt_syndrome(r, word.q) for r in word.rows()]
-    return power_sums(values, range(len(targets)), p) == [t % p for t in targets]
+    return _RowCode(word.q, word.n, p, True).holds(word.rows(), targets)
 
 
-def _congruence_decode_t(received, targets, p, lift_bound, syndrome, contains, decode_row):
+def _congruence_decode_t(received, targets, code: _RowCode, contains=None) -> Word:
     """Repair up to t = len(targets) short rows: the weighted sums of the
-    intact rows' syndromes leave a Vandermonde system mod p for the short
-    rows' syndromes, which must lie below lift_bound, and each short row is
-    then decoded on its own.  At t = 1 the system is [[1]], so p may be any
-    modulus."""
+    intact rows' syndromes leave a Vandermonde system mod code.modulus for
+    the short rows' syndromes, and each short row is then decoded by the row
+    code.  At t = 1 the system is [[1]], so the modulus need not be prime.
+    The result must meet the targets (code.holds), or contains when given."""
     short = _row_deficits(received, len(targets))
-    if not short:
-        word = Word.from_rows(received.rows, received.q)
-        if not contains(word):
-            raise DecodeFailure("clean rows do not satisfy the code congruences")
-        return word
-    # the first |I| congruences suffice: with consecutive powers the matrix is
-    # a plain Vandermonde in the distinct row nodes, invertible since p > k - 1
-    word = repair_rows(
-        received.rows, received.q, short, range(len(targets)),
-        lambda j: targets[j], syndrome, p, lift_bound,
-        lambda i, residue: decode_row(received.rows[i], residue),
-    )
-    if not contains(word):
-        raise DecodeFailure("decoded word does not satisfy the code congruences")
+    if short:
+        # the first |I| congruences suffice: with consecutive powers the
+        # matrix is a plain Vandermonde in the distinct row nodes, invertible
+        # since p > k - 1
+        word = repair_rows(
+            received.rows, received.q, short, range(len(targets)),
+            lambda j: targets[j], code.syndrome, code.modulus, code.lift_bound,
+            lambda i, residue: code.decode(received.rows[i], residue),
+        )
+    else:
+        word = out_of_model(Word.from_rows, received.rows, received.q)
+    if not (contains(word) if contains else code.holds(word.rows(), targets)):
+        what = "decoded word" if short else "clean rows"
+        raise DecodeFailure(f"{what} does not satisfy the code congruences")
     return word
 
 
@@ -215,32 +239,20 @@ def congruence_decode_binary_t(received: ReceivedRows, targets, p: int) -> Word:
             "decoding still uses consecutive syndrome indices, which stay invertible",
             stacklevel=2,
         )
-    return _congruence_decode_t(
-        received, targets, p, p, vt_syndrome,
-        lambda word: congruence_contains_binary_t(word, targets, p),
-        lambda row, residue: vt_decode_one_deletion(row, residue, p),
-    )
+    return _congruence_decode_t(received, targets, _RowCode(2, n, p, False))
 
 
 def congruence_decode_qary_one(received: ReceivedRows, a: int) -> Word:
     """The t = 1 q-ary congruence decode mod qn."""
     q, n = received.q, received.n
-    return _congruence_decode_t(
-        received, (a,), q * n, q * n, lambda row: qary_vt_syndrome(row, q),
-        lambda word: congruence_contains_qary_one(word, a),
-        lambda row, residue: qary_decode_one_deletion(row, residue, q, n),
-    )
+    return _congruence_decode_t(received, (a,), _RowCode(q, n, q * n, True))
 
 
 def congruence_decode_qary_t(received: ReceivedRows, targets, p: int) -> Word:
     targets = tuple(targets)
     q, n, k = received.q, received.n, received.k
     _check_prime_above(p, max(k - 1, q * n), "the q-ary t-row family")
-    return _congruence_decode_t(
-        received, targets, p, q * n, lambda row: qary_vt_syndrome(row, q),
-        lambda word: congruence_contains_qary_t(word, targets, p),
-        lambda row, residue: qary_decode_one_deletion(row, residue, q, n),
-    )
+    return _congruence_decode_t(received, targets, _RowCode(q, n, p, True))
 
 
 # ---------------------------------------------------------------------------
@@ -248,135 +260,112 @@ def congruence_decode_qary_t(received: ReceivedRows, targets, p: int) -> Word:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class C2DSpec:
-    """Binary t-row single-deletion code: payload length m, prime in (m, 2m)."""
+class MarkerSpec:
+    """A systematic marker code over Phi_{q,k}: payload length m and t
+    syndrome blocks.  Its rows' syndromes range below m (binary VT) or qm
+    (VT(psi)); the blocks hold their power sums mod that range at t = 1,
+    and mod the prime in (range, 2 range) at t >= 2.  At t >= 2 the payload
+    must be at least f(k, t) long, so that the prime exceeds f(k, t): this
+    is the one f(k, t) gate of the marker codes.  C2DSpec, C3DSpec and
+    C4DSpec build it."""
 
+    q: int
     k: int
     t: int
     m: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("need k >= 2")
-        if not 2 <= self.t <= self.k:
-            raise ValueError("need 2 <= t <= k")
-        need = f_threshold(self.k, self.t)
-        if self.m < need:
-            raise ValueError(f"payload length m={self.m} below f(k,t)={need}")
-
-    @property
-    def q(self) -> int:
-        return 2
-
-    @cached_property
-    def p(self) -> int:
-        return next_prime_bertrand(self.m)
-
-    @cached_property
-    def delta(self) -> int:
-        return digit_width(self.k + 1, self.p)
-
-    @property
-    def n(self) -> int:
-        return self.m + self.t * (self.delta + 2)
-
-    def syndromes(self, payload: Word):
-        values = [vt_syndrome(r) for r in payload.rows()]
-        return power_sums(values, range(self.t), self.p)
-
-
-@dataclass(frozen=True)
-class C3DSpec:
-    """q-ary single-deletion code: the t = 1 marker code, with one marker
-    pair and one syndrome block mod qm."""
-
-    q: int
-    k: int
-    m: int
-    t = 1
-
-    def __post_init__(self):
-        if self.q < 3:
-            raise ValueError("need q >= 3 (binary is the c1d family)")
-        if self.k < 2 or self.m < 3:
-            raise ValueError("need k >= 2 and m >= 3")
+        if self.t >= 2:
+            need = f_threshold(self.k, self.t)
+            if self.m < need:
+                raise ValueError(f"payload length m={self.m} below f(k,t)={need}")
 
     @cached_property
     def modulus(self) -> int:
-        return self.q * self.m
-
-    @cached_property
-    def delta(self) -> int:
-        return digit_width(alphabet_size(self.q, self.k), self.modulus)
+        span = self.m if self.q == 2 else self.q * self.m
+        return span if self.t == 1 else next_prime_bertrand(span)
 
     @property
-    def n(self) -> int:
-        return self.m + self.t * (self.delta + 2)
-
-    def syndromes(self, payload: Word):
-        values = [qary_vt_syndrome(r, self.q) for r in payload.rows()]
-        return power_sums(values, range(self.t), self.modulus)
-
-
-@dataclass(frozen=True)
-class C4DSpec:
-    """q-ary t-row single-deletion code; syndromes are VT(psi) mod qm, lifted to F_p."""
-
-    q: int
-    k: int
-    t: int
-    m: int
-
-    def __post_init__(self):
-        if self.q < 3:
-            raise ValueError("need q >= 3 (binary is the C2D construction)")
-        if not 2 <= self.t <= self.k:
-            raise ValueError("need 2 <= t <= k")
-        need = f_threshold(self.k, self.t)
-        if self.m < need:
-            raise ValueError(f"payload length m={self.m} below f(k,t)={need}")
-
-    @cached_property
     def p(self) -> int:
-        return next_prime_bertrand(self.q * self.m)
+        """The blocks' modulus, the name the t-row codes' prime goes by."""
+        return self.modulus
+
+    @cached_property
+    def row_code(self) -> _RowCode:
+        return _RowCode(self.q, self.m, self.modulus, self.q != 2)
+
+    @cached_property
+    def base(self) -> int:
+        """The block digits' base: the alphabet size |Phi_{q,k}|."""
+        return alphabet_size(self.q, self.k)
 
     @cached_property
     def delta(self) -> int:
-        return digit_width(alphabet_size(self.q, self.k), self.p)
+        return digit_width(self.base, self.modulus)
 
     @property
     def n(self) -> int:
         return self.m + self.t * (self.delta + 2)
 
     def syndromes(self, payload: Word):
-        values = [qary_vt_syndrome(r, self.q) for r in payload.rows()]
-        return power_sums(values, range(self.t), self.p)
+        return self.row_code.sums(payload.rows(), self.t)
 
 
-def _marker_encode(payload: Word, spec, digit_base: int) -> Word:
+def _check_t_rows(k: int, t: int):
+    if not 2 <= t <= k:
+        raise ValueError("need 2 <= t <= k")
+
+
+def C2DSpec(k: int, t: int, m: int) -> MarkerSpec:
+    """Binary t-row single-deletion code: payload length m, prime in (m, 2m)."""
+    if k < 2:
+        raise ValueError("need k >= 2")
+    _check_t_rows(k, t)
+    return MarkerSpec(2, k, t, m)
+
+
+def C3DSpec(q: int, k: int, m: int) -> MarkerSpec:
+    """q-ary single-deletion code: the t = 1 marker code, with one marker
+    pair and one syndrome block mod qm."""
+    if q < 3:
+        raise ValueError("need q >= 3 (binary is the c1d family)")
+    if k < 2 or m < 3:
+        raise ValueError("need k >= 2 and m >= 3")
+    return MarkerSpec(q, k, 1, m)
+
+
+def C4DSpec(q: int, k: int, t: int, m: int) -> MarkerSpec:
+    """q-ary t-row single-deletion code; syndromes are VT(psi) mod qm, lifted to F_p."""
+    if q < 3:
+        raise ValueError("need q >= 3 (binary is the C2D construction)")
+    _check_t_rows(k, t)
+    return MarkerSpec(q, k, t, m)
+
+
+def _marker_encode(payload: Word, spec: MarkerSpec) -> Word:
     check_payload(payload, spec)
-    q, k = payload.q, payload.k
+    q, k, base = payload.q, payload.k, spec.base
     markers = [column_rank((0,) * k, q), column_rank((1,) * k, q)]
     ranks = list(payload.ranks())
     for value in spec.syndromes(payload):
         ranks += markers
-        ranks += expand_base(value, digit_base, digit_base**spec.delta)
+        ranks += expand_base(value, base, base**spec.delta)
     return Word.from_ranks(ranks, q, k)
 
 
-def c2d_encode(payload: Word, spec: C2DSpec) -> Word:
-    return _marker_encode(payload, spec, spec.k + 1)
+def c2d_encode(payload: Word, spec: MarkerSpec) -> Word:
+    return _marker_encode(payload, spec)
 
 
-def c3d_encode(payload: Word, spec: C3DSpec) -> Word:
-    return _marker_encode(payload, spec, alphabet_size(spec.q, spec.k))
+def c3d_encode(payload: Word, spec: MarkerSpec) -> Word:
+    return _marker_encode(payload, spec)
 
 
-def c4d_encode(payload: Word, spec: C4DSpec) -> Word:
-    return _marker_encode(payload, spec, alphabet_size(spec.q, spec.k))
+def c4d_encode(payload: Word, spec: MarkerSpec) -> Word:
+    return _marker_encode(payload, spec)
 
 
-def _segment_of(row, short: bool, spec) -> int | None:
+def _segment_of(row, short: bool, spec: MarkerSpec) -> int | None:
     """Which block the row's deletion damaged, or None for a payload hit.
 
     The zero/one marker pair opening block j sits at positions
@@ -390,7 +379,7 @@ def _segment_of(row, short: bool, spec) -> int | None:
         return -1  # clean row: damages nothing, shifts nothing
     flags = [row[spec.m + j * (spec.delta + 2)] == 1 for j in range(spec.t)]
     if any(flags[j] and not flags[j + 1] for j in range(spec.t - 1)):
-        raise ValueError("marker flags are not monotone; more than one deletion?")
+        raise DecodeFailure("marker flags are not monotone; more than one deletion?")
     if flags[0]:
         return None
     if not flags[-1]:
@@ -398,7 +387,7 @@ def _segment_of(row, short: bool, spec) -> int | None:
     return next(j for j in range(spec.t) if flags[j]) - 1
 
 
-def _read_block_digits(received, spec, damage, j: int, digit_base: int) -> int:
+def _read_block_digits(received, spec: MarkerSpec, damage, j: int) -> int:
     """Assemble block j's digit columns across rows, undoing per-row shifts.
 
     A row shifted at block j's digits is one whose deletion happened earlier
@@ -413,16 +402,17 @@ def _read_block_digits(received, spec, damage, j: int, digit_base: int) -> int:
         seg = damage[i]
         at = start - (1 if (seg is None or 0 <= seg < j) else 0)
         segments.append(row[at : at + width])
-    return block_value(segments, received.q, digit_base)
+    return out_of_model(block_value, segments, received.q, spec.base)
 
 
-def _marker_decode(received: ReceivedRows, spec, digit_base, modulus, lift_bound, row_decode, row_syndrome) -> Word:
+def _marker_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
     """Repair up to spec.t short rows of a marker code: each short row's
     marker flags say which segment lost its symbol, the intact syndrome
-    blocks give the payload-hit rows' syndromes by one solve mod modulus,
-    and the decoded payload must re-encode to a supersequence of every row."""
+    blocks give the payload-hit rows' syndromes by one solve mod
+    spec.modulus, and the decoded payload must re-encode to a supersequence
+    of every row."""
     intake(received, spec, full_length=False)
-    t = spec.t
+    t, code = spec.t, spec.row_code
     short = _row_deficits(received, t)
 
     # damage[i]: -1 clean, None payload hit, j >= 0 block j hit
@@ -439,52 +429,29 @@ def _marker_decode(received: ReceivedRows, spec, digit_base, modulus, lift_bound
         blocked = {seg for seg in damage.values() if seg is not None and seg >= 0}
         payload = repair_rows(
             rows, received.q, unknown, [j for j in range(t) if j not in blocked],
-            lambda j: _read_block_digits(received, spec, damage, j, digit_base),
-            row_syndrome, modulus, lift_bound,
-            lambda i, value: row_decode(received.rows[i][: spec.m - 1], value),
+            lambda j: _read_block_digits(received, spec, damage, j),
+            code.syndrome, code.modulus, code.lift_bound,
+            lambda i, value: code.decode(received.rows[i][: spec.m - 1], value),
         )
     else:
-        payload = Word.from_rows(rows, received.q)
-    codeword = _marker_encode(payload, spec, digit_base)
+        payload = out_of_model(Word.from_rows, rows, received.q)
+    codeword = _marker_encode(payload, spec)
     for got, want in zip(received.rows, codeword.rows()):
         if not _is_subsequence(got, want):
             raise DecodeFailure("decoded payload is inconsistent with the received rows")
     return payload
 
 
-def c2d_decode(received: ReceivedRows, spec: C2DSpec) -> Word:
-    return _marker_decode(
-        received,
-        spec,
-        digit_base=spec.k + 1,
-        modulus=spec.p,
-        lift_bound=spec.p,
-        row_decode=lambda prefix, value: vt_decode_one_deletion(prefix, value, spec.p),
-        row_syndrome=vt_syndrome,
-    )
+def c2d_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
+    return _marker_decode(received, spec)
 
 
-def _qary_marker_decode(received: ReceivedRows, spec, modulus: int) -> Word:
-    """C3D and C4D: VT(psi) rows, whose syndromes lift below qm."""
-    return _marker_decode(
-        received,
-        spec,
-        digit_base=alphabet_size(spec.q, spec.k),
-        modulus=modulus,
-        lift_bound=spec.q * spec.m,
-        row_decode=lambda prefix, value: qary_decode_one_deletion(
-            prefix, value, spec.q, spec.m
-        ),
-        row_syndrome=lambda row: qary_vt_syndrome(row, spec.q),
-    )
-
-
-def c3d_decode(received: ReceivedRows, spec: C3DSpec) -> Word:
+def c3d_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
     """Single deletion anywhere: the t = 1 marker decode mod qm.  The lone
     marker pair says whether the short row's payload was hit; if so the
     syndrome block drives VT(psi) decoding."""
-    return _qary_marker_decode(received, spec, spec.modulus)
+    return _marker_decode(received, spec)
 
 
-def c4d_decode(received: ReceivedRows, spec: C4DSpec) -> Word:
-    return _qary_marker_decode(received, spec, spec.p)
+def c4d_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
+    return _marker_decode(received, spec)

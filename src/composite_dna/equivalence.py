@@ -78,5 +78,6 @@ def transport_code(codebook, emap: EquivalenceMap | str):
     if isinstance(emap, str):
         emap = EquivalenceMap(emap)
     out = {emap.on_word(w) for w in codebook}
-    assert len(out) == len(set(codebook))
+    if len(out) != len(set(codebook)):
+        raise ValueError(f"{emap.name} merged codewords; it is not a bijection")
     return out

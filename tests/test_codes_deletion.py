@@ -332,6 +332,28 @@ class TestC4D:
                 assert 0 <= value < spec.p
 
 
+def test_marker_specs_keep_t_rows_apart_from_c3d():
+    # t = 1 is C3D's shape, but the t-row constructors must not build it
+    with pytest.raises(ValueError, match="2 <= t <= k"):
+        C4DSpec(3, 3, 1, 6)
+    with pytest.raises(ValueError, match="2 <= t <= k"):
+        C2DSpec(3, 1, 6)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [C2DSpec(3, 2, 16), C3DSpec(3, 2, 3), C4DSpec(3, 3, 2, 6)],
+    ids=["c2d", "c3d", "c4d"],
+)
+def test_marker_spec_replace_keeps_equality_and_hash(spec):
+    before = dataclasses.replace(spec)
+    assert spec == before and hash(spec) == hash(before)
+    spec.syndromes(sample_payloads(spec.q, spec.k, spec.m, 1, seed=2)[0])
+    after = dataclasses.replace(spec)
+    assert spec == after and hash(spec) == hash(after)
+    assert (after.modulus, after.delta, after.n) == (spec.modulus, spec.delta, spec.n)
+
+
 def test_marker_specs_redundancy_accounting():
     for spec in [C2DSpec(2, 2, 4), C2DSpec(3, 2, 5), C2DSpec(3, 3, 6)]:
         assert spec.n - spec.m == spec.t * (spec.delta + 2)
@@ -364,6 +386,40 @@ def test_out_of_model_congruence_decodes_fail_typed():
             assert congruence_contains_binary_t(got, (0, 0), 11)
     assert post_check == 79
     assert (failures, successes) == (294, 6)
+
+
+def test_clean_rows_with_an_invalid_column_fail_typed():
+    rows = ((1, 0, 0, 0), (0, 0, 0, 0))  # column 0 reads (1, 0)
+    with pytest.raises(DecodeFailure, match="column 0"):
+        c1d_decode(ReceivedRows(rows, 2, 4), 0)
+    with pytest.raises(DecodeFailure, match="column 0"):
+        congruence_decode_qary_one(ReceivedRows(((2, 0, 0), (1, 0, 0)), 3, 3), 0)
+
+
+def test_non_monotone_marker_flags_fail_typed():
+    spec = C2DSpec(k=2, t=2, m=4)  # markers open at 4 and 8
+    word = c2d_encode(Word.from_ranks((1, 0, 2, 1), 2, 2), spec)
+    rows = [list(r) for r in word.rows()]
+    del rows[0][0]  # a payload hit: the row reads 1 at both marker positions
+    rows[0][8] = 0  # ... unless the second one is flipped back
+    with pytest.raises(DecodeFailure, match="not monotone"):
+        c2d_decode(ReceivedRows(tuple(map(tuple, rows)), 2, spec.n), spec)
+
+
+def test_invalid_block_letter_fails_typed():
+    spec = C3DSpec(q=3, k=2, m=3)  # payload 0..2, markers 3 and 4, digits 5 and 6
+    # row 0 lost a payload symbol, so its digits are read one place early
+    # and meet row 1's digits in the columns (2, 0)
+    rows = ((0, 0, 0, 1, 2, 2), (0, 0, 0, 0, 1, 0, 0))
+    with pytest.raises(DecodeFailure, match="invalid letter"):
+        c3d_decode(ReceivedRows(rows, 3, spec.n), spec)
+
+
+def test_unrepaired_payload_with_an_invalid_column_fails_typed():
+    spec = C3DSpec(q=3, k=2, m=3)
+    rows = ((1, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0, 0))  # no payload hit
+    with pytest.raises(DecodeFailure, match="column 0"):
+        c3d_decode(ReceivedRows(rows, 3, spec.n), spec)
 
 
 def single_row_decoder_inputs(seed, count):
@@ -418,9 +474,9 @@ def single_row_decoder_inputs(seed, count):
 def test_single_row_decoders_out_of_model():
     # out-of-model words end as DecodeFailure or the ValueError of a rejected
     # input, never as another exception; the counts pin the t = 1 decoders'
-    # outcomes.  Clean rows outside the code and a decoded payload that the
-    # received rows contradict are DecodeFailures; an invalid column or
-    # block letter read off unrepaired rows is still a ValueError
+    # outcomes.  Everything after the intake is a DecodeFailure, so the
+    # ValueErrors left are the _row_deficits rejections: a row that lost
+    # two or more symbols, or more than one short row
     counts = {}
     for family, decode, received in single_row_decoder_inputs(5, 900):
         try:
@@ -433,14 +489,14 @@ def test_single_row_decoders_out_of_model():
             outcome = "decoded"
         counts[family, outcome] = counts.get((family, outcome), 0) + 1
     assert counts == {
-        ("c1d", "DecodeFailure"): 78,
-        ("c1d", "ValueError"): 121,
+        ("c1d", "DecodeFailure"): 96,
+        ("c1d", "ValueError"): 103,
         ("c1d", "decoded"): 101,
-        ("cong-qary-1", "DecodeFailure"): 72,
-        ("cong-qary-1", "ValueError"): 116,
+        ("cong-qary-1", "DecodeFailure"): 99,
+        ("cong-qary-1", "ValueError"): 89,
         ("cong-qary-1", "decoded"): 112,
-        ("c3d", "DecodeFailure"): 104,
-        ("c3d", "ValueError"): 123,
+        ("c3d", "DecodeFailure"): 126,
+        ("c3d", "ValueError"): 101,
         ("c3d", "decoded"): 73,
     }
 

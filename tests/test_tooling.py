@@ -4,7 +4,7 @@ runtime ``assert`` enters the library.
 The traced benchmark run patches every ``(module, attribute)`` in
 ``perfbench/tracing.py``'s TARGETS, so each must still name something in
 ``composite_dna``; each demo must still run to completion.  ``python -O``
-strips assert statements, so only the modules that still hold some may.
+strips assert statements, so no module of the package may hold one.
 """
 
 import ast
@@ -54,8 +54,8 @@ def test_demo_runs(demo):
     assert done.returncode == 0, done.stderr
 
 
-# modules whose remaining asserts are still to be replaced by real checks
-ASSERT_ALLOWED = {"bounds", "equivalence"}
+# modules still allowed a runtime assert: none, so the test covers every module
+ASSERT_ALLOWED: set[str] = set()
 
 
 def test_no_asserts_outside_the_allow_list():
