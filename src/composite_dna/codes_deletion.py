@@ -18,7 +18,9 @@ ValueError.  Everything after that is a DecodeFailure: the core's failures
 repaired word with an invalid column), an invalid column in clean or
 unrepaired rows, an invalid block letter, non-monotone marker flags, the
 post-decode congruence check, clean rows outside the code and a decoded
-payload whose codeword is not a supersequence of every row.
+payload whose codeword is not a supersequence of every row.  That last
+check costs O(log n) slice compares per short row and one compare per
+intact row, all at C speed.
 
 * congruence_*: codes cut out by syndrome congruences, decoded by
   _congruence_decode_t.  Binary t-row variants weight the per-row VT sums
@@ -93,6 +95,29 @@ class _RowCode:
 
 
 def _is_subsequence(sub, sup) -> bool:
+    """Whether sub is a subsequence of sup.  Equal lengths compare with ==.
+    A sub one symbol short is a subsequence exactly when it is sup with the
+    symbol at their first mismatch removed (the last symbol when sub is a
+    prefix of sup): a binary search of slice compares finds that mismatch,
+    and one suffix compare decides.  Other lengths use
+    _reference_is_subsequence."""
+    sub, sup = tuple(sub), tuple(sup)
+    if len(sub) == len(sup):
+        return sub == sup
+    if len(sub) != len(sup) - 1:
+        return _reference_is_subsequence(sub, sup)
+    lo, hi = 0, len(sub)  # sub[:lo] == sup[:lo]; the first mismatch is in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sub[lo : mid + 1] == sup[lo : mid + 1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return sub[lo:] == sup[lo + 1 :]
+
+
+def _reference_is_subsequence(sub, sup) -> bool:
+    """The generic greedy scan, one interpreted step per symbol of sup."""
     it = iter(sup)
     return all(any(v == w for w in it) for v in sub)
 
@@ -275,6 +300,9 @@ class MarkerSpec:
     m: int
 
     def __post_init__(self):
+        if self.q == 2 and self.t == 1:
+            # VT mod m cannot place a deletion in a row of length m
+            raise ValueError("binary rows need t >= 2 (t = 1 is the c1d family)")
         if self.t >= 2:
             need = f_threshold(self.k, self.t)
             if self.m < need:

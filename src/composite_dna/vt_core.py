@@ -7,21 +7,26 @@ provides:
 * binary single-deletion decoding from VT(x) mod N with N > len(x), in O(n)
   by Levenshtein's placement rule,
 * the difference transform psi and q-ary single-deletion decoding from
-  VT(psi(x)) mod q*n in O(q * n), from prefix and suffix sums of psi(y),
+  VT(psi(x)) mod q*n in O(n), from the suffix sums of psi(y),
 * q-ary single-substitution decoding from the pair (VT(x) mod 2n(q-1),
   Sum(x) mod q),
 * the 1-limited-magnitude code {c : VT(c) = a mod 2n+1} over Sigma_Q with its
   systematic encoder and decoder.
 
 Neither single-deletion decoder recomputes a syndrome per candidate: the
-binary one places the symbol directly, the q-ary one evaluates each candidate
-insertion in O(1).  The brute-force enumerators they replace, O(q * n^2), are
-kept as ``_reference_vt_decode_one_deletion`` and
+binary one places the symbol directly, the q-ary one solves for the one
+symbol per position that can meet the residue.  Their per-symbol work runs
+in C builtins (sum, map, accumulate, min/max, set).  The brute-force
+enumerators they replace, O(q * n^2), are kept as
+``_reference_vt_decode_one_deletion`` and
 ``_reference_qary_decode_one_deletion``; the tests check that both give the
 same rows and the same failures.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, chain, compress, count
+from operator import indexOf, lt, not_
 
 from .algebra import digit_width, expand_base
 
@@ -31,8 +36,9 @@ class DecodeFailure(ValueError):
 
 
 def vt_syndrome(x) -> int:
-    """VT(x) = sum_i i * x_i with positions counted from 1."""
-    return sum((i + 1) * v for i, v in enumerate(x))
+    """VT(x) = sum_i i * x_i with positions counted from 1, for a sequence
+    x: the sum of its suffix sums, since x_i lies in the first i of them."""
+    return sum(accumulate(reversed(x)))
 
 
 def digit_sum(x) -> int:
@@ -56,7 +62,7 @@ def vt_decode_one_deletion(y, a: int, modulus: int):
     n = len(y) + 1
     if modulus <= n:
         raise ValueError(f"modulus {modulus} too small for length {n}")
-    if any(v not in (0, 1) for v in y):
+    if not set(y) <= {0, 1}:
         raise ValueError("received row is not over Sigma_2")
     return _levenshtein_insert(y, (a - vt_syndrome(y)) % modulus)
 
@@ -69,16 +75,13 @@ def _levenshtein_insert(y, d: int):
     """
     weight = sum(y)
     if d <= weight:
-        pos, ones = len(y), 0
-        while ones < d:
-            pos -= 1
-            ones += y[pos]
+        # a 0 just left of the d-th one from the right
+        pos = len(y) - indexOf(accumulate(reversed(y)), d) - 1 if d else len(y)
         return y[:pos] + (0,) + y[pos:]
     if d <= len(y) + 1:
-        pos, zeros = 0, 0
-        while zeros < d - weight - 1:
-            zeros += 1 - y[pos]
-            pos += 1
+        # a 1 just right of the (d - w - 1)-th zero from the left
+        zeros = d - weight - 1
+        pos = indexOf(accumulate(map(not_, y)), zeros) + 1 if zeros else 0
         return y[:pos] + (1,) + y[pos:]
     raise DecodeFailure("expected exactly one candidate, found 0")
 
@@ -114,72 +117,69 @@ def psi(x, q: int):
     x = tuple(x)
     if not x:
         raise ValueError("psi of an empty sequence")
-    return tuple((x[i] - x[i + 1]) % q for i in range(len(x) - 1)) + (x[-1],)
+    return tuple([(u - v) % q for u, v in zip(x, x[1:])]) + (x[-1],)
 
 
 def psi_inverse(z, q: int):
+    """x_i = z_i + ... + z_n mod q, the suffix sums of z."""
     z = tuple(z)
     if not z:
         raise ValueError("psi_inverse of an empty sequence")
-    out = [0] * len(z)
-    out[-1] = z[-1] % q
-    for i in range(len(z) - 2, -1, -1):
-        out[i] = (z[i] + out[i + 1]) % q
-    return tuple(out)
+    return tuple([s % q for s in accumulate(reversed(z))][::-1])
 
 
 def qary_vt_syndrome(x, q: int) -> int:
-    """VT(psi(x)) mod q*n — the deletion syndrome for q-ary rows."""
-    n = len(tuple(x))
-    return vt_syndrome(psi(x, q)) % (q * n)
+    """VT(psi(x)) mod q*n — the deletion syndrome for q-ary rows.
+
+    For digits of Sigma_q, (x_i - x_{i+1}) mod q is x_i - x_{i+1}, plus q
+    when x_i < x_{i+1}; the weighted sum telescopes to Sum(x) plus q times
+    the sum of the (1-based) ascent positions i, those with x_i < x_{i+1}.
+    """
+    x = tuple(x)
+    if not x:
+        raise ValueError("psi of an empty sequence")
+    ascents = compress(count(1), map(lt, x, x[1:]))
+    return (sum(x) + q * sum(ascents)) % (q * len(x))
 
 
 def qary_decode_one_deletion(y, a: int, q: int, n: int):
     """Recover x of length n over Sigma_q from one deletion, given
-    VT(psi(x)) = a (mod q*n).
+    VT(psi(x)) = a (mod q*n), in O(n).
 
-    Inserting sym at pos < n - 1 changes only the psi entries at pos - 1 and
-    pos; the psi entries of the tail are those of y, each one weight further
-    right.  With prefix sums head[r] = sum_{i<r} (i+1) psi(y)_i and suffix
-    sums tail[r] = sum_{j>=r} (j+2) psi(y)_j every candidate costs O(1), so
-    a decode costs O(q * n).  Appending at pos = n - 1 makes sym the last
-    psi entry, with weight n.  ``_reference_qary_decode_one_deletion`` is the
-    brute-force oracle.
+    Write e = y + (0,), so that psi(e) = psi(y) + (0,), and let S = VT(psi(y))
+    and s_pos = psi(e)_pos + ... + psi(e)_{n-1}.  Inserting sym at pos
+    changes only the psi entries at pos - 1 and pos.  With
+    u = (sym - e_pos) mod q and c = psi(e)_{pos-1} = (y_{pos-1} - e_pos) mod q,
+    the new row's syndrome is S + s_pos + u for u < c and
+    S + s_pos + pos*q + u for u > c; at pos = 0 there is no c, and every u
+    gives S + s_0 + u, the second form with c = -1.  All of them lie in
+    [S + s_pos, S + s_pos + q*n), so r = (a - S - s_pos) mod q*n names the
+    one symbol of each form that can match: u = r if r < c, and
+    u = r - pos*q if pos*q + c < r < (pos + 1)*q.
+    ``_reference_qary_decode_one_deletion`` is the brute-force oracle.
 
-    Only *canonical* insertions (pos, sym) are counted: inserting sym at pos
-    gives the same row as inserting it at pos - 1 when y[pos - 1] == sym, so
-    those are skipped and every distinct supersequence of y is visited once.
-    The number of matches is then the number of distinct candidate rows,
-    which is what the reference enumerator counts.
+    u = c means sym = y_{pos-1}, the same row as inserting sym at pos - 1:
+    only *canonical* insertions are counted, so every distinct supersequence
+    of y is visited once.  The number of matches is then the number of
+    distinct candidate rows, which is what the reference enumerator counts.
     """
     y = tuple(y)
     if len(y) != n - 1:
         raise ValueError(f"received length {len(y)}, expected {n - 1}")
-    if any(not 0 <= v < q for v in y):
+    if y and (min(y) < 0 or max(y) >= q):
         raise ValueError(f"received row is not over Sigma_{q}")
     modulus = q * n
-    target = a % modulus
-    z = psi(y, q) if y else ()
-    head = [0] * n
-    for i in range(n - 2):
-        head[i + 1] = head[i] + (i + 1) * z[i]
-    tail = [0] * n
-    for j in range(n - 2, -1, -1):
-        tail[j] = tail[j + 1] + (j + 2) * z[j]
-    hits = []
-    for pos in range(n):
-        before = y[pos - 1] if pos else None
-        for sym in range(q):
-            if sym == before:
-                continue
-            # psi entries left of pos - 1 are those of y; pos - 1 becomes before - sym
-            syn = (head[pos - 1] + pos * ((before - sym) % q)) if pos else 0
-            if pos < n - 1:
-                syn += (pos + 1) * ((sym - y[pos]) % q) + tail[pos]
-            else:
-                syn += n * sym
-            if syn % modulus == target:
-                hits.append((pos, sym))
+    e = y + (0,)
+    z = psi(e, q)
+    d = a - vt_syndrome(z)
+    suffix = reversed(list(accumulate(reversed(z))))
+    hits = [
+        (pos, (e[pos] + r) % q)
+        for pos, c, r in zip(
+            count(), chain((-1,), z), [(d - s) % modulus for s in suffix]
+        )
+        if r < c or pos * q + c < r < (pos + 1) * q
+    ]
     if len(hits) != 1:
         raise DecodeFailure(f"expected exactly one candidate, found {len(hits)}")
     ((pos, sym),) = hits
@@ -198,7 +198,7 @@ def _reference_qary_decode_one_deletion(y, a: int, q: int, n: int):
     for pos in range(n):
         for sym in range(q):
             cand = y[:pos] + (sym,) + y[pos:]
-            if qary_vt_syndrome(cand, q) == a % (q * n):
+            if vt_syndrome(psi(cand, q)) % (q * n) == a % (q * n):
                 candidates.add(cand)
     if len(candidates) != 1:
         raise DecodeFailure(

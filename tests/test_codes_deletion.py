@@ -340,6 +340,44 @@ def test_marker_specs_keep_t_rows_apart_from_c3d():
         C2DSpec(3, 1, 6)
 
 
+def test_binary_marker_spec_needs_two_rows():
+    # VT mod m cannot place a deletion in a binary row of length m
+    with pytest.raises(ValueError, match="c1d"):
+        dataclasses.replace(C2DSpec(2, 2, 4), t=1)
+    with pytest.raises(ValueError, match="c1d"):
+        codes_deletion.MarkerSpec(2, 3, 1, 8)
+
+
+def test_is_subsequence_matches_the_generic_scan():
+    rng = random.Random(23)
+
+    def row(q, length, runs):
+        out = []
+        while len(out) < length:
+            out += [rng.randrange(q)] * (rng.randint(1, 9) if runs else 1)
+        return tuple(out[:length])
+
+    verdicts = set()
+    for _ in range(4000):
+        q, n, runs = rng.randint(2, 4), rng.randint(0, 40), rng.random() < 0.5
+        sup = row(q, n, runs)
+        length = rng.randint(max(0, n - 2), n + 1)
+        if length <= n and rng.random() < 0.7:
+            # delete n - length symbols, then sometimes change one
+            sub = list(sup)
+            for _ in range(n - length):
+                del sub[rng.randrange(len(sub))]
+            if sub and rng.random() < 0.4:
+                sub[rng.randrange(len(sub))] = rng.randrange(q)
+            sub = tuple(sub)
+        else:
+            sub = row(q, length, runs)
+        got = codes_deletion._is_subsequence(sub, sup)
+        assert got == codes_deletion._reference_is_subsequence(sub, sup), (sub, sup)
+        verdicts.add((n - length, got))
+    assert verdicts == {(-1, False)} | {(d, v) for d in (0, 1, 2) for v in (True, False)}
+
+
 @pytest.mark.parametrize(
     "spec",
     [C2DSpec(3, 2, 16), C3DSpec(3, 2, 3), C4DSpec(3, 3, 2, 6)],

@@ -1,5 +1,7 @@
 """Tests for VT syndromes and the primitive single-error decoders."""
 
+import random
+import sys
 from itertools import product
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_dna import vt_core
+from composite_dna.codes_deletion import _is_subsequence
 from composite_dna.vt_core import (
     _reference_qary_decode_one_deletion,
     _reference_vt_decode_one_deletion,
@@ -94,6 +97,13 @@ def test_psi_round_trip(q, raw):
     x = tuple(v % q for v in raw)
     assert psi_inverse(psi(x, q), q) == x
     assert psi(psi_inverse(x, q), q) == x
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 6), (4, 5), (5, 4)])
+def test_qary_vt_syndrome_is_vt_of_psi(q, n):
+    for length in range(1, n + 1):
+        for x in product(range(q), repeat=length):
+            assert qary_vt_syndrome(x, q) == vt_syndrome(psi(x, q)) % (q * length)
 
 
 def test_qary_decode_single_symbol():
@@ -321,8 +331,9 @@ def test_vt_decode_matches_reference_exhaustively(n):
                 )
 
 
-@pytest.mark.parametrize("q,n", [(2, 8), (3, 6), (4, 5), (5, 4)])
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 6), (4, 5), (5, 4), (7, 3), (9, 3)])
 def test_qary_decode_matches_reference_exhaustively(q, n):
+    # q > n reaches every symbol offset on both sides of c at the end positions
     for length in range(1, n + 1):
         for y in product(range(q), repeat=length - 1):
             for a in range(q * length):
@@ -366,6 +377,47 @@ def test_row_decode_makes_constant_syndrome_evaluations(
     calls.clear()
     assert outcome(reference, *args) == got
     assert len(calls) == q * 400  # the enumerator: one per (position, symbol)
+
+
+def line_events(func, *args):
+    """The number of 'line' trace events that func(*args) runs: a count of
+    interpreted steps, the same on every machine."""
+    events = 0
+
+    def tracer(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        func(*args)
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+def test_qary_decode_interprets_no_per_symbol_loop():
+    # O(n): the alphabet size must not multiply the interpreted work
+    def events(q):
+        x = tuple(random.Random(q).randrange(q) for _ in range(400))
+        return line_events(
+            qary_decode_one_deletion, x[:150] + x[151:], qary_vt_syndrome(x, q), q, 400
+        )
+
+    assert events(16) <= 1.5 * events(2)
+
+
+def test_supersequence_check_interprets_sublinear_work():
+    # a row one symbol short: a binary search of C-level slice compares
+    def events(n):
+        sup = tuple(random.Random(n).randrange(4) for _ in range(n))
+        sub = sup[: n // 3] + sup[n // 3 + 1 :]
+        assert _is_subsequence(sub, sup)
+        return line_events(_is_subsequence, sub, sup)
+
+    assert events(4096) <= 2 * events(512)
 
 
 if __name__ == "__main__":
