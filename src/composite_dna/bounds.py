@@ -7,6 +7,13 @@ Two kinds of results are produced:
   — these are flagged asymptotic=True and are table generators, not finite-n
   guarantees.
 
+Each substitution bound states only its own preconditions and denominator.
+``_sphere_packing`` makes every exact report, Q^n / (C(n, h) c^h + 1), and
+``_leading_term`` every asymptotic one, Q^(n+e) prod_v v^v / (D n^e) over
+the nonzero budgets v.  Both sit behind one parameter check, ``_check``:
+q >= 2, k >= 1, n >= 1, and a per-row budget list holds exactly k budgets.
+Every input outside that domain is a ValueError that names the parameter.
+
 All arithmetic is exact (integers and fractions.Fraction); nothing here
 touches floats.
 """
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .alphabet import alphabet_size
 
@@ -38,9 +45,18 @@ class BoundReport:
         return self.value.numerator // self.value.denominator
 
 
-def _nonzero_profile(budgets):
+def _check(q: int, k: int, n: int, budgets=None):
+    """Reject parameters outside q >= 2, k >= 1, n >= 1 and one budget per row."""
+    for name, value, low in (("q", q, 2), ("k", k, 1), ("n", n, 1)):
+        if value < low:
+            raise ValueError(f"need {name} >= {low}, got {name}={value}")
+    if budgets is not None and len(budgets) != k:
+        raise ValueError(f"expected {k} budgets, got {len(budgets)}")
+
+
+def _nonzero_profile(q: int, k: int, n: int, budgets):
     """(rows, values) of the nonzero budgets; rows are 1-indexed and sorted."""
-    budgets = tuple(budgets)
+    _check(q, k, n, budgets)
     if any(b < 0 for b in budgets):
         raise ValueError("budgets must be nonnegative")
     rows = [i + 1 for i, b in enumerate(budgets) if b > 0]
@@ -51,6 +67,22 @@ def _gap_run_set(rows):
     """R = {1 < j < m : l_j - l_{j-1} = 1}, with j indexing the sorted rows."""
     m = len(rows)
     return {j for j in range(2, m) if rows[j - 1] - rows[j - 2] == 1}
+
+
+def _sphere_packing(family: str, q: int, k: int, n: int, h: int, c: int, **params):
+    """Q^n / (C(n, h) * c^h + 1): at least C(n, h) c^h neighbours per codeword."""
+    _check(q, k, n)
+    value = Fraction(alphabet_size(q, k) ** n, comb(n, h) * c**h + 1)
+    return BoundReport(family, value, False, {"q": q, "k": k, "n": n, **params})
+
+
+def _leading_term(family: str, q: int, k: int, n: int, values, denom: int, **params):
+    """Q^(n+e) * prod_v v^v / (denom * n^e), e = sum(values): an asymptotic term."""
+    _check(q, k, n)
+    e = sum(values)
+    numer = alphabet_size(q, k) ** (n + e) * prod(v**v for v in values)
+    value = Fraction(numer, denom * n**e)
+    return BoundReport(family, value, True, {"q": q, "k": k, "n": n, **params})
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +96,7 @@ def sp_bound_per_row(q: int, k: int, n: int, budgets) -> BoundReport:
     C(n, e_k) * (sum_{l=1}^{q-1} C(l+k-1, l))^{e_k} valid neighbours.
     """
     budgets = tuple(budgets)
-    if len(budgets) != k:
-        raise ValueError(f"expected {k} budgets, got {len(budgets)}")
+    _check(q, k, n, budgets)
     if any(budgets[i] < budgets[i + 1] for i in range(k - 1)):
         raise ValueError("budgets must be sorted nonincreasingly")
     if budgets[-1] < 1:
@@ -74,11 +105,7 @@ def sp_bound_per_row(q: int, k: int, n: int, budgets) -> BoundReport:
     if ek > n:
         raise ValueError(f"smallest budget {ek} exceeds the length {n}")
     per_column = sum(comb(l + k - 1, l) for l in range(1, q))
-    denom = comb(n, ek) * per_column**ek + 1
-    value = Fraction(alphabet_size(q, k) ** n, denom)
-    return BoundReport(
-        "sp-per-row", value, False, {"q": q, "k": k, "n": n, "budgets": budgets}
-    )
+    return _sphere_packing("sp-per-row", q, k, n, ek, per_column, budgets=budgets)
 
 
 def sp_bound_total(q: int, k: int, n: int, e: int) -> BoundReport:
@@ -87,9 +114,7 @@ def sp_bound_total(q: int, k: int, n: int, e: int) -> BoundReport:
         raise ValueError("total budget must be >= 1")
     if e > k * n:
         raise ValueError(f"budget {e} exceeds the {k}x{n} grid")
-    denom = comb(n, e) * (q - 1) ** e + 1
-    value = Fraction(alphabet_size(q, k) ** n, denom)
-    return BoundReport("sp-total", value, False, {"q": q, "k": k, "n": n, "e": e})
+    return _sphere_packing("sp-total", q, k, n, e, q - 1, e=e)
 
 
 # ---------------------------------------------------------------------------
@@ -100,49 +125,37 @@ def asym_bound_total(q: int, k: int, n: int, e: int, l: int) -> BoundReport:
     """Leading term for total-budget codes with a free parameter 1 <= l <= q-1."""
     if not 1 <= l <= q - 1:
         raise ValueError(f"l must lie in [1, {q - 1}], got {l}")
-    if e < 1 or n < 1:
-        raise ValueError("need e >= 1 and n >= 1")
+    if e < 1:
+        raise ValueError("need e >= 1")
     Q = alphabet_size(q, k)
     n0 = Q - (q - l) * alphabet_size(l, k - 1) - alphabet_size(l, k)
     if n0 <= 0:
         raise ValueError(f"n0 = {n0} must be positive")
-    value = Fraction(Q ** (n + e) * e**e, (n0 * (q - 1 + l)) ** e * n**e)
-    return BoundReport(
-        "asym-total", value, True, {"q": q, "k": k, "n": n, "e": e, "l": l, "n0": n0}
-    )
+    denom = (n0 * (q - 1 + l)) ** e
+    return _leading_term("asym-total", q, k, n, (e,), denom, e=e, l=l, n0=n0)
 
 
 def best_asym_total(q: int, k: int, n: int, e: int) -> BoundReport:
     """Sweep l and keep the smallest asym_bound_total (ties go to smaller l)."""
-    best = None
-    for l in range(1, q):
-        report = asym_bound_total(q, k, n, e, l)
-        if best is None or report.value < best.value:
-            best = report
-    return best
+    _check(q, k, n)
+    reports = [asym_bound_total(q, k, n, e, l) for l in range(1, q)]
+    return min(reports, key=lambda report: report.value)
 
 
 def asym_bound_general(q: int, k: int, n: int, budgets) -> BoundReport:
     """Leading term for per-row budgets with m = #nonzero rows, 1 <= m <= q."""
-    rows, values = _nonzero_profile(budgets)
+    budgets = tuple(budgets)
+    rows, values = _nonzero_profile(q, k, n, budgets)
     m = len(rows)
     if m == 0:
         raise ValueError("all budgets are zero")
     if m > q:
         raise ValueError(f"m={m} nonzero budgets exceed q={q}; use bound_m_gt_q")
     R = _gap_run_set(rows)
-    e = sum(values)
-    last = values[-1]
-    Q = alphabet_size(q, k)
-    numer = Q ** (n + e)
-    for v in values:
-        numer *= v**v
-    denom = 2 ** len(R) * (q - 1) ** last * comb(q, m) ** (e - last) * n**e
-    return BoundReport(
-        "asym-general",
-        Fraction(numer, denom),
-        True,
-        {"q": q, "k": k, "n": n, "budgets": tuple(budgets), "m": m, "R": sorted(R)},
+    e, last = sum(values), values[-1]
+    denom = 2 ** len(R) * (q - 1) ** last * comb(q, m) ** (e - last)
+    return _leading_term(
+        "asym-general", q, k, n, values, denom, budgets=budgets, m=m, R=sorted(R)
     )
 
 
@@ -153,39 +166,33 @@ def asym_bound_thm3(q: int, k: int, n: int, budgets, variant: str) -> BoundRepor
     variant "ii":  exactly one nonzero budget;
     variant "iii": exactly two nonzero budgets on adjacent rows.
     """
-    rows, values = _nonzero_profile(budgets)
+    budgets = tuple(budgets)
+    rows, values = _nonzero_profile(q, k, n, budgets)
     m = len(rows)
     if m == 0:
         raise ValueError("all budgets are zero")
     e = sum(values)
-    Q = alphabet_size(q, k)
-    numer = Q ** (n + e)
-    for v in values:
-        numer *= v**v
     adjacent_tail = m >= 2 and rows[-1] - rows[-2] == 1
     if variant == "i":
         if m < 2:
             raise ValueError("variant i needs m >= 2")
         if not adjacent_tail:
             raise ValueError("variant i needs the last two nonzero rows adjacent")
-        denom = 2 ** len(_gap_run_set(rows)) * (comb(q, m) * n) ** e
+        denom = 2 ** len(_gap_run_set(rows)) * comb(q, m) ** e
     elif variant == "ii":
         if m != 1:
             raise ValueError("variant ii needs exactly one nonzero budget")
-        denom = (n * q * (q - 1)) ** e
+        denom = (q * (q - 1)) ** e
     elif variant == "iii":
         if m != 2:
             raise ValueError("variant iii needs exactly two nonzero budgets")
         if not adjacent_tail:
             raise ValueError("variant iii needs the two nonzero rows adjacent")
-        denom = (comb(q, 2) + 1) ** e * n**e
+        denom = (comb(q, 2) + 1) ** e
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return BoundReport(
-        f"asym-structured-{variant}",
-        Fraction(numer, denom),
-        True,
-        {"q": q, "k": k, "n": n, "budgets": tuple(budgets), "m": m},
+    return _leading_term(
+        f"asym-structured-{variant}", q, k, n, values, denom, budgets=budgets, m=m
     )
 
 
@@ -193,9 +200,7 @@ def asym_bound_even_e(q: int, k: int, n: int, e: int) -> BoundReport:
     """Leading term for even total budgets: denominator (q^2-q+2)^e n^e."""
     if e <= 0 or e % 2:
         raise ValueError("e must be even and positive")
-    Q = alphabet_size(q, k)
-    value = Fraction(Q ** (n + e) * e**e, (q * q - q + 2) ** e * n**e)
-    return BoundReport("asym-even-total", value, True, {"q": q, "k": k, "n": n, "e": e})
+    return _leading_term("asym-even-total", q, k, n, (e,), (q * q - q + 2) ** e, e=e)
 
 
 def bound_m_gt_q(q: int, k: int, n: int, budgets, m0: int) -> BoundReport:
@@ -208,42 +213,20 @@ def bound_m_gt_q(q: int, k: int, n: int, budgets, m0: int) -> BoundReport:
     """
     if not 2 <= m0 <= q:
         raise ValueError(f"m0 must lie in [2, {q}], got {m0}")
-    rows, values = _nonzero_profile(budgets)
+    budgets = tuple(budgets)
+    rows, values = _nonzero_profile(q, k, n, budgets)
     m = len(rows)
     if m <= q:
         raise ValueError(f"m={m} <= q={q}: use asym_bound_general")
     s, r = divmod(m, m0)
-    e = sum(values)
-    R = 0
-    e_tail = 0  # budgets on the last row of each full block
-    e_body = 0  # remaining budgets inside full blocks
-    for p in range(s):
-        block_rows = rows[p * m0 : (p + 1) * m0]
-        block_vals = values[p * m0 : (p + 1) * m0]
-        R += sum(
-            1
-            for j in range(2, m0)
-            if block_rows[j - 1] - block_rows[j - 2] == 1
-        )
-        e_tail += block_vals[-1]
-        e_body += sum(block_vals[:-1])
+    starts = range(0, s * m0, m0)
+    R = sum(len(_gap_run_set(rows[i : i + m0])) for i in starts)
+    e_tail = sum(values[i + m0 - 1] for i in starts)  # last row of each full block
+    e_body = sum(values[: s * m0]) - e_tail  # remaining budgets inside full blocks
     e_rest = sum(values[s * m0 :])
-    Q = alphabet_size(q, k)
-    numer = Q ** (n + e)
-    for v in values:
-        numer *= v**v
-    denom = (
-        2**R
-        * (q - 1) ** e_tail
-        * comb(q, m0) ** e_body
-        * comb(q, r) ** e_rest
-        * n**e
-    )
-    return BoundReport(
-        "asym-blockwise",
-        Fraction(numer, denom),
-        True,
-        {"q": q, "k": k, "n": n, "budgets": tuple(budgets), "m0": m0, "s": s, "r": r},
+    denom = 2**R * (q - 1) ** e_tail * comb(q, m0) ** e_body * comb(q, r) ** e_rest
+    return _leading_term(
+        "asym-blockwise", q, k, n, values, denom, budgets=budgets, m0=m0, s=s, r=r
     )
 
 

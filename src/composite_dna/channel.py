@@ -54,7 +54,8 @@ from operator import itemgetter
 from .alphabet import Word, _rank_tables
 
 _SUB_KINDS = ("sub-per-row", "sub-total", "sub-t-rows")
-_DEL_KINDS = ("del-per-row", "del-total", "del-t-rows")
+# the six kinds, substitution first: also the order of the CLI's --model choices
+_KINDS = _SUB_KINDS + ("del-per-row", "del-total", "del-t-rows")
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class ErrorModel:
     t: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _SUB_KINDS + _DEL_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown error model kind {self.kind!r}")
         object.__setattr__(self, "budgets", tuple(self.budgets))
         if any(b < 0 for b in self.budgets):

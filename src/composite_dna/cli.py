@@ -51,6 +51,7 @@ from .bounds import (
     sp_bound_per_row,
     sp_bound_total,
 )
+from .channel import _KINDS as MODEL_NAMES  # the --model choices
 from .channel import (
     ErrorModel,
     ReceivedRows,
@@ -105,16 +106,6 @@ from .codes_substitution import (
 )
 from .equivalence import MAP_NAMES, EquivalenceMap
 from .vt_core import lme_message_length
-
-MODEL_NAMES = (
-    "sub-per-row",
-    "sub-total",
-    "sub-t-rows",
-    "del-per-row",
-    "del-total",
-    "del-t-rows",
-)
-
 
 # ---------------------------------------------------------------------------
 # plumbing

@@ -94,13 +94,13 @@ class HammingFamily:
     def size(self) -> int:
         return self.field ** (self.l - self.r)
 
-    @property
+    @cached_property
     def message_coords(self) -> tuple[int, ...]:
         return tuple(
             i for i, c in enumerate(self.columns) if sum(1 for v in c if v) >= 2
         )
 
-    @property
+    @cached_property
     def parity_coords(self) -> tuple[int, ...]:
         return tuple(
             i for i, c in enumerate(self.columns) if sum(1 for v in c if v) == 1
@@ -252,11 +252,11 @@ class DollSpec:
         inner = hamming_build(l, self.field).size
         return comb(self.n, l) * self.fill ** (self.n - l) * inner
 
-    @property
+    @cached_property
     def size(self) -> int:
         return sum(self.class_size(l) for l in range(self.n + 1))
 
-    @property
+    @cached_property
     def m(self) -> int:
         base = alphabet_size(self.q, self.k)
         if self.q == 2:

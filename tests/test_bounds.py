@@ -78,6 +78,13 @@ def test_sp_per_row_validation():
         sp_bound_per_row(2, 2, 4, (1, 0))  # zero budget
     with pytest.raises(ValueError):
         sp_bound_per_row(2, 3, 4, (1, 1))  # wrong arity
+    # outside the shared domain q >= 2, k >= 1, n >= 1
+    with pytest.raises(ValueError, match="need k >= 1, got k=0"):
+        sp_bound_per_row(2, 0, 3, ())
+    with pytest.raises(ValueError, match="need n >= 1, got n=0"):
+        sp_bound_per_row(2, 1, 0, (1,))
+    with pytest.raises(ValueError, match="need q >= 2, got q=1"):
+        sp_bound_per_row(1, 1, 2, (1,))
 
 
 def test_sp_total_frozen():
@@ -86,6 +93,8 @@ def test_sp_total_frozen():
     assert sp_bound_total(3, 2, 2, 1).value == Fraction(36, 5)
     with pytest.raises(ValueError):
         sp_bound_total(2, 2, 4, 0)
+    with pytest.raises(ValueError, match="need q >= 2, got q=1"):
+        sp_bound_total(1, 2, 2, 1)  # a one-letter alphabet
 
 
 def test_sp_bounds_are_not_asymptotic():
@@ -113,6 +122,8 @@ def test_best_asym_total_sweeps_l():
     assert best.params["l"] == 1  # n0(l=1) = 3 beats n0(l=2) = 1 here
     everything = [asym_bound_total(3, 2, 100, 1, l) for l in (1, 2)]
     assert best.value == min(r.value for r in everything)
+    with pytest.raises(ValueError, match="need q >= 2, got q=1"):
+        best_asym_total(1, 2, 4, 1)  # no l to sweep
 
 
 def test_asym_general_frozen():
@@ -139,6 +150,16 @@ def test_asym_general_validation():
         asym_bound_general(2, 2, 10, (0, 0))
     with pytest.raises(ValueError, match="bound_m_gt_q"):
         asym_bound_general(2, 3, 10, (1, 1, 1))
+    with pytest.raises(ValueError, match="need n >= 1, got n=0"):
+        asym_bound_general(2, 2, 0, (1, 0))
+    with pytest.raises(ValueError, match="need q >= 2, got q=1"):
+        asym_bound_general(1, 2, 3, (1, 0))
+    with pytest.raises(ValueError, match="need k >= 1, got k=0"):
+        asym_bound_general(2, 0, 2, (1,))
+    with pytest.raises(ValueError, match="expected 3 budgets, got 4"):
+        asym_bound_general(3, 3, 5, (1, 0, 1, 1))
+    with pytest.raises(ValueError, match="expected 2 budgets, got 1"):
+        asym_bound_general(2, 2, 5, (1,))
 
 
 def test_asym_thm3_frozen():
@@ -160,6 +181,10 @@ def test_asym_thm3_preconditions():
         asym_bound_thm3(2, 3, 10, (1, 0, 1), "iii")  # rows not adjacent
     with pytest.raises(ValueError):
         asym_bound_thm3(2, 2, 10, (1, 1), "iv")
+    with pytest.raises(ValueError, match="expected 2 budgets, got 3"):
+        asym_bound_thm3(2, 2, 10, (1, 0, 1), "i")
+    with pytest.raises(ValueError, match="need n >= 1, got n=0"):
+        asym_bound_thm3(2, 2, 0, (1, 0), "ii")
     # thm3 (iii) sharpens the general bound when it applies
     sharp = asym_bound_thm3(2, 2, 50, (1, 1), "iii")
     loose = asym_bound_general(2, 2, 50, (1, 1))
@@ -171,6 +196,10 @@ def test_asym_even_e():
     assert asym_bound_even_e(3, 2, 10, 2).value == Fraction(6**12 * 4, (8 * 10) ** 2)
     with pytest.raises(ValueError):
         asym_bound_even_e(2, 2, 10, 1)
+    with pytest.raises(ValueError, match="need k >= 1, got k=0"):
+        asym_bound_even_e(2, 0, 10, 2)
+    with pytest.raises(ValueError, match="need n >= 1, got n=0"):
+        asym_bound_even_e(2, 2, 0, 2)
 
 
 def test_bound_m_gt_q_frozen():
@@ -191,6 +220,10 @@ def test_bound_m_gt_q_validation():
         bound_m_gt_q(2, 3, 10, (1, 1, 1), 1)
     with pytest.raises(ValueError):
         bound_m_gt_q(2, 3, 10, (1, 1, 1), 3)
+    with pytest.raises(ValueError, match="expected 3 budgets, got 4"):
+        bound_m_gt_q(2, 3, 10, (1, 1, 1, 1), 2)
+    with pytest.raises(ValueError, match="need n >= 1, got n=0"):
+        bound_m_gt_q(2, 3, 0, (1, 1, 1), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,33 @@ class TestBoundsVerb:
         assert code == 1
         assert "required" in err
 
+    # values of each bound flag on the degenerate grid
+    DEGENERATE = {
+        "q": ("0", "1", "2"),
+        "k": ("0", "1", "2"),
+        "n": ("0", "1", "2"),
+        "e": ("0", "1"),
+        "budgets": ("", "1", "1,0", "1,0,1"),
+    }
+
+    @pytest.mark.parametrize("family", list(cli.BOUND_FAMILIES))
+    def test_degenerate_grid_exits_cleanly(self, family, capsys):
+        """Every input of the grid prints one CSV row (exit 0) or one error
+        line (exit 1); none raises.  The grid spans the flags the family
+        requires: building the parser dominates a call, and the calculators
+        read no other grid flag."""
+        flags = cli.BOUND_FAMILIES[family][0]
+        for values in itertools.product(*(self.DEGENERATE[flag] for flag in flags)):
+            argv = ["bounds", "--family", family]
+            for flag, value in zip(flags, values):
+                argv += [f"--{flag}", value]
+            code, out, err = run(capsys, *argv)
+            if code == 0:
+                assert err == "" and len(out.splitlines()) == 2, argv
+            else:
+                assert code == 1 and out == "", argv
+                assert err.startswith("error: ") and err.count("\n") == 1, argv
+
 
 class TestEncodeDecode:
     def test_encode_is_deterministic(self, capsys):

@@ -777,6 +777,41 @@ SCENARIOS = {
                 "error: --family is required (flag or spec file)\n",
                 {},
             ),
+            (
+                "bounds --family asym-general --q 2 --k 2 --n 0 --budgets 1,0",
+                1,
+                "",
+                "error: need n >= 1, got n=0\n",
+                {},
+            ),
+            (
+                "bounds --family asym-general --q 1 --k 2 --n 3 --budgets 1,0",
+                1,
+                "",
+                "error: need q >= 2, got q=1\n",
+                {},
+            ),
+            (
+                "bounds --family asym-total --q 1 --k 2 --n 4 --e 1",
+                1,
+                "",
+                "error: need q >= 2, got q=1\n",
+                {},
+            ),
+            (
+                "bounds --family sp-per-row --q 2 --k 0 --n 3 --budgets=",
+                1,
+                "",
+                "error: need k >= 1, got k=0\n",
+                {},
+            ),
+            (
+                "bounds --family asym-general --q 3 --k 3 --n 5 --budgets 1,0,1,1",
+                1,
+                "",
+                "error: expected 3 budgets, got 4\n",
+                {},
+            ),
         ],
     ),
 }
@@ -878,6 +913,14 @@ USAGE_ERRORS = {
     "bounds --family nope": (
         "composite-dna bounds: error: argument --family: invalid choice: 'nope'"
         " (choose from 'sp-per-row', 'sp-total', 'asym-total', 'asym-general', 'gspb-deletion', 'asym-deletion')"
+    ),
+    "corrupt --model nope": (
+        "composite-dna corrupt: error: argument --model: invalid choice: 'nope'"
+        " (choose from 'sub-per-row', 'sub-total', 'sub-t-rows', 'del-per-row', 'del-total', 'del-t-rows')"
+    ),
+    "verify-code --model nope": (
+        "composite-dna verify-code: error: argument --model: invalid choice: 'nope'"
+        " (choose from 'sub-per-row', 'sub-total', 'sub-t-rows', 'del-per-row', 'del-total', 'del-t-rows')"
     ),
     "roundtrip --family cong-binary-t": (
         "composite-dna roundtrip: error: argument --family: invalid choice: 'cong-binary-t'"
