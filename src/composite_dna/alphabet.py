@@ -15,9 +15,14 @@ and the rank alphabet {0, ..., Q_{q,k}-1} used by every code construction in
 this package.  For q = 2 the rank of a column is simply its number of ones.
 
 A word is a sequence of n letters, equivalently a k x n matrix whose rows are
-length-n digit strings and whose columns are all nondecreasing.  A Word is
-stored as its rank sequence, checked once against the rank table; its digit
-rows are a view built once, its letters the shared ones of all_letters.
+length-n digit strings and whose columns are all nondecreasing.  A Word
+holds both its rank sequence and its digit rows, and builds each only once:
+Word(q, k, ranks) checks the ranks against the rank table and transposes
+them into rows; Word.from_rows keeps the int-normalised rows it was given
+and the ranks that its column lookup found; and word + word (the systematic
+encoders' payload followed by their tail) concatenates the two words' ranks
+and rows, so only the tail is ever checked and transposed.  Its letters are
+the shared ones of all_letters.
 """
 
 from __future__ import annotations
@@ -131,7 +136,8 @@ def all_letters(q: int, k: int) -> tuple[Letter, ...]:
 class Word:
     """A word over Phi_{q,k}: its rank sequence, checked by Word(q, k, ranks).
 
-    Equality and hashing look at (q, k, ranks); the rows are a cached view."""
+    Equality and hashing look at (q, k, ranks); the rows are a view kept
+    beside them."""
 
     q: int
     k: int
@@ -148,9 +154,31 @@ class Word:
             raise ValueError(
                 f"rank {bad} out of range for Phi_{{{q},{k}}} (size {len(tuples)})"
             )
-        rows = tuple(zip(*[tuples[r] for r in ranks]))
+        self._set(q, k, ranks, tuple(zip(*[tuples[r] for r in ranks])))
+
+    def _set(self, q, k, ranks, rows) -> None:
         for name, value in (("q", q), ("k", k), ("_ranks", ranks), ("_rows", rows)):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, q: int, k: int, ranks: tuple, rows: tuple) -> "Word":
+        """The word with these ranks and rows, which the caller has already
+        checked to be a nonempty word over Phi_{q,k} and each other's view."""
+        word = object.__new__(cls)
+        word._set(q, k, ranks, rows)
+        return word
+
+    def __add__(self, other: "Word") -> "Word":
+        """The concatenation: this word's letters, then other's."""
+        if not isinstance(other, Word):
+            return NotImplemented
+        if (self.q, self.k) != (other.q, other.k):
+            raise ValueError(
+                f"cannot concatenate a word over Phi_{{{self.q},{self.k}}} "
+                f"and one over Phi_{{{other.q},{other.k}}}"
+            )
+        rows = tuple(a + b for a, b in zip(self._rows, other._rows))
+        return Word._of(self.q, self.k, self._ranks + other._ranks, rows)
 
     @property
     def n(self) -> int:
@@ -171,19 +199,21 @@ class Word:
 
     @classmethod
     def from_rows(cls, rows, q: int) -> "Word":
-        rows = [tuple(map(int, row)) for row in rows]
+        rows = tuple(tuple(map(int, row)) for row in rows)
         if len(rows) < 2:
             raise ValueError("a word needs at least two rows (k >= 2)")
         n = len(rows[0])
         if any(len(row) != n for row in rows):
             raise ValueError("all rows of a word must have equal length")
         lookup = _rank_tables(q, len(rows))[1]
-        ranks = [lookup.get(col) for col in zip(*rows)]
+        if not n:
+            raise ValueError("a word must contain at least one letter")
+        ranks = tuple(map(lookup.get, zip(*rows)))
         if None in ranks:
             j = ranks.index(None)
             col = tuple(row[j] for row in rows)
             raise ValueError(f"column {j} is not nondecreasing over Sigma_{q}: {col}")
-        return cls(q, len(rows), ranks)
+        return cls._of(q, len(rows), ranks, rows)
 
     @classmethod
     def from_ranks(cls, ranks, q: int, k: int) -> "Word":

@@ -39,6 +39,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .alphabet import Word, alphabet_size, word_from_text, word_to_text
@@ -605,7 +606,11 @@ def _add_params(parser):
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state
+    between calls.  Each verb's cmd_* function is bound here, and the names
+    that it calls are looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="composite-dna",
         description=__doc__,

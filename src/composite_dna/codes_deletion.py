@@ -374,11 +374,11 @@ def _marker_encode(payload: Word, spec: MarkerSpec) -> Word:
     check_payload(payload, spec)
     q, k, base = payload.q, payload.k, spec.base
     markers = [column_rank((0,) * k, q), column_rank((1,) * k, q)]
-    ranks = list(payload.ranks())
+    tail = []
     for value in spec.syndromes(payload):
-        ranks += markers
-        ranks += expand_base(value, base, base**spec.delta)
-    return Word.from_ranks(ranks, q, k)
+        tail += markers
+        tail += expand_base(value, base, base**spec.delta)
+    return payload + Word(q, k, tail)
 
 
 def c2d_encode(payload: Word, spec: MarkerSpec) -> Word:

@@ -248,13 +248,21 @@ class DollSpec:
     def field(self) -> int:
         return len(self.a2_ranks)
 
+    @cached_property
+    def class_sizes(self) -> tuple[int, ...]:
+        """Codewords with exactly l letters from A2, for l = 0, ..., n."""
+        n, fill, field = self.n, self.fill, self.field
+        return tuple(
+            comb(n, l) * fill ** (n - l) * hamming_build(l, field).size
+            for l in range(n + 1)
+        )
+
     def class_size(self, l: int) -> int:
-        inner = hamming_build(l, self.field).size
-        return comb(self.n, l) * self.fill ** (self.n - l) * inner
+        return self.class_sizes[l]
 
     @cached_property
     def size(self) -> int:
-        return sum(self.class_size(l) for l in range(self.n + 1))
+        return sum(self.class_sizes)
 
     @cached_property
     def m(self) -> int:
@@ -317,8 +325,7 @@ def _doll_unrank(index: int, spec: DollSpec) -> Word:
         raise ValueError(f"index {index} out of [1, {spec.size}]")
     # spec.size is the sum of the class sizes, so some class holds the index
     remaining = index
-    for l in range(spec.n + 1):
-        cls = spec.class_size(l)
+    for l, cls in enumerate(spec.class_sizes):
         if remaining <= cls:
             break
         remaining -= cls
@@ -376,7 +383,7 @@ def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
     per_support = spec.fill ** (spec.n - l)
     per_codeword = comb(spec.n, l) * per_support
     index = (
-        sum(spec.class_size(lp) for lp in range(l))
+        sum(spec.class_sizes[:l])
         + (compose_base(fam.message(image), fam.field)) * per_codeword
         + (cw_rank(support, l) - 1) * per_support
         + compose_base(fills, spec.fill)
@@ -570,12 +577,10 @@ def c1s_encode(payload: Word, spec: C1SSpec) -> Word:
     check_payload(payload, spec)
     a1, a2, a3 = q1cecc_checksums(payload, spec.p1, spec.p2)
     a, b = divmod(a1, spec.q)
-    ranks = list(payload.ranks())
-    ranks.append(column_rank((a,) * spec.k, spec.q))
-    ranks.append(column_rank((b,) * spec.k, spec.q))
+    tail = [column_rank((a,) * spec.k, spec.q), column_rank((b,) * spec.k, spec.q)]
     big_q = alphabet_size(spec.q, spec.k)
-    ranks += expand_base(a2 + spec.p1 * a3, big_q, big_q**spec.delta)
-    return Word.from_ranks(ranks, spec.q, spec.k)
+    tail += expand_base(a2 + spec.p1 * a3, big_q, big_q**spec.delta)
+    return payload + Word(spec.q, spec.k, tail)
 
 
 def c1s_decode(received: ReceivedRows, spec: C1SSpec) -> Word:
@@ -659,15 +664,15 @@ def c2s_encode(payload: Word, spec: C2SSpec) -> Word:
     check_payload(payload, spec)
     q, k = spec.q, spec.k
     big_q = alphabet_size(q, k)
-    ranks = list(payload.ranks())
+    tail = []
     for row in payload.rows():
-        ranks += [column_rank((sum(row) % q,) * k, q)] * 2
+        tail += [column_rank((sum(row) % q,) * k, q)] * 2
     for value in spec.syndromes(payload):
         block = expand_base(value, big_q, big_q**spec.delta)
-        ranks += block
+        tail += block
         block_rows = zip(*(letter_unrank(d, q, k).digits for d in block))
-        ranks += [column_rank((sum(row) % q,) * k, q) for row in block_rows]
-    return Word.from_ranks(ranks, q, k)
+        tail += [column_rank((sum(row) % q,) * k, q) for row in block_rows]
+    return payload + Word(q, k, tail)
 
 
 def c2s_decode(received: ReceivedRows, spec: C2SSpec) -> Word:

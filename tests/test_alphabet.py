@@ -1,5 +1,6 @@
 """Tests for the composite alphabet and the rank bijection."""
 
+import random
 from itertools import product
 from math import comb
 
@@ -222,6 +223,18 @@ WORD_ERRORS = {
         lambda: letter_unrank(6, 3, 2),
         "rank 6 out of range for Phi_{3,2} (size 6)",
     ),
+    "tail-rank-out-of-range": (
+        lambda: Word(3, 2, (0, 5)) + Word(3, 2, (1, 6)),
+        "rank 6 out of range for Phi_{3,2} (size 6)",
+    ),
+    "concatenate-mixed-k": (
+        lambda: Word(2, 2, (0,)) + Word(2, 3, (0,)),
+        "cannot concatenate a word over Phi_{2,2} and one over Phi_{2,3}",
+    ),
+    "concatenate-mixed-q": (
+        lambda: Word(2, 3, (0,)) + Word(3, 3, (0,)),
+        "cannot concatenate a word over Phi_{2,3} and one over Phi_{3,3}",
+    ),
 }
 
 
@@ -238,6 +251,38 @@ def test_direct_word_constructor_validates():
     with pytest.raises(ValueError) as info:
         Word(2, 3, (9,))
     assert str(info.value) == "rank 9 out of range for Phi_{2,3} (size 4)"
+
+
+def assert_same_word(got, want):
+    """got equals want in every view, and its rows hold plain ints."""
+    assert got == want and hash(got) == hash(want)
+    assert got.ranks() == want.ranks() and type(got.ranks()) is tuple
+    assert got.rows() == want.rows() and type(got.rows()) is tuple
+    assert all(type(row) is tuple for row in got.rows())
+    assert all(type(d) is int for row in got.rows() for d in row)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_row_and_concatenation_builds_match_the_rank_constructor(q, k):
+    # differential: from_rows and payload + tail against Word(q, k, ranks)
+    rng = random.Random(100 * q + k)
+    for n in [1, 2, 3] + [rng.randint(4, 60) for _ in range(12)]:
+        ranks = [rng.randrange(alphabet_size(q, k)) for _ in range(n)]
+        want = Word(q, k, ranks)
+        rows = want.rows()
+        for given_rows in (
+            rows,
+            [list(row) for row in rows],
+            (iter(row) for row in rows),
+            [[bool(d) if q == 2 else d for d in row] for row in rows],
+        ):
+            assert_same_word(Word.from_rows(given_rows, q), want)
+        for cut in sorted({1, rng.randrange(1, n), n - 1}) if n > 1 else ():
+            head, tail = Word(q, k, ranks[:cut]), Word(q, k, ranks[cut:])
+            assert_same_word(head + tail, want)
+            assert_same_word(Word.from_rows(head.rows(), q) + tail, want)
+        assert_same_word(want + want, Word(q, k, ranks + ranks))
 
 
 @given(words())

@@ -675,3 +675,37 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+
+class TestParserReuse:
+    """main builds its parser once per process; a reused parser must answer
+    every call as a fresh one would, also after a usage error."""
+
+    CALLS = [
+        "bounds --family sp-total --q 2 --k 2 --n 4 --e 1",
+        "roundtrip --family c2d --k 3 --t 2 --m 4 --trials 1 --seed 1",
+        "encode",
+        "roundtrip --family doll --k 2 --n 3 --trials 2 --seed 3",
+        "bounds --family sp-total --q 3 --k 2 --n 3 --e 1",
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_reused_parser_answers_like_a_fresh_one(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            cli.build_parser.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        cli.build_parser.cache_clear()
+        reused = [self.call(capsys, argv) for argv in self.CALLS]
+        assert reused == fresh
+        assert cli.build_parser.cache_info().misses == 1
+        assert fresh[2][0] == ("exit", 2) and fresh[2][2].startswith("usage:")
+        assert [code for code, _, _ in fresh[:2] + fresh[3:]] == [0, 0, 0, 0]

@@ -606,3 +606,34 @@ def test_marker_spec_primes_are_searched_once(monkeypatch):
         # cached values live outside the fields: equality and hash are unchanged
         fresh = dataclasses.replace(spec)
         assert spec == fresh and hash(spec) == hash(fresh)
+
+
+def test_marker_codes_transpose_only_their_tail(monkeypatch):
+    # encode builds payload + tail and decode keeps the rows it repaired, so
+    # no Word(q, k, ranks) call sees more than the t*(delta+2) tail columns
+    cases = []
+    for spec, encode, decode in [
+        (C2DSpec(k=4, t=2, m=1024), c2d_encode, c2d_decode),
+        (C4DSpec(q=4, k=3, t=2, m=192), c4d_encode, c4d_decode),
+    ]:
+        (payload,) = sample_payloads(spec.q, spec.k, spec.m, 1, seed=17)
+        word = encode(payload, spec)
+        received = received_after(word, {0: spec.m // 3, 2: spec.m // 2})
+        cases.append((spec, encode, decode, payload, received))
+    seen = []
+    original = Word.__init__
+
+    def recording(self, q, k, ranks):
+        ranks = tuple(ranks)
+        seen.append(len(ranks))
+        original(self, q, k, ranks)
+
+    monkeypatch.setattr(Word, "__init__", recording)
+    for spec, encode, decode, payload, received in cases:
+        tail = spec.t * (spec.delta + 2)
+        assert tail == spec.n - spec.m
+        for run in (lambda: encode(payload, spec), lambda: decode(received, spec)):
+            seen.clear()
+            run()
+            assert seen and max(seen) <= tail
+        assert decode(received, spec) == payload

@@ -295,6 +295,27 @@ class TestDollCode:
         for l, supports, fills, inner, total in table:
             assert supports * fills * inner == total
 
+    def test_class_sizes_are_computed_once_per_spec(self, monkeypatch):
+        lookups = []
+        size = codes_substitution.HammingFamily.size
+
+        def counting(fam):
+            lookups.append(fam.l)
+            return size.fget(fam)
+
+        monkeypatch.setattr(codes_substitution.HammingFamily, "size", property(counting))
+        for q, k, n in [(2, 3, 6), (3, 2, 5)]:
+            lookups.clear()
+            spec = DollSpec(q, k, n)
+            base = alphabet_size(q, k)
+            assert spec.size == sum(spec.class_size(l) for l in range(n + 1))
+            rng = random.Random(n)
+            for _ in range(20):
+                message = tuple(rng.randrange(base) for _ in range(spec.m))
+                word = enc_doll(message, spec)
+                assert dec_doll(substituted(word, 0, rng.randrange(n), 0), spec) == message
+            assert sorted(lookups) == list(range(n + 1))
+
 
 # ---------------------------------------------------------------------------
 # binary single-substitution code
@@ -561,3 +582,24 @@ class TestC2S:
         spec = C2SSpec(2, 3, 2, 3)
         with pytest.raises(ValueError, match="payload"):
             c2s_encode(Word.from_ranks((0,), 2, 3), spec)
+
+
+def test_systematic_encoders_transpose_only_their_tail(monkeypatch):
+    # the payload's columns are never transposed again: every word the
+    # encoders build through Word(q, k, ranks) is at most the tail long
+    specs = [(C1SSpec(3, 3, 2000), c1s_encode), (C2SSpec(3, 3, 2, 2000), c2s_encode)]
+    payloads = [sample_payloads(spec.q, spec.k, spec.m, 1, seed=3)[0] for spec, _ in specs]
+    seen = []
+    original = Word.__init__
+
+    def recording(self, q, k, ranks):
+        ranks = tuple(ranks)
+        seen.append(len(ranks))
+        original(self, q, k, ranks)
+
+    monkeypatch.setattr(Word, "__init__", recording)
+    for (spec, encode), payload in zip(specs, payloads):
+        seen.clear()
+        word = encode(payload, spec)
+        assert word.ranks()[: spec.m] == payload.ranks() and word.n == spec.n
+        assert seen and max(seen) <= spec.n - spec.m
