@@ -13,18 +13,21 @@ transform         letterwise equivalence maps on word files
 table             class-size table of the enumeration code, CSV output
 roundtrip         encode -> corrupt -> decode sweeps with a pass/fail report
 
-Every code family is one record of the FAMILIES table: the flags each verb
-requires, its spec, encoder, decoder, membership test and the native error
-model that roundtrip sweeps.  The --family choices of each verb come from
-that table.  Every bound family is one entry of BOUND_FAMILIES: its required
-flags, calculator and CSV extra column.  encode --spec-out writes the built
-spec's values.
+Every code family is one record of the library's families.FAMILIES table:
+its parameters, the flags each verb requires, its spec, encoder, decoder,
+membership test and the native error model that roundtrip sweeps.  The
+--family choices of each verb, the flags it checks and the spec it builds
+all come from that record; this front end holds no codec of its own.
+Every bound family is one entry of BOUND_FAMILIES: its required flags,
+calculator and CSV extra column.  encode --spec-out writes the built spec's
+values.
 
 Exit codes: 0 success, 1 domain error (invalid word, precondition breach, a
-flag the family needs is missing, a file that cannot be read or written), 2
-usage error.  Diagnostics go to stderr, data to stdout or --out.  The same
-argv with the same seed always produces byte-identical output; the
-COMPOSITE_DNA_SEED environment variable supplies the default --seed.
+flag the family needs is missing, a roundtrip of fewer than one trial, a
+file that cannot be read or written), 2 usage error.  Diagnostics go to
+stderr, data to stdout or --out.  The same argv with the same seed always
+produces byte-identical output; the COMPOSITE_DNA_SEED environment variable
+supplies the default --seed.
 
 CSV column orders (fixed, locale-free):
   bounds: q,k,n,extra,family,value,floor,asymptotic
@@ -34,15 +37,11 @@ CSV column orders (fixed, locale-free):
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
-import random
 import sys
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
-from .alphabet import Word, alphabet_size, word_from_text, word_to_text
+from .alphabet import Word, word_from_text, word_to_text
 from .bounds import (
     asym_bound_general,
     asym_bound_total,
@@ -68,45 +67,12 @@ from .channel import (
     sub_t_rows,
     sub_total,
 )
-from .codes_deletion import (
-    C2DSpec,
-    C3DSpec,
-    C4DSpec,
-    c1d_contains,
-    c1d_decode,
-    c1d_encode,
-    c1d_message,
-    c1d_message_length,
-    c2d_decode,
-    c2d_encode,
-    c3d_decode,
-    c3d_encode,
-    c4d_decode,
-    c4d_encode,
-    congruence_contains_binary_t,
-    congruence_contains_qary_one,
-    congruence_contains_qary_t,
-    congruence_decode_binary_t,
-    congruence_decode_qary_one,
-    congruence_decode_qary_t,
-)
-from .codes_substitution import (
-    C1SSpec,
-    C2SSpec,
-    DollSpec,
-    c1s_decode,
-    c1s_encode,
-    c2s_decode,
-    c2s_encode,
-    cecc1_contains,
-    cecc1_decode,
-    cecc1_encode,
-    cecc1_message,
-    dec_doll,
-    enc_doll,
-)
+from .codes_substitution import DollSpec
 from .equivalence import MAP_NAMES, EquivalenceMap
-from .vt_core import lme_message_length
+from .families import FAMILIES, Family
+
+# the keys of a spec file, in the order encode --spec-out writes them
+SPEC_KEYS = ("q", "k", "t", "m", "n", "a")
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -163,7 +129,7 @@ def _spec_text(args, spec, n: int) -> str:
     each parameter flag that was given, with the value the built spec holds
     for it.  A flag the spec does not take is left out."""
     lines = [f"family={args.family}"]
-    for key in ("q", "k", "t", "m", "n", "a"):
+    for key in SPEC_KEYS:
         if key == "n":
             lines.append(f"n={n}")
         elif getattr(args, key) is not None and getattr(spec, key, None) is not None:
@@ -178,12 +144,8 @@ def _load_spec_file(args):
         if not line:
             continue
         key, _, value = line.partition("=")
-        if key == "family":
-            if getattr(args, "family", None) is None:
-                args.family = value
-        elif key in ("q", "k", "t", "m", "n", "a"):
-            if getattr(args, key, None) is None:
-                setattr(args, key, int(value))
+        if key in ("family", *SPEC_KEYS) and getattr(args, key, None) is None:
+            setattr(args, key, value if key == "family" else int(value))
 
 
 def _require(args, *names):
@@ -192,164 +154,26 @@ def _require(args, *names):
             raise ValueError(f"--{name} is required for family {args.family}")
 
 
-# ---------------------------------------------------------------------------
-# the family table
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Family:
-    """One code family, as every verb sees it.
-
-    ``flags`` maps each verb the family supports to the flags that verb
-    requires, in the order they are checked.  ``spec`` turns the parsed
-    arguments into the parameters that the other fields take last; a verb
-    builds it once.  ``decode`` returns the message of a message family and
-    the payload word of the others.  ``message_space`` gives (alphabet size,
-    length) of the messages a roundtrip enumerates; families without one
-    sample --trials payloads instead.  ``model`` gives the channel model the
-    code corrects, whose every distinct output (channel.outputs) a
-    roundtrip decodes once, weighted by the number of error patterns that
-    give it.  ``sweeps_clean_word`` is False for doll alone: its sweep
-    leaves out the error-free word, n cases per message.  The fields name
-    the codec functions inside lambdas, so they are looked up at call time.
-    """
-
-    flags: dict[str, tuple[str, ...]]
-    decode: Callable
-    spec: Callable = lambda args: args
-    encode: Callable | None = None
-    contains: Callable | None = None
-    message_space: Callable | None = None
-    model: Callable | None = None
-    sweeps_clean_word: bool = True
-
-
-def _payload_flags(*names):
-    return dict.fromkeys(("encode", "decode", "roundtrip"), names)
-
-
-@dataclass(frozen=True)
-class _ClassCode:
-    """c1d and lme1: the binary class code {VT-type sum = a} of length n over
-    k rows, with a systematic encoder; decode and contains need only a."""
-
-    k: int | None
-    n: int | None
-    a: int
-    q = 2
-
-
-_CLASS_CODE_FLAGS = {
-    "encode": ("k", "n", "a", "message"),
-    "decode": ("a",),
-    "contains": ("a",),
-    "roundtrip": ("k", "n", "a"),
-}
-
-
-FAMILIES = {
-    "c1d": Family(
-        flags=_CLASS_CODE_FLAGS,
-        spec=lambda args: _ClassCode(args.k, args.n, args.a),
-        encode=lambda message, spec: c1d_encode(message, spec.a, spec.k, spec.n),
-        decode=lambda received, spec: c1d_message(c1d_decode(received, spec.a)),
-        contains=lambda word, spec: c1d_contains(word, spec.a),
-        message_space=lambda _, spec: (spec.k + 1, c1d_message_length(spec.k, spec.n)),
-        model=lambda _: del_total(1),
-    ),
-    "lme1": Family(
-        flags=_CLASS_CODE_FLAGS,
-        spec=lambda args: _ClassCode(args.k, args.n, args.a),
-        encode=lambda message, spec: cecc1_encode(message, spec.a, spec.k, spec.n),
-        decode=lambda received, spec: cecc1_message(cecc1_decode(received, spec.a)),
-        contains=lambda word, spec: cecc1_contains(word, spec.a),
-        message_space=lambda _, spec: (
-            spec.k + 1,
-            lme_message_length(spec.n, spec.k + 1),
-        ),
-        model=lambda _: sub_total(1),
-    ),
-    "doll": Family(
-        flags={
-            "encode": ("k", "n", "message"),
-            "decode": ("k", "n"),
-            "roundtrip": ("k", "n"),
-        },
-        spec=lambda args: DollSpec(2 if args.q is None else args.q, args.k, args.n),
-        encode=lambda message, spec: enc_doll(message, spec),
-        decode=lambda received, spec: dec_doll(received, spec),
-        message_space=lambda _, spec: (alphabet_size(spec.q, spec.k), spec.m),
-        model=lambda spec: sub_per_row(1, *[0] * (spec.k - 1)),
-        sweeps_clean_word=False,
-    ),
-    "c2d": Family(
-        flags=_payload_flags("k", "t", "m"),
-        spec=lambda args: C2DSpec(args.k, args.t, args.m),
-        encode=lambda payload, spec: c2d_encode(payload, spec),
-        decode=lambda received, spec: c2d_decode(received, spec),
-        model=lambda spec: del_t_rows(spec.t, [1] * spec.t),
-    ),
-    "c3d": Family(
-        flags=_payload_flags("q", "k", "m"),
-        spec=lambda args: C3DSpec(args.q, args.k, args.m),
-        encode=lambda payload, spec: c3d_encode(payload, spec),
-        decode=lambda received, spec: c3d_decode(received, spec),
-        model=lambda _: del_t_rows(1, [1]),
-    ),
-    "c4d": Family(
-        flags=_payload_flags("q", "k", "m", "t"),
-        spec=lambda args: C4DSpec(args.q, args.k, args.t, args.m),
-        encode=lambda payload, spec: c4d_encode(payload, spec),
-        decode=lambda received, spec: c4d_decode(received, spec),
-        model=lambda spec: del_t_rows(spec.t, [1] * spec.t),
-    ),
-    "c1s": Family(
-        flags=_payload_flags("q", "k", "m"),
-        spec=lambda args: C1SSpec(args.q, args.k, args.m),
-        encode=lambda payload, spec: c1s_encode(payload, spec),
-        decode=lambda received, spec: c1s_decode(received, spec),
-        model=lambda _: sub_total(1),
-    ),
-    "c2s": Family(
-        flags=_payload_flags("q", "k", "m", "t"),
-        spec=lambda args: C2SSpec(args.q, args.k, args.t, args.m),
-        encode=lambda payload, spec: c2s_encode(payload, spec),
-        decode=lambda received, spec: c2s_decode(received, spec),
-        model=lambda spec: sub_t_rows(spec.t, [1] * spec.t),
-    ),
-    "cong-binary-t": Family(
-        flags=dict.fromkeys(("decode", "contains"), ("p", "targets")),
-        spec=lambda args: (_ints(args.targets), args.p),
-        decode=lambda received, spec: congruence_decode_binary_t(received, *spec),
-        contains=lambda word, spec: congruence_contains_binary_t(word, *spec),
-    ),
-    "cong-qary-1": Family(
-        flags=dict.fromkeys(("decode", "contains"), ("a",)),
-        decode=lambda received, args: congruence_decode_qary_one(received, args.a),
-        contains=lambda word, args: congruence_contains_qary_one(word, args.a),
-    ),
-    "cong-qary-t": Family(
-        flags=dict.fromkeys(("decode", "contains"), ("p", "targets")),
-        spec=lambda args: (_ints(args.targets), args.p),
-        decode=lambda received, spec: congruence_decode_qary_t(received, *spec),
-        contains=lambda word, spec: congruence_contains_qary_t(word, *spec),
-    ),
-}
-
-
 def _families_with(verb: str) -> list[str]:
     return [name for name, family in FAMILIES.items() if verb in family.flags]
+
+
+def _family_spec(args, verb: str) -> tuple[Family, object]:
+    """The family that --family names, after checking the flags the verb
+    requires, and its spec built from the flags that name its parameters."""
+    family = FAMILIES[args.family]
+    _require(args, *family.flags[verb])
+    params = {
+        name: _ints(value) if name == "targets" else value
+        for name in family.params
+        if (value := getattr(args, name)) is not None
+    }
+    return family, family.spec(**params)
 
 
 # ---------------------------------------------------------------------------
 # encode / decode / contains
 # ---------------------------------------------------------------------------
-
-def _checked_family(args, verb: str) -> Family:
-    family = FAMILIES[args.family]
-    _require(args, *family.flags[verb])
-    return family
-
 
 def _read_message(family: Family, args, spec):
     """What encode takes: a message tuple, or a payload word for the
@@ -357,13 +181,12 @@ def _read_message(family: Family, args, spec):
     if family.message_space is not None:
         return _ints(args.message)
     if args.message is not None:
-        return Word.from_ranks(_ints(args.message), spec.q, args.k)
+        return Word.from_ranks(_ints(args.message), spec.q, spec.k)
     return word_from_text(_read_text(args.infile))
 
 
 def cmd_encode(args) -> int:
-    family = _checked_family(args, "encode")
-    spec = family.spec(args)
+    family, spec = _family_spec(args, "encode")
     word = family.encode(_read_message(family, args, spec), spec)
     _write_text(args.out, word_to_text(word))
     if args.spec_out:
@@ -379,8 +202,8 @@ def cmd_decode(args) -> int:
     received = received_from_text(_read_text(args.infile))
     if args.family not in FAMILIES:
         raise ValueError(f"family {args.family!r} has no decoder")
-    family = _checked_family(args, "decode")
-    decoded = family.decode(received, family.spec(args))
+    family, spec = _family_spec(args, "decode")
+    decoded = family.decode(received, spec)
     if isinstance(decoded, Word):
         _write_text(args.out, word_to_text(decoded))
     else:
@@ -390,8 +213,8 @@ def cmd_decode(args) -> int:
 
 def cmd_contains(args) -> int:
     word = word_from_text(_read_text(args.infile))
-    family = _checked_family(args, "contains")
-    verdict = family.contains(word, family.spec(args))
+    family, spec = _family_spec(args, "contains")
+    verdict = family.contains(word, spec)
     _write_text(args.out, ("true" if verdict else "false") + "\n")
     return 0
 
@@ -526,31 +349,14 @@ def cmd_table(args) -> int:
 # roundtrip
 # ---------------------------------------------------------------------------
 
-def _messages(family: Family, args, spec):
-    """(label, message) pairs of a sweep: every message of a message family,
-    or --trials payloads drawn with --seed."""
-    if family.message_space is not None:
-        symbols, length = family.message_space(args, spec)
-        return (
-            (f"message={message}", message)
-            for message in itertools.product(range(symbols), repeat=length)
-        )
-    rng = random.Random(_default_seed(args))
-    big_q = alphabet_size(spec.q, args.k)
-    draws = ([rng.randrange(big_q) for _ in range(args.m)] for _ in range(args.trials))
-    return [
-        (f"payload#{index}", Word.from_ranks(ranks, spec.q, args.k))
-        for index, ranks in enumerate(draws)
-    ]
-
-
 def cmd_roundtrip(args) -> int:
-    family = _checked_family(args, "roundtrip")
-    spec = family.spec(args)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    family, spec = _family_spec(args, "roundtrip")
     model = family.model(spec)
     cases = failures = 0
     first_failure = None
-    for label, message in _messages(family, args, spec):
+    for label, message in family.messages(spec, args.trials, _default_seed(args)):
         word = family.encode(message, spec)
         for errors, rows, count in outputs(word, model):
             if not (errors or family.sweeps_clean_word):
@@ -594,13 +400,8 @@ def _add_io(parser):
 
 
 def _add_params(parser):
-    parser.add_argument("--q", type=int, default=None)
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--t", type=int, default=None)
-    parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--a", type=int, default=None)
-    parser.add_argument("--p", type=int, default=None)
+    for name in ("q", "k", "n", "t", "m", "a", "p"):
+        parser.add_argument(f"--{name}", type=int, default=None)
     parser.add_argument(
         "--targets", default=None, help="comma-separated congruence targets a_j"
     )
@@ -659,13 +460,16 @@ def build_parser() -> argparse.ArgumentParser:
     bou.add_argument("--e", type=int, default=None)
     bou.add_argument("--l", type=int, default=None)
     bou.add_argument("--budgets", default=None, help="comma-separated budgets")
-    bou.add_argument("--q", type=int, default=None)
-    bou.add_argument("--k", type=int, default=None)
-    bou.add_argument("--n", type=int, default=None)
+    for name in ("q", "k", "n"):
+        bou.add_argument(f"--{name}", type=int, default=None)
     _add_io(bou)
     bou.set_defaults(func=cmd_bounds)
 
-    tra = sub.add_parser("transform", help="apply an equivalence map to a word")
+    tra = sub.add_parser(
+        "transform",
+        help="apply an equivalence map to a word: complement-reverse transports "
+        "per-row substitution and deletion budgets, shift substitution budgets only",
+    )
     tra.add_argument("--map", required=True, choices=MAP_NAMES)
     _add_io(tra)
     tra.set_defaults(func=cmd_transform)

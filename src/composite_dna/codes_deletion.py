@@ -202,6 +202,13 @@ def c1d_decode(received: ReceivedRows, a: int) -> Word:
 # congruence families (membership + decoding; existential, no encoders)
 # ---------------------------------------------------------------------------
 
+def _checked_targets(targets) -> tuple[int, ...]:
+    targets = tuple(targets)
+    if not targets:
+        raise ValueError("the congruence targets are empty; give at least one")
+    return targets
+
+
 def _check_prime_above(p: int, floor: int, what: str):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -210,7 +217,7 @@ def _check_prime_above(p: int, floor: int, what: str):
 
 
 def congruence_contains_binary_t(word: Word, targets, p: int) -> bool:
-    targets = tuple(targets)
+    targets = _checked_targets(targets)
     if word.q != 2:
         raise ValueError("binary congruence family needs q = 2")
     _check_prime_above(p, max(word.k - 1, word.n), "the binary t-row family")
@@ -223,7 +230,7 @@ def congruence_contains_qary_one(word: Word, a: int) -> bool:
 
 
 def congruence_contains_qary_t(word: Word, targets, p: int) -> bool:
-    targets = tuple(targets)
+    targets = _checked_targets(targets)
     _check_prime_above(p, max(word.k - 1, word.q * word.n), "the q-ary t-row family")
     return _RowCode(word.q, word.n, p, True).holds(word.rows(), targets)
 
@@ -253,12 +260,12 @@ def _congruence_decode_t(received, targets, code: _RowCode, contains=None) -> Wo
 
 
 def congruence_decode_binary_t(received: ReceivedRows, targets, p: int) -> Word:
-    targets = tuple(targets)
+    targets = _checked_targets(targets)
     if received.q != 2:
         raise ValueError("binary congruence family needs q = 2")
     n, k, t = received.n, received.k, len(targets)
     _check_prime_above(p, max(k - 1, n), "the binary t-row family")
-    if p <= f_threshold(k, t) and t >= 2:
+    if t >= 2 and p <= f_threshold(k, t):
         warnings.warn(
             "p is below the generalized-Vandermonde threshold f(k, t); "
             "decoding still uses consecutive syndrome indices, which stay invertible",
@@ -274,7 +281,7 @@ def congruence_decode_qary_one(received: ReceivedRows, a: int) -> Word:
 
 
 def congruence_decode_qary_t(received: ReceivedRows, targets, p: int) -> Word:
-    targets = tuple(targets)
+    targets = _checked_targets(targets)
     q, n, k = received.q, received.n, received.k
     _check_prime_above(p, max(k - 1, q * n), "the q-ary t-row family")
     return _congruence_decode_t(received, targets, _RowCode(q, n, p, True))

@@ -4,11 +4,13 @@ Two bijections of Phi_{q,k} transport error-correction capability between
 row-budget profiles:
 
 * complement_reverse: [s_1..s_k] -> [q-1-s_k, ..., q-1-s_1].  An involution;
-  a code correcting (e_1..e_k) maps to one correcting (e_k..e_1).
+  a code correcting (e_1..e_k) maps to one correcting (e_k..e_1), for
+  per-row substitution budgets and per-row deletion budgets alike.
 * shift_map: [s_1..s_k] -> [q-1-s_k, s_1+q-1-s_k, ..., s_{k-1}+q-1-s_k],
-  with inverse [s_2-s_1, ..., s_k-s_1, q-1-s_1].  Budgets shift one row
-  down (row i's budget becomes row i+1's); row k's budget must be zero,
-  there is no wraparound.
+  with inverse [s_2-s_1, ..., s_k-s_1, q-1-s_1].  Substitution budgets
+  shift one row down (row i's budget becomes row i+1's); row k's budget
+  must be zero, there is no wraparound.  Shift moves substitution budgets
+  only: at q >= 3 it does not carry a per-row deletion budget along.
 
 Both maps act letterwise; words and codebooks are transported elementwise.
 """

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from composite_dna import channel, cli
+from composite_dna import channel, cli, families
 from composite_dna.alphabet import Word, alphabet_size, word_from_text, word_to_text
 from composite_dna.channel import del_t_rows, del_total, oracle_is_code
 from composite_dna.cli import main
@@ -239,6 +239,34 @@ class TestEncodeDecode:
         assert code == 0
         assert word_from_text(out) == word
 
+    def test_congruence_decode_with_one_target(self, capsys, tmp_path):
+        # rows 0100 and 1100: VT sums 2 + 3 = 5 mod 7; row 1 lost a symbol
+        word = Word.from_rows(["0100", "1100"], q=2)
+        (tmp_path / "word.txt").write_text(word_to_text(word))
+        (tmp_path / "received.txt").write_text("2 2 4\n100\n1100\n")
+        flags = ("--family", "cong-binary-t", "--p", "7", "--targets", "5")
+        code, out, _ = run(capsys, "contains", *flags, "--in", str(tmp_path / "word.txt"))
+        assert (code, out) == (0, "true\n")
+        code, out, err = run(
+            capsys, "decode", *flags, "--in", str(tmp_path / "received.txt")
+        )
+        assert (code, err) == (0, "")
+        assert word_from_text(out) == word
+
+    @pytest.mark.parametrize("verb", ["contains", "decode"])
+    @pytest.mark.parametrize("family", ["cong-binary-t", "cong-qary-t"])
+    def test_empty_congruence_targets_are_a_domain_error(
+        self, verb, family, capsys, tmp_path
+    ):
+        word_file = tmp_path / "word.txt"
+        word_file.write_text("2 2 4\n0100\n1100\n")
+        code, out, err = run(
+            capsys, verb, "--family", family, "--p", "17", "--targets", "",
+            "--in", str(word_file),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: the congruence targets are empty; give at least one\n"
+
 
 class TestVerifyCode:
     def test_non_code_prints_witness(self, capsys, tmp_path):
@@ -332,6 +360,16 @@ class TestRoundtrip:
         assert code == 0
         assert "failures=0" in out and "PASS" in out
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_a_sweep_of_no_trials_is_a_domain_error(self, trials, capsys):
+        code, out, err = run(
+            capsys,
+            "roundtrip", "--family", "c2d", "--k", "3", "--t", "2", "--m", "4",
+            "--trials", trials,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: --trials must be at least 1, got {trials}\n"
+
     def test_bad_parameters_fail_before_any_trial(self, capsys):
         code, out, err = run(
             capsys,
@@ -424,16 +462,16 @@ class TestDeletionPatterns:
 
 
 def _counting(monkeypatch, name):
-    """Replace cli.<name> with a wrapper that records (first argument,
+    """Replace families.<name> with a wrapper that records (first argument,
     result) of each call, and return that record."""
-    original, seen = getattr(cli, name), []
+    original, seen = getattr(families, name), []
 
     def counted(*args):
         result = original(*args)
         seen.append((args[0], result))
         return result
 
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(families, name, counted)
     return seen
 
 
@@ -483,18 +521,18 @@ ROUNDTRIP_SIZES = {
 }
 
 
-def _closed_form_cases(family, p, args, spec):
+def _closed_form_cases(family, p, spec):
     """cases= of a sweep: trials x sum_{s<=t} C(k,s) per_row^s, with per_row
     n for deletions and n(q-1) for substitutions; messages x k n for c1d,
     messages x (1 + k n) for lme1 and messages x n for doll."""
     k = p["k"]
     if family in ("c1d", "lme1", "doll"):
-        symbols, length = cli.FAMILIES[family].message_space(args, spec)
+        symbols, length = families.FAMILIES[family].message_space(spec)
         n, messages = p["n"], symbols**length
         per_message = {"c1d": k * n, "lme1": 1 + k * n, "doll": n}[family]
         return messages * per_message
     q, t = p.get("q", 2), p.get("t", 1)
-    n = cli.FAMILIES[family].encode(Word.from_ranks([0] * p["m"], q, k), spec).n
+    n = families.FAMILIES[family].encode(Word.from_ranks([0] * p["m"], q, k), spec).n
     per_row = n if family in ("c2d", "c3d", "c4d") else n * (q - 1)
     return p["trials"] * sum(math.comb(k, s) * per_row**s for s in range(t + 1))
 
@@ -509,11 +547,10 @@ class TestPatternsContract:
         argv = ["roundtrip", "--family", family, "--seed", "2"]
         for key, value in p.items():
             argv += [f"--{key}", str(value)]
-        args = cli.build_parser().parse_args(argv)
-        fam = cli.FAMILIES[family]
-        spec = fam.spec(args)
+        fam = families.FAMILIES[family]
+        spec = fam.spec(**{key: p[key] for key in fam.params if key in p})
         model = fam.model(spec)
-        for _, message in itertools.islice(cli._messages(fam, args, spec), 3):
+        for _, message in itertools.islice(fam.messages(spec, p.get("trials"), 2), 3):
             word = fam.encode(message, spec)
             for item in channel.outputs(word, model):
                 assert len(item) == 3
@@ -522,7 +559,7 @@ class TestPatternsContract:
                 assert type(count) is int and count > 0
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        expected = _closed_form_cases(family, p, args, spec)
+        expected = _closed_form_cases(family, p, spec)
         assert out.splitlines()[1] == f"cases={expected} failures=0"
 
 
@@ -536,13 +573,9 @@ class TestModelContract:
         p = {**ROUNDTRIP_SIZES[family], "trials": 8}
         if family == "doll":
             p["n"] = 5
-        argv = ["roundtrip", "--family", family, "--seed", "5"]
-        for key, value in p.items():
-            argv += [f"--{key}", str(value)]
-        args = cli.build_parser().parse_args(argv)
-        fam = cli.FAMILIES[family]
-        spec = fam.spec(args)
-        messages = itertools.islice(cli._messages(fam, args, spec), 12)
+        fam = families.FAMILIES[family]
+        spec = fam.spec(**{key: p[key] for key in fam.params if key in p})
+        messages = itertools.islice(fam.messages(spec, p["trials"], 5), 12)
         book = [fam.encode(message, spec) for _, message in messages]
         assert len(set(book)) > 1
         assert oracle_is_code(book, fam.model(spec))

@@ -17,7 +17,7 @@ from itertools import product
 
 import pytest
 
-from composite_dna import cli
+from composite_dna import cli, families
 from composite_dna.vt_core import DecodeFailure
 
 # every word over Phi_{2,3} of length 2, as a codebook file in rank order
@@ -816,13 +816,13 @@ SCENARIOS = {
     ),
 }
 
-# name -> (cli global to patch, call that raises DecodeFailure, argv, stdout)
+# name -> (families global to patch, call that raises DecodeFailure, argv, stdout)
 def _rows(*texts):
     """Received rows as digit tuples, from one string of digits per row."""
     return tuple(tuple(map(int, text)) for text in texts)
 
 
-# case -> (decoder name in cli, the received rows it fails on, argv, stdout).
+# case -> (decoder name in families, the received rows it fails on, argv, stdout).
 # failures= counts every error pattern that yields the failing rows: four
 # deletion positions in the run 0000 for c1d, and 3 x 2 positions in the
 # runs 000 and 00 of the two hit rows for c4d.
@@ -956,14 +956,14 @@ def test_scenario(name, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("name", list(FIRST_FAILURES))
 def test_first_failure_label(name, monkeypatch, capsys):
     func, target, argv, out = FIRST_FAILURES[name]
-    original = getattr(cli, func)
+    original = getattr(families, func)
 
     def flaky(*args):
         if args[0].rows == target:
             raise DecodeFailure("forced")
         return original(*args)
 
-    monkeypatch.setattr(cli, func, flaky)
+    monkeypatch.setattr(families, func, flaky)
     assert run(capsys, argv) == (0, out, "")
 
 

@@ -170,6 +170,32 @@ class TestCongruenceFamilies:
                 )
                 assert got == word
 
+    def test_binary_one_target_roundtrip(self):
+        # t = 1 has no f(k, t) to warn about; every word is decoded in its
+        # own class, after each single deletion in either row
+        k, n, p = 2, 4, 5
+        cases = 0
+        for word in all_words(2, k, n):
+            (a,) = [a for a in range(p) if congruence_contains_binary_t(word, (a,), p)]
+            for hits in all_deletion_patterns(k, n, 1):
+                got = congruence_decode_binary_t(received_after(word, hits), (a,), p)
+                assert got == word
+                cases += 1
+        assert cases == 3**n * (1 + k * n)
+
+    def test_empty_targets_are_rejected(self):
+        word = Word.from_ranks((0, 1, 2, 0), 2, 3)
+        received = received_after(word, {})
+        calls = (
+            lambda: congruence_contains_binary_t(word, (), 5),
+            lambda: congruence_contains_qary_t(word, (), 5),
+            lambda: congruence_decode_binary_t(received, (), 5),
+            lambda: congruence_decode_qary_t(received, (), 5),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="targets are empty"):
+                call()
+
     def test_binary_t_class_is_a_code(self):
         members = self.binary_members(3, 4, 5, (0, 0))
         assert oracle_is_code(members, del_t_rows(2, (1, 1)))

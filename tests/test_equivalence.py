@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from composite_dna.alphabet import Letter, Word, all_letters, alphabet_size
-from composite_dna.channel import oracle_is_code, sub_per_row
+from composite_dna.channel import del_per_row, oracle_is_code, sub_per_row
 from composite_dna.equivalence import (
     MAP_NAMES,
     EquivalenceMap,
@@ -109,3 +109,33 @@ def test_shift_inverse_moves_budget_up_one_row():
             before = oracle_is_code(book, sub_per_row(*unit)).is_code
             image = transport_code(book, inv)
             assert oracle_is_code(image, sub_per_row(*shifted)).is_code == before
+
+
+@pytest.mark.parametrize("q,k,n", [(2, 3, 3), (3, 2, 3)])
+def test_complement_reverse_transports_deletion_budgets(q, k, n):
+    # a deletion budget on row 1 transports to row k of the image
+    cr = EquivalenceMap("complement-reverse")
+    first = del_per_row(1, *[0] * (k - 1))
+    last = del_per_row(*[0] * (k - 1), 1)
+    verdicts = []
+    for book in sample_codebooks(q, k, n, count=40, seed=404):
+        before = oracle_is_code(book, first).is_code
+        assert oracle_is_code(transport_code(book, cr), last).is_code == before
+        verdicts.append(before)
+    # the sample must exercise both outcomes for the agreement to mean much
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_shift_is_not_a_deletion_equivalence_at_q3():
+    # shift moves substitution budgets only: this book corrects one deletion
+    # in row 1, but both second rows of its image can lose a symbol to (1)
+    book = [Word.from_rows(((0, 0), (1, 2)), q=3), Word.from_rows(((1, 1), (1, 2)), q=3)]
+    assert oracle_is_code(book, del_per_row(1, 0)).is_code
+    image = transport_code(book, EquivalenceMap("shift"))
+    assert image == {
+        Word.from_rows(((1, 0), (1, 0)), q=3),
+        Word.from_rows(((1, 0), (2, 1)), q=3),
+    }
+    result = oracle_is_code(image, del_per_row(0, 1))
+    assert not result.is_code
+    assert result.witness[2].rows[1] == (1,)

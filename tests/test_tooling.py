@@ -1,9 +1,11 @@
-"""The benchmark's trace targets and the demos keep working, and no new
-runtime ``assert`` enters the library.
+"""The benchmark's trace targets and the demos keep working, no new
+runtime ``assert`` enters the library, and the library does not depend on
+its command-line front end.
 
 The traced benchmark run patches every ``(module, attribute)`` in
 ``perfbench/tracing.py``'s TARGETS, so each must still name something in
-``composite_dna``; each demo must still run to completion.  ``python -O``
+``composite_dna``, and a roundtrip through ``cli.main`` must still reach the
+patched decoders; each demo must still run to completion.  ``python -O``
 strips assert statements, so no module of the package may hold one.
 """
 
@@ -39,6 +41,51 @@ def test_trace_targets_resolve():
             assert hasattr(obj, part), f"composite_dna.{module_name}.{attribute}"
             obj = getattr(obj, part)
         assert callable(obj), f"composite_dna.{module_name}.{attribute}"
+
+
+def test_tracer_counts_the_decodes_of_a_cli_roundtrip(capsys):
+    import composite_dna
+    from composite_dna import channel, cli
+    from composite_dna.families import FAMILIES
+
+    argv = "roundtrip --family c2d --k 3 --t 2 --m 4 --trials 1 --seed 1"
+    tracer = load_tracing().Tracer()
+    tracer.install(composite_dna)
+    try:
+        tracer.active = True
+        code = cli.main(argv.split())
+        tracer.active = False
+    finally:
+        tracer.restore()
+    assert code == 0 and "PASS" in capsys.readouterr().out
+    family = FAMILIES["c2d"]
+    spec = family.spec(k=3, t=2, m=4)
+    ((_, payload),) = family.messages(spec, 1, 1)
+    word = family.encode(payload, spec)
+    distinct = len(list(channel.outputs(word, family.model(spec))))
+    assert tracer.counts["codes_deletion.encodes"] == 1
+    assert tracer.counts["codes_deletion.decodes"] == distinct > 1
+
+
+def _imports_the_cli(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = {alias.name for alias in node.names}
+            if module in (".cli", "composite_dna.cli") or (
+                module in (".", "composite_dna") and "cli" in names
+            ):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "composite_dna.cli" for alias in node.names):
+                return True
+    return False
+
+
+def test_only_the_entry_point_imports_the_cli():
+    modules = sorted((SRC / "composite_dna").glob("*.py"))
+    importers = [path.stem for path in modules if _imports_the_cli(path)]
+    assert importers == ["__main__"]
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
