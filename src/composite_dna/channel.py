@@ -22,22 +22,25 @@ outputs at exactly c_i errors (_row_levels), every row's in the order of
 their first error patterns, cells by position and value.  count is the
 number of error patterns that give the output and errors the first of them,
 as (row, cell) pairs.  Distinct count vectors give disjoint outputs, so each
-output is built once.  raw_received_set, hamming_sphere and deletion_ball
-are set views of the same rows' outputs, and valid_sub_ball keeps the
-outputs whose columns are all letters.
+output is built once.  _raw_rows is the same sweep without errors and
+counts, digit rows only; raw_received_set is its set, hamming_sphere and
+deletion_ball are set views of the same rows' outputs, and valid_sub_ball
+keeps the outputs whose columns are all letters.
 
 The decodability oracle works on RAW outputs: a received matrix is just k
 digit rows (possibly of unequal lengths) with no column-monotonicity
 requirement, because a decoder must handle every channel output.  The
 column-valid substitution balls from the bound analysis are provided
-separately (valid_sub_ball).  For the per-row and total kinds it builds
-every codeword's ball, M·|ball| outputs.  For the t-rows kinds, whose balls
-grow as Σ_{s≤t} C(k,s)·n^s, it tests the M²/2 pairs instead: two words
-collide iff count vectors that fit the model cover their per-row distances.  Under deletions one vector c must have c_i >= n - LCS_i on
-every row (both words reach an output through the same c, since its row
-lengths fix c); under substitutions two vectors a and b must have
-a_i + b_i >= d_i, the rows' Hamming distances.  Only a colliding pair's
-balls are built, for the witness.
+separately (valid_sub_ball).  For the per-row and total kinds it hashes
+the digit rows of every codeword's outputs once (_raw_rows), M·|ball| row
+tuples in one table per (q, n), and builds a ReceivedRows for the witness
+alone.  For the t-rows kinds, whose balls grow as Σ_{s≤t} C(k,s)·n^s, it
+tests the M²/2 pairs instead: two words collide iff count vectors that fit
+the model cover their per-row distances.  Under deletions one vector c must
+have c_i >= n - LCS_i on every row (both words reach an output through the
+same c, since its row lengths fix c); under substitutions two vectors a and
+b must have a_i + b_i >= d_i, the rows' Hamming distances.  Only a
+colliding pair's balls are built, for the witness.
 
 Random corruption uses a splitmix64 generator (documented in SplitMix64) so
 that the same seed reproduces the same plan in any implementation.
@@ -162,6 +165,17 @@ class ReceivedRows:
                 raise ValueError("row longer than the nominal length")
             if row and (min(row) < 0 or max(row) >= self.q):
                 raise ValueError(f"row digits must lie in Sigma_{self.q}")
+
+    @classmethod
+    def _of(cls, rows: tuple, q: int, n: int) -> "ReceivedRows":
+        """The output with these digit rows, which the channel has already
+        derived from a word over Sigma_q of length n: a tuple of at least
+        two tuples, none longer than n, whose digits lie in Sigma_q."""
+        received = object.__new__(cls)
+        object.__setattr__(received, "rows", rows)
+        object.__setattr__(received, "q", q)
+        object.__setattr__(received, "n", n)
+        return received
 
     @property
     def k(self) -> int:
@@ -512,16 +526,23 @@ def outputs(word: Word, model: ErrorModel):
             yield errors, tuple(received), count
 
 
-def raw_received_set(word: Word, model: ErrorModel) -> set[ReceivedRows]:
-    """Every channel output reachable from word under the model (raw rows)."""
-    rows, q, n = word.rows(), word.q, word.n
-    unhit, received = [(row,) for row in rows], set()
-    for hits, tables in _row_tables(rows, q, model):
+def _raw_rows(word: Word, model: ErrorModel):
+    """The digit rows of every raw output of word under the model, each
+    once: per fitting count vector, the product of the hit rows' outputs,
+    every other row as sent."""
+    rows = word.rows()
+    unhit = [(row,) for row in rows]
+    for hits, tables in _row_tables(rows, word.q, model):
         spread = unhit.copy()
         for (i, _), table in zip(hits, tables):
             spread[i] = table
-        received.update(ReceivedRows(r, q, n) for r in product(*spread))
-    return received
+        yield from product(*spread)
+
+
+def raw_received_set(word: Word, model: ErrorModel) -> set[ReceivedRows]:
+    """Every channel output reachable from word under the model (raw rows)."""
+    q, n = word.q, word.n
+    return {ReceivedRows(rows, q, n) for rows in _raw_rows(word, model)}
 
 
 def valid_sub_ball(word: Word, per_row=None, total: int | None = None) -> set[Word]:
@@ -566,10 +587,11 @@ def oracle_is_code(codebook, model: ErrorModel) -> OracleResult:
     per-row distances instead (_t_rows_collide): their balls grow as
     Σ_{s≤t} C(k,s)·n^s while their codebooks stay small.  The choice goes by
     kind because the other kinds have large books with small balls, where
-    the pairs cost more.  On a 2-core x86-64 VM, a 12-word c2d book (n = 16)
-    under del-t-rows 1,1 takes about 28 ms by balls and 0.3 ms by pairs,
-    and a 360-word c1d book under del-total 1 took 0.021 s by balls against
-    1.85 s in a pair-by-pair prototype.  Both ways give the same witness.
+    the pairs cost more.  On a 2-core x86-64 VM (best of 15), a 12-word c2d
+    book (n = 16) under del-t-rows 1,1 takes about 2.5 ms by balls and
+    0.2 ms by pairs, and a 360-word c1d book (n = 8) under del-total 1 takes
+    7 to 11 ms by balls, where a pair-by-pair prototype took 1.85 s.  Both
+    ways give the same witness.
     """
     if model.kind.endswith("-t-rows"):
         return _oracle_by_pairs(codebook, model)
@@ -577,22 +599,26 @@ def oracle_is_code(codebook, model: ErrorModel) -> OracleResult:
 
 
 def _oracle_by_balls(codebook, model: ErrorModel) -> OracleResult:
-    """oracle_is_code by enumerating every codeword's raw output set."""
+    """oracle_is_code by hashing the digit rows of every codeword's raw
+    outputs.  Equal rows of words over another q are other outputs, so each
+    (q, n) has its own table; only the witness becomes a ReceivedRows."""
     keyed = sorted(((w.ranks(), w) for w in set(codebook)), key=itemgetter(0))
-    first_owner: dict[ReceivedRows, int] = {}
+    tables: dict[tuple[int, int], dict] = {}
     best_key = best = None  # the smallest collision seen so far
     for idx, (ranks, w) in enumerate(keyed):
-        for received in raw_received_set(w, model):
-            owner = first_owner.setdefault(received, idx)
+        first_owner = tables.setdefault((w.q, w.n), {})
+        for rows in _raw_rows(w, model):
+            owner = first_owner.setdefault(rows, idx)
             if owner == idx:
                 continue
             owner_ranks, owner_word = keyed[owner]
-            key = (owner_ranks, ranks, received.sort_key())
+            key = (owner_ranks, ranks, rows)
             if best_key is None or key < best_key:
-                best_key, best = key, (owner_word, w, received)
+                best_key, best = key, (owner_word, w)
     if best is None:
         return OracleResult(True, None)
-    return OracleResult(False, best)
+    a, b = best
+    return OracleResult(False, (a, b, ReceivedRows(best_key[2], b.q, b.n)))
 
 
 def _oracle_by_pairs(codebook, model: ErrorModel) -> OracleResult:

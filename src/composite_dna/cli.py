@@ -361,7 +361,7 @@ def cmd_roundtrip(args) -> int:
         for errors, rows, count in outputs(word, model):
             if not (errors or family.sweeps_clean_word):
                 continue
-            received = ReceivedRows(rows, word.q, word.n)
+            received = ReceivedRows._of(rows, word.q, word.n)
             cases += count
             try:
                 ok = family.decode(received, spec) == message

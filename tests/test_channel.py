@@ -732,6 +732,61 @@ def test_pairwise_oracle_matches_the_enumerator(kind, k):
     assert channel._oracle_by_balls(mixed, kind(k, [2] * k)).is_code
 
 
+def random_ball_model(kind, rng, k):
+    """A model of one of the four ball kinds, small enough for brute force."""
+    if kind == "sub-per-row":
+        return sub_per_row(*(rng.randint(0, 1) for _ in range(k)))
+    if kind == "del-per-row":
+        return del_per_row(*(rng.randint(0, 1) for _ in range(k)))
+    return (sub_total if kind == "sub-total" else del_total)(rng.randint(0, 2))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("kind", ["sub-per-row", "sub-total", "del-per-row", "del-total"])
+def test_ball_oracle_matches_the_brute_force_reference(kind, q, k):
+    """The ball oracle gives the pair-by-pair reference's verdict and whole
+    witness, its shared output a ReceivedRows equal to the reference's."""
+    rng = random.Random(3 * q + k)
+    size = alphabet_size(q, k)
+    verdicts = set()
+    for _ in range(16):
+        n = rng.randint(1, 3)
+        model = random_ball_model(kind, rng, k)
+        book = [
+            Word.from_ranks([rng.randrange(size) for _ in range(n)], q, k)
+            for _ in range(rng.randint(2, 5))
+        ]
+        reference = brute_force_witness(book, model)
+        result = channel._oracle_by_balls(book, model)
+        assert result == channel.OracleResult(reference is None, reference), (book, model)
+        if reference is not None:
+            assert type(result.witness[2]) is ReceivedRows
+        verdicts.add(result.is_code)
+    assert verdicts == {True, False}
+
+
+def test_trusted_outputs_equal_checked_ones():
+    """ReceivedRows._of, which skips the checks, gives the object the
+    checked constructor gives for every output of seeded words under all
+    six models; both enumerators yield the same outputs, each once."""
+    rng = random.Random(1709)
+    models = [
+        sub_per_row(1, 0, 1), sub_total(2), sub_t_rows(2, (1, 1)),
+        del_per_row(1, 0, 1), del_total(2), del_t_rows(2, (1, 2)),
+    ]
+    for model in models:
+        for q in (2, 3):
+            ranks = [rng.randrange(alphabet_size(q, 3)) for _ in range(3)]
+            word = Word.from_ranks(ranks, q, 3)
+            raw = list(channel._raw_rows(word, model))
+            assert len(raw) == len(set(raw))
+            assert set(raw) == {rows for _, rows, _ in outputs(word, model)}
+            for rows in raw:
+                trusted, checked = ReceivedRows._of(rows, q, 3), ReceivedRows(rows, q, 3)
+                assert trusted == checked and hash(trusted) == hash(checked)
+
+
 @pytest.mark.parametrize(
     "codebook, model, calls",
     [

@@ -16,7 +16,7 @@ from composite_dna import channel, cli, families
 from composite_dna.alphabet import Word, alphabet_size, word_from_text, word_to_text
 from composite_dna.channel import del_t_rows, del_total, oracle_is_code
 from composite_dna.cli import main
-from composite_dna.codes_deletion import c1d_contains
+from composite_dna.codes_deletion import c1d_contains, c1d_encode
 from composite_dna.codes_substitution import doll_size
 from composite_dna.vt_core import vt_syndrome
 
@@ -301,6 +301,52 @@ class TestVerifyCode:
         )
         assert code == 0
         assert out.strip() == "verdict: true"
+
+    @pytest.mark.parametrize(
+        "model, e", [("sub-total", "0"), ("sub-per-row", "1,0"), ("del-total", "1")]
+    )
+    def test_words_of_another_q_or_n_share_no_output(self, model, e, capsys, tmp_path):
+        """A q=2 and a q=3 word with the same digit rows, and a word of
+        another length, are a code: their outputs carry q and n."""
+        rows = ((0, 1), (1, 1))
+        words = [
+            Word.from_rows(rows, 2),
+            Word.from_rows(rows, 3),
+            Word.from_rows(((0, 1, 1), (1, 1, 1)), 2),
+        ]
+        assert oracle_is_code(words, cli.build_model(model, e, None)).is_code
+        book = tmp_path / "book.txt"
+        book.write_text("\n".join(word_to_text(w) for w in words))
+        code, out, _ = run(capsys, "verify-code", "--model", model, "--e", e, "--in", str(book))
+        assert (code, out) == (0, "verdict: true\n")
+
+    @pytest.mark.parametrize(
+        "n, e, verdict, built",
+        [
+            (6, "1", "verdict: true", 0),
+            # the whole c1d (k=2, n=7, a=0) code beyond its guarantee
+            (7, "2", "verdict: false", 1),
+        ],
+    )
+    def test_only_the_witness_is_a_checked_output(
+        self, n, e, verdict, built, capsys, tmp_path, monkeypatch
+    ):
+        """The oracle hashes raw digit rows: a ReceivedRows is built, and
+        checked, for the witness alone."""
+        # c1d (k=2, a=0) carries n - 2 message digits at n = 6 and 7
+        words = [c1d_encode(msg, 0, 2, n) for msg in itertools.product(range(3), repeat=n - 2)]
+        book = tmp_path / "book.txt"
+        book.write_text("\n".join(word_to_text(w) for w in words))
+        calls = []
+        original = channel.ReceivedRows.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(channel.ReceivedRows, "__post_init__", counting)
+        code, out, _ = run(capsys, "verify-code", "--model", "del-total", "--e", e, "--in", str(book))
+        assert (code, out.splitlines()[0], len(calls)) == (0, verdict, built)
 
 
 class TestTransformAndTable:
