@@ -8,12 +8,14 @@
 * out_of_model: a ValueError from a lower layer, met after the intake,
   means the received word lay outside the model, so it becomes a
   DecodeFailure;
-* repair_rows: the row-repair core of every t-row syndrome decoder.
+* repair_rows: the row-repair core of every t-row syndrome decoder; it
+  returns the repaired word and the syndromes of all its rows, so a
+  re-encode needs no second pass over the intact rows.
 """
 
 from __future__ import annotations
 
-from .alphabet import Word, column_rank
+from .alphabet import Word, column_rank, column_ranks
 from .algebra import compose_base, solve_power_sums
 from .vt_core import DecodeFailure
 
@@ -37,17 +39,15 @@ def check_payload(payload: Word, spec) -> None:
         )
 
 
-def invalid_column(columns) -> int | None:
-    """The index of the only column that is not nondecreasing, or None; a
-    second one is a DecodeFailure."""
-    invalid = [
-        j
-        for j, col in enumerate(columns)
-        if any(col[i] > col[i + 1] for i in range(len(col) - 1))
-    ]
-    if len(invalid) > 1:
+def invalid_column(columns, q: int, k: int) -> int | None:
+    """The index of the only column of length k that is no letter of
+    Phi_{q,k}, or None; a second one is a DecodeFailure.  For digits of
+    Sigma_q a column is no letter exactly when it is not nondecreasing."""
+    ranks = column_ranks(columns, q, k)
+    invalid = ranks.count(None)
+    if invalid > 1:
         raise DecodeFailure("more than one invalid column; model breach")
-    return invalid[0] if invalid else None
+    return ranks.index(None) if invalid else None
 
 
 def block_value(segments, q: int, base: int) -> int:
@@ -68,16 +68,20 @@ def out_of_model(func, *args):
 def repair_rows(
     rows, q: int, unknown, usable, read_sum, row_syndrome, modulus: int,
     lift_bound: int, decode_row,
-) -> Word:
-    """Rebuild the rows listed in unknown and return the repaired word.
+) -> tuple[Word, list[int]]:
+    """Rebuild the rows listed in unknown; return the repaired word and the
+    syndromes of all its rows.
 
     The known rows' syndromes, row_syndrome(row), and the sums read_sum(j)
     of the first len(unknown) usable syndrome indices j leave one
     Vandermonde solve mod modulus for the unknown rows' syndromes
     (algebra.solve_power_sums).  Each solved residue must lie below
     lift_bound, the range of a true row syndrome, and decode_row(i, residue)
-    then rebuilds row i.  Too few usable indices, a residue that does not
-    lift and a repaired word with an invalid column are DecodeFailures.
+    then rebuilds row i, whose returned syndrome is row_syndrome of that
+    decoded row, not the residue: a caller that re-encodes from them checks
+    the row decoder, not trusts it.  Too few usable indices, a residue that
+    does not lift and a repaired word with an invalid column are
+    DecodeFailures.
     """
     chosen = list(usable)[: len(unknown)]
     if len(chosen) < len(unknown):
@@ -91,4 +95,5 @@ def repair_rows(
         if value >= lift_bound:
             raise DecodeFailure("solved syndrome residue does not lift; breach")
         rows[i] = decode_row(i, value)
-    return out_of_model(Word.from_rows, rows, q)
+        values[i] = row_syndrome(rows[i])
+    return out_of_model(Word.from_rows, rows, q), values

@@ -16,13 +16,16 @@ this package.  For q = 2 the rank of a column is simply its number of ones.
 
 A word is a sequence of n letters, equivalently a k x n matrix whose rows are
 length-n digit strings and whose columns are all nondecreasing.  A Word
-holds both its rank sequence and its digit rows, and builds each only once:
-Word(q, k, ranks) checks the ranks against the rank table and transposes
-them into rows; Word.from_rows keeps the int-normalised rows it was given
-and the ranks that its column lookup found; and word + word (the systematic
-encoders' payload followed by their tail) concatenates the two words' ranks
-and rows, so only the tail is ever checked and transposed.  Its letters are
-the shared ones of all_letters.
+holds both its rank sequence and its digit rows, and builds each only once.
+Its rows always come from the rank table, so every digit is an int:
+Word(q, k, ranks) checks the ranks against the table and transposes the
+table's columns into rows; Word.from_rows looks each given column up in the
+table first (True and 1.0 hash like 1, so they hit it), transposes the
+table's columns for the ranks it found, and int()-normalises the given
+digits, then looks them up again, only when a column misses; and
+word + word (the systematic encoders' payload followed by their tail)
+concatenates the two words' ranks and rows, so only the tail is ever
+checked and transposed.  Its letters are the shared ones of all_letters.
 """
 
 from __future__ import annotations
@@ -101,6 +104,18 @@ def letter_values(q: int, k: int) -> tuple[int, ...]:
     return tuple(_v_value(ds, q) for ds in tuples)
 
 
+def column_ranks(columns, q: int, k: int) -> tuple:
+    """The rank of each digit column of length k, None for a column that is
+    no letter of Phi_{q,k}; one table lookup per column, at C speed."""
+    return tuple(map(_rank_tables(q, k)[1].get, columns))
+
+
+def _transpose(tuples, ranks) -> tuple:
+    """The digit rows of the word with these (valid) ranks: one
+    transposition of the table's letter tuples."""
+    return tuple(zip(*[tuples[r] for r in ranks]))
+
+
 def column_rank(column, q: int) -> int:
     """Rank of a digit column; ValueError if it is not a letter over Sigma_q."""
     column = tuple(column)
@@ -137,7 +152,8 @@ class Word:
     """A word over Phi_{q,k}: its rank sequence, checked by Word(q, k, ranks).
 
     Equality and hashing look at (q, k, ranks); the rows are a view kept
-    beside them."""
+    beside them, always transposed from the rank table's letters, so every
+    digit is an int whichever constructor built the word."""
 
     q: int
     k: int
@@ -154,7 +170,7 @@ class Word:
             raise ValueError(
                 f"rank {bad} out of range for Phi_{{{q},{k}}} (size {len(tuples)})"
             )
-        self._set(q, k, ranks, tuple(zip(*[tuples[r] for r in ranks])))
+        self._set(q, k, ranks, _transpose(tuples, ranks))
 
     def _set(self, q, k, ranks, rows) -> None:
         for name, value in (("q", q), ("k", k), ("_ranks", ranks), ("_rows", rows)):
@@ -199,21 +215,23 @@ class Word:
 
     @classmethod
     def from_rows(cls, rows, q: int) -> "Word":
-        rows = tuple(tuple(map(int, row)) for row in rows)
-        if len(rows) < 2:
-            raise ValueError("a word needs at least two rows (k >= 2)")
-        n = len(rows[0])
-        if any(len(row) != n for row in rows):
-            raise ValueError("all rows of a word must have equal length")
-        lookup = _rank_tables(q, len(rows))[1]
-        if not n:
-            raise ValueError("a word must contain at least one letter")
-        ranks = tuple(map(lookup.get, zip(*rows)))
-        if None in ranks:
-            j = ranks.index(None)
-            col = tuple(row[j] for row in rows)
-            raise ValueError(f"column {j} is not nondecreasing over Sigma_{q}: {col}")
-        return cls._of(q, len(rows), ranks, rows)
+        """The word with these digit rows.  Its columns are looked up in the
+        rank table as given; only if that fails (a digit string, 1.5, a
+        digit outside Sigma_q, a shape that is no word) are the digits
+        int()-normalised and looked up again, so the result, word or error,
+        is the one the int() digits give.  The rows are the table's, so
+        every digit is an int."""
+        rows = tuple(map(tuple, rows))
+        k = len(rows)
+        ranks = None
+        if k >= 2 and rows[0] and len(set(map(len, rows))) == 1:
+            try:
+                ranks = column_ranks(zip(*rows), q, k)
+            except (TypeError, ValueError):
+                pass  # a bad q or an unhashable digit: reported below
+        if ranks is None or None in ranks:
+            ranks = _checked_ranks(tuple(tuple(map(int, row)) for row in rows), q)
+        return cls._of(q, k, ranks, _transpose(_rank_tables(q, k)[0], ranks))
 
     @classmethod
     def from_ranks(cls, ranks, q: int, k: int) -> "Word":
@@ -228,6 +246,25 @@ class Word:
         if any(lt.q != q or lt.k != k for lt in letters):
             raise ValueError("all letters in a word must share q and k")
         return cls(q, k, [letter_rank(lt) for lt in letters])
+
+
+def _checked_ranks(rows, q: int) -> tuple:
+    """The ranks of the columns of int digit rows, or the ValueError that
+    names what keeps them from being a word over Sigma_q."""
+    if len(rows) < 2:
+        raise ValueError("a word needs at least two rows (k >= 2)")
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise ValueError("all rows of a word must have equal length")
+    lookup = _rank_tables(q, len(rows))[1]
+    if not n:
+        raise ValueError("a word must contain at least one letter")
+    ranks = tuple(map(lookup.get, zip(*rows)))
+    if None in ranks:
+        j = ranks.index(None)
+        col = tuple(row[j] for row in rows)
+        raise ValueError(f"column {j} is not nondecreasing over Sigma_{q}: {col}")
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -281,5 +318,5 @@ def word_from_text(text: str) -> Word:
     for row in body:
         if len(row) != n or not row.isdigit():
             raise ValueError(f"bad digit row {row!r} (expected {n} digits)")
-        rows.append(tuple(int(ch) for ch in row))
+        rows.append(tuple(map(int, row)))
     return Word.from_rows(rows, q)

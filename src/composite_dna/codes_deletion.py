@@ -20,7 +20,9 @@ unrepaired rows, an invalid block letter, non-monotone marker flags, the
 post-decode congruence check, clean rows outside the code and a decoded
 payload whose codeword is not a supersequence of every row.  That last
 check costs O(log n) slice compares per short row and one compare per
-intact row, all at C speed.
+intact row, all at C speed; the codeword's tail is built from the intact
+rows' syndromes, computed once for the repair, and the repaired rows' own
+syndromes.
 
 * congruence_*: codes cut out by syndrome congruences, decoded by
   _congruence_decode_t.  Binary t-row variants weight the per-row VT sums
@@ -246,7 +248,7 @@ def _congruence_decode_t(received, targets, code: _RowCode, contains=None) -> Wo
         # the first |I| congruences suffice: with consecutive powers the
         # matrix is a plain Vandermonde in the distinct row nodes, invertible
         # since p > k - 1
-        word = repair_rows(
+        word, _ = repair_rows(
             received.rows, received.q, short, range(len(targets)),
             lambda j: targets[j], code.syndrome, code.modulus, code.lift_bound,
             lambda i, residue: code.decode(received.rows[i], residue),
@@ -377,15 +379,22 @@ def C4DSpec(q: int, k: int, t: int, m: int) -> MarkerSpec:
     return MarkerSpec(q, k, t, m)
 
 
-def _marker_encode(payload: Word, spec: MarkerSpec) -> Word:
-    check_payload(payload, spec)
-    q, k, base = payload.q, payload.k, spec.base
+def _marker_tail(sums, spec: MarkerSpec) -> Word:
+    """The tail that carries the payload rows' weighted syndrome sums: per
+    syndrome index j, the marker column pair and the base-|Phi_{q,k}|
+    digits of sums[j]."""
+    q, k, base = spec.q, spec.k, spec.base
     markers = [column_rank((0,) * k, q), column_rank((1,) * k, q)]
     tail = []
-    for value in spec.syndromes(payload):
+    for value in sums:
         tail += markers
         tail += expand_base(value, base, base**spec.delta)
-    return payload + Word(q, k, tail)
+    return Word(q, k, tail)
+
+
+def _marker_encode(payload: Word, spec: MarkerSpec) -> Word:
+    check_payload(payload, spec)
+    return payload + _marker_tail(spec.syndromes(payload), spec)
 
 
 def c2d_encode(payload: Word, spec: MarkerSpec) -> Word:
@@ -445,7 +454,9 @@ def _marker_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
     marker flags say which segment lost its symbol, the intact syndrome
     blocks give the payload-hit rows' syndromes by one solve mod
     spec.modulus, and the decoded payload must re-encode to a supersequence
-    of every row."""
+    of every row.  The re-encode takes the intact rows' syndromes from the
+    solve and computes each repaired row's from the decoded row; it shares
+    _marker_tail with _marker_encode."""
     intake(received, spec, full_length=False)
     t, code = spec.t, spec.row_code
     short = _row_deficits(received, t)
@@ -462,15 +473,18 @@ def _marker_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
 
     if unknown:
         blocked = {seg for seg in damage.values() if seg is not None and seg >= 0}
-        payload = repair_rows(
+        payload, syndromes = repair_rows(
             rows, received.q, unknown, [j for j in range(t) if j not in blocked],
             lambda j: _read_block_digits(received, spec, damage, j),
             code.syndrome, code.modulus, code.lift_bound,
             lambda i, value: code.decode(received.rows[i][: spec.m - 1], value),
         )
+        sums = power_sums(syndromes, range(t), code.modulus)
     else:
         payload = out_of_model(Word.from_rows, rows, received.q)
-    codeword = _marker_encode(payload, spec)
+        sums = spec.syndromes(payload)
+    # the re-encode: the tail of the decoded rows' own syndromes
+    codeword = payload + _marker_tail(sums, spec)
     for got, want in zip(received.rows, codeword.rows()):
         if not _is_subsequence(got, want):
             raise DecodeFailure("decoded payload is inconsistent with the received rows")

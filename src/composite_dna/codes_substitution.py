@@ -366,7 +366,7 @@ def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
     into a different A2 letter, which the inner C(l) decoder then fixes.
     """
     columns = list(zip(*intake(received, spec)))
-    j = invalid_column(columns)
+    j = invalid_column(columns, spec.q, spec.k)
     if j is not None:
         tail = columns[j][1:]
         if any(tail[i] > tail[i + 1] for i in range(len(tail) - 1)):
@@ -431,7 +431,7 @@ def cecc1_decode(received: ReceivedRows, a: int) -> Word:
     n, k = received.n, received.k
     columns = list(zip(*intake(received)))
     mod = 2 * n + 1
-    j = invalid_column(columns)
+    j = invalid_column(columns, 2, k)
     if j is not None:
         w = sum(columns[j])
         others = sum((p + 1) * sum(col) for p, col in enumerate(columns) if p != j)
@@ -497,8 +497,9 @@ def q1cecc_decode(
     span = 2 * q - 1
     delta1 = (sum(v for row in rows for v in row) - a1) % span
     delta = delta1 if delta1 <= q - 1 else delta1 - span
-    columns = [list(col) for col in zip(*rows)]
-    invalid = invalid_column(columns)
+    columns = list(zip(*rows))
+    invalid = invalid_column(columns, q, k)
+    columns = list(map(list, columns))
     if delta == 0:
         if invalid is not None:
             raise DecodeFailure("digit sum clean but a column is invalid; breach")
@@ -713,7 +714,8 @@ def c2s_decode(received: ReceivedRows, spec: C2SSpec) -> Word:
             )
         return qary_decode_one_substitution(rows[i][:m], bar, copies[0], q)
 
-    return repair_rows(
+    word, _ = repair_rows(
         payload_rows, q, dirty, intact, read_sum,
         lambda row: vt_syndrome(row) % spec.span, spec.p, spec.span, decode_row,
     )
+    return word

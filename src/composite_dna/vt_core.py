@@ -7,16 +7,21 @@ provides:
 * binary single-deletion decoding from VT(x) mod N with N > len(x), in O(n)
   by Levenshtein's placement rule,
 * the difference transform psi and q-ary single-deletion decoding from
-  VT(psi(x)) mod q*n in O(n), from the suffix sums of psi(y),
+  VT(psi(x)) mod q*n in O(n), from the suffix sums of psi(y), which
+  telescope to a digit of y plus q times a count of its ascents,
 * q-ary single-substitution decoding from the pair (VT(x) mod 2n(q-1),
   Sum(x) mod q),
 * the 1-limited-magnitude code {c : VT(c) = a mod 2n+1} over Sigma_Q with its
   systematic encoder and decoder.
 
 Neither single-deletion decoder recomputes a syndrome per candidate: the
-binary one places the symbol directly, the q-ary one solves for the one
-symbol per position that can meet the residue.  Their per-symbol work runs
-in C builtins (sum, map, accumulate, min/max, set).  The brute-force
+binary one places the symbol directly; the q-ary one knows the one symbol
+per position that can meet the residue, and bisects for the at most 2q + 1
+positions where it can (its docstring gives the argument: the residue left
+for a position wraps at most once over the row, and on each side of the
+wrap the slack g = r - pos*q falls strictly).  Their per-symbol work runs
+in C builtins (sum, map, accumulate, count, min/max), and the q-ary one
+adds O(log n + q) interpreted steps.  The brute-force
 enumerators they replace, O(q * n^2), are kept as
 ``_reference_vt_decode_one_deletion`` and
 ``_reference_qary_decode_one_deletion``; the tests check that both give the
@@ -25,7 +30,8 @@ same rows and the same failures.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress, count
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, compress, count
 from operator import indexOf, lt, not_
 
 from .algebra import digit_width, expand_base
@@ -62,7 +68,7 @@ def vt_decode_one_deletion(y, a: int, modulus: int):
     n = len(y) + 1
     if modulus <= n:
         raise ValueError(f"modulus {modulus} too small for length {n}")
-    if not set(y) <= {0, 1}:
+    if y.count(0) + y.count(1) != len(y):
         raise ValueError("received row is not over Sigma_2")
     return _levenshtein_insert(y, (a - vt_syndrome(y)) % modulus)
 
@@ -144,7 +150,8 @@ def qary_vt_syndrome(x, q: int) -> int:
 
 def qary_decode_one_deletion(y, a: int, q: int, n: int):
     """Recover x of length n over Sigma_q from one deletion, given
-    VT(psi(x)) = a (mod q*n), in O(n).
+    VT(psi(x)) = a (mod q*n), in O(n) at C speed plus O(log n + q)
+    interpreted steps.
 
     Write e = y + (0,), so that psi(e) = psi(y) + (0,), and let S = VT(psi(y))
     and s_pos = psi(e)_pos + ... + psi(e)_{n-1}.  Inserting sym at pos
@@ -162,6 +169,18 @@ def qary_decode_one_deletion(y, a: int, q: int, n: int):
     only *canonical* insertions are counted, so every distinct supersequence
     of y is visited once.  The number of matches is then the number of
     distinct candidate rows, which is what the reference enumerator counts.
+
+    The matches are found by bisection, not by a pass over the positions.
+    The psi entries telescope: s_pos = e_pos + q * (the number of ascents
+    e_i < e_{i+1} at i >= pos), one accumulate over the ascent flags.  With
+    d = (a - S) mod q*n, D_pos = d - s_pos does not decrease as pos grows
+    and spans less than q*n, so r = D_pos mod q*n wraps at most once, at
+    the first pos w with s_pos <= d: r = D_pos from w on and
+    D_pos + q*n before it.  Since r_pos = r_{pos-1} + c within a side,
+    r < c holds at most at w.  And g = r - pos*q falls by q - c >= 1 per
+    step within a side, so the positions with 0 <= g < q, the only ones
+    where c < g < q can hold, are at most q consecutive ones, found by
+    bisecting on s_pos + pos*q.
     """
     y = tuple(y)
     if len(y) != n - 1:
@@ -170,16 +189,29 @@ def qary_decode_one_deletion(y, a: int, q: int, n: int):
         raise ValueError(f"received row is not over Sigma_{q}")
     modulus = q * n
     e = y + (0,)
-    z = psi(e, q)
-    d = a - vt_syndrome(z)
-    suffix = reversed(list(accumulate(reversed(z))))
-    hits = [
-        (pos, (e[pos] + r) % q)
-        for pos, c, r in zip(
-            count(), chain((-1,), z), [(d - s) % modulus for s in suffix]
+    # after[n - 1 - pos]: the number of ascents e_i < e_{i+1} at i >= pos
+    after = list(accumulate(map(lt, e[-2::-1], e[:0:-1]), initial=0))
+    d = (a - sum(e) - q * sum(after)) % modulus
+    last = n - 1
+    w = bisect_left(range(n), -d, key=lambda pos: -e[pos] - q * after[last - pos])
+    hits = []
+    if w:  # the wrap, the one position where u = r < c can hold
+        r = d - e[w] - q * after[last - w]
+        if r < (e[w - 1] - e[w]) % q:
+            hits.append((w, (e[w] + r) % q))
+    for lo, hi, base in ((0, w, d + modulus), (w, n, d)):
+        # g = base - f(pos), f(pos) = s_pos + pos*q; start at the first g < q
+        pos = bisect_right(
+            range(n), base - q, lo, hi,
+            key=lambda pos: e[pos] + q * (after[last - pos] + pos),
         )
-        if r < c or pos * q + c < r < (pos + 1) * q
-    ]
+        while pos < hi:
+            g = base - e[pos] - q * (after[last - pos] + pos)
+            if g < 0:
+                break
+            if g > ((e[pos - 1] - e[pos]) % q if pos else -1):
+                hits.append((pos, (e[pos] + g) % q))
+            pos += 1
     if len(hits) != 1:
         raise DecodeFailure(f"expected exactly one candidate, found {len(hits)}")
     ((pos, sym),) = hits

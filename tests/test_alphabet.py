@@ -285,6 +285,82 @@ def test_row_and_concatenation_builds_match_the_rank_constructor(q, k):
         assert_same_word(want + want, Word(q, k, ranks + ranks))
 
 
+# from_rows on inputs that are no tuples of int digits: each gives the word,
+# or the exception type and message, that int()-normalising every digit
+# first gives (the word's rows are ints either way)
+FROM_ROWS_CASES = {
+    "digit-strings": (lambda: ["0011", "0111"], 2, Word(2, 2, (0, 1, 2, 2))),
+    "digit-strings-q3": (lambda: ["012", "122"], 3, Word(3, 2, (1, 4, 5))),
+    "lists": (lambda: [[0, 0, 1], [0, 1, 1]], 2, Word(2, 2, (0, 1, 2))),
+    "generators": (lambda: (iter(r) for r in [(0, 1), (1, 1)]), 2, Word(2, 2, (1, 2))),
+    "bools": (lambda: [[False, True], [True, True]], 2, Word(2, 2, (1, 2))),
+    "floats": (lambda: [[0.0, 1.0], [1.0, 1.0]], 2, Word(2, 2, (1, 2))),
+    "one-and-a-half": (lambda: [[0, 1.5], [1, 1]], 2, Word(2, 2, (1, 2))),
+    "one-and-a-half-q3": (lambda: [[0, 1.5], [1, 2]], 3, Word(3, 2, (1, 4))),
+    "negative": (
+        lambda: [[0, -1], [1, 1]], 2,
+        (ValueError, "column 1 is not nondecreasing over Sigma_2: (-1, 1)"),
+    ),
+    "out-of-range": (
+        lambda: [[0, 2], [1, 2]], 2,
+        (ValueError, "column 1 is not nondecreasing over Sigma_2: (2, 2)"),
+    ),
+    "decreasing": (
+        lambda: [[1, 0], [0, 1]], 2,
+        (ValueError, "column 0 is not nondecreasing over Sigma_2: (1, 0)"),
+    ),
+    "letter-a": (
+        lambda: [[0, "a"], [1, 1]], 2,
+        (ValueError, "invalid literal for int() with base 10: 'a'"),
+    ),
+    "digit-string-a": (
+        lambda: ["0a", "11"], 2,
+        (ValueError, "invalid literal for int() with base 10: 'a'"),
+    ),
+    "ragged-a": (
+        lambda: [[0, "a"], [1]], 2,
+        (ValueError, "invalid literal for int() with base 10: 'a'"),
+    ),
+    "q1-a": (
+        lambda: [[0, "a"], [0, 0]], 1,
+        (ValueError, "invalid literal for int() with base 10: 'a'"),
+    ),
+    "one-row": (
+        lambda: [[0, 1]], 2, (ValueError, "a word needs at least two rows (k >= 2)"),
+    ),
+    "ragged": (
+        lambda: [[0, 1], [1]], 2,
+        (ValueError, "all rows of a word must have equal length"),
+    ),
+    "empty-rows": (
+        lambda: [[], []], 2, (ValueError, "a word must contain at least one letter"),
+    ),
+    "q1": (
+        lambda: [[0, 0], [0, 0]], 1, (ValueError, "alphabet base q must be >= 2, got 1"),
+    ),
+    "unhashable-digit": (
+        lambda: [[0, [1]], [1, 1]], 2,
+        (
+            TypeError,
+            "int() argument must be a string, a bytes-like object or a real "
+            "number, not 'list'",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FROM_ROWS_CASES)
+def test_from_rows_gives_the_int_normalised_word_or_error(case):
+    rows, q, want = FROM_ROWS_CASES[case]
+    if isinstance(want, Word):
+        assert_same_word(Word.from_rows(rows(), q), want)
+        return
+    kind, message = want
+    with pytest.raises(kind) as info:
+        Word.from_rows(rows(), q)
+    assert type(info.value) is kind and str(info.value) == message
+
+
 @given(words())
 def test_text_round_trip(w):
     assert word_from_text(word_to_text(w)) == w

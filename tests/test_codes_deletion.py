@@ -635,7 +635,8 @@ def test_marker_spec_primes_are_searched_once(monkeypatch):
 
 
 def test_marker_codes_transpose_only_their_tail(monkeypatch):
-    # encode builds payload + tail and decode keeps the rows it repaired, so
+    # encode builds payload + tail, and decode builds its payload with
+    # Word.from_rows, which transposes the rank table's letters itself, so
     # no Word(q, k, ranks) call sees more than the t*(delta+2) tail columns
     cases = []
     for spec, encode, decode in [
@@ -662,4 +663,94 @@ def test_marker_codes_transpose_only_their_tail(monkeypatch):
             seen.clear()
             run()
             assert seen and max(seen) <= tail
+        assert decode(received, spec) == payload
+
+
+MARKER_DECODES = [
+    (C2DSpec(k=3, t=2, m=16), c2d_encode, c2d_decode),
+    (C3DSpec(q=3, k=3, m=8), c3d_encode, c3d_decode),
+    (C4DSpec(q=3, k=3, t=2, m=6), c4d_encode, c4d_decode),
+]
+
+
+def marker_hits(spec, rng, shape):
+    """A deletion pattern (row -> position) of the given shape: every hit
+    in the payload, one payload hit and one hit in block 0 (t >= 2), or
+    every hit in the tail, so that no row is unknown.  Losing the zero
+    marker at position m reads as a payload hit, so tail hits start at
+    m + 1."""
+    rows = rng.sample(range(spec.k), spec.t)
+    if shape == "payload":
+        return {i: rng.randrange(spec.m) for i in rows}
+    if shape == "block":
+        block = rng.randrange(spec.m + 1, spec.m + spec.delta + 2)
+        return {rows[0]: rng.randrange(spec.m), rows[1]: block}
+    return {i: rng.randrange(spec.m + 1, spec.n) for i in rows}
+
+
+@pytest.mark.parametrize(
+    "spec, encode, decode, shape",
+    [
+        (*case, shape)
+        for case in MARKER_DECODES
+        for shape in ("payload", "block", "tail")
+        if shape != "block" or case[0].t >= 2
+    ],
+)
+def test_marker_decode_tail_is_the_encoders_tail(monkeypatch, spec, encode, decode, shape):
+    # the re-encode takes the intact rows' syndromes from the row repair and
+    # computes the repaired rows' from the decoded rows: its tail, and the
+    # syndrome sums it came from, are the encoder's
+    tails, repairs = [], []
+    original_tail, original_repair = codes_deletion._marker_tail, codes_deletion.repair_rows
+
+    def recording_tail(sums, spec):
+        tail = original_tail(sums, spec)
+        tails.append((list(sums), tail))
+        return tail
+
+    def recording_repair(*args):
+        repairs.append(args[2])
+        return original_repair(*args)
+
+    monkeypatch.setattr(codes_deletion, "_marker_tail", recording_tail)
+    monkeypatch.setattr(codes_deletion, "repair_rows", recording_repair)
+    rng = random.Random(spec.q * 100 + spec.t)
+    for payload in sample_payloads(spec.q, spec.k, spec.m, 12, seed=spec.m):
+        word = encode(payload, spec)
+        received = received_after(word, marker_hits(spec, rng, shape))
+        tails.clear()
+        repairs.clear()
+        assert decode(received, spec) == payload
+        ((sums, tail),) = tails
+        assert sums == spec.syndromes(payload)
+        assert tail.ranks() == word.ranks()[spec.m :]
+        assert len(repairs) == (shape != "tail") and all(repairs)
+
+
+@pytest.mark.parametrize("spec, encode, decode", MARKER_DECODES)
+def test_marker_decode_certifies_a_wrong_repaired_row(monkeypatch, spec, encode, decode):
+    # a row decoder that returns a wrong supersequence of the short row: row
+    # 0 with the lost digit set to 0, which keeps every column a letter.  A
+    # tail rebuilt from the solved residues would match every received row;
+    # the one rebuilt from the decoded rows' own syndromes does not
+    original = codes_deletion._RowCode.decode
+    rng = random.Random(spec.m)
+    payloads = sample_payloads(spec.q, spec.k, spec.m, 12, seed=spec.q)
+    payloads = [p for p in payloads if any(p.rows()[0])]  # a digit to zero
+    assert len(payloads) >= 10
+    for payload in payloads:
+        x = payload.rows()[0]
+        pos = rng.choice([j for j, digit in enumerate(x) if digit])
+
+        def wrong(self, row, residue, pos=pos):
+            got = original(self, row, residue)
+            return got[:pos] + (0,) + got[pos + 1 :]
+
+        word = encode(payload, spec)
+        received = received_after(word, {0: pos})
+        with monkeypatch.context() as patch:
+            patch.setattr(codes_deletion._RowCode, "decode", wrong)
+            with pytest.raises(DecodeFailure, match="inconsistent with the received"):
+                decode(received, spec)
         assert decode(received, spec) == payload

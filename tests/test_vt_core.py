@@ -342,6 +342,34 @@ def test_qary_decode_matches_reference_exhaustively(q, n):
                 )
 
 
+@pytest.mark.parametrize("q,n", [(4, 96), (5, 192), (3, 400)])
+def test_qary_decode_matches_reference_on_long_rows(q, n):
+    # seeded rows of three shapes: random digits; runs of equal digits
+    # (c = 0 at most positions, so the scan meets one position per side);
+    # an ascending staircase (c = q - 1, so the slack g falls by one a step
+    # and the scan meets up to q positions per side).  Each loses one
+    # symbol and is decoded at its true residue and at random ones.  No
+    # residue gives two or more candidates: each residue class of VT(psi)
+    # mod qn corrects one deletion, as the exhaustive test above finds too
+    rng = random.Random(1000 + n)
+    kinds = set()
+    for x in (
+        tuple(rng.randrange(q) for _ in range(n)),
+        tuple((i // 7) % q for i in range(n)),
+        tuple(i % q for i in range(n)),
+    ):
+        pos = rng.randrange(n)
+        y = x[:pos] + x[pos + 1 :]
+        true = qary_vt_syndrome(x, q)
+        for a in [true] + [rng.randrange(q * n) for _ in range(3)]:
+            got = outcome(qary_decode_one_deletion, y, a, q, n)
+            assert got == outcome(_reference_qary_decode_one_deletion, y, a, q, n)
+            if a == true:
+                assert got == x
+            kinds.add(got[1] if got[0] is DecodeFailure else "decoded")
+    assert kinds == {"decoded", "expected exactly one candidate, found 0"}
+
+
 def _row_400(q):
     """A fixed row of length 400 over Sigma_q."""
     return tuple((7 * i * i + 3 * i) % q for i in range(400))
@@ -407,6 +435,18 @@ def test_qary_decode_interprets_no_per_symbol_loop():
         )
 
     assert events(16) <= 1.5 * events(2)
+
+
+def test_qary_decode_interprets_sublinear_work():
+    # a bisection over the positions, not a pass: 8x the row length must
+    # not double the interpreted steps
+    def events(n):
+        x = tuple(random.Random(n).randrange(4) for _ in range(n))
+        y, a = x[: n // 3] + x[n // 3 + 1 :], qary_vt_syndrome(x, 4)
+        assert qary_decode_one_deletion(y, a, 4, n) == x
+        return line_events(qary_decode_one_deletion, y, a, 4, n)
+
+    assert events(4096) <= 2 * events(512)
 
 
 def test_supersequence_check_interprets_sublinear_work():
