@@ -3,7 +3,9 @@
 * intake: the decoders' check of the received shape against the spec, and
   of full-length rows for the substitution codes;
 * check_payload: the systematic encoders' payload check;
-* invalid_column: the one column of a received word that is no letter;
+* invalid_column: the one column of a received word that is no letter,
+  read from the ranks that alphabet.column_ranks gives its columns, so a
+  decoder looks each column up once and re-ranks only a column it repairs;
 * block_value: the value that a block of digit columns spells;
 * out_of_model: a ValueError from a lower layer, met after the intake,
   means the received word lay outside the model, so it becomes a
@@ -15,7 +17,7 @@
 
 from __future__ import annotations
 
-from .alphabet import Word, column_rank, column_ranks
+from .alphabet import Word, column_rank
 from .algebra import compose_base, solve_power_sums
 from .vt_core import DecodeFailure
 
@@ -39,11 +41,11 @@ def check_payload(payload: Word, spec) -> None:
         )
 
 
-def invalid_column(columns, q: int, k: int) -> int | None:
-    """The index of the only column of length k that is no letter of
-    Phi_{q,k}, or None; a second one is a DecodeFailure.  For digits of
-    Sigma_q a column is no letter exactly when it is not nondecreasing."""
-    ranks = column_ranks(columns, q, k)
+def invalid_column(ranks) -> int | None:
+    """The index of the only None in ranks, the column ranks of a received
+    word (alphabet.column_ranks), or None; a second one is a DecodeFailure.
+    For digits of Sigma_q a column ranks None exactly when it is not
+    nondecreasing."""
     invalid = ranks.count(None)
     if invalid > 1:
         raise DecodeFailure("more than one invalid column; model breach")

@@ -271,16 +271,23 @@ def _checked_ranks(rows, q: int) -> tuple:
 # text round-trip: the on-disk format shared with the CLI
 # ---------------------------------------------------------------------------
 
-def word_to_text(word: Word) -> str:
-    """Serialize a word: a 'q k n' header plus k digit rows.
+def rows_to_text(q: int, n: int, rows) -> str:
+    """The text form of k digit rows of nominal length n: a 'q k n' header
+    plus one line of digits per row, for a word (word_to_text) and for a
+    channel output, whose rows may be short (channel.received_to_text).
 
     Digits are written without separators, so q <= 10 is enforced here.
     """
-    if word.q > 10:
+    if q > 10:
         raise ValueError("text format only supports q <= 10")
-    lines = [f"{word.q} {word.k} {word.n}"]
-    lines += ["".join(str(d) for d in row) for row in word.rows()]
+    lines = [f"{q} {len(rows)} {n}"]
+    lines += ["".join(str(d) for d in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def word_to_text(word: Word) -> str:
+    """Serialize a word: a 'q k n' header plus k digit rows (rows_to_text)."""
+    return rows_to_text(word.q, word.n, word.rows())
 
 
 def word_to_rank_text(word: Word) -> str:

@@ -54,11 +54,11 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .alphabet import Word, _rank_tables
+from .alphabet import Word, column_ranks, rows_to_text
 
 _SUB_KINDS = ("sub-per-row", "sub-total", "sub-t-rows")
 # the six kinds, substitution first: also the order of the CLI's --model choices
-_KINDS = _SUB_KINDS + ("del-per-row", "del-total", "del-t-rows")
+MODEL_KINDS = _SUB_KINDS + ("del-per-row", "del-total", "del-t-rows")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class ErrorModel:
     t: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown error model kind {self.kind!r}")
         object.__setattr__(self, "budgets", tuple(self.budgets))
         if any(b < 0 for b in self.budgets):
@@ -190,11 +190,7 @@ def received_from_word(word: Word) -> ReceivedRows:
 
 
 def received_to_text(received: ReceivedRows) -> str:
-    if received.q > 10:
-        raise ValueError("text format only supports q <= 10")
-    lines = [f"{received.q} {received.k} {received.n}"]
-    lines += ["".join(str(d) for d in row) for row in received.rows]
-    return "\n".join(lines) + "\n"
+    return rows_to_text(received.q, received.n, received.rows)
 
 
 def received_from_text(text: str) -> ReceivedRows:
@@ -558,9 +554,8 @@ def valid_sub_ball(word: Word, per_row=None, total: int | None = None) -> set[Wo
         raise ValueError("give exactly one of per_row and total")
     model = sub_total(total) if per_row is None else sub_per_row(*per_row)
     q, k = word.q, word.k
-    lookup = _rank_tables(q, k)[1]
-    columns = ([lookup.get(col) for col in zip(*rows)] for _, rows, _ in outputs(word, model))
-    return {Word(q, k, ranks) for ranks in columns if None not in ranks}
+    ranked = (column_ranks(zip(*rows), q, k) for rows in _raw_rows(word, model))
+    return {Word(q, k, ranks) for ranks in ranked if None not in ranks}
 
 
 # ---------------------------------------------------------------------------

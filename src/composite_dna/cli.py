@@ -51,8 +51,8 @@ from .bounds import (
     sp_bound_per_row,
     sp_bound_total,
 )
-from .channel import _KINDS as MODEL_NAMES  # the --model choices
 from .channel import (
+    MODEL_KINDS,  # the --model choices
     ErrorModel,
     ReceivedRows,
     del_per_row,
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     con.set_defaults(func=cmd_contains)
 
     cor = sub.add_parser("corrupt", help="apply seeded random channel errors")
-    cor.add_argument("--model", required=True, choices=MODEL_NAMES)
+    cor.add_argument("--model", required=True, choices=MODEL_KINDS)
     cor.add_argument("--e", required=True, help="budget or comma list")
     cor.add_argument("--t", type=int, default=None)
     cor.add_argument("--seed", type=int, default=None)
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     cor.set_defaults(func=cmd_corrupt)
 
     ver = sub.add_parser("verify-code", help="oracle a codebook file")
-    ver.add_argument("--model", required=True, choices=MODEL_NAMES)
+    ver.add_argument("--model", required=True, choices=MODEL_KINDS)
     ver.add_argument("--e", required=True, help="budget or comma list")
     ver.add_argument("--t", type=int, default=None)
     _add_io(ver)

@@ -191,13 +191,12 @@ def c1d_message(word: Word) -> tuple[int, ...]:
 def c1d_decode(received: ReceivedRows, a: int) -> Word:
     """Recover from at most one deletion anywhere: the t = 1 congruence
     decode mod n+1, whose short row's VT residue is a minus the intact
-    rows' VT sums.  The post-decode check is the rank form of c1d_contains."""
+    rows' VT sums.  Its post-decode check is c1d_contains in row form: for
+    binary rows the VT of the rank sequence is the sum of the row VTs."""
     if received.q != 2:
         raise ValueError("c1d is a binary family")
     n = received.n
-    return _congruence_decode_t(
-        received, (a,), _RowCode(2, n, n + 1, False), lambda word: c1d_contains(word, a)
-    )
+    return _congruence_decode_t(received, (a,), _RowCode(2, n, n + 1, False))
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +236,12 @@ def congruence_contains_qary_t(word: Word, targets, p: int) -> bool:
     return _RowCode(word.q, word.n, p, True).holds(word.rows(), targets)
 
 
-def _congruence_decode_t(received, targets, code: _RowCode, contains=None) -> Word:
+def _congruence_decode_t(received, targets, code: _RowCode) -> Word:
     """Repair up to t = len(targets) short rows: the weighted sums of the
     intact rows' syndromes leave a Vandermonde system mod code.modulus for
     the short rows' syndromes, and each short row is then decoded by the row
     code.  At t = 1 the system is [[1]], so the modulus need not be prime.
-    The result must meet the targets (code.holds), or contains when given."""
+    The result must meet the targets (code.holds)."""
     short = _row_deficits(received, len(targets))
     if short:
         # the first |I| congruences suffice: with consecutive powers the
@@ -255,7 +254,7 @@ def _congruence_decode_t(received, targets, code: _RowCode, contains=None) -> Wo
         )
     else:
         word = out_of_model(Word.from_rows, received.rows, received.q)
-    if not (contains(word) if contains else code.holds(word.rows(), targets)):
+    if not code.holds(word.rows(), targets):
         what = "decoded word" if short else "clean rows"
         raise DecodeFailure(f"{what} does not satisfy the code congruences")
     return word

@@ -24,7 +24,10 @@ ValueError only at its intake (a shape that does not match the spec, short
 rows, parameters that do not fit); every failure after that, an invalid
 column on the clean path included, is a DecodeFailure.  The intake, the
 invalid-column locator, the block-value read and the t-row repair core live
-in _codec, shared with the deletion codes.
+in _codec, shared with the deletion codes.  A decoder looks each received
+column up once (alphabet.column_ranks, None for a column that is no letter),
+_codec.invalid_column(ranks) finds the one None among those ranks, and only
+a column the decoder repairs is ranked again.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from ._codec import (
     out_of_model,
     repair_rows,
 )
-from .alphabet import Word, alphabet_size, column_rank, letter_unrank
+from .alphabet import Word, alphabet_size, column_rank, column_ranks, letter_unrank
 from .algebra import (
     compose_base,
     cw_rank,
@@ -170,8 +173,7 @@ class HammingFamily:
         return tuple(word[i] for i in self.message_coords)
 
     def codewords(self):
-        width = self.l - self.r if self.l >= 3 else 0
-        for msg in itertools.product(range(self.field), repeat=width):
+        for msg in itertools.product(range(self.field), repeat=self.l - self.r):
             yield self.encode(msg)
 
 
@@ -205,14 +207,14 @@ def hamming_build(l: int, field: int = 2) -> HammingFamily:
 
 @lru_cache(maxsize=None)
 def _rank_split(q: int, k: int):
-    """Ranks of letters with a zero second digit (A1) and the rest (A2)."""
-    a1, a2 = [], []
+    """Ranks of letters with a zero second digit (A1) and the rest (A2),
+    and the place of each rank: (whether it lies in A2, its index there)."""
+    split, places = ([], []), []
     for rank in range(alphabet_size(q, k)):
-        if letter_unrank(rank, q, k).digits[1] == 0:
-            a1.append(rank)
-        else:
-            a2.append(rank)
-    return tuple(a1), tuple(a2)
+        in_a2 = letter_unrank(rank, q, k).digits[1] > 0
+        places.append((in_a2, len(split[in_a2])))
+        split[in_a2].append(rank)
+    return tuple(split[0]), tuple(split[1]), tuple(places)
 
 
 @dataclass(frozen=True)
@@ -320,30 +322,28 @@ def _fixed_digits(value: int, base: int, width: int) -> tuple[int, ...]:
 
 
 def _doll_unrank(index: int, spec: DollSpec) -> Word:
-    """The index-th codeword, 1-based, in (l, inner word, support, fill) order."""
+    """The index-th codeword, 1-based.  The 0-based index - 1 is the offset
+    of class l (the codewords with l letters from A2) plus a mixed-radix
+    number: the fill digits (base |A1|, n - l of them) lowest, then the
+    support rank (base C(n, l)), then the inner message (base |A2|) on top.
+    dec_doll composes the same number from the same parts."""
     if not 1 <= index <= spec.size:
         raise ValueError(f"index {index} out of [1, {spec.size}]")
     # spec.size is the sum of the class sizes, so some class holds the index
-    remaining = index
+    rest = index - 1
     for l, cls in enumerate(spec.class_sizes):
-        if remaining <= cls:
+        if rest < cls:
             break
-        remaining -= cls
+        rest -= cls
     fam = hamming_build(l, spec.field)
-    per_support = spec.fill ** (spec.n - l)
-    per_codeword = comb(spec.n, l) * per_support
-    temp1 = -(-remaining // per_codeword)
-    n2 = remaining - (temp1 - 1) * per_codeword
-    width = l - fam.r if l >= 3 else 0
-    image = fam.encode(_fixed_digits(temp1 - 1, fam.field, width))
-    temp2 = -(-n2 // per_support)
-    n3 = n2 - (temp2 - 1) * per_support
-    support = cw_unrank(temp2, spec.n, l)
-    fills = _fixed_digits(n3 - 1, spec.fill, spec.n - l)
-    ranks = []
-    si, fi = iter(image), iter(fills)
-    for bit in support:
-        ranks.append(spec.a2_ranks[next(si)] if bit else spec.a1_ranks[next(fi)])
+    rest, fill_value = divmod(rest, spec.fill ** (spec.n - l))
+    inner, support_rank = divmod(rest, comb(spec.n, l))
+    image = iter(fam.encode(_fixed_digits(inner, fam.field, l - fam.r)))
+    fills = iter(_fixed_digits(fill_value, spec.fill, spec.n - l))
+    ranks = [
+        spec.a2_ranks[next(image)] if bit else spec.a1_ranks[next(fills)]
+        for bit in cw_unrank(support_rank + 1, spec.n, l)
+    ]
     return Word.from_ranks(ranks, spec.q, spec.k)
 
 
@@ -365,34 +365,30 @@ def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
     A1 are always restored exactly this way, letters of A2 at worst turn
     into a different A2 letter, which the inner C(l) decoder then fixes.
     """
-    columns = list(zip(*intake(received, spec)))
-    j = invalid_column(columns, spec.q, spec.k)
+    rows = intake(received, spec)
+    ranks = list(column_ranks(zip(*rows), spec.q, spec.k))
+    j = invalid_column(ranks)
     if j is not None:
-        tail = columns[j][1:]
-        if any(tail[i] > tail[i + 1] for i in range(len(tail) - 1)):
+        tail = [row[j] for row in rows[1:]]
+        if tail != sorted(tail):
             raise DecodeFailure(f"column {j} is corrupted below row 1; model breach")
-        columns[j] = (tail[0],) + tail
-    a1_index = {r: i for i, r in enumerate(spec.a1_ranks)}
-    a2_index = {r: i for i, r in enumerate(spec.a2_ranks)}
-    ranks = [column_rank(col, spec.q) for col in columns]
-    support = [1 if r in a2_index else 0 for r in ranks]
+        ranks[j] = column_rank([tail[0]] + tail, spec.q)
+    place = _rank_split(spec.q, spec.k)[2]
+    places = [place[r] for r in ranks]
+    support = [in_a2 for in_a2, _ in places]
     l = sum(support)
     fam = hamming_build(l, spec.field)
-    image = fam.decode(tuple(a2_index[r] for r in ranks if r in a2_index))
-    fills = tuple(a1_index[r] for r in ranks if r in a1_index)
-    per_support = spec.fill ** (spec.n - l)
-    per_codeword = comb(spec.n, l) * per_support
-    index = (
-        sum(spec.class_sizes[:l])
-        + (compose_base(fam.message(image), fam.field)) * per_codeword
-        + (cw_rank(support, l) - 1) * per_support
-        + compose_base(fills, spec.fill)
-        + 1
-    )
+    image = fam.decode([i for in_a2, i in places if in_a2])
+    fills = [i for in_a2, i in places if not in_a2]
+    # _doll_unrank's divmods, undone
+    inner = compose_base(fam.message(image), fam.field)
+    rest = inner * comb(spec.n, l) + cw_rank(support, l) - 1
+    rest = rest * spec.fill ** (spec.n - l) + compose_base(fills, spec.fill)
+    index = sum(spec.class_sizes[:l]) + rest
     base = alphabet_size(spec.q, spec.k)
-    if index - 1 >= base**spec.m:
+    if index >= base**spec.m:
         raise DecodeFailure("codeword index lies outside the encoder image")
-    return _fixed_digits(index - 1, base, spec.m)
+    return _fixed_digits(index, base, spec.m)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +425,14 @@ def cecc1_decode(received: ReceivedRows, a: int) -> Word:
     if received.q != 2:
         raise ValueError("this family is binary")
     n, k = received.n, received.k
-    columns = list(zip(*intake(received)))
+    rows = intake(received)
     mod = 2 * n + 1
-    j = invalid_column(columns, 2, k)
+    ranks = list(column_ranks(zip(*rows), 2, k))
+    j = invalid_column(ranks)
     if j is not None:
-        w = sum(columns[j])
-        others = sum((p + 1) * sum(col) for p, col in enumerate(columns) if p != j)
+        w = sum(row[j] for row in rows)
+        ranks[j] = 0  # for the syndrome of the other columns
+        others = vt_syndrome(ranks)
         fits = [
             cand
             for cand in (w - 1, w + 1)
@@ -442,10 +440,8 @@ def cecc1_decode(received: ReceivedRows, a: int) -> Word:
         ]
         if len(fits) != 1:
             raise DecodeFailure("invalid column admits no consistent completion")
-        ranks = [sum(col) for col in columns]
         ranks[j] = fits[0]
         return Word.from_ranks(ranks, 2, k)
-    ranks = tuple(sum(col) for col in columns)
     if lme_contains(ranks, a):
         return Word.from_ranks(ranks, 2, k)
     return Word.from_ranks(lme_decode(ranks, a, k + 1), 2, k)
@@ -497,29 +493,29 @@ def q1cecc_decode(
     span = 2 * q - 1
     delta1 = (sum(v for row in rows for v in row) - a1) % span
     delta = delta1 if delta1 <= q - 1 else delta1 - span
-    columns = list(zip(*rows))
-    invalid = invalid_column(columns, q, k)
-    columns = list(map(list, columns))
+    ranks = list(column_ranks(zip(*rows), q, k))
+    j = invalid_column(ranks)
     if delta == 0:
-        if invalid is not None:
+        if j is not None:
             raise DecodeFailure("digit sum clean but a column is invalid; breach")
-        word = Word.from_rows(rows, q)
+        word = Word(q, k, ranks)
         if q1cecc_checksums(word, p1, p2) != (a1 % span, a2 % p1, a3 % p2):
             raise DecodeFailure("checksums disagree on an allegedly clean word")
         return word
-    if invalid is not None:
-        col = columns[invalid]
+    if j is not None:
+        col = [row[j] for row in rows]
         r = next(i for i in range(k - 1) if col[i] > col[i + 1])
         target = r if delta > 0 else r + 1
         col[target] -= delta
         if not 0 <= col[target] < q:
             raise DecodeFailure("repaired digit leaves Sigma_q; breach")
+        if col != sorted(col):
+            raise DecodeFailure(
+                f"column {j} is not nondecreasing over Sigma_{q}: {tuple(col)}"
+            )
     else:
         delta2 = (sum(vt_syndrome(row) for row in rows) - a2) % p1
-        inv1 = pow(delta % p1, -1, p1)
-        j = delta2 * inv1 % p1
-        if j == 0:
-            j = p1
+        j = delta2 * pow(delta % p1, -1, p1) % p1 or p1  # 1-based
         if j > n:
             raise DecodeFailure("implied column index out of range; breach")
         delta3 = (_square_sum(rows) - a3) % p2
@@ -528,13 +524,14 @@ def q1cecc_decode(
         corrupted = alpha + delta
         if alpha >= q or not 0 <= corrupted < q:
             raise DecodeFailure("implied digit values leave Sigma_q; breach")
-        col = columns[j - 1]
+        j -= 1
+        col = [row[j] for row in rows]
         if corrupted not in col:
             raise DecodeFailure("implied digit absent from the implied column; breach")
         col.remove(corrupted)
-        col.append(alpha)
-        col.sort()
-    word = out_of_model(Word.from_rows, zip(*columns), q)
+        col = sorted(col + [alpha])
+    ranks[j] = column_rank(col, q)
+    word = Word(q, k, ranks)
     if q1cecc_checksums(word, p1, p2) != (a1 % span, a2 % p1, a3 % p2):
         raise DecodeFailure("repaired word fails the checksums; breach")
     return word
@@ -654,11 +651,9 @@ class C2SSpec:
     def n(self) -> int:
         return self.m + 2 * self.k + self.t * (self.delta + self.k)
 
-    def row_syndromes(self, payload: Word) -> list[int]:
-        return [vt_syndrome(row) % self.span for row in payload.rows()]
-
     def syndromes(self, payload: Word) -> list[int]:
-        return power_sums(self.row_syndromes(payload), range(self.t), self.p)
+        values = [vt_syndrome(row) % self.span for row in payload.rows()]
+        return power_sums(values, range(self.t), self.p)
 
 
 def c2s_encode(payload: Word, spec: C2SSpec) -> Word:

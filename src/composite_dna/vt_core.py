@@ -68,18 +68,19 @@ def vt_decode_one_deletion(y, a: int, modulus: int):
     n = len(y) + 1
     if modulus <= n:
         raise ValueError(f"modulus {modulus} too small for length {n}")
-    if y.count(0) + y.count(1) != len(y):
+    weight = y.count(1)
+    if y.count(0) + weight != len(y):
         raise ValueError("received row is not over Sigma_2")
-    return _levenshtein_insert(y, (a - vt_syndrome(y)) % modulus)
+    return _levenshtein_insert(y, (a - vt_syndrome(y)) % modulus, weight)
 
 
-def _levenshtein_insert(y, d: int):
-    """Insert the binary symbol that raises VT(y) by d, 0 <= d < modulus.
+def _levenshtein_insert(y, d: int, weight: int):
+    """Insert the binary symbol that raises VT(y) by d, 0 <= d < modulus,
+    where weight is the number of ones in y.
 
-    d <= w (the weight of y): a 0 with d ones to its right.  w < d <= n: a 1
-    with d - w - 1 zeros to its left.  Larger d matches no insertion.
+    d <= weight: a 0 with d ones to its right.  weight < d <= n: a 1 with
+    d - weight - 1 zeros to its left.  Larger d matches no insertion.
     """
-    weight = sum(y)
     if d <= weight:
         # a 0 just left of the d-th one from the right
         pos = len(y) - indexOf(accumulate(reversed(y)), d) - 1 if d else len(y)

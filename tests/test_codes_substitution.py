@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from composite_dna import codes_substitution
+from composite_dna import _codec, codes_substitution
 from composite_dna.alphabet import Word, alphabet_size
 from composite_dna.channel import (
     ReceivedRows,
@@ -315,6 +315,52 @@ class TestDollCode:
                 word = enc_doll(message, spec)
                 assert dec_doll(substituted(word, 0, rng.randrange(n), 0), spec) == message
             assert sorted(lookups) == list(range(n + 1))
+
+    @pytest.mark.parametrize("q, k, n", [(2, 2, 4), (2, 3, 3), (3, 2, 3)])
+    def test_decoder_inverts_the_unrank_of_every_index(self, q, k, n):
+        # the clean codeword of index i decodes to the base-|Phi| digits of
+        # i - 1, least significant first; the indices past the |Phi|^m
+        # messages belong to codewords that the encoder never sends
+        spec = DollSpec(q, k, n)
+        base = alphabet_size(q, k)
+        assert spec.size > base**spec.m
+        for i in range(1, spec.size + 1):
+            received = ReceivedRows(_doll_unrank(i, spec).rows(), q, n)
+            if i <= base**spec.m:
+                digits = tuple((i - 1) // base**j % base for j in range(spec.m))
+                assert dec_doll(received, spec) == digits
+            else:
+                outside = "^codeword index lies outside the encoder image$"
+                with pytest.raises(DecodeFailure, match=outside):
+                    dec_doll(received, spec)
+
+    def test_decode_looks_each_column_up_once(self, monkeypatch):
+        # one column_ranks pass over the received columns, and a column_rank
+        # call only for the column that a row-1 overshoot made invalid
+        calls = []
+
+        def counted(func, name):
+            def wrapper(*args):
+                calls.append(name)
+                return func(*args)
+
+            return wrapper
+
+        for module in (codes_substitution, _codec):
+            for name in ("column_ranks", "column_rank"):
+                if hasattr(module, name):
+                    wrapped = counted(getattr(module, name), name)
+                    monkeypatch.setattr(module, name, wrapped)
+        spec = DollSpec(2, 2, 4)
+        message = (1, 2)
+        word = enc_doll(message, spec)
+        calls.clear()
+        assert dec_doll(ReceivedRows(word.rows(), 2, spec.n), spec) == message
+        assert calls == ["column_ranks"]
+        pos = next(j for j, r in enumerate(word.ranks()) if r in spec.a1_ranks)
+        calls.clear()
+        assert dec_doll(substituted(word, 0, pos, 1), spec) == message
+        assert calls == ["column_ranks", "column_rank"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The benchmark's trace targets and the demos keep working, no new
-runtime ``assert`` enters the library, and the library does not depend on
-its command-line front end.
+runtime ``assert`` enters the library, the library does not depend on its
+command-line front end, and no module reaches into a sibling's private
+names other than the shared decoding steps of ``_codec``.
 
 The traced benchmark run patches every ``(module, attribute)`` in
 ``perfbench/tracing.py``'s TARGETS, so each must still name something in
@@ -99,6 +100,30 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _private_imports(path: Path) -> list[str]:
+    """'module <- source.name' for each underscore name that the module at
+    path imports from a sibling module of the package other than _codec."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0:
+            if not module.startswith("composite_dna."):
+                continue
+            module = module.removeprefix("composite_dna.")
+        for alias in node.names:
+            source = module or alias.name  # "from . import x" imports module x
+            if source != "_codec" and alias.name.startswith("_"):
+                found.append(f"{path.stem} <- {source}.{alias.name}")
+    return found
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    modules = sorted((SRC / "composite_dna").glob("*.py"))
+    assert [hit for path in modules for hit in _private_imports(path)] == []
 
 
 # modules still allowed a runtime assert: none, so the test covers every module
