@@ -311,19 +311,40 @@ def word_from_text(text: str) -> Word:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty word file")
-    q, k, n = _parse_header(lines[0])
-    body = lines[1:]
-    if len(body) == 1:
-        # k >= 2, so a one-line body can only be the rank-sequence form
-        ranks = [int(tok) for tok in body[0].split(",")]
-        if len(ranks) != n:
-            raise ValueError(f"expected {n} ranks, got {len(ranks)}")
-        return Word.from_ranks(ranks, q, k)
-    if len(body) != k:
-        raise ValueError(f"expected {k} digit rows or 1 rank line, got {len(body)} lines")
-    rows = []
-    for row in body:
-        if len(row) != n or not row.isdigit():
-            raise ValueError(f"bad digit row {row!r} (expected {n} digits)")
-        rows.append(tuple(map(int, row)))
-    return Word.from_rows(rows, q)
+    return words_from_blocks([lines])[0]
+
+
+def words_from_blocks(blocks) -> list[Word]:
+    """Parse words in either text form, one per block of stripped nonblank
+    lines: a 'q k n' header, then k digit rows or one comma-separated rank
+    line.  The blocks of a codebook file repeat headers and rows, so each
+    distinct header line is parsed, and each distinct digit row converted
+    to ints, once per call."""
+    headers: dict[str, tuple[int, int, int]] = {}
+    digit_rows: dict[str, tuple[int, ...]] = {}
+    words = []
+    for lines in blocks:
+        header = headers.get(lines[0])
+        if header is None:
+            header = headers[lines[0]] = _parse_header(lines[0])
+        q, k, n = header
+        body = lines[1:]
+        if len(body) == 1:
+            # k >= 2, so a one-line body can only be the rank-sequence form
+            ranks = [int(tok) for tok in body[0].split(",")]
+            if len(ranks) != n:
+                raise ValueError(f"expected {n} ranks, got {len(ranks)}")
+            words.append(Word.from_ranks(ranks, q, k))
+            continue
+        if len(body) != k:
+            raise ValueError(f"expected {k} digit rows or 1 rank line, got {len(body)} lines")
+        rows = []
+        for row in body:
+            digits = digit_rows.get(row)
+            if digits is None or len(row) != n:
+                if len(row) != n or not row.isdigit():
+                    raise ValueError(f"bad digit row {row!r} (expected {n} digits)")
+                digits = digit_rows[row] = tuple(map(int, row))
+            rows.append(digits)
+        words.append(Word.from_rows(rows, q))
+    return words

@@ -34,7 +34,11 @@ column-valid substitution balls from the bound analysis are provided
 separately (valid_sub_ball).  For the per-row and total kinds it hashes
 the digit rows of every codeword's outputs once (_raw_rows), M·|ball| row
 tuples in one table per (q, n), and builds a ReceivedRows for the witness
-alone.  For the t-rows kinds, whose balls grow as Σ_{s≤t} C(k,s)·n^s, it
+alone.  Beside each table it keeps, for that call only, each distinct
+(row, count)'s output rows at every error level, so a row that many
+codewords share has its outputs built (_row_levels) once; a binary row of
+length 8 has at most 256 values, however large the codebook.  For the
+t-rows kinds, whose balls grow as Σ_{s≤t} C(k,s)·n^s, it
 tests the M²/2 pairs instead: two words collide iff count vectors that fit
 the model cover their per-row distances.  Under deletions one vector c must
 have c_i >= n - LCS_i on every row (both words reach an output through the
@@ -494,17 +498,16 @@ def _count_vectors(model: ErrorModel, k: int, n: int):
     return tuple(vectors), tuple(max(column) for column in zip(*fitting))
 
 
-def _row_tables(rows, q: int, model: ErrorModel):
+def _row_tables(rows, model: ErrorModel, levels):
     """(hits, the outputs of each hit row at its count) for each fitting
-    count vector of a word's rows (_row_levels, once per row)."""
+    count vector of a word's rows.  levels(i, row, top) gives row i's
+    outputs at 0, 1, ..., top errors, and is asked once per row."""
     vectors, tops = _count_vectors(model, len(rows), len(rows[0]))
-    deletion = not model.is_substitution
-    levels = [
-        _row_levels(row, i, top, q, deletion) if top else None
-        for i, (row, top) in enumerate(zip(rows, tops))
+    built = [
+        levels(i, row, top) if top else None for i, (row, top) in enumerate(zip(rows, tops))
     ]
     for hits in vectors:
-        yield hits, [levels[i][c] for i, c in hits]
+        yield hits, [built[i][c] for i, c in hits]
 
 
 def outputs(word: Word, model: ErrorModel):
@@ -513,8 +516,12 @@ def outputs(word: Word, model: ErrorModel):
     outputs in the order of their first error patterns).  received is the
     output's digit rows, count the number of error patterns that give it
     and errors the first of them, as (row, cell) pairs."""
-    rows = word.rows()
-    for hits, tables in _row_tables(rows, word.q, model):
+    rows, q, deletion = word.rows(), word.q, not model.is_substitution
+
+    def levels(i, row, top):
+        return _row_levels(row, i, top, q, deletion)
+
+    for hits, tables in _row_tables(rows, model, levels):
         for combo in product(*map(dict.items, tables)):
             received, errors, count = list(rows), (), 1
             for (i, _), (out, (cells, ways)) in zip(hits, combo):
@@ -522,13 +529,30 @@ def outputs(word: Word, model: ErrorModel):
             yield errors, tuple(received), count
 
 
-def _raw_rows(word: Word, model: ErrorModel):
+def _raw_rows(word: Word, model: ErrorModel, row_outputs: dict | None = None):
     """The digit rows of every raw output of word under the model, each
-    once: per fitting count vector, the product of the hit rows' outputs,
-    every other row as sent."""
-    rows = word.rows()
+    once, in outputs' order: per fitting count vector, the product of the
+    hit rows' outputs, every other row as sent.
+
+    row_outputs maps (row, count) to the row's output rows at 0, 1, ...,
+    count errors, and a row's are built (_row_levels) only when they are
+    missing.  The ball oracle passes one dict for all the words of a
+    (q, n), so each distinct row's outputs are built once per call; every
+    other caller gets a fresh one."""
+    if row_outputs is None:
+        row_outputs = {}
+    rows, q, deletion = word.rows(), word.q, not model.is_substitution
+
+    def levels(_, row, top):
+        found = row_outputs.get((row, top))
+        if found is None:
+            found = row_outputs[row, top] = tuple(
+                map(tuple, _row_levels(row, 0, top, q, deletion))
+            )
+        return found
+
     unhit = [(row,) for row in rows]
-    for hits, tables in _row_tables(rows, word.q, model):
+    for hits, tables in _row_tables(rows, model, levels):
         spread = unhit.copy()
         for (i, _), table in zip(hits, tables):
             spread[i] = table
@@ -578,15 +602,17 @@ def oracle_is_code(codebook, model: ErrorModel) -> OracleResult:
     (by rank sequence) together with one shared output (smallest by rows).
 
     The per-row and total kinds build and hash every codeword's ball once,
-    M·|ball| outputs.  The t-rows kinds make up to M²/2 pair tests from
-    per-row distances instead (_t_rows_collide): their balls grow as
-    Σ_{s≤t} C(k,s)·n^s while their codebooks stay small.  The choice goes by
-    kind because the other kinds have large books with small balls, where
-    the pairs cost more.  On a 2-core x86-64 VM (best of 15), a 12-word c2d
-    book (n = 16) under del-t-rows 1,1 takes about 2.5 ms by balls and
-    0.2 ms by pairs, and a 360-word c1d book (n = 8) under del-total 1 takes
-    7 to 11 ms by balls, where a pair-by-pair prototype took 1.85 s.  Both
-    ways give the same witness.
+    M·|ball| outputs, from each distinct row's outputs, which are built
+    once per call and dropped with it.  The t-rows kinds make up to M²/2
+    pair tests from per-row distances instead (_t_rows_collide): their
+    balls grow as Σ_{s≤t} C(k,s)·n^s while their codebooks stay small.  The
+    choice goes by kind because the other kinds have large books with small
+    balls, where the pairs cost more.  On a 2-core x86-64 VM (best of 15), a
+    12-word c2d book (n = 16) under del-t-rows 1,1 takes about 2.5 ms by
+    balls and 0.2 ms by pairs.  A 360-word c1d book (n = 8) under
+    del-total 1 takes 5.3 to 7.4 ms by balls at best and 6.3 to 8.2 ms at
+    the median of 21 calls, over five sampled books, where a pair-by-pair
+    prototype took 1.85 s.  Both ways give the same witness.
     """
     if model.kind.endswith("-t-rows"):
         return _oracle_by_pairs(codebook, model)
@@ -598,11 +624,12 @@ def _oracle_by_balls(codebook, model: ErrorModel) -> OracleResult:
     outputs.  Equal rows of words over another q are other outputs, so each
     (q, n) has its own table; only the witness becomes a ReceivedRows."""
     keyed = sorted(((w.ranks(), w) for w in set(codebook)), key=itemgetter(0))
-    tables: dict[tuple[int, int], dict] = {}
+    # per (q, n): the first owner of each output, and each row's outputs
+    tables: dict[tuple[int, int], tuple[dict, dict]] = {}
     best_key = best = None  # the smallest collision seen so far
     for idx, (ranks, w) in enumerate(keyed):
-        first_owner = tables.setdefault((w.q, w.n), {})
-        for rows in _raw_rows(w, model):
+        first_owner, row_outputs = tables.setdefault((w.q, w.n), ({}, {}))
+        for rows in _raw_rows(w, model, row_outputs):
             owner = first_owner.setdefault(rows, idx)
             if owner == idx:
                 continue

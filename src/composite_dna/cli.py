@@ -40,8 +40,9 @@ import argparse
 import os
 import sys
 from functools import cache
+from itertools import groupby
 
-from .alphabet import Word, word_from_text, word_to_text
+from .alphabet import Word, word_from_text, word_to_text, words_from_blocks
 from .bounds import (
     asym_bound_general,
     asym_bound_total,
@@ -232,18 +233,13 @@ def cmd_corrupt(args) -> int:
 
 
 def _read_codebook(text: str) -> list[Word]:
-    blocks, current = [], []
-    for line in text.splitlines():
-        if line.strip():
-            current.append(line)
-        elif current:
-            blocks.append("\n".join(current))
-            current = []
-    if current:
-        blocks.append("\n".join(current))
+    """The words of a codebook file: blocks of word text separated by blank
+    or whitespace-only lines, parsed in one pass (words_from_blocks)."""
+    lines = [line.strip() for line in text.splitlines()]
+    blocks = [list(block) for nonblank, block in groupby(lines, bool) if nonblank]
     if not blocks:
         raise ValueError("empty codebook file")
-    return [word_from_text(block) for block in blocks]
+    return words_from_blocks(blocks)
 
 
 def cmd_verify_code(args) -> int:

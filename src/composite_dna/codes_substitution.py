@@ -242,11 +242,11 @@ class DollSpec:
     def a2_ranks(self) -> tuple[int, ...]:
         return _rank_split(self.q, self.k)[1]
 
-    @property
+    @cached_property
     def fill(self) -> int:
         return len(self.a1_ranks)
 
-    @property
+    @cached_property
     def field(self) -> int:
         return len(self.a2_ranks)
 

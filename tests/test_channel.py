@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composite_dna import channel
-from composite_dna.alphabet import Word, all_letters, alphabet_size
+from composite_dna import channel, cli
+from composite_dna.alphabet import Word, all_letters, alphabet_size, word_to_text
 from composite_dna.channel import (
     Plan,
     ReceivedRows,
@@ -34,8 +34,8 @@ from composite_dna.channel import (
     sub_total,
     valid_sub_ball,
 )
-from composite_dna.codes_deletion import C2DSpec, c2d_encode
-from composite_dna.codes_substitution import C2SSpec, c2s_encode
+from composite_dna.codes_deletion import C2DSpec, c1d_encode, c1d_message_length, c2d_encode
+from composite_dna.codes_substitution import C2SSpec, c2s_encode, cecc1_encode
 
 
 def all_words(q, k, n):
@@ -785,6 +785,104 @@ def test_trusted_outputs_equal_checked_ones():
             for rows in raw:
                 trusted, checked = ReceivedRows._of(rows, q, 3), ReceivedRows(rows, q, 3)
                 assert trusted == checked and hash(trusted) == hash(checked)
+
+
+def c1d_code(n):
+    """The whole c1d (k=2, a=0) code of length n."""
+    return [c1d_encode(msg, 0, 2, n) for msg in product(range(3), repeat=c1d_message_length(2, n))]
+
+
+def test_ball_oracle_builds_each_distinct_rows_outputs_once(monkeypatch):
+    """One oracle call builds a row's outputs (_row_levels) once per
+    distinct (row, count), however many codewords share the row."""
+    book = c1d_code(8)
+    calls = Counter()
+    original = channel._row_levels
+
+    def counting(row, index, c, q, deletion):
+        calls[row, c] += 1
+        return original(row, index, c, q, deletion)
+
+    monkeypatch.setattr(channel, "_row_levels", counting)
+    assert oracle_is_code(book, del_total(1)).is_code
+    distinct = {(row, 1) for word in book for row in word.rows()}
+    assert len(distinct) < 2 * len(book)
+    assert calls == Counter(dict.fromkeys(distinct, 1))
+
+
+@pytest.mark.parametrize("kind", ["sub-per-row", "sub-total", "del-per-row", "del-total"])
+def test_raw_rows_with_a_shared_row_memo_equal_fresh_ones(kind):
+    """_raw_rows yields the same sequence whether a row's outputs come from
+    a dict shared by many words or are built afresh, and that sequence is
+    the received rows of outputs, in order."""
+    rng = random.Random(kind)
+    reused = 0  # (row, count) entries a word found in the shared dict
+    for q, k in product((2, 3), (2, 3)):
+        size = alphabet_size(q, k)
+        for _ in range(3):
+            model = random_ball_model(kind, rng, k)
+            tops = channel._count_vectors(model, k, 3)[1]
+            shared = {}
+            for _ in range(12):
+                word = Word.from_ranks([rng.randrange(size) for _ in range(3)], q, k)
+                reused += sum((row, top) in shared for row, top in zip(word.rows(), tops) if top)
+                memo = list(channel._raw_rows(word, model, shared))
+                assert memo == list(channel._raw_rows(word, model, {})), (word, model)
+                assert memo == [rows for _, rows, _ in outputs(word, model)], (word, model)
+    assert reused
+
+
+WITNESS = "verdict: false\nwitness codeword A:\n{}witness codeword B:\n{}shared received:\n{}"
+
+
+@pytest.mark.parametrize(
+    "book, model, e, expected",
+    [
+        (c1d_code(8), "del-total", "1", "verdict: true\n"),
+        # the benchmark's negative control: the c1d (k=2, n=7) code under two deletions
+        (
+            c1d_code(7), "del-total", "2",
+            WITNESS.format("2 2 7\n0000000\n0000000\n", "2 2 7\n0001000\n0001000\n",
+                           "2 2 7\n000000\n000000\n"),
+        ),
+        (
+            c1d_code(7)[100:], "del-total", "2",
+            WITNESS.format("2 2 7\n0000101\n0100111\n", "2 2 7\n0000110\n0100110\n",
+                           "2 2 7\n000010\n010011\n"),
+        ),
+        (
+            [cecc1_encode(msg, 0, 2, 8) for msg in product(range(3), repeat=5)],
+            "sub-total", "1", "verdict: true\n",
+        ),
+        (
+            [cecc1_encode(msg, 0, 2, 8) for msg in product(range(3), repeat=5)],
+            "sub-total", "2",
+            WITNESS.format("2 2 8\n00000000\n00000000\n", "2 2 8\n00000100\n00001100\n",
+                           "2 2 8\n00000000\n00000100\n"),
+        ),
+        (
+            all_words(3, 2, 3)[::7], "sub-per-row", "1,0",
+            WITNESS.format("3 2 3\n000\n011\n", "3 2 3\n011\n011\n", "3 2 3\n001\n011\n"),
+        ),
+        (
+            all_words(3, 2, 3)[::7], "del-per-row", "0,1",
+            WITNESS.format("3 2 3\n000\n011\n", "3 2 3\n000\n110\n", "3 2 3\n000\n11\n"),
+        ),
+        (
+            all_words(3, 2, 3)[::7][5:], "sub-total", "1",
+            WITNESS.format("3 2 3\n022\n022\n", "3 2 3\n021\n122\n", "3 2 3\n021\n022\n"),
+        ),
+    ],
+    ids=["c1d8-true", "c1d7-del2", "c1d7-tail-del2", "lme1-true", "lme1-sub2",
+         "q3-sub-per-row", "q3-del-per-row", "q3-sub-total"],
+)
+def test_verify_code_output_is_fixed(book, model, e, expected, capsys, tmp_path):
+    """verify-code prints these fixed verdicts and witnesses, byte for byte."""
+    path = tmp_path / "book.txt"
+    path.write_text("\n".join(word_to_text(w) for w in book))
+    code = cli.main(["verify-code", "--model", model, "--e", e, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, expected, "")
 
 
 @pytest.mark.parametrize(

@@ -349,6 +349,78 @@ class TestVerifyCode:
         assert (code, out.splitlines()[0], len(calls)) == (0, verdict, built)
 
 
+class TestCodebookReader:
+    """The codebook file of verify-code: blocks of a 'q k n' header plus k
+    digit rows or one rank line, separated by blank or whitespace-only
+    lines.  Each case pins the exact output, diagnostics and exit code."""
+
+    @staticmethod
+    def verify(capsys, tmp_path, text, model="sub-total", e="1"):
+        book = tmp_path / "book.txt"
+        book.write_text(text)
+        return run(capsys, "verify-code", "--model", model, "--e", e, "--in", str(book))
+
+    @staticmethod
+    def witness(a, b, shared):
+        return (
+            "verdict: false\n"
+            f"witness codeword A:\n{a}witness codeword B:\n{b}shared received:\n{shared}"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty codebook file"),
+            ("\n  \n\t\n", "empty codebook file"),
+            ("2 2\n00\n01\n", "expected header 'q k n', got '2 2'"),
+            ("2 x 2\n00\n01\n", "invalid literal for int() with base 10: 'x'"),
+            ("11 2 2\n00\n01\n", "bad header values q=11 k=2 n=2"),
+            ("2 1 2\n00\n", "bad header values q=2 k=1 n=2"),
+            ("2 2 0\n0\n1\n", "bad header values q=2 k=2 n=0"),
+            ("2 2 2\n0a\n01\n", "bad digit row '0a' (expected 2 digits)"),
+            ("2 2 3\n001\n01\n", "bad digit row '01' (expected 3 digits)"),
+            ("2 2 2\n00\n01\n\n2 2 3\n000\n0111\n", "bad digit row '0111' (expected 3 digits)"),
+            ("2 2 2\n00\n01\n11\n", "expected 2 digit rows or 1 rank line, got 3 lines"),
+            ("2 2 2\n", "expected 2 digit rows or 1 rank line, got 0 lines"),
+            ("2 2 3\n0,1\n", "expected 3 ranks, got 2"),
+            ("2 2 3\n0,1,3\n", "rank 3 out of range for Phi_{2,2} (size 3)"),
+            ("2 2 2\n10\n01\n", "column 0 is not nondecreasing over Sigma_2: (1, 0)"),
+            ("2 2 2\n02\n12\n", "column 1 is not nondecreasing over Sigma_2: (2, 2)"),
+        ],
+        ids=[
+            "empty", "blank-only", "short-header", "header-not-int", "q-too-large",
+            "k-too-small", "n-too-small", "bad-digit-row", "short-digit-row",
+            "long-row-in-second-block", "too-many-lines", "header-only",
+            "too-few-ranks", "rank-out-of-range", "column-no-letter", "digit-outside-q",
+        ],
+    )
+    def test_malformed_book_is_a_domain_error(self, text, message, capsys, tmp_path):
+        assert self.verify(capsys, tmp_path, text) == (1, "", f"error: {message}\n")
+
+    def test_blocks_split_on_several_blank_or_whitespace_lines(self, capsys, tmp_path):
+        text = "2 2 2\n00\n01\n \n\t\n\n  2 2 2  \n 00 \n 11\n\n\n"
+        expected = self.witness("2 2 2\n00\n01\n", "2 2 2\n00\n11\n", "2 2 2\n00\n01\n")
+        assert self.verify(capsys, tmp_path, text) == (0, expected, "")
+
+    def test_rank_line_block(self, capsys, tmp_path):
+        """A rank line reads as the word with those ranks: (0, 1, 2) is the
+        digit block 001/011, so a book of the two is one word."""
+        same = "2 2 3\n0,1,2\n\n2 2 3\n001\n011\n"
+        assert self.verify(capsys, tmp_path, same) == (0, "verdict: true\n", "")
+        near = "2 2 3\n0,1,2\n\n2 2 3\n000\n011\n"
+        expected = self.witness("2 2 3\n000\n011\n", "2 2 3\n001\n011\n", "2 2 3\n000\n011\n")
+        assert self.verify(capsys, tmp_path, near) == (0, expected, "")
+
+    def test_book_mixing_q_k_and_n(self, capsys, tmp_path):
+        blocks = [
+            "2 2 2\n00\n01\n", "3 2 2\n00\n01\n", "2 3 2\n00\n01\n11\n",
+            "2 2 3\n000\n011\n", "2 2 2\n01\n01\n",
+        ]
+        expected = self.witness("2 2 2\n00\n01\n", "2 2 2\n01\n01\n", "2 2 2\n00\n01\n")
+        assert self.verify(capsys, tmp_path, "\n".join(blocks)) == (0, expected, "")
+        assert self.verify(capsys, tmp_path, "\n".join(blocks[:4])) == (0, "verdict: true\n", "")
+
+
 class TestTransformAndTable:
     def test_shift_then_inverse_is_identity(self, capsys, tmp_path):
         word_file = tmp_path / "word.txt"

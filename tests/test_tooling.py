@@ -13,6 +13,7 @@ strips assert statements, so no module of the package may hold one.
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -34,14 +35,43 @@ def load_tracing():
 
 
 def test_trace_targets_resolve():
+    """Each target is where the tracer patches it: a method in its class's
+    own namespace, or a function that its module defines as a global (the
+    tracer swaps every global bound to it), so alphabet.word_from_text
+    stays one whatever reads the codebook text."""
     targets = load_tracing().TARGETS
-    assert targets
+    assert ("alphabet", "word_from_text") in [target[:2] for target in targets]
     for module_name, attribute, _bucket, _key in targets:
         obj = importlib.import_module(f"composite_dna.{module_name}")
         for part in attribute.split("."):
             assert hasattr(obj, part), f"composite_dna.{module_name}.{attribute}"
-            obj = getattr(obj, part)
+            owner, obj = obj, getattr(obj, part)
         assert callable(obj), f"composite_dna.{module_name}.{attribute}"
+        if "." in attribute:
+            assert part in vars(owner), f"composite_dna.{module_name}.{attribute}"
+        else:
+            assert inspect.isfunction(obj) and obj.__module__ == owner.__name__, attribute
+
+
+def test_traced_verify_code_prints_what_an_untraced_one_does(capsys, tmp_path):
+    import composite_dna
+    from composite_dna import cli
+
+    book = tmp_path / "book.txt"
+    book.write_text("2 2 3\n000\n011\n\n2 2 3\n0,1,2\n")
+    argv = ["verify-code", "--model", "sub-total", "--e", "1", "--in", str(book)]
+    plain = (cli.main(argv), capsys.readouterr().out)
+    tracer = load_tracing().Tracer()
+    tracer.install(composite_dna)
+    try:
+        tracer.active = True
+        traced = (cli.main(argv), capsys.readouterr().out)
+        tracer.active = False
+    finally:
+        tracer.restore()
+    assert traced == plain and plain[1].startswith("verdict: false\n")
+    spans = {name for _, _, name, _, _ in tracer.spans}
+    assert {"cli.main", "channel.oracle_is_code"} <= spans
 
 
 def test_tracer_counts_the_decodes_of_a_cli_roundtrip(capsys):
