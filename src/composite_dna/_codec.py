@@ -23,15 +23,16 @@ from .vt_core import DecodeFailure
 
 
 def intake(received, spec=None, full_length: bool = True):
-    """The received rows, after checking (q, k, n) against the spec when one
-    is given and, for substitution codes, that every row has full length."""
+    """The received packed rows, after checking (q, k, n) against the spec
+    when one is given and, for substitution codes, that every row has full
+    length."""
     if spec is not None and (received.q, received.k, received.n) != (
         spec.q, spec.k, spec.n
     ):
         raise ValueError("received shape does not match the code spec")
-    if full_length and any(len(row) != received.n for row in received.rows):
+    if full_length and any(len(row) != received.n for row in received.packed):
         raise ValueError("substitution decoding expects full-length rows")
-    return received.rows
+    return received.packed
 
 
 def check_payload(payload: Word, spec) -> None:

@@ -16,24 +16,46 @@ this package.  For q = 2 the rank of a column is simply its number of ones.
 
 A word is a sequence of n letters, equivalently a k x n matrix whose rows are
 length-n digit strings and whose columns are all nondecreasing.  A Word
-holds both its rank sequence and its digit rows, and builds each only once.
-Its rows always come from the rank table, so every digit is an int:
-Word(q, k, ranks) checks the ranks against the table and transposes the
-table's columns into rows; Word.from_rows looks each given column up in the
-table first (True and 1.0 hash like 1, so they hit it), transposes the
-table's columns for the ranks it found, and int()-normalises the given
-digits, then looks them up again, only when a column misses; and
-word + word (the systematic encoders' payload followed by their tail)
-concatenates the two words' ranks and rows, so only the tail is ever
-checked and transposed.  Its letters are the shared ones of all_letters.
+holds its rank sequence (an int tuple, which equality and hashing read) and
+its digit rows packed, one bytes object per row (Word.packed), and builds
+each only once.  Word.rows() is the int-tuple view, made on its first call
+and kept; the library itself reads only the packed rows, where a deletion
+is a C-level slice and a row hashes once.  A byte holds a digit below 256,
+so q is at most 256.
+
+The two views convert with byte tables while they fit a byte:
+
+* ranks to rows, while Q_{q,k} <= 256: the ranks spelled as one bytes
+  object, then one translate per row through a table of that row's digit
+  of each letter;
+* rows to ranks, while q^k <= 256: the key sum_i int(row_i) * q^i, where
+  int(row_i) reads the row's bytes as one big integer, has column j's
+  sum_i digit_i * q^i <= q^k - 1 as its byte j, so no byte carries; one
+  translate of the key's bytes through a table of letter ranks, with 255
+  for "no letter", ranks every column.  The digits are checked first with
+  one translate that deletes Sigma_q.
+
+Larger shapes (q = 2 with k >= 9, q = 3 with k >= 6, q = 4 with k >= 5,
+q = 10 with k = 4 and Q = 715, ...) take the same constructors through the
+rank table's dict and a transposition of its letters instead.
+
+Word(q, k, ranks) checks the ranks against the table; Word.from_rows packs
+the given rows and ranks their columns, and only if that fails (a digit
+string, 1.5, a digit outside Sigma_q, a shape that is no word) are the
+digits int()-normalised and checked, so the result, word or error, is the
+one the int() digits give; word + word (the systematic encoders' payload
+followed by their tail) concatenates the two words' ranks and packed rows,
+so only the tail is ever checked and spelled.  Its letters are the shared
+ones of all_letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from math import comb
+from operator import mul
 
 
 def alphabet_size(q: int, k: int) -> int:
@@ -89,6 +111,8 @@ def _rank_tables(q: int, k: int):
     """(ascending letter tuples, digits -> rank lookup) for Phi_{q,k}."""
     if q < 2:
         raise ValueError(f"alphabet base q must be >= 2, got {q}")
+    if q > 256:
+        raise ValueError(f"alphabet base q must be <= 256 (rows are bytes), got {q}")
     if k < 2:
         raise ValueError(f"resolution k must be >= 2, got {k}")
     # combinations_with_replacement yields exactly the nondecreasing tuples
@@ -110,10 +134,51 @@ def column_ranks(columns, q: int, k: int) -> tuple:
     return tuple(map(_rank_tables(q, k)[1].get, columns))
 
 
-def _transpose(tuples, ranks) -> tuple:
-    """The digit rows of the word with these (valid) ranks: one
-    transposition of the table's letter tuples."""
-    return tuple(zip(*[tuples[r] for r in ranks]))
+_NO_LETTER = 255  # the rank byte of a column key that is no letter
+_big_endian = partial(int.from_bytes, byteorder="big")
+
+
+@lru_cache(maxsize=None)
+def _byte_tables(q: int, k: int):
+    """(Sigma_q as bytes, the row weights q^i, the rank of each column key
+    or _NO_LETTER, each row's digit of each rank): the translate tables of
+    the module docstring, the last two None where they do not fit a byte."""
+    tuples, _ = _rank_tables(q, k)
+    weights = tuple(q**i for i in range(k))
+    ranks_of_keys = digits_of_ranks = None
+    if q**k <= 256:
+        table = bytearray([_NO_LETTER]) * 256
+        for rank, ds in enumerate(tuples):
+            table[sum(map(mul, ds, weights))] = rank
+        ranks_of_keys = bytes(table)
+    if len(tuples) <= 256:
+        digits_of_ranks = tuple(
+            bytes(column) + bytes(256 - len(tuples)) for column in zip(*tuples)
+        )
+    return bytes(range(q)), weights, ranks_of_keys, digits_of_ranks
+
+
+def _rows_of_ranks(ranks, q: int, k: int) -> tuple[bytes, ...]:
+    """The packed rows of the word with these (valid) ranks."""
+    tables = _byte_tables(q, k)[3]
+    if tables is None:
+        tuples = _rank_tables(q, k)[0]
+        return tuple(map(bytes, zip(*[tuples[r] for r in ranks])))
+    return tuple(map(bytes(ranks).translate, tables))
+
+
+def _ranks_of_rows(packed, q: int, k: int) -> tuple | None:
+    """The ranks of the columns of k >= 2 packed rows of one length n >= 1,
+    or None if a digit lies outside Sigma_q or a column is no letter."""
+    digits, weights, ranks_of_keys, _ = _byte_tables(q, k)
+    if b"".join(packed).translate(None, digits):
+        return None
+    if ranks_of_keys is None:
+        ranks = column_ranks(zip(*packed), q, k)
+        return None if None in ranks else ranks
+    key = sum(map(mul, map(_big_endian, packed), weights))
+    spelled = key.to_bytes(len(packed[0]), "big").translate(ranks_of_keys)
+    return None if _NO_LETTER in spelled else tuple(spelled)
 
 
 def column_rank(column, q: int) -> int:
@@ -151,14 +216,16 @@ def all_letters(q: int, k: int) -> tuple[Letter, ...]:
 class Word:
     """A word over Phi_{q,k}: its rank sequence, checked by Word(q, k, ranks).
 
-    Equality and hashing look at (q, k, ranks); the rows are a view kept
-    beside them, always transposed from the rank table's letters, so every
-    digit is an int whichever constructor built the word."""
+    Equality and hashing look at (q, k, ranks); packed, the k digit rows as
+    bytes, is the view kept beside them.  rows() makes the int tuples of
+    the packed rows on its first call and keeps them, so a caller that
+    holds the rows of many words shares them with the words."""
 
     q: int
     k: int
     _ranks: tuple[int, ...]
-    _rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    packed: tuple[bytes, ...] = field(compare=False, repr=False)
+    _int_rows: tuple | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, q: int, k: int, ranks):
         tuples, _ = _rank_tables(q, k)
@@ -170,18 +237,19 @@ class Word:
             raise ValueError(
                 f"rank {bad} out of range for Phi_{{{q},{k}}} (size {len(tuples)})"
             )
-        self._set(q, k, ranks, _transpose(tuples, ranks))
+        self._set(q, k, ranks, _rows_of_ranks(ranks, q, k))
 
-    def _set(self, q, k, ranks, rows) -> None:
-        for name, value in (("q", q), ("k", k), ("_ranks", ranks), ("_rows", rows)):
+    def _set(self, q, k, ranks, packed) -> None:
+        for name, value in (("q", q), ("k", k), ("_ranks", ranks), ("packed", packed)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _of(cls, q: int, k: int, ranks: tuple, rows: tuple) -> "Word":
-        """The word with these ranks and rows, which the caller has already
-        checked to be a nonempty word over Phi_{q,k} and each other's view."""
+    def _of(cls, q: int, k: int, ranks: tuple, packed: tuple) -> "Word":
+        """The word with these ranks and packed rows, which the caller has
+        already checked to be a nonempty word over Phi_{q,k} and each
+        other's view."""
         word = object.__new__(cls)
-        word._set(q, k, ranks, rows)
+        word._set(q, k, ranks, packed)
         return word
 
     def __add__(self, other: "Word") -> "Word":
@@ -193,8 +261,8 @@ class Word:
                 f"cannot concatenate a word over Phi_{{{self.q},{self.k}}} "
                 f"and one over Phi_{{{other.q},{other.k}}}"
             )
-        rows = tuple(a + b for a, b in zip(self._rows, other._rows))
-        return Word._of(self.q, self.k, self._ranks + other._ranks, rows)
+        packed = tuple(map(bytes.__add__, self.packed, other.packed))
+        return Word._of(self.q, self.k, self._ranks + other._ranks, packed)
 
     @property
     def n(self) -> int:
@@ -206,8 +274,10 @@ class Word:
         return tuple(letters[r] for r in self._ranks)
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Row view: row i collects digit i of every column."""
-        return self._rows
+        """Row view: row i collects digit i of every column, as ints."""
+        if self._int_rows is None:
+            object.__setattr__(self, "_int_rows", tuple(map(tuple, self.packed)))
+        return self._int_rows
 
     def ranks(self) -> tuple[int, ...]:
         """Rank-sequence view over {0, ..., Q_{q,k}-1}."""
@@ -215,23 +285,25 @@ class Word:
 
     @classmethod
     def from_rows(cls, rows, q: int) -> "Word":
-        """The word with these digit rows.  Its columns are looked up in the
-        rank table as given; only if that fails (a digit string, 1.5, a
-        digit outside Sigma_q, a shape that is no word) are the digits
-        int()-normalised and looked up again, so the result, word or error,
-        is the one the int() digits give.  The rows are the table's, so
-        every digit is an int."""
-        rows = tuple(map(tuple, rows))
+        """The word with these digit rows, bytes or int sequences.  They are
+        packed and their columns ranked as given; only if that fails (a
+        digit string, 1.5, a digit outside Sigma_q, a shape that is no word)
+        are the digits int()-normalised and checked, so the result, word or
+        error, is the one the int() digits give."""
+        rows = tuple(rows)
+        if not set(map(type, rows)) <= {bytes, tuple}:
+            rows = tuple(map(tuple, rows))  # lists, strings, iterators
         k = len(rows)
-        ranks = None
         if k >= 2 and rows[0] and len(set(map(len, rows))) == 1:
             try:
-                ranks = column_ranks(zip(*rows), q, k)
+                packed = tuple(map(bytes, rows))
+                ranks = _ranks_of_rows(packed, q, k)
             except (TypeError, ValueError):
-                pass  # a bad q or an unhashable digit: reported below
-        if ranks is None or None in ranks:
-            ranks = _checked_ranks(tuple(tuple(map(int, row)) for row in rows), q)
-        return cls._of(q, k, ranks, _transpose(_rank_tables(q, k)[0], ranks))
+                ranks = None  # a digit that is no byte, or a bad q: reported below
+            if ranks is not None:
+                return cls._of(q, k, ranks, packed)
+        ranks = _checked_ranks(tuple(tuple(map(int, row)) for row in rows), q)
+        return cls._of(q, k, ranks, _rows_of_ranks(ranks, q, k))
 
     @classmethod
     def from_ranks(cls, ranks, q: int, k: int) -> "Word":
@@ -271,23 +343,29 @@ def _checked_ranks(rows, q: int) -> tuple:
 # text round-trip: the on-disk format shared with the CLI
 # ---------------------------------------------------------------------------
 
+# translate tables between the digits 0..9 and their ASCII characters
+_TO_ASCII = bytes((d + ord("0")) % 256 for d in range(256))
+_FROM_ASCII = bytes((c - ord("0")) % 256 for c in range(256))
+
+
 def rows_to_text(q: int, n: int, rows) -> str:
     """The text form of k digit rows of nominal length n: a 'q k n' header
     plus one line of digits per row, for a word (word_to_text) and for a
     channel output, whose rows may be short (channel.received_to_text).
 
     Digits are written without separators, so q <= 10 is enforced here.
+    Each row, packed or not, is written with one translate to ASCII.
     """
     if q > 10:
         raise ValueError("text format only supports q <= 10")
-    lines = [f"{q} {len(rows)} {n}"]
-    lines += ["".join(str(d) for d in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    lines = [f"{q} {len(rows)} {n}".encode("ascii")]
+    lines += [bytes(row).translate(_TO_ASCII) for row in rows]
+    return (b"\n".join(lines) + b"\n").decode("ascii")
 
 
 def word_to_text(word: Word) -> str:
     """Serialize a word: a 'q k n' header plus k digit rows (rows_to_text)."""
-    return rows_to_text(word.q, word.n, word.rows())
+    return rows_to_text(word.q, word.n, word.packed)
 
 
 def word_to_rank_text(word: Word) -> str:
@@ -318,10 +396,10 @@ def words_from_blocks(blocks) -> list[Word]:
     """Parse words in either text form, one per block of stripped nonblank
     lines: a 'q k n' header, then k digit rows or one comma-separated rank
     line.  The blocks of a codebook file repeat headers and rows, so each
-    distinct header line is parsed, and each distinct digit row converted
-    to ints, once per call."""
+    distinct header line is parsed, and each distinct digit row packed
+    (one ASCII encode and one translate), once per call."""
     headers: dict[str, tuple[int, int, int]] = {}
-    digit_rows: dict[str, tuple[int, ...]] = {}
+    digit_rows: dict[str, bytes] = {}
     words = []
     for lines in blocks:
         header = headers.get(lines[0])
@@ -342,9 +420,9 @@ def words_from_blocks(blocks) -> list[Word]:
         for row in body:
             digits = digit_rows.get(row)
             if digits is None or len(row) != n:
-                if len(row) != n or not row.isdigit():
+                if len(row) != n or not (row.isascii() and row.isdigit()):
                     raise ValueError(f"bad digit row {row!r} (expected {n} digits)")
-                digits = digit_rows[row] = tuple(map(int, row))
+                digits = digit_rows[row] = row.encode("ascii").translate(_FROM_ASCII)
             rows.append(digits)
         words.append(Word.from_rows(rows, q))
     return words

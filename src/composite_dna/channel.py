@@ -15,7 +15,10 @@ are supported:
 Each model is one rule on the per-row error counts (c_1, ..., c_k), where c_i
 is the number of edits or deletions in row i (_counts_fit).  Plan validation
 checks a plan's counts against that rule.  One enumerator, outputs(word,
-model), yields (errors, received, count) once for each distinct raw output.
+model), yields (errors, received, count) once for each distinct raw output;
+packed_outputs yields the same with the rows packed as bytes, which is how
+the sweep builds them: from the word's packed rows (alphabet.Word.packed),
+where a deletion or a substitution is a C-level slice and concatenation.
 The fitting count vectors come by number of affected rows, then row subset in
 combinations order, then counts; each gives the product of its affected rows'
 outputs at exactly c_i errors (_row_levels), every row's in the order of
@@ -23,7 +26,7 @@ their first error patterns, cells by position and value.  count is the
 number of error patterns that give the output and errors the first of them,
 as (row, cell) pairs.  Distinct count vectors give disjoint outputs, so each
 output is built once.  _raw_rows is the same sweep without errors and
-counts, digit rows only; raw_received_set is its set, hamming_sphere and
+counts, packed rows only; raw_received_set is its set, hamming_sphere and
 deletion_ball are set views of the same rows' outputs, and valid_sub_ball
 keeps the outputs whose columns are all letters.
 
@@ -32,9 +35,10 @@ digit rows (possibly of unequal lengths) with no column-monotonicity
 requirement, because a decoder must handle every channel output.  The
 column-valid substitution balls from the bound analysis are provided
 separately (valid_sub_ball).  For the per-row and total kinds it hashes
-the digit rows of every codeword's outputs once (_raw_rows), M·|ball| row
-tuples in one table per (q, n), and builds a ReceivedRows for the witness
-alone.  Beside each table it keeps, for that call only, each distinct
+the packed rows of every codeword's outputs once (_raw_rows), M·|ball|
+tuples of bytes in one table per (q, n), and builds a ReceivedRows for the
+witness alone; bytes order as the int tuples do, so the witness is the
+same.  Beside each table it keeps, for that call only, each distinct
 (row, count)'s output rows at every error level, so a row that many
 codewords share has its outputs built (_row_levels) once; a binary row of
 length 8 has at most 256 values, however large the codebook.  For the
@@ -152,49 +156,76 @@ def _check_model_fits(model: ErrorModel, k: int):
         raise ValueError(f"t={model.t} exceeds the number of rows k={k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ReceivedRows:
-    """Raw channel output: k digit rows over Sigma_q, lengths in [0, n]."""
+    """Raw channel output: k digit rows over Sigma_q, lengths in [0, n].
 
-    rows: tuple[tuple[int, ...], ...]
+    ReceivedRows(rows, q, n) takes bytes or int sequences and keeps them
+    packed, one bytes object per row; rows is the int-tuple view, made on
+    each read.  Equality, hashing and sort_key read the packed rows, whose
+    order is that of the int tuples."""
+
+    packed: tuple[bytes, ...]
     q: int
     n: int
 
+    def __init__(self, rows, q: int, n: int):
+        for name, value in (("packed", rows), ("q", q), ("n", n)):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        if len(self.rows) < 2:
+        rows = tuple(self.packed)
+        if not set(map(type, rows)) <= {bytes, tuple}:
+            rows = tuple(map(tuple, rows))  # lists, iterators
+        if len(rows) < 2:
             raise ValueError("need k >= 2 rows")
-        for row in self.rows:
-            if len(row) > self.n:
-                raise ValueError("row longer than the nominal length")
-            if row and (min(row) < 0 or max(row) >= self.q):
-                raise ValueError(f"row digits must lie in Sigma_{self.q}")
+        if max(map(len, rows)) > self.n:
+            raise ValueError("row longer than the nominal length")
+        try:
+            packed = tuple(map(bytes, rows))
+        except (TypeError, ValueError):
+            packed = ()  # a digit that is no byte
+        if not packed or b"".join(packed).translate(None, _BYTES[: max(self.q, 0)]):
+            raise ValueError(f"row digits must lie in Sigma_{self.q}")
+        object.__setattr__(self, "packed", packed)
 
     @classmethod
-    def _of(cls, rows: tuple, q: int, n: int) -> "ReceivedRows":
-        """The output with these digit rows, which the channel has already
+    def _of(cls, packed: tuple, q: int, n: int) -> "ReceivedRows":
+        """The output with these packed rows, which the channel has already
         derived from a word over Sigma_q of length n: a tuple of at least
-        two tuples, none longer than n, whose digits lie in Sigma_q."""
+        two bytes, none longer than n, whose digits lie in Sigma_q."""
         received = object.__new__(cls)
-        object.__setattr__(received, "rows", rows)
+        object.__setattr__(received, "packed", packed)
         object.__setattr__(received, "q", q)
         object.__setattr__(received, "n", n)
         return received
 
     @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.packed))
+
+    @property
     def k(self) -> int:
-        return len(self.rows)
+        return len(self.packed)
 
     def sort_key(self):
-        return self.rows
+        return self.packed
+
+    def __repr__(self) -> str:
+        return f"ReceivedRows(rows={self.rows!r}, q={self.q!r}, n={self.n!r})"
+
+
+_BYTES = bytes(range(256))  # Sigma_q is its first q
+_SYMBOLS = tuple(_BYTES[v : v + 1] for v in range(256))  # each digit as a row
 
 
 def received_from_word(word: Word) -> ReceivedRows:
-    return ReceivedRows(word.rows(), word.q, word.n)
+    return ReceivedRows(word.packed, word.q, word.n)
 
 
 def received_to_text(received: ReceivedRows) -> str:
-    return rows_to_text(received.q, received.n, received.rows)
+    return rows_to_text(received.q, received.n, received.packed)
 
 
 def received_from_text(text: str) -> ReceivedRows:
@@ -243,12 +274,12 @@ def runs(x) -> int:
 
 
 def _row_levels(row, index: int, c: int, q: int, deletion: bool) -> list[dict]:
-    """The distinct outputs of row `index` under exactly 0, 1, ..., c
-    deletions, or substitutions over Sigma_q: one {output: (cells, count)}
-    per number of errors, each in the order of its outputs' first error
-    patterns.  count is the number of patterns that give the output and
-    cells the first of them in position (and value) order, as (row, cell)
-    pairs whose cell is a position or a (position, value) pair.
+    """The distinct outputs of packed row `index` under exactly 0, 1, ...,
+    c deletions, or substitutions over Sigma_q: one {output: (cells,
+    count)} per number of errors, each in the order of its outputs' first
+    error patterns.  count is the number of patterns that give the output
+    and cells the first of them in position (and value) order, as (row,
+    cell) pairs whose cell is a position or a (position, value) pair.
 
     A pattern of j + 1 errors extends one of j by a cell after its last.
     Distinct substitution patterns give distinct rows.  Deleting any d
@@ -274,7 +305,7 @@ def _row_levels(row, index: int, c: int, q: int, deletion: bool) -> list[dict]:
             ]
         else:
             level = [
-                (out[:p] + (v,) + out[p + 1:], cells + ((index, (p, v)),), 1, p + 1, 0)
+                (out[:p] + _SYMBOLS[v] + out[p + 1:], cells + ((index, (p, v)),), 1, p + 1, 0)
                 for out, cells, _, first, _ in level
                 for p in range(first, len(row))
                 for v in range(q)
@@ -293,17 +324,19 @@ def _row_levels(row, index: int, c: int, q: int, deletion: bool) -> list[dict]:
 
 def deletion_ball(x, t: int) -> set[tuple[int, ...]]:
     """D_t(x): all distinct subsequences of x with exactly t symbols removed."""
-    x = tuple(x)
+    x = bytes(x)
     if t < 0 or t > len(x):
         raise ValueError(f"cannot delete {t} symbols from length {len(x)}")
-    return set(_row_levels(x, 0, t, 0, True)[t])
+    return set(map(tuple, _row_levels(x, 0, t, 0, True)[t]))
 
 
 def hamming_sphere(row, d: int, q: int) -> set[tuple[int, ...]]:
     """All rows at Hamming distance exactly d from row, over Sigma_q."""
     if d < 0:
         raise ValueError(f"cannot change {d} symbols")
-    return set(_row_levels(tuple(row), 0, d, q, False)[d])
+    if q > 256:
+        raise ValueError(f"rows are bytes, so q must be <= 256, got {q}")
+    return set(map(tuple, _row_levels(bytes(row), 0, d, q, False)[d]))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +367,7 @@ def _row_counts(cells, k: int) -> list[int]:
 
 def _validate_plan(word: Word, model: ErrorModel, plan: Plan):
     k, n, q = word.k, word.n, word.q
-    rows = word.rows()
+    rows = word.packed
     if model.is_substitution:
         if plan.deletions:
             raise ValueError("substitution model cannot delete symbols")
@@ -367,17 +400,12 @@ def apply_errors(word: Word, model: ErrorModel, plan: Plan) -> ReceivedRows:
     """Corrupt word according to an explicit plan, checked against the model."""
     _check_model_fits(model, word.k)
     _validate_plan(word, model, plan)
-    rows = [list(r) for r in word.rows()]
+    rows = list(map(bytearray, word.packed))
     for r, p, v in plan.substitutions:
         rows[r][p] = v
-    drop = {}
-    for r, p in plan.deletions:
-        drop.setdefault(r, set()).add(p)
-    out = []
-    for i, row in enumerate(rows):
-        gone = drop.get(i, ())
-        out.append(tuple(v for j, v in enumerate(row) if j not in gone))
-    return ReceivedRows(tuple(out), word.q, word.n)
+    for r, p in sorted(plan.deletions, reverse=True):
+        del rows[r][p]
+    return ReceivedRows(tuple(map(bytes, rows)), word.q, word.n)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +471,7 @@ def random_errors(word: Word, model: ErrorModel, seed: int) -> tuple[ReceivedRow
     _check_model_fits(model, word.k)
     rng = SplitMix64(seed)
     k, n, q = word.k, word.n, word.q
-    rows = word.rows()
+    rows = word.packed
     kind = model.kind
 
     def row_positions(count):
@@ -514,9 +542,17 @@ def outputs(word: Word, model: ErrorModel):
     """(errors, received, count) once for each distinct raw output of word
     under the model, in sweep order (_count_vectors, then the hit rows'
     outputs in the order of their first error patterns).  received is the
-    output's digit rows, count the number of error patterns that give it
-    and errors the first of them, as (row, cell) pairs."""
-    rows, q, deletion = word.rows(), word.q, not model.is_substitution
+    output's digit rows as int tuples, count the number of error patterns
+    that give it and errors the first of them, as (row, cell) pairs.
+    packed_outputs gives the same with the rows packed."""
+    for errors, received, count in packed_outputs(word, model):
+        yield errors, tuple(map(tuple, received)), count
+
+
+def packed_outputs(word: Word, model: ErrorModel):
+    """outputs with each received row as bytes, built by C-level slices of
+    the word's packed rows: what ReceivedRows._of takes."""
+    rows, q, deletion = word.packed, word.q, not model.is_substitution
 
     def levels(i, row, top):
         return _row_levels(row, i, top, q, deletion)
@@ -530,7 +566,7 @@ def outputs(word: Word, model: ErrorModel):
 
 
 def _raw_rows(word: Word, model: ErrorModel, row_outputs: dict | None = None):
-    """The digit rows of every raw output of word under the model, each
+    """The packed rows of every raw output of word under the model, each
     once, in outputs' order: per fitting count vector, the product of the
     hit rows' outputs, every other row as sent.
 
@@ -541,7 +577,7 @@ def _raw_rows(word: Word, model: ErrorModel, row_outputs: dict | None = None):
     other caller gets a fresh one."""
     if row_outputs is None:
         row_outputs = {}
-    rows, q, deletion = word.rows(), word.q, not model.is_substitution
+    rows, q, deletion = word.packed, word.q, not model.is_substitution
 
     def levels(_, row, top):
         found = row_outputs.get((row, top))
@@ -673,7 +709,7 @@ def _t_rows_collide(a: Word, b: Word, model: ErrorModel) -> bool:
     if (a.q, a.k, a.n) != (b.q, b.k, b.n):
         return False
     cap = min(max(model.budgets, default=0), a.n)
-    differ = [(x, y) for x, y in zip(a.rows(), b.rows()) if x != y]
+    differ = [(x, y) for x, y in zip(a.packed, b.packed) if x != y]
     if model.is_substitution:
         if len(differ) > 2 * model.t:
             return False

@@ -60,7 +60,7 @@ from .channel import (
     del_t_rows,
     del_total,
     oracle_is_code,
-    outputs,
+    packed_outputs,
     random_errors,
     received_from_text,
     received_to_text,
@@ -281,7 +281,8 @@ def _asym_total(args):
 
 
 # bound family -> (flags it requires in the order they are checked,
-#                  calculator, text of the CSV extra column)
+#                  calculator, text of the CSV extra column); a family that
+#                  requires no --q is a binary bound and takes --q 2 alone
 BOUND_FAMILIES = {
     "sp-per-row": (
         ("q", "k", "n", "budgets"),
@@ -319,6 +320,10 @@ BOUND_FAMILIES = {
 def cmd_bounds(args) -> int:
     flags, calculate, extra = BOUND_FAMILIES[args.family]
     _require(args, *flags)
+    if "q" not in flags and args.q not in (None, 2):
+        raise ValueError(
+            f"bound family {args.family} is binary-only (q = 2), got --q {args.q}"
+        )
     report = calculate(args)
     q = args.q if args.q is not None else 2
     lines = [
@@ -354,7 +359,7 @@ def cmd_roundtrip(args) -> int:
     first_failure = None
     for label, message in family.messages(spec, args.trials, _default_seed(args)):
         word = family.encode(message, spec)
-        for errors, rows, count in outputs(word, model):
+        for errors, rows, count in packed_outputs(word, model):
             if not (errors or family.sweeps_clean_word):
                 continue
             received = ReceivedRows._of(rows, word.q, word.n)

@@ -102,8 +102,8 @@ def _is_subsequence(sub, sup) -> bool:
     symbol at their first mismatch removed (the last symbol when sub is a
     prefix of sup): a binary search of slice compares finds that mismatch,
     and one suffix compare decides.  Other lengths use
-    _reference_is_subsequence."""
-    sub, sup = tuple(sub), tuple(sup)
+    _reference_is_subsequence.  Both rows have one sequence type, such as
+    bytes for packed rows."""
     if len(sub) == len(sup):
         return sub == sup
     if len(sub) != len(sup) - 1:
@@ -128,7 +128,7 @@ def _row_deficits(received: ReceivedRows, limit: int) -> list[int]:
     """The rows that lost a symbol, in order; rejects a row that lost more
     than one, and more than limit short rows."""
     short = []
-    for i, row in enumerate(received.rows):
+    for i, row in enumerate(received.packed):
         d = received.n - len(row)
         if d < 0 or d > 1:
             raise ValueError(f"row {i} lost {d} symbols; these codes handle one")
@@ -222,18 +222,18 @@ def congruence_contains_binary_t(word: Word, targets, p: int) -> bool:
     if word.q != 2:
         raise ValueError("binary congruence family needs q = 2")
     _check_prime_above(p, max(word.k - 1, word.n), "the binary t-row family")
-    return _RowCode(2, word.n, p, False).holds(word.rows(), targets)
+    return _RowCode(2, word.n, p, False).holds(word.packed, targets)
 
 
 def congruence_contains_qary_one(word: Word, a: int) -> bool:
     q, n = word.q, word.n
-    return _RowCode(q, n, q * n, True).holds(word.rows(), (a,))
+    return _RowCode(q, n, q * n, True).holds(word.packed, (a,))
 
 
 def congruence_contains_qary_t(word: Word, targets, p: int) -> bool:
     targets = _checked_targets(targets)
     _check_prime_above(p, max(word.k - 1, word.q * word.n), "the q-ary t-row family")
-    return _RowCode(word.q, word.n, p, True).holds(word.rows(), targets)
+    return _RowCode(word.q, word.n, p, True).holds(word.packed, targets)
 
 
 def _congruence_decode_t(received, targets, code: _RowCode) -> Word:
@@ -248,13 +248,13 @@ def _congruence_decode_t(received, targets, code: _RowCode) -> Word:
         # matrix is a plain Vandermonde in the distinct row nodes, invertible
         # since p > k - 1
         word, _ = repair_rows(
-            received.rows, received.q, short, range(len(targets)),
+            received.packed, received.q, short, range(len(targets)),
             lambda j: targets[j], code.syndrome, code.modulus, code.lift_bound,
-            lambda i, residue: code.decode(received.rows[i], residue),
+            lambda i, residue: code.decode(received.packed[i], residue),
         )
     else:
-        word = out_of_model(Word.from_rows, received.rows, received.q)
-    if not code.holds(word.rows(), targets):
+        word = out_of_model(Word.from_rows, received.packed, received.q)
+    if not code.holds(word.packed, targets):
         what = "decoded word" if short else "clean rows"
         raise DecodeFailure(f"{what} does not satisfy the code congruences")
     return word
@@ -344,7 +344,7 @@ class MarkerSpec:
         return self.m + self.t * (self.delta + 2)
 
     def syndromes(self, payload: Word):
-        return self.row_code.sums(payload.rows(), self.t)
+        return self.row_code.sums(payload.packed, self.t)
 
 
 def _check_t_rows(k: int, t: int):
@@ -441,7 +441,7 @@ def _read_block_digits(received, spec: MarkerSpec, damage, j: int) -> int:
     width = spec.delta
     start = spec.m + j * (width + 2) + 2
     segments = []
-    for i, row in enumerate(received.rows):
+    for i, row in enumerate(received.packed):
         seg = damage[i]
         at = start - (1 if (seg is None or 0 <= seg < j) else 0)
         segments.append(row[at : at + width])
@@ -462,11 +462,11 @@ def _marker_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
 
     # damage[i]: -1 clean, None payload hit, j >= 0 block j hit
     damage = {
-        i: _segment_of(row, i in short, spec) for i, row in enumerate(received.rows)
+        i: _segment_of(row, i in short, spec) for i, row in enumerate(received.packed)
     }
     unknown = sorted(i for i, seg in damage.items() if seg is None)
     rows = [None] * received.k
-    for i, row in enumerate(received.rows):
+    for i, row in enumerate(received.packed):
         if damage[i] is not None:
             rows[i] = row[: spec.m]
 
@@ -476,7 +476,7 @@ def _marker_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
             rows, received.q, unknown, [j for j in range(t) if j not in blocked],
             lambda j: _read_block_digits(received, spec, damage, j),
             code.syndrome, code.modulus, code.lift_bound,
-            lambda i, value: code.decode(received.rows[i][: spec.m - 1], value),
+            lambda i, value: code.decode(received.packed[i][: spec.m - 1], value),
         )
         sums = power_sums(syndromes, range(t), code.modulus)
     else:
@@ -484,7 +484,7 @@ def _marker_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
         sums = spec.syndromes(payload)
     # the re-encode: the tail of the decoded rows' own syndromes
     codeword = payload + _marker_tail(sums, spec)
-    for got, want in zip(received.rows, codeword.rows()):
+    for got, want in zip(received.packed, codeword.packed):
         if not _is_subsequence(got, want):
             raise DecodeFailure("decoded payload is inconsistent with the received rows")
     return payload

@@ -36,6 +36,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
+from operator import mul
 
 from ._codec import (
     block_value,
@@ -461,14 +462,14 @@ def _check_q1_primes(q: int, n: int, p1: int, p2: int):
 
 
 def _square_sum(rows) -> int:
-    return sum(v * v for row in rows for v in row)
+    return sum(sum(map(mul, row, row)) for row in rows)
 
 
 def q1cecc_checksums(word: Word, p1: int, p2: int) -> tuple[int, int, int]:
     """(digit sum mod 2q-1, VT row sum mod p1, squared digit sum mod p2)."""
     _check_q1_primes(word.q, word.n, p1, p2)
-    rows = word.rows()
-    a1 = sum(v for row in rows for v in row) % (2 * word.q - 1)
+    rows = word.packed
+    a1 = sum(map(sum, rows)) % (2 * word.q - 1)
     a2 = sum(vt_syndrome(row) for row in rows) % p1
     a3 = _square_sum(rows) % p2
     return a1, a2, a3
@@ -491,7 +492,7 @@ def q1cecc_decode(
         raise ValueError("the three-checksum decoder needs n >= q")
     rows = intake(received)
     span = 2 * q - 1
-    delta1 = (sum(v for row in rows for v in row) - a1) % span
+    delta1 = (sum(map(sum, rows)) - a1) % span
     delta = delta1 if delta1 <= q - 1 else delta1 - span
     ranks = list(column_ranks(zip(*rows), q, k))
     j = invalid_column(ranks)
@@ -598,7 +599,7 @@ def c1s_decode(received: ReceivedRows, spec: C1SSpec) -> Word:
     if a not in (0, 1):
         raise DecodeFailure("first marker digit outside {0, 1}; breach")
     a1 = a * q + b
-    if sum(v for row in payload_rows for v in row) % (2 * q - 1) == a1:
+    if sum(map(sum, payload_rows)) % (2 * q - 1) == a1:
         return out_of_model(Word.from_rows, payload_rows, q)
     # payload checksum is off, so the error is there and the digits are clean
     packed = out_of_model(
@@ -652,7 +653,7 @@ class C2SSpec:
         return self.m + 2 * self.k + self.t * (self.delta + self.k)
 
     def syndromes(self, payload: Word) -> list[int]:
-        values = [vt_syndrome(row) % self.span for row in payload.rows()]
+        values = [vt_syndrome(row) % self.span for row in payload.packed]
         return power_sums(values, range(self.t), self.p)
 
 
@@ -661,7 +662,7 @@ def c2s_encode(payload: Word, spec: C2SSpec) -> Word:
     q, k = spec.q, spec.k
     big_q = alphabet_size(q, k)
     tail = []
-    for row in payload.rows():
+    for row in payload.packed:
         tail += [column_rank((sum(row) % q,) * k, q)] * 2
     for value in spec.syndromes(payload):
         block = expand_base(value, big_q, big_q**spec.delta)

@@ -69,8 +69,8 @@ class Family:
     ``message_space(spec)`` gives (alphabet size, length) of the messages a
     roundtrip enumerates; families without one sample payloads instead.
     ``model`` gives the channel model the code corrects, whose every
-    distinct output (channel.outputs) a roundtrip decodes once, weighted by
-    the number of error patterns that give it.  ``sweeps_clean_word`` is
+    distinct output (channel.packed_outputs) a roundtrip decodes once,
+    weighted by the number of error patterns that give it.  ``sweeps_clean_word`` is
     False for doll alone: its sweep leaves out the error-free word, n cases
     per message.  The fields name the codec functions inside lambdas, so
     they are looked up at call time.

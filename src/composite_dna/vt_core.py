@@ -21,7 +21,10 @@ positions where it can (its docstring gives the argument: the residue left
 for a position wraps at most once over the row, and on each side of the
 wrap the slack g = r - pos*q falls strictly).  Their per-symbol work runs
 in C builtins (sum, map, accumulate, count, min/max), and the q-ary one
-adds O(log n + q) interpreted steps.  The brute-force
+adds O(log n + q) interpreted steps.  Both take a row as bytes (the
+packed rows of alphabet.Word and channel.ReceivedRows) or as a sequence
+of ints, read it without copying a bytes row, and return the decoded row
+in the same type: bytes for bytes, a tuple otherwise.  The brute-force
 enumerators they replace, O(q * n^2), are kept as
 ``_reference_vt_decode_one_deletion`` and
 ``_reference_qary_decode_one_deletion``; the tests check that both give the
@@ -39,6 +42,14 @@ from .algebra import digit_width, expand_base
 
 class DecodeFailure(ValueError):
     """No candidate (or more than one) is consistent with the syndromes."""
+
+
+_SYMBOLS = tuple(bytes((v,)) for v in range(256))  # each digit as a bytes row
+
+
+def _insert(y, pos: int, sym: int):
+    """y with sym inserted at pos, in y's own type (bytes or tuple)."""
+    return y[:pos] + (_SYMBOLS[sym] if isinstance(y, bytes) else (sym,)) + y[pos:]
 
 
 def vt_syndrome(x) -> int:
@@ -64,7 +75,7 @@ def vt_decode_one_deletion(y, a: int, modulus: int):
     ``qary_decode_one_deletion``.  ``_reference_vt_decode_one_deletion`` is
     the brute-force oracle.
     """
-    y = tuple(y)
+    y = y if isinstance(y, (bytes, tuple)) else tuple(y)
     n = len(y) + 1
     if modulus <= n:
         raise ValueError(f"modulus {modulus} too small for length {n}")
@@ -84,12 +95,12 @@ def _levenshtein_insert(y, d: int, weight: int):
     if d <= weight:
         # a 0 just left of the d-th one from the right
         pos = len(y) - indexOf(accumulate(reversed(y)), d) - 1 if d else len(y)
-        return y[:pos] + (0,) + y[pos:]
+        return _insert(y, pos, 0)
     if d <= len(y) + 1:
         # a 1 just right of the (d - w - 1)-th zero from the left
         zeros = d - weight - 1
         pos = indexOf(accumulate(map(not_, y)), zeros) + 1 if zeros else 0
-        return y[:pos] + (1,) + y[pos:]
+        return _insert(y, pos, 1)
     raise DecodeFailure("expected exactly one candidate, found 0")
 
 
@@ -142,7 +153,7 @@ def qary_vt_syndrome(x, q: int) -> int:
     when x_i < x_{i+1}; the weighted sum telescopes to Sum(x) plus q times
     the sum of the (1-based) ascent positions i, those with x_i < x_{i+1}.
     """
-    x = tuple(x)
+    x = x if isinstance(x, (bytes, tuple)) else tuple(x)
     if not x:
         raise ValueError("psi of an empty sequence")
     ascents = compress(count(1), map(lt, x, x[1:]))
@@ -183,13 +194,13 @@ def qary_decode_one_deletion(y, a: int, q: int, n: int):
     where c < g < q can hold, are at most q consecutive ones, found by
     bisecting on s_pos + pos*q.
     """
-    y = tuple(y)
+    y = y if isinstance(y, (bytes, tuple)) else tuple(y)
     if len(y) != n - 1:
         raise ValueError(f"received length {len(y)}, expected {n - 1}")
     if y and (min(y) < 0 or max(y) >= q):
         raise ValueError(f"received row is not over Sigma_{q}")
     modulus = q * n
-    e = y + (0,)
+    e = _insert(y, n - 1, 0)
     # after[n - 1 - pos]: the number of ascents e_i < e_{i+1} at i >= pos
     after = list(accumulate(map(lt, e[-2::-1], e[:0:-1]), initial=0))
     d = (a - sum(e) - q * sum(after)) % modulus
@@ -216,7 +227,7 @@ def qary_decode_one_deletion(y, a: int, q: int, n: int):
     if len(hits) != 1:
         raise DecodeFailure(f"expected exactly one candidate, found {len(hits)}")
     ((pos, sym),) = hits
-    return y[:pos] + (sym,) + y[pos:]
+    return _insert(y, pos, sym)
 
 
 def _reference_qary_decode_one_deletion(y, a: int, q: int, n: int):

@@ -781,7 +781,7 @@ def test_trusted_outputs_equal_checked_ones():
             word = Word.from_ranks(ranks, q, 3)
             raw = list(channel._raw_rows(word, model))
             assert len(raw) == len(set(raw))
-            assert set(raw) == {rows for _, rows, _ in outputs(word, model)}
+            assert set(raw) == {rows for _, rows, _ in channel.packed_outputs(word, model)}
             for rows in raw:
                 trusted, checked = ReceivedRows._of(rows, q, 3), ReceivedRows(rows, q, 3)
                 assert trusted == checked and hash(trusted) == hash(checked)
@@ -805,7 +805,7 @@ def test_ball_oracle_builds_each_distinct_rows_outputs_once(monkeypatch):
 
     monkeypatch.setattr(channel, "_row_levels", counting)
     assert oracle_is_code(book, del_total(1)).is_code
-    distinct = {(row, 1) for word in book for row in word.rows()}
+    distinct = {(row, 1) for word in book for row in word.packed}
     assert len(distinct) < 2 * len(book)
     assert calls == Counter(dict.fromkeys(distinct, 1))
 
@@ -814,7 +814,7 @@ def test_ball_oracle_builds_each_distinct_rows_outputs_once(monkeypatch):
 def test_raw_rows_with_a_shared_row_memo_equal_fresh_ones(kind):
     """_raw_rows yields the same sequence whether a row's outputs come from
     a dict shared by many words or are built afresh, and that sequence is
-    the received rows of outputs, in order."""
+    the received rows of packed_outputs, in order."""
     rng = random.Random(kind)
     reused = 0  # (row, count) entries a word found in the shared dict
     for q, k in product((2, 3), (2, 3)):
@@ -825,10 +825,12 @@ def test_raw_rows_with_a_shared_row_memo_equal_fresh_ones(kind):
             shared = {}
             for _ in range(12):
                 word = Word.from_ranks([rng.randrange(size) for _ in range(3)], q, k)
-                reused += sum((row, top) in shared for row, top in zip(word.rows(), tops) if top)
+                reused += sum((row, top) in shared for row, top in zip(word.packed, tops) if top)
                 memo = list(channel._raw_rows(word, model, shared))
                 assert memo == list(channel._raw_rows(word, model, {})), (word, model)
-                assert memo == [rows for _, rows, _ in outputs(word, model)], (word, model)
+                assert memo == [
+                    rows for _, rows, _ in channel.packed_outputs(word, model)
+                ], (word, model)
     assert reused
 
 

@@ -141,6 +141,35 @@ SCENARIOS = {
                 "error: --k is required for family asym-deletion\n",
                 {},
             ),
+            # the two deletion bounds are proved for q = 2 alone
+            (
+                "bounds --family gspb-deletion --q 3 --k 2 --n 4",
+                1,
+                "",
+                "error: bound family gspb-deletion is binary-only (q = 2), got --q 3\n",
+                {},
+            ),
+            (
+                "bounds --family gspb-deletion --q 5 --k 2 --n 4",
+                1,
+                "",
+                "error: bound family gspb-deletion is binary-only (q = 2), got --q 5\n",
+                {},
+            ),
+            (
+                "bounds --family asym-deletion --q 3 --k 3 --n 5",
+                1,
+                "",
+                "error: bound family asym-deletion is binary-only (q = 2), got --q 3\n",
+                {},
+            ),
+            (
+                "bounds --family asym-deletion --q 5 --k 3 --n 5",
+                1,
+                "",
+                "error: bound family asym-deletion is binary-only (q = 2), got --q 5\n",
+                {},
+            ),
         ],
     ),
     "readme-verify-code": (

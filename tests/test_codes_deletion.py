@@ -745,7 +745,7 @@ def test_marker_decode_certifies_a_wrong_repaired_row(monkeypatch, spec, encode,
 
         def wrong(self, row, residue, pos=pos):
             got = original(self, row, residue)
-            return got[:pos] + (0,) + got[pos + 1 :]
+            return got[:pos] + type(got)((0,)) + got[pos + 1 :]
 
         word = encode(payload, spec)
         received = received_after(word, {0: pos})
