@@ -14,7 +14,7 @@ matrix [i^(j-1)] is invertible mod p.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import comb, gcd
 
 
@@ -111,13 +111,13 @@ def cw_rank(bits, w: int | None = None) -> int:
     The rank of a with ones at positions i_1 < ... < i_w (1-indexed) is
     1 + sum_j binom(i_j - 1, j); ranks run from 1 to binom(n, w).
     """
-    bits = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in bits):
+    bits = tuple(bits)
+    if not set(bits) <= {0, 1}:
         raise ValueError("bits must be 0/1")
-    ones = [i + 1 for i, b in enumerate(bits) if b]
+    ones = tuple(compress(count(), bits))  # the positions i_j - 1
     if w is not None and w != len(ones):
         raise ValueError(f"declared weight {w} != actual weight {len(ones)}")
-    return 1 + sum(comb(pos - 1, j + 1) for j, pos in enumerate(ones))
+    return 1 + sum(map(comb, ones, count(1)))
 
 
 def cw_unrank(index: int, n: int, w: int) -> tuple[int, ...]:

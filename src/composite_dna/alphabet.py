@@ -20,10 +20,21 @@ holds its rank sequence (an int tuple, which equality and hashing read) and
 its digit rows packed, one bytes object per row (Word.packed), and builds
 each only once.  Word.rows() is the int-tuple view, made on its first call
 and kept; the library itself reads only the packed rows, where a deletion
-is a C-level slice and a row hashes once.  A byte holds a digit below 256,
-so q is at most 256.
+is a C-level slice and a row hashes once.
 
-The two views convert with byte tables while they fit a byte:
+This module owns the row format, for words and for channel outputs alike:
+
+* pack_rows turns rows from outside the package, bytes or int sequences,
+  into bytes, and refuses a digit that is no int of Sigma_q or a base
+  outside 2 <= q <= 256 (a byte holds a digit below 256).
+  Word.from_rows, channel.ReceivedRows and the channel's row balls call it.
+* rows_to_text writes k rows as a 'q k n' header and one line of ASCII
+  digits per row, and rows_from_text reads them back.  That reader and the
+  word reader (words_from_blocks) share the one header parser
+  (_parse_header) and the one digit-line packer (_digit_row), so they
+  refuse the same headers and digit lines.
+
+The two views of a word convert with byte tables while they fit a byte:
 
 * ranks to rows, while Q_{q,k} <= 256: the ranks spelled as one bytes
   object, then one translate per row through a table of that row's digit
@@ -32,8 +43,7 @@ The two views convert with byte tables while they fit a byte:
   int(row_i) reads the row's bytes as one big integer, has column j's
   sum_i digit_i * q^i <= q^k - 1 as its byte j, so no byte carries; one
   translate of the key's bytes through a table of letter ranks, with 255
-  for "no letter", ranks every column.  The digits are checked first with
-  one translate that deletes Sigma_q.
+  for "no letter", ranks every column of rows that pack_rows has checked.
 
 Larger shapes (q = 2 with k >= 9, q = 3 with k >= 6, q = 4 with k >= 5,
 q = 10 with k = 4 and Q = 715, ...) take the same constructors through the
@@ -106,13 +116,17 @@ def _v_value(digits: tuple[int, ...], q: int) -> int:
     return sum(digits.count(i) * (k + 1) ** (i - 1) for i in range(1, q))
 
 
-@lru_cache(maxsize=None)
-def _rank_tables(q: int, k: int):
-    """(ascending letter tuples, digits -> rank lookup) for Phi_{q,k}."""
+def _check_base(q: int) -> None:
     if q < 2:
         raise ValueError(f"alphabet base q must be >= 2, got {q}")
     if q > 256:
         raise ValueError(f"alphabet base q must be <= 256 (rows are bytes), got {q}")
+
+
+@lru_cache(maxsize=None)
+def _rank_tables(q: int, k: int):
+    """(ascending letter tuples, digits -> rank lookup) for Phi_{q,k}."""
+    _check_base(q)
     if k < 2:
         raise ValueError(f"resolution k must be >= 2, got {k}")
     # combinations_with_replacement yields exactly the nondecreasing tuples
@@ -134,15 +148,31 @@ def column_ranks(columns, q: int, k: int) -> tuple:
     return tuple(map(_rank_tables(q, k)[1].get, columns))
 
 
+_SIGMA = bytes(range(256))  # Sigma_q is its first q digits
 _NO_LETTER = 255  # the rank byte of a column key that is no letter
 _big_endian = partial(int.from_bytes, byteorder="big")
 
 
+def pack_rows(rows, q: int) -> tuple[bytes, ...]:
+    """Digit rows from outside the package, each bytes or a sequence of
+    ints, as the package holds them: one bytes object per row.  A digit
+    that is no int of Sigma_q is a ValueError, and so is a base q outside
+    2..256, the bases whose digits fit a byte."""
+    _check_base(q)
+    try:  # tuple() refuses a row that is an int, which bytes() would zero-fill
+        packed = tuple(row if type(row) is bytes else bytes(tuple(row)) for row in rows)
+    except (TypeError, ValueError):  # a digit that is no int in 0..255
+        packed = None
+    if packed is None or b"".join(packed).translate(None, _SIGMA[:q]):
+        raise ValueError(f"row digits must lie in Sigma_{q}")
+    return packed
+
+
 @lru_cache(maxsize=None)
 def _byte_tables(q: int, k: int):
-    """(Sigma_q as bytes, the row weights q^i, the rank of each column key
-    or _NO_LETTER, each row's digit of each rank): the translate tables of
-    the module docstring, the last two None where they do not fit a byte."""
+    """(the row weights q^i, the rank of each column key or _NO_LETTER,
+    each row's digit of each rank): the translate tables of the module
+    docstring, the last two None where they do not fit a byte."""
     tuples, _ = _rank_tables(q, k)
     weights = tuple(q**i for i in range(k))
     ranks_of_keys = digits_of_ranks = None
@@ -155,12 +185,12 @@ def _byte_tables(q: int, k: int):
         digits_of_ranks = tuple(
             bytes(column) + bytes(256 - len(tuples)) for column in zip(*tuples)
         )
-    return bytes(range(q)), weights, ranks_of_keys, digits_of_ranks
+    return weights, ranks_of_keys, digits_of_ranks
 
 
 def _rows_of_ranks(ranks, q: int, k: int) -> tuple[bytes, ...]:
     """The packed rows of the word with these (valid) ranks."""
-    tables = _byte_tables(q, k)[3]
+    tables = _byte_tables(q, k)[2]
     if tables is None:
         tuples = _rank_tables(q, k)[0]
         return tuple(map(bytes, zip(*[tuples[r] for r in ranks])))
@@ -168,11 +198,9 @@ def _rows_of_ranks(ranks, q: int, k: int) -> tuple[bytes, ...]:
 
 
 def _ranks_of_rows(packed, q: int, k: int) -> tuple | None:
-    """The ranks of the columns of k >= 2 packed rows of one length n >= 1,
-    or None if a digit lies outside Sigma_q or a column is no letter."""
-    digits, weights, ranks_of_keys, _ = _byte_tables(q, k)
-    if b"".join(packed).translate(None, digits):
-        return None
+    """The ranks of the columns of k >= 2 packed rows over Sigma_q of one
+    length n >= 1, or None if a column is no letter."""
+    weights, ranks_of_keys, _ = _byte_tables(q, k)
     if ranks_of_keys is None:
         ranks = column_ranks(zip(*packed), q, k)
         return None if None in ranks else ranks
@@ -286,22 +314,22 @@ class Word:
     @classmethod
     def from_rows(cls, rows, q: int) -> "Word":
         """The word with these digit rows, bytes or int sequences.  They are
-        packed and their columns ranked as given; only if that fails (a
-        digit string, 1.5, a digit outside Sigma_q, a shape that is no word)
-        are the digits int()-normalised and checked, so the result, word or
-        error, is the one the int() digits give."""
-        rows = tuple(rows)
-        if not set(map(type, rows)) <= {bytes, tuple}:
-            rows = tuple(map(tuple, rows))  # lists, strings, iterators
+        packed (pack_rows) and their columns ranked as given; only if that
+        fails (a digit string, 1.5, a digit outside Sigma_q, a shape that is
+        no word) are the digits int()-normalised and checked, so the result,
+        word or error, is the one the int() digits give."""
+        # an iterator row is read once, here, so the fallback sees its digits
+        rows = tuple(row if type(row) is bytes else tuple(row) for row in rows)
         k = len(rows)
         if k >= 2 and rows[0] and len(set(map(len, rows))) == 1:
             try:
-                packed = tuple(map(bytes, rows))
+                packed = pack_rows(rows, q)
+            except ValueError:
+                pass  # a digit that is no int of Sigma_q, or a bad q: reported below
+            else:
                 ranks = _ranks_of_rows(packed, q, k)
-            except (TypeError, ValueError):
-                ranks = None  # a digit that is no byte, or a bad q: reported below
-            if ranks is not None:
-                return cls._of(q, k, ranks, packed)
+                if ranks is not None:
+                    return cls._of(q, k, ranks, packed)
         ranks = _checked_ranks(tuple(tuple(map(int, row)) for row in rows), q)
         return cls._of(q, k, ranks, _rows_of_ranks(ranks, q, k))
 
@@ -354,18 +382,24 @@ def rows_to_text(q: int, n: int, rows) -> str:
     channel output, whose rows may be short (channel.received_to_text).
 
     Digits are written without separators, so q <= 10 is enforced here.
-    Each row, packed or not, is written with one translate to ASCII.
+    The rows are packed (pack_rows), then each is written with one
+    translate to ASCII; rows_from_text reads the text back.
     """
+    return _packed_to_text(q, n, pack_rows(rows, q))
+
+
+def _packed_to_text(q: int, n: int, packed: tuple[bytes, ...]) -> str:
     if q > 10:
         raise ValueError("text format only supports q <= 10")
-    lines = [f"{q} {len(rows)} {n}".encode("ascii")]
-    lines += [bytes(row).translate(_TO_ASCII) for row in rows]
+    lines = [f"{q} {len(packed)} {n}".encode("ascii")]
+    lines += [row.translate(_TO_ASCII) for row in packed]
     return (b"\n".join(lines) + b"\n").decode("ascii")
 
 
 def word_to_text(word: Word) -> str:
-    """Serialize a word: a 'q k n' header plus k digit rows (rows_to_text)."""
-    return rows_to_text(word.q, word.n, word.packed)
+    """Serialize a word: a 'q k n' header plus k digit rows (rows_to_text),
+    written from its packed rows, which Word has already checked."""
+    return _packed_to_text(word.q, word.n, word.packed)
 
 
 def word_to_rank_text(word: Word) -> str:
@@ -384,6 +418,32 @@ def _parse_header(line: str) -> tuple[int, int, int]:
     return q, k, n
 
 
+def _digit_row(line: str, shortest: int, n: int) -> bytes:
+    """A stripped text line of shortest..n ASCII digits (n for a word's row,
+    0..n for a received one), packed with one encode and one translate."""
+    if not shortest <= len(line) <= n or not (line.isascii() and line.isdigit() or not line):
+        raise ValueError(f"bad digit row {line!r} (expected {n} digits)")
+    return line.encode("ascii").translate(_FROM_ASCII)
+
+
+def rows_from_text(text: str) -> tuple[int, int, tuple[bytes, ...]]:
+    """The inverse of rows_to_text: (q, n, rows) of a 'q k n' header and k
+    lines of at most n digits, the rows packed.  Blank lines before the
+    header are skipped, and rows missing after it are empty (editors drop
+    trailing empty lines); content after the k rows is an error."""
+    lines = [line.strip() for line in text.splitlines()]
+    while lines and not lines[0]:
+        lines.pop(0)
+    if not lines:
+        raise ValueError("empty rows file")
+    q, k, n = _parse_header(lines[0])
+    body = lines[1:]
+    if any(body[k:]):
+        raise ValueError(f"expected {k} digit rows, found extra content after them")
+    body += [""] * (k - len(body))
+    return q, n, tuple(_digit_row(line, 0, n) for line in body[:k])
+
+
 def word_from_text(text: str) -> Word:
     """Parse either text form: k digit rows, or one comma-separated rank line."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -397,7 +457,7 @@ def words_from_blocks(blocks) -> list[Word]:
     lines: a 'q k n' header, then k digit rows or one comma-separated rank
     line.  The blocks of a codebook file repeat headers and rows, so each
     distinct header line is parsed, and each distinct digit row packed
-    (one ASCII encode and one translate), once per call."""
+    (_digit_row), once per call."""
     headers: dict[str, tuple[int, int, int]] = {}
     digit_rows: dict[str, bytes] = {}
     words = []
@@ -420,9 +480,7 @@ def words_from_blocks(blocks) -> list[Word]:
         for row in body:
             digits = digit_rows.get(row)
             if digits is None or len(row) != n:
-                if len(row) != n or not (row.isascii() and row.isdigit()):
-                    raise ValueError(f"bad digit row {row!r} (expected {n} digits)")
-                digits = digit_rows[row] = row.encode("ascii").translate(_FROM_ASCII)
+                digits = digit_rows[row] = _digit_row(row, n, n)
             rows.append(digits)
         words.append(Word.from_rows(rows, q))
     return words

@@ -30,6 +30,13 @@ counts, packed rows only; raw_received_set is its set, hamming_sphere and
 deletion_ball are set views of the same rows' outputs, and valid_sub_ball
 keeps the outputs whose columns are all letters.
 
+A channel output is a ReceivedRows: k >= 2 rows over Sigma_q of lengths
+0..n, n >= 1.  alphabet owns that row format: ReceivedRows packs and
+checks its rows with alphabet.pack_rows, the rule Word.from_rows packs
+with, hamming_sphere and deletion_ball pack their row with it too, and the
+text form is alphabet.rows_to_text / rows_from_text, whose header and digit
+lines the word reader parses with the same code.
+
 The decodability oracle works on RAW outputs: a received matrix is just k
 digit rows (possibly of unequal lengths) with no column-monotonicity
 requirement, because a decoder must handle every channel output.  The
@@ -62,7 +69,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .alphabet import Word, column_ranks, rows_to_text
+from .alphabet import Word, column_ranks, pack_rows, rows_from_text, rows_to_text
 
 _SUB_KINDS = ("sub-per-row", "sub-total", "sub-t-rows")
 # the six kinds, substitution first: also the order of the CLI's --model choices
@@ -161,9 +168,9 @@ class ReceivedRows:
     """Raw channel output: k digit rows over Sigma_q, lengths in [0, n].
 
     ReceivedRows(rows, q, n) takes bytes or int sequences and keeps them
-    packed, one bytes object per row; rows is the int-tuple view, made on
-    each read.  Equality, hashing and sort_key read the packed rows, whose
-    order is that of the int tuples."""
+    packed (alphabet.pack_rows), one bytes object per row; rows is the
+    int-tuple view, made on each read.  Equality, hashing and sort_key read
+    the packed rows, whose order is that of the int tuples."""
 
     packed: tuple[bytes, ...]
     q: int
@@ -175,19 +182,13 @@ class ReceivedRows:
         self.__post_init__()
 
     def __post_init__(self):
-        rows = tuple(self.packed)
-        if not set(map(type, rows)) <= {bytes, tuple}:
-            rows = tuple(map(tuple, rows))  # lists, iterators
-        if len(rows) < 2:
+        packed = pack_rows(self.packed, self.q)
+        if len(packed) < 2:
             raise ValueError("need k >= 2 rows")
-        if max(map(len, rows)) > self.n:
+        if self.n < 1:
+            raise ValueError(f"nominal length n must be >= 1, got {self.n}")
+        if max(map(len, packed)) > self.n:
             raise ValueError("row longer than the nominal length")
-        try:
-            packed = tuple(map(bytes, rows))
-        except (TypeError, ValueError):
-            packed = ()  # a digit that is no byte
-        if not packed or b"".join(packed).translate(None, _BYTES[: max(self.q, 0)]):
-            raise ValueError(f"row digits must lie in Sigma_{self.q}")
         object.__setattr__(self, "packed", packed)
 
     @classmethod
@@ -216,8 +217,7 @@ class ReceivedRows:
         return f"ReceivedRows(rows={self.rows!r}, q={self.q!r}, n={self.n!r})"
 
 
-_BYTES = bytes(range(256))  # Sigma_q is its first q
-_SYMBOLS = tuple(_BYTES[v : v + 1] for v in range(256))  # each digit as a row
+_SYMBOLS = tuple(bytes((v,)) for v in range(256))  # each digit as a one-symbol row
 
 
 def received_from_word(word: Word) -> ReceivedRows:
@@ -229,27 +229,9 @@ def received_to_text(received: ReceivedRows) -> str:
 
 
 def received_from_text(text: str) -> ReceivedRows:
-    lines = text.splitlines()
-    while lines and not lines[0].strip():
-        lines.pop(0)
-    if not lines:
-        raise ValueError("empty received file")
-    parts = lines[0].split()
-    if len(parts) != 3:
-        raise ValueError(f"expected header 'q k n', got {lines[0]!r}")
-    q, k, n = (int(p) for p in parts)
-    body = lines[1 : 1 + k]
-    if len(body) < k:
-        body += [""] * (k - len(body))  # trailing empty rows may be dropped by editors
-    if any(line.strip() for line in lines[1 + k :]):
-        raise ValueError(f"expected {k} digit rows, found extra content after them")
-    rows = []
-    for raw in body:
-        raw = raw.strip()
-        if raw and not raw.isdigit():
-            raise ValueError(f"bad digit row {raw!r}")
-        rows.append(tuple(int(ch) for ch in raw))
-    return ReceivedRows(tuple(rows), q, n)
+    """The received rows that received_to_text wrote (alphabet.rows_from_text)."""
+    q, n, rows = rows_from_text(text)
+    return ReceivedRows(rows, q, n)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +306,7 @@ def _row_levels(row, index: int, c: int, q: int, deletion: bool) -> list[dict]:
 
 def deletion_ball(x, t: int) -> set[tuple[int, ...]]:
     """D_t(x): all distinct subsequences of x with exactly t symbols removed."""
-    x = bytes(x)
+    (x,) = pack_rows((x,), 256)
     if t < 0 or t > len(x):
         raise ValueError(f"cannot delete {t} symbols from length {len(x)}")
     return set(map(tuple, _row_levels(x, 0, t, 0, True)[t]))
@@ -334,9 +316,8 @@ def hamming_sphere(row, d: int, q: int) -> set[tuple[int, ...]]:
     """All rows at Hamming distance exactly d from row, over Sigma_q."""
     if d < 0:
         raise ValueError(f"cannot change {d} symbols")
-    if q > 256:
-        raise ValueError(f"rows are bytes, so q must be <= 256, got {q}")
-    return set(map(tuple, _row_levels(bytes(row), 0, d, q, False)[d]))
+    (row,) = pack_rows((row,), q)
+    return set(map(tuple, _row_levels(row, 0, d, q, False)[d]))
 
 
 # ---------------------------------------------------------------------------

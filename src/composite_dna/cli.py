@@ -56,17 +56,11 @@ from .channel import (
     MODEL_KINDS,  # the --model choices
     ErrorModel,
     ReceivedRows,
-    del_per_row,
-    del_t_rows,
-    del_total,
     oracle_is_code,
     packed_outputs,
     random_errors,
     received_from_text,
     received_to_text,
-    sub_per_row,
-    sub_t_rows,
-    sub_total,
 )
 from .codes_substitution import DollSpec
 from .equivalence import MAP_NAMES, EquivalenceMap
@@ -108,21 +102,21 @@ def _default_seed(args) -> int:
 
 
 def build_model(name: str, e: str, t: int | None) -> ErrorModel:
+    """The model of the --model, --e and --t flags; ErrorModel checks the
+    budgets, and --t is read by the t-rows kinds alone."""
     values = _ints(e)
-    if name == "sub-per-row":
-        return sub_per_row(*values)
-    if name == "del-per-row":
-        return del_per_row(*values)
-    if name in ("sub-total", "del-total"):
-        if len(values) != 1:
-            raise ValueError(f"model {name} takes a single --e value")
-        return (sub_total if name == "sub-total" else del_total)(values[0])
-    if name in ("sub-t-rows", "del-t-rows"):
-        if t is None:
-            raise ValueError(f"model {name} requires --t")
-        maker = sub_t_rows if name == "sub-t-rows" else del_t_rows
-        return maker(t, values)
-    raise ValueError(f"unknown model {name!r}")
+    shape = name.split("-", 1)[1]  # per-row, total or t-rows
+    if shape == "total" and len(values) != 1:
+        raise ValueError(f"model {name} takes a single --e value")
+    if shape == "t-rows" and t is None:
+        raise ValueError(f"model {name} requires --t")
+    total = shape == "total"
+    return ErrorModel(
+        name,
+        budgets=() if total else values,
+        total=values[0] if total else None,
+        t=t if shape == "t-rows" else None,
+    )
 
 
 def _spec_text(args, spec, n: int) -> str:

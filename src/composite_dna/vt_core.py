@@ -20,13 +20,18 @@ per position that can meet the residue, and bisects for the at most 2q + 1
 positions where it can (its docstring gives the argument: the residue left
 for a position wraps at most once over the row, and on each side of the
 wrap the slack g = r - pos*q falls strictly).  Their per-symbol work runs
-in C builtins (sum, map, accumulate, count, min/max), and the q-ary one
+in C builtins (sum, map, accumulate, count, set), and the q-ary one
 adds O(log n + q) interpreted steps.  Both take a row as bytes (the
-packed rows of alphabet.Word and channel.ReceivedRows) or as a sequence
-of ints, read it without copying a bytes row, and return the decoded row
-in the same type: bytes for bytes, a tuple otherwise.  The brute-force
-enumerators they replace, O(q * n^2), are kept as
-``_reference_vt_decode_one_deletion`` and
+packed rows of alphabet.Word and channel.ReceivedRows, whose format
+alphabet.pack_rows sets) or as a sequence of ints, read it without copying
+a bytes row, and return the decoded row in the same type: bytes for bytes,
+a tuple otherwise.  The q-ary kernels (deletion, substitution, 1-LME)
+share one digit check, made after their length checks: a digit that is no
+int of Sigma_q (1.5, 1.0, -1, q, '1') is a plain ValueError, never a
+DecodeFailure or a returned row.  The binary decoder's digit check is its
+two counts, which also give it the row's weight; they take 1.0 for a 1.
+The brute-force enumerators the deletion decoders replace, O(q * n^2), are
+kept as ``_reference_vt_decode_one_deletion`` and
 ``_reference_qary_decode_one_deletion``; the tests check that both give the
 same rows and the same failures.
 """
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, count
-from operator import indexOf, lt, not_
+from operator import index, indexOf, lt, not_
 
 from .algebra import digit_width, expand_base
 
@@ -44,12 +49,20 @@ class DecodeFailure(ValueError):
     """No candidate (or more than one) is consistent with the syndromes."""
 
 
-_SYMBOLS = tuple(bytes((v,)) for v in range(256))  # each digit as a bytes row
-
-
 def _insert(y, pos: int, sym: int):
     """y with sym inserted at pos, in y's own type (bytes or tuple)."""
-    return y[:pos] + (_SYMBOLS[sym] if isinstance(y, bytes) else (sym,)) + y[pos:]
+    return y[:pos] + type(y)((sym,)) + y[pos:]
+
+
+def _check_digits(y, q: int) -> None:
+    """The ValueError of a row y with a digit that is no int of Sigma_q:
+    the digit check of the q-ary kernels, made after their length checks."""
+    try:
+        over_sigma = set(map(index, y)) <= set(range(q))
+    except TypeError:  # a digit that is no int: 1.5, 1.0, '1'
+        over_sigma = False
+    if not over_sigma:
+        raise ValueError(f"received row is not over Sigma_{q}")
 
 
 def vt_syndrome(x) -> int:
@@ -197,8 +210,7 @@ def qary_decode_one_deletion(y, a: int, q: int, n: int):
     y = y if isinstance(y, (bytes, tuple)) else tuple(y)
     if len(y) != n - 1:
         raise ValueError(f"received length {len(y)}, expected {n - 1}")
-    if y and (min(y) < 0 or max(y) >= q):
-        raise ValueError(f"received row is not over Sigma_{q}")
+    _check_digits(y, q)
     modulus = q * n
     e = _insert(y, n - 1, 0)
     # after[n - 1 - pos]: the number of ascents e_i < e_{i+1} at i >= pos
@@ -267,8 +279,7 @@ def qary_decode_one_substitution(y, vt_mod: int, sum_mod: int, q: int):
     n = len(y)
     if n == 0:
         raise ValueError("empty row")
-    if any(not 0 <= v < q for v in y):
-        raise ValueError(f"received row is not over Sigma_{q}")
+    _check_digits(y, q)
     delta1 = (digit_sum(y) - sum_mod) % q
     if delta1 == 0:
         return y
@@ -331,20 +342,13 @@ def lme_decode(y, a: int, q: int):
     n = len(y)
     if n == 0:
         raise ValueError("empty row")
-    if any(not 0 <= v < q for v in y):
-        raise ValueError(f"received row is not over Sigma_{q}")
-    mod = 2 * n + 1
-    delta = (vt_syndrome(y) - a) % mod
+    _check_digits(y, q)
+    delta = (vt_syndrome(y) - a) % (2 * n + 1)
     if delta == 0:
         return y
-    if 1 <= delta <= n:
-        pos, shift = delta - 1, -1
-    else:
-        pos, shift = (2 * n + 1 - delta) - 1, +1
-    value = y[pos] + shift
-    if not 0 <= value < q:
-        raise DecodeFailure(f"corrected digit {value} out of Sigma_{q}")
-    return y[:pos] + (value,) + y[pos + 1:]
+    if delta <= n:
+        return _apply_correction(y, delta - 1, 1, q)
+    return _apply_correction(y, 2 * n - delta, -1, q)
 
 
 def lme_message_length(n: int, q: int) -> int:

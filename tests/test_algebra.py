@@ -114,6 +114,14 @@ def test_cw_rank_validation():
         cw_unrank(comb(4, 2) + 1, 4, 2)
 
 
+@pytest.mark.parametrize("bits", ["101", ("1", 0), (1, 0.5), (-1, 1), (1, 2)])
+def test_cw_rank_takes_only_0_1_bits(bits):
+    # digit strings were int()-converted before, and ranked
+    with pytest.raises(ValueError, match="bits must be 0/1"):
+        cw_rank(bits)
+    assert cw_rank((True, False, True)) == cw_rank((1, 0, 1)) == 2
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_cw_bijection(n):
     for w in range(0, n + 1):

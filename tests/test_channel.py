@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_dna import channel, cli
-from composite_dna.alphabet import Word, all_letters, alphabet_size, word_to_text
+from composite_dna.alphabet import Word, all_letters, alphabet_size, word_from_text, word_to_text
 from composite_dna.channel import (
     Plan,
     ReceivedRows,
@@ -975,6 +975,64 @@ def test_received_rows_validation():
             ReceivedRows(rows, q=q, n=3)
         assert str(info.value) == message
     assert ReceivedRows(((), (0, 2, 1)), q=3, n=3).rows == ((), (0, 2, 1))
+
+
+def test_received_rows_refuse_a_base_or_length_no_word_has():
+    # a word has 2 <= q <= 256 and n >= 1, and so has every output of one
+    cases = [
+        (((0, 1), (1, 1)), 300, 2, "alphabet base q must be <= 256 (rows are bytes), got 300"),
+        (((0, 0), (0, 0)), 1, 2, "alphabet base q must be >= 2, got 1"),
+        (((), ()), 2, 0, "nominal length n must be >= 1, got 0"),
+    ]
+    for rows, q, n, message in cases:
+        with pytest.raises(ValueError) as info:
+            ReceivedRows(rows, q=q, n=n)
+        assert str(info.value) == message
+
+
+# a malformed header or digit line, put in a word text and in a received text
+MALFORMED_TEXT = {
+    "short-header": ("2 2", ["01", "01"]),
+    "header-not-int": ("2 x 2", ["01", "01"]),
+    "q-one": ("1 2 2", ["00", "00"]),
+    "q-eleven": ("11 2 2", ["01", "01"]),
+    "q-twelve": ("12 2 2", ["01", "01"]),
+    "k-one": ("2 1 2", ["01"]),
+    "n-zero": ("2 2 0", ["", ""]),
+    "arabic-indic-digits": ("3 2 3", ["0\u0661\u0662", "012"]),
+    "fullwidth-digit": ("2 2 2", ["0\uff11", "01"]),
+    "superscript-digit": ("3 2 2", ["0\u00b2", "01"]),
+    "letter": ("2 2 2", ["0a", "01"]),
+    "sign": ("2 2 2", ["+1", "01"]),
+    "inner-space": ("2 2 3", ["0 1", "011"]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TEXT)
+def test_word_and_received_readers_refuse_the_same_text(case):
+    header, lines = MALFORMED_TEXT[case]
+    text = "\n".join([header, *lines]) + "\n"
+    with pytest.raises(ValueError):
+        word_from_text(text)
+    with pytest.raises(ValueError):
+        received_from_text(text)
+
+
+@st.composite
+def received_rows(draw):
+    q = draw(st.sampled_from([2, 3, 4, 7, 10, 11, 256]))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), max_size=n), min_size=2, max_size=4))
+    return ReceivedRows(rows, q, n)
+
+
+@given(received_rows())
+def test_every_received_text_written_reads_back(received):
+    if received.q > 10:
+        with pytest.raises(ValueError):
+            received_to_text(received)
+    else:
+        assert received_from_text(received_to_text(received)) == received
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,37 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize(
+    "kind, e, t, want",
+    [
+        ("sub-per-row", "1,0", None, channel.sub_per_row(1, 0)),
+        ("del-per-row", "0,2", 3, channel.del_per_row(0, 2)),
+        ("sub-total", "2", None, channel.sub_total(2)),
+        ("del-total", "1", None, del_total(1)),
+        ("sub-t-rows", "1,1", 2, channel.sub_t_rows(2, (1, 1))),
+        ("del-t-rows", "1", 1, del_t_rows(1, (1,))),
+    ],
+)
+def test_build_model_gives_the_kinds_model(kind, e, t, want):
+    assert cli.build_model(kind, e, t) == want
+
+
+@pytest.mark.parametrize(
+    "kind, e, t, message",
+    [
+        ("sub-total", "1,1", None, "model sub-total takes a single --e value"),
+        ("del-total", "", None, "model del-total takes a single --e value"),
+        ("sub-t-rows", "1", None, "model sub-t-rows requires --t"),
+        ("del-t-rows", "1,1", 1, "expected 1 budgets, got 2"),
+        ("sub-per-row", "", None, "per-row models need a budget per row"),
+    ],
+)
+def test_build_model_refuses_flags_the_kind_cannot_take(kind, e, t, message):
+    with pytest.raises(ValueError) as info:
+        cli.build_model(kind, e, t)
+    assert str(info.value) == message
+
+
 class TestBoundsVerb:
     def test_sp_total_example(self, capsys):
         code, out, err = run(

@@ -7,7 +7,8 @@ The traced benchmark run patches every ``(module, attribute)`` in
 ``perfbench/tracing.py``'s TARGETS, so each must still name something in
 ``composite_dna``, and a roundtrip through ``cli.main`` must still reach the
 patched decoders; each demo must still run to completion.  ``python -O``
-strips assert statements, so no module of the package may hold one.
+strips assert statements, so no module of the package may hold one.  The
+code-line counter, ``tools/code_lines.py``, is pinned on a small fixture.
 """
 
 import ast
@@ -169,3 +170,43 @@ def test_no_asserts_outside_the_allow_list():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# a module of 6 code lines: its docstrings, comments and blank lines are not
+# counted, a statement split over lines counts each of them, and a string
+# that does not open a body is code
+CODE_LINES_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code
+
+# a comment line
+NOTE = """not a docstring"""
+
+
+class Shape:
+    """Class docstring."""
+
+    def area(self):
+        """Method docstring."""
+        return (1 +
+                2)
+'''
+
+
+def test_code_line_counter_counts_the_fixture(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    counter = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counter)
+    (tmp_path / "pkg").mkdir()
+    module = tmp_path / "pkg" / "shape.py"
+    module.write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "pkg" / "empty.py").write_text('"""Only a docstring."""\n')
+    assert counter.code_lines(module) == 6
+    assert counter.main([str(tmp_path / "pkg")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in out] == [
+        ["0", str(tmp_path / "pkg" / "empty.py")],
+        ["6", str(module)],
+        ["6", "total"],
+    ]

@@ -133,6 +133,36 @@ def test_qary_decode_validates_input():
         qary_decode_one_deletion((0, 0), 0, 3, 4)
 
 
+# each single-error row kernel on a row (0, digit, 1 or 2) whose middle digit is
+# no int of its Sigma_q: a plain ValueError, never a DecodeFailure (a row
+# over Sigma_q that no codeword explains), a TypeError or a returned row
+ROW_KERNELS = {
+    "vt-deletion": (2, lambda y: vt_decode_one_deletion(y, 0, 5)),
+    "qary-deletion": (3, lambda y: qary_decode_one_deletion(y, 0, 3, 4)),
+    "qary-substitution": (3, lambda y: qary_decode_one_substitution(y, 0, 1, 3)),
+    "lme": (3, lambda y: lme_decode(y, 0, 3)),
+}
+
+
+@pytest.mark.parametrize(
+    "kernel, digit",
+    [
+        (kernel, digit)
+        for kernel in ROW_KERNELS
+        for digit in ("1.5", "1.0", "-1", "q", "str")
+        # the binary kernel's digit check is its two counts, which take 1.0 for 1
+        if (kernel, digit) != ("vt-deletion", "1.0")
+    ],
+)
+def test_row_kernels_refuse_a_digit_that_is_no_int_of_sigma_q(kernel, digit):
+    q, decode = ROW_KERNELS[kernel]
+    value = {"1.5": 1.5, "1.0": 1.0, "-1": -1, "q": q, "str": "1"}[digit]
+    with pytest.raises(Exception) as info:
+        decode((0, value, q - 1))
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"received row is not over Sigma_{q}"
+
+
 # ---------------------------------------------------------------------------
 # 1-LME code
 # ---------------------------------------------------------------------------
