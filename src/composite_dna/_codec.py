@@ -3,6 +3,7 @@
 * intake: the decoders' check of the received shape against the spec, and
   of full-length rows for the substitution codes;
 * check_payload: the systematic encoders' payload check;
+* check_t_rows: the t-row constructions' range 2 <= t <= k;
 * invalid_column: the one column of a received word that is no letter,
   read from the ranks that alphabet.column_ranks gives its columns, so a
   decoder looks each column up once and re-ranks only a column it repairs;
@@ -40,6 +41,11 @@ def check_payload(payload: Word, spec) -> None:
         raise ValueError(
             f"payload must be a ({spec.q},{spec.k}) word of length {spec.m}"
         )
+
+
+def check_t_rows(k: int, t: int) -> None:
+    if not 2 <= t <= k:
+        raise ValueError("need 2 <= t <= k")
 
 
 def invalid_column(ranks) -> int | None:

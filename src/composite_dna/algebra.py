@@ -1,21 +1,24 @@
 """Number-theoretic and combinatorial helpers shared by the code constructions.
 
-Contents: primality and Bertrand-interval prime search, fixed-width base-Q
-expansions, ranking/unranking of constant-weight binary sequences, semistandard
-tableau enumeration with Schur polynomial evaluation, shape-shifted Vandermonde
-determinants, one linear-algebra kernel pair (an exact Bareiss determinant
-and a Gauss-Jordan solve over Z/m with unit pivots), the weighted power sums
-of the deletion and substitution codes with the one Vandermonde solve that
-recovers the unknown rows' values from them, and the threshold function
-f(k, t) under which every square submatrix of the syndrome coefficient
-matrix [i^(j-1)] is invertible mod p.
+Contents: primality and Bertrand-interval prime search, the one digit rule
+(are_digits) that the row kernels, the encoders and Word apply, fixed-width
+base-Q expansions, ranking/unranking of constant-weight binary sequences,
+semistandard tableau enumeration with Schur polynomial evaluation,
+shape-shifted Vandermonde determinants, one linear-algebra kernel pair (an
+exact Bareiss determinant and a Gauss-Jordan solve over Z/m with unit
+pivots), the weighted power sums of the deletion and substitution codes with
+the one Vandermonde solve that recovers the unknown rows' values from them,
+and the threshold function f(k, t) under which every square submatrix of the
+syndrome coefficient matrix [i^(j-1)] is invertible mod p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, compress, count
 from math import comb, gcd
+from operator import index
 
 
 class SingularMatrixError(ValueError):
@@ -62,8 +65,28 @@ def smallest_prime_at_least(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fixed-width base expansions
+# digits and fixed-width base expansions
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _digit_set(base: int) -> frozenset:
+    return frozenset(range(base))
+
+
+def are_digits(digits, base: int) -> bool:
+    """Whether every entry of digits is a digit of base `base`: an int
+    (operator.index takes it, so not 1.5, 1.0 or '1') in range(base).
+    A base that fits a byte tests the digits against a cached set of
+    range(base); a larger one compares their distinct values with 0 and
+    base, so no set grows with the base."""
+    try:
+        if base <= 256:
+            return _digit_set(base).issuperset(map(index, digits))
+        values = set(map(index, digits))
+    except TypeError:  # a digit that is no int
+        return False
+    return not values or (min(values) >= 0 and max(values) < base)
+
 
 def digit_width(base: int, bound: int) -> int:
     """ceil(log_base(bound)): smallest D with base**D >= bound (bound >= 1)."""
@@ -92,11 +115,13 @@ def expand_base(value: int, base: int, bound: int) -> tuple[int, ...]:
 
 
 def compose_base(digits, base: int) -> int:
-    """Inverse of expand_base (LSD-first)."""
+    """Inverse of expand_base (LSD-first); every digit must pass are_digits."""
+    digits = tuple(digits)
+    if not are_digits(digits, base):
+        bad = next(d for d in reversed(digits) if not are_digits((d,), base))
+        raise ValueError(f"digit {bad} out of range for base {base}")
     value = 0
-    for d in reversed(tuple(digits)):
-        if not 0 <= d < base:
-            raise ValueError(f"digit {d} out of range for base {base}")
+    for d in reversed(digits):
         value = value * base + d
     return value
 

@@ -32,7 +32,8 @@ This module owns the row format, for words and for channel outputs alike:
   digits per row, and rows_from_text reads them back.  That reader and the
   word reader (words_from_blocks) share the one header parser
   (_parse_header) and the one digit-line packer (_digit_row), so they
-  refuse the same headers and digit lines.
+  refuse the same headers and digit lines.  Header fields and the rank
+  line's tokens are ASCII decimal (_decimal), as digit lines are.
 
 The two views of a word convert with byte tables while they fit a byte:
 
@@ -66,6 +67,8 @@ from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from math import comb
 from operator import mul
+
+from .algebra import are_digits
 
 
 def alphabet_size(q: int, k: int) -> int:
@@ -260,8 +263,8 @@ class Word:
         ranks = tuple(ranks)
         if not ranks:
             raise ValueError("a word must contain at least one letter")
-        if min(ranks) < 0 or max(ranks) >= len(tuples):
-            bad = next(r for r in ranks if not 0 <= r < len(tuples))
+        if not are_digits(ranks, len(tuples)):
+            bad = next(r for r in ranks if not are_digits((r,), len(tuples)))
             raise ValueError(
                 f"rank {bad} out of range for Phi_{{{q},{k}}} (size {len(tuples)})"
             )
@@ -408,11 +411,20 @@ def word_to_rank_text(word: Word) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(token: str) -> int:
+    """A header field or rank token as an int: ASCII decimal digits only,
+    the form the writers use; int() alone also reads other scripts' digits,
+    a sign and underscores, as in '+2' and '1_0'."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
+
+
 def _parse_header(line: str) -> tuple[int, int, int]:
     parts = line.split()
     if len(parts) != 3:
         raise ValueError(f"expected header 'q k n', got {line!r}")
-    q, k, n = (int(p) for p in parts)
+    q, k, n = map(_decimal, parts)
     if q < 2 or q > 10 or k < 2 or n < 1:
         raise ValueError(f"bad header values q={q} k={k} n={n}")
     return q, k, n
@@ -469,7 +481,7 @@ def words_from_blocks(blocks) -> list[Word]:
         body = lines[1:]
         if len(body) == 1:
             # k >= 2, so a one-line body can only be the rank-sequence form
-            ranks = [int(tok) for tok in body[0].split(",")]
+            ranks = [_decimal(tok.strip()) for tok in body[0].split(",")]
             if len(ranks) != n:
                 raise ValueError(f"expected {n} ranks, got {len(ranks)}")
             words.append(Word.from_ranks(ranks, q, k))

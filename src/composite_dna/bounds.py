@@ -12,6 +12,9 @@ Each substitution bound states only its own preconditions and denominator.
 ``_leading_term`` every asymptotic one, Q^(n+e) prod_v v^v / (D n^e) over
 the nonzero budgets v.  Both sit behind one parameter check, ``_check``:
 q >= 2, k >= 1, n >= 1, and a per-row budget list holds exactly k budgets.
+The per-row asymptotic bounds read their budgets through one more step,
+``_nonzero_profile``, which also refuses negative and all-zero budgets and
+gives the nonzero rows and their values.
 Every input outside that domain is a ValueError that names the parameter.
 
 All arithmetic is exact (integers and fractions.Fraction); nothing here
@@ -55,12 +58,17 @@ def _check(q: int, k: int, n: int, budgets=None):
 
 
 def _nonzero_profile(q: int, k: int, n: int, budgets):
-    """(rows, values) of the nonzero budgets; rows are 1-indexed and sorted."""
+    """(budgets, rows, values): the per-row budgets as a tuple, checked
+    (_check, nonnegative, not all zero), and the 1-indexed sorted rows of
+    the nonzero ones with their values."""
+    budgets = tuple(budgets)
     _check(q, k, n, budgets)
     if any(b < 0 for b in budgets):
         raise ValueError("budgets must be nonnegative")
     rows = [i + 1 for i, b in enumerate(budgets) if b > 0]
-    return rows, [budgets[i - 1] for i in rows]
+    if not rows:
+        raise ValueError("all budgets are zero")
+    return budgets, rows, [budgets[i - 1] for i in rows]
 
 
 def _gap_run_set(rows):
@@ -144,11 +152,8 @@ def best_asym_total(q: int, k: int, n: int, e: int) -> BoundReport:
 
 def asym_bound_general(q: int, k: int, n: int, budgets) -> BoundReport:
     """Leading term for per-row budgets with m = #nonzero rows, 1 <= m <= q."""
-    budgets = tuple(budgets)
-    rows, values = _nonzero_profile(q, k, n, budgets)
+    budgets, rows, values = _nonzero_profile(q, k, n, budgets)
     m = len(rows)
-    if m == 0:
-        raise ValueError("all budgets are zero")
     if m > q:
         raise ValueError(f"m={m} nonzero budgets exceed q={q}; use bound_m_gt_q")
     R = _gap_run_set(rows)
@@ -166,11 +171,8 @@ def asym_bound_thm3(q: int, k: int, n: int, budgets, variant: str) -> BoundRepor
     variant "ii":  exactly one nonzero budget;
     variant "iii": exactly two nonzero budgets on adjacent rows.
     """
-    budgets = tuple(budgets)
-    rows, values = _nonzero_profile(q, k, n, budgets)
+    budgets, rows, values = _nonzero_profile(q, k, n, budgets)
     m = len(rows)
-    if m == 0:
-        raise ValueError("all budgets are zero")
     e = sum(values)
     adjacent_tail = m >= 2 and rows[-1] - rows[-2] == 1
     if variant == "i":
@@ -213,8 +215,7 @@ def bound_m_gt_q(q: int, k: int, n: int, budgets, m0: int) -> BoundReport:
     """
     if not 2 <= m0 <= q:
         raise ValueError(f"m0 must lie in [2, {q}], got {m0}")
-    budgets = tuple(budgets)
-    rows, values = _nonzero_profile(q, k, n, budgets)
+    budgets, rows, values = _nonzero_profile(q, k, n, budgets)
     m = len(rows)
     if m <= q:
         raise ValueError(f"m={m} <= q={q}: use asym_bound_general")

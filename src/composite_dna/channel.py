@@ -59,6 +59,9 @@ colliding pair's balls are built, for the witness.
 
 Random corruption uses a splitmix64 generator (documented in SplitMix64) so
 that the same seed reproduces the same plan in any implementation.
+random_errors makes every draw in one loop, one draw over the k x n grid
+for the total kinds and one per hit row for the others; a draw picks its
+cells, then their substituted values.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
+from .algebra import are_digits
 from .alphabet import Word, column_ranks, pack_rows, rows_from_text, rows_to_text
 
 _SUB_KINDS = ("sub-per-row", "sub-total", "sub-t-rows")
@@ -356,7 +360,7 @@ def _validate_plan(word: Word, model: ErrorModel, plan: Plan):
         for r, p, v in plan.substitutions:
             if not (0 <= r < k and 0 <= p < n):
                 raise ValueError(f"edit ({r},{p}) outside the word")
-            if not 0 <= v < q:
+            if not are_digits((v,), q):
                 raise ValueError(f"substituted value {v} outside Sigma_{q}")
             if v == rows[r][p]:
                 raise ValueError(f"edit at ({r},{p}) does not change the digit")
@@ -434,50 +438,33 @@ class SplitMix64:
         return seen
 
 
-def _random_row_subs(rng, row, positions, q):
-    subs = []
-    for p in positions:
-        new = (row[p] + 1 + rng.below(q - 1)) % q
-        subs.append((p, new))
-    return subs
-
-
 def random_errors(word: Word, model: ErrorModel, seed: int) -> tuple[ReceivedRows, Plan]:
     """Sample a maximal-count plan admissible under the model and apply it.
 
     Maximal means every budget is spent: substitution counts equal the e_i
     (not just bounded by them) and t distinct rows are chosen for the t-rows
-    kinds.  Deterministic in (word, model, seed).
+    kinds.  Deterministic in (word, model, seed): a t-rows model draws its
+    t hit rows first, then each draw (module docstring) its distinct cells
+    and, for substitutions, each cell's new value in the same order.
     """
     _check_model_fits(model, word.k)
     rng = SplitMix64(seed)
     k, n, q = word.k, word.n, word.q
-    rows = word.packed
-    kind = model.kind
-
-    def row_positions(count):
-        if count > n:
-            raise ValueError(f"budget {count} exceeds row length {n}")
-        return rng.distinct(count, n)
-
+    if model.kind.endswith("-total"):  # cell c of the grid is (c // n, c % n)
+        draws, size, where = [(0, model.total)], k * n, f"the {k}x{n} grid"
+    else:
+        hit = rng.distinct(model.t, k) if model.kind.endswith("-t-rows") else range(k)
+        draws, size, where = zip(hit, model.budgets), n, f"row length {n}"
     subs: list[tuple[int, int, int]] = []
     dels: list[tuple[int, int]] = []
-    if kind.endswith("-total"):
-        if model.total > k * n:
-            raise ValueError(f"budget {model.total} exceeds the {k}x{n} grid")
-        cells = [divmod(c, n) for c in rng.distinct(model.total, k * n)]
+    for first_row, count in draws:
+        if count > size:
+            raise ValueError(f"budget {count} exceeds {where}")
+        cells = [divmod(first_row * n + c, n) for c in rng.distinct(count, size)]
         if model.is_substitution:
-            subs += [(r, p, (rows[r][p] + 1 + rng.below(q - 1)) % q) for r, p in cells]
+            subs += [(r, p, (word.packed[r][p] + 1 + rng.below(q - 1)) % q) for r, p in cells]
         else:
             dels += cells
-    else:  # per-row kinds hit every row, t-rows kinds t rows drawn first
-        hit = rng.distinct(model.t, k) if kind.endswith("-t-rows") else range(k)
-        for i, e in zip(hit, model.budgets):
-            pos = row_positions(e)
-            if model.is_substitution:
-                subs += [(i, p, v) for p, v in _random_row_subs(rng, rows[i], pos, q)]
-            else:
-                dels += [(i, p) for p in pos]
     plan = Plan(tuple(subs), tuple(dels))
     return apply_errors(word, model, plan), plan
 

@@ -330,8 +330,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.what != "doll":
-        raise ValueError(f"unknown table {args.what!r}")
     q = args.q if args.q is not None else 2
     spec = DollSpec(q, args.k, args.n)
     lines = ["l,supports,fills,inner,class_size"]

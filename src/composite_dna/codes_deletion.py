@@ -26,9 +26,11 @@ syndromes.
 
 * congruence_*: codes cut out by syndrome congruences, decoded by
   _congruence_decode_t.  Binary t-row variants weight the per-row VT sums
-  by i^j mod p, q-ary ones the VT(psi(.)) sums; cong-qary-1 is the t = 1
-  q-ary code mod qn.  No encoders (these families exist by pigeonhole on
-  the best class); membership tests and decoders are given.
+  by i^j mod p, q-ary ones the VT(psi(.)) sums; the membership tests and
+  decoders of both take their targets and row code from one check,
+  _t_row_code.  cong-qary-1 is the t = 1 q-ary code mod qn.  No encoders
+  (these families exist by pigeonhole on the best class); membership tests
+  and decoders are given.
 * c1d_*: the binary t = 1 congruence code sum_i VT(c_i) = a mod n+1, with a
   systematic encoder whose redundancy lives on the base-(k+1) power
   positions {(k+1)^j}.
@@ -50,9 +52,12 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._codec import block_value, check_payload, intake, out_of_model, repair_rows
+from ._codec import (
+    block_value, check_payload, check_t_rows, intake, out_of_model, repair_rows,
+)
 from .alphabet import Word, alphabet_size, column_rank
 from .algebra import (
+    are_digits,
     digit_width,
     expand_base,
     f_threshold,
@@ -130,7 +135,7 @@ def _row_deficits(received: ReceivedRows, limit: int) -> list[int]:
     short = []
     for i, row in enumerate(received.packed):
         d = received.n - len(row)
-        if d < 0 or d > 1:
+        if d > 1:
             raise ValueError(f"row {i} lost {d} symbols; these codes handle one")
         if d:
             short.append(i)
@@ -172,6 +177,8 @@ def c1d_encode(message, a: int, k: int, n: int) -> Word:
         raise ValueError(
             f"message must have {n - len(powers)} ranks, got {len(message)}"
         )
+    if not are_digits(message, k + 1):
+        Word(2, k, message)  # raises the rank error, naming the message's rank
     ranks = [0] * (n + 1)  # 1-indexed
     slots = [j for j in range(1, n + 1) if j not in powers]
     for pos, r in zip(slots, message):
@@ -203,26 +210,30 @@ def c1d_decode(received: ReceivedRows, a: int) -> Word:
 # congruence families (membership + decoding; existential, no encoders)
 # ---------------------------------------------------------------------------
 
-def _checked_targets(targets) -> tuple[int, ...]:
+def _t_row_code(shape, targets, p: int, psi: bool) -> tuple[tuple[int, ...], _RowCode]:
+    """The targets, as a tuple, and the row code mod p of a t-row congruence
+    family over shape's (q, k, n): VT rows (binary, q = 2) or VT(psi) rows.
+    Empty targets, a binary family over q != 2 and a p that is not a prime
+    above k - 1 and the row syndromes' range (n, or qn for psi rows) are
+    ValueErrors."""
     targets = tuple(targets)
     if not targets:
         raise ValueError("the congruence targets are empty; give at least one")
-    return targets
-
-
-def _check_prime_above(p: int, floor: int, what: str):
+    q, k, n = shape.q, shape.k, shape.n
+    if not psi and q != 2:
+        raise ValueError("binary congruence family needs q = 2")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    floor = max(k - 1, q * n if psi else n)
     if p <= floor:
-        raise ValueError(f"{what} needs p > {floor}, got {p}")
+        family = "the q-ary t-row family" if psi else "the binary t-row family"
+        raise ValueError(f"{family} needs p > {floor}, got {p}")
+    return targets, _RowCode(q, n, p, psi)
 
 
 def congruence_contains_binary_t(word: Word, targets, p: int) -> bool:
-    targets = _checked_targets(targets)
-    if word.q != 2:
-        raise ValueError("binary congruence family needs q = 2")
-    _check_prime_above(p, max(word.k - 1, word.n), "the binary t-row family")
-    return _RowCode(2, word.n, p, False).holds(word.packed, targets)
+    targets, code = _t_row_code(word, targets, p, False)
+    return code.holds(word.packed, targets)
 
 
 def congruence_contains_qary_one(word: Word, a: int) -> bool:
@@ -231,9 +242,8 @@ def congruence_contains_qary_one(word: Word, a: int) -> bool:
 
 
 def congruence_contains_qary_t(word: Word, targets, p: int) -> bool:
-    targets = _checked_targets(targets)
-    _check_prime_above(p, max(word.k - 1, word.q * word.n), "the q-ary t-row family")
-    return _RowCode(word.q, word.n, p, True).holds(word.packed, targets)
+    targets, code = _t_row_code(word, targets, p, True)
+    return code.holds(word.packed, targets)
 
 
 def _congruence_decode_t(received, targets, code: _RowCode) -> Word:
@@ -261,18 +271,14 @@ def _congruence_decode_t(received, targets, code: _RowCode) -> Word:
 
 
 def congruence_decode_binary_t(received: ReceivedRows, targets, p: int) -> Word:
-    targets = _checked_targets(targets)
-    if received.q != 2:
-        raise ValueError("binary congruence family needs q = 2")
-    n, k, t = received.n, received.k, len(targets)
-    _check_prime_above(p, max(k - 1, n), "the binary t-row family")
-    if t >= 2 and p <= f_threshold(k, t):
+    targets, code = _t_row_code(received, targets, p, False)
+    if len(targets) >= 2 and p <= f_threshold(received.k, len(targets)):
         warnings.warn(
             "p is below the generalized-Vandermonde threshold f(k, t); "
             "decoding still uses consecutive syndrome indices, which stay invertible",
             stacklevel=2,
         )
-    return _congruence_decode_t(received, targets, _RowCode(2, n, p, False))
+    return _congruence_decode_t(received, targets, code)
 
 
 def congruence_decode_qary_one(received: ReceivedRows, a: int) -> Word:
@@ -282,10 +288,7 @@ def congruence_decode_qary_one(received: ReceivedRows, a: int) -> Word:
 
 
 def congruence_decode_qary_t(received: ReceivedRows, targets, p: int) -> Word:
-    targets = _checked_targets(targets)
-    q, n, k = received.q, received.n, received.k
-    _check_prime_above(p, max(k - 1, q * n), "the q-ary t-row family")
-    return _congruence_decode_t(received, targets, _RowCode(q, n, p, True))
+    return _congruence_decode_t(received, *_t_row_code(received, targets, p, True))
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +350,11 @@ class MarkerSpec:
         return self.row_code.sums(payload.packed, self.t)
 
 
-def _check_t_rows(k: int, t: int):
-    if not 2 <= t <= k:
-        raise ValueError("need 2 <= t <= k")
-
-
 def C2DSpec(k: int, t: int, m: int) -> MarkerSpec:
     """Binary t-row single-deletion code: payload length m, prime in (m, 2m)."""
     if k < 2:
         raise ValueError("need k >= 2")
-    _check_t_rows(k, t)
+    check_t_rows(k, t)
     return MarkerSpec(2, k, t, m)
 
 
@@ -374,7 +372,7 @@ def C4DSpec(q: int, k: int, t: int, m: int) -> MarkerSpec:
     """q-ary t-row single-deletion code; syndromes are VT(psi) mod qm, lifted to F_p."""
     if q < 3:
         raise ValueError("need q >= 3 (binary is the C2D construction)")
-    _check_t_rows(k, t)
+    check_t_rows(k, t)
     return MarkerSpec(q, k, t, m)
 
 

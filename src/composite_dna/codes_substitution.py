@@ -35,12 +35,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, prod
 from operator import mul
 
 from ._codec import (
     block_value,
     check_payload,
+    check_t_rows,
     intake,
     invalid_column,
     out_of_model,
@@ -48,6 +49,7 @@ from ._codec import (
 )
 from .alphabet import Word, alphabet_size, column_rank, column_ranks, letter_unrank
 from .algebra import (
+    are_digits,
     compose_base,
     cw_rank,
     cw_unrank,
@@ -121,7 +123,7 @@ class HammingFamily:
             raise ValueError(
                 f"need {len(coords)} message symbols, got {len(message)}"
             )
-        if any(not 0 <= v < self.field for v in message):
+        if not are_digits(message, self.field):
             raise ValueError(f"message symbols must lie in F_{self.field}")
         word = [0] * self.l
         for pos, v in zip(coords, message):
@@ -144,7 +146,7 @@ class HammingFamily:
         word = tuple(word)
         if len(word) != self.l:
             raise ValueError(f"expected length {self.l}, got {len(word)}")
-        if any(not 0 <= v < self.field for v in word):
+        if not are_digits(word, self.field):
             raise ValueError(f"symbols must lie in F_{self.field}")
         if self.l == 0:
             return ()
@@ -254,11 +256,7 @@ class DollSpec:
     @cached_property
     def class_sizes(self) -> tuple[int, ...]:
         """Codewords with exactly l letters from A2, for l = 0, ..., n."""
-        n, fill, field = self.n, self.fill, self.field
-        return tuple(
-            comb(n, l) * fill ** (n - l) * hamming_build(l, field).size
-            for l in range(n + 1)
-        )
+        return tuple(row[-1] for row in self.table())
 
     def class_size(self, l: int) -> int:
         return self.class_sizes[l]
@@ -284,17 +282,13 @@ class DollSpec:
         return m
 
     def table(self):
-        """Per-class counts: (l, supports, fills, inner codewords, class size)."""
-        return [
-            (
-                l,
-                comb(self.n, l),
-                self.fill ** (self.n - l),
-                hamming_build(l, self.field).size,
-                self.class_size(l),
-            )
-            for l in range(self.n + 1)
+        """Per-class counts: (l, supports, fills, inner codewords, class size),
+        the class size being the product of the three counts before it."""
+        n, fill, field = self.n, self.fill, self.field
+        counts = [
+            (comb(n, l), fill ** (n - l), hamming_build(l, field).size) for l in range(n + 1)
         ]
+        return [(l, *three, prod(three)) for l, three in enumerate(counts)]
 
 
 def doll_size(n: int, k: int) -> int:
@@ -308,7 +302,7 @@ def doll_m(n: int, k: int) -> int:
 def doll_F(s, k: int) -> tuple[int, ...]:
     """Binary F-map: keep rank symbols in {k-1, k}, as 0 and 1 respectively."""
     s = tuple(s)
-    if any(not 0 <= v <= k for v in s):
+    if not are_digits(s, k + 1):
         raise ValueError(f"ranks must lie in [0, {k}]")
     return tuple(v - (k - 1) for v in s if v >= k - 1)
 
@@ -353,7 +347,7 @@ def enc_doll(x, spec: DollSpec) -> Word:
     base = alphabet_size(spec.q, spec.k)
     if len(x) != spec.m:
         raise ValueError(f"message must have {spec.m} symbols, got {len(x)}")
-    if any(not 0 <= v < base for v in x):
+    if not are_digits(x, base):
         raise ValueError(f"message symbols must lie in [0, {base})")
     return _doll_unrank(compose_base(x, base) + 1, spec)
 
@@ -499,42 +493,41 @@ def q1cecc_decode(
     if delta == 0:
         if j is not None:
             raise DecodeFailure("digit sum clean but a column is invalid; breach")
-        word = Word(q, k, ranks)
-        if q1cecc_checksums(word, p1, p2) != (a1 % span, a2 % p1, a3 % p2):
-            raise DecodeFailure("checksums disagree on an allegedly clean word")
-        return word
-    if j is not None:
-        col = [row[j] for row in rows]
-        r = next(i for i in range(k - 1) if col[i] > col[i + 1])
-        target = r if delta > 0 else r + 1
-        col[target] -= delta
-        if not 0 <= col[target] < q:
-            raise DecodeFailure("repaired digit leaves Sigma_q; breach")
-        if col != sorted(col):
-            raise DecodeFailure(
-                f"column {j} is not nondecreasing over Sigma_{q}: {tuple(col)}"
-            )
+        failure = "checksums disagree on an allegedly clean word"
     else:
-        delta2 = (sum(vt_syndrome(row) for row in rows) - a2) % p1
-        j = delta2 * pow(delta % p1, -1, p1) % p1 or p1  # 1-based
-        if j > n:
-            raise DecodeFailure("implied column index out of range; breach")
-        delta3 = (_square_sum(rows) - a3) % p2
-        inv2 = pow(delta % p2, -1, p2)
-        alpha = (delta3 * inv2 - delta) * pow(2, -1, p2) % p2
-        corrupted = alpha + delta
-        if alpha >= q or not 0 <= corrupted < q:
-            raise DecodeFailure("implied digit values leave Sigma_q; breach")
-        j -= 1
-        col = [row[j] for row in rows]
-        if corrupted not in col:
-            raise DecodeFailure("implied digit absent from the implied column; breach")
-        col.remove(corrupted)
-        col = sorted(col + [alpha])
-    ranks[j] = column_rank(col, q)
+        failure = "repaired word fails the checksums; breach"
+        if j is not None:
+            col = [row[j] for row in rows]
+            r = next(i for i in range(k - 1) if col[i] > col[i + 1])
+            target = r if delta > 0 else r + 1
+            col[target] -= delta
+            if not 0 <= col[target] < q:
+                raise DecodeFailure("repaired digit leaves Sigma_q; breach")
+            if col != sorted(col):
+                raise DecodeFailure(
+                    f"column {j} is not nondecreasing over Sigma_{q}: {tuple(col)}"
+                )
+        else:
+            delta2 = (sum(vt_syndrome(row) for row in rows) - a2) % p1
+            j = delta2 * pow(delta % p1, -1, p1) % p1 or p1  # 1-based
+            if j > n:
+                raise DecodeFailure("implied column index out of range; breach")
+            delta3 = (_square_sum(rows) - a3) % p2
+            inv2 = pow(delta % p2, -1, p2)
+            alpha = (delta3 * inv2 - delta) * pow(2, -1, p2) % p2
+            corrupted = alpha + delta
+            if alpha >= q or not 0 <= corrupted < q:
+                raise DecodeFailure("implied digit values leave Sigma_q; breach")
+            j -= 1
+            col = [row[j] for row in rows]
+            if corrupted not in col:
+                raise DecodeFailure("implied digit absent from the implied column; breach")
+            col.remove(corrupted)
+            col = sorted(col + [alpha])
+        ranks[j] = column_rank(col, q)
     word = Word(q, k, ranks)
     if q1cecc_checksums(word, p1, p2) != (a1 % span, a2 % p1, a3 % p2):
-        raise DecodeFailure("repaired word fails the checksums; breach")
+        raise DecodeFailure(failure)
     return word
 
 
@@ -631,8 +624,7 @@ class C2SSpec:
     def __post_init__(self):
         if self.q < 2:
             raise ValueError("need q >= 2")
-        if not 2 <= self.t <= self.k:
-            raise ValueError("need 2 <= t <= k")
+        check_t_rows(self.k, self.t)
         if self.m < 1:
             raise ValueError("need m >= 1")
 

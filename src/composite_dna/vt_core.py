@@ -25,11 +25,13 @@ adds O(log n + q) interpreted steps.  Both take a row as bytes (the
 packed rows of alphabet.Word and channel.ReceivedRows, whose format
 alphabet.pack_rows sets) or as a sequence of ints, read it without copying
 a bytes row, and return the decoded row in the same type: bytes for bytes,
-a tuple otherwise.  The q-ary kernels (deletion, substitution, 1-LME)
-share one digit check, made after their length checks: a digit that is no
-int of Sigma_q (1.5, 1.0, -1, q, '1') is a plain ValueError, never a
-DecodeFailure or a returned row.  The binary decoder's digit check is its
-two counts, which also give it the row's weight; they take 1.0 for a 1.
+a tuple otherwise.  Every kernel refuses a digit that is no int of
+Sigma_q (1.5, 1.0, -1, q, '1') with a plain ValueError, never a
+DecodeFailure or a returned row, by the package's one digit rule,
+algebra.are_digits: the q-ary ones (deletion, substitution, 1-LME) after
+their length checks, the binary decoder on a tuple row.  A bytes row holds
+ints, so there the binary decoder's two counts, which also give it the
+row's weight, are its whole check.
 The brute-force enumerators the deletion decoders replace, O(q * n^2), are
 kept as ``_reference_vt_decode_one_deletion`` and
 ``_reference_qary_decode_one_deletion``; the tests check that both give the
@@ -40,9 +42,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, count
-from operator import index, indexOf, lt, not_
+from operator import indexOf, lt, not_
 
-from .algebra import digit_width, expand_base
+from .algebra import are_digits, digit_width, expand_base
 
 
 class DecodeFailure(ValueError):
@@ -55,13 +57,9 @@ def _insert(y, pos: int, sym: int):
 
 
 def _check_digits(y, q: int) -> None:
-    """The ValueError of a row y with a digit that is no int of Sigma_q:
-    the digit check of the q-ary kernels, made after their length checks."""
-    try:
-        over_sigma = set(map(index, y)) <= set(range(q))
-    except TypeError:  # a digit that is no int: 1.5, 1.0, '1'
-        over_sigma = False
-    if not over_sigma:
+    """The ValueError of a row y with a digit that is no int of Sigma_q
+    (algebra.are_digits), made after the q-ary kernels' length checks."""
+    if not are_digits(y, q):
         raise ValueError(f"received row is not over Sigma_{q}")
 
 
@@ -93,7 +91,8 @@ def vt_decode_one_deletion(y, a: int, modulus: int):
     if modulus <= n:
         raise ValueError(f"modulus {modulus} too small for length {n}")
     weight = y.count(1)
-    if y.count(0) + weight != len(y):
+    # a bytes row holds ints, so its two counts check it; a tuple may hold 1.0
+    if y.count(0) + weight != len(y) or not isinstance(y, bytes) and not are_digits(y, 2):
         raise ValueError("received row is not over Sigma_2")
     return _levenshtein_insert(y, (a - vt_syndrome(y)) % modulus, weight)
 
@@ -376,7 +375,7 @@ def lme_encode(message, a: int, q: int, n: int):
         raise ValueError(
             f"message length {len(message)} != {lme_message_length(n, q)}"
         )
-    if any(not 0 <= v < q for v in message):
+    if not are_digits(message, q):
         raise ValueError(f"message is not over Sigma_{q}")
     powers = [q ** j for j in range(m)]
     redundancy = set(powers) | {n}

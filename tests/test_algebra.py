@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from composite_dna.algebra import (
     SingularMatrixError,
     all_submatrices_invertible,
+    are_digits,
     compose_base,
     cw_rank,
     cw_unrank,
@@ -31,6 +32,11 @@ from composite_dna.algebra import (
     sst_count,
     vandermonde_shape_det,
 )
+from composite_dna.alphabet import Word
+from composite_dna.channel import Plan, apply_errors, sub_total
+from composite_dna.codes_deletion import c1d_encode
+from composite_dna.codes_substitution import DollSpec, cecc1_encode, enc_doll, hamming_build
+from composite_dna.vt_core import lme_encode
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +95,57 @@ def test_expand_compose_round_trip(base, value):
     digits = expand_base(value, base, value + 1)
     assert compose_base(digits, base) == value
     assert len(digits) == digit_width(base, value + 1)
+
+
+# Entry points that take digits from a caller, each with the message it gives
+# a digit outside its range.  A digit that is no int (1.5) once passed some of
+# them, which returned a wrong word or a non-word, and made others raise
+# TypeError; every one now applies are_digits.
+NON_INT_DIGIT = {
+    "enc_doll": (
+        lambda: enc_doll((1.5, 1.5), DollSpec(2, 2, 4)), "message symbols must lie in [0, 3)",
+    ),
+    "lme_encode": (
+        lambda: lme_encode((1.5, 0, 0, 0, 0), 0, 3, 8), "message is not over Sigma_3",
+    ),
+    "hamming_encode": (
+        lambda: hamming_build(5, 3).encode((1.5, 0)), "message symbols must lie in F_3",
+    ),
+    "compose_base": (lambda: compose_base((0.5, 1), 2), "digit 0.5 out of range for base 2"),
+    "Word": (lambda: Word(2, 2, (0, 1.5)), "rank 1.5 out of range for Phi_{2,2} (size 3)"),
+    "c1d_encode": (
+        lambda: c1d_encode((0, 1.5, 0), 0, 2, 5), "rank 1.5 out of range for Phi_{2,2} (size 3)",
+    ),
+    "cecc1_encode": (
+        lambda: cecc1_encode((1.5, 0, 0, 0), 0, 2, 7), "message is not over Sigma_3",
+    ),
+    "apply_errors": (
+        lambda: apply_errors(Word(2, 2, (0, 1)), sub_total(1), Plan(((0, 0, 1.5),))),
+        "substituted value 1.5 outside Sigma_2",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", NON_INT_DIGIT)
+def test_entry_points_refuse_a_digit_that_is_no_int(entry):
+    call, message = NON_INT_DIGIT[entry]
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "digits, base, expected",
+    [
+        ((), 2, True), ((0, 1, 1), 2, True), (b"\x00\x02", 3, True), ((True, 0), 2, True),
+        ((0, 2), 2, False), ((-1,), 2, False), ((1.0,), 2, False), (("1",), 2, False),
+        ((299, 0), 300, True), ((300,), 300, False), ((-1,), 300, False), ((1.0,), 300, False),
+        ((10**12,), 10**12 + 1, True),
+    ],
+)
+def test_are_digits(digits, base, expected):
+    assert are_digits(digits, base) is expected
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,26 @@ def test_text_format_shape():
         word_from_text("2 2 2\n00\n")
 
 
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ("\u0662 2 2\n00\n01\n", "\u0662"),  # an Arabic-Indic two
+        ("+2 2 2\n00\n01\n", "+2"),
+        ("1_0 2 2\n00\n01\n", "1_0"),
+        ("2 2 3\n0,1,\u0661\n", "\u0661"),
+        ("2 2 3\n0, +1,2\n", "+1"),
+        ("2 2 3\n0,1_0,1\n", "1_0"),
+        ("2 2 3\n0,-1,2\n", "-1"),
+    ],
+    ids=["arabic-indic-q", "signed-q", "underscored-q", "arabic-indic-rank", "signed-rank",
+         "underscored-rank", "negative-rank"],
+)
+def test_word_reader_takes_only_ascii_decimal_header_fields_and_ranks(text, token):
+    with pytest.raises(ValueError) as info:
+        word_from_text(text)
+    assert str(info.value) == f"invalid literal for int() with base 10: {token!r}"
+
+
 def test_alphabet_size_validation():
     with pytest.raises(ValueError):
         alphabet_size(0, 2)

@@ -1,9 +1,11 @@
 """Channel tests: corruption plans, output-set enumeration, oracle."""
 
+import json
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from composite_dna import channel, cli
 from composite_dna.alphabet import Word, all_letters, alphabet_size, word_from_text, word_to_text
 from composite_dna.channel import (
+    ErrorModel,
     Plan,
     ReceivedRows,
     SplitMix64,
@@ -236,6 +239,28 @@ def test_random_errors_plan_reapplies():
         for model in (sub_per_row(2, 1), sub_t_rows(2, (1, 1)), del_total(2)):
             got, plan = random_errors(w, model, seed=seed)
             assert apply_errors(w, model, plan) == got
+
+
+# Plans and received text of random_errors recorded before its per-row and
+# grid draws became one loop.  Several cells per row pin the call order: the
+# hit rows of a t-rows model first, then per row its positions, then their
+# substituted values.
+RANDOM_ERRORS_PINS = json.loads(
+    (Path(__file__).with_name("data") / "random_errors_pins.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "pin", RANDOM_ERRORS_PINS,
+    ids=[f"{p['kind']}-q{p['q']}-seed{p['seed']}" for p in RANDOM_ERRORS_PINS],
+)
+def test_random_errors_draws_are_pinned(pin):
+    word = Word.from_rows(pin["rows"], pin["q"])
+    model = ErrorModel(pin["kind"], tuple(pin["budgets"]), pin["total"], pin["t"])
+    received, plan = random_errors(word, model, pin["seed"])
+    assert [list(s) for s in plan.substitutions] == pin["substitutions"]
+    assert [list(d) for d in plan.deletions] == pin["deletions"]
+    assert received_to_text(received) == pin["received"]
 
 
 # ---------------------------------------------------------------------------
@@ -994,6 +1019,9 @@ def test_received_rows_refuse_a_base_or_length_no_word_has():
 MALFORMED_TEXT = {
     "short-header": ("2 2", ["01", "01"]),
     "header-not-int": ("2 x 2", ["01", "01"]),
+    "arabic-indic-header": ("\u0662 2 2", ["00", "01"]),
+    "signed-header": ("+2 2 2", ["00", "01"]),
+    "underscored-header": ("1_0 2 2", ["00", "01"]),
     "q-one": ("1 2 2", ["00", "00"]),
     "q-eleven": ("11 2 2", ["01", "01"]),
     "q-twelve": ("12 2 2", ["01", "01"]),

@@ -150,8 +150,6 @@ ROW_KERNELS = {
         (kernel, digit)
         for kernel in ROW_KERNELS
         for digit in ("1.5", "1.0", "-1", "q", "str")
-        # the binary kernel's digit check is its two counts, which take 1.0 for 1
-        if (kernel, digit) != ("vt-deletion", "1.0")
     ],
 )
 def test_row_kernels_refuse_a_digit_that_is_no_int_of_sigma_q(kernel, digit):
