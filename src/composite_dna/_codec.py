@@ -7,6 +7,8 @@
 * invalid_column: the one column of a received word that is no letter,
   read from the ranks that alphabet.column_ranks gives its columns, so a
   decoder looks each column up once and re-ranks only a column it repairs;
+* compose: the value of base-`base` digits that the codec built itself,
+  without algebra.compose_base's digit check;
 * block_value: the value that a block of digit columns spells;
 * out_of_model: a ValueError from a lower layer, met after the intake,
   means the received word lay outside the model, so it becomes a
@@ -19,7 +21,7 @@
 from __future__ import annotations
 
 from .alphabet import Word, column_rank
-from .algebra import compose_base, solve_power_sums
+from .algebra import solve_power_sums
 from .vt_core import DecodeFailure
 
 
@@ -59,10 +61,20 @@ def invalid_column(ranks) -> int | None:
     return ranks.index(None) if invalid else None
 
 
+def compose(digits, base: int) -> int:
+    """The value of digits, least significant first, each an int below base
+    (unchecked: the caller built or checked them)."""
+    value = 0
+    for d in reversed(digits):
+        value = value * base + d
+    return value
+
+
 def block_value(segments, q: int, base: int) -> int:
     """The value of a block given each row's segment of it: its columns are
-    base-`base` digits, least significant first, each the rank of a letter."""
-    return compose_base([column_rank(col, q) for col in zip(*segments)], base)
+    base-`base` digits, least significant first, each the rank of a letter,
+    so below base, the alphabet size."""
+    return compose([column_rank(col, q) for col in zip(*segments)], base)
 
 
 def out_of_model(func, *args):

@@ -42,6 +42,7 @@ from ._codec import (
     block_value,
     check_payload,
     check_t_rows,
+    compose,
     intake,
     invalid_column,
     out_of_model,
@@ -50,7 +51,6 @@ from ._codec import (
 from .alphabet import Word, alphabet_size, column_rank, column_ranks, letter_unrank
 from .algebra import (
     are_digits,
-    compose_base,
     cw_rank,
     cw_unrank,
     digit_width,
@@ -349,7 +349,7 @@ def enc_doll(x, spec: DollSpec) -> Word:
         raise ValueError(f"message must have {spec.m} symbols, got {len(x)}")
     if not are_digits(x, base):
         raise ValueError(f"message symbols must lie in [0, {base})")
-    return _doll_unrank(compose_base(x, base) + 1, spec)
+    return _doll_unrank(compose(x, base) + 1, spec)
 
 
 def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
@@ -376,9 +376,9 @@ def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
     image = fam.decode([i for in_a2, i in places if in_a2])
     fills = [i for in_a2, i in places if not in_a2]
     # _doll_unrank's divmods, undone
-    inner = compose_base(fam.message(image), fam.field)
+    inner = compose(fam.message(image), fam.field)
     rest = inner * comb(spec.n, l) + cw_rank(support, l) - 1
-    rest = rest * spec.fill ** (spec.n - l) + compose_base(fills, spec.fill)
+    rest = rest * spec.fill ** (spec.n - l) + compose(fills, spec.fill)
     index = sum(spec.class_sizes[:l]) + rest
     base = alphabet_size(spec.q, spec.k)
     if index >= base**spec.m:

@@ -20,7 +20,7 @@ per position that can meet the residue, and bisects for the at most 2q + 1
 positions where it can (its docstring gives the argument: the residue left
 for a position wraps at most once over the row, and on each side of the
 wrap the slack g = r - pos*q falls strictly).  Their per-symbol work runs
-in C builtins (sum, map, accumulate, count, set), and the q-ary one
+in C builtins (sum, map, accumulate, count, split, set), and the q-ary one
 adds O(log n + q) interpreted steps.  Both take a row as bytes (the
 packed rows of alphabet.Word and channel.ReceivedRows, whose format
 alphabet.pack_rows sets) or as a sequence of ints, read it without copying
@@ -32,6 +32,19 @@ algebra.are_digits: the q-ary ones (deletion, substitution, 1-LME) after
 their length checks, the binary decoder on a tuple row.  A bytes row holds
 ints, so there the binary decoder's two counts, which also give it the
 row's weight, are its whole check.
+
+The syndromes have a wide-row path, chosen by length alone: a bytes row of
+at least _WIDE symbols (128: on one- and two-bit rows VT(psi) gains from
+about 64 symbols and binary VT from about 180) becomes one int per digit
+bit, its bit planes, through one bytes.translate and one base-2 int()
+each.  A sum of weighted positions is then about log2(n) C-level ANDs and
+popcounts against cached index masks, and the ascents of VT(psi(x)) are
+a bit-sliced compare of the planes with themselves shifted by one
+position.  A binary row has one plane; every other row takes as many as
+its largest digit needs, so the value is the accumulate formula's for
+every bytes row, a digit >= q included.  Shorter rows and rows of other
+types keep the accumulate formulas, which the tests compare the planes
+against.
 The brute-force enumerators the deletion decoders replace, O(q * n^2), are
 kept as ``_reference_vt_decode_one_deletion`` and
 ``_reference_qary_decode_one_deletion``; the tests check that both give the
@@ -41,8 +54,9 @@ same rows and the same failures.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import accumulate, compress, count
-from operator import indexOf, lt, not_
+from operator import lt
 
 from .algebra import are_digits, digit_width, expand_base
 
@@ -63,10 +77,52 @@ def _check_digits(y, q: int) -> None:
         raise ValueError(f"received row is not over Sigma_{q}")
 
 
+# A bytes row of at least _WIDE symbols takes its syndromes from bit planes:
+# _PLANE[c] maps a byte to ASCII '0' or '1', its bit c, so that
+# int(row.translate(_PLANE[c]), 2) holds bit c of the i-th digit (1-based)
+# at bit n - i; _BELOW[c] is the bytes that c bits spell.
+_WIDE = 128
+_PLANE = tuple((b"0" * (1 << c) + b"1" * (1 << c)) * (128 >> c) for c in range(8))
+_BELOW = tuple(bytes(range(1 << c)) for c in range(9))
+
+
+def _planes(row: bytes) -> list[int]:
+    """The bit planes of a bytes row, bit 0 first, as many as its largest
+    digit needs (one for a binary row)."""
+    c = 1
+    while row.translate(None, _BELOW[c]):
+        c += 1
+    return [int(row.translate(plane), 2) for plane in _PLANE[:c]]
+
+
+@lru_cache(maxsize=None)
+def _index_masks(bits: int) -> tuple[int, ...]:
+    """M_b for b < bits: the int whose bit j, for j < 2^bits, is bit b of j,
+    that is 2^b zeros then 2^b ones, repeated: that block times the
+    repunit of base 2^(2^(b+1))."""
+    width = 1 << bits
+    return tuple(
+        ((1 << width) - 1) // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+        for half in (1 << b for b in range(bits))
+    )
+
+
+def _position_sum(plane: int, n: int) -> int:
+    """The sum of the 1-based positions that a plane of an n-symbol row has
+    set: bit j is position n - j, and sum(j) = sum_b 2^b popcount(plane & M_b)."""
+    total = n * plane.bit_count()
+    for b, mask in enumerate(_index_masks(n.bit_length())):
+        total -= (plane & mask).bit_count() << b
+    return total
+
+
 def vt_syndrome(x) -> int:
     """VT(x) = sum_i i * x_i with positions counted from 1, for a sequence
-    x: the sum of its suffix sums, since x_i lies in the first i of them."""
-    return sum(accumulate(reversed(x)))
+    x: the sum of its suffix sums, since x_i lies in the first i of them;
+    for a long bytes row, sum_c 2^c times the position sum of plane c."""
+    if len(x) < _WIDE or not isinstance(x, bytes):
+        return sum(accumulate(reversed(x)))
+    return sum(_position_sum(plane, len(x)) << c for c, plane in enumerate(_planes(x)))
 
 
 def digit_sum(x) -> int:
@@ -82,7 +138,10 @@ def vt_decode_one_deletion(y, a: int, modulus: int):
 
     Uniqueness requires modulus > len(x) = len(y) + 1.  Levenshtein's
     placement rule decodes in O(n): the n + 1 distinct insertions raise VT by
-    0..n, and d = a - VT(y) alone says where the symbol goes.  q-ary rows use
+    0..n, and d = a - VT(y) alone says where the symbol goes.  With w ones
+    in y, d <= w is a 0 with d ones to its right, w < d <= n a 1 with
+    d - w - 1 zeros to its left, and a larger d matches no insertion; one
+    C-level split of y as bytes finds the position.  q-ary rows use
     ``qary_decode_one_deletion``.  ``_reference_vt_decode_one_deletion`` is
     the brute-force oracle.
     """
@@ -90,29 +149,18 @@ def vt_decode_one_deletion(y, a: int, modulus: int):
     n = len(y) + 1
     if modulus <= n:
         raise ValueError(f"modulus {modulus} too small for length {n}")
-    weight = y.count(1)
-    # a bytes row holds ints, so its two counts check it; a tuple may hold 1.0
-    if y.count(0) + weight != len(y) or not isinstance(y, bytes) and not are_digits(y, 2):
+    # y as bytes, checked by its two counts, which give the weight too; a
+    # tuple may hold 1.0, which bytes() takes for a 1, so a tuple that
+    # fails are_digits stands in as b"\2", which the counts refuse
+    row = y if isinstance(y, bytes) else bytes(y) if are_digits(y, 2) else b"\2"
+    weight = row.count(1)
+    if row.count(0) + weight != len(row):
         raise ValueError("received row is not over Sigma_2")
-    return _levenshtein_insert(y, (a - vt_syndrome(y)) % modulus, weight)
-
-
-def _levenshtein_insert(y, d: int, weight: int):
-    """Insert the binary symbol that raises VT(y) by d, 0 <= d < modulus,
-    where weight is the number of ones in y.
-
-    d <= weight: a 0 with d ones to its right.  weight < d <= n: a 1 with
-    d - weight - 1 zeros to its left.  Larger d matches no insertion.
-    """
-    if d <= weight:
-        # a 0 just left of the d-th one from the right
-        pos = len(y) - indexOf(accumulate(reversed(y)), d) - 1 if d else len(y)
-        return _insert(y, pos, 0)
-    if d <= len(y) + 1:
-        # a 1 just right of the (d - w - 1)-th zero from the left
-        zeros = d - weight - 1
-        pos = indexOf(accumulate(map(not_, y)), zeros) + 1 if zeros else 0
-        return _insert(y, pos, 1)
+    d = (a - vt_syndrome(row)) % modulus
+    if d <= weight:  # a 0 just left of the d-th one from the right
+        return _insert(y, len(row.rsplit(b"\1", d)[0]), 0)
+    if d <= n:  # a 1 just right of the (d - w - 1)-th zero from the left
+        return _insert(y, len(row) - len(row.split(b"\0", d - weight - 1)[-1]), 1)
     raise DecodeFailure("expected exactly one candidate, found 0")
 
 
@@ -123,7 +171,7 @@ def _reference_vt_decode_one_deletion(y, a: int, modulus: int):
     n = len(y) + 1
     if modulus <= n:
         raise ValueError(f"modulus {modulus} too small for length {n}")
-    if any(v not in (0, 1) for v in y):
+    if not are_digits(y, 2):
         raise ValueError("received row is not over Sigma_2")
     candidates = set()
     for pos in range(n):
@@ -164,12 +212,26 @@ def qary_vt_syndrome(x, q: int) -> int:
     For digits of Sigma_q, (x_i - x_{i+1}) mod q is x_i - x_{i+1}, plus q
     when x_i < x_{i+1}; the weighted sum telescopes to Sum(x) plus q times
     the sum of the (1-based) ascent positions i, those with x_i < x_{i+1}.
+    A long bytes row compares its bit planes with themselves one position
+    on, top plane first: x_i < x_{i+1} at the first plane where they
+    differ, if x_{i+1} has the one there.
     """
     x = x if isinstance(x, (bytes, tuple)) else tuple(x)
     if not x:
         raise ValueError("psi of an empty sequence")
-    ascents = compress(count(1), map(lt, x, x[1:]))
-    return (sum(x) + q * sum(ascents)) % (q * len(x))
+    n = len(x)
+    if n < _WIDE or not isinstance(x, bytes):
+        return (sum(x) + q * sum(compress(count(1), map(lt, x, x[1:])))) % (q * n)
+    planes = _planes(x)
+    total, equal, ascents = 0, (1 << n) - 1, 0
+    for c in reversed(range(len(planes))):
+        here = planes[c]
+        after = here << 1  # bit n - i holds bit c of x_{i+1}
+        differ = here ^ after
+        ascents |= equal & differ & after
+        equal ^= equal & differ
+        total += here.bit_count() << c
+    return (total + q * _position_sum(ascents, n)) % (q * n)
 
 
 def qary_decode_one_deletion(y, a: int, q: int, n: int):
@@ -247,8 +309,7 @@ def _reference_qary_decode_one_deletion(y, a: int, q: int, n: int):
     y = tuple(y)
     if len(y) != n - 1:
         raise ValueError(f"received length {len(y)}, expected {n - 1}")
-    if any(not 0 <= v < q for v in y):
-        raise ValueError(f"received row is not over Sigma_{q}")
+    _check_digits(y, q)
     candidates = set()
     for pos in range(n):
         for sym in range(q):

@@ -47,6 +47,7 @@ from composite_dna.codes_deletion import (
     c4d_encode,
 )
 from composite_dna.vt_core import (
+    _WIDE,
     qary_decode_one_deletion,
     qary_vt_syndrome,
     vt_decode_one_deletion,
@@ -121,6 +122,14 @@ def random_rows(rng, q, length):
     return tuple(rng.randrange(q) for _ in range(length))
 
 
+def run_rows(rng, q, length):
+    """A row of runs of equal digits, each up to 40 long."""
+    row = []
+    while len(row) < length:
+        row += [rng.randrange(q)] * rng.randint(1, 40)
+    return tuple(row[:length])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 257])
 def test_binary_row_decoder_gives_the_same_on_bytes_and_tuples(n):
     rng = random.Random(n)
@@ -162,12 +171,22 @@ def test_qary_row_decoder_gives_the_same_on_bytes_and_tuples(q, n):
 
 
 def test_syndromes_and_the_supersequence_check_read_bytes_as_tuples():
+    # bytes rows from _WIDE symbols on take the syndromes from bit planes,
+    # tuples never do: both sides of the split, up to digit 255, and rows
+    # of one digit, of alternating extremes, of long runs, and of any byte,
+    # so with digits >= q, which must give the tuple formula's value too
     rng = random.Random(5)
-    for q in (2, 3, 4):
-        for n in (1, 2, 9, 100):
-            x = random_rows(rng, q, n)
-            assert vt_syndrome(bytes(x)) == vt_syndrome(x)
-            assert qary_vt_syndrome(bytes(x), q) == qary_vt_syndrome(x, q)
+    for q in (2, 3, 4, 5, 10, 256):
+        for n in (1, 2, 9, 100, _WIDE - 1, _WIDE, _WIDE + 1, 1030):
+            for x in (
+                random_rows(rng, q, n),
+                (q - 1,) * n,
+                tuple((0, q - 1)[i % 2] for i in range(n)),
+                random_rows(rng, 256, n),
+                run_rows(rng, q, n),
+            ):
+                assert vt_syndrome(bytes(x)) == vt_syndrome(x)
+                assert qary_vt_syndrome(bytes(x), q) == qary_vt_syndrome(x, q)
             p = rng.randrange(n)
             for sub in (x[:p] + x[p + 1:], random_rows(rng, q, n - 1), x):
                 assert _is_subsequence(bytes(sub), bytes(x)) == _is_subsequence(sub, x)

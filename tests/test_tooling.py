@@ -9,6 +9,7 @@ The traced benchmark run patches every ``(module, attribute)`` in
 patched decoders; each demo must still run to completion.  ``python -O``
 strips assert statements, so no module of the package may hold one.  The
 code-line counter, ``tools/code_lines.py``, is pinned on a small fixture.
+Every brute-force ``_reference_*`` oracle in the package is named by a test.
 """
 
 import ast
@@ -16,6 +17,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +157,25 @@ def _private_imports(path: Path) -> list[str]:
 def test_no_module_imports_a_private_name_of_a_sibling():
     modules = sorted((SRC / "composite_dna").glob("*.py"))
     assert [hit for path in modules for hit in _private_imports(path)] == []
+
+
+def test_every_reference_implementation_is_named_by_a_test():
+    """Each fast path keeps its brute-force _reference_* oracle, and a test
+    module must name it, so an oracle that no test compares against fails
+    here rather than rotting."""
+    references = sorted(
+        node.name
+        for path in (SRC / "composite_dna").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_reference_")
+    )
+    tests = [path.read_text() for path in (ROOT / "tests").glob("*.py")]
+    assert references
+    unnamed = [
+        name for name in references
+        if not any(re.search(rf"\b{name}\b", text) for text in tests)
+    ]
+    assert unnamed == []
 
 
 # modules still allowed a runtime assert: none, so the test covers every module

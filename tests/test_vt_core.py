@@ -133,12 +133,17 @@ def test_qary_decode_validates_input():
         qary_decode_one_deletion((0, 0), 0, 3, 4)
 
 
-# each single-error row kernel on a row (0, digit, 1 or 2) whose middle digit is
-# no int of its Sigma_q: a plain ValueError, never a DecodeFailure (a row
-# over Sigma_q that no codeword explains), a TypeError or a returned row
+# each single-error row kernel, and the brute-force reference of each that
+# has one, on a row (0, digit, 1 or 2) whose middle digit is no int of its
+# Sigma_q: a plain ValueError, never a DecodeFailure (a row over Sigma_q
+# that no codeword explains), a TypeError or a returned row
 ROW_KERNELS = {
     "vt-deletion": (2, lambda y: vt_decode_one_deletion(y, 0, 5)),
+    "vt-deletion-reference": (2, lambda y: _reference_vt_decode_one_deletion(y, 0, 5)),
     "qary-deletion": (3, lambda y: qary_decode_one_deletion(y, 0, 3, 4)),
+    "qary-deletion-reference": (
+        3, lambda y: _reference_qary_decode_one_deletion(y, 0, 3, 4)
+    ),
     "qary-substitution": (3, lambda y: qary_decode_one_substitution(y, 0, 1, 3)),
     "lme": (3, lambda y: lme_decode(y, 0, 3)),
 }
@@ -395,6 +400,35 @@ def test_qary_decode_matches_reference_on_long_rows(q, n):
             if a == true:
                 assert got == x
             kinds.add(got[1] if got[0] is DecodeFailure else "decoded")
+    assert kinds == {"decoded", "expected exactly one candidate, found 0"}
+
+
+@pytest.mark.parametrize("n", [200, 1030])
+def test_vt_decode_matches_reference_on_long_rows(n):
+    # the binary counterpart on bytes rows, whose syndromes come from bit
+    # planes at these lengths: random bits, runs and alternating bits, each
+    # losing its first, a middle or its last symbol, decoded at the true
+    # residue and at random ones; modulus 2n + 1 leaves residues that no
+    # insertion reaches
+    rng = random.Random(2000 + n)
+    kinds = set()
+    for x in (
+        tuple(rng.randrange(2) for _ in range(n)),
+        tuple((i // 9) % 2 for i in range(n)),
+        tuple(i % 2 for i in range(n)),
+    ):
+        for pos in (0, rng.randrange(1, n - 1), n - 1):
+            y = bytes(x[:pos] + x[pos + 1 :])
+            for modulus in (n + 1, 2 * n + 1):
+                true = vt_syndrome(x) % modulus
+                for a in (true, rng.randrange(modulus)):
+                    got = outcome(vt_decode_one_deletion, y, a, modulus)
+                    if type(got) is bytes:
+                        got = tuple(got)
+                    assert got == outcome(_reference_vt_decode_one_deletion, y, a, modulus)
+                    if a == true:
+                        assert got == x
+                    kinds.add("decoded" if len(got) == n else got[1])
     assert kinds == {"decoded", "expected exactly one candidate, found 0"}
 
 
