@@ -1,7 +1,8 @@
 """Steps shared by the deletion and substitution code families.
 
-* intake: the decoders' check of the received shape against the spec, and
-  of full-length rows for the substitution codes;
+* check_shape / intake: the decoders' check of the received shape against
+  the spec; intake also checks the full-length rows of the substitution
+  codes;
 * check_payload: the systematic encoders' payload check;
 * check_t_rows: the t-row constructions' range 2 <= t <= k;
 * invalid_column: the one column of a received word that is no letter,
@@ -13,27 +14,33 @@
 * out_of_model: a ValueError from a lower layer, met after the intake,
   means the received word lay outside the model, so it becomes a
   DecodeFailure;
-* repair_rows: the row-repair core of every t-row syndrome decoder; it
-  returns the repaired word and the syndromes of all its rows, so a
-  re-encode needs no second pass over the intact rows.
+* RowCode: the single-error code that every row of a t-row construction
+  carries, with the weighted power sums of its syndromes that the codeword
+  stores, and the check of those sums against their targets;
+* repair_rows: the row-repair core of every t-row syndrome decoder, on
+  clean and damaged words alike; it returns the repaired word and the
+  syndromes of all its rows, so a re-encode or a certificate needs no
+  second pass over the intact rows.
 """
 
 from __future__ import annotations
 
 from .alphabet import Word, column_rank
-from .algebra import solve_power_sums
+from .algebra import power_sums, solve_power_sums
 from .vt_core import DecodeFailure
 
 
-def intake(received, spec=None, full_length: bool = True):
-    """The received packed rows, after checking (q, k, n) against the spec
-    when one is given and, for substitution codes, that every row has full
-    length."""
-    if spec is not None and (received.q, received.k, received.n) != (
-        spec.q, spec.k, spec.n
-    ):
+def check_shape(received, spec) -> None:
+    if (received.q, received.k, received.n) != (spec.q, spec.k, spec.n):
         raise ValueError("received shape does not match the code spec")
-    if full_length and any(len(row) != received.n for row in received.packed):
+
+
+def intake(received, spec=None):
+    """The received packed rows, after checking (q, k, n) against the spec
+    when one is given, and that every row has full length."""
+    if spec is not None:
+        check_shape(received, spec)
+    if any(len(row) != received.n for row in received.packed):
         raise ValueError("substitution decoding expects full-length rows")
     return received.packed
 
@@ -86,35 +93,51 @@ def out_of_model(func, *args):
         raise DecodeFailure(str(exc)) from None
 
 
+class RowCode:
+    """The single-error code of each row of a t-row construction: a row's
+    syndrome(row) lies below lift_bound, and the codeword stores the
+    weighted power sums of the rows' syndromes mod modulus."""
+
+    def __init__(self, syndrome, modulus: int, lift_bound: int):
+        self.syndrome, self.modulus, self.lift_bound = syndrome, modulus, lift_bound
+
+    def sums(self, values, t: int) -> list[int]:
+        """The first t weighted power sums of the row syndromes values."""
+        return power_sums(values, range(t), self.modulus)
+
+    def holds(self, values, targets) -> bool:
+        """Whether the row syndromes values give the targets as their first
+        len(targets) power sums."""
+        return self.sums(values, len(targets)) == [a % self.modulus for a in targets]
+
+
 def repair_rows(
-    rows, q: int, unknown, usable, read_sum, row_syndrome, modulus: int,
-    lift_bound: int, decode_row,
+    rows, q: int, unknown, usable, read_sum, code: RowCode, decode_row
 ) -> tuple[Word, list[int]]:
     """Rebuild the rows listed in unknown; return the repaired word and the
     syndromes of all its rows.
 
-    The known rows' syndromes, row_syndrome(row), and the sums read_sum(j)
+    The known rows' syndromes, code.syndrome(row), and the sums read_sum(j)
     of the first len(unknown) usable syndrome indices j leave one
-    Vandermonde solve mod modulus for the unknown rows' syndromes
-    (algebra.solve_power_sums).  Each solved residue must lie below
-    lift_bound, the range of a true row syndrome, and decode_row(i, residue)
-    then rebuilds row i, whose returned syndrome is row_syndrome of that
-    decoded row, not the residue: a caller that re-encodes from them checks
-    the row decoder, not trusts it.  Too few usable indices, a residue that
-    does not lift and a repaired word with an invalid column are
-    DecodeFailures.
+    Vandermonde solve mod code.modulus for the unknown rows' syndromes
+    (algebra.solve_power_sums); with no unknown row there is no solve.
+    Each solved residue must lie below code.lift_bound, the range of a true
+    row syndrome, and decode_row(i, residue) then rebuilds row i, whose
+    returned syndrome is that of the decoded row, not the residue: a caller
+    that re-encodes or certifies from them checks the row decoder, not
+    trusts it.  Too few usable indices, a residue that does not lift and a
+    word with an invalid column are DecodeFailures.
     """
     chosen = list(usable)[: len(unknown)]
     if len(chosen) < len(unknown):
         raise DecodeFailure("fewer intact syndrome blocks than dirty rows; breach")
-    values = [
-        None if i in unknown else row_syndrome(row) for i, row in enumerate(rows)
-    ]
-    sums = [read_sum(j) for j in chosen]
+    values = [None if i in unknown else code.syndrome(row) for i, row in enumerate(rows)]
     rows = list(rows)
-    for i, value in zip(unknown, solve_power_sums(values, chosen, sums, modulus)):
-        if value >= lift_bound:
-            raise DecodeFailure("solved syndrome residue does not lift; breach")
-        rows[i] = decode_row(i, value)
-        values[i] = row_syndrome(rows[i])
+    if unknown:
+        sums = [read_sum(j) for j in chosen]
+        for i, value in zip(unknown, solve_power_sums(values, chosen, sums, code.modulus)):
+            if value >= code.lift_bound:
+                raise DecodeFailure("solved syndrome residue does not lift; breach")
+            rows[i] = decode_row(i, value)
+            values[i] = code.syndrome(rows[i])
     return out_of_model(Word.from_rows, rows, q), values

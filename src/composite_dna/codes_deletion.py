@@ -1,15 +1,17 @@
 """Deletion-correcting code families over the composite channel.
 
 Every family here follows one recipe.  Each row carries a single-deletion
-row code (_RowCode): VT(x) for binary rows and VT(psi(x)) for q-ary ones,
-mod a modulus.  The code's congruences, or its syndrome blocks, carry the
-weighted power sums of those row syndromes.  Two decoders do all the work,
-one per construction shape.  Both hand the short rows to the row-repair
+row code (_RowCode, a _codec.RowCode with a row decoder): VT(x) for binary
+rows and VT(psi(x)) for q-ary ones, mod a modulus.  The code's
+congruences, or its syndrome blocks, carry the weighted power sums of
+those row syndromes (RowCode.sums).  Two decoders do all the work, one per
+construction shape.  Both hand every word, clean or not, to the row-repair
 core shared with the substitution codes (_codec.repair_rows): one
 Vandermonde solve of the intact rows' weighted power sums gives the short
-rows' syndromes, and each short row is then decoded by its row code.  A
-single-deletion code is their t = 1 case, whose solve is the 1 x 1 system
-[[1]] over a modulus that need not be prime.
+rows' syndromes, and each short row is then decoded by its row code; with
+no short row there is nothing to solve.  A single-deletion code is their
+t = 1 case, whose solve is the 1 x 1 system [[1]] over a modulus that need
+not be prime.
 
 Failures: malformed input (a shape that does not match the spec, a row that
 lost more than one symbol, more short rows than the code handles) is a
@@ -18,11 +20,12 @@ ValueError.  Everything after that is a DecodeFailure: the core's failures
 repaired word with an invalid column), an invalid column in clean or
 unrepaired rows, an invalid block letter, non-monotone marker flags, the
 post-decode congruence check, clean rows outside the code and a decoded
-payload whose codeword is not a supersequence of every row.  That last
-check costs O(log n) slice compares per short row and one compare per
-intact row, all at C speed; the codeword's tail is built from the intact
-rows' syndromes, computed once for the repair, and the repaired rows' own
-syndromes.
+payload whose codeword is not a supersequence of every row.  The
+congruence check reads the syndromes that the repair returned.  The
+supersequence check costs O(log n) slice compares per short row and one
+compare per intact row, all at C speed; the codeword's tail is built from
+the intact rows' syndromes, computed once for the repair, and the repaired
+rows' own syndromes.
 
 * congruence_*: codes cut out by syndrome congruences, decoded by
   _congruence_decode_t.  Binary t-row variants weight the per-row VT sums
@@ -53,7 +56,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._codec import (
-    block_value, check_payload, check_t_rows, intake, out_of_model, repair_rows,
+    RowCode, block_value, check_payload, check_shape, check_t_rows, out_of_model,
+    repair_rows,
 )
 from .alphabet import Word, alphabet_size, column_rank
 from .algebra import (
@@ -63,7 +67,6 @@ from .algebra import (
     f_threshold,
     is_prime,
     next_prime_bertrand,
-    power_sums,
 )
 from .channel import ReceivedRows
 from .vt_core import (
@@ -75,30 +78,25 @@ from .vt_core import (
 )
 
 
-class _RowCode:
+class _RowCode(RowCode):
     """The single-deletion code of one row of length n: VT(x) mod modulus
     for binary rows, VT(psi(x)) mod modulus for psi rows.  A true row
     syndrome lies below lift_bound: the modulus, or qn for psi rows."""
 
     def __init__(self, q: int, n: int, modulus: int, psi: bool):
-        self.q, self.n, self.modulus, self.psi = q, n, modulus, psi
-        self.lift_bound = q * n if psi else modulus
-
-    def syndrome(self, row) -> int:
-        return qary_vt_syndrome(row, self.q) if self.psi else vt_syndrome(row)
+        # the syndrome kernels are looked up when called, not bound here,
+        # so that a tracer which swaps the module's globals sees the calls
+        if psi:
+            super().__init__(lambda row: qary_vt_syndrome(row, q), modulus, q * n)
+        else:
+            super().__init__(lambda row: vt_syndrome(row), modulus, modulus)
+        self.q, self.n, self.psi = q, n, psi
 
     def decode(self, row, residue: int):
         """The row one symbol longer than row whose syndrome is residue."""
         if self.psi:
             return qary_decode_one_deletion(row, residue, self.q, self.n)
         return vt_decode_one_deletion(row, residue, self.modulus)
-
-    def sums(self, rows, t: int) -> list[int]:
-        """The first t weighted power sums of the rows' syndromes."""
-        return power_sums([self.syndrome(r) for r in rows], range(t), self.modulus)
-
-    def holds(self, rows, targets) -> bool:
-        return self.sums(rows, len(targets)) == [a % self.modulus for a in targets]
 
 
 def _is_subsequence(sub, sup) -> bool:
@@ -233,17 +231,17 @@ def _t_row_code(shape, targets, p: int, psi: bool) -> tuple[tuple[int, ...], _Ro
 
 def congruence_contains_binary_t(word: Word, targets, p: int) -> bool:
     targets, code = _t_row_code(word, targets, p, False)
-    return code.holds(word.packed, targets)
+    return code.holds(list(map(code.syndrome, word.packed)), targets)
 
 
 def congruence_contains_qary_one(word: Word, a: int) -> bool:
-    q, n = word.q, word.n
-    return _RowCode(q, n, q * n, True).holds(word.packed, (a,))
+    code = _RowCode(word.q, word.n, word.q * word.n, True)
+    return code.holds(list(map(code.syndrome, word.packed)), (a,))
 
 
 def congruence_contains_qary_t(word: Word, targets, p: int) -> bool:
     targets, code = _t_row_code(word, targets, p, True)
-    return code.holds(word.packed, targets)
+    return code.holds(list(map(code.syndrome, word.packed)), targets)
 
 
 def _congruence_decode_t(received, targets, code: _RowCode) -> Word:
@@ -251,20 +249,18 @@ def _congruence_decode_t(received, targets, code: _RowCode) -> Word:
     intact rows' syndromes leave a Vandermonde system mod code.modulus for
     the short rows' syndromes, and each short row is then decoded by the row
     code.  At t = 1 the system is [[1]], so the modulus need not be prime.
-    The result must meet the targets (code.holds)."""
+    The syndromes that the repair returns must meet the targets
+    (code.holds); a clean word takes the same path, with nothing to solve."""
     short = _row_deficits(received, len(targets))
-    if short:
-        # the first |I| congruences suffice: with consecutive powers the
-        # matrix is a plain Vandermonde in the distinct row nodes, invertible
-        # since p > k - 1
-        word, _ = repair_rows(
-            received.packed, received.q, short, range(len(targets)),
-            lambda j: targets[j], code.syndrome, code.modulus, code.lift_bound,
-            lambda i, residue: code.decode(received.packed[i], residue),
-        )
-    else:
-        word = out_of_model(Word.from_rows, received.packed, received.q)
-    if not code.holds(word.packed, targets):
+    # the first |I| congruences suffice: with consecutive powers the matrix
+    # is a plain Vandermonde in the distinct row nodes, invertible since
+    # p > k - 1
+    word, syndromes = repair_rows(
+        received.packed, received.q, short, range(len(targets)),
+        lambda j: targets[j], code,
+        lambda i, residue: code.decode(received.packed[i], residue),
+    )
+    if not code.holds(syndromes, targets):
         what = "decoded word" if short else "clean rows"
         raise DecodeFailure(f"{what} does not satisfy the code congruences")
     return word
@@ -346,8 +342,9 @@ class MarkerSpec:
     def n(self) -> int:
         return self.m + self.t * (self.delta + 2)
 
-    def syndromes(self, payload: Word):
-        return self.row_code.sums(payload.packed, self.t)
+    def syndromes(self, payload: Word) -> list[int]:
+        code = self.row_code
+        return code.sums(list(map(code.syndrome, payload.packed)), self.t)
 
 
 def C2DSpec(k: int, t: int, m: int) -> MarkerSpec:
@@ -451,10 +448,11 @@ def _marker_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
     marker flags say which segment lost its symbol, the intact syndrome
     blocks give the payload-hit rows' syndromes by one solve mod
     spec.modulus, and the decoded payload must re-encode to a supersequence
-    of every row.  The re-encode takes the intact rows' syndromes from the
-    solve and computes each repaired row's from the decoded row; it shares
-    _marker_tail with _marker_encode."""
-    intake(received, spec, full_length=False)
+    of every row.  A word with no payload hit takes the same repair, with
+    nothing to solve.  The re-encode takes the syndromes that the repair
+    returned, the decoded rows' own; it shares _marker_tail with
+    _marker_encode."""
+    check_shape(received, spec)
     t, code = spec.t, spec.row_code
     short = _row_deficits(received, t)
 
@@ -462,26 +460,19 @@ def _marker_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
     damage = {
         i: _segment_of(row, i in short, spec) for i, row in enumerate(received.packed)
     }
-    unknown = sorted(i for i, seg in damage.items() if seg is None)
-    rows = [None] * received.k
-    for i, row in enumerate(received.packed):
-        if damage[i] is not None:
-            rows[i] = row[: spec.m]
-
-    if unknown:
-        blocked = {seg for seg in damage.values() if seg is not None and seg >= 0}
-        payload, syndromes = repair_rows(
-            rows, received.q, unknown, [j for j in range(t) if j not in blocked],
-            lambda j: _read_block_digits(received, spec, damage, j),
-            code.syndrome, code.modulus, code.lift_bound,
-            lambda i, value: code.decode(received.packed[i][: spec.m - 1], value),
-        )
-        sums = power_sums(syndromes, range(t), code.modulus)
-    else:
-        payload = out_of_model(Word.from_rows, rows, received.q)
-        sums = spec.syndromes(payload)
+    unknown = [i for i, seg in damage.items() if seg is None]
+    blocked = {seg for seg in damage.values() if seg is not None and seg >= 0}
+    rows = [
+        None if damage[i] is None else row[: spec.m]
+        for i, row in enumerate(received.packed)
+    ]
+    payload, syndromes = repair_rows(
+        rows, received.q, unknown, [j for j in range(t) if j not in blocked],
+        lambda j: _read_block_digits(received, spec, damage, j), code,
+        lambda i, value: code.decode(received.packed[i][: spec.m - 1], value),
+    )
     # the re-encode: the tail of the decoded rows' own syndromes
-    codeword = payload + _marker_tail(sums, spec)
+    codeword = payload + _marker_tail(code.sums(syndromes, t), spec)
     for got, want in zip(received.packed, codeword.packed):
         if not _is_subsequence(got, want):
             raise DecodeFailure("decoded payload is inconsistent with the received rows")

@@ -16,18 +16,21 @@ Four groups of constructions:
   magnitude machinery on rank sequences, plus invalid-column repair.
 * q1cecc_* / C1SSpec / C2SSpec: the q-ary three-checksum decoder, its
   systematic single-substitution construction, and the t-row construction
-  with duplicated row parities and marker-checked syndrome blocks.
+  with duplicated row parities and marker-checked syndrome blocks; its row
+  code (C2SSpec.row_code, a _codec.RowCode) is VT mod 2m(q-1), whose
+  weighted power sums mod p the blocks carry.
 
 Substitution decoders take ReceivedRows with full-length rows; columns may
 be non-monotone (that is the visible half of the error).  A decoder raises
 ValueError only at its intake (a shape that does not match the spec, short
 rows, parameters that do not fit); every failure after that, an invalid
 column on the clean path included, is a DecodeFailure.  The intake, the
-invalid-column locator, the block-value read and the t-row repair core live
-in _codec, shared with the deletion codes.  A decoder looks each received
-column up once (alphabet.column_ranks, None for a column that is no letter),
-_codec.invalid_column(ranks) finds the one None among those ranks, and only
-a column the decoder repairs is ranked again.
+invalid-column locator, the block-value read, the row-code type and the
+t-row repair core live in _codec, shared with the deletion codes.  A
+decoder looks each received column up once (alphabet.column_ranks, None
+for a column that is no letter), _codec.invalid_column(ranks) finds the
+one None among those ranks, and only a column the decoder repairs is
+ranked again.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from math import comb, prod
 from operator import mul
 
 from ._codec import (
+    RowCode,
     block_value,
     check_payload,
     check_t_rows,
@@ -58,7 +62,6 @@ from .algebra import (
     f_threshold,
     is_prime,
     next_prime_bertrand,
-    power_sums,
     smallest_prime_at_least,
 )
 from .channel import ReceivedRows
@@ -614,7 +617,8 @@ def c1s_decode(received: ReceivedRows, spec: C1SSpec) -> Word:
 class C2SSpec:
     """t rows may each suffer one substitution: duplicated per-row parity
     columns flag dirty payload rows, marker-checked syndrome blocks carry
-    the weighted VT residues mod p."""
+    the weighted VT residues mod p.  A row's syndrome is VT mod span, the
+    residue that qary_decode_one_substitution decodes from."""
 
     q: int
     k: int
@@ -644,9 +648,14 @@ class C2SSpec:
     def n(self) -> int:
         return self.m + 2 * self.k + self.t * (self.delta + self.k)
 
+    @cached_property
+    def row_code(self) -> RowCode:
+        span = self.span
+        return RowCode(lambda row: vt_syndrome(row) % span, self.p, span)
+
     def syndromes(self, payload: Word) -> list[int]:
-        values = [vt_syndrome(row) % self.span for row in payload.packed]
-        return power_sums(values, range(self.t), self.p)
+        code = self.row_code
+        return code.sums(list(map(code.syndrome, payload.packed)), self.t)
 
 
 def c2s_encode(payload: Word, spec: C2SSpec) -> Word:
@@ -702,8 +711,5 @@ def c2s_decode(received: ReceivedRows, spec: C2SSpec) -> Word:
             )
         return qary_decode_one_substitution(rows[i][:m], bar, copies[0], q)
 
-    word, _ = repair_rows(
-        payload_rows, q, dirty, intact, read_sum,
-        lambda row: vt_syndrome(row) % spec.span, spec.p, spec.span, decode_row,
-    )
+    word, _ = repair_rows(payload_rows, q, dirty, intact, read_sum, spec.row_code, decode_row)
     return word

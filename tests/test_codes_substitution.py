@@ -460,6 +460,25 @@ class TestQ1Cecc:
         with pytest.raises(ValueError):
             q1cecc_decode(received, a1, (a2 + 1) % 3, a3, 3, 3)
 
+    @pytest.mark.parametrize(
+        "rows, checksums, message",
+        [
+            (
+                [[0, 0, 2, 2, 0], [1, 2, 2, 1, 2]],
+                (2, 4, 0),
+                "digit sum clean but a column is invalid",
+            ),
+            (
+                [[2, 0, 0, 2, 0], [2, 2, 2, 2, 1]],
+                (2, 0, 1),
+                "implied column index out of range",
+            ),
+        ],
+    )
+    def test_outside_the_model_is_typed(self, rows, checksums, message):
+        with pytest.raises(DecodeFailure, match=message):
+            q1cecc_decode(ReceivedRows(rows, 3, 5), *checksums, 7, 3)
+
     def test_parameter_validation(self):
         word = Word.from_rows(((0, 1, 1), (1, 1, 2)), 3)
         with pytest.raises(ValueError, match="p1"):

@@ -9,7 +9,7 @@ repaired word with an invalid column.
 
 import pytest
 
-from composite_dna._codec import repair_rows
+from composite_dna._codec import RowCode, repair_rows
 from composite_dna.channel import ReceivedRows
 from composite_dna.codes_deletion import C4DSpec, c4d_decode
 from composite_dna.codes_substitution import C2SSpec, c2s_decode
@@ -73,6 +73,6 @@ def test_too_few_usable_blocks_is_typed_for_marker_shapes():
     rows = [None, None, (0, 1, 2)]
     with pytest.raises(DecodeFailure, match="fewer intact syndrome blocks"):
         repair_rows(
-            rows, C4D.q, [0, 1], [1], lambda j: 0, sum, C4D.p, C4D.q * C4D.m,
+            rows, C4D.q, [0, 1], [1], lambda j: 0, RowCode(sum, C4D.p, C4D.q * C4D.m),
             lambda i, value: (0, 0, 0),
         )

@@ -6,10 +6,12 @@ names other than the shared decoding steps of ``_codec``.
 The traced benchmark run patches every ``(module, attribute)`` in
 ``perfbench/tracing.py``'s TARGETS, so each must still name something in
 ``composite_dna``, and a roundtrip through ``cli.main`` must still reach the
-patched decoders; each demo must still run to completion.  ``python -O``
-strips assert statements, so no module of the package may hold one.  The
-code-line counter, ``tools/code_lines.py``, is pinned on a small fixture.
-Every brute-force ``_reference_*`` oracle in the package is named by a test.
+patched decoders, and a traced deletion decode must still count each row
+syndrome it evaluates; each demo, and the README's library quick start,
+must still run to completion.  ``python -O`` strips assert statements, so
+no module of the package may hold one.  The code-line counter,
+``tools/code_lines.py``, is pinned on a small fixture.  Every brute-force
+``_reference_*`` oracle in the package is named by a test.
 """
 
 import ast
@@ -101,6 +103,66 @@ def test_tracer_counts_the_decodes_of_a_cli_roundtrip(capsys):
     assert tracer.counts["codes_deletion.decodes"] == distinct > 1
 
 
+def _traced_syndrome_evals(decode, *args):
+    """decode(*args) under the tracer, and the VT syndromes it evaluated."""
+    import composite_dna
+    from composite_dna import cli  # noqa: F401, the tracer looks up every module it patches
+
+    tracer = load_tracing().Tracer()
+    tracer.install(composite_dna)
+    try:
+        tracer.active = True
+        decoded = decode(*args)
+        tracer.active = False
+    finally:
+        tracer.restore()
+    return decoded, tracer.counts["vt_core.syndrome_evals"]
+
+
+def test_traced_decodes_count_each_row_syndrome_once():
+    """A t-row deletion decode evaluates VT once per intact row, once in each
+    row decoder and once per repaired row, and certifies from those values.
+    The c2d spec is built, and its row code used by the encoder, before the
+    tracer is installed: a row code that bound the syndrome kernel when it
+    was built would read fewer evaluations than it makes."""
+    from composite_dna import ReceivedRows, Word
+    from composite_dna.codes_deletion import (
+        C2DSpec, c1d_decode, c1d_encode, c2d_decode, c2d_encode,
+    )
+
+    def drop(word, hits):  # row -> position of its lost symbol
+        rows = [row[: hits[i]] + row[hits[i] + 1 :] if i in hits else row
+                for i, row in enumerate(word.rows())]
+        return ReceivedRows(rows, word.q, word.n)
+
+    c1d = c1d_encode((0, 1, 2, 2, 1, 0), 0, 2, 8)
+    assert _traced_syndrome_evals(c1d_decode, drop(c1d, {1: 3}), 0) == (c1d, 3)
+
+    spec = C2DSpec(4, 2, 192)
+    payload = Word.from_ranks([(7 * j) % 5 for j in range(192)], 2, 4)
+    received = drop(c2d_encode(payload, spec), {0: 50, 2: 131})
+    assert _traced_syndrome_evals(c2d_decode, received, spec) == (payload, 6)
+
+
+def run_python(*args):
+    """A python process on args, with the package's sources on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_readme_quick_start_runs():
+    text = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    done = run_python("-c", block)
+    assert done.returncode == 0, done.stderr
+
+
 def _imports_the_cli(path: Path) -> bool:
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -124,14 +186,7 @@ def test_only_the_entry_point_imports_the_cli():
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    done = run_python(str(ROOT / "demos" / demo))
     assert done.returncode == 0, done.stderr
 
 

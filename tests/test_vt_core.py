@@ -294,6 +294,21 @@ def test_qary_substitution_boundary_case():
     assert qary_decode_one_substitution(y2, vt2, sum2, q) == x2
 
 
+@pytest.mark.parametrize(
+    "y, vt_mod, sum_mod, q, message",
+    [
+        # Delta2 = n(q - 1) means magnitude q - 1 at the last position, but
+        # the Sum offset 2 is neither q - 1 nor 1
+        ((0, 0), 6, 2, 4, "boundary case with inconsistent Sum syndrome"),
+        ((0, 0), 1, 2, 3, "VT offset not divisible by the substitution value"),
+        ((0, 0), 3, 1, 3, "implied position 3 out of range"),
+    ],
+)
+def test_qary_substitution_outside_the_model_is_typed(y, vt_mod, sum_mod, q, message):
+    with pytest.raises(DecodeFailure, match=message):
+        qary_decode_one_substitution(y, vt_mod, sum_mod, q)
+
+
 @settings(max_examples=100)
 @given(st.data())
 def test_qary_deletion_cross_checks_binary(data):
