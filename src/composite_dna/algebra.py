@@ -73,12 +73,18 @@ def _digit_set(base: int) -> frozenset:
     return frozenset(range(base))
 
 
+_BYTES = bytes(range(256))
+
+
 def are_digits(digits, base: int) -> bool:
     """Whether every entry of digits is a digit of base `base`: an int
     (operator.index takes it, so not 1.5, 1.0 or '1') in range(base).
-    A base that fits a byte tests the digits against a cached set of
-    range(base); a larger one compares their distinct values with 0 and
-    base, so no set grows with the base."""
+    A bytes row holds ints only, so one translate that deletes range(base)
+    is its range test.  Otherwise a base that fits a byte tests the digits
+    against a cached set of range(base); a larger one compares their
+    distinct values with 0 and base, so no set grows with the base."""
+    if isinstance(digits, bytes):
+        return not digits.translate(None, _BYTES[: max(base, 0)])
     try:
         if base <= 256:
             return _digit_set(base).issuperset(map(index, digits))

@@ -8,7 +8,8 @@ provides:
   by Levenshtein's placement rule,
 * the difference transform psi and q-ary single-deletion decoding from
   VT(psi(x)) mod q*n in O(n), from the suffix sums of psi(y), which
-  telescope to a digit of y plus q times a count of its ascents,
+  telescope to a digit of y plus q times a count of its ascents (on a
+  long bytes row, one popcount of its ascent mask),
 * q-ary single-substitution decoding from the pair (VT(x) mod 2n(q-1),
   Sum(x) mod q),
 * the 1-limited-magnitude code {c : VT(c) = a mod 2n+1} over Sigma_Q with its
@@ -30,21 +31,26 @@ Sigma_q (1.5, 1.0, -1, q, '1') with a plain ValueError, never a
 DecodeFailure or a returned row, by the package's one digit rule,
 algebra.are_digits: the q-ary ones (deletion, substitution, 1-LME) after
 their length checks, the binary decoder on a tuple row.  A bytes row holds
-ints, so there the binary decoder's two counts, which also give it the
-row's weight, are its whole check.
+ints, so only their range is left to test: are_digits deletes range(q)
+with one bytes.translate, and the binary decoder's two counts, which also
+give it the row's weight, are its whole check.
 
 The syndromes have a wide-row path, chosen by length alone: a bytes row of
 at least _WIDE symbols (128: on one- and two-bit rows VT(psi) gains from
-about 64 symbols and binary VT from about 180) becomes one int per digit
+about 64 symbols, the q-ary deletion decoder from about 110 and binary VT
+from about 180) becomes one int per digit
 bit, its bit planes, through one bytes.translate and one base-2 int()
 each.  A sum of weighted positions is then about log2(n) C-level ANDs and
 popcounts against cached index masks, and the ascents of VT(psi(x)) are
 a bit-sliced compare of the planes with themselves shifted by one
 position.  A binary row has one plane; every other row takes as many as
 its largest digit needs, so the value is the accumulate formula's for
-every bytes row, a digit >= q included.  Shorter rows and rows of other
-types keep the accumulate formulas, which the tests compare the planes
-against.
+every bytes row, a digit >= q included.  The q-ary deletion decoder takes
+the same path by the same test on its row: one helper gives it, as it
+gives VT(psi), the digit sum and the ascent mask, and each ascent count
+its bisection reads is one popcount of the mask's low bits.
+Shorter rows and rows of other types keep the accumulate formulas, which
+the tests compare the planes against.
 The brute-force enumerators the deletion decoders replace, O(q * n^2), are
 kept as ``_reference_vt_decode_one_deletion`` and
 ``_reference_qary_decode_one_deletion``; the tests check that both give the
@@ -222,8 +228,16 @@ def qary_vt_syndrome(x, q: int) -> int:
     n = len(x)
     if n < _WIDE or not isinstance(x, bytes):
         return (sum(x) + q * sum(compress(count(1), map(lt, x, x[1:])))) % (q * n)
+    total, ascents = _sum_and_ascents(x)
+    return (total + q * _position_sum(ascents, n)) % (q * n)
+
+
+def _sum_and_ascents(x: bytes) -> tuple[int, int]:
+    """Sum(x) and the ascent mask of an n-symbol bytes row x, whose bit
+    n - i is set when x_i < x_{i+1} (1-based i, as in a plane): the planes
+    compared with themselves one position on, top plane first."""
     planes = _planes(x)
-    total, equal, ascents = 0, (1 << n) - 1, 0
+    total, equal, ascents = 0, (1 << len(x)) - 1, 0
     for c in reversed(range(len(planes))):
         here = planes[c]
         after = here << 1  # bit n - i holds bit c of x_{i+1}
@@ -231,7 +245,21 @@ def qary_vt_syndrome(x, q: int) -> int:
         ascents |= equal & differ & after
         equal ^= equal & differ
         total += here.bit_count() << c
-    return (total + q * _position_sum(ascents, n)) % (q * n)
+    return total, ascents
+
+
+class _AscentCounts:
+    """The ascent counts of a row read from its ascent mask, indexed as the
+    list of their suffix sums: item j is the number of ascents among the
+    row's last j + 1 positions, the mask's bits 0..j, one popcount."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: int):
+        self.mask = mask
+
+    def __getitem__(self, j: int) -> int:
+        return (self.mask & ((2 << j) - 1)).bit_count()
 
 
 def qary_decode_one_deletion(y, a: int, q: int, n: int):
@@ -258,7 +286,9 @@ def qary_decode_one_deletion(y, a: int, q: int, n: int):
 
     The matches are found by bisection, not by a pass over the positions.
     The psi entries telescope: s_pos = e_pos + q * (the number of ascents
-    e_i < e_{i+1} at i >= pos), one accumulate over the ascent flags.  With
+    e_i < e_{i+1} at i >= pos): one accumulate over the ascent flags, or,
+    for a bytes row of at least _WIDE symbols, one popcount of the low bits
+    of the ascent mask that qary_vt_syndrome reads too.  With
     d = (a - S) mod q*n, D_pos = d - s_pos does not decrease as pos grows
     and spans less than q*n, so r = D_pos mod q*n wraps at most once, at
     the first pos w with s_pos <= d: r = D_pos from w on and
@@ -275,8 +305,13 @@ def qary_decode_one_deletion(y, a: int, q: int, n: int):
     modulus = q * n
     e = _insert(y, n - 1, 0)
     # after[n - 1 - pos]: the number of ascents e_i < e_{i+1} at i >= pos
-    after = list(accumulate(map(lt, e[-2::-1], e[:0:-1]), initial=0))
-    d = (a - sum(e) - q * sum(after)) % modulus
+    if n < _WIDE or not isinstance(e, bytes):
+        after = list(accumulate(map(lt, e[-2::-1], e[:0:-1]), initial=0))
+        total, ascent_sum = sum(e), sum(after)
+    else:
+        total, ascents = _sum_and_ascents(e)
+        after, ascent_sum = _AscentCounts(ascents), _position_sum(ascents, n)
+    d = (a - total - q * ascent_sum) % modulus
     last = n - 1
     w = bisect_left(range(n), -d, key=lambda pos: -e[pos] - q * after[last - pos])
     hits = []

@@ -142,6 +142,9 @@ def test_entry_points_refuse_a_digit_that_is_no_int(entry):
         ((0, 2), 2, False), ((-1,), 2, False), ((1.0,), 2, False), (("1",), 2, False),
         ((299, 0), 300, True), ((300,), 300, False), ((-1,), 300, False), ((1.0,), 300, False),
         ((10**12,), 10**12 + 1, True),
+        # a bytes row is tested by one translate that deletes range(base)
+        (b"\x00\x03", 3, False), (b"\xff", 255, False), (b"\xff", 256, True),
+        (b"\xff\x00", 300, True), (b"", 0, True), (b"\x00", 0, False), (b"\x00", -1, False),
     ],
 )
 def test_are_digits(digits, base, expected):

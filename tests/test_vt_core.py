@@ -146,6 +146,12 @@ ROW_KERNELS = {
     ),
     "qary-substitution": (3, lambda y: qary_decode_one_substitution(y, 0, 1, 3)),
     "lme": (3, lambda y: lme_decode(y, 0, 3)),
+    # bytes rows hold ints only: a short one, and one long enough for the
+    # bit planes (50 copies of the row, 150 >= _WIDE symbols)
+    "qary-deletion-bytes": (3, lambda y: qary_decode_one_deletion(bytes(y), 0, 3, 4)),
+    "qary-deletion-wide-bytes": (
+        3, lambda y: qary_decode_one_deletion(bytes(y) * 50, 0, 3, 151)
+    ),
 }
 
 
@@ -154,12 +160,19 @@ ROW_KERNELS = {
     [
         (kernel, digit)
         for kernel in ROW_KERNELS
+        if "bytes" not in kernel
         for digit in ("1.5", "1.0", "-1", "q", "str")
+    ]
+    + [
+        (kernel, digit)
+        for kernel in ROW_KERNELS
+        if "bytes" in kernel
+        for digit in ("q", "255")
     ],
 )
 def test_row_kernels_refuse_a_digit_that_is_no_int_of_sigma_q(kernel, digit):
     q, decode = ROW_KERNELS[kernel]
-    value = {"1.5": 1.5, "1.0": 1.0, "-1": -1, "q": q, "str": "1"}[digit]
+    value = {"1.5": 1.5, "1.0": 1.0, "-1": -1, "q": q, "str": "1", "255": 255}[digit]
     with pytest.raises(Exception) as info:
         decode((0, value, q - 1))
     assert type(info.value) is ValueError
@@ -418,6 +431,32 @@ def test_qary_decode_matches_reference_on_long_rows(q, n):
     assert kinds == {"decoded", "expected exactly one candidate, found 0"}
 
 
+@pytest.mark.parametrize("q", [3, 4, 7])
+@pytest.mark.parametrize("n", [vt_core._WIDE - 1, vt_core._WIDE, 200, 1030])
+def test_qary_decode_matches_reference_on_long_bytes_rows(q, n):
+    # bytes rows on both sides of the length that selects the bit planes,
+    # in the three shapes above, each losing its first, a middle or its
+    # last symbol, decoded at the true residue and at a random one; each
+    # outcome is the reference's and the tuple row's (the list path)
+    rng = random.Random(3000 + 10 * n + q)
+    for x in (
+        tuple(rng.randrange(q) for _ in range(n)),
+        tuple((i // 7) % q for i in range(n)),
+        tuple(i % q for i in range(n)),
+    ):
+        for pos in (0, rng.randrange(1, n - 1), n - 1):
+            y = x[:pos] + x[pos + 1 :]
+            true = qary_vt_syndrome(x, q)
+            for a in (true, rng.randrange(q * n)):
+                got = outcome(qary_decode_one_deletion, bytes(y), a, q, n)
+                if type(got) is bytes:
+                    got = tuple(got)
+                assert got == outcome(qary_decode_one_deletion, y, a, q, n)
+                assert got == outcome(_reference_qary_decode_one_deletion, y, a, q, n)
+                if a == true:
+                    assert got == x
+
+
 @pytest.mark.parametrize("n", [200, 1030])
 def test_vt_decode_matches_reference_on_long_rows(n):
     # the binary counterpart on bytes rows, whose syndromes come from bit
@@ -461,6 +500,9 @@ def _row_400(q):
         # VT(psi) over Sigma_4: prefix and suffix sums of psi(y)
         (qary_decode_one_deletion, _reference_qary_decode_one_deletion,
          lambda x: (x[:-1], qary_vt_syndrome(x, 4), 4, 400), 4, True),
+        # the same on a bytes row, whose ascent counts come from bit planes
+        (qary_decode_one_deletion, _reference_qary_decode_one_deletion,
+         lambda x: (bytes(x[:-1]), qary_vt_syndrome(x, 4), 4, 400), 4, True),
     ],
 )
 def test_row_decode_makes_constant_syndrome_evaluations(
@@ -469,15 +511,21 @@ def test_row_decode_makes_constant_syndrome_evaluations(
     x = _row_400(q)
     args = call(x)
     calls = []
-    original = vt_core.vt_syndrome
 
-    def counting(row):
-        calls.append(len(row))
-        return original(row)
+    def counting(original):
+        def syndrome(row, *q):
+            calls.append(len(row))
+            return original(row, *q)
 
-    monkeypatch.setattr(vt_core, "vt_syndrome", counting)
+        return syndrome
+
+    # the q-ary syndrome counts too: a decoder must not reach it by name
+    for name in ("vt_syndrome", "qary_vt_syndrome"):
+        monkeypatch.setattr(vt_core, name, counting(getattr(vt_core, name)))
     got = outcome(decode, *args)
     assert len(calls) <= 1
+    if type(got) is bytes:
+        got = tuple(got)
     assert (got == x) is unique
     calls.clear()
     assert outcome(reference, *args) == got
@@ -504,26 +552,28 @@ def line_events(func, *args):
 
 
 def test_qary_decode_interprets_no_per_symbol_loop():
-    # O(n): the alphabet size must not multiply the interpreted work
-    def events(q):
+    # O(n): the alphabet size must not multiply the interpreted work, on
+    # tuple rows and on bytes rows, whose bit planes grow with log2(q)
+    def events(q, pack):
         x = tuple(random.Random(q).randrange(q) for _ in range(400))
-        return line_events(
-            qary_decode_one_deletion, x[:150] + x[151:], qary_vt_syndrome(x, q), q, 400
-        )
+        y, a = pack(x[:150] + x[151:]), qary_vt_syndrome(x, q)
+        return line_events(qary_decode_one_deletion, y, a, q, 400)
 
-    assert events(16) <= 1.5 * events(2)
+    for pack in (tuple, bytes):
+        assert events(16, pack) <= 1.5 * events(2, pack)
 
 
 def test_qary_decode_interprets_sublinear_work():
     # a bisection over the positions, not a pass: 8x the row length must
     # not double the interpreted steps
-    def events(n):
+    def events(n, pack):
         x = tuple(random.Random(n).randrange(4) for _ in range(n))
-        y, a = x[: n // 3] + x[n // 3 + 1 :], qary_vt_syndrome(x, 4)
-        assert qary_decode_one_deletion(y, a, 4, n) == x
+        y, a = pack(x[: n // 3] + x[n // 3 + 1 :]), qary_vt_syndrome(x, 4)
+        assert qary_decode_one_deletion(y, a, 4, n) == pack(x)
         return line_events(qary_decode_one_deletion, y, a, 4, n)
 
-    assert events(4096) <= 2 * events(512)
+    for pack in (tuple, bytes):
+        assert events(4096, pack) <= 2 * events(512, pack)
 
 
 def test_supersequence_check_interprets_sublinear_work():
