@@ -83,11 +83,10 @@ def alphabet_size(q: int, k: int) -> int:
 
 
 def letter_is_valid(digits, q: int) -> bool:
-    """True iff digits is a nondecreasing sequence over {0, ..., q-1}."""
+    """True iff digits is a nondecreasing sequence of digits of Sigma_q
+    (ints in {0, ..., q-1}, as algebra.are_digits reads them)."""
     ds = tuple(digits)
-    if not all(0 <= d <= q - 1 for d in ds):
-        return False
-    return all(ds[i] <= ds[i + 1] for i in range(len(ds) - 1))
+    return are_digits(ds, q) and all(ds[i] <= ds[i + 1] for i in range(len(ds) - 1))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ are supported:
 * ``del-t-rows``   — up to t rows affected, an affected row with budget e_i
   loses exactly e_i symbols.
 
+An ErrorModel is a kind and its budget vector, as the paper names each
+model: (e,) for a total kind, (e_1, ..., e_k) for a per-row kind and
+(e_1, ..., e_t) for a t-rows kind, whose t is the vector's length.
+
 Each model is one rule on the per-row error counts (c_1, ..., c_k), where c_i
 is the number of edits or deletions in row i (_counts_fit).  Plan validation
 checks a plan's counts against that rule.  One enumerator, outputs(word,
@@ -82,12 +86,13 @@ MODEL_KINDS = _SUB_KINDS + ("del-per-row", "del-total", "del-t-rows")
 
 @dataclass(frozen=True)
 class ErrorModel:
-    """One of the six channel error models (see module docstring)."""
+    """One of the six channel error models (see module docstring): its kind
+    and its budget vector.  A total kind holds its one budget e as (e,), a
+    per-row kind e_1, ..., e_k, and a t-rows kind its t budgets, so t is
+    len(budgets)."""
 
     kind: str
-    budgets: tuple[int, ...] = ()  # per-row or per-affected-row budgets
-    total: int | None = None
-    t: int | None = None
+    budgets: tuple[int, ...]
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -95,17 +100,10 @@ class ErrorModel:
         object.__setattr__(self, "budgets", tuple(self.budgets))
         if any(b < 0 for b in self.budgets):
             raise ValueError("budgets must be nonnegative")
-        if self.kind.endswith("-total"):
-            if self.total is None or self.total < 0:
-                raise ValueError("total-budget models need total >= 0")
-        elif self.kind.endswith("-t-rows"):
-            if self.t is None or self.t < 0:
-                raise ValueError("t-rows models need t >= 0")
-            if len(self.budgets) != self.t:
-                raise ValueError(f"expected {self.t} budgets, got {len(self.budgets)}")
-        else:  # per-row
-            if not self.budgets:
-                raise ValueError("per-row models need a budget per row")
+        if self.kind.endswith("-total") and len(self.budgets) != 1:
+            raise ValueError(f"{self.kind} models need exactly one budget")
+        if self.kind.endswith("-per-row") and not self.budgets:
+            raise ValueError("per-row models need a budget per row")
 
     @property
     def is_substitution(self) -> bool:
@@ -113,27 +111,38 @@ class ErrorModel:
 
 
 def sub_per_row(*budgets: int) -> ErrorModel:
-    return ErrorModel("sub-per-row", budgets=budgets)
+    return ErrorModel("sub-per-row", budgets)
 
 
 def sub_total(e: int) -> ErrorModel:
-    return ErrorModel("sub-total", total=e)
+    return ErrorModel("sub-total", (e,))
 
 
 def sub_t_rows(t: int, budgets) -> ErrorModel:
-    return ErrorModel("sub-t-rows", budgets=tuple(budgets), t=t)
+    return _t_rows("sub-t-rows", t, budgets)
 
 
 def del_per_row(*budgets: int) -> ErrorModel:
-    return ErrorModel("del-per-row", budgets=budgets)
+    return ErrorModel("del-per-row", budgets)
 
 
 def del_total(e: int) -> ErrorModel:
-    return ErrorModel("del-total", total=e)
+    return ErrorModel("del-total", (e,))
 
 
 def del_t_rows(t: int, budgets) -> ErrorModel:
-    return ErrorModel("del-t-rows", budgets=tuple(budgets), t=t)
+    return _t_rows("del-t-rows", t, budgets)
+
+
+def _t_rows(kind: str, t: int, budgets) -> ErrorModel:
+    """ErrorModel(kind, budgets) for a t-rows kind, once t >= 0 is checked
+    to count the budgets."""
+    model = ErrorModel(kind, budgets)
+    if t < 0:
+        raise ValueError("t-rows models need t >= 0")
+    if len(model.budgets) != t:
+        raise ValueError(f"expected {t} budgets, got {len(model.budgets)}")
+    return model
 
 
 def _counts_fit(counts, model: ErrorModel) -> bool:
@@ -149,11 +158,11 @@ def _counts_fit(counts, model: ErrorModel) -> bool:
     if kind == "del-per-row":
         return tuple(counts) == model.budgets
     if kind == "sub-total":
-        return sum(counts) <= model.total
+        return sum(counts) <= model.budgets[0]
     if kind == "del-total":
-        return sum(counts) == model.total
+        return sum(counts) == model.budgets[0]
     affected = sorted((c for c in counts if c > 0), reverse=True)
-    if len(affected) > model.t:
+    if len(affected) > len(model.budgets):
         return False
     if kind == "sub-t-rows":
         return all(c <= e for c, e in zip(affected, sorted(model.budgets, reverse=True)))
@@ -163,8 +172,8 @@ def _counts_fit(counts, model: ErrorModel) -> bool:
 def _check_model_fits(model: ErrorModel, k: int):
     if model.kind.endswith("-per-row") and len(model.budgets) != k:
         raise ValueError(f"model has {len(model.budgets)} row budgets but word has {k} rows")
-    if model.kind.endswith("-t-rows") and model.t > k:
-        raise ValueError(f"t={model.t} exceeds the number of rows k={k}")
+    if model.kind.endswith("-t-rows") and len(model.budgets) > k:
+        raise ValueError(f"t={len(model.budgets)} exceeds the number of rows k={k}")
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -343,38 +352,28 @@ class Plan:
         object.__setattr__(self, "deletions", tuple(tuple(d) for d in self.deletions))
 
 
-def _row_counts(cells, k: int) -> list[int]:
-    counts = [0] * k
-    for cell in cells:
-        counts[cell[0]] += 1
-    return counts
-
-
 def _validate_plan(word: Word, model: ErrorModel, plan: Plan):
     k, n, q = word.k, word.n, word.q
-    rows = word.packed
     if model.is_substitution:
         if plan.deletions:
             raise ValueError("substitution model cannot delete symbols")
-        cells = [(r, p) for r, p, _ in plan.substitutions]
-        for r, p, v in plan.substitutions:
-            if not (0 <= r < k and 0 <= p < n):
-                raise ValueError(f"edit ({r},{p}) outside the word")
-            if not are_digits((v,), q):
-                raise ValueError(f"substituted value {v} outside Sigma_{q}")
-            if v == rows[r][p]:
-                raise ValueError(f"edit at ({r},{p}) does not change the digit")
+        what, cells = "edit", [(r, p) for r, p, _ in plan.substitutions]
     else:
         if plan.substitutions:
             raise ValueError("deletion model cannot substitute symbols")
-        cells = list(plan.deletions)
-        for r, p in plan.deletions:
-            if not (0 <= r < k and 0 <= p < n):
-                raise ValueError(f"deletion ({r},{p}) outside the word")
+        what, cells = "deletion", plan.deletions
+    counts = [0] * k
+    for r, p in cells:
+        if not (0 <= r < k and 0 <= p < n):
+            raise ValueError(f"{what} ({r},{p}) outside the word")
+        counts[r] += 1
+    for r, p, v in plan.substitutions:
+        if not are_digits((v,), q):
+            raise ValueError(f"substituted value {v} outside Sigma_{q}")
+        if v == word.packed[r][p]:
+            raise ValueError(f"edit at ({r},{p}) does not change the digit")
     if len(set(cells)) != len(cells):
         raise ValueError("plan touches the same cell twice")
-
-    counts = _row_counts(cells, k)
     if not _counts_fit(counts, model):
         raise ValueError(
             f"per-row error counts {tuple(counts)} do not fit the {model.kind} model"
@@ -449,12 +448,12 @@ def random_errors(word: Word, model: ErrorModel, seed: int) -> tuple[ReceivedRow
     """
     _check_model_fits(model, word.k)
     rng = SplitMix64(seed)
-    k, n, q = word.k, word.n, word.q
+    k, n, q, budgets = word.k, word.n, word.q, model.budgets
     if model.kind.endswith("-total"):  # cell c of the grid is (c // n, c % n)
-        draws, size, where = [(0, model.total)], k * n, f"the {k}x{n} grid"
+        draws, size, where = [(0, budgets[0])], k * n, f"the {k}x{n} grid"
     else:
-        hit = rng.distinct(model.t, k) if model.kind.endswith("-t-rows") else range(k)
-        draws, size, where = zip(hit, model.budgets), n, f"row length {n}"
+        hit = rng.distinct(len(budgets), k) if model.kind.endswith("-t-rows") else range(k)
+        draws, size, where = zip(hit, budgets), n, f"row length {n}"
     subs: list[tuple[int, int, int]] = []
     dels: list[tuple[int, int]] = []
     for first_row, count in draws:
@@ -483,9 +482,9 @@ def _count_vectors(model: ErrorModel, k: int, n: int):
     _check_model_fits(model, k)
     if model.kind == "del-per-row" and max(model.budgets) > n:
         raise ValueError(f"cannot delete {max(model.budgets)} symbols from length {n}")
-    if model.kind == "del-total" and model.total > k * n:
-        raise ValueError(f"budget {model.total} exceeds the {k}x{n} grid")
-    cap = max(model.budgets, default=0) if model.total is None else model.total
+    if model.kind == "del-total" and model.budgets[0] > k * n:
+        raise ValueError(f"budget {model.budgets[0]} exceeds the {k}x{n} grid")
+    cap = max(model.budgets, default=0)
     fitting = [c for c in product(range(min(cap, n) + 1), repeat=k) if _counts_fit(c, model)]
     vectors = sorted(
         (tuple((i, c) for i, c in enumerate(counts) if c) for counts in fitting),
@@ -592,8 +591,13 @@ def valid_sub_ball(word: Word, per_row=None, total: int | None = None) -> set[Wo
 
 @dataclass(frozen=True)
 class OracleResult:
-    is_code: bool
+    """An oracle's verdict: a code iff there is no collision witness."""
+
     witness: tuple[Word, Word, ReceivedRows] | None = None
+
+    @property
+    def is_code(self) -> bool:
+        return self.witness is None
 
     def __bool__(self):
         return self.is_code
@@ -642,9 +646,9 @@ def _oracle_by_balls(codebook, model: ErrorModel) -> OracleResult:
             if best_key is None or key < best_key:
                 best_key, best = key, (owner_word, w)
     if best is None:
-        return OracleResult(True, None)
+        return OracleResult()
     a, b = best
-    return OracleResult(False, (a, b, ReceivedRows(best_key[2], b.q, b.n)))
+    return OracleResult((a, b, ReceivedRows(best_key[2], b.q, b.n)))
 
 
 def _oracle_by_pairs(codebook, model: ErrorModel) -> OracleResult:
@@ -662,8 +666,8 @@ def _oracle_by_pairs(codebook, model: ErrorModel) -> OracleResult:
         for b in words[i + 1:]:
             if _t_rows_collide(a, b, model):
                 shared = raw_received_set(a, model) & raw_received_set(b, model)
-                return OracleResult(False, (a, b, min(shared, key=ReceivedRows.sort_key)))
-    return OracleResult(True, None)
+                return OracleResult((a, b, min(shared, key=ReceivedRows.sort_key)))
+    return OracleResult()
 
 
 def _t_rows_collide(a: Word, b: Word, model: ErrorModel) -> bool:
@@ -679,7 +683,7 @@ def _t_rows_collide(a: Word, b: Word, model: ErrorModel) -> bool:
     cap = min(max(model.budgets, default=0), a.n)
     differ = [(x, y) for x, y in zip(a.packed, b.packed) if x != y]
     if model.is_substitution:
-        if len(differ) > 2 * model.t:
+        if len(differ) > 2 * len(model.budgets):
             return False
         dists = [sum(u != v for u, v in zip(x, y)) for x, y in differ]
         return any(
@@ -687,7 +691,7 @@ def _t_rows_collide(a: Word, b: Word, model: ErrorModel) -> bool:
             and _counts_fit([d - c for d, c in zip(dists, part)], model)
             for part in product(*(range(min(d, cap) + 1) for d in dists))
         )
-    if len(differ) > model.t:
+    if len(differ) > len(model.budgets):
         return False
     dists = [_deletion_distance(x, y, cap) for x, y in differ]
     return any(

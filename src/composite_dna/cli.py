@@ -56,11 +56,13 @@ from .channel import (
     MODEL_KINDS,  # the --model choices
     ErrorModel,
     ReceivedRows,
+    del_t_rows,
     oracle_is_code,
     packed_outputs,
     random_errors,
     received_from_text,
     received_to_text,
+    sub_t_rows,
 )
 from .codes_substitution import DollSpec
 from .equivalence import MAP_NAMES, EquivalenceMap
@@ -102,21 +104,18 @@ def _default_seed(args) -> int:
 
 
 def build_model(name: str, e: str, t: int | None) -> ErrorModel:
-    """The model of the --model, --e and --t flags; ErrorModel checks the
-    budgets, and --t is read by the t-rows kinds alone."""
+    """The model of the --model, --e and --t flags: the kind --model with
+    the budgets --e, which ErrorModel checks.  Only the t-rows kinds read
+    --t, and their constructors check that it counts the budgets."""
     values = _ints(e)
     shape = name.split("-", 1)[1]  # per-row, total or t-rows
     if shape == "total" and len(values) != 1:
         raise ValueError(f"model {name} takes a single --e value")
-    if shape == "t-rows" and t is None:
+    if shape != "t-rows":
+        return ErrorModel(name, values)
+    if t is None:
         raise ValueError(f"model {name} requires --t")
-    total = shape == "total"
-    return ErrorModel(
-        name,
-        budgets=() if total else values,
-        total=values[0] if total else None,
-        t=t if shape == "t-rows" else None,
-    )
+    return (sub_t_rows if name == "sub-t-rows" else del_t_rows)(t, values)
 
 
 def _spec_text(args, spec, n: int) -> str:

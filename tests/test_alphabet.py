@@ -13,6 +13,7 @@ from composite_dna.alphabet import (
     Word,
     all_letters,
     alphabet_size,
+    column_rank,
     letter_is_valid,
     letter_rank,
     letter_unrank,
@@ -79,6 +80,11 @@ def test_letter_validation():
     assert letter_is_valid((0, 1, 1), 2)
     assert not letter_is_valid((1, 0), 2)
     assert not letter_is_valid((0, 2), 2)
+    # digits are ints, as column_rank reads them: a float or a str is none
+    for column in ((0, 0.5), (0, "1")):
+        assert not letter_is_valid(column, 2)
+        with pytest.raises(ValueError):
+            column_rank(column, 2)
     with pytest.raises(ValueError):
         Letter((1, 0), 2)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Channel tests: corruption plans, output-set enumeration, oracle."""
 
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -110,11 +111,95 @@ def test_hamming_sphere_sizes():
 
 
 # ---------------------------------------------------------------------------
+# error models
+# ---------------------------------------------------------------------------
+
+BUILT_MODELS = [
+    sub_per_row(1, 0),
+    sub_per_row(0, 2, 1),
+    del_per_row(1, 0),
+    sub_total(0),
+    sub_total(2),
+    del_total(1),
+    sub_t_rows(0, ()),
+    sub_t_rows(2, (1, 2)),
+    del_t_rows(1, [1]),
+    del_t_rows(2, (2, 1)),
+    cli.build_model("sub-per-row", "1,1", None),
+    cli.build_model("del-per-row", "0,1", 2),
+    cli.build_model("sub-total", "1", None),
+    cli.build_model("del-total", "2", 3),
+    cli.build_model("sub-t-rows", "1,1", 2),
+    cli.build_model("del-t-rows", "1", 1),
+]
+
+
+def test_a_model_is_its_kind_and_budgets():
+    assert [f.name for f in dataclasses.fields(ErrorModel)] == ["kind", "budgets"]
+    for model in BUILT_MODELS:
+        again = ErrorModel(model.kind, model.budgets)
+        assert again == model and hash(again) == hash(model)
+        k = len(model.budgets) if model.kind.endswith("-per-row") else 3
+        first = channel._count_vectors(model, k, 4)
+        before = channel._count_vectors.cache_info()
+        assert channel._count_vectors(again, k, 4) is first
+        after = channel._count_vectors.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ErrorModel("sub-total", (1, 2)), "sub-total models need exactly one budget"),
+        (lambda: ErrorModel("del-total", ()), "del-total models need exactly one budget"),
+        (lambda: ErrorModel("del-per-row", ()), "per-row models need a budget per row"),
+        (lambda: ErrorModel("sub-row", (1,)), "unknown error model kind 'sub-row'"),
+        (lambda: del_total(-1), "budgets must be nonnegative"),
+        (lambda: sub_per_row(1, -1), "budgets must be nonnegative"),
+        (lambda: sub_t_rows(-1, ()), "t-rows models need t >= 0"),
+        (lambda: del_t_rows(2, (1,)), "expected 2 budgets, got 1"),
+        (lambda: sub_t_rows(1, (-1, 1)), "budgets must be nonnegative"),
+    ],
+)
+def test_models_refuse_budgets_their_kind_cannot_take(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
 # apply_errors
 # ---------------------------------------------------------------------------
 
 def word_001_011():
     return Word.from_rows(["001", "011"], q=2)
+
+
+@pytest.mark.parametrize(
+    "model, plan, message",
+    [
+        (sub_total(1), Plan(deletions=((0, 0),)), "substitution model cannot delete symbols"),
+        (
+            del_total(1),
+            Plan(substitutions=((0, 0, 1),)),
+            "deletion model cannot substitute symbols",
+        ),
+        (sub_total(1), Plan(substitutions=((2, 0, 1),)), "edit (2,0) outside the word"),
+        (del_total(1), Plan(deletions=((0, 3),)), "deletion (0,3) outside the word"),
+        (sub_total(1), Plan(substitutions=((0, 0, 2),)), "substituted value 2 outside Sigma_2"),
+        (sub_total(1), Plan(substitutions=((0, 2, 1),)), "edit at (0,2) does not change the digit"),
+        (del_total(2), Plan(deletions=((1, 1), (1, 1))), "plan touches the same cell twice"),
+        (
+            del_per_row(1, 0),
+            Plan(deletions=((1, 1),)),
+            "per-row error counts (0, 1) do not fit the del-per-row model",
+        ),
+    ],
+)
+def test_apply_names_the_first_fault_of_the_plan(model, plan, message):
+    with pytest.raises(ValueError) as info:
+        apply_errors(word_001_011(), model, plan)
+    assert str(info.value) == message
 
 
 def test_apply_empty_plan_is_identity():
@@ -256,7 +341,10 @@ RANDOM_ERRORS_PINS = json.loads(
 )
 def test_random_errors_draws_are_pinned(pin):
     word = Word.from_rows(pin["rows"], pin["q"])
-    model = ErrorModel(pin["kind"], tuple(pin["budgets"]), pin["total"], pin["t"])
+    budgets = pin["budgets"] or [pin["total"]]
+    if pin["t"] is not None:
+        assert pin["t"] == len(budgets)
+    model = ErrorModel(pin["kind"], budgets)
     received, plan = random_errors(word, model, pin["seed"])
     assert [list(s) for s in plan.substitutions] == pin["substitutions"]
     assert [list(d) for d in plan.deletions] == pin["deletions"]
@@ -344,7 +432,7 @@ def model_admits(errs, model):
     budget of its own, trying each budget-to-row assignment explicitly."""
 
     def assignable(within):
-        for size in range(model.t + 1):
+        for size in range(len(model.budgets) + 1):
             for chosen in combinations(range(len(errs)), size):
                 for budgets in permutations(model.budgets, size):
                     if all(
@@ -358,8 +446,8 @@ def model_admits(errs, model):
     return {
         "sub-per-row": lambda: all(c <= e for c, e in zip(errs, model.budgets)),
         "del-per-row": lambda: all(c == e for c, e in zip(errs, model.budgets)),
-        "sub-total": lambda: sum(errs) <= model.total,
-        "del-total": lambda: sum(errs) == model.total,
+        "sub-total": lambda: sum(errs) <= model.budgets[0],
+        "del-total": lambda: sum(errs) == model.budgets[0],
         "sub-t-rows": lambda: assignable(lambda c, e: c <= e),
         "del-t-rows": lambda: assignable(lambda c, e: c == e),
     }[model.kind]()
@@ -784,7 +872,7 @@ def test_ball_oracle_matches_the_brute_force_reference(kind, q, k):
         ]
         reference = brute_force_witness(book, model)
         result = channel._oracle_by_balls(book, model)
-        assert result == channel.OracleResult(reference is None, reference), (book, model)
+        assert result == channel.OracleResult(reference), (book, model)
         if reference is not None:
             assert type(result.witness[2]) is ReceivedRows
         verdicts.add(result.is_code)
