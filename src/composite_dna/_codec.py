@@ -25,7 +25,7 @@
 
 from __future__ import annotations
 
-from .alphabet import Word, column_rank
+from .alphabet import Word, column_rank, column_ranks
 from .algebra import power_sums, solve_power_sums
 from .vt_core import DecodeFailure
 
@@ -80,8 +80,11 @@ def compose(digits, base: int) -> int:
 def block_value(segments, q: int, base: int) -> int:
     """The value of a block given each row's segment of it: its columns are
     base-`base` digits, least significant first, each the rank of a letter,
-    so below base, the alphabet size."""
-    return compose([column_rank(col, q) for col in zip(*segments)], base)
+    so below base, the alphabet size.  The columns are looked up at once
+    (alphabet.column_ranks); if one is no letter, column_rank names it."""
+    columns = list(zip(*segments))
+    ranks = column_ranks(columns, q, len(segments))
+    return compose([column_rank(col, q) for col in columns] if None in ranks else ranks, base)
 
 
 def out_of_model(func, *args):

@@ -1,8 +1,9 @@
 """Number-theoretic and combinatorial helpers shared by the code constructions.
 
 Contents: primality and Bertrand-interval prime search, the one digit rule
-(are_digits) that the row kernels, the encoders and Word apply, fixed-width
-base-Q expansions, ranking/unranking of constant-weight binary sequences,
+(are_digits) that the row kernels, the encoders and Word apply, base-Q
+expansions of a given width (the check blocks of the systematic codes),
+ranking/unranking of constant-weight binary sequences,
 semistandard tableau enumeration with Schur polynomial evaluation,
 shape-shifted Vandermonde determinants, one linear-algebra kernel pair (an
 exact Bareiss determinant and a Gauss-Jordan solve over Z/m with unit
@@ -105,14 +106,11 @@ def digit_width(base: int, bound: int) -> int:
     return width
 
 
-def expand_base(value: int, base: int, bound: int) -> tuple[int, ...]:
-    """LSD-first base digits of value, zero-padded to digit_width(base, bound).
-
-    Requires 0 <= value < bound.
-    """
-    if not 0 <= value < bound:
-        raise ValueError(f"value {value} out of [0, {bound})")
-    width = digit_width(base, bound)
+def expand_base(value: int, base: int, width: int) -> tuple[int, ...]:
+    """The width LSD-first base digits of value, 0 <= value < base**width.
+    Base 1 has the one value 0, whose digits are width zeros."""
+    if not 0 <= value < base**width:
+        raise ValueError(f"value {value} out of [0, {base**width})")
     digits = []
     for _ in range(width):
         digits.append(value % base)
@@ -229,11 +227,6 @@ def schur_eval(shape, xs) -> Fraction | int:
     return total
 
 
-def sst_count(shape, s: int) -> int:
-    """Number of SSTs of the shape with entries in [1, s] (= s_shape(1,...,1))."""
-    return len(enumerate_ssts(shape, s))
-
-
 def vandermonde_shape_det(shape, xs, p: int | None = None) -> int:
     """Determinant of the shape-shifted Vandermonde matrix V_shape.
 
@@ -279,11 +272,6 @@ def det(matrix) -> int:
                 row[c] = (row[c] * head[col] - row[col] * head[c]) // prev
         prev = head[col]
     return sign * prev
-
-
-def det_mod_p(matrix, p: int) -> int:
-    """The exact determinant reduced mod p."""
-    return det(matrix) % p
 
 
 def solve_mod_p(matrix, rhs, p: int) -> list[int]:
@@ -388,6 +376,6 @@ def all_submatrices_invertible(k: int, t: int, p: int) -> bool:
         for row_sel in combinations(range(t), s):
             for col_sel in combinations(range(k), s):
                 sub = [[rows[r][c] for c in col_sel] for r in row_sel]
-                if det_mod_p(sub, p) == 0:
+                if det(sub) % p == 0:
                     return False
     return True

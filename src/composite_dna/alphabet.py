@@ -58,6 +58,11 @@ one the int() digits give; word + word (the systematic encoders' payload
 followed by their tail) concatenates the two words' ranks and packed rows,
 so only the tail is ever checked and spelled.  Its letters are the shared
 ones of all_letters.
+
+A letter keeps the digits it is given, and column_rank, which Letter ranks
+them with, applies the package's one digit rule (algebra.are_digits), as
+letter_is_valid and pack_rows do: a column holding 1.0, 1.5 or '1' is no
+letter, although 1.0 hashes as 1.  Word.from_rows alone int()-normalises.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ class Letter:
     q: int
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+        object.__setattr__(self, "digits", tuple(self.digits))
         column_rank(self.digits, self.q)
 
     @property
@@ -212,10 +217,11 @@ def _ranks_of_rows(packed, q: int, k: int) -> tuple | None:
 
 
 def column_rank(column, q: int) -> int:
-    """Rank of a digit column; ValueError if it is not a letter over Sigma_q."""
+    """Rank of a digit column; ValueError if it is not a letter over Sigma_q,
+    or if a digit is no int (algebra.are_digits), as 1.0, which hashes as 1."""
     column = tuple(column)
     rank = _rank_tables(q, len(column))[1].get(column)
-    if rank is None:
+    if rank is None or not are_digits(column, q):
         raise ValueError(f"invalid letter over Sigma_{q}: {column}")
     return rank
 

@@ -31,8 +31,9 @@ number of error patterns that give the output and errors the first of them,
 as (row, cell) pairs.  Distinct count vectors give disjoint outputs, so each
 output is built once.  _raw_rows is the same sweep without errors and
 counts, packed rows only; raw_received_set is its set, hamming_sphere and
-deletion_ball are set views of the same rows' outputs, and valid_sub_ball
-keeps the outputs whose columns are all letters.
+deletion_ball are set views of the same rows' outputs, and
+valid_sub_ball(word, model) keeps the outputs of a sub-per-row or sub-total
+model whose columns are all letters.
 
 A channel output is a ReceivedRows: k >= 2 rows over Sigma_q of lengths
 0..n, n >= 1.  alphabet owns that row format: ReceivedRows packs and
@@ -568,18 +569,16 @@ def raw_received_set(word: Word, model: ErrorModel) -> set[ReceivedRows]:
     return {ReceivedRows(rows, q, n) for rows in _raw_rows(word, model)}
 
 
-def valid_sub_ball(word: Word, per_row=None, total: int | None = None) -> set[Word]:
-    """Column-valid substitution ball around word: the outputs of
-    sub_per_row(*per_row) or sub_total(total) whose columns are all letters.
+def valid_sub_ball(word: Word, model: ErrorModel) -> set[Word]:
+    """Column-valid substitution ball around word: the outputs of a
+    sub-per-row or sub-total model whose columns are all letters.
 
-    Exactly one of per_row (budgets e_1..e_k) and total may be given.  The
-    result contains word itself and every valid word reachable within the
+    The result contains word itself and every valid word reachable within the
     budgets; this is the ball the bound analysis counts, not the raw channel
-    output set.
+    output set.  Any other kind is a ValueError.
     """
-    if (per_row is None) == (total is None):
-        raise ValueError("give exactly one of per_row and total")
-    model = sub_total(total) if per_row is None else sub_per_row(*per_row)
+    if model.kind not in ("sub-per-row", "sub-total"):
+        raise ValueError(f"valid_sub_ball takes sub-per-row or sub-total models, not {model.kind}")
     q, k = word.q, word.k
     ranked = (column_ranks(zip(*rows), q, k) for rows in _raw_rows(word, model))
     return {Word(q, k, ranks) for ranks in ranked if None not in ranks}

@@ -17,7 +17,9 @@ Every code family is one record of the library's families.FAMILIES table:
 its parameters, the flags each verb requires, its spec, encoder, decoder,
 membership test and the native error model that roundtrip sweeps.  The
 --family choices of each verb, the flags it checks and the spec it builds
-all come from that record; this front end holds no codec of its own.
+all come from that record, and a verb's parameter flags are those its
+families take, so a flag that none of them reads is a usage error; this
+front end holds no codec of its own.
 Every bound family is one entry of BOUND_FAMILIES: its required flags,
 calculator and CSV extra column.  encode --spec-out writes the built spec's
 values.
@@ -391,12 +393,16 @@ def _add_io(parser):
     parser.add_argument("--out", default="-", help="output file; - for stdout")
 
 
-def _add_params(parser):
+def _add_params(parser, verb: str):
+    """The parameter flags of verb: those of the families that serve it."""
+    params = {param for name in _families_with(verb) for param in FAMILIES[name].params}
     for name in ("q", "k", "n", "t", "m", "a", "p"):
-        parser.add_argument(f"--{name}", type=int, default=None)
-    parser.add_argument(
-        "--targets", default=None, help="comma-separated congruence targets a_j"
-    )
+        if name in params:
+            parser.add_argument(f"--{name}", type=int, default=None)
+    if "targets" in params:
+        parser.add_argument(
+            "--targets", default=None, help="comma-separated congruence targets a_j"
+        )
 
 
 @cache
@@ -415,20 +421,20 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--family", required=True, choices=_families_with("encode"))
     enc.add_argument("--message", default=None, help="comma-separated symbols")
     enc.add_argument("--spec-out", default=None, help="write key=value spec file")
-    _add_params(enc)
+    _add_params(enc, "encode")
     _add_io(enc)
     enc.set_defaults(func=cmd_encode)
 
     dec = sub.add_parser("decode", help="decode received rows")
     dec.add_argument("--family", default=None, choices=_families_with("decode"))
     dec.add_argument("--spec", default=None, help="read key=value spec file")
-    _add_params(dec)
+    _add_params(dec, "decode")
     _add_io(dec)
     dec.set_defaults(func=cmd_decode)
 
     con = sub.add_parser("contains", help="membership check for class codes")
     con.add_argument("--family", required=True, choices=_families_with("contains"))
-    _add_params(con)
+    _add_params(con, "contains")
     _add_io(con)
     con.set_defaults(func=cmd_contains)
 
@@ -478,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     rou.add_argument("--family", required=True, choices=_families_with("roundtrip"))
     rou.add_argument("--trials", type=int, default=20, help="sampled payloads")
     rou.add_argument("--seed", type=int, default=None)
-    _add_params(rou)
+    _add_params(rou, "roundtrip")
     _add_io(rou)
     rou.set_defaults(func=cmd_roundtrip)
 

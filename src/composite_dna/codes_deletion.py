@@ -51,7 +51,6 @@ congruence targets; everything else in the code is 0-indexed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,7 +58,7 @@ from ._codec import (
     RowCode, block_value, check_payload, check_shape, check_t_rows, out_of_model,
     repair_rows,
 )
-from .alphabet import Word, alphabet_size, column_rank
+from .alphabet import Word, alphabet_size, column_ranks
 from .algebra import (
     are_digits,
     digit_width,
@@ -183,7 +182,7 @@ def c1d_encode(message, a: int, k: int, n: int) -> Word:
         ranks[pos] = r
     current = sum(j * ranks[j] for j in range(1, n + 1))
     d = (a - current) % (n + 1)
-    for power, digit in zip(powers, expand_base(d, k + 1, n + 1)):
+    for power, digit in zip(powers, expand_base(d, k + 1, len(powers))):
         ranks[power] = digit
     return Word.from_ranks(ranks[1:], 2, k)
 
@@ -267,14 +266,7 @@ def _congruence_decode_t(received, targets, code: _RowCode) -> Word:
 
 
 def congruence_decode_binary_t(received: ReceivedRows, targets, p: int) -> Word:
-    targets, code = _t_row_code(received, targets, p, False)
-    if len(targets) >= 2 and p <= f_threshold(received.k, len(targets)):
-        warnings.warn(
-            "p is below the generalized-Vandermonde threshold f(k, t); "
-            "decoding still uses consecutive syndrome indices, which stay invertible",
-            stacklevel=2,
-        )
-    return _congruence_decode_t(received, targets, code)
+    return _congruence_decode_t(received, *_t_row_code(received, targets, p, False))
 
 
 def congruence_decode_qary_one(received: ReceivedRows, a: int) -> Word:
@@ -378,11 +370,11 @@ def _marker_tail(sums, spec: MarkerSpec) -> Word:
     syndrome index j, the marker column pair and the base-|Phi_{q,k}|
     digits of sums[j]."""
     q, k, base = spec.q, spec.k, spec.base
-    markers = [column_rank((0,) * k, q), column_rank((1,) * k, q)]
+    markers = column_ranks([(0,) * k, (1,) * k], q, k)
     tail = []
     for value in sums:
         tail += markers
-        tail += expand_base(value, base, base**spec.delta)
+        tail += expand_base(value, base, spec.delta)
     return Word(q, k, tail)
 
 

@@ -261,9 +261,6 @@ class DollSpec:
         """Codewords with exactly l letters from A2, for l = 0, ..., n."""
         return tuple(row[-1] for row in self.table())
 
-    def class_size(self, l: int) -> int:
-        return self.class_sizes[l]
-
     @cached_property
     def size(self) -> int:
         return sum(self.class_sizes)
@@ -310,15 +307,6 @@ def doll_F(s, k: int) -> tuple[int, ...]:
     return tuple(v - (k - 1) for v in s if v >= k - 1)
 
 
-def _fixed_digits(value: int, base: int, width: int) -> tuple[int, ...]:
-    """LSD-first digits of fixed width; base 1 admits only the zero value."""
-    if base == 1:
-        if value:
-            raise ValueError("base-1 expansion of a nonzero value")
-        return (0,) * width
-    return expand_base(value, base, base**width)
-
-
 def _doll_unrank(index: int, spec: DollSpec) -> Word:
     """The index-th codeword, 1-based.  The 0-based index - 1 is the offset
     of class l (the codewords with l letters from A2) plus a mixed-radix
@@ -336,8 +324,8 @@ def _doll_unrank(index: int, spec: DollSpec) -> Word:
     fam = hamming_build(l, spec.field)
     rest, fill_value = divmod(rest, spec.fill ** (spec.n - l))
     inner, support_rank = divmod(rest, comb(spec.n, l))
-    image = iter(fam.encode(_fixed_digits(inner, fam.field, l - fam.r)))
-    fills = iter(_fixed_digits(fill_value, spec.fill, spec.n - l))
+    image = iter(fam.encode(expand_base(inner, fam.field, l - fam.r)))
+    fills = iter(expand_base(fill_value, spec.fill, spec.n - l))
     ranks = [
         spec.a2_ranks[next(image)] if bit else spec.a1_ranks[next(fills)]
         for bit in cw_unrank(support_rank + 1, spec.n, l)
@@ -386,7 +374,7 @@ def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
     base = alphabet_size(spec.q, spec.k)
     if index >= base**spec.m:
         raise DecodeFailure("codeword index lies outside the encoder image")
-    return _fixed_digits(index, base, spec.m)
+    return expand_base(index, base, spec.m)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +406,8 @@ def cecc1_decode(received: ReceivedRows, a: int) -> Word:
     ranks w-1 and w+1, whose syndromes differ by 2j != 0 mod 2n+1, so the
     code congruence picks exactly one.  With all columns valid, the rank
     sequence carries at most one +-1 error, which is the 1-limited-magnitude
-    decoder's model.
+    decoder's model; that decoder returns a codeword's ranks as they are,
+    so its one VT syndrome is also the membership test.
     """
     if received.q != 2:
         raise ValueError("this family is binary")
@@ -439,8 +428,6 @@ def cecc1_decode(received: ReceivedRows, a: int) -> Word:
         if len(fits) != 1:
             raise DecodeFailure("invalid column admits no consistent completion")
         ranks[j] = fits[0]
-        return Word.from_ranks(ranks, 2, k)
-    if lme_contains(ranks, a):
         return Word.from_ranks(ranks, 2, k)
     return Word.from_ranks(lme_decode(ranks, a, k + 1), 2, k)
 
@@ -574,7 +561,7 @@ def c1s_encode(payload: Word, spec: C1SSpec) -> Word:
     a, b = divmod(a1, spec.q)
     tail = [column_rank((a,) * spec.k, spec.q), column_rank((b,) * spec.k, spec.q)]
     big_q = alphabet_size(spec.q, spec.k)
-    tail += expand_base(a2 + spec.p1 * a3, big_q, big_q**spec.delta)
+    tail += expand_base(a2 + spec.p1 * a3, big_q, spec.delta)
     return payload + Word(spec.q, spec.k, tail)
 
 
@@ -666,7 +653,7 @@ def c2s_encode(payload: Word, spec: C2SSpec) -> Word:
     for row in payload.packed:
         tail += [column_rank((sum(row) % q,) * k, q)] * 2
     for value in spec.syndromes(payload):
-        block = expand_base(value, big_q, big_q**spec.delta)
+        block = expand_base(value, big_q, spec.delta)
         tail += block
         block_rows = zip(*(letter_unrank(d, q, k).digits for d in block))
         tail += [column_rank((sum(row) % q,) * k, q) for row in block_rows]

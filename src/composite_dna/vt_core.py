@@ -131,10 +131,6 @@ def vt_syndrome(x) -> int:
     return sum(_position_sum(plane, len(x)) << c for c, plane in enumerate(_planes(x)))
 
 
-def digit_sum(x) -> int:
-    return sum(x)
-
-
 # ---------------------------------------------------------------------------
 # single deletion, direct VT syndrome
 # ---------------------------------------------------------------------------
@@ -375,7 +371,7 @@ def qary_decode_one_substitution(y, vt_mod: int, sum_mod: int, q: int):
     if n == 0:
         raise ValueError("empty row")
     _check_digits(y, q)
-    delta1 = (digit_sum(y) - sum_mod) % q
+    delta1 = (sum(y) - sum_mod) % q
     if delta1 == 0:
         return y
     span = 2 * n * (q - 1)
@@ -487,7 +483,7 @@ def lme_encode(message, a: int, q: int, n: int):
         if d >= n:
             c[n] = 1
             d -= n
-        for j, digit in enumerate(expand_base(d, q, n)):
+        for j, digit in enumerate(expand_base(d, q, m)):
             c[powers[j]] = digit
     return tuple(c[1:])
 

@@ -39,6 +39,7 @@ from composite_dna.channel import (
     received_from_word,
     sub_per_row,
     sub_t_rows,
+    sub_total,
     valid_sub_ball,
 )
 from composite_dna.codes_deletion import (
@@ -147,9 +148,9 @@ def test_criterion_01_single_letter_ball_sizes():
             for rank in range(alphabet_size(q, k)):
                 word = Word.from_ranks((rank,), q, k)
                 digits = tuple(row[0] for row in word.rows())
-                total_ball = valid_sub_ball(word, total=1) - {word}
+                total_ball = valid_sub_ball(word, sub_total(1)) - {word}
                 assert len(total_ball) == q - 1 + digits[-1] - digits[0]
-                row_ball = valid_sub_ball(word, per_row=(1,) * k) - {word}
+                row_ball = valid_sub_ball(word, sub_per_row(*(1,) * k)) - {word}
                 assert len(row_ball) == per_row_expected
     assert time.perf_counter() - start < 1.0
 

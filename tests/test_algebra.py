@@ -18,7 +18,6 @@ from composite_dna.algebra import (
     cw_rank,
     cw_unrank,
     det,
-    det_mod_p,
     digit_width,
     enumerate_ssts,
     expand_base,
@@ -29,7 +28,6 @@ from composite_dna.algebra import (
     schur_eval,
     smallest_prime_at_least,
     solve_mod_p,
-    sst_count,
     vandermonde_shape_det,
 )
 from composite_dna.alphabet import Word
@@ -74,12 +72,18 @@ def test_smallest_prime_at_least():
 # ---------------------------------------------------------------------------
 
 def test_expand_base_known_values():
-    assert expand_base(3, 2, 4) == (1, 1)
-    assert expand_base(4, 2, 5) == (0, 0, 1)
-    assert expand_base(2, 3, 3) == (2,)
-    assert expand_base(0, 5, 1) == ()
+    assert expand_base(3, 2, 2) == (1, 1)
+    assert expand_base(4, 2, 3) == (0, 0, 1)
+    assert expand_base(2, 3, 1) == (2,)
+    assert expand_base(0, 5, 0) == ()
     with pytest.raises(ValueError):
-        expand_base(5, 2, 5)
+        expand_base(5, 2, 2)
+
+
+def test_expand_base_in_base_one_has_only_zero():
+    assert expand_base(0, 1, 3) == (0, 0, 0)
+    with pytest.raises(ValueError):
+        expand_base(1, 1, 2)
 
 
 def test_digit_width():
@@ -92,9 +96,10 @@ def test_digit_width():
 
 @given(st.integers(2, 8), st.integers(0, 10_000))
 def test_expand_compose_round_trip(base, value):
-    digits = expand_base(value, base, value + 1)
+    width = digit_width(base, value + 1)
+    digits = expand_base(value, base, width)
     assert compose_base(digits, base) == value
-    assert len(digits) == digit_width(base, value + 1)
+    assert len(digits) == width
 
 
 # Entry points that take digits from a caller, each with the message it gives
@@ -211,10 +216,10 @@ def hook_content_count(shape, s):
 
 def test_sst_known_values():
     # shape (2,1,0) with 3 letters: 8 tableaux
-    assert sst_count((2, 1, 0), 3) == 8
+    assert len(enumerate_ssts((2, 1, 0), 3)) == 8
     assert schur_eval((2, 1, 0), (1, 1, 1)) == 8
     # zero partition: the single empty tableau
-    assert sst_count((0, 0), 2) == 1
+    assert len(enumerate_ssts((0, 0), 2)) == 1
     assert schur_eval((0, 0), (5, 7)) == 1
 
 
@@ -231,7 +236,7 @@ def test_sst_structure():
     [((1,), 4), ((2,), 3), ((1, 1), 3), ((2, 1), 3), ((2, 2), 3), ((3, 1), 4), ((2, 1, 1), 4)],
 )
 def test_sst_count_matches_hook_content(shape, s):
-    assert sst_count(shape, s) == hook_content_count(shape, s)
+    assert len(enumerate_ssts(shape, s)) == hook_content_count(shape, s)
 
 
 def test_partition_validation():
@@ -335,7 +340,7 @@ def test_solve_mod_p_recovers_solution(data):
     ]
     x = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
     rhs = [sum(a * b for a, b in zip(row, x)) % p for row in matrix]
-    if det_mod_p(matrix, p) == 0:
+    if det(matrix) % p == 0:
         with pytest.raises(SingularMatrixError):
             solve_mod_p(matrix, rhs, p)
     else:

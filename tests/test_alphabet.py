@@ -95,6 +95,18 @@ def test_letter_validation():
         letter_unrank(6, 3, 2)
 
 
+def test_letters_take_the_one_digit_rule():
+    """column_rank, and Letter through it, refuse a digit that is no int of
+    Sigma_q as letter_is_valid does, 1.0 too, although it hashes as 1."""
+    for column in ((0, 1.0), (0, 1.5), (0, "1")):
+        assert not letter_is_valid(column, 2)
+        with pytest.raises(ValueError, match="invalid letter over Sigma_2"):
+            column_rank(column, 2)
+        with pytest.raises(ValueError, match="invalid letter over Sigma_2"):
+            Letter(column, 2)
+    assert Letter([0, 1], 2).digits == (0, 1) and column_rank((0, 1), 2) == 1
+
+
 def test_word_row_column_round_trip():
     # 3 x 3 binary word from its rows
     rows = [(0, 0, 0), (0, 1, 1), (1, 1, 1)]

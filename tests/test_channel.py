@@ -664,20 +664,20 @@ def test_valid_ball_single_column_closed_forms():
             per_row_expect = sum(comb(l + k - 1, l) for l in range(1, q))
             for sigma in all_letters(q, k):
                 w = Word.from_letters([sigma])
-                ball1 = valid_sub_ball(w, total=1)
+                ball1 = valid_sub_ball(w, sub_total(1))
                 assert w in ball1
                 spread = sigma.digits[-1] - sigma.digits[0]
                 assert len(ball1) - 1 == q - 1 + spread
                 # the general lower bound C(n, e)(q-1+l)^e + 1 is tight here
                 assert len(ball1) == comb(1, 1) * (q - 1 + spread) + 1
-                ones = valid_sub_ball(w, per_row=(1,) * k)
+                ones = valid_sub_ball(w, sub_per_row(*(1,) * k))
                 assert len(ones) - 1 == per_row_expect
 
 
 def test_valid_ball_zero_budget():
     w = word_001_011()
-    assert valid_sub_ball(w, total=0) == {w}
-    assert valid_sub_ball(w, per_row=(0, 0)) == {w}
+    assert valid_sub_ball(w, sub_total(0)) == {w}
+    assert valid_sub_ball(w, sub_per_row(0, 0)) == {w}
 
 
 def test_valid_ball_brute_force_cross_check():
@@ -698,7 +698,7 @@ def test_valid_ball_brute_force_cross_check():
         ]
 
     expect_total = {v for v in everything if len(cell_diffs(w, v)) <= 2}
-    assert valid_sub_ball(w, total=2) == expect_total
+    assert valid_sub_ball(w, sub_total(2)) == expect_total
 
     budgets = (1, 1)
     expect_rows = {
@@ -709,17 +709,20 @@ def test_valid_ball_brute_force_cross_check():
             for row in range(k)
         )
     }
-    assert valid_sub_ball(w, per_row=budgets) == expect_rows
+    assert valid_sub_ball(w, sub_per_row(*budgets)) == expect_rows
 
 
 def test_valid_ball_argument_validation():
+    """valid_sub_ball takes a sub-per-row or sub-total model that fits the word."""
     w = word_001_011()
-    with pytest.raises(ValueError):
-        valid_sub_ball(w)
-    with pytest.raises(ValueError):
-        valid_sub_ball(w, per_row=(1, 1), total=1)
-    with pytest.raises(ValueError):
-        valid_sub_ball(w, per_row=(1, 1, 1))
+    for model, message in [
+        (del_total(1), "takes sub-per-row or sub-total models, not del-total"),
+        (del_per_row(1, 0), "takes sub-per-row or sub-total models, not del-per-row"),
+        (sub_t_rows(1, [1]), "takes sub-per-row or sub-total models, not sub-t-rows"),
+        (sub_per_row(1, 1, 1), "model has 3 row budgets but word has 2 rows"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            valid_sub_ball(w, model)
 
 
 # ---------------------------------------------------------------------------

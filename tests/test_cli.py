@@ -858,6 +858,42 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert info.value.code == 2
 
+    def test_a_verb_takes_the_parameter_flags_of_its_families(self):
+        """Each family verb's parameter flags are the union of the params of
+        the families that serve it: 25 settable flags over the four verbs."""
+        every = {name for family in families.FAMILIES.values() for name in family.params}
+        (verbs,) = [
+            action.choices for action in cli.build_parser()._actions if action.dest == "verb"
+        ]
+        total = 0
+        for verb in ("encode", "decode", "contains", "roundtrip"):
+            flags = {action.dest for action in verbs[verb]._actions} & every
+            assert flags == {
+                name
+                for family in families.FAMILIES.values()
+                if verb in family.flags
+                for name in family.params
+            }, verb
+            total += len(flags)
+        assert total == 25
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "encode --family c2d --k 3 --t 2 --m 4 --message 0,1,2,3 --p 7",
+            "encode --family c1d --k 2 --n 6 --a 0 --message 0,0,0,0 --targets 1",
+            "roundtrip --family c2d --k 3 --t 2 --m 4 --p 7",
+            "roundtrip --family c1s --q 3 --k 2 --m 5 --targets 1,2",
+            "contains --family c1d --k 2 --n 6 --a 0 --q 2",
+            "contains --family cong-qary-1 --a 0 --m 4",
+        ],
+    )
+    def test_a_flag_no_family_of_the_verb_reads_is_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv.split())
+        assert info.value.code == 2
+        assert "unrecognized arguments: --" in capsys.readouterr().err
+
 
 class TestParserReuse:
     """main builds its parser once per process; a reused parser must answer

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -171,8 +172,8 @@ class TestCongruenceFamilies:
                 assert got == word
 
     def test_binary_one_target_roundtrip(self):
-        # t = 1 has no f(k, t) to warn about; every word is decoded in its
-        # own class, after each single deletion in either row
+        # every word is decoded in its own class, after each single deletion
+        # in either row
         k, n, p = 2, 4, 5
         cases = 0
         for word in all_words(2, k, n):
@@ -201,12 +202,15 @@ class TestCongruenceFamilies:
         assert oracle_is_code(members, del_t_rows(2, (1, 1)))
 
     def test_binary_t_threshold_warning(self):
+        """A prime p <= f(k, t) draws no warning: the decode solves on
+        consecutive indices from 0, invertible for any prime p > k - 1."""
         word = Word.from_ranks((0, 0), 2, 3)
         targets = tuple(
             sum((i + 1) ** j * vt_syndrome(r) for i, r in enumerate(word.rows())) % 3
             for j in range(2)
         )
-        with pytest.warns(UserWarning, match="f\\(k, t\\)"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = congruence_decode_binary_t(received_after(word, {}), targets, 3)
         assert got == word
 

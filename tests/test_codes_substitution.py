@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from composite_dna import _codec, codes_substitution
+from composite_dna import _codec, codes_substitution, vt_core
 from composite_dna.alphabet import Word, alphabet_size
 from composite_dna.channel import (
     ReceivedRows,
@@ -308,7 +308,7 @@ class TestDollCode:
             lookups.clear()
             spec = DollSpec(q, k, n)
             base = alphabet_size(q, k)
-            assert spec.size == sum(spec.class_size(l) for l in range(n + 1))
+            assert spec.size == sum(spec.class_sizes[l] for l in range(n + 1))
             rng = random.Random(n)
             for _ in range(20):
                 message = tuple(rng.randrange(base) for _ in range(spec.m))
@@ -381,6 +381,29 @@ class TestCecc1:
             assert cecc1_message(word) == message
             for received in all_single_subs(word):
                 assert cecc1_decode(received, a) == word
+
+    def test_decode_of_a_non_codeword_evaluates_one_syndrome(self, monkeypatch):
+        """With every column valid, the 1-LME decoder's one VT syndrome both
+        tests the word and places its error; no membership test runs first."""
+        k, n, a = 3, 5, 0
+        word = cecc1_encode((1, 2), a, k, n)
+        ranks = list(word.ranks())
+        ranks[2] += 1 if ranks[2] < k else -1
+        hit = Word.from_ranks(ranks, 2, k)
+        assert not cecc1_contains(hit, a)
+        calls = []
+
+        def counting(original):
+            def syndrome(row):
+                calls.append(len(row))
+                return original(row)
+
+            return syndrome
+
+        for module in (vt_core, codes_substitution):
+            monkeypatch.setattr(module, "vt_syndrome", counting(module.vt_syndrome))
+        assert cecc1_decode(ReceivedRows(hit.packed, 2, n), a) == word
+        assert calls == [n]
 
     def test_invalid_column_disambiguation(self):
         # the same received rows decode to different originals under the

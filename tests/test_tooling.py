@@ -11,7 +11,9 @@ syndrome it evaluates; each demo, and the README's library quick start,
 must still run to completion.  ``python -O`` strips assert statements, so
 no module of the package may hold one.  The code-line counter,
 ``tools/code_lines.py``, is pinned on a small fixture.  Every brute-force
-``_reference_*`` oracle in the package is named by a test.
+``_reference_*`` oracle in the package is named by a test, and every other
+package definition has a caller in the package, an export, or a reason on
+a short allow-list.
 """
 
 import ast
@@ -22,6 +24,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -231,6 +234,62 @@ def test_every_reference_implementation_is_named_by_a_test():
         if not any(re.search(rf"\b{name}\b", text) for text in tests)
     ]
     assert unnamed == []
+
+
+# package definitions that no package code calls, each kept for a reason;
+# an entry that gains a caller fails the test, so the list only shrinks
+NO_CALLER_ALLOWED = {
+    "compose_base": "public inverse of expand_base; the codes compose through _codec",
+    "schur_eval": "the paper's Schur polynomial, checked against tableau counts",
+    "vandermonde_shape_det": "the paper's shape-shifted Vandermonde determinant",
+    "all_submatrices_invertible": "the exhaustive check behind f(k, t), ROADMAP item 2",
+    "asym_bound_thm3": "a paper bound with no CLI family yet, ROADMAP item 9",
+    "asym_bound_even_e": "a paper bound with no CLI family yet, ROADMAP item 9",
+    "bound_m_gt_q": "a paper bound with no CLI family yet, ROADMAP item 9",
+    "m_qk": "the deletion bound's limit fraction, ROADMAP item 6",
+    "deletion_ball": "the paper's D_t(x), a set view of the row outputs",
+    "hamming_sphere": "the Hamming sphere, a set view of the row outputs",
+    "runs": "the paper's r(x), in the deletion ball size formulas",
+    "outputs": "int-tuple view of packed_outputs; the tests would repeat it",
+    "psi_inverse": "the inverse of the difference transform psi",
+    "doll_F": "the paper's binary F-map of the enumeration code",
+    "HammingFamily.codewords": "enumerates the inner code C(l) for its tests",
+    "EquivalenceMap.inverse": "the inverse of each equivalence map, for its tests",
+}
+
+
+def _names(node) -> Counter:
+    """How often each name is read below node, as a variable or attribute."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def test_package_code_has_a_caller():
+    """Each module-level function, class and method of the package is read
+    by name elsewhere in the package, exported by __init__, a _reference_*
+    oracle, a dunder that Python calls, or on NO_CALLER_ALLOWED."""
+    trees = [ast.parse(path.read_text()) for path in (SRC / "composite_dna").glob("*.py")]
+    read = sum(map(_names, trees), Counter())
+    init = ast.parse((SRC / "composite_dna" / "__init__.py").read_text())
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    defined = []
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            defined += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef)]
+    uncalled = {
+        qualified for qualified, node in defined
+        if (name := node.name) not in exported and not name.startswith("_reference_")
+        and not (name.startswith("__") and name.endswith("__"))
+        and read[name] <= _names(node)[name]
+    }
+    assert sorted(uncalled) == sorted(NO_CALLER_ALLOWED)
 
 
 # modules still allowed a runtime assert: none, so the test covers every module

@@ -14,7 +14,6 @@ from composite_dna.vt_core import (
     _reference_qary_decode_one_deletion,
     _reference_vt_decode_one_deletion,
     DecodeFailure,
-    digit_sum,
     lme_contains,
     lme_decode,
     lme_decode_message,
@@ -40,8 +39,6 @@ def test_vt_syndrome_values():
     assert vt_syndrome((0, 1, 1, 0)) == 5
     assert vt_syndrome((0, 0, 0, 0)) == 0
     assert vt_syndrome((1, 2, 0)) == 5
-    assert digit_sum((1, 2, 0)) == 3
-    assert digit_sum(()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +261,14 @@ def test_qary_substitution_known_case():
     x = (1, 2)
     y = (2, 2)
     vt_mod = vt_syndrome(x) % (2 * 2 * 2)
-    sum_mod = digit_sum(x) % 3
+    sum_mod = sum(x) % 3
     assert qary_decode_one_substitution(y, vt_mod, sum_mod, 3) == x
 
 
 def test_qary_substitution_clean():
     x = (0, 2, 1)
     assert qary_decode_one_substitution(
-        x, vt_syndrome(x) % 12, digit_sum(x) % 3, 3
+        x, vt_syndrome(x) % 12, sum(x) % 3, 3
     ) == x
 
 
@@ -280,7 +277,7 @@ def test_qary_substitution_exhaustive(q, n):
     span = 2 * n * (q - 1)
     for x in product(range(q), repeat=n):
         vt_mod = vt_syndrome(x) % span
-        sum_mod = digit_sum(x) % q
+        sum_mod = sum(x) % q
         for pos in range(n):
             for val in range(q):
                 if val == x[pos]:
@@ -295,7 +292,7 @@ def test_qary_substitution_boundary_case():
     x = (1, 0, 2, 0)
     y = (1, 0, 2, 2)
     vt_mod = vt_syndrome(x) % (2 * n * (q - 1))
-    sum_mod = digit_sum(x) % q
+    sum_mod = sum(x) % q
     delta2 = (vt_syndrome(y) - vt_mod) % (2 * n * (q - 1))
     assert delta2 == n * (q - 1)
     assert qary_decode_one_substitution(y, vt_mod, sum_mod, q) == x
@@ -303,7 +300,7 @@ def test_qary_substitution_boundary_case():
     x2 = (1, 0, 2, 2)
     y2 = (1, 0, 2, 0)
     vt2 = vt_syndrome(x2) % (2 * n * (q - 1))
-    sum2 = digit_sum(x2) % q
+    sum2 = sum(x2) % q
     assert qary_decode_one_substitution(y2, vt2, sum2, q) == x2
 
 
