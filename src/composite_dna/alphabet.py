@@ -69,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 from operator import mul
 
@@ -472,11 +472,15 @@ def word_from_text(text: str) -> Word:
 def words_from_blocks(blocks) -> list[Word]:
     """Parse words in either text form, one per block of stripped nonblank
     lines: a 'q k n' header, then k digit rows or one comma-separated rank
-    line.  The blocks of a codebook file repeat headers and rows, so each
-    distinct header line is parsed, and each distinct digit row packed
-    (_digit_row), once per call."""
+    line.  A book whose blocks all hold k digit rows under one header line,
+    as word_to_text writes them, is read at once (_one_header_words); any
+    other book, and one that fails a check there, is read block by block,
+    parsing each distinct header line once, and the first fault in file
+    order is the error."""
+    words = _one_header_words(blocks)
+    if words is not None:
+        return words
     headers: dict[str, tuple[int, int, int]] = {}
-    digit_rows: dict[str, bytes] = {}
     words = []
     for lines in blocks:
         header = headers.get(lines[0])
@@ -493,11 +497,33 @@ def words_from_blocks(blocks) -> list[Word]:
             continue
         if len(body) != k:
             raise ValueError(f"expected {k} digit rows or 1 rank line, got {len(body)} lines")
-        rows = []
-        for row in body:
-            digits = digit_rows.get(row)
-            if digits is None or len(row) != n:
-                digits = digit_rows[row] = _digit_row(row, n, n)
-            rows.append(digits)
-        words.append(Word.from_rows(rows, q))
+        words.append(Word.from_rows([_digit_row(row, n, n) for row in body], q))
     return words
+
+
+def _one_header_words(blocks) -> list[Word] | None:
+    """The words of blocks that share one header line and hold k digit rows
+    each, built at once: row i of every block is joined, packed (_digit_row,
+    pack_rows) and ranked (_ranks_of_rows) as one long row, then cut into
+    the words.  None if the blocks differ in shape or a check fails, so the
+    block loop, which names the fault, reads them instead."""
+    if len(set(map(len, blocks))) != 1:
+        return None
+    lines = list(zip(*blocks))  # lines[i]: line i of every block
+    if len(set(lines[0])) != 1:
+        return None
+    try:
+        q, k, n = _parse_header(lines[0][0])
+        rows = lines[1:]
+        if len(rows) != k or set(map(len, chain.from_iterable(rows))) != {n}:
+            return None
+        width = len(blocks) * n
+        packed = pack_rows([_digit_row("".join(row), width, width) for row in rows], q)
+    except ValueError:
+        return None
+    ranks = _ranks_of_rows(packed, q, k)
+    if ranks is None:
+        return None
+    starts = range(0, width, n)
+    cut = zip(*[[row[j:j + n] for j in starts] for row in packed])
+    return [Word._of(q, k, ranks[j:j + n], word_rows) for j, word_rows in zip(starts, cut)]

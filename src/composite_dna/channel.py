@@ -53,14 +53,18 @@ witness alone; bytes order as the int tuples do, so the witness is the
 same.  Beside each table it keeps, for that call only, each distinct
 (row, count)'s output rows at every error level, so a row that many
 codewords share has its outputs built (_row_levels) once; a binary row of
-length 8 has at most 256 values, however large the codebook.  For the
-t-rows kinds, whose balls grow as Σ_{s≤t} C(k,s)·n^s, it
-tests the M²/2 pairs instead: two words collide iff count vectors that fit
-the model cover their per-row distances.  Under deletions one vector c must
-have c_i >= n - LCS_i on every row (both words reach an output through the
-same c, since its row lengths fix c); under substitutions two vectors a and
-b must have a_i + b_i >= d_i, the rows' Hamming distances.  Only a
-colliding pair's balls are built, for the witness.
+length 8 has at most 256 values, however large the codebook.  A
+codeword's sweep is one generator: it takes the model's count vectors
+once, each of its rows' outputs from that memo, and yields each vector's
+outputs as one itertools.product, so the Python work per codeword is per
+row and per vector, not per output.  For the t-rows kinds, whose balls
+grow as Σ_{s≤t} C(k,s)·n^s, it tests the M²/2 pairs instead: two words
+collide iff count vectors that fit the model cover their per-row
+distances.  Under deletions one vector c must have c_i >= n - LCS_i on
+every row (both words reach an output through the same c, since its row
+lengths fix c); under substitutions two vectors a and b must have
+a_i + b_i >= d_i, the rows' Hamming distances.  Only a colliding pair's
+balls are built, for the witness.
 
 Random corruption uses a splitmix64 generator (documented in SplitMix64) so
 that the same seed reproduces the same plan in any implementation.
@@ -494,18 +498,6 @@ def _count_vectors(model: ErrorModel, k: int, n: int):
     return tuple(vectors), tuple(max(column) for column in zip(*fitting))
 
 
-def _row_tables(rows, model: ErrorModel, levels):
-    """(hits, the outputs of each hit row at its count) for each fitting
-    count vector of a word's rows.  levels(i, row, top) gives row i's
-    outputs at 0, 1, ..., top errors, and is asked once per row."""
-    vectors, tops = _count_vectors(model, len(rows), len(rows[0]))
-    built = [
-        levels(i, row, top) if top else None for i, (row, top) in enumerate(zip(rows, tops))
-    ]
-    for hits in vectors:
-        yield hits, [built[i][c] for i, c in hits]
-
-
 def outputs(word: Word, model: ErrorModel):
     """(errors, received, count) once for each distinct raw output of word
     under the model, in sweep order (_count_vectors, then the hit rows'
@@ -521,12 +513,13 @@ def packed_outputs(word: Word, model: ErrorModel):
     """outputs with each received row as bytes, built by C-level slices of
     the word's packed rows: what ReceivedRows._of takes."""
     rows, q, deletion = word.packed, word.q, not model.is_substitution
-
-    def levels(i, row, top):
-        return _row_levels(row, i, top, q, deletion)
-
-    for hits, tables in _row_tables(rows, model, levels):
-        for combo in product(*map(dict.items, tables)):
+    vectors, tops = _count_vectors(model, len(rows), len(rows[0]))
+    built = [
+        _row_levels(row, i, top, q, deletion) if top else None
+        for i, (row, top) in enumerate(zip(rows, tops))
+    ]
+    for hits in vectors:
+        for combo in product(*(built[i][c].items() for i, c in hits)):
             received, errors, count = list(rows), (), 1
             for (i, _), (out, (cells, ways)) in zip(hits, combo):
                 received[i], errors, count = out, errors + cells, count * ways
@@ -546,20 +539,21 @@ def _raw_rows(word: Word, model: ErrorModel, row_outputs: dict | None = None):
     if row_outputs is None:
         row_outputs = {}
     rows, q, deletion = word.packed, word.q, not model.is_substitution
-
-    def levels(_, row, top):
-        found = row_outputs.get((row, top))
-        if found is None:
-            found = row_outputs[row, top] = tuple(
-                map(tuple, _row_levels(row, 0, top, q, deletion))
-            )
-        return found
-
+    vectors, tops = _count_vectors(model, len(rows), len(rows[0]))
+    built = [None] * len(rows)
+    for i, (row, top) in enumerate(zip(rows, tops)):
+        if top:
+            found = row_outputs.get((row, top))
+            if found is None:
+                found = row_outputs[row, top] = tuple(
+                    map(tuple, _row_levels(row, 0, top, q, deletion))
+                )
+            built[i] = found
     unhit = [(row,) for row in rows]
-    for hits, tables in _row_tables(rows, model, levels):
+    for hits in vectors:
         spread = unhit.copy()
-        for (i, _), table in zip(hits, tables):
-            spread[i] = table
+        for i, c in hits:
+            spread[i] = built[i][c]
         yield from product(*spread)
 
 
@@ -615,11 +609,12 @@ def oracle_is_code(codebook, model: ErrorModel) -> OracleResult:
     balls grow as Σ_{s≤t} C(k,s)·n^s while their codebooks stay small.  The
     choice goes by kind because the other kinds have large books with small
     balls, where the pairs cost more.  On a 2-core x86-64 VM (best of 15), a
-    12-word c2d book (n = 16) under del-t-rows 1,1 takes about 2.5 ms by
-    balls and 0.2 ms by pairs.  A 360-word c1d book (n = 8) under
-    del-total 1 takes 5.3 to 7.4 ms by balls at best and 6.3 to 8.2 ms at
-    the median of 21 calls, over five sampled books, where a pair-by-pair
-    prototype took 1.85 s.  Both ways give the same witness.
+    12-word binary c2d book (k = 3, t = 2, m = 8, so n = 16) under
+    del-t-rows 1,1 takes 0.61 ms by balls and 0.13 ms by pairs.  A 360-word
+    c1d book (n = 8) under del-total 1 takes 2.31 to 2.35 ms by balls at
+    best and 2.33 to 2.37 ms at the median of 21 calls, over five sampled
+    books, about 6.5 us per codeword, where a pair-by-pair prototype took
+    1.85 s.  Both ways give the same witness.
     """
     if model.kind.endswith("-t-rows"):
         return _oracle_by_pairs(codebook, model)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from composite_dna import alphabet
 from composite_dna.alphabet import (
     Letter,
     Word,
@@ -21,6 +22,7 @@ from composite_dna.alphabet import (
     word_from_text,
     word_to_rank_text,
     word_to_text,
+    words_from_blocks,
 )
 
 
@@ -394,6 +396,34 @@ def test_text_format_shape():
         word_from_text("2 2\n00\n01\n")
     with pytest.raises(ValueError):
         word_from_text("2 2 2\n00\n")
+
+
+@pytest.mark.parametrize("q, k", [(2, 2), (3, 3), (4, 2), (2, 9), (4, 5)])
+def test_one_header_books_read_at_once_give_the_block_loops_words(q, k, monkeypatch):
+    """A book of digit-row blocks under one header line is read at once;
+    its words, ranks and packed rows, are the block loop's.  (2, 9) and
+    (4, 5) have no byte table of column keys, so their ranks come from
+    column_ranks."""
+    rng = random.Random(f"{q},{k}")
+    books = []
+    for count, n in [(1, 1), (2, 1), (1, 7), (5, 3)] + [
+        (rng.randint(2, 40), rng.randint(1, 12)) for _ in range(6)
+    ]:
+        words = [
+            Word(q, k, [rng.randrange(alphabet_size(q, k)) for _ in range(n)])
+            for _ in range(count)
+        ]
+        books.append([word_to_text(w).splitlines() for w in words])
+    for blocks in books:
+        batch = alphabet._one_header_words(blocks)
+        assert batch is not None
+        assert words_from_blocks(blocks) == batch
+        with monkeypatch.context() as patch:
+            patch.setattr(alphabet, "_one_header_words", lambda blocks: None)
+            loop = words_from_blocks(blocks)
+        assert [w.ranks() for w in batch] == [w.ranks() for w in loop]
+        assert [w.packed for w in batch] == [w.packed for w in loop]
+        assert all(type(w.ranks()) is tuple and type(w.packed) is tuple for w in batch)
 
 
 @pytest.mark.parametrize(

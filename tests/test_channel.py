@@ -908,10 +908,17 @@ def c1d_code(n):
     return [c1d_encode(msg, 0, 2, n) for msg in product(range(3), repeat=c1d_message_length(2, n))]
 
 
-def test_ball_oracle_builds_each_distinct_rows_outputs_once(monkeypatch):
+@pytest.mark.parametrize(
+    "book, model",
+    [
+        (c1d_code(8), del_total(1)),
+        ([cecc1_encode(msg, 0, 2, 8) for msg in product(range(3), repeat=5)], sub_total(1)),
+    ],
+    ids=["c1d-del-total-1", "lme1-sub-total-1"],
+)
+def test_ball_oracle_builds_each_distinct_rows_outputs_once(book, model, monkeypatch):
     """One oracle call builds a row's outputs (_row_levels) once per
     distinct (row, count), however many codewords share the row."""
-    book = c1d_code(8)
     calls = Counter()
     original = channel._row_levels
 
@@ -920,7 +927,7 @@ def test_ball_oracle_builds_each_distinct_rows_outputs_once(monkeypatch):
         return original(row, index, c, q, deletion)
 
     monkeypatch.setattr(channel, "_row_levels", counting)
-    assert oracle_is_code(book, del_total(1)).is_code
+    assert oracle_is_code(book, model).is_code
     distinct = {(row, 1) for word in book for row in word.packed}
     assert len(distinct) < 2 * len(book)
     assert calls == Counter(dict.fromkeys(distinct, 1))

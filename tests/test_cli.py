@@ -417,12 +417,31 @@ class TestCodebookReader:
             ("2 2 3\n0,1,3\n", "rank 3 out of range for Phi_{2,2} (size 3)"),
             ("2 2 2\n10\n01\n", "column 0 is not nondecreasing over Sigma_2: (1, 0)"),
             ("2 2 2\n02\n12\n", "column 1 is not nondecreasing over Sigma_2: (2, 2)"),
+            # one header line over every block: the first fault is still named
+            (
+                "2 2 2\n00\n01\n\n2 2 2\n01\n11\n\n2 2 2\n00\n02\n\n2 2 2\n11\n11\n",
+                "column 1 is not nondecreasing over Sigma_2: (0, 2)",
+            ),
+            (
+                "2 2 2\n00\n01\n\n2 2 2\n10\n01\n\n2 2 2\n00\n11\n",
+                "column 0 is not nondecreasing over Sigma_2: (1, 0)",
+            ),
+            (
+                "2 2 2\n00\n01\n\n2 2 2\n01\n11\n\n2 2 2\n00\n1\n",
+                "bad digit row '1' (expected 2 digits)",
+            ),
+            (
+                "2 2 2\n00\n0\n\n2 2 2\n01\n111\n",
+                "bad digit row '0' (expected 2 digits)",
+            ),
         ],
         ids=[
             "empty", "blank-only", "short-header", "header-not-int", "q-too-large",
             "k-too-small", "n-too-small", "bad-digit-row", "short-digit-row",
             "long-row-in-second-block", "too-many-lines", "header-only",
             "too-few-ranks", "rank-out-of-range", "column-no-letter", "digit-outside-q",
+            "digit-outside-q-in-block-3-of-4", "column-no-letter-in-block-2",
+            "short-row-in-last-block", "short-and-long-rows-of-one-total-length",
         ],
     )
     def test_malformed_book_is_a_domain_error(self, text, message, capsys, tmp_path):
