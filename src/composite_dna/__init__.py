@@ -1,5 +1,7 @@
 """Error-correcting codes over the k-resolution ordered composite channel."""
 
+from types import ModuleType as _ModuleType
+
 from .alphabet import (
     Letter,
     Word,
@@ -75,72 +77,9 @@ from .codes_substitution import (
 from .equivalence import EquivalenceMap, transport_code
 from .vt_core import DecodeFailure
 
-__all__ = [
-    "BoundReport",
-    "C1SSpec",
-    "C2DSpec",
-    "C2SSpec",
-    "C3DSpec",
-    "C4DSpec",
-    "DecodeFailure",
-    "DollSpec",
-    "EquivalenceMap",
-    "ErrorModel",
-    "Letter",
-    "OracleResult",
-    "ReceivedRows",
-    "Word",
-    "all_letters",
-    "alphabet_size",
-    "c1d_contains",
-    "c1d_decode",
-    "c1d_encode",
-    "c1d_message",
-    "c1d_message_length",
-    "c1s_decode",
-    "c1s_encode",
-    "c2d_decode",
-    "c2d_encode",
-    "c2s_decode",
-    "c2s_encode",
-    "c3d_decode",
-    "c3d_encode",
-    "c4d_decode",
-    "c4d_encode",
-    "cecc1_contains",
-    "cecc1_decode",
-    "cecc1_encode",
-    "cecc1_message",
-    "cecc1_message_length",
-    "dec_doll",
-    "del_per_row",
-    "del_t_rows",
-    "del_total",
-    "doll_m",
-    "doll_size",
-    "enc_doll",
-    "gspb_deletion_bound",
-    "letter_is_valid",
-    "letter_rank",
-    "letter_unrank",
-    "letter_values",
-    "oracle_is_code",
-    "random_errors",
-    "raw_received_set",
-    "received_from_text",
-    "received_from_word",
-    "received_to_text",
-    "sp_bound_per_row",
-    "sp_bound_total",
-    "sub_per_row",
-    "sub_t_rows",
-    "sub_total",
-    "transport_code",
-    "v_size",
-    "valid_sub_ball",
-    "word_from_text",
-    "word_to_rank_text",
-    "word_to_text",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

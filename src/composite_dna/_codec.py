@@ -6,8 +6,9 @@
 * check_payload: the systematic encoders' payload check;
 * check_t_rows: the t-row constructions' range 2 <= t <= k;
 * invalid_column: the one column of a received word that is no letter,
-  read from the ranks that alphabet.column_ranks gives its columns, so a
-  decoder looks each column up once and re-ranks only a column it repairs;
+  read from the ranks that alphabet.column_ranks gives the columns of its
+  packed rows, so a decoder looks each column up once and re-ranks only a
+  column it repairs;
 * compose: the value of base-`base` digits that the codec built itself,
   without algebra.compose_base's digit check;
 * block_value: the value that a block of digit columns spells;
@@ -59,7 +60,8 @@ def check_t_rows(k: int, t: int) -> None:
 
 def invalid_column(ranks) -> int | None:
     """The index of the only None in ranks, the column ranks of a received
-    word (alphabet.column_ranks), or None; a second one is a DecodeFailure.
+    word's packed rows (alphabet.column_ranks), or None; a second one is a
+    DecodeFailure.
     For digits of Sigma_q a column ranks None exactly when it is not
     nondecreasing."""
     invalid = ranks.count(None)
@@ -78,13 +80,13 @@ def compose(digits, base: int) -> int:
 
 
 def block_value(segments, q: int, base: int) -> int:
-    """The value of a block given each row's segment of it: its columns are
-    base-`base` digits, least significant first, each the rank of a letter,
-    so below base, the alphabet size.  The columns are looked up at once
-    (alphabet.column_ranks); if one is no letter, column_rank names it."""
-    columns = list(zip(*segments))
-    ranks = column_ranks(columns, q, len(segments))
-    return compose([column_rank(col, q) for col in columns] if None in ranks else ranks, base)
+    """The value of a block given each row's segment of it, a bytes slice of
+    the packed row: its columns are base-`base` digits, least significant
+    first, each the rank of a letter, so below base, the alphabet size.  The
+    columns are looked up at once (alphabet.column_ranks of the segments);
+    if one is no letter, column_rank names it."""
+    ranks = column_ranks(segments, q)
+    return compose([column_rank(c, q) for c in zip(*segments)] if None in ranks else ranks, base)
 
 
 def out_of_model(func, *args):

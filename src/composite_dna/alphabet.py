@@ -149,10 +149,14 @@ def letter_values(q: int, k: int) -> tuple[int, ...]:
     return tuple(_v_value(ds, q) for ds in tuples)
 
 
-def column_ranks(columns, q: int, k: int) -> tuple:
-    """The rank of each digit column of length k, None for a column that is
-    no letter of Phi_{q,k}; one table lookup per column, at C speed."""
-    return tuple(map(_rank_tables(q, k)[1].get, columns))
+def column_ranks(rows, q: int) -> tuple:
+    """The rank of each column of k = len(rows) packed rows, None for a
+    column that is no letter of Phi_{q,k}; one table lookup per column, at
+    C speed.  A row that is not bytes is a ValueError: the lookup reads
+    each digit as a dict key, so a digit 1.0 would rank as 1."""
+    if {*map(type, rows)} != {bytes}:
+        raise ValueError("column_ranks reads packed rows, one bytes object per row")
+    return tuple(map(_rank_tables(q, len(rows))[1].get, zip(*rows)))
 
 
 _SIGMA = bytes(range(256))  # Sigma_q is its first q digits
@@ -209,7 +213,7 @@ def _ranks_of_rows(packed, q: int, k: int) -> tuple | None:
     length n >= 1, or None if a column is no letter."""
     weights, ranks_of_keys, _ = _byte_tables(q, k)
     if ranks_of_keys is None:
-        ranks = column_ranks(zip(*packed), q, k)
+        ranks = column_ranks(packed, q)
         return None if None in ranks else ranks
     key = sum(map(mul, map(_big_endian, packed), weights))
     spelled = key.to_bytes(len(packed[0]), "big").translate(ranks_of_keys)

@@ -77,6 +77,21 @@ def _gap_run_set(rows):
     return {j for j in range(2, m) if rows[j - 1] - rows[j - 2] == 1}
 
 
+def _blockwise_denominator(q: int, rows, values, m0: int) -> int:
+    """The blockwise leading term's denominator: the nonzero rows split into
+    s = m // m0 full blocks of m0 rows and a remainder of r = m % m0; each
+    full block has its own gap set, its last row collects a (q-1) factor per
+    budget unit and its other rows a C(q, m0) factor, the remainder rows a
+    C(q, r) factor.  One block of all m rows is the general bound's."""
+    s, r = divmod(len(rows), m0)
+    starts = range(0, s * m0, m0)
+    R = sum(len(_gap_run_set(rows[i : i + m0])) for i in starts)
+    e_tail = sum(values[i + m0 - 1] for i in starts)  # last row of each full block
+    e_body = sum(values[: s * m0]) - e_tail  # remaining budgets inside full blocks
+    e_rest = sum(values[s * m0 :])
+    return 2**R * (q - 1) ** e_tail * comb(q, m0) ** e_body * comb(q, r) ** e_rest
+
+
 def _sphere_packing(family: str, q: int, k: int, n: int, h: int, c: int, **params):
     """Q^n / (C(n, h) * c^h + 1): at least C(n, h) c^h neighbours per codeword."""
     _check(q, k, n)
@@ -156,12 +171,9 @@ def asym_bound_general(q: int, k: int, n: int, budgets) -> BoundReport:
     m = len(rows)
     if m > q:
         raise ValueError(f"m={m} nonzero budgets exceed q={q}; use bound_m_gt_q")
-    R = _gap_run_set(rows)
-    e, last = sum(values), values[-1]
-    denom = 2 ** len(R) * (q - 1) ** last * comb(q, m) ** (e - last)
-    return _leading_term(
-        "asym-general", q, k, n, values, denom, budgets=budgets, m=m, R=sorted(R)
-    )
+    denom = _blockwise_denominator(q, rows, values, m)
+    R = sorted(_gap_run_set(rows))
+    return _leading_term("asym-general", q, k, n, values, denom, budgets=budgets, m=m, R=R)
 
 
 def asym_bound_thm3(q: int, k: int, n: int, budgets, variant: str) -> BoundReport:
@@ -209,9 +221,7 @@ def bound_m_gt_q(q: int, k: int, n: int, budgets, m0: int) -> BoundReport:
     """Blockwise extension when more than q rows carry a nonzero budget.
 
     The m nonzero rows are split into s = m // m0 full blocks of size m0 plus
-    a remainder of r = m % m0 rows; each full block contributes like the
-    general bound with its own gap set, the block tails collect a (q-1)
-    factor, and the remainder rows a C(q, r) factor.
+    a remainder of r = m % m0 rows (_blockwise_denominator).
     """
     if not 2 <= m0 <= q:
         raise ValueError(f"m0 must lie in [2, {q}], got {m0}")
@@ -220,12 +230,7 @@ def bound_m_gt_q(q: int, k: int, n: int, budgets, m0: int) -> BoundReport:
     if m <= q:
         raise ValueError(f"m={m} <= q={q}: use asym_bound_general")
     s, r = divmod(m, m0)
-    starts = range(0, s * m0, m0)
-    R = sum(len(_gap_run_set(rows[i : i + m0])) for i in starts)
-    e_tail = sum(values[i + m0 - 1] for i in starts)  # last row of each full block
-    e_body = sum(values[: s * m0]) - e_tail  # remaining budgets inside full blocks
-    e_rest = sum(values[s * m0 :])
-    denom = 2**R * (q - 1) ** e_tail * comb(q, m0) ** e_body * comb(q, r) ** e_rest
+    denom = _blockwise_denominator(q, rows, values, m0)
     return _leading_term(
         "asym-blockwise", q, k, n, values, denom, budgets=budgets, m0=m0, s=s, r=r
     )
@@ -285,8 +290,9 @@ def m_qk(q: int, k: int) -> Fraction:
 
 
 def asym_deletion_bound(k: int, n: int) -> BoundReport:
-    """Leading term (k+1)^2/(2k) * v_size(k, n)/n for one first-row deletion."""
+    """Leading term v_size(k, n)/n / m_qk(2, k) for one first-row deletion;
+    1 / m_qk(2, k) = (k+1)^2/(2k)."""
     if k < 2:
         raise ValueError("need k >= 2")
-    value = Fraction((k + 1) ** 2, 2 * k) * Fraction(v_size(k, n), n)
+    value = Fraction(v_size(k, n), n) / m_qk(2, k)
     return BoundReport("asym-deletion", value, True, {"k": k, "n": n})

@@ -308,18 +308,15 @@ class MarkerSpec:
                 raise ValueError(f"payload length m={self.m} below f(k,t)={need}")
 
     @cached_property
-    def modulus(self) -> int:
+    def p(self) -> int:
+        """The blocks' modulus: the rows' syndrome range (m binary, qm
+        q-ary) at t = 1, the prime in (range, 2 range) at t >= 2."""
         span = self.m if self.q == 2 else self.q * self.m
         return span if self.t == 1 else next_prime_bertrand(span)
 
-    @property
-    def p(self) -> int:
-        """The blocks' modulus, the name the t-row codes' prime goes by."""
-        return self.modulus
-
     @cached_property
     def row_code(self) -> _RowCode:
-        return _RowCode(self.q, self.m, self.modulus, self.q != 2)
+        return _RowCode(self.q, self.m, self.p, self.q != 2)
 
     @cached_property
     def base(self) -> int:
@@ -328,7 +325,7 @@ class MarkerSpec:
 
     @cached_property
     def delta(self) -> int:
-        return digit_width(self.base, self.modulus)
+        return digit_width(self.base, self.p)
 
     @property
     def n(self) -> int:
@@ -370,7 +367,7 @@ def _marker_tail(sums, spec: MarkerSpec) -> Word:
     syndrome index j, the marker column pair and the base-|Phi_{q,k}|
     digits of sums[j]."""
     q, k, base = spec.q, spec.k, spec.base
-    markers = column_ranks([(0,) * k, (1,) * k], q, k)
+    markers = column_ranks((b"\0\1",) * k, q)
     tail = []
     for value in sums:
         tail += markers
@@ -439,7 +436,7 @@ def _marker_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
     """Repair up to spec.t short rows of a marker code: each short row's
     marker flags say which segment lost its symbol, the intact syndrome
     blocks give the payload-hit rows' syndromes by one solve mod
-    spec.modulus, and the decoded payload must re-encode to a supersequence
+    spec.p, and the decoded payload must re-encode to a supersequence
     of every row.  A word with no payload hit takes the same repair, with
     nothing to solve.  The re-encode takes the syndromes that the repair
     returned, the decoded rows' own; it shares _marker_tail with

@@ -27,10 +27,10 @@ rows, parameters that do not fit); every failure after that, an invalid
 column on the clean path included, is a DecodeFailure.  The intake, the
 invalid-column locator, the block-value read, the row-code type and the
 t-row repair core live in _codec, shared with the deletion codes.  A
-decoder looks each received column up once (alphabet.column_ranks, None
-for a column that is no letter), _codec.invalid_column(ranks) finds the
-one None among those ranks, and only a column the decoder repairs is
-ranked again.
+decoder looks each received column up once (alphabet.column_ranks of the
+packed rows, None for a column that is no letter),
+_codec.invalid_column(ranks) finds the one None among those ranks, and
+only a column the decoder repairs is ranked again.
 """
 
 from __future__ import annotations
@@ -352,7 +352,7 @@ def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
     into a different A2 letter, which the inner C(l) decoder then fixes.
     """
     rows = intake(received, spec)
-    ranks = list(column_ranks(zip(*rows), spec.q, spec.k))
+    ranks = list(column_ranks(rows, spec.q))
     j = invalid_column(ranks)
     if j is not None:
         tail = [row[j] for row in rows[1:]]
@@ -414,7 +414,7 @@ def cecc1_decode(received: ReceivedRows, a: int) -> Word:
     n, k = received.n, received.k
     rows = intake(received)
     mod = 2 * n + 1
-    ranks = list(column_ranks(zip(*rows), 2, k))
+    ranks = list(column_ranks(rows, 2))
     j = invalid_column(ranks)
     if j is not None:
         w = sum(row[j] for row in rows)
@@ -478,7 +478,7 @@ def q1cecc_decode(
     span = 2 * q - 1
     delta1 = (sum(map(sum, rows)) - a1) % span
     delta = delta1 if delta1 <= q - 1 else delta1 - span
-    ranks = list(column_ranks(zip(*rows), q, k))
+    ranks = list(column_ranks(rows, q))
     j = invalid_column(ranks)
     if delta == 0:
         if j is not None:

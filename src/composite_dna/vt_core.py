@@ -336,7 +336,9 @@ def qary_decode_one_deletion(y, a: int, q: int, n: int):
 
 def _reference_qary_decode_one_deletion(y, a: int, q: int, n: int):
     """Brute-force oracle for ``qary_decode_one_deletion``: insert every
-    symbol at every position and recompute VT(psi), O(q * n^2)."""
+    symbol at every position, each distinct row once, and recompute the
+    whole row's VT(psi) (qary_vt_syndrome of the tuple row, which its tests
+    hold to vt_syndrome(psi(x))), O(q * n^2)."""
     y = tuple(y)
     if len(y) != n - 1:
         raise ValueError(f"received length {len(y)}, expected {n - 1}")
@@ -344,8 +346,10 @@ def _reference_qary_decode_one_deletion(y, a: int, q: int, n: int):
     candidates = set()
     for pos in range(n):
         for sym in range(q):
+            if pos and sym == y[pos - 1]:
+                continue  # the same row as this insertion one position earlier
             cand = y[:pos] + (sym,) + y[pos:]
-            if vt_syndrome(psi(cand, q)) % (q * n) == a % (q * n):
+            if qary_vt_syndrome(cand, q) == a % (q * n):
                 candidates.add(cand)
     if len(candidates) != 1:
         raise DecodeFailure(

@@ -15,6 +15,7 @@ from composite_dna.alphabet import (
     all_letters,
     alphabet_size,
     column_rank,
+    column_ranks,
     letter_is_valid,
     letter_rank,
     letter_unrank,
@@ -107,6 +108,35 @@ def test_letters_take_the_one_digit_rule():
         with pytest.raises(ValueError, match="invalid letter over Sigma_2"):
             Letter(column, 2)
     assert Letter([0, 1], 2).digits == (0, 1) and column_rank((0, 1), 2) == 1
+
+
+@pytest.mark.parametrize(
+    "q, k",
+    [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4), (2, 9), (4, 5)],
+)
+def test_column_ranks_of_packed_rows_are_each_columns_column_rank(q, k):
+    """column_ranks reads k = len(rows) packed rows; over every column of
+    Sigma_q^k it gives column_rank's rank, or None where column_rank
+    refuses the column."""
+    columns = list(product(range(q), repeat=k))
+    rows = tuple(bytes(column[i] for column in columns) for i in range(k))
+
+    def rank_or_none(column):
+        try:
+            return column_rank(column, q)
+        except ValueError:
+            return None
+
+    assert column_ranks(rows, q) == tuple(map(rank_or_none, columns))
+
+
+def test_column_ranks_refuse_a_row_that_is_not_bytes():
+    """A row of ints, the column (0, 1.0) among them, is no packed row: the
+    lookup would rank that column 1 where column_rank refuses it."""
+    for rows in ([(0,), (1.0,)], [b"\0", (1,)], [b"\0", bytearray(b"\1")], ["0", "1"]):
+        with pytest.raises(ValueError, match="packed rows"):
+            column_ranks(rows, 2)
+    assert column_ranks([b"\0", b"\1"], 2) == (column_rank((0, 1), 2),)
 
 
 def test_word_row_column_round_trip():

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -143,6 +143,29 @@ def test_asym_general_gap_run_factor():
     Q = 10  # C(5, 2)
     # 2^{|R|} * (q-1)^1 * C(3,3)^2 * n^3 = 2 * 2 * 1 * 1000
     assert rep.value == Fraction(Q**13, 4000)
+
+
+def test_asym_general_is_the_blockwise_bound_with_one_block():
+    """Over the 2296 per-row profiles with budgets in {0, 1, 2}, k <= 6,
+    q <= 5 and 2 <= m <= q nonzero rows, the general bound, which shares
+    bound_m_gt_q's blockwise denominator, keeps its single-block form
+    2^|R| (q-1)^{e_last} C(q, m)^{e - e_last}."""
+    n, profiles = 7, 0
+    for q, k in product(range(2, 6), range(2, 7)):
+        Q = comb(q + k - 1, k)
+        for budgets in product((0, 1, 2), repeat=k):
+            rows = [i + 1 for i, b in enumerate(budgets) if b]
+            if not 2 <= len(rows) <= q:
+                continue
+            profiles += 1
+            values = [budgets[i - 1] for i in rows]
+            e, last, m = sum(values), values[-1], len(rows)
+            gaps = [j for j in range(2, m) if rows[j - 1] - rows[j - 2] == 1]
+            denom = 2 ** len(gaps) * (q - 1) ** last * comb(q, m) ** (e - last) * n**e
+            numer = Q ** (n + e) * prod(v**v for v in values)
+            rep = asym_bound_general(q, k, n, budgets)
+            assert (rep.value, rep.params["R"]) == (Fraction(numer, denom), gaps)
+    assert profiles == 2296
 
 
 def test_asym_general_validation():
@@ -306,6 +329,13 @@ def test_m_qk_frozen():
 
 
 def test_asym_deletion_bound():
+    # v_size(k, 6)/6 over m_qk(2, k) = 2k/(k+1)^2, pinned at k = 2..8
+    pinned = {
+        2: Fraction(2673, 8), 3: Fraction(22528, 9), 4: Fraction(546875, 48),
+        5: Fraction(38880), 6: Fraction(7882483, 72), 7: Fraction(5636096, 21),
+        8: Fraction(18954729, 32),
+    }
+    assert {k: asym_deletion_bound(k, 6).value for k in range(2, 9)} == pinned
     rep = asym_deletion_bound(2, 100)
     assert rep.value == Fraction(9, 4) * Fraction(v_size(2, 100), 100)
     # leading-term ratio against (k-1)(k+1)^n/(2k) approaches 1

@@ -310,7 +310,7 @@ class TestC2D:
 class TestC3D:
     def test_spec_frozen(self):
         spec = C3DSpec(q=3, k=2, m=3)
-        assert (spec.modulus, spec.delta, spec.n) == (9, 2, 7)
+        assert (spec.p, spec.delta, spec.n) == (9, 2, 7)
         with pytest.raises(ValueError, match="q >= 3"):
             C3DSpec(q=2, k=2, m=3)
         with pytest.raises(ValueError, match="m >= 3"):
@@ -419,7 +419,7 @@ def test_marker_spec_replace_keeps_equality_and_hash(spec):
     spec.syndromes(sample_payloads(spec.q, spec.k, spec.m, 1, seed=2)[0])
     after = dataclasses.replace(spec)
     assert spec == after and hash(spec) == hash(after)
-    assert (after.modulus, after.delta, after.n) == (spec.modulus, spec.delta, spec.n)
+    assert (after.p, after.delta, after.n) == (spec.p, spec.delta, spec.n)
 
 
 def test_marker_specs_redundancy_accounting():

@@ -11,9 +11,10 @@ syndrome it evaluates; each demo, and the README's library quick start,
 must still run to completion.  ``python -O`` strips assert statements, so
 no module of the package may hold one.  The code-line counter,
 ``tools/code_lines.py``, is pinned on a small fixture.  Every brute-force
-``_reference_*`` oracle in the package is named by a test, and every other
-package definition has a caller in the package, an export, or a reason on
-a short allow-list.
+``_reference_*`` oracle in the package is named by a test, every package
+definition is reached by a walk from the package's roots (``cli.main``,
+module-level code, the exports, the oracles and the dunders) or has a
+reason on a short allow-list, and ``__all__`` is the sorted exports.
 """
 
 import ast
@@ -24,7 +25,6 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -236,8 +236,28 @@ def test_every_reference_implementation_is_named_by_a_test():
     assert unnamed == []
 
 
-# package definitions that no package code calls, each kept for a reason;
-# an entry that gains a caller fails the test, so the list only shrinks
+def test_all_is_the_sorted_init_imports():
+    """__init__ derives __all__ from its globals: it is exactly the names
+    that its imports from the package's modules bind, sorted, and no
+    submodule, which those imports also bind on the package."""
+    import types
+
+    import composite_dna
+
+    init = ast.parse((SRC / "composite_dna" / "__init__.py").read_text())
+    imported = sorted(
+        alias.asname or alias.name
+        for node in init.body if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    )
+    assert composite_dna.__all__ == imported and len(imported) == 65
+    assert not any(isinstance(getattr(composite_dna, name), types.ModuleType)
+                   for name in composite_dna.__all__)
+
+
+# package definitions that no root reaches (test_package_code_has_a_caller),
+# each kept for a reason; an entry that gains a caller fails the test, so
+# the list shrinks as entries gain callers
 NO_CALLER_ALLOWED = {
     "compose_base": "public inverse of expand_base; the codes compose through _codec",
     "schur_eval": "the paper's Schur polynomial, checked against tableau counts",
@@ -246,7 +266,6 @@ NO_CALLER_ALLOWED = {
     "asym_bound_thm3": "a paper bound with no CLI family yet, ROADMAP item 9",
     "asym_bound_even_e": "a paper bound with no CLI family yet, ROADMAP item 9",
     "bound_m_gt_q": "a paper bound with no CLI family yet, ROADMAP item 9",
-    "m_qk": "the deletion bound's limit fraction, ROADMAP item 6",
     "deletion_ball": "the paper's D_t(x), a set view of the row outputs",
     "hamming_sphere": "the Hamming sphere, a set view of the row outputs",
     "runs": "the paper's r(x), in the deletion ball size formulas",
@@ -255,41 +274,81 @@ NO_CALLER_ALLOWED = {
     "doll_F": "the paper's binary F-map of the enumeration code",
     "HammingFamily.codewords": "enumerates the inner code C(l) for its tests",
     "EquivalenceMap.inverse": "the inverse of each equivalence map, for its tests",
+    "Letter.rank": "letter_rank as a property of the exported Letter, for its tests",
+    "Letter.weight": "the paper's w_i, a digit's multiplicity in a letter, for its tests",
 }
 
 
-def _names(node) -> Counter:
-    """How often each name is read below node, as a variable or attribute."""
-    return Counter(
-        sub.id if isinstance(sub, ast.Name) else sub.attr
+def _names(nodes) -> set:
+    """The names read below nodes: a variable as ("name", id), an
+    attribute as ("attr", attr)."""
+    return {
+        ("name", sub.id) if isinstance(sub, ast.Name) else ("attr", sub.attr)
+        for node in nodes
         for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
-    )
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def _package_definitions():
+    """(definitions, roots): each module-level function and class and each
+    method of such a class, by qualified name, with the names that reach it
+    and the names its code reads; and the names read by the code that runs
+    without a caller: module-level statements, class bodies outside their
+    methods, the __init__ imports, cli.main, the _reference_* oracles and
+    the dunders that Python calls."""
+    definitions, roots = {}, {("name", "main")}
+
+    def define(qualified, by, node):
+        assert qualified not in definitions, f"{qualified} is defined twice"
+        reads = _names([node]) if isinstance(node, ast.FunctionDef) else set()
+        definitions[qualified] = (by, reads)
+        name = qualified.rpartition(".")[2]
+        if name.startswith("_reference_") or (name.startswith("__") and name.endswith("__")):
+            roots.update(by)
+
+    for path in (SRC / "composite_dna").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                roots |= _names([node])
+                if path.stem == "__init__" and isinstance(node, ast.ImportFrom):
+                    roots |= {("name", alias.name) for alias in node.names}
+                continue
+            define(node.name, {("name", node.name), ("attr", node.name)}, node)
+            if isinstance(node, ast.ClassDef):
+                roots |= _names(node.bases + node.decorator_list)
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        define(f"{node.name}.{sub.name}", {("attr", sub.name)}, sub)
+                    else:
+                        roots |= _names([sub])
+    return definitions, roots
+
+
+def _reached(definitions, roots) -> set:
+    """The qualified names of the definitions that the roots reach, reading
+    each reached definition's names in turn."""
+    reached, names, frontier = set(), set(), set(roots)
+    while frontier:
+        names |= frontier
+        found = {qualified for qualified, (by, _) in definitions.items()
+                 if qualified not in reached and by & frontier}
+        reached |= found
+        frontier = set().union(*(definitions[q][1] for q in found)) - names
+    return reached
 
 
 def test_package_code_has_a_caller():
-    """Each module-level function, class and method of the package is read
-    by name elsewhere in the package, exported by __init__, a _reference_*
-    oracle, a dunder that Python calls, or on NO_CALLER_ALLOWED."""
-    trees = [ast.parse(path.read_text()) for path in (SRC / "composite_dna").glob("*.py")]
-    read = sum(map(_names, trees), Counter())
-    init = ast.parse((SRC / "composite_dna" / "__init__.py").read_text())
-    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-    defined = []
-    for node in (node for tree in trees for node in tree.body):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.append((node.name, node))
-        if isinstance(node, ast.ClassDef):
-            defined += [(f"{node.name}.{sub.name}", sub) for sub in node.body
-                        if isinstance(sub, ast.FunctionDef)]
-    uncalled = {
-        qualified for qualified, node in defined
-        if (name := node.name) not in exported and not name.startswith("_reference_")
-        and not (name.startswith("__") and name.endswith("__"))
-        and read[name] <= _names(node)[name]
-    }
-    assert sorted(uncalled) == sorted(NO_CALLER_ALLOWED)
+    """A walk from the package's roots (_package_definitions) reaches each
+    definition, or the definition is on NO_CALLER_ALLOWED; an entry is
+    itself a root of the walk, so what only it reads passes, but no other
+    root may reach it.  A name reaches every definition of that name: a
+    variable a function or class, an attribute a method too."""
+    definitions, roots = _package_definitions()
+    assert sorted(set(NO_CALLER_ALLOWED) - set(definitions)) == []
+    assert sorted(_reached(definitions, roots) & set(NO_CALLER_ALLOWED)) == []
+    allowed = set().union(*(definitions[qualified][0] for qualified in NO_CALLER_ALLOWED))
+    assert sorted(set(definitions) - _reached(definitions, roots | allowed)) == []
 
 
 # modules still allowed a runtime assert: none, so the test covers every module
