@@ -41,7 +41,7 @@ def intake(received, spec=None):
     when one is given, and that every row has full length."""
     if spec is not None:
         check_shape(received, spec)
-    if any(len(row) != received.n for row in received.packed):
+    if {*map(len, received.packed)} != {received.n}:
         raise ValueError("substitution decoding expects full-length rows")
     return received.packed
 

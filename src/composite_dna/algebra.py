@@ -111,6 +111,18 @@ def expand_base(value: int, base: int, width: int) -> tuple[int, ...]:
     Base 1 has the one value 0, whose digits are width zeros."""
     if not 0 <= value < base**width:
         raise ValueError(f"value {value} out of [0, {base**width})")
+    return _expand(value, base, width)
+
+
+def _expand(value: int, base: int, width: int) -> tuple[int, ...]:
+    """expand_base unchecked.  Above 128 digits the value is split at
+    base**(width // 2) and each half expanded (a divide-and-conquer radix
+    conversion, Knuth, TAOCP Vol. 2, 4.4), so a long expansion takes a few
+    big divisions in C, not one Python step per digit on the whole value."""
+    if width > 128:
+        half = width // 2
+        high, low = divmod(value, base**half)
+        return _expand(low, base, half) + _expand(high, base, width - half)
     digits = []
     for _ in range(width):
         digits.append(value % base)
@@ -138,32 +150,69 @@ def cw_rank(bits, w: int | None = None) -> int:
     """Rank of a constant-weight binary sequence among its weight class.
 
     The rank of a with ones at positions i_1 < ... < i_w (1-indexed) is
-    1 + sum_j binom(i_j - 1, j); ranks run from 1 to binom(n, w).
+    1 + sum_j binom(i_j - 1, j); ranks run from 1 to binom(n, w).  Cover's
+    enumerative code, read from the last position down: one comb call
+    gives binom(n - 1, w), and each position takes the next binomial from
+    the last by one multiply and one exact divide, so no binomial is built
+    from scratch.
     """
     bits = tuple(bits)
     if not set(bits) <= {0, 1}:
         raise ValueError("bits must be 0/1")
-    ones = tuple(compress(count(), bits))  # the positions i_j - 1
-    if w is not None and w != len(ones):
-        raise ValueError(f"declared weight {w} != actual weight {len(ones)}")
-    return 1 + sum(map(comb, ones, count(1)))
+    left = bits.count(1)
+    if w is not None and w != left:
+        raise ValueError(f"declared weight {w} != actual weight {left}")
+    if not left:
+        return 1
+    first = bits.index(1)
+    rank, binom = 1, comb(len(bits) - 1, left)  # binom(pos, left)
+    for pos in range(len(bits) - 1, first, -1):
+        if bits[pos]:
+            rank += binom
+            binom = binom * left // pos
+            left -= 1
+        else:
+            binom = binom * (pos - left) // pos
+    return rank + binom  # the first one's binom(first, 1)
 
 
 def cw_unrank(index: int, n: int, w: int) -> tuple[int, ...]:
-    """Inverse of cw_rank: the index-th weight-w sequence of length n."""
+    """Inverse of cw_rank: the index-th weight-w sequence of length n, by
+    the same walk down the positions with the same binomial updates."""
     if not 0 <= w <= n:
         raise ValueError(f"need 0 <= w <= n, got w={w}, n={n}")
-    if not 1 <= index <= comb(n, w):
+    total = comb(n, w)
+    if not 1 <= index <= total:
         raise ValueError(f"index {index} out of [1, binom({n},{w})]")
-    temp = index - 1
-    left = w
-    bits = [0] * n
-    for pos in range(n, 0, -1):
-        if left == 0:
-            break
-        if temp >= comb(pos - 1, left):
-            bits[pos - 1] = 1
-            temp -= comb(pos - 1, left)
+    temp, left, bits = index - 1, w, [0] * n
+    binom = total * (n - w) // n if n else 0  # binom(pos, left) at pos = n - 1
+    for pos in range(n - 1, 0, -1):
+        if temp >= binom:
+            bits[pos] = 1
+            temp -= binom
+            binom = binom * left // pos
+            left -= 1
+        else:
+            binom = binom * (pos - left) // pos
+    if left:  # one one is left, and position 0 holds it
+        bits[0] = 1
+    return tuple(bits)
+
+
+def _reference_cw_rank(bits) -> int:
+    """cw_rank of 0/1 bits with every binomial built by comb, one per one:
+    the oracle its tests compare against."""
+    return 1 + sum(map(comb, compress(count(), bits), count(1)))
+
+
+def _reference_cw_unrank(index: int, n: int, w: int) -> tuple[int, ...]:
+    """cw_unrank of a valid index with every binomial built by comb, up to
+    two per position: the oracle its tests compare against."""
+    temp, left, bits = index - 1, w, [0] * n
+    for pos in range(n - 1, -1, -1):
+        if left and temp >= comb(pos, left):
+            bits[pos] = 1
+            temp -= comb(pos, left)
             left -= 1
     return tuple(bits)
 

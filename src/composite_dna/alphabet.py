@@ -208,10 +208,10 @@ def _rows_of_ranks(ranks, q: int, k: int) -> tuple[bytes, ...]:
     return tuple(map(bytes(ranks).translate, tables))
 
 
-def _ranks_of_rows(packed, q: int, k: int) -> tuple | None:
-    """The ranks of the columns of k >= 2 packed rows over Sigma_q of one
-    length n >= 1, or None if a column is no letter."""
-    weights, ranks_of_keys, _ = _byte_tables(q, k)
+def _ranks_of_rows(packed, q: int) -> tuple | None:
+    """The ranks of the columns of k = len(packed) >= 2 packed rows over
+    Sigma_q of one length n >= 1, or None if a column is no letter."""
+    weights, ranks_of_keys, _ = _byte_tables(q, len(packed))
     if ranks_of_keys is None:
         ranks = column_ranks(packed, q)
         return None if None in ranks else ranks
@@ -339,7 +339,7 @@ class Word:
             except ValueError:
                 pass  # a digit that is no int of Sigma_q, or a bad q: reported below
             else:
-                ranks = _ranks_of_rows(packed, q, k)
+                ranks = _ranks_of_rows(packed, q)
                 if ranks is not None:
                     return cls._of(q, k, ranks, packed)
         ranks = _checked_ranks(tuple(tuple(map(int, row)) for row in rows), q)
@@ -525,7 +525,7 @@ def _one_header_words(blocks) -> list[Word] | None:
         packed = pack_rows([_digit_row("".join(row), width, width) for row in rows], q)
     except ValueError:
         return None
-    ranks = _ranks_of_rows(packed, q, k)
+    ranks = _ranks_of_rows(packed, q)
     if ranks is None:
         return None
     starts = range(0, width, n)

@@ -36,9 +36,10 @@ only a column the decoder repairs is ranked again.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, prod
+from math import prod
 from operator import mul
 
 from ._codec import (
@@ -88,7 +89,11 @@ class HammingFamily:
     For l >= 3 the columns are the projective representatives (first
     nonzero entry 1) of F_field^r in lexicographic order, shortened down to
     l columns.  l <= 2 uses the fixed singletons C(0) = {eps}, C(1) = {1},
-    C(2) = {11}.
+    C(2) = {11}.  The code is table-driven: a syndrome entry is one C-level
+    sum over a row of the check matrix, and a nonzero syndrome is looked up
+    in a dict of every beta * column, which names the position and the
+    error value beta (every column's first nonzero entry is 1, so each
+    multiple is one key).
     """
 
     l: int
@@ -101,19 +106,31 @@ class HammingFamily:
 
     @property
     def size(self) -> int:
-        return self.field ** (self.l - self.r)
+        return hamming_size(self.l, self.field)
+
+    @cached_property
+    def check_rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.columns))
+
+    @cached_property
+    def _errors(self) -> dict:
+        """{beta * column: (its position, beta)} for every nonzero beta."""
+        field = self.field
+        return {  # times[v] = beta * v, and times[1] = beta
+            tuple(map(times.__getitem__, column)): (pos, times[1])
+            for times in ([beta * v % field for v in range(field)] for beta in range(1, field))
+            for pos, column in enumerate(self.columns)
+        }
 
     @cached_property
     def message_coords(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, c in enumerate(self.columns) if sum(1 for v in c if v) >= 2
-        )
+        zeros = self.r - 1  # in a unit column
+        return tuple(i for i, c in enumerate(self.columns) if c.count(0) < zeros)
 
     @cached_property
     def parity_coords(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, c in enumerate(self.columns) if sum(1 for v in c if v) == 1
-        )
+        zeros = self.r - 1
+        return tuple(i for i, c in enumerate(self.columns) if c.count(0) == zeros)
 
     def encode(self, message) -> tuple[int, ...]:
         message = tuple(message)
@@ -131,18 +148,15 @@ class HammingFamily:
         word = [0] * self.l
         for pos, v in zip(coords, message):
             word[pos] = v
+        # a parity column is a unit vector, so its check row reads no other
+        # parity position
         for pos in self.parity_coords:
-            row = self.columns[pos].index(1)
-            word[pos] = (
-                -sum(self.columns[j][row] * word[j] for j in coords)
-            ) % self.field
+            row = self.check_rows[self.columns[pos].index(1)]
+            word[pos] = -sum(map(mul, row, word)) % self.field
         return tuple(word)
 
     def syndrome(self, word) -> tuple[int, ...]:
-        return tuple(
-            sum(col[row] * v for col, v in zip(self.columns, word)) % self.field
-            for row in range(self.r)
-        )
+        return tuple(sum(map(mul, row, word)) % self.field for row in self.check_rows)
 
     def decode(self, word) -> tuple[int, ...]:
         """Correct at most one substitution; DecodeFailure when impossible."""
@@ -162,13 +176,10 @@ class HammingFamily:
         s = self.syndrome(word)
         if not any(s):
             return word
-        beta = next(v for v in s if v)
-        inv = pow(beta, -1, self.field)
-        target = tuple(v * inv % self.field for v in s)
-        try:
-            pos = self.columns.index(target)
-        except ValueError:
-            raise DecodeFailure("syndrome matches no check column") from None
+        hit = self._errors.get(s)
+        if hit is None:
+            raise DecodeFailure("syndrome matches no check column")
+        pos, beta = hit
         fixed = list(word)
         fixed[pos] = (fixed[pos] - beta) % self.field
         return tuple(fixed)
@@ -183,6 +194,40 @@ class HammingFamily:
             yield self.encode(msg)
 
 
+def _reference_hamming_decode(fam: HammingFamily, word) -> tuple[int, ...]:
+    """HammingFamily.decode of a word of length l >= 3 over F_field: the
+    syndrome summed column by column, and a search of the check columns
+    for its multiple by 1/beta, beta its first nonzero entry.  The oracle
+    its tests compare against."""
+    field = fam.field
+    s = [sum(c[row] * v for c, v in zip(fam.columns, word)) % field for row in range(fam.r)]
+    beta = next((v for v in s if v), 0)
+    if not beta:
+        return tuple(word)
+    target = tuple(v * pow(beta, -1, field) % field for v in s)
+    if target not in fam.columns:
+        raise DecodeFailure("syndrome matches no check column")
+    fixed = list(word)
+    pos = fam.columns.index(target)
+    fixed[pos] = (fixed[pos] - beta) % field
+    return tuple(fixed)
+
+
+def _checks(l: int, field: int) -> int:
+    """r of C(l), l >= 3: the least r with (field^r - 1)/(field - 1) >= l,
+    so that F_field^r has l projective points."""
+    r = 1
+    while (field**r - 1) // (field - 1) < l:
+        r += 1
+    return r
+
+
+def hamming_size(l: int, field: int = 2) -> int:
+    """|C(l)| in closed form, without building C(l): field ** (l - r), and
+    1 for the singletons l <= 2."""
+    return 1 if l <= 2 else field ** (l - _checks(l, field))
+
+
 @lru_cache(maxsize=None)
 def hamming_build(l: int, field: int = 2) -> HammingFamily:
     if l < 0:
@@ -191,17 +236,16 @@ def hamming_build(l: int, field: int = 2) -> HammingFamily:
         raise ValueError(f"field size must be prime, got {field}")
     if l <= 2:
         return HammingFamily(l=l, field=field, columns=())
-    r = 1
-    while (field**r - 1) // (field - 1) < l:
-        r += 1
+    r = _checks(l, field)
+    # the projective points of F_field^r in lexicographic order: zeros, a
+    # leading 1, then any tail; a zero tail makes a unit column
     cols = [
-        col
-        for col in itertools.product(range(field), repeat=r)
-        if any(col) and next(v for v in col if v) == 1
+        (0,) * (r - 1 - i) + (1,) + tail
+        for i in range(r)
+        for tail in itertools.product(range(field), repeat=i)
     ]
-    excess = len(cols) - l
-    heavy = sorted((c for c in cols if sum(1 for v in c if v) >= 2), reverse=True)
-    dropped = set(heavy[:excess])
+    heavy = [c for c in cols if c.count(0) < r - 1]
+    dropped = set(heavy[len(heavy) - (len(cols) - l) :])  # the largest ones
     return HammingFamily(
         l=l, field=field, columns=tuple(c for c in cols if c not in dropped)
     )
@@ -225,7 +269,11 @@ def _rank_split(q: int, k: int):
 
 @dataclass(frozen=True)
 class DollSpec:
-    """Parameters of the enumeration-encoded (1,0,...,0)-substitution code."""
+    """Parameters of the enumeration-encoded (1,0,...,0)-substitution code.
+
+    What the encoder and decoder read is fixed per spec and cached once:
+    the class rows and their offsets, the place of each letter rank and
+    the number of messages, base ** m."""
 
     q: int
     k: int
@@ -249,6 +297,11 @@ class DollSpec:
         return _rank_split(self.q, self.k)[1]
 
     @cached_property
+    def places(self) -> tuple[tuple[bool, int], ...]:
+        """Each letter rank's (whether it lies in A2, its index there)."""
+        return _rank_split(self.q, self.k)[2]
+
+    @cached_property
     def fill(self) -> int:
         return len(self.a1_ranks)
 
@@ -257,38 +310,61 @@ class DollSpec:
         return len(self.a2_ranks)
 
     @cached_property
+    def classes(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """The rows of table(), built once: the encoder and decoder read
+        class l's support count binom(n, l) and fill count from row l."""
+        return tuple(self.table())
+
+    @cached_property
     def class_sizes(self) -> tuple[int, ...]:
         """Codewords with exactly l letters from A2, for l = 0, ..., n."""
-        return tuple(row[-1] for row in self.table())
+        return tuple(row[-1] for row in self.classes)
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """The codewords in the classes below l, for l = 0, ..., n + 1."""
+        return tuple(itertools.accumulate(self.class_sizes, initial=0))
 
     @cached_property
     def size(self) -> int:
-        return sum(self.class_sizes)
+        return self.offsets[-1]
+
+    @cached_property
+    def base(self) -> int:
+        return alphabet_size(self.q, self.k)
 
     @cached_property
     def m(self) -> int:
-        base = alphabet_size(self.q, self.k)
+        base = self.base
         if self.q == 2:
             # floor log of the closed-form lower bound, in exact arithmetic
             num = (self.k + 1) ** (self.n + 1) - (self.k - 1) ** (self.n + 1)
             den = 4 * (self.n + 1)
-            m = 0
-            while base ** (m + 1) * den <= num:
-                m += 1
-            return m
-        m = 0
-        while base ** (m + 1) <= self.size:
-            m += 1
+        else:
+            num, den = self.size, 1
+        m, reach = 0, base
+        while reach * den <= num:
+            m, reach = m + 1, reach * base
         return m
+
+    @cached_property
+    def message_count(self) -> int:
+        return self.base**self.m
 
     def table(self):
         """Per-class counts: (l, supports, fills, inner codewords, class size),
-        the class size being the product of the three counts before it."""
+        the class size being the product of the three counts before it.
+        Each count comes from the last class's: binom(n, l) by one multiply
+        and one exact divide, fill ** (n - l) by one divide, and the inner
+        code's size in closed form (hamming_size)."""
         n, fill, field = self.n, self.fill, self.field
-        counts = [
-            (comb(n, l), fill ** (n - l), hamming_build(l, field).size) for l in range(n + 1)
-        ]
-        return [(l, *three, prod(three)) for l, three in enumerate(counts)]
+        rows, supports, fills = [], 1, fill**n
+        for l in range(n + 1):
+            three = (supports, fills, hamming_size(l, field))
+            rows.append((l, *three, prod(three)))
+            supports = supports * (n - l) // (l + 1)
+            fills //= fill
+        return rows
 
 
 def doll_size(n: int, k: int) -> int:
@@ -315,19 +391,17 @@ def _doll_unrank(index: int, spec: DollSpec) -> Word:
     dec_doll composes the same number from the same parts."""
     if not 1 <= index <= spec.size:
         raise ValueError(f"index {index} out of [1, {spec.size}]")
-    # spec.size is the sum of the class sizes, so some class holds the index
-    rest = index - 1
-    for l, cls in enumerate(spec.class_sizes):
-        if rest < cls:
-            break
-        rest -= cls
+    # spec.size is the last offset, so some class holds the index
+    l = bisect_right(spec.offsets, index - 1) - 1
     fam = hamming_build(l, spec.field)
-    rest, fill_value = divmod(rest, spec.fill ** (spec.n - l))
-    inner, support_rank = divmod(rest, comb(spec.n, l))
+    _, supports, fill_count, _, _ = spec.classes[l]
+    rest, fill_value = divmod(index - 1 - spec.offsets[l], fill_count)
+    inner, support_rank = divmod(rest, supports)
     image = iter(fam.encode(expand_base(inner, fam.field, l - fam.r)))
     fills = iter(expand_base(fill_value, spec.fill, spec.n - l))
+    a1, a2 = spec.a1_ranks, spec.a2_ranks
     ranks = [
-        spec.a2_ranks[next(image)] if bit else spec.a1_ranks[next(fills)]
+        a2[next(image)] if bit else a1[next(fills)]
         for bit in cw_unrank(support_rank + 1, spec.n, l)
     ]
     return Word.from_ranks(ranks, spec.q, spec.k)
@@ -335,12 +409,11 @@ def _doll_unrank(index: int, spec: DollSpec) -> Word:
 
 def enc_doll(x, spec: DollSpec) -> Word:
     x = tuple(x)
-    base = alphabet_size(spec.q, spec.k)
     if len(x) != spec.m:
         raise ValueError(f"message must have {spec.m} symbols, got {len(x)}")
-    if not are_digits(x, base):
-        raise ValueError(f"message symbols must lie in [0, {base})")
-    return _doll_unrank(compose(x, base) + 1, spec)
+    if not are_digits(x, spec.base):
+        raise ValueError(f"message symbols must lie in [0, {spec.base})")
+    return _doll_unrank(compose(x, spec.base) + 1, spec)
 
 
 def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
@@ -350,6 +423,8 @@ def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
     invalid column and is repaired by copying the second digit; letters of
     A1 are always restored exactly this way, letters of A2 at worst turn
     into a different A2 letter, which the inner C(l) decoder then fixes.
+    One pass over the ranks splits them into the A2 image, the fill
+    digits and the support.
     """
     rows = intake(received, spec)
     ranks = list(column_ranks(rows, spec.q))
@@ -359,22 +434,20 @@ def dec_doll(received: ReceivedRows, spec: DollSpec) -> tuple[int, ...]:
         if tail != sorted(tail):
             raise DecodeFailure(f"column {j} is corrupted below row 1; model breach")
         ranks[j] = column_rank([tail[0]] + tail, spec.q)
-    place = _rank_split(spec.q, spec.k)[2]
-    places = [place[r] for r in ranks]
-    support = [in_a2 for in_a2, _ in places]
-    l = sum(support)
+    image, fills, support = [], [], []
+    for in_a2, i in map(spec.places.__getitem__, ranks):
+        (image if in_a2 else fills).append(i)
+        support.append(in_a2)
+    l = len(image)
     fam = hamming_build(l, spec.field)
-    image = fam.decode([i for in_a2, i in places if in_a2])
-    fills = [i for in_a2, i in places if not in_a2]
+    _, supports, fill_count, _, _ = spec.classes[l]
     # _doll_unrank's divmods, undone
-    inner = compose(fam.message(image), fam.field)
-    rest = inner * comb(spec.n, l) + cw_rank(support, l) - 1
-    rest = rest * spec.fill ** (spec.n - l) + compose(fills, spec.fill)
-    index = sum(spec.class_sizes[:l]) + rest
-    base = alphabet_size(spec.q, spec.k)
-    if index >= base**spec.m:
+    rest = compose(fam.message(fam.decode(image)), spec.field) * supports
+    rest = (rest + cw_rank(support, l) - 1) * fill_count + compose(fills, spec.fill)
+    index = spec.offsets[l] + rest
+    if index >= spec.message_count:
         raise DecodeFailure("codeword index lies outside the encoder image")
-    return expand_base(index, base, spec.m)
+    return expand_base(index, spec.base, spec.m)
 
 
 # ---------------------------------------------------------------------------

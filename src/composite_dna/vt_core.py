@@ -71,9 +71,12 @@ class DecodeFailure(ValueError):
     """No candidate (or more than one) is consistent with the syndromes."""
 
 
+_SYMBOL_ROWS = tuple(bytes((v,)) for v in range(256))  # each digit as a bytes row
+
+
 def _insert(y, pos: int, sym: int):
     """y with sym inserted at pos, in y's own type (bytes or tuple)."""
-    return y[:pos] + type(y)((sym,)) + y[pos:]
+    return y[:pos] + (_SYMBOL_ROWS[sym] if isinstance(y, bytes) else (sym,)) + y[pos:]
 
 
 def _check_digits(y, q: int) -> None:

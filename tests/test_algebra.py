@@ -10,8 +10,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from composite_dna import algebra
 from composite_dna.algebra import (
     SingularMatrixError,
+    _reference_cw_rank,
+    _reference_cw_unrank,
     all_submatrices_invertible,
     are_digits,
     compose_base,
@@ -78,6 +81,18 @@ def test_expand_base_known_values():
     assert expand_base(0, 5, 0) == ()
     with pytest.raises(ValueError):
         expand_base(5, 2, 2)
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 7, 256])
+@pytest.mark.parametrize("width", [128, 129, 300, 1000])
+def test_expand_base_splits_a_long_value_into_the_same_digits(base, width):
+    """Above 128 digits expand_base splits the value in halves; the digits
+    are still value // base**i % base, and compose_base takes them back."""
+    value = random.Random(base * width).randrange(base**width)
+    digits = expand_base(value, base, width)
+    assert digits == tuple(value // base**i % base for i in range(width))
+    assert compose_base(digits, base) == value
+    assert expand_base(0, 1, width) == (0,) * width
 
 
 def test_expand_base_in_base_one_has_only_zero():
@@ -195,6 +210,39 @@ def test_cw_bijection(n):
         assert ranks == list(range(1, comb(n, w) + 1))
         for bits in seqs:
             assert cw_unrank(cw_rank(bits), n, w) == bits
+
+
+def test_cw_rank_and_unrank_agree_with_their_references_exhaustively():
+    """The incremental binomials give the ranks and words that binomials
+    built from scratch give: every word and every index for n <= 12."""
+    for n in range(13):
+        for bits in product((0, 1), repeat=n):
+            assert cw_rank(bits) == _reference_cw_rank(bits), bits
+        for w in range(n + 1):
+            for index in range(1, comb(n, w) + 1):
+                assert cw_unrank(index, n, w) == _reference_cw_unrank(index, n, w)
+
+
+def test_cw_rank_and_unrank_at_long_length_build_at_most_two_binomials(monkeypatch):
+    """At n = 1024 each binomial comes from the last one, so cw_unrank and
+    cw_rank together call comb at most twice, where one comb call per
+    position (or per one) rebuilt an O(n)-bit number each time."""
+    calls = []
+
+    def counting(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    rng = random.Random(1024)
+    for w in (1, 341, 512, 1023):
+        index = rng.randrange(1, comb(1024, w) + 1)
+        expected = _reference_cw_unrank(index, 1024, w)
+        monkeypatch.setattr(algebra, "comb", counting)
+        calls.clear()
+        bits = cw_unrank(index, 1024, w)
+        assert cw_rank(bits, w) == index
+        monkeypatch.undo()
+        assert len(calls) <= 2 and bits == expected
 
 
 # ---------------------------------------------------------------------------

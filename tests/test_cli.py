@@ -499,6 +499,17 @@ class TestTransformAndTable:
         total = sum(int(line.split(",")[-1]) for line in lines[1:])
         assert total == doll_size(3, 2)
 
+    def test_doll_table_at_long_length_sums_to_the_code_size(self, capsys):
+        # for k = 2 the fill alphabet has one letter, and the binary C(l)
+        # has l.bit_length() check symbols for l >= 3
+        code, out, _ = run(capsys, "table", "doll", "--k", "2", "--n", "512")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 514
+        total = sum(int(line.split(",")[-1]) for line in lines[1:])
+        inner = [1, 1, 1] + [2 ** (l - l.bit_length()) for l in range(3, 513)]
+        assert total == doll_size(512, 2) == sum(math.comb(512, l) * inner[l] for l in range(513))
+
 
 class TestRoundtrip:
     def test_c1d_exhaustive_passes(self, capsys):

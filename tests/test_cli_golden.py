@@ -3,8 +3,9 @@
 Each scenario runs main() in-process, step by step, in a fresh working
 directory holding its input files.  A step pins the exit code, stdout,
 stderr and every file the command writes or changes.  The recorded bytes
-cover the README examples, one roundtrip per family, encode --spec-out then
-decode --spec for every payload family, encode --in, the message families,
+cover the README examples, one roundtrip per family, the enumeration
+code's class table at k = 3, n = 40, encode --spec-out then decode --spec
+for every payload family, encode --in, the message families,
 decode and contains for every congruence family, every bound family,
 verify-code under both t-row models, and domain errors.  FIRST_FAILURES
 makes a decoder fail on one named received word per family shape, which
@@ -55,6 +56,59 @@ SCENARIOS = {
                 0,
                 ("q,k,n,extra,family,value,floor,asymptotic\n"
                  "2,2,2,e=1,sp-total,3,3,false\n"),
+                "",
+                {},
+            ),
+        ],
+    ),
+    "table-doll": (
+        {},
+        [
+            (
+                "table doll --k 3 --n 40",
+                0,
+                ("l,supports,fills,inner,class_size\n"
+                 "0,1,1099511627776,1,1099511627776\n"
+                 "1,40,549755813888,1,21990232555520\n"
+                 "2,780,274877906944,1,214404767416320\n"
+                 "3,9880,137438953472,2,2715793720606720\n"
+                 "4,91390,68719476736,2,12560545957806080\n"
+                 "5,658008,34359738368,4,90435930896203776\n"
+                 "6,3838380,17179869184,8,527542930227855360\n"
+                 "7,18643560,8589934592,16,2562351375392440320\n"
+                 "8,76904685,4294967296,16,5284849711746908160\n"
+                 "9,273438880,2147483648,32,18790576752877895680\n"
+                 "10,847660528,1073741824,64,58250787933921476608\n"
+                 "11,2311801440,536870912,128,158865785274331299840\n"
+                 "12,5586853480,268435456,256,383925647746300641280\n"
+                 "13,12033222880,134217728,512,826916779761262919680\n"
+                 "14,23206929840,67108864,1024,1594768075253864202240\n"
+                 "15,40225345056,33554432,2048,2764264663773364617216\n"
+                 "16,62852101650,16777216,2048,2159581768572941107200\n"
+                 "17,88732378800,8388608,4096,3048821320338269798400\n"
+                 "18,113380261800,4194304,8192,3895716131543344742400\n"
+                 "19,131282408400,2097152,16384,4510829204944925491200\n"
+                 "20,137846528820,1048576,32768,4736370665192171765760\n"
+                 "21,131282408400,524288,65536,4510829204944925491200\n"
+                 "22,113380261800,262144,131072,3895716131543344742400\n"
+                 "23,88732378800,131072,262144,3048821320338269798400\n"
+                 "24,62852101650,65536,524288,2159581768572941107200\n"
+                 "25,40225345056,32768,1048576,1382132331886682308608\n"
+                 "26,23206929840,16384,2097152,797384037626932101120\n"
+                 "27,12033222880,8192,4194304,413458389880631459840\n"
+                 "28,5586853480,4096,8388608,191962823873150320640\n"
+                 "29,2311801440,2048,16777216,79432892637165649920\n"
+                 "30,847660528,1024,33554432,29125393966960738304\n"
+                 "31,273438880,512,67108864,9395288376438947840\n"
+                 "32,76904685,256,67108864,1321212427936727040\n"
+                 "33,18643560,128,134217728,320293921924055040\n"
+                 "34,3838380,64,268435456,65942866278481920\n"
+                 "35,658008,32,536870912,11304491362025472\n"
+                 "36,91390,16,1073741824,1570068244725760\n"
+                 "37,9880,8,2147483648,169737107537920\n"
+                 "38,780,4,4294967296,13400297963520\n"
+                 "39,40,2,8589934592,687194767360\n"
+                 "40,1,1,17179869184,17179869184\n"),
                 "",
                 {},
             ),

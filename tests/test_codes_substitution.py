@@ -40,10 +40,11 @@ from composite_dna.codes_substitution import (
     doll_size,
     enc_doll,
     hamming_build,
+    hamming_size,
     q1cecc_checksums,
     q1cecc_decode,
 )
-from composite_dna.codes_substitution import _doll_unrank
+from composite_dna.codes_substitution import _doll_unrank, _reference_hamming_decode
 from composite_dna.vt_core import DecodeFailure
 
 
@@ -152,6 +153,38 @@ class TestHammingFamily:
     def test_rejects_composite_field(self):
         with pytest.raises(ValueError, match="prime"):
             hamming_build(4, field=9)
+
+    @pytest.mark.parametrize("field", [2, 3, 5, 7])
+    def test_closed_form_size_is_the_built_codes(self, field):
+        """field ** (l - r) without building C(l) is field to the number of
+        message coordinates, the non-unit columns, of the built code."""
+        for l in range(200):
+            fam = hamming_build(l, field)
+            assert hamming_size(l, field) == fam.size == field ** len(fam.message_coords), l
+            assert len(fam.parity_coords) == fam.r or l <= 2
+
+    @pytest.mark.parametrize(
+        "field, l", [(2, l) for l in range(3, 9)] + [(3, l) for l in range(3, 6)]
+    )
+    def test_decode_matches_the_column_search_on_every_word(self, field, l):
+        """The syndrome table names the error that a search of the check
+        columns for the syndrome's normalised multiple names, on every word
+        of F_field^l, the words no single error explains included."""
+        fam = hamming_build(l, field)
+
+        def outcome(decode, word):
+            try:
+                return decode(word)
+            except DecodeFailure as failure:
+                return str(failure)
+
+        failures = 0
+        for word in itertools.product(range(field), repeat=l):
+            expected = outcome(lambda w: _reference_hamming_decode(fam, w), word)
+            assert outcome(fam.decode, word) == expected, word
+            failures += isinstance(expected, str)
+        # a perfect code (l = 3, 7 over F_2; l = 4 over F_3) has no such word
+        assert (failures == 0) == ((field, l) in {(2, 3), (2, 7), (3, 4)})
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +330,12 @@ class TestDollCode:
 
     def test_class_sizes_are_computed_once_per_spec(self, monkeypatch):
         lookups = []
-        size = codes_substitution.HammingFamily.size
 
-        def counting(fam):
-            lookups.append(fam.l)
-            return size.fget(fam)
+        def counting(l, field):
+            lookups.append(l)
+            return hamming_size(l, field)
 
-        monkeypatch.setattr(codes_substitution.HammingFamily, "size", property(counting))
+        monkeypatch.setattr(codes_substitution, "hamming_size", counting)
         for q, k, n in [(2, 3, 6), (3, 2, 5)]:
             lookups.clear()
             spec = DollSpec(q, k, n)
@@ -315,6 +347,27 @@ class TestDollCode:
                 word = enc_doll(message, spec)
                 assert dec_doll(substituted(word, 0, rng.randrange(n), 0), spec) == message
             assert sorted(lookups) == list(range(n + 1))
+
+    def test_table_builds_no_inner_code(self, monkeypatch):
+        """The class table takes each inner code's size in closed form, so
+        neither hamming_build nor HammingFamily runs for any class."""
+        built = []
+        init = codes_substitution.HammingFamily.__init__
+
+        def counting_init(fam, *args, **kwargs):
+            built.append("HammingFamily")
+            init(fam, *args, **kwargs)
+
+        def counting_build(l, field=2):
+            built.append("hamming_build")
+            return hamming_build(l, field)
+
+        monkeypatch.setattr(codes_substitution.HammingFamily, "__init__", counting_init)
+        monkeypatch.setattr(codes_substitution, "hamming_build", counting_build)
+        spec = DollSpec(2, 2, 512)
+        assert len(spec.table()) == 513 and built == []
+        enc_doll((0,) * spec.m, spec)  # the encoder builds the one class it uses
+        assert built.count("hamming_build") == 1
 
     @pytest.mark.parametrize("q, k, n", [(2, 2, 4), (2, 3, 3), (3, 2, 3)])
     def test_decoder_inverts_the_unrank_of_every_index(self, q, k, n):
