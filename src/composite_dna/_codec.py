@@ -22,6 +22,11 @@
   clean and damaged words alike; it returns the repaired word and the
   syndromes of all its rows, so a re-encode or a certificate needs no
   second pass over the intact rows.
+
+Everything in a repair that depends only on the spec is read from tables
+that algebra builds once: the weights (i + 1)^j mod p of the power sums,
+and the inverse of each Vandermonde system, so that a solve is one small
+matrix-vector multiply mod p.
 """
 
 from __future__ import annotations
@@ -107,7 +112,8 @@ class RowCode:
         self.syndrome, self.modulus, self.lift_bound = syndrome, modulus, lift_bound
 
     def sums(self, values, t: int) -> list[int]:
-        """The first t weighted power sums of the row syndromes values."""
+        """The first t weighted power sums of the row syndromes values (a
+        list), weighted by algebra's cached rows of (i + 1)^j mod modulus."""
         return power_sums(values, range(t), self.modulus)
 
     def holds(self, values, targets) -> bool:
@@ -125,7 +131,9 @@ def repair_rows(
     The known rows' syndromes, code.syndrome(row), and the sums read_sum(j)
     of the first len(unknown) usable syndrome indices j leave one
     Vandermonde solve mod code.modulus for the unknown rows' syndromes
-    (algebra.solve_power_sums); with no unknown row there is no solve.
+    (algebra.solve_power_sums: a multiply by the system's inverse, cached
+    per modulus, unknown rows and indices); with no unknown row there is
+    no solve.
     Each solved residue must lie below code.lift_bound, the range of a true
     row syndrome, and decode_row(i, residue) then rebuilds row i, whose
     returned syndrome is that of the decoded row, not the residue: a caller

@@ -8,7 +8,9 @@ semistandard tableau enumeration with Schur polynomial evaluation,
 shape-shifted Vandermonde determinants, one linear-algebra kernel pair (an
 exact Bareiss determinant and a Gauss-Jordan solve over Z/m with unit
 pivots), the weighted power sums of the deletion and substitution codes with
-the one Vandermonde solve that recovers the unknown rows' values from them,
+the one Vandermonde solve that recovers the unknown rows' values from them
+(a multiply by the system's inverse, which solve_mod_p computes once per
+modulus, unknown rows and exponents; the sums' weights are cached too),
 and the threshold function f(k, t) under which every square submatrix of the
 syndrome coefficient matrix [i^(j-1)] is invertible mod p.
 """
@@ -19,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, count
 from math import comb, gcd
-from operator import index
+from operator import index, mul
 
 
 class SingularMatrixError(ValueError):
@@ -358,17 +360,36 @@ def solve_mod_p(matrix, rhs, p: int) -> list[int]:
     return [row[n] for row in aug]
 
 
+@lru_cache(maxsize=None)
+def _power_weights(count: int, j: int, p: int) -> tuple[int, ...]:
+    """The weights (i + 1)^j mod p of the rows i < count: one row of
+    power_sums, built once per (count, j, p)."""
+    return tuple(pow(i, j, p) for i in range(1, count + 1))
+
+
 def power_sums(values, exponents, p: int) -> list[int]:
     """[sum_i (i + 1)^j * values[i] mod p for j in exponents].
 
     These are the weighted syndromes of the t-row codes: row i (0-indexed)
     carries the node i + 1.  A single exponent 0 gives the plain sum mod p
-    of the single-row codes.
+    of the single-row codes.  Each exponent's weights are read from a cache
+    (_power_weights), so a sum is one C-level dot product.
     """
-    return [
-        sum(pow(i + 1, j, p) * v for i, v in enumerate(values)) % p
-        for j in exponents
-    ]
+    return [sum(map(mul, _power_weights(len(values), j, p), values)) % p for j in exponents]
+
+
+@lru_cache(maxsize=None)
+def _vandermonde_inverse(p: int, unknown: tuple, exponents: tuple) -> tuple:
+    """The rows of the inverse mod p of the Vandermonde system
+    [(i + 1)^j mod p] (a row per j in exponents, a column per i in
+    unknown): its columns are solve_mod_p of the system against each unit
+    vector.  A system that solve_mod_p refuses (singular, not square, or
+    larger than 1 x 1 over a composite modulus) raises its error, and
+    lru_cache keeps no entry for a call that raised."""
+    matrix = [[pow(i + 1, j, p) for i in unknown] for j in exponents]
+    n = len(matrix)
+    columns = [solve_mod_p(matrix, [int(r == c) for r in range(n)], p) for c in range(n)]
+    return tuple(zip(*columns))
 
 
 def solve_power_sums(values, exponents, sums, p: int) -> list[int]:
@@ -376,15 +397,23 @@ def solve_power_sums(values, exponents, sums, p: int) -> list[int]:
     sums read for the given exponents: the known rows' part is subtracted
     and the rest is a Vandermonde solve mod p in the unknown rows' nodes.
 
-    The system is square when there are as many exponents as unknowns.  It
-    is invertible when p is a prime above every node difference and the
-    exponents are consecutive from 0, when p > f(k, t), or when there is one
-    unknown and the exponent is 0, for any modulus.
+    The solve is a multiply by the inverse of that system, which depends
+    only on (p, the unknown rows, the exponents): it is computed by
+    solve_mod_p the first time that triple is met and cached
+    (_vandermonde_inverse), and a system solve_mod_p refuses raises its
+    error on every call.  The system is square when there are as many
+    exponents as unknowns.  It is invertible when p is a prime above every
+    node difference and the exponents are consecutive from 0, when
+    p > f(k, t), or when there is one unknown and the exponent is 0, for
+    any modulus.
     """
-    unknown = [i for i, v in enumerate(values) if v is None]
+    exponents = tuple(exponents)
+    unknown = tuple(i for i, v in enumerate(values) if v is None)
     known = power_sums([0 if v is None else v for v in values], exponents, p)
-    matrix = [[pow(i + 1, j, p) for i in unknown] for j in exponents]
-    return solve_mod_p(matrix, [s - c for s, c in zip(sums, known)], p)
+    rhs = [s - c for s, c in zip(sums, known)]
+    if len(rhs) != len(exponents):
+        raise ValueError(f"need one power sum per exponent, got {len(rhs)} for {len(exponents)}")
+    return [sum(map(mul, row, rhs)) % p for row in _vandermonde_inverse(p, unknown, exponents)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ construction shape.  Both hand every word, clean or not, to the row-repair
 core shared with the substitution codes (_codec.repair_rows): one
 Vandermonde solve of the intact rows' weighted power sums gives the short
 rows' syndromes, and each short row is then decoded by its row code; with
-no short row there is nothing to solve.  A single-deletion code is their
-t = 1 case, whose solve is the 1 x 1 system [[1]] over a modulus that need
-not be prime.
+no short row there is nothing to solve.  The solve multiplies by the
+system's inverse, and the sums' weights are read from a table: both
+depend only on the spec, so algebra builds each once.  A single-deletion
+code is their t = 1 case, whose solve is the 1 x 1 system [[1]] over a
+modulus that need not be prime.
 
 Failures: malformed input (a shape that does not match the spec, a row that
 lost more than one symbol, more short rows than the code handles) is a
@@ -22,10 +24,11 @@ unrepaired rows, an invalid block letter, non-monotone marker flags, the
 post-decode congruence check, clean rows outside the code and a decoded
 payload whose codeword is not a supersequence of every row.  The
 congruence check reads the syndromes that the repair returned.  The
-supersequence check costs O(log n) slice compares per short row and one
-compare per intact row, all at C speed; the codeword's tail is built from
-the intact rows' syndromes, computed once for the repair, and the repaired
-rows' own syndromes.
+supersequence check costs one xor of two big-endian ints and one suffix
+compare per short row and one compare per intact row, all at C speed,
+each against a payload row followed by its row of the codeword's tail;
+that tail is built from the intact rows' syndromes, computed once for the
+repair, and the repaired rows' own syndromes, and no codeword is built.
 
 * congruence_*: codes cut out by syndrome congruences, decoded by
   _congruence_decode_t.  Binary t-row variants weight the per-row VT sums
@@ -102,14 +105,20 @@ def _is_subsequence(sub, sup) -> bool:
     """Whether sub is a subsequence of sup.  Equal lengths compare with ==.
     A sub one symbol short is a subsequence exactly when it is sup with the
     symbol at their first mismatch removed (the last symbol when sub is a
-    prefix of sup): a binary search of slice compares finds that mismatch,
-    and one suffix compare decides.  Other lengths use
-    _reference_is_subsequence.  Both rows have one sequence type, such as
-    bytes for packed rows."""
+    prefix of sup), so one suffix compare decides once that mismatch is
+    found.  Packed rows find it at C speed: read as big-endian ints, sub
+    and sup without its last symbol differ first in the top byte of their
+    xor.  Other rows take a binary search of slice compares.  Other
+    lengths use _reference_is_subsequence.  Both rows have one sequence
+    type, such as bytes for packed rows."""
     if len(sub) == len(sup):
         return sub == sup
     if len(sub) != len(sup) - 1:
         return _reference_is_subsequence(sub, sup)
+    if isinstance(sub, bytes):
+        differ = int.from_bytes(sub, "big") ^ int.from_bytes(sup[:-1], "big")
+        lo = len(sub) - (differ.bit_length() + 7) // 8
+        return sub[lo:] == sup[lo + 1 :]
     lo, hi = 0, len(sub)  # sub[:lo] == sup[:lo]; the first mismatch is in [lo, hi]
     while lo < hi:
         mid = (lo + hi) // 2
@@ -327,6 +336,17 @@ class MarkerSpec:
     def delta(self) -> int:
         return digit_width(self.base, self.p)
 
+    @cached_property
+    def starts(self) -> tuple[int, ...]:
+        """The position P_j = m + j*(delta+2) of block j's marker pair."""
+        return tuple(range(self.m, self.n, self.delta + 2))
+
+    @cached_property
+    def markers(self) -> tuple[int, int]:
+        """The ranks of the marker column pair (all-zero, all-one) that
+        opens each syndrome block."""
+        return column_ranks((b"\0\1",) * self.k, self.q)
+
     @property
     def n(self) -> int:
         return self.m + self.t * (self.delta + 2)
@@ -366,13 +386,11 @@ def _marker_tail(sums, spec: MarkerSpec) -> Word:
     """The tail that carries the payload rows' weighted syndrome sums: per
     syndrome index j, the marker column pair and the base-|Phi_{q,k}|
     digits of sums[j]."""
-    q, k, base = spec.q, spec.k, spec.base
-    markers = column_ranks((b"\0\1",) * k, q)
     tail = []
     for value in sums:
-        tail += markers
-        tail += expand_base(value, base, spec.delta)
-    return Word(q, k, tail)
+        tail += spec.markers
+        tail += expand_base(value, spec.base, spec.delta)
+    return Word(spec.q, spec.k, tail)
 
 
 def _marker_encode(payload: Word, spec: MarkerSpec) -> Word:
@@ -392,26 +410,20 @@ def c4d_encode(payload: Word, spec: MarkerSpec) -> Word:
     return _marker_encode(payload, spec)
 
 
-def _segment_of(row, short: bool, spec: MarkerSpec) -> int | None:
-    """Which block the row's deletion damaged, or None for a payload hit.
+def _segment_of(row, spec: MarkerSpec) -> int | None:
+    """Which block a short row's deletion damaged, or None for a payload hit.
 
-    The zero/one marker pair opening block j sits at positions
-    P_j = m + j*(delta+2) and P_j + 1; after one deletion at or before P_j
-    the received row reads 1 at P_j, otherwise 0.  Flags are therefore
-    monotone over j: all-zero means the deletion hit the last block's tail,
-    a first 1 at j = 0 means the payload (or its trailing marker) was hit,
-    and a first 1 at j >= 1 localizes the hit to block j-1.
+    The zero/one marker pair opening block j sits at positions P_j
+    (spec.starts) and P_j + 1; after one deletion at or before P_j the
+    received row reads 1 at P_j, otherwise 0.  Flags are therefore
+    monotone over j, and their zeros come first: none means the payload (or
+    its trailing marker) was hit, j >= 1 of them localize the hit to block
+    j-1, and all t of them mean the deletion hit the last block's tail.
     """
-    if not short:
-        return -1  # clean row: damages nothing, shifts nothing
-    flags = [row[spec.m + j * (spec.delta + 2)] == 1 for j in range(spec.t)]
-    if any(flags[j] and not flags[j + 1] for j in range(spec.t - 1)):
+    flags = [row[at] == 1 for at in spec.starts]
+    if flags != sorted(flags):
         raise DecodeFailure("marker flags are not monotone; more than one deletion?")
-    if flags[0]:
-        return None
-    if not flags[-1]:
-        return spec.t - 1
-    return next(j for j in range(spec.t) if flags[j]) - 1
+    return None if flags[0] else flags.count(False) - 1
 
 
 def _read_block_digits(received, spec: MarkerSpec, damage, j: int) -> int:
@@ -423,10 +435,9 @@ def _read_block_digits(received, spec: MarkerSpec, damage, j: int) -> int:
     read in place.
     """
     width = spec.delta
-    start = spec.m + j * (width + 2) + 2
+    start = spec.starts[j] + 2
     segments = []
-    for i, row in enumerate(received.packed):
-        seg = damage[i]
+    for row, seg in zip(received.packed, damage):
         at = start - (1 if (seg is None or 0 <= seg < j) else 0)
         segments.append(row[at : at + width])
     return out_of_model(block_value, segments, received.q, spec.base)
@@ -440,30 +451,26 @@ def _marker_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
     of every row.  A word with no payload hit takes the same repair, with
     nothing to solve.  The re-encode takes the syndromes that the repair
     returned, the decoded rows' own; it shares _marker_tail with
-    _marker_encode."""
+    _marker_encode, and compares each received row with its payload row
+    followed by its tail row."""
     check_shape(received, spec)
-    t, code = spec.t, spec.row_code
-    short = _row_deficits(received, t)
-
+    t, m, code, packed = spec.t, spec.m, spec.row_code, received.packed
     # damage[i]: -1 clean, None payload hit, j >= 0 block j hit
-    damage = {
-        i: _segment_of(row, i in short, spec) for i, row in enumerate(received.packed)
-    }
-    unknown = [i for i, seg in damage.items() if seg is None]
-    blocked = {seg for seg in damage.values() if seg is not None and seg >= 0}
-    rows = [
-        None if damage[i] is None else row[: spec.m]
-        for i, row in enumerate(received.packed)
-    ]
+    damage = [-1] * spec.k
+    for i in _row_deficits(received, t):
+        damage[i] = _segment_of(packed[i], spec)
     payload, syndromes = repair_rows(
-        rows, received.q, unknown, [j for j in range(t) if j not in blocked],
+        [None if seg is None else row[:m] for row, seg in zip(packed, damage)],
+        received.q, [i for i, seg in enumerate(damage) if seg is None],
+        [j for j in range(t) if j not in damage],
         lambda j: _read_block_digits(received, spec, damage, j), code,
-        lambda i, value: code.decode(received.packed[i][: spec.m - 1], value),
+        lambda i, value: code.decode(packed[i][: m - 1], value),
     )
-    # the re-encode: the tail of the decoded rows' own syndromes
-    codeword = payload + _marker_tail(code.sums(syndromes, t), spec)
-    for got, want in zip(received.packed, codeword.packed):
-        if not _is_subsequence(got, want):
+    # the re-encode: each payload row followed by its row of the tail of
+    # the decoded rows' own syndromes
+    tail = _marker_tail(code.sums(syndromes, t), spec)
+    for got, row, end in zip(received.packed, payload.packed, tail.packed):
+        if not _is_subsequence(got, row + end):
             raise DecodeFailure("decoded payload is inconsistent with the received rows")
     return payload
 

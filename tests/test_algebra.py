@@ -1,8 +1,9 @@
 """Tests for the shared algebra helpers."""
 
+import functools
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, prod
 
 import pytest
@@ -31,12 +32,15 @@ from composite_dna.algebra import (
     schur_eval,
     smallest_prime_at_least,
     solve_mod_p,
+    solve_power_sums,
     vandermonde_shape_det,
 )
 from composite_dna.alphabet import Word
 from composite_dna.channel import Plan, apply_errors, sub_total
-from composite_dna.codes_deletion import c1d_encode
-from composite_dna.codes_substitution import DollSpec, cecc1_encode, enc_doll, hamming_build
+from composite_dna.codes_deletion import MarkerSpec, c1d_encode
+from composite_dna.codes_substitution import (
+    C2SSpec, DollSpec, cecc1_encode, enc_doll, hamming_build,
+)
 from composite_dna.vt_core import lme_encode
 
 
@@ -393,6 +397,111 @@ def test_solve_mod_p_recovers_solution(data):
             solve_mod_p(matrix, rhs, p)
     else:
         assert solve_mod_p(matrix, rhs, p) == [v % p for v in x]
+
+
+def outcome(func, *args):
+    """func(*args), or the type and message of the ValueError it raised."""
+    try:
+        return func(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def explicit_power_sum_solve(values, exponents, sums, p):
+    """The Vandermonde system of solve_power_sums written out, the known
+    rows' part of each sum subtracted, and handed to solve_mod_p."""
+    unknown = [i for i, v in enumerate(values) if v is None]
+    matrix = [[pow(i + 1, j, p) for i in unknown] for j in exponents]
+    rhs = [
+        s - sum(pow(i + 1, j, p) * v for i, v in enumerate(values) if v is not None)
+        for s, j in zip(sums, exponents)
+    ]
+    return solve_mod_p(matrix, rhs, p)
+
+
+def power_sum_outcomes(k, t, p, rng):
+    """For every set of unknown rows among k and every equally large set of
+    exponents below t: the explicit solve's outcome, and solve_power_sums'
+    on its first and second call for that system."""
+    for size in range(1, t + 1):
+        for unknown in combinations(range(k), size):
+            for exponents in combinations(range(t), size):
+                values = [None if i in unknown else rng.randrange(p) for i in range(k)]
+                sums = [rng.randrange(p) for _ in exponents]
+                args = (values, list(exponents), sums, p)
+                yield (
+                    outcome(explicit_power_sum_solve, *args),
+                    outcome(solve_power_sums, *args),
+                    outcome(solve_power_sums, *args),
+                )
+
+
+def spec_primes(k, t):
+    """The moduli that the marker codes (q = 2, 3) and C2S pick for a few
+    payload lengths at (k, t)."""
+    floor = f_threshold(k, t)
+    primes = {MarkerSpec(q, k, t, m).p for q in (2, 3) for m in (floor, 3 * floor + 5)}
+    return primes | {C2SSpec(q, k, t, m).p for q in (2, 4) for m in (1, 40, 300)}
+
+
+def test_cached_power_sum_solve_matches_the_explicit_solve(monkeypatch):
+    """At every spec prime for 2 <= t <= k <= 6, every subsystem is
+    invertible (p > f(k, t)), and the multiply by the cached inverse gives
+    solve_mod_p's solution, cold and warm.  At k = t = 6 the primes exceed
+    f(6, 6) > 4.7e11, where each primality test that solve_mod_p runs
+    divides by some 3.4e5 odd numbers, so the test remembers their
+    verdicts."""
+    monkeypatch.setattr(algebra, "is_prime", functools.lru_cache(maxsize=None)(is_prime))
+    rng = random.Random(32)
+    algebra._vandermonde_inverse.cache_clear()
+    systems = 0
+    for k in range(2, 7):
+        for t in range(2, k + 1):
+            for p in sorted(spec_primes(k, t)):
+                for explicit, cold, warm in power_sum_outcomes(k, t, p, rng):
+                    assert isinstance(explicit, list), (k, t, p, explicit)
+                    assert cold == warm == explicit, (k, t, p)
+                    systems += 1
+    assert systems > 9_000
+
+
+def test_cached_power_sum_solve_over_a_composite_modulus():
+    """The 1 x 1 systems of the single-row codes, whose modulus n + 1 (c1d)
+    or qn (cong-qary-1) need not be prime: exponent 0 is the system [[1]];
+    exponent 1 gives an entry i + 1 that may be no unit, so some refuse."""
+    rng = random.Random(1)
+    moduli = {n + 1 for n in range(3, 12)} | {q * n for q in (3, 4, 5) for n in range(3, 9)}
+    refused = 0
+    for modulus in sorted(moduli):
+        for k in (2, 3, 4):
+            for i in range(k):
+                for j in (0, 1):
+                    values = [None if r == i else rng.randrange(3 * modulus) for r in range(k)]
+                    args = (values, [j], [rng.randrange(-modulus, modulus)], modulus)
+                    explicit = outcome(explicit_power_sum_solve, *args)
+                    assert outcome(solve_power_sums, *args) == explicit
+                    assert outcome(solve_power_sums, *args) == explicit
+                    refused += not isinstance(explicit, list)
+    assert refused > 0
+
+
+def test_singular_power_sum_systems_raise_on_every_call():
+    """At k = t = 4 and p = 37 some square subsystem is singular; its solve
+    raises solve_mod_p's SingularMatrixError on the first and the second
+    call, and no inverse is cached for it."""
+    assert not all_submatrices_invertible(4, 4, 37)
+    algebra._vandermonde_inverse.cache_clear()
+    singular = solved = 0
+    for explicit, cold, warm in power_sum_outcomes(4, 4, 37, random.Random(37)):
+        assert cold == warm == explicit
+        if isinstance(explicit, list):
+            solved += 1
+        else:
+            assert explicit[0] is SingularMatrixError
+            assert explicit[1].startswith("no unit pivot in column")
+            singular += 1
+    assert singular and solved
+    assert algebra._vandermonde_inverse.cache_info().currsize == solved
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from composite_dna import codes_deletion
+from composite_dna import algebra, codes_deletion
 from composite_dna.alphabet import Word, alphabet_size
 from composite_dna.channel import (
     ReceivedRows,
@@ -47,6 +47,7 @@ from composite_dna.codes_deletion import (
     congruence_decode_qary_one,
     congruence_decode_qary_t,
 )
+from composite_dna.codes_substitution import C2SSpec, c2s_decode, c2s_encode
 from composite_dna.vt_core import DecodeFailure, qary_vt_syndrome, vt_syndrome
 
 
@@ -404,6 +405,8 @@ def test_is_subsequence_matches_the_generic_scan():
             sub = row(q, length, runs)
         got = codes_deletion._is_subsequence(sub, sup)
         assert got == codes_deletion._reference_is_subsequence(sub, sup), (sub, sup)
+        # packed rows find the first mismatch from an xor, not a search
+        assert codes_deletion._is_subsequence(bytes(sub), bytes(sup)) == got, (sub, sup)
         verdicts.add((n - length, got))
     assert verdicts == {(-1, False)} | {(d, v) for d in (0, 1, 2) for v in (True, False)}
 
@@ -567,6 +570,90 @@ def test_single_row_decoders_out_of_model():
         ("c3d", "ValueError"): 101,
         ("c3d", "decoded"): 73,
     }
+
+
+def t_row_decoder_inputs(seed, count):
+    """Seeded (family, decode, spec, received) tuples for the t = 2 decoders
+    c2d, c4d and c2s, cycled, mostly out of their model: zero to three hits,
+    each in a random row at a random position, a deletion (c2d, c4d) or a
+    substitution (c2s), so a row may take two; a third of the words get one
+    substitution more (c2d, c4d) or a deletion (c2s)."""
+    rng = random.Random(seed)
+    for index in range(count):
+        family = ("c2d", "c4d", "c2s")[index % 3]
+        if family == "c2d":
+            k = rng.randrange(2, 5)
+            spec, encode, decode = C2DSpec(k, 2, rng.randrange(k, 24)), c2d_encode, c2d_decode
+        elif family == "c4d":
+            spec = C4DSpec(rng.randrange(3, 5), rng.randrange(2, 4), 2, rng.randrange(3, 12))
+            encode, decode = c4d_encode, c4d_decode
+        else:
+            spec = C2SSpec(rng.randrange(2, 4), rng.randrange(2, 4), 2, rng.randrange(2, 9))
+            encode, decode = c2s_encode, c2s_decode
+        (payload,) = sample_payloads(spec.q, spec.k, spec.m, 1, seed=rng.randrange(10**6))
+        rows = [list(row) for row in encode(payload, spec).rows()]
+
+        def substitute():
+            row = rows[rng.randrange(spec.k)]
+            pos = rng.randrange(len(row))
+            row[pos] = rng.choice([v for v in range(spec.q) if v != row[pos]])
+
+        def delete():
+            row = rows[rng.randrange(spec.k)]
+            del row[rng.randrange(len(row))]
+
+        hit, extra = (substitute, delete) if family == "c2s" else (delete, substitute)
+        for _ in range(rng.randrange(4)):
+            hit()
+        if rng.randrange(3) == 0:
+            extra()
+        yield family, decode, spec, ReceivedRows(tuple(map(tuple, rows)), spec.q, spec.n)
+
+
+def clear_spec_fixed_caches(*objects):
+    """Empty the caches of power-sum weights and Vandermonde inverses, and
+    every cached_property of the given objects (the specs)."""
+    algebra._power_weights.cache_clear()
+    algebra._vandermonde_inverse.cache_clear()
+    for obj in objects:
+        for name, attr in vars(type(obj)).items():
+            if isinstance(attr, functools.cached_property):
+                vars(obj).pop(name, None)
+
+
+def decode_outcome(decode, *args):
+    """The decoded ranks, or the type and message of the refusal."""
+    try:
+        return decode(*args).ranks()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_decodes_are_the_same_with_spec_fixed_caches_cold_and_warm():
+    # every outcome, decoded word or refusal, is the same when every cache
+    # that depends only on the spec is emptied before the call as when all
+    # of them are warm
+    cases = [
+        (family, decode, (received,), tuple(decode.keywords.values()))
+        for family, decode, received in single_row_decoder_inputs(5, 900)
+    ]
+    cases += [
+        (family, decode, (received, spec), (spec,))
+        for family, decode, spec, received in t_row_decoder_inputs(32, 600)
+    ]
+    cold = []
+    for _, decode, args, specs in cases:
+        clear_spec_fixed_caches(*specs)
+        cold.append(decode_outcome(decode, *args))
+    for _ in range(2):  # the second pass meets every cache warm
+        warm = [decode_outcome(decode, *args) for _, decode, args, _ in cases]
+    assert cold == warm
+    kinds = {
+        (family, got[0] if isinstance(got[0], type) else False)
+        for (family, *_), got in zip(cases, warm)
+    }
+    for family in ("c1d", "cong-qary-1", "c3d", "c2d", "c4d", "c2s"):
+        assert {(family, False), (family, DecodeFailure), (family, ValueError)} <= kinds
 
 
 def test_qary_t_post_decode_check_is_typed():
