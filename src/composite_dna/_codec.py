@@ -24,15 +24,17 @@
   second pass over the intact rows.
 
 Everything in a repair that depends only on the spec is read from tables
-that algebra builds once: the weights (i + 1)^j mod p of the power sums,
-and the inverse of each Vandermonde system, so that a solve is one small
-matrix-vector multiply mod p.
+that the spec's RowCode keeps (algebra.PowerSums): the weights
+(i + 1)^j mod p of the power sums, and the inverse of each Vandermonde
+system met, so that a solve is one small matrix-vector multiply mod p.
+The tables live as long as the RowCode: a spec's, or, for the congruence
+codes, which have no spec, one of the few that codes_deletion keeps.
 """
 
 from __future__ import annotations
 
 from .alphabet import Word, column_rank, column_ranks
-from .algebra import power_sums, solve_power_sums
+from .algebra import PowerSums
 from .vt_core import DecodeFailure
 
 
@@ -106,15 +108,17 @@ def out_of_model(func, *args):
 class RowCode:
     """The single-error code of each row of a t-row construction: a row's
     syndrome(row) lies below lift_bound, and the codeword stores the
-    weighted power sums of the rows' syndromes mod modulus."""
+    weighted power sums of the rows' syndromes mod modulus, whose tables
+    power (an algebra.PowerSums) keeps."""
 
     def __init__(self, syndrome, modulus: int, lift_bound: int):
         self.syndrome, self.modulus, self.lift_bound = syndrome, modulus, lift_bound
+        self.power = PowerSums(modulus)
 
     def sums(self, values, t: int) -> list[int]:
         """The first t weighted power sums of the row syndromes values (a
-        list), weighted by algebra's cached rows of (i + 1)^j mod modulus."""
-        return power_sums(values, range(t), self.modulus)
+        list)."""
+        return self.power.sums(values, range(t))
 
     def holds(self, values, targets) -> bool:
         """Whether the row syndromes values give the targets as their first
@@ -131,9 +135,8 @@ def repair_rows(
     The known rows' syndromes, code.syndrome(row), and the sums read_sum(j)
     of the first len(unknown) usable syndrome indices j leave one
     Vandermonde solve mod code.modulus for the unknown rows' syndromes
-    (algebra.solve_power_sums: a multiply by the system's inverse, cached
-    per modulus, unknown rows and indices); with no unknown row there is
-    no solve.
+    (code.power.solve: a multiply by the system's inverse, which code keeps
+    per unknown rows and indices); with no unknown row there is no solve.
     Each solved residue must lie below code.lift_bound, the range of a true
     row syndrome, and decode_row(i, residue) then rebuilds row i, whose
     returned syndrome is that of the decoded row, not the residue: a caller
@@ -148,7 +151,7 @@ def repair_rows(
     rows = list(rows)
     if unknown:
         sums = [read_sum(j) for j in chosen]
-        for i, value in zip(unknown, solve_power_sums(values, chosen, sums, code.modulus)):
+        for i, value in zip(unknown, code.power.solve(values, chosen, sums)):
             if value >= code.lift_bound:
                 raise DecodeFailure("solved syndrome residue does not lift; breach")
             rows[i] = decode_row(i, value)

@@ -9,8 +9,9 @@ shape-shifted Vandermonde determinants, one linear-algebra kernel pair (an
 exact Bareiss determinant and a Gauss-Jordan solve over Z/m with unit
 pivots), the weighted power sums of the deletion and substitution codes with
 the one Vandermonde solve that recovers the unknown rows' values from them
-(a multiply by the system's inverse, which solve_mod_p computes once per
-modulus, unknown rows and exponents; the sums' weights are cached too),
+(PowerSums: a multiply by the system's inverse, which one solve_mod_p
+gives once per unknown rows and exponents, with the sums' weights, kept
+as long as the code that owns the tables),
 and the threshold function f(k, t) under which every square submatrix of the
 syndrome coefficient matrix [i^(j-1)] is invertible mod p.
 """
@@ -325,8 +326,13 @@ def det(matrix) -> int:
     return sign * prev
 
 
-def solve_mod_p(matrix, rhs, p: int) -> list[int]:
+def solve_mod_p(matrix, rhs, p: int) -> list:
     """Solve A x = b over Z/p by Gauss-Jordan elimination with unit pivots.
+
+    rhs is b, a list of ints, or several right-hand sides at once: a list
+    of rows, one per equation, such as the identity, whose solution is the
+    inverse of A.  The solution has the shape of rhs, and one elimination
+    serves every right-hand side.
 
     Over a prime p every nonzero pivot is a unit, so this is the usual solve
     over F_p, and SingularMatrixError means A is singular.  A composite p is
@@ -345,7 +351,11 @@ def solve_mod_p(matrix, rhs, p: int) -> list[int]:
             "solve_mod_p solves only 1 x 1 systems over a composite modulus, "
             f"got {n} x {n} mod {p}"
         )
-    aug = [[x % p for x in row] + [b % p] for row, b in zip(matrix, rhs)]
+    several = n > 0 and not isinstance(rhs[0], int)
+    aug = [
+        [x % p for x in row] + [x % p for x in (b if several else (b,))]
+        for row, b in zip(matrix, rhs)
+    ]
     for col in range(n):
         pivot = next((r for r in range(col, n) if gcd(aug[r][col], p) == 1), None)
         if pivot is None:
@@ -357,63 +367,66 @@ def solve_mod_p(matrix, rhs, p: int) -> list[int]:
             if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[col])]
-    return [row[n] for row in aug]
+    return [row[n:] if several else row[n] for row in aug]
 
 
-@lru_cache(maxsize=None)
-def _power_weights(count: int, j: int, p: int) -> tuple[int, ...]:
-    """The weights (i + 1)^j mod p of the rows i < count: one row of
-    power_sums, built once per (count, j, p)."""
-    return tuple(pow(i, j, p) for i in range(1, count + 1))
+class PowerSums:
+    """The weighted power sums mod p of the t-row codes, and the one
+    Vandermonde solve that recovers unknown values from them.
 
-
-def power_sums(values, exponents, p: int) -> list[int]:
-    """[sum_i (i + 1)^j * values[i] mod p for j in exponents].
-
-    These are the weighted syndromes of the t-row codes: row i (0-indexed)
-    carries the node i + 1.  A single exponent 0 gives the plain sum mod p
-    of the single-row codes.  Each exponent's weights are read from a cache
-    (_power_weights), so a sum is one C-level dot product.
+    Row i (0-indexed) carries the node i + 1.  What depends only on p is
+    built once and kept by the instance: the weights (i + 1)^j mod p per
+    (row count, exponent), and the inverse of each system per (unknown
+    rows, exponents), which one solve_mod_p against the identity gives.  A
+    system that solve_mod_p refuses leaves no entry, so it raises the same
+    error on every call.  A code keeps one instance (_codec.RowCode), so
+    the tables live as long as that code.
     """
-    return [sum(map(mul, _power_weights(len(values), j, p), values)) % p for j in exponents]
 
+    def __init__(self, p: int):
+        self.p = p
+        self._weights: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._inverses: dict[tuple[tuple, tuple], list[list[int]]] = {}
 
-@lru_cache(maxsize=None)
-def _vandermonde_inverse(p: int, unknown: tuple, exponents: tuple) -> tuple:
-    """The rows of the inverse mod p of the Vandermonde system
-    [(i + 1)^j mod p] (a row per j in exponents, a column per i in
-    unknown): its columns are solve_mod_p of the system against each unit
-    vector.  A system that solve_mod_p refuses (singular, not square, or
-    larger than 1 x 1 over a composite modulus) raises its error, and
-    lru_cache keeps no entry for a call that raised."""
-    matrix = [[pow(i + 1, j, p) for i in unknown] for j in exponents]
-    n = len(matrix)
-    columns = [solve_mod_p(matrix, [int(r == c) for r in range(n)], p) for c in range(n)]
-    return tuple(zip(*columns))
+    def sums(self, values, exponents) -> list[int]:
+        """[sum_i (i + 1)^j * values[i] mod p for j in exponents].
 
+        A single exponent 0 gives the plain sum mod p of the single-row
+        codes.  Each sum is one C-level dot product with its weights.
+        """
+        p, count, out = self.p, len(values), []
+        for j in exponents:
+            weights = self._weights.get((count, j))
+            if weights is None:
+                weights = tuple(pow(i, j, p) for i in range(1, count + 1))
+                self._weights[count, j] = weights
+            out.append(sum(map(mul, weights, values)) % p)
+        return out
 
-def solve_power_sums(values, exponents, sums, p: int) -> list[int]:
-    """The unknown entries (None) of values, in row order, given the power
-    sums read for the given exponents: the known rows' part is subtracted
-    and the rest is a Vandermonde solve mod p in the unknown rows' nodes.
+    def solve(self, values, exponents, sums) -> list[int]:
+        """The unknown entries (None) of values, in row order, given the
+        power sums read for the given exponents: the known rows' part is
+        subtracted and the rest is the Vandermonde system mod p in the
+        unknown rows' nodes, solved by a multiply by its inverse.
 
-    The solve is a multiply by the inverse of that system, which depends
-    only on (p, the unknown rows, the exponents): it is computed by
-    solve_mod_p the first time that triple is met and cached
-    (_vandermonde_inverse), and a system solve_mod_p refuses raises its
-    error on every call.  The system is square when there are as many
-    exponents as unknowns.  It is invertible when p is a prime above every
-    node difference and the exponents are consecutive from 0, when
-    p > f(k, t), or when there is one unknown and the exponent is 0, for
-    any modulus.
-    """
-    exponents = tuple(exponents)
-    unknown = tuple(i for i, v in enumerate(values) if v is None)
-    known = power_sums([0 if v is None else v for v in values], exponents, p)
-    rhs = [s - c for s, c in zip(sums, known)]
-    if len(rhs) != len(exponents):
-        raise ValueError(f"need one power sum per exponent, got {len(rhs)} for {len(exponents)}")
-    return [sum(map(mul, row, rhs)) % p for row in _vandermonde_inverse(p, unknown, exponents)]
+        The system is square when there are as many exponents as unknowns.
+        It is invertible when p is a prime above every node difference and
+        the exponents are consecutive from 0, when p > f(k, t), or when
+        there is one unknown and the exponent is 0, for any modulus.
+        """
+        p, exponents = self.p, tuple(exponents)
+        unknown = tuple(i for i, v in enumerate(values) if v is None)
+        known = self.sums([0 if v is None else v for v in values], exponents)
+        rhs = [s - c for s, c in zip(sums, known)]
+        if len(rhs) != len(exponents):
+            raise ValueError(f"need one power sum per exponent, got {len(rhs)} for {len(exponents)}")
+        inverse = self._inverses.get((unknown, exponents))
+        if inverse is None:
+            matrix = [[pow(i + 1, j, p) for i in unknown] for j in exponents]
+            identity = [[int(r == c) for c in range(len(matrix))] for r in range(len(matrix))]
+            inverse = solve_mod_p(matrix, identity, p)
+            self._inverses[unknown, exponents] = inverse
+        return [sum(map(mul, row, rhs)) % p for row in inverse]
 
 
 # ---------------------------------------------------------------------------

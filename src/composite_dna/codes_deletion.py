@@ -10,10 +10,10 @@ core shared with the substitution codes (_codec.repair_rows): one
 Vandermonde solve of the intact rows' weighted power sums gives the short
 rows' syndromes, and each short row is then decoded by its row code; with
 no short row there is nothing to solve.  The solve multiplies by the
-system's inverse, and the sums' weights are read from a table: both
-depend only on the spec, so algebra builds each once.  A single-deletion
-code is their t = 1 case, whose solve is the 1 x 1 system [[1]] over a
-modulus that need not be prime.
+system's inverse, and the sums' weights are read from a table: both depend
+only on the code, so its row code builds each once.  A single-deletion code
+is their t = 1 case, whose solve is the 1 x 1 system [[1]] over a modulus
+that need not be prime.
 
 Failures: malformed input (a shape that does not match the spec, a row that
 lost more than one symbol, more short rows than the code handles) is a
@@ -24,17 +24,19 @@ unrepaired rows, an invalid block letter, non-monotone marker flags, the
 post-decode congruence check, clean rows outside the code and a decoded
 payload whose codeword is not a supersequence of every row.  The
 congruence check reads the syndromes that the repair returned.  The
-supersequence check costs one xor of two big-endian ints and one suffix
-compare per short row and one compare per intact row, all at C speed,
-each against a payload row followed by its row of the codeword's tail;
-that tail is built from the intact rows' syndromes, computed once for the
-repair, and the repaired rows' own syndromes, and no codeword is built.
+supersequence check costs O(log n) slice compares per short row and one
+compare per intact row, all at C speed, each against a payload row
+followed by its row of the codeword's tail; that tail is built from the
+intact rows' syndromes, computed once for the repair, and the repaired
+rows' own syndromes, and no codeword is built.
 
 * congruence_*: codes cut out by syndrome congruences, decoded by
   _congruence_decode_t.  Binary t-row variants weight the per-row VT sums
   by i^j mod p, q-ary ones the VT(psi(.)) sums; the membership tests and
   decoders of both take their targets and row code from one check,
-  _t_row_code.  cong-qary-1 is the t = 1 q-ary code mod qn.  No encoders
+  _t_row_code.  Having no spec to keep their row codes, with the tables
+  that those build, these families keep the last 64 (_row_code).
+  cong-qary-1 is the t = 1 q-ary code mod qn.  No encoders
   (these families exist by pigeonhole on the best class); membership tests
   and decoders are given.
 * c1d_*: the binary t = 1 congruence code sum_i VT(c_i) = a mod n+1, with a
@@ -55,7 +57,7 @@ congruence targets; everything else in the code is 0-indexed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from ._codec import (
     RowCode, block_value, check_payload, check_shape, check_t_rows, out_of_model,
@@ -101,24 +103,25 @@ class _RowCode(RowCode):
         return vt_decode_one_deletion(row, residue, self.modulus)
 
 
+@lru_cache(maxsize=64)
+def _row_code(q: int, n: int, modulus: int, psi: bool) -> _RowCode:
+    """The row code of a congruence family, which has no spec to keep it:
+    the last 64 are kept, each with the power-sum tables it has built."""
+    return _RowCode(q, n, modulus, psi)
+
+
 def _is_subsequence(sub, sup) -> bool:
     """Whether sub is a subsequence of sup.  Equal lengths compare with ==.
     A sub one symbol short is a subsequence exactly when it is sup with the
     symbol at their first mismatch removed (the last symbol when sub is a
-    prefix of sup), so one suffix compare decides once that mismatch is
-    found.  Packed rows find it at C speed: read as big-endian ints, sub
-    and sup without its last symbol differ first in the top byte of their
-    xor.  Other rows take a binary search of slice compares.  Other
-    lengths use _reference_is_subsequence.  Both rows have one sequence
-    type, such as bytes for packed rows."""
+    prefix of sup): a binary search of slice compares finds that mismatch,
+    and one suffix compare decides.  Other lengths use
+    _reference_is_subsequence.  Both rows have one sequence type, such as
+    bytes for packed rows."""
     if len(sub) == len(sup):
         return sub == sup
     if len(sub) != len(sup) - 1:
         return _reference_is_subsequence(sub, sup)
-    if isinstance(sub, bytes):
-        differ = int.from_bytes(sub, "big") ^ int.from_bytes(sup[:-1], "big")
-        lo = len(sub) - (differ.bit_length() + 7) // 8
-        return sub[lo:] == sup[lo + 1 :]
     lo, hi = 0, len(sub)  # sub[:lo] == sup[:lo]; the first mismatch is in [lo, hi]
     while lo < hi:
         mid = (lo + hi) // 2
@@ -209,7 +212,7 @@ def c1d_decode(received: ReceivedRows, a: int) -> Word:
     if received.q != 2:
         raise ValueError("c1d is a binary family")
     n = received.n
-    return _congruence_decode_t(received, (a,), _RowCode(2, n, n + 1, False))
+    return _congruence_decode_t(received, (a,), _row_code(2, n, n + 1, False))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +237,7 @@ def _t_row_code(shape, targets, p: int, psi: bool) -> tuple[tuple[int, ...], _Ro
     if p <= floor:
         family = "the q-ary t-row family" if psi else "the binary t-row family"
         raise ValueError(f"{family} needs p > {floor}, got {p}")
-    return targets, _RowCode(q, n, p, psi)
+    return targets, _row_code(q, n, p, psi)
 
 
 def congruence_contains_binary_t(word: Word, targets, p: int) -> bool:
@@ -243,7 +246,7 @@ def congruence_contains_binary_t(word: Word, targets, p: int) -> bool:
 
 
 def congruence_contains_qary_one(word: Word, a: int) -> bool:
-    code = _RowCode(word.q, word.n, word.q * word.n, True)
+    code = _row_code(word.q, word.n, word.q * word.n, True)
     return code.holds(list(map(code.syndrome, word.packed)), (a,))
 
 
@@ -281,7 +284,7 @@ def congruence_decode_binary_t(received: ReceivedRows, targets, p: int) -> Word:
 def congruence_decode_qary_one(received: ReceivedRows, a: int) -> Word:
     """The t = 1 q-ary congruence decode mod qn."""
     q, n = received.q, received.n
-    return _congruence_decode_t(received, (a,), _RowCode(q, n, q * n, True))
+    return _congruence_decode_t(received, (a,), _row_code(q, n, q * n, True))
 
 
 def congruence_decode_qary_t(received: ReceivedRows, targets, p: int) -> Word:

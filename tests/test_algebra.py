@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from composite_dna import algebra
 from composite_dna.algebra import (
+    PowerSums,
     SingularMatrixError,
     _reference_cw_rank,
     _reference_cw_unrank,
@@ -32,7 +33,6 @@ from composite_dna.algebra import (
     schur_eval,
     smallest_prime_at_least,
     solve_mod_p,
-    solve_power_sums,
     vandermonde_shape_det,
 )
 from composite_dna.alphabet import Word
@@ -381,6 +381,21 @@ def test_solve_mod_p_composite_modulus():
     assert not isinstance(info.value, SingularMatrixError)
 
 
+def test_solve_mod_p_takes_several_right_hand_sides(monkeypatch):
+    # one primality test and one elimination serve every right-hand side;
+    # against the identity the solution is the inverse
+    tested = []
+    monkeypatch.setattr(algebra, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    matrix = [[1, 1], [1, 2]]
+    assert solve_mod_p(matrix, [[1, 0], [0, 1]], 7) == [[2, 6], [6, 1]]
+    assert tested == [7]
+    both = solve_mod_p(matrix, [[3, 1], [5, 0]], 7)
+    assert [list(c) for c in zip(*both)] == [solve_mod_p(matrix, b, 7) for b in ([3, 5], [1, 0])]
+    assert solve_mod_p([[2]], [[1, 4]], 9) == [[5, 2]]
+    with pytest.raises(SingularMatrixError, match="no unit pivot in column 1 mod 5"):
+        solve_mod_p([[1, 1], [2, 2]], [[1, 0], [0, 1]], 5)
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_solve_mod_p_recovers_solution(data):
@@ -408,7 +423,7 @@ def outcome(func, *args):
 
 
 def explicit_power_sum_solve(values, exponents, sums, p):
-    """The Vandermonde system of solve_power_sums written out, the known
+    """The Vandermonde system of PowerSums.solve written out, the known
     rows' part of each sum subtracted, and handed to solve_mod_p."""
     unknown = [i for i, v in enumerate(values) if v is None]
     matrix = [[pow(i + 1, j, p) for i in unknown] for j in exponents]
@@ -419,10 +434,11 @@ def explicit_power_sum_solve(values, exponents, sums, p):
     return solve_mod_p(matrix, rhs, p)
 
 
-def power_sum_outcomes(k, t, p, rng):
+def power_sum_outcomes(k, t, p, rng, tables):
     """For every set of unknown rows among k and every equally large set of
-    exponents below t: the explicit solve's outcome, and solve_power_sums'
-    on its first and second call for that system."""
+    exponents below t: the explicit solve's outcome, and that of
+    tables.solve (tables a PowerSums(p)) on its first and second call for
+    that system."""
     for size in range(1, t + 1):
         for unknown in combinations(range(k), size):
             for exponents in combinations(range(t), size):
@@ -431,8 +447,8 @@ def power_sum_outcomes(k, t, p, rng):
                 args = (values, list(exponents), sums, p)
                 yield (
                     outcome(explicit_power_sum_solve, *args),
-                    outcome(solve_power_sums, *args),
-                    outcome(solve_power_sums, *args),
+                    outcome(tables.solve, *args[:3]),
+                    outcome(tables.solve, *args[:3]),
                 )
 
 
@@ -447,18 +463,19 @@ def spec_primes(k, t):
 def test_cached_power_sum_solve_matches_the_explicit_solve(monkeypatch):
     """At every spec prime for 2 <= t <= k <= 6, every subsystem is
     invertible (p > f(k, t)), and the multiply by the cached inverse gives
-    solve_mod_p's solution, cold and warm.  At k = t = 6 the primes exceed
-    f(6, 6) > 4.7e11, where each primality test that solve_mod_p runs
-    divides by some 3.4e5 odd numbers, so the test remembers their
+    solve_mod_p's solution, cold and warm.  Each inverse is one
+    solve_mod_p, and so one primality test; at k = t = 6 the primes exceed
+    f(6, 6) > 4.7e11, where a test divides by some 3.4e5 odd numbers, and
+    each prime meets some 900 systems, so the test remembers the
     verdicts."""
     monkeypatch.setattr(algebra, "is_prime", functools.lru_cache(maxsize=None)(is_prime))
     rng = random.Random(32)
-    algebra._vandermonde_inverse.cache_clear()
     systems = 0
     for k in range(2, 7):
         for t in range(2, k + 1):
             for p in sorted(spec_primes(k, t)):
-                for explicit, cold, warm in power_sum_outcomes(k, t, p, rng):
+                tables = PowerSums(p)
+                for explicit, cold, warm in power_sum_outcomes(k, t, p, rng, tables):
                     assert isinstance(explicit, list), (k, t, p, explicit)
                     assert cold == warm == explicit, (k, t, p)
                     systems += 1
@@ -473,14 +490,15 @@ def test_cached_power_sum_solve_over_a_composite_modulus():
     moduli = {n + 1 for n in range(3, 12)} | {q * n for q in (3, 4, 5) for n in range(3, 9)}
     refused = 0
     for modulus in sorted(moduli):
+        tables = PowerSums(modulus)
         for k in (2, 3, 4):
             for i in range(k):
                 for j in (0, 1):
                     values = [None if r == i else rng.randrange(3 * modulus) for r in range(k)]
                     args = (values, [j], [rng.randrange(-modulus, modulus)], modulus)
                     explicit = outcome(explicit_power_sum_solve, *args)
-                    assert outcome(solve_power_sums, *args) == explicit
-                    assert outcome(solve_power_sums, *args) == explicit
+                    assert outcome(tables.solve, *args[:3]) == explicit
+                    assert outcome(tables.solve, *args[:3]) == explicit
                     refused += not isinstance(explicit, list)
     assert refused > 0
 
@@ -490,9 +508,9 @@ def test_singular_power_sum_systems_raise_on_every_call():
     raises solve_mod_p's SingularMatrixError on the first and the second
     call, and no inverse is cached for it."""
     assert not all_submatrices_invertible(4, 4, 37)
-    algebra._vandermonde_inverse.cache_clear()
+    tables = PowerSums(37)
     singular = solved = 0
-    for explicit, cold, warm in power_sum_outcomes(4, 4, 37, random.Random(37)):
+    for explicit, cold, warm in power_sum_outcomes(4, 4, 37, random.Random(37), tables):
         assert cold == warm == explicit
         if isinstance(explicit, list):
             solved += 1
@@ -501,7 +519,7 @@ def test_singular_power_sum_systems_raise_on_every_call():
             assert explicit[1].startswith("no unit pivot in column")
             singular += 1
     assert singular and solved
-    assert algebra._vandermonde_inverse.cache_info().currsize == solved
+    assert len(tables._inverses) == solved
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from composite_dna import algebra, codes_deletion
+from composite_dna import codes_deletion
 from composite_dna.alphabet import Word, alphabet_size
 from composite_dna.channel import (
     ReceivedRows,
@@ -405,7 +405,7 @@ def test_is_subsequence_matches_the_generic_scan():
             sub = row(q, length, runs)
         got = codes_deletion._is_subsequence(sub, sup)
         assert got == codes_deletion._reference_is_subsequence(sub, sup), (sub, sup)
-        # packed rows find the first mismatch from an xor, not a search
+        # packed rows take the same path and give the same verdict
         assert codes_deletion._is_subsequence(bytes(sub), bytes(sup)) == got, (sub, sup)
         verdicts.add((n - length, got))
     assert verdicts == {(-1, False)} | {(d, v) for d in (0, 1, 2) for v in (True, False)}
@@ -611,10 +611,10 @@ def t_row_decoder_inputs(seed, count):
 
 
 def clear_spec_fixed_caches(*objects):
-    """Empty the caches of power-sum weights and Vandermonde inverses, and
-    every cached_property of the given objects (the specs)."""
-    algebra._power_weights.cache_clear()
-    algebra._vandermonde_inverse.cache_clear()
+    """Drop every row code, with its power-sum weights and Vandermonde
+    inverses: the congruence families' kept ones, and every cached_property
+    of the given objects (the specs)."""
+    codes_deletion._row_code.cache_clear()
     for obj in objects:
         for name, attr in vars(type(obj)).items():
             if isinstance(attr, functools.cached_property):
