@@ -16,25 +16,29 @@
   means the received word lay outside the model, so it becomes a
   DecodeFailure;
 * RowCode: the single-error code that every row of a t-row construction
-  carries, with the weighted power sums of its syndromes that the codeword
-  stores, and the check of those sums against their targets;
+  carries: the weighted power sums of its syndromes that the codeword
+  stores, their check against the targets, and the one Vandermonde solve
+  that recovers unknown rows' syndromes from them;
 * repair_rows: the row-repair core of every t-row syndrome decoder, on
   clean and damaged words alike; it returns the repaired word and the
   syndromes of all its rows, so a re-encode or a certificate needs no
   second pass over the intact rows.
 
 Everything in a repair that depends only on the spec is read from tables
-that the spec's RowCode keeps (algebra.PowerSums): the weights
-(i + 1)^j mod p of the power sums, and the inverse of each Vandermonde
-system met, so that a solve is one small matrix-vector multiply mod p.
-The tables live as long as the RowCode: a spec's, or, for the congruence
-codes, which have no spec, one of the few that codes_deletion keeps.
+that the spec's RowCode keeps: the weights (i + 1)^j mod p of the power
+sums, and the inverse of each Vandermonde system met, which one
+algebra.solve_mod_p against the identity gives, so that a solve is one
+small matrix-vector multiply mod p.  The tables live as long as the
+RowCode: a spec's, or, for the congruence codes, which have no spec, one
+of the few that codes_deletion keeps.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 from .alphabet import Word, column_rank, column_ranks
-from .algebra import PowerSums
+from .algebra import solve_mod_p
 from .vt_core import DecodeFailure
 
 
@@ -108,22 +112,61 @@ def out_of_model(func, *args):
 class RowCode:
     """The single-error code of each row of a t-row construction: a row's
     syndrome(row) lies below lift_bound, and the codeword stores the
-    weighted power sums of the rows' syndromes mod modulus, whose tables
-    power (an algebra.PowerSums) keeps."""
+    weighted power sums mod p = modulus of the rows' syndromes, row i
+    (0-indexed) weighted by its node i + 1 to the power j.
+
+    What depends only on p is built once and kept: the weights
+    (i + 1)^j mod p per (row count, exponent), and the inverse of each
+    Vandermonde system per (unknown rows, exponents), which one
+    solve_mod_p against the identity gives.  A system that solve_mod_p
+    refuses stores nothing, so it raises the same error on every call."""
 
     def __init__(self, syndrome, modulus: int, lift_bound: int):
         self.syndrome, self.modulus, self.lift_bound = syndrome, modulus, lift_bound
-        self.power = PowerSums(modulus)
+        self._weights, self._inverses = {}, {}  # (count, j) and (unknown, exponents) keys
 
-    def sums(self, values, t: int) -> list[int]:
-        """The first t weighted power sums of the row syndromes values (a
-        list)."""
-        return self.power.sums(values, range(t))
+    def sums(self, values, exponents) -> list[int]:
+        """[sum_i (i + 1)^j * values[i] mod p for j in exponents], each one
+        C-level dot product with its weights.  A single exponent 0 gives
+        the plain sum mod p of the single-row codes."""
+        p, count, out = self.modulus, len(values), []
+        for j in exponents:
+            weights = self._weights.get((count, j))
+            if weights is None:
+                weights = tuple(pow(i, j, p) for i in range(1, count + 1))
+                self._weights[count, j] = weights
+            out.append(sum(map(mul, weights, values)) % p)
+        return out
 
     def holds(self, values, targets) -> bool:
         """Whether the row syndromes values give the targets as their first
         len(targets) power sums."""
-        return self.sums(values, len(targets)) == [a % self.modulus for a in targets]
+        return self.sums(values, range(len(targets))) == [a % self.modulus for a in targets]
+
+    def solve(self, values, exponents, sums) -> list[int]:
+        """The unknown entries (None) of values, in row order, given the
+        power sums read for the given exponents: the known rows' part is
+        subtracted and the rest is the Vandermonde system mod p in the
+        unknown rows' nodes, solved by a multiply by its inverse.
+
+        The system is square when there are as many exponents as unknowns.
+        It is invertible when p is a prime above every node difference and
+        the exponents are consecutive from 0, when p > f(k, t), or when
+        there is one unknown and the exponent is 0, for any modulus.
+        """
+        p, exponents = self.modulus, tuple(exponents)
+        unknown = tuple(i for i, v in enumerate(values) if v is None)
+        known = self.sums([0 if v is None else v for v in values], exponents)
+        rhs = [s - c for s, c in zip(sums, known)]
+        if len(rhs) != len(exponents):
+            raise ValueError(f"need one power sum per exponent, got {len(rhs)} for {len(exponents)}")
+        inverse = self._inverses.get((unknown, exponents))
+        if inverse is None:
+            matrix = [[pow(i + 1, j, p) for i in unknown] for j in exponents]
+            identity = [[int(r == c) for c in range(len(matrix))] for r in range(len(matrix))]
+            inverse = solve_mod_p(matrix, identity, p)
+            self._inverses[unknown, exponents] = inverse
+        return [sum(map(mul, row, rhs)) % p for row in inverse]
 
 
 def repair_rows(
@@ -135,8 +178,8 @@ def repair_rows(
     The known rows' syndromes, code.syndrome(row), and the sums read_sum(j)
     of the first len(unknown) usable syndrome indices j leave one
     Vandermonde solve mod code.modulus for the unknown rows' syndromes
-    (code.power.solve: a multiply by the system's inverse, which code keeps
-    per unknown rows and indices); with no unknown row there is no solve.
+    (code.solve: a multiply by the system's inverse, which code keeps per
+    unknown rows and indices); with no unknown row there is no solve.
     Each solved residue must lie below code.lift_bound, the range of a true
     row syndrome, and decode_row(i, residue) then rebuilds row i, whose
     returned syndrome is that of the decoded row, not the residue: a caller
@@ -151,7 +194,7 @@ def repair_rows(
     rows = list(rows)
     if unknown:
         sums = [read_sum(j) for j in chosen]
-        for i, value in zip(unknown, code.power.solve(values, chosen, sums)):
+        for i, value in zip(unknown, code.solve(values, chosen, sums)):
             if value >= code.lift_bound:
                 raise DecodeFailure("solved syndrome residue does not lift; breach")
             rows[i] = decode_row(i, value)

@@ -7,13 +7,10 @@ ranking/unranking of constant-weight binary sequences,
 semistandard tableau enumeration with Schur polynomial evaluation,
 shape-shifted Vandermonde determinants, one linear-algebra kernel pair (an
 exact Bareiss determinant and a Gauss-Jordan solve over Z/m with unit
-pivots), the weighted power sums of the deletion and substitution codes with
-the one Vandermonde solve that recovers the unknown rows' values from them
-(PowerSums: a multiply by the system's inverse, which one solve_mod_p
-gives once per unknown rows and exponents, with the sums' weights, kept
-as long as the code that owns the tables),
-and the threshold function f(k, t) under which every square submatrix of the
-syndrome coefficient matrix [i^(j-1)] is invertible mod p.
+pivots, the one elimination of the package: _codec.RowCode inverts each
+Vandermonde system of its power sums with it), and the threshold function
+f(k, t) under which every square submatrix of the syndrome coefficient
+matrix [i^(j-1)] is invertible mod p.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, count
 from math import comb, gcd
-from operator import index, mul
+from operator import index
 
 
 class SingularMatrixError(ValueError):
@@ -368,65 +365,6 @@ def solve_mod_p(matrix, rhs, p: int) -> list:
                 factor = aug[r][col]
                 aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[col])]
     return [row[n:] if several else row[n] for row in aug]
-
-
-class PowerSums:
-    """The weighted power sums mod p of the t-row codes, and the one
-    Vandermonde solve that recovers unknown values from them.
-
-    Row i (0-indexed) carries the node i + 1.  What depends only on p is
-    built once and kept by the instance: the weights (i + 1)^j mod p per
-    (row count, exponent), and the inverse of each system per (unknown
-    rows, exponents), which one solve_mod_p against the identity gives.  A
-    system that solve_mod_p refuses leaves no entry, so it raises the same
-    error on every call.  A code keeps one instance (_codec.RowCode), so
-    the tables live as long as that code.
-    """
-
-    def __init__(self, p: int):
-        self.p = p
-        self._weights: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._inverses: dict[tuple[tuple, tuple], list[list[int]]] = {}
-
-    def sums(self, values, exponents) -> list[int]:
-        """[sum_i (i + 1)^j * values[i] mod p for j in exponents].
-
-        A single exponent 0 gives the plain sum mod p of the single-row
-        codes.  Each sum is one C-level dot product with its weights.
-        """
-        p, count, out = self.p, len(values), []
-        for j in exponents:
-            weights = self._weights.get((count, j))
-            if weights is None:
-                weights = tuple(pow(i, j, p) for i in range(1, count + 1))
-                self._weights[count, j] = weights
-            out.append(sum(map(mul, weights, values)) % p)
-        return out
-
-    def solve(self, values, exponents, sums) -> list[int]:
-        """The unknown entries (None) of values, in row order, given the
-        power sums read for the given exponents: the known rows' part is
-        subtracted and the rest is the Vandermonde system mod p in the
-        unknown rows' nodes, solved by a multiply by its inverse.
-
-        The system is square when there are as many exponents as unknowns.
-        It is invertible when p is a prime above every node difference and
-        the exponents are consecutive from 0, when p > f(k, t), or when
-        there is one unknown and the exponent is 0, for any modulus.
-        """
-        p, exponents = self.p, tuple(exponents)
-        unknown = tuple(i for i, v in enumerate(values) if v is None)
-        known = self.sums([0 if v is None else v for v in values], exponents)
-        rhs = [s - c for s, c in zip(sums, known)]
-        if len(rhs) != len(exponents):
-            raise ValueError(f"need one power sum per exponent, got {len(rhs)} for {len(exponents)}")
-        inverse = self._inverses.get((unknown, exponents))
-        if inverse is None:
-            matrix = [[pow(i + 1, j, p) for i in unknown] for j in exponents]
-            identity = [[int(r == c) for c in range(len(matrix))] for r in range(len(matrix))]
-            inverse = solve_mod_p(matrix, identity, p)
-            self._inverses[unknown, exponents] = inverse
-        return [sum(map(mul, row, rhs)) % p for row in inverse]
 
 
 # ---------------------------------------------------------------------------

@@ -52,17 +52,18 @@ rank table's dict and a transposition of its letters instead.
 
 Word(q, k, ranks) checks the ranks against the table; Word.from_rows packs
 the given rows and ranks their columns, and only if that fails (a digit
-string, 1.5, a digit outside Sigma_q, a shape that is no word) are the
-digits int()-normalised and checked, so the result, word or error, is the
-one the int() digits give; word + word (the systematic encoders' payload
-followed by their tail) concatenates the two words' ranks and packed rows,
-so only the tail is ever checked and spelled.  Its letters are the shared
-ones of all_letters.
+string, 1.0, a digit outside Sigma_q, a shape that is no word) are the
+digits normalised to the ints they stand for (_whole) and checked, so the
+result, word or error, is the one those ints give; a digit that stands for
+no int, as 1.5 or [1], is a ValueError.  word + word (the systematic
+encoders' payload followed by their tail) concatenates the two words'
+ranks and packed rows, so only the tail is ever checked and spelled.  Its
+letters are the shared ones of all_letters.
 
 A letter keeps the digits it is given, and column_rank, which Letter ranks
 them with, applies the package's one digit rule (algebra.are_digits), as
 letter_is_valid and pack_rows do: a column holding 1.0, 1.5 or '1' is no
-letter, although 1.0 hashes as 1.  Word.from_rows alone int()-normalises.
+letter, although 1.0 hashes as 1.  Word.from_rows alone normalises.
 """
 
 from __future__ import annotations
@@ -160,6 +161,7 @@ def column_ranks(rows, q: int) -> tuple:
 
 
 _SIGMA = bytes(range(256))  # Sigma_q is its first q digits
+SYMBOL_ROWS = tuple(bytes((v,)) for v in range(256))  # digit v as a one-symbol packed row
 _NO_LETTER = 255  # the rank byte of a column key that is no letter
 _big_endian = partial(int.from_bytes, byteorder="big")
 
@@ -327,9 +329,9 @@ class Word:
     def from_rows(cls, rows, q: int) -> "Word":
         """The word with these digit rows, bytes or int sequences.  They are
         packed (pack_rows) and their columns ranked as given; only if that
-        fails (a digit string, 1.5, a digit outside Sigma_q, a shape that is
-        no word) are the digits int()-normalised and checked, so the result,
-        word or error, is the one the int() digits give."""
+        fails (a digit string, 1.0, a digit outside Sigma_q, a shape that is
+        no word) are the digits normalised (_whole) and checked, so the
+        result, word or error, is the one the ints they stand for give."""
         # an iterator row is read once, here, so the fallback sees its digits
         rows = tuple(row if type(row) is bytes else tuple(row) for row in rows)
         k = len(rows)
@@ -342,7 +344,7 @@ class Word:
                 ranks = _ranks_of_rows(packed, q)
                 if ranks is not None:
                     return cls._of(q, k, ranks, packed)
-        ranks = _checked_ranks(tuple(tuple(map(int, row)) for row in rows), q)
+        ranks = _checked_ranks(tuple(tuple(map(_whole, row)) for row in rows), q)
         return cls._of(q, k, ranks, _rows_of_ranks(ranks, q, k))
 
     @classmethod
@@ -358,6 +360,18 @@ class Word:
         if any(lt.q != q or lt.k != k for lt in letters):
             raise ValueError("all letters in a word must share q and k")
         return cls(q, k, [letter_rank(lt) for lt in letters])
+
+
+def _whole(digit) -> int:
+    """The int that a digit stands for: an int, a bool, a whole float, or
+    a digit string that int() reads.  A digit that stands for no int, as
+    1.5 or [1], is a ValueError."""
+    try:
+        if type(digit) is str or int(digit) == digit:
+            return int(digit)
+    except (TypeError, OverflowError):  # [1], inf
+        pass
+    raise ValueError(f"digit {digit!r} is not a whole number")
 
 
 def _checked_ranks(rows, q: int) -> tuple:

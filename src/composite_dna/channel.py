@@ -82,7 +82,7 @@ from itertools import product
 from operator import itemgetter
 
 from .algebra import are_digits
-from .alphabet import Word, column_ranks, pack_rows, rows_from_text, rows_to_text
+from .alphabet import SYMBOL_ROWS, Word, column_ranks, pack_rows, rows_from_text, rows_to_text
 
 _SUB_KINDS = ("sub-per-row", "sub-total", "sub-t-rows")
 # the six kinds, substitution first: also the order of the CLI's --model choices
@@ -235,9 +235,6 @@ class ReceivedRows:
         return f"ReceivedRows(rows={self.rows!r}, q={self.q!r}, n={self.n!r})"
 
 
-_SYMBOLS = tuple(bytes((v,)) for v in range(256))  # each digit as a one-symbol row
-
-
 def received_from_word(word: Word) -> ReceivedRows:
     return ReceivedRows(word.packed, word.q, word.n)
 
@@ -305,7 +302,7 @@ def _row_levels(row, index: int, c: int, q: int, deletion: bool) -> list[dict]:
             ]
         else:
             level = [
-                (out[:p] + _SYMBOLS[v] + out[p + 1:], cells + ((index, (p, v)),), 1, p + 1, 0)
+                (out[:p] + SYMBOL_ROWS[v] + out[p + 1:], cells + ((index, (p, v)),), 1, p + 1, 0)
                 for out, cells, _, first, _ in level
                 for p in range(first, len(row))
                 for v in range(q)

@@ -356,7 +356,7 @@ class MarkerSpec:
 
     def syndromes(self, payload: Word) -> list[int]:
         code = self.row_code
-        return code.sums(list(map(code.syndrome, payload.packed)), self.t)
+        return code.sums(list(map(code.syndrome, payload.packed)), range(self.t))
 
 
 def C2DSpec(k: int, t: int, m: int) -> MarkerSpec:
@@ -471,7 +471,7 @@ def _marker_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
     )
     # the re-encode: each payload row followed by its row of the tail of
     # the decoded rows' own syndromes
-    tail = _marker_tail(code.sums(syndromes, t), spec)
+    tail = _marker_tail(code.sums(syndromes, range(t)), spec)
     for got, row, end in zip(received.packed, payload.packed, tail.packed):
         if not _is_subsequence(got, row + end):
             raise DecodeFailure("decoded payload is inconsistent with the received rows")

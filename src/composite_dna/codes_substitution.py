@@ -715,7 +715,7 @@ class C2SSpec:
 
     def syndromes(self, payload: Word) -> list[int]:
         code = self.row_code
-        return code.sums(list(map(code.syndrome, payload.packed)), self.t)
+        return code.sums(list(map(code.syndrome, payload.packed)), range(self.t))
 
 
 def c2s_encode(payload: Word, spec: C2SSpec) -> Word:

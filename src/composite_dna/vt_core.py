@@ -22,18 +22,21 @@ positions where it can (its docstring gives the argument: the residue left
 for a position wraps at most once over the row, and on each side of the
 wrap the slack g = r - pos*q falls strictly).  Their per-symbol work runs
 in C builtins (sum, map, accumulate, count, split, set), and the q-ary one
-adds O(log n + q) interpreted steps.  Both take a row as bytes (the
-packed rows of alphabet.Word and channel.ReceivedRows, whose format
-alphabet.pack_rows sets) or as a sequence of ints, read it without copying
-a bytes row, and return the decoded row in the same type: bytes for bytes,
-a tuple otherwise.  Every kernel refuses a digit that is no int of
-Sigma_q (1.5, 1.0, -1, q, '1') with a plain ValueError, never a
-DecodeFailure or a returned row, by the package's one digit rule,
-algebra.are_digits: the q-ary ones (deletion, substitution, 1-LME) after
-their length checks, the binary decoder on a tuple row.  A bytes row holds
-ints, so only their range is left to test: are_digits deletes range(q)
-with one bytes.translate, and the binary decoder's two counts, which also
-give it the row's weight, are its whole check.
+adds O(log n + q) interpreted steps.
+
+The four digit-row kernels (the two single-deletion decoders,
+qary_vt_syndrome and the substitution decoder) read one row format, the
+packed row of alphabet.Word and channel.ReceivedRows, one bytes object
+whose format alphabet.pack_rows sets, and return a bytes row; a row of any
+other type is a ValueError that names the format.  A bytes row holds ints,
+so only their range is left to test, after the length checks: a digit
+outside Sigma_q is a plain ValueError, never a DecodeFailure or a returned
+row, by algebra.are_digits (one bytes.translate), and the binary decoder's
+two counts, which also give it the row's weight, are its whole check.
+vt_syndrome and the 1-LME kernels also take int sequences: the binary
+codes c1d and cecc1 hand them rank sequences, whose ranks can exceed a
+byte; the 1-LME decoder refuses a digit that is no int of Sigma_q (1.5,
+1.0, -1, q, '1') by are_digits.
 
 The syndromes have a wide-row path, chosen by length alone: a bytes row of
 at least _WIDE symbols (128: on one- and two-bit rows VT(psi) gains from
@@ -49,12 +52,12 @@ every bytes row, a digit >= q included.  The q-ary deletion decoder takes
 the same path by the same test on its row: one helper gives it, as it
 gives VT(psi), the digit sum and the ascent mask, and each ascent count
 its bisection reads is one popcount of the mask's low bits.
-Shorter rows and rows of other types keep the accumulate formulas, which
-the tests compare the planes against.
+Shorter rows, and the int sequences of vt_syndrome, keep the accumulate
+formulas, which the tests compare the planes against.
 The brute-force enumerators the deletion decoders replace, O(q * n^2), are
 kept as ``_reference_vt_decode_one_deletion`` and
-``_reference_qary_decode_one_deletion``; the tests check that both give the
-same rows and the same failures.
+``_reference_qary_decode_one_deletion``, which enumerate bytes candidates;
+the tests check that both give the same rows and the same failures.
 """
 
 from __future__ import annotations
@@ -65,23 +68,27 @@ from itertools import accumulate, compress, count
 from operator import lt
 
 from .algebra import are_digits, digit_width, expand_base
+from .alphabet import SYMBOL_ROWS
 
 
 class DecodeFailure(ValueError):
     """No candidate (or more than one) is consistent with the syndromes."""
 
 
-_SYMBOL_ROWS = tuple(bytes((v,)) for v in range(256))  # each digit as a bytes row
+def _check_packed(row) -> None:
+    """The ValueError of a row that is not packed, one bytes object."""
+    if type(row) is not bytes:
+        raise ValueError(f"the row kernels read packed rows (bytes), not {type(row).__name__}")
 
 
-def _insert(y, pos: int, sym: int):
-    """y with sym inserted at pos, in y's own type (bytes or tuple)."""
-    return y[:pos] + (_SYMBOL_ROWS[sym] if isinstance(y, bytes) else (sym,)) + y[pos:]
+def _insert(y: bytes, pos: int, sym: int) -> bytes:
+    """The packed row y with the digit sym inserted at pos."""
+    return y[:pos] + SYMBOL_ROWS[sym] + y[pos:]
 
 
 def _check_digits(y, q: int) -> None:
     """The ValueError of a row y with a digit that is no int of Sigma_q
-    (algebra.are_digits), made after the q-ary kernels' length checks."""
+    (algebra.are_digits), made after the kernels' length checks."""
     if not are_digits(y, q):
         raise ValueError(f"received row is not over Sigma_{q}")
 
@@ -126,9 +133,10 @@ def _position_sum(plane: int, n: int) -> int:
 
 
 def vt_syndrome(x) -> int:
-    """VT(x) = sum_i i * x_i with positions counted from 1, for a sequence
-    x: the sum of its suffix sums, since x_i lies in the first i of them;
-    for a long bytes row, sum_c 2^c times the position sum of plane c."""
+    """VT(x) = sum_i i * x_i with positions counted from 1, for a packed row
+    or an int sequence x: the sum of its suffix sums, since x_i lies in the
+    first i of them; for a long bytes row, sum_c 2^c times the position sum
+    of plane c."""
     if len(x) < _WIDE or not isinstance(x, bytes):
         return sum(accumulate(reversed(x)))
     return sum(_position_sum(plane, len(x)) << c for c, plane in enumerate(_planes(x)))
@@ -146,42 +154,37 @@ def vt_decode_one_deletion(y, a: int, modulus: int):
     0..n, and d = a - VT(y) alone says where the symbol goes.  With w ones
     in y, d <= w is a 0 with d ones to its right, w < d <= n a 1 with
     d - w - 1 zeros to its left, and a larger d matches no insertion; one
-    C-level split of y as bytes finds the position.  q-ary rows use
+    C-level split of y finds the position.  q-ary rows use
     ``qary_decode_one_deletion``.  ``_reference_vt_decode_one_deletion`` is
     the brute-force oracle.
     """
-    y = y if isinstance(y, (bytes, tuple)) else tuple(y)
+    _check_packed(y)
     n = len(y) + 1
     if modulus <= n:
         raise ValueError(f"modulus {modulus} too small for length {n}")
-    # y as bytes, checked by its two counts, which give the weight too; a
-    # tuple may hold 1.0, which bytes() takes for a 1, so a tuple that
-    # fails are_digits stands in as b"\2", which the counts refuse
-    row = y if isinstance(y, bytes) else bytes(y) if are_digits(y, 2) else b"\2"
-    weight = row.count(1)
-    if row.count(0) + weight != len(row):
+    weight = y.count(1)  # the two counts check the digits and give the weight
+    if y.count(0) + weight != len(y):
         raise ValueError("received row is not over Sigma_2")
-    d = (a - vt_syndrome(row)) % modulus
+    d = (a - vt_syndrome(y)) % modulus
     if d <= weight:  # a 0 just left of the d-th one from the right
-        return _insert(y, len(row.rsplit(b"\1", d)[0]), 0)
+        return _insert(y, len(y.rsplit(b"\1", d)[0]), 0)
     if d <= n:  # a 1 just right of the (d - w - 1)-th zero from the left
-        return _insert(y, len(row) - len(row.split(b"\0", d - weight - 1)[-1]), 1)
+        return _insert(y, len(y) - len(y.split(b"\0", d - weight - 1)[-1]), 1)
     raise DecodeFailure("expected exactly one candidate, found 0")
 
 
 def _reference_vt_decode_one_deletion(y, a: int, modulus: int):
     """Brute-force oracle for ``vt_decode_one_deletion``: insert every bit at
-    every position and recompute the syndrome, O(n^2)."""
-    y = tuple(y)
+    every position of the packed row and recompute the syndrome, O(n^2)."""
+    _check_packed(y)
     n = len(y) + 1
     if modulus <= n:
         raise ValueError(f"modulus {modulus} too small for length {n}")
-    if not are_digits(y, 2):
-        raise ValueError("received row is not over Sigma_2")
+    _check_digits(y, 2)
     candidates = set()
     for pos in range(n):
         for sym in (0, 1):
-            cand = y[:pos] + (sym,) + y[pos:]
+            cand = _insert(y, pos, sym)
             if vt_syndrome(cand) % modulus == a % modulus:
                 candidates.add(cand)
     if len(candidates) != 1:
@@ -217,15 +220,15 @@ def qary_vt_syndrome(x, q: int) -> int:
     For digits of Sigma_q, (x_i - x_{i+1}) mod q is x_i - x_{i+1}, plus q
     when x_i < x_{i+1}; the weighted sum telescopes to Sum(x) plus q times
     the sum of the (1-based) ascent positions i, those with x_i < x_{i+1}.
-    A long bytes row compares its bit planes with themselves one position
-    on, top plane first: x_i < x_{i+1} at the first plane where they
-    differ, if x_{i+1} has the one there.
+    x is a packed row.  A long one compares its bit planes with themselves
+    one position on, top plane first: x_i < x_{i+1} at the first plane
+    where they differ, if x_{i+1} has the one there.
     """
-    x = x if isinstance(x, (bytes, tuple)) else tuple(x)
+    _check_packed(x)
     if not x:
         raise ValueError("psi of an empty sequence")
     n = len(x)
-    if n < _WIDE or not isinstance(x, bytes):
+    if n < _WIDE:
         return (sum(x) + q * sum(compress(count(1), map(lt, x, x[1:])))) % (q * n)
     total, ascents = _sum_and_ascents(x)
     return (total + q * _position_sum(ascents, n)) % (q * n)
@@ -286,7 +289,7 @@ def qary_decode_one_deletion(y, a: int, q: int, n: int):
     The matches are found by bisection, not by a pass over the positions.
     The psi entries telescope: s_pos = e_pos + q * (the number of ascents
     e_i < e_{i+1} at i >= pos): one accumulate over the ascent flags, or,
-    for a bytes row of at least _WIDE symbols, one popcount of the low bits
+    for a row of at least _WIDE symbols, one popcount of the low bits
     of the ascent mask that qary_vt_syndrome reads too.  With
     d = (a - S) mod q*n, D_pos = d - s_pos does not decrease as pos grows
     and spans less than q*n, so r = D_pos mod q*n wraps at most once, at
@@ -297,14 +300,14 @@ def qary_decode_one_deletion(y, a: int, q: int, n: int):
     where c < g < q can hold, are at most q consecutive ones, found by
     bisecting on s_pos + pos*q.
     """
-    y = y if isinstance(y, (bytes, tuple)) else tuple(y)
+    _check_packed(y)
     if len(y) != n - 1:
         raise ValueError(f"received length {len(y)}, expected {n - 1}")
     _check_digits(y, q)
     modulus = q * n
     e = _insert(y, n - 1, 0)
     # after[n - 1 - pos]: the number of ascents e_i < e_{i+1} at i >= pos
-    if n < _WIDE or not isinstance(e, bytes):
+    if n < _WIDE:
         after = list(accumulate(map(lt, e[-2::-1], e[:0:-1]), initial=0))
         total, ascent_sum = sum(e), sum(after)
     else:
@@ -339,10 +342,10 @@ def qary_decode_one_deletion(y, a: int, q: int, n: int):
 
 def _reference_qary_decode_one_deletion(y, a: int, q: int, n: int):
     """Brute-force oracle for ``qary_decode_one_deletion``: insert every
-    symbol at every position, each distinct row once, and recompute the
-    whole row's VT(psi) (qary_vt_syndrome of the tuple row, which its tests
+    symbol at every position of the packed row, each distinct row once, and
+    recompute the whole row's VT(psi) (qary_vt_syndrome, which its tests
     hold to vt_syndrome(psi(x))), O(q * n^2)."""
-    y = tuple(y)
+    _check_packed(y)
     if len(y) != n - 1:
         raise ValueError(f"received length {len(y)}, expected {n - 1}")
     _check_digits(y, q)
@@ -351,7 +354,7 @@ def _reference_qary_decode_one_deletion(y, a: int, q: int, n: int):
         for sym in range(q):
             if pos and sym == y[pos - 1]:
                 continue  # the same row as this insertion one position earlier
-            cand = y[:pos] + (sym,) + y[pos:]
+            cand = _insert(y, pos, sym)
             if qary_vt_syndrome(cand, q) == a % (q * n):
                 candidates.add(cand)
     if len(candidates) != 1:
@@ -366,14 +369,14 @@ def _reference_qary_decode_one_deletion(y, a: int, q: int, n: int):
 # ---------------------------------------------------------------------------
 
 def qary_decode_one_substitution(y, vt_mod: int, sum_mod: int, q: int):
-    """Correct at most one substitution in y over Sigma_q.
+    """Correct at most one substitution in the packed row y over Sigma_q.
 
     vt_mod is VT(x) mod 2n(q-1) and sum_mod is Sum(x) mod q for the original
     row x.  The substituted value delta = y_i - x_i lies in
     [-(q-1), q-1] \\ {0}; Sum pins delta mod q and VT pins i * delta mod
     2n(q-1), which determines (i, delta) uniquely.
     """
-    y = tuple(y)
+    _check_packed(y)
     n = len(y)
     if n == 0:
         raise ValueError("empty row")
@@ -386,38 +389,34 @@ def qary_decode_one_substitution(y, vt_mod: int, sum_mod: int, q: int):
     half = n * (q - 1)
     if delta2 == 0:
         raise DecodeFailure("syndromes disagree: Sum dirty but VT clean")
-    if delta2 < half:
-        delta = delta1
-        num = delta2
-    elif delta2 > half:
-        delta = delta1 - q
-        num = delta2 - span
-    else:
+    if delta2 == half:
         # i * delta = +- n(q-1): position n, magnitude q-1.  For q = 2 the two
         # signs collide mod q, so the boundary digit decides.
-        pos = n - 1
+        pos = n
         if q == 2:
-            delta = 1 if y[pos] == 1 else -1
+            delta = 1 if y[-1] == 1 else -1
         elif delta1 == q - 1:
             delta = q - 1
         elif delta1 == 1:
             delta = -(q - 1)
         else:
             raise DecodeFailure("boundary case with inconsistent Sum syndrome")
-        return _apply_correction(y, pos, delta, q)
-    if num % delta != 0:
-        raise DecodeFailure("VT offset not divisible by the substitution value")
-    pos1 = num // delta
-    if not 1 <= pos1 <= n:
-        raise DecodeFailure(f"implied position {pos1} out of range")
-    return _apply_correction(y, pos1 - 1, delta, q)
+    else:
+        delta, num = (delta1, delta2) if delta2 < half else (delta1 - q, delta2 - span)
+        if num % delta != 0:
+            raise DecodeFailure("VT offset not divisible by the substitution value")
+        pos = num // delta
+        if not 1 <= pos <= n:
+            raise DecodeFailure(f"implied position {pos} out of range")
+    return y[: pos - 1] + SYMBOL_ROWS[_corrected(y, pos - 1, delta, q)] + y[pos:]
 
 
-def _apply_correction(y, pos, delta, q):
+def _corrected(y, pos: int, delta: int, q: int) -> int:
+    """Digit pos of y less delta, which must lie in Sigma_q."""
     value = y[pos] - delta
     if not 0 <= value < q:
         raise DecodeFailure(f"corrected digit {value} out of Sigma_{q}")
-    return y[:pos] + (value,) + y[pos + 1:]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +443,8 @@ def lme_decode(y, a: int, q: int):
     delta = (vt_syndrome(y) - a) % (2 * n + 1)
     if delta == 0:
         return y
-    if delta <= n:
-        return _apply_correction(y, delta - 1, 1, q)
-    return _apply_correction(y, 2 * n - delta, -1, q)
+    pos, step = (delta - 1, 1) if delta <= n else (2 * n - delta, -1)
+    return y[:pos] + (_corrected(y, pos, step, q),) + y[pos + 1:]
 
 
 def lme_message_length(n: int, q: int) -> int:

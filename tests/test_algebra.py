@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_dna import algebra
+from composite_dna._codec import RowCode
 from composite_dna.algebra import (
-    PowerSums,
     SingularMatrixError,
     _reference_cw_rank,
     _reference_cw_unrank,
@@ -423,7 +423,7 @@ def outcome(func, *args):
 
 
 def explicit_power_sum_solve(values, exponents, sums, p):
-    """The Vandermonde system of PowerSums.solve written out, the known
+    """The Vandermonde system of RowCode.solve written out, the known
     rows' part of each sum subtracted, and handed to solve_mod_p."""
     unknown = [i for i, v in enumerate(values) if v is None]
     matrix = [[pow(i + 1, j, p) for i in unknown] for j in exponents]
@@ -437,7 +437,7 @@ def explicit_power_sum_solve(values, exponents, sums, p):
 def power_sum_outcomes(k, t, p, rng, tables):
     """For every set of unknown rows among k and every equally large set of
     exponents below t: the explicit solve's outcome, and that of
-    tables.solve (tables a PowerSums(p)) on its first and second call for
+    tables.solve (tables a RowCode mod p) on its first and second call for
     that system."""
     for size in range(1, t + 1):
         for unknown in combinations(range(k), size):
@@ -474,7 +474,7 @@ def test_cached_power_sum_solve_matches_the_explicit_solve(monkeypatch):
     for k in range(2, 7):
         for t in range(2, k + 1):
             for p in sorted(spec_primes(k, t)):
-                tables = PowerSums(p)
+                tables = RowCode(None, p, p)
                 for explicit, cold, warm in power_sum_outcomes(k, t, p, rng, tables):
                     assert isinstance(explicit, list), (k, t, p, explicit)
                     assert cold == warm == explicit, (k, t, p)
@@ -490,7 +490,7 @@ def test_cached_power_sum_solve_over_a_composite_modulus():
     moduli = {n + 1 for n in range(3, 12)} | {q * n for q in (3, 4, 5) for n in range(3, 9)}
     refused = 0
     for modulus in sorted(moduli):
-        tables = PowerSums(modulus)
+        tables = RowCode(None, modulus, modulus)
         for k in (2, 3, 4):
             for i in range(k):
                 for j in (0, 1):
@@ -508,7 +508,7 @@ def test_singular_power_sum_systems_raise_on_every_call():
     raises solve_mod_p's SingularMatrixError on the first and the second
     call, and no inverse is cached for it."""
     assert not all_submatrices_invertible(4, 4, 37)
-    tables = PowerSums(37)
+    tables = RowCode(None, 37, 37)
     singular = solved = 0
     for explicit, cold, warm in power_sum_outcomes(4, 4, 37, random.Random(37), tables):
         assert cold == warm == explicit

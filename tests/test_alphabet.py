@@ -336,8 +336,9 @@ def test_row_and_concatenation_builds_match_the_rank_constructor(q, k):
 
 
 # from_rows on inputs that are no tuples of int digits: each gives the word,
-# or the exception type and message, that int()-normalising every digit
-# first gives (the word's rows are ints either way)
+# or the exception type and message, that normalising every digit to the
+# int it stands for first gives (the word's rows are ints either way); a
+# digit that stands for no int, as 1.5 or [1], is a ValueError
 FROM_ROWS_CASES = {
     "digit-strings": (lambda: ["0011", "0111"], 2, Word(2, 2, (0, 1, 2, 2))),
     "digit-strings-q3": (lambda: ["012", "122"], 3, Word(3, 2, (1, 4, 5))),
@@ -345,8 +346,12 @@ FROM_ROWS_CASES = {
     "generators": (lambda: (iter(r) for r in [(0, 1), (1, 1)]), 2, Word(2, 2, (1, 2))),
     "bools": (lambda: [[False, True], [True, True]], 2, Word(2, 2, (1, 2))),
     "floats": (lambda: [[0.0, 1.0], [1.0, 1.0]], 2, Word(2, 2, (1, 2))),
-    "one-and-a-half": (lambda: [[0, 1.5], [1, 1]], 2, Word(2, 2, (1, 2))),
-    "one-and-a-half-q3": (lambda: [[0, 1.5], [1, 2]], 3, Word(3, 2, (1, 4))),
+    "one-and-a-half": (
+        lambda: [[0, 1.5], [1, 1]], 2, (ValueError, "digit 1.5 is not a whole number"),
+    ),
+    "one-and-a-half-q3": (
+        lambda: [[0, 1.5], [1, 2]], 3, (ValueError, "digit 1.5 is not a whole number"),
+    ),
     "negative": (
         lambda: [[0, -1], [1, 1]], 2,
         (ValueError, "column 1 is not nondecreasing over Sigma_2: (-1, 1)"),
@@ -389,12 +394,7 @@ FROM_ROWS_CASES = {
         lambda: [[0, 0], [0, 0]], 1, (ValueError, "alphabet base q must be >= 2, got 1"),
     ),
     "unhashable-digit": (
-        lambda: [[0, [1]], [1, 1]], 2,
-        (
-            TypeError,
-            "int() argument must be a string, a bytes-like object or a real "
-            "number, not 'list'",
-        ),
+        lambda: [[0, [1]], [1, 1]], 2, (ValueError, "digit [1] is not a whole number"),
     ),
 }
 

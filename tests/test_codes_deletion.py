@@ -48,7 +48,7 @@ from composite_dna.codes_deletion import (
     congruence_decode_qary_t,
 )
 from composite_dna.codes_substitution import C2SSpec, c2s_decode, c2s_encode
-from composite_dna.vt_core import DecodeFailure, qary_vt_syndrome, vt_syndrome
+from composite_dna.vt_core import DecodeFailure, psi, qary_vt_syndrome, vt_syndrome
 
 
 def received_after(word, hits):
@@ -229,7 +229,7 @@ class TestCongruenceFamilies:
     def test_qary_one_contains_matches_psi_sum(self):
         q = 3
         for word in itertools.islice(all_words(q, 2, 3), 0, 216, 5):
-            total = sum(qary_vt_syndrome(r, q) for r in word.rows()) % (q * word.n)
+            total = sum(vt_syndrome(psi(r, q)) for r in word.rows()) % (q * word.n)
             assert congruence_contains_qary_one(word, total)
 
     def test_qary_t_roundtrip(self):
@@ -511,7 +511,7 @@ def single_row_decoder_inputs(seed, count):
             q, k, n = rng.randrange(3, 5), rng.randrange(2, 4), rng.randrange(3, 6)
             ranks = [rng.randrange(alphabet_size(q, k)) for _ in range(n)]
             word = Word.from_ranks(ranks, q, k)
-            a = sum(qary_vt_syndrome(r, q) for r in word.rows())
+            a = sum(qary_vt_syndrome(r, q) for r in word.packed)
         else:
             spec = C3DSpec(rng.randrange(3, 5), 2, rng.randrange(3, 6))
             q, k = spec.q, spec.k

@@ -3,7 +3,8 @@ rows as bytes, and the library reads only those.
 
 Each fast path is checked against the plain int-tuple way it replaced: the
 byte-table constructors against a transposition of the rank table's letters,
-the row decoders on bytes against the same decoders on tuples, and the ball
+the row kernels, which read bytes only, against an enumeration of int-tuple
+insertions and the telescoped VT(psi) formula on int tuples, and the ball
 oracle against a reference that hashes the int-tuple outputs.  The guard
 tests make the int-tuple views raise and run whole encodes, decodes and CLI
 verbs, so a conversion back to them inside the library fails here.
@@ -48,6 +49,8 @@ from composite_dna.codes_deletion import (
 )
 from composite_dna.vt_core import (
     _WIDE,
+    DecodeFailure,
+    psi,
     qary_decode_one_deletion,
     qary_vt_syndrome,
     vt_decode_one_deletion,
@@ -130,8 +133,25 @@ def run_rows(rng, q, length):
     return tuple(row[:length])
 
 
+def tuple_decode(y, q, n, syndrome):
+    """The outcome that the row decoders give for the int-tuple row y of
+    length n - 1, the int-tuple way: every distinct insertion of a digit of
+    Sigma_q, and the one whose syndrome(row) is true, or the failure."""
+    if len(y) != n - 1:
+        return ValueError, f"received length {len(y)}, expected {n - 1}"
+    if not set(y) <= set(range(q)):
+        return ValueError, f"received row is not over Sigma_{q}"
+    found = {y[:p] + (s,) + y[p:] for p in range(n) for s in range(q)}
+    found = [row for row in found if syndrome(row)]
+    if len(found) != 1:
+        return DecodeFailure, f"expected exactly one candidate, found {len(found)}"
+    return "ok", bytes(found[0])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 257])
 def test_binary_row_decoder_gives_the_same_on_bytes_and_tuples(n):
+    # the decoder on bytes rows gives the row that the int-tuple
+    # enumeration gives, or its failure, and refuses the tuple row itself
     rng = random.Random(n)
     for _ in range(60):
         x = random_rows(rng, 2, n)
@@ -142,39 +162,55 @@ def test_binary_row_decoder_gives_the_same_on_bytes_and_tuples(n):
         if rng.random() < 0.1:
             y = y[:-1] + (2,) if y else (2,)  # a digit outside Sigma_2
         small = modulus if rng.random() < 0.9 else n  # n: too small a modulus
-        want = outcome(vt_decode_one_deletion, y, a, small)
-        got = outcome(vt_decode_one_deletion, bytes(y), a, small)
-        if want[0] == "ok":
-            assert got[0] == "ok" and type(got[1]) is bytes and tuple(got[1]) == want[1]
+        if small <= len(y) + 1:
+            want = ValueError, f"modulus {small} too small for length {len(y) + 1}"
         else:
-            assert got == want
+            want = tuple_decode(
+                y, 2, len(y) + 1, lambda row: vt_syndrome(row) % small == a % small
+            )
+        assert outcome(vt_decode_one_deletion, bytes(y), a, small) == want
+        assert outcome(vt_decode_one_deletion, y, a, small) == (
+            ValueError, "the row kernels read packed rows (bytes), not tuple"
+        )
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 1), (3, 7), (4, 50), (5, 193)])
 def test_qary_row_decoder_gives_the_same_on_bytes_and_tuples(q, n):
+    # the same for VT(psi) rows, whose syndrome the enumeration takes as
+    # vt_syndrome(psi(row)) of the int tuple
     rng = random.Random(q * n)
     for _ in range(60):
         x = random_rows(rng, q, n)
-        a = qary_vt_syndrome(x, q) if rng.random() < 0.7 else rng.randrange(-5, 3 * q * n)
+        a = vt_syndrome(psi(x, q)) if rng.random() < 0.7 else rng.randrange(-5, 3 * q * n)
         p = rng.randrange(n)
         y = x[:p] + x[p + 1:]
         if rng.random() < 0.1:
             y = y + (0,)  # the wrong length
         elif rng.random() < 0.1 and y:
             y = (q,) + y[1:]  # a digit outside Sigma_q
-        want = outcome(qary_decode_one_deletion, y, a, q, n)
-        got = outcome(qary_decode_one_deletion, bytes(y), a, q, n)
-        if want[0] == "ok":
-            assert got[0] == "ok" and type(got[1]) is bytes and tuple(got[1]) == want[1]
-        else:
-            assert got == want
+        want = tuple_decode(
+            y, q, n, lambda row: (vt_syndrome(psi(row, q)) - a) % (q * n) == 0
+        )
+        assert outcome(qary_decode_one_deletion, bytes(y), a, q, n) == want
+        assert outcome(qary_decode_one_deletion, y, a, q, n) == (
+            ValueError, "the row kernels read packed rows (bytes), not tuple"
+        )
+
+
+def telescoped(x, q):
+    """VT(psi(x)) mod qn of an int tuple, telescoped: Sum(x) plus q times
+    the sum of the 1-based ascent positions i, x_i < x_{i+1}; defined for
+    any digits, not only those of Sigma_q."""
+    n = len(x)
+    return (sum(x) + q * sum(i for i in range(1, n) if x[i - 1] < x[i])) % (q * n)
 
 
 def test_syndromes_and_the_supersequence_check_read_bytes_as_tuples():
     # bytes rows from _WIDE symbols on take the syndromes from bit planes,
-    # tuples never do: both sides of the split, up to digit 255, and rows
-    # of one digit, of alternating extremes, of long runs, and of any byte,
-    # so with digits >= q, which must give the tuple formula's value too
+    # shorter ones and tuples never do: both sides of the split, up to
+    # digit 255, and rows of one digit, of alternating extremes, of long
+    # runs, and of any byte, so with digits >= q, which must give the
+    # int-tuple formulas' values too
     rng = random.Random(5)
     for q in (2, 3, 4, 5, 10, 256):
         for n in (1, 2, 9, 100, _WIDE - 1, _WIDE, _WIDE + 1, 1030):
@@ -186,7 +222,7 @@ def test_syndromes_and_the_supersequence_check_read_bytes_as_tuples():
                 run_rows(rng, q, n),
             ):
                 assert vt_syndrome(bytes(x)) == vt_syndrome(x)
-                assert qary_vt_syndrome(bytes(x), q) == qary_vt_syndrome(x, q)
+                assert qary_vt_syndrome(bytes(x), q) == telescoped(x, q)
             p = rng.randrange(n)
             for sub in (x[:p] + x[p + 1:], random_rows(rng, q, n - 1), x):
                 assert _is_subsequence(bytes(sub), bytes(x)) == _is_subsequence(sub, x)

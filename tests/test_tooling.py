@@ -270,6 +270,7 @@ NO_CALLER_ALLOWED = {
     "hamming_sphere": "the Hamming sphere, a set view of the row outputs",
     "runs": "the paper's r(x), in the deletion ball size formulas",
     "outputs": "int-tuple view of packed_outputs; the tests would repeat it",
+    "psi": "the paper's difference transform, which the tests check qary_vt_syndrome against",
     "psi_inverse": "the inverse of the difference transform psi",
     "doll_F": "the paper's binary F-map of the enumeration code",
     "HammingFamily.codewords": "enumerates the inner code C(l) for its tests",
@@ -290,10 +291,24 @@ def _names(nodes) -> set:
     }
 
 
+def _reads(function) -> set:
+    """The names that a function's code reads (_names), less its own: the
+    parameters and the names it assigns, its nested functions' too, which
+    a read of the same name finds before any module-level definition."""
+    own = {
+        ("name", sub.arg if isinstance(sub, ast.arg) else sub.id)
+        for sub in ast.walk(function)
+        if isinstance(sub, ast.arg)
+        or isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load)
+    }
+    return _names([function]) - own
+
+
 def _package_definitions():
     """(definitions, roots): each module-level function and class and each
     method of such a class, by qualified name, with the names that reach it
-    and the names its code reads; and the names read by the code that runs
+    (a module-level definition its name, a method its attribute) and the
+    names its code reads (_reads); and the names read by the code that runs
     without a caller: module-level statements, class bodies outside their
     methods, the __init__ imports, cli.main, the _reference_* oracles and
     the dunders that Python calls."""
@@ -301,7 +316,7 @@ def _package_definitions():
 
     def define(qualified, by, node):
         assert qualified not in definitions, f"{qualified} is defined twice"
-        reads = _names([node]) if isinstance(node, ast.FunctionDef) else set()
+        reads = _reads(node) if isinstance(node, ast.FunctionDef) else set()
         definitions[qualified] = (by, reads)
         name = qualified.rpartition(".")[2]
         if name.startswith("_reference_") or (name.startswith("__") and name.endswith("__")):
@@ -314,7 +329,7 @@ def _package_definitions():
                 if path.stem == "__init__" and isinstance(node, ast.ImportFrom):
                     roots |= {("name", alias.name) for alias in node.names}
                 continue
-            define(node.name, {("name", node.name), ("attr", node.name)}, node)
+            define(node.name, {("name", node.name)}, node)
             if isinstance(node, ast.ClassDef):
                 roots |= _names(node.bases + node.decorator_list)
                 for sub in node.body:
@@ -343,7 +358,8 @@ def test_package_code_has_a_caller():
     definition, or the definition is on NO_CALLER_ALLOWED; an entry is
     itself a root of the walk, so what only it reads passes, but no other
     root may reach it.  A name reaches every definition of that name: a
-    variable a function or class, an attribute a method too."""
+    variable that is no parameter or local a module-level function or
+    class, an attribute a method."""
     definitions, roots = _package_definitions()
     assert sorted(set(NO_CALLER_ALLOWED) - set(definitions)) == []
     assert sorted(_reached(definitions, roots) & set(NO_CALLER_ALLOWED)) == []

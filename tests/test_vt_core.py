@@ -1,4 +1,9 @@
-"""Tests for VT syndromes and the primitive single-error decoders."""
+"""Tests for VT syndromes and the primitive single-error decoders.
+
+The four digit-row kernels read packed rows, one bytes object per row, so
+their rows are spelled bytes((...)) here; vt_syndrome, psi and the 1-LME
+kernels take int tuples.
+"""
 
 import random
 import sys
@@ -34,6 +39,9 @@ def deletions(x):
     return {x[:i] + x[i + 1:] for i in range(len(x))}
 
 
+B = bytes  # a packed row of the given digits
+
+
 def test_vt_syndrome_values():
     assert vt_syndrome((0, 1, 1)) == 5
     assert vt_syndrome((0, 1, 1, 0)) == 5
@@ -46,9 +54,9 @@ def test_vt_syndrome_values():
 # ---------------------------------------------------------------------------
 
 def test_vt_decode_known_case():
-    assert vt_decode_one_deletion((0, 1, 0), 0, 5) == (0, 1, 1, 0)
-    assert vt_decode_one_deletion((0, 0, 0), 0, 5) == (0, 0, 0, 0)
-    assert vt_decode_one_deletion((), 1, 2) == (1,)
+    assert vt_decode_one_deletion(B((0, 1, 0)), 0, 5) == B((0, 1, 1, 0))
+    assert vt_decode_one_deletion(B((0, 0, 0)), 0, 5) == B((0, 0, 0, 0))
+    assert vt_decode_one_deletion(b"", 1, 2) == B((1,))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -57,14 +65,14 @@ def test_vt_decode_exhaustive(n):
         for modulus in (n + 1, 2 * n + 1):
             a = vt_syndrome(x) % modulus
             for y in deletions(x):
-                assert vt_decode_one_deletion(y, a, modulus) == x
+                assert vt_decode_one_deletion(B(y), a, modulus) == B(x)
 
 
 def test_vt_decode_rejects_small_modulus():
     with pytest.raises(ValueError):
-        vt_decode_one_deletion((0, 1, 0), 0, 4)
+        vt_decode_one_deletion(B((0, 1, 0)), 0, 4)
     with pytest.raises(ValueError):
-        vt_decode_one_deletion((0, 2, 0), 0, 9)
+        vt_decode_one_deletion(B((0, 2, 0)), 0, 9)
 
 
 def test_vt_decode_failure_reported():
@@ -76,7 +84,7 @@ def test_vt_decode_failure_reported():
             candidates.add(vt_syndrome(cand) % 9)
     missing = next(a for a in range(9) if a not in candidates)
     with pytest.raises(DecodeFailure):
-        vt_decode_one_deletion((0, 1, 1), missing, 9)
+        vt_decode_one_deletion(B((0, 1, 1)), missing, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -100,40 +108,60 @@ def test_psi_round_trip(q, raw):
 def test_qary_vt_syndrome_is_vt_of_psi(q, n):
     for length in range(1, n + 1):
         for x in product(range(q), repeat=length):
-            assert qary_vt_syndrome(x, q) == vt_syndrome(psi(x, q)) % (q * length)
+            assert qary_vt_syndrome(B(x), q) == vt_syndrome(psi(x, q)) % (q * length)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 16])
+@pytest.mark.parametrize("n", [vt_core._WIDE - 1, vt_core._WIDE, 200, 1030])
+def test_qary_vt_syndrome_is_vt_of_psi_on_long_rows(q, n):
+    # both sides of the length that selects the bit planes, against psi and
+    # vt_syndrome on the int tuple: random digits, runs, a staircase, and
+    # rows of one digit and of alternating extremes
+    rng = random.Random(4000 + 10 * n + q)
+    for x in (
+        tuple(rng.randrange(q) for _ in range(n)),
+        tuple((i // 7) % q for i in range(n)),
+        tuple(i % q for i in range(n)),
+        (q - 1,) * n,
+        tuple((0, q - 1)[i % 2] for i in range(n)),
+    ):
+        assert qary_vt_syndrome(B(x), q) == vt_syndrome(psi(x, q)) % (q * n)
 
 
 def test_qary_decode_single_symbol():
     for c in range(3):
-        a = qary_vt_syndrome((c,), 3)
-        assert qary_decode_one_deletion((), a, 3, 1) == (c,)
+        a = qary_vt_syndrome(B((c,)), 3)
+        assert qary_decode_one_deletion(b"", a, 3, 1) == B((c,))
 
 
 def test_qary_decode_known_case():
-    x = (0, 1, 0)
+    x = B((0, 1, 0))
     a = qary_vt_syndrome(x, 3)
-    assert qary_decode_one_deletion((0, 0), a, 3, 3) == x
+    assert qary_decode_one_deletion(B((0, 0)), a, 3, 3) == x
 
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 5), (4, 4), (4, 6)])
 def test_qary_decode_exhaustive(q, n):
     for x in product(range(q), repeat=n):
-        a = qary_vt_syndrome(x, q)
+        a = qary_vt_syndrome(B(x), q)
         for y in deletions(x):
-            assert qary_decode_one_deletion(y, a, q, n) == x
+            assert qary_decode_one_deletion(B(y), a, q, n) == B(x)
 
 
 def test_qary_decode_validates_input():
     with pytest.raises(ValueError):
-        qary_decode_one_deletion((0, 3), 0, 3, 3)
+        qary_decode_one_deletion(B((0, 3)), 0, 3, 3)
     with pytest.raises(ValueError):
-        qary_decode_one_deletion((0, 0), 0, 3, 4)
+        qary_decode_one_deletion(B((0, 0)), 0, 3, 4)
 
 
 # each single-error row kernel, and the brute-force reference of each that
 # has one, on a row (0, digit, 1 or 2) whose middle digit is no int of its
 # Sigma_q: a plain ValueError, never a DecodeFailure (a row over Sigma_q
-# that no codeword explains), a TypeError or a returned row
+# that no codeword explains), a TypeError or a returned row.  The packed
+# kernels (all but lme) get the row as bytes where a byte holds the digit
+# (q, 255), and as a tuple otherwise (1.5, 1.0, -1, '1'), which they refuse
+# for its format before they read a digit
 ROW_KERNELS = {
     "vt-deletion": (2, lambda y: vt_decode_one_deletion(y, 0, 5)),
     "vt-deletion-reference": (2, lambda y: _reference_vt_decode_one_deletion(y, 0, 5)),
@@ -143,13 +171,12 @@ ROW_KERNELS = {
     ),
     "qary-substitution": (3, lambda y: qary_decode_one_substitution(y, 0, 1, 3)),
     "lme": (3, lambda y: lme_decode(y, 0, 3)),
-    # bytes rows hold ints only: a short one, and one long enough for the
-    # bit planes (50 copies of the row, 150 >= _WIDE symbols)
-    "qary-deletion-bytes": (3, lambda y: qary_decode_one_deletion(bytes(y), 0, 3, 4)),
+    # a row long enough for the bit planes (50 copies, 150 >= _WIDE symbols)
     "qary-deletion-wide-bytes": (
-        3, lambda y: qary_decode_one_deletion(bytes(y) * 50, 0, 3, 151)
+        3, lambda y: qary_decode_one_deletion(y * 50, 0, 3, 151)
     ),
 }
+PACKED_KERNELS = [kernel for kernel in ROW_KERNELS if kernel != "lme"]
 
 
 @pytest.mark.parametrize(
@@ -170,10 +197,32 @@ ROW_KERNELS = {
 def test_row_kernels_refuse_a_digit_that_is_no_int_of_sigma_q(kernel, digit):
     q, decode = ROW_KERNELS[kernel]
     value = {"1.5": 1.5, "1.0": 1.0, "-1": -1, "q": q, "str": "1", "255": 255}[digit]
+    row, message = (0, value, q - 1), f"received row is not over Sigma_{q}"
+    if kernel in PACKED_KERNELS:
+        if digit in ("q", "255"):
+            row = B(row)
+        else:
+            message = "the row kernels read packed rows (bytes), not tuple"
     with pytest.raises(Exception) as info:
-        decode((0, value, q - 1))
+        decode(row)
     assert type(info.value) is ValueError
-    assert str(info.value) == f"received row is not over Sigma_{q}"
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "kernel", [kernel for kernel in PACKED_KERNELS if "wide" not in kernel] + ["qary-vt-syndrome"]
+)
+@pytest.mark.parametrize("kind", [tuple, list, bytearray, memoryview])
+def test_packed_kernels_refuse_a_row_that_is_not_bytes(kernel, kind):
+    # a row over Sigma_q in any other type: the ValueError names the format
+    q, decode = ROW_KERNELS.get(kernel, (3, lambda y: qary_vt_syndrome(y, 3)))
+    row = kind(B((0, 1, q - 1)))
+    with pytest.raises(Exception) as info:
+        decode(row)
+    assert type(info.value) is ValueError
+    assert str(info.value) == (
+        f"the row kernels read packed rows (bytes), not {kind.__name__}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +307,17 @@ def test_lme_decode_range_breach():
 # ---------------------------------------------------------------------------
 
 def test_qary_substitution_known_case():
-    x = (1, 2)
-    y = (2, 2)
+    x = B((1, 2))
+    y = B((2, 2))
     vt_mod = vt_syndrome(x) % (2 * 2 * 2)
     sum_mod = sum(x) % 3
     assert qary_decode_one_substitution(y, vt_mod, sum_mod, 3) == x
 
 
 def test_qary_substitution_clean():
-    x = (0, 2, 1)
-    assert qary_decode_one_substitution(
-        x, vt_syndrome(x) % 12, sum(x) % 3, 3
-    ) == x
+    x = B((0, 2, 1))
+    got = qary_decode_one_substitution(x, vt_syndrome(x) % 12, sum(x) % 3, 3)
+    assert got == x and type(got) is bytes
 
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 5), (4, 4), (4, 6)])
@@ -283,7 +331,7 @@ def test_qary_substitution_exhaustive(q, n):
                 if val == x[pos]:
                     continue
                 y = x[:pos] + (val,) + x[pos + 1:]
-                assert qary_decode_one_substitution(y, vt_mod, sum_mod, q) == x
+                assert qary_decode_one_substitution(B(y), vt_mod, sum_mod, q) == B(x)
 
 
 def test_qary_substitution_boundary_case():
@@ -295,13 +343,13 @@ def test_qary_substitution_boundary_case():
     sum_mod = sum(x) % q
     delta2 = (vt_syndrome(y) - vt_mod) % (2 * n * (q - 1))
     assert delta2 == n * (q - 1)
-    assert qary_decode_one_substitution(y, vt_mod, sum_mod, q) == x
+    assert qary_decode_one_substitution(B(y), vt_mod, sum_mod, q) == B(x)
     # and the mirrored direction: q-1 -> 0 at the last position
     x2 = (1, 0, 2, 2)
     y2 = (1, 0, 2, 0)
     vt2 = vt_syndrome(x2) % (2 * n * (q - 1))
     sum2 = sum(x2) % q
-    assert qary_decode_one_substitution(y2, vt2, sum2, q) == x2
+    assert qary_decode_one_substitution(B(y2), vt2, sum2, q) == B(x2)
 
 
 @pytest.mark.parametrize(
@@ -316,7 +364,7 @@ def test_qary_substitution_boundary_case():
 )
 def test_qary_substitution_outside_the_model_is_typed(y, vt_mod, sum_mod, q, message):
     with pytest.raises(DecodeFailure, match=message):
-        qary_decode_one_substitution(y, vt_mod, sum_mod, q)
+        qary_decode_one_substitution(B(y), vt_mod, sum_mod, q)
 
 
 @settings(max_examples=100)
@@ -328,8 +376,8 @@ def test_qary_deletion_cross_checks_binary(data):
     x = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     pos = data.draw(st.integers(0, n - 1))
     y = x[:pos] + x[pos + 1:]
-    a = qary_vt_syndrome(x, 2)
-    assert qary_decode_one_deletion(y, a, 2, n) == x
+    a = qary_vt_syndrome(B(x), 2)
+    assert qary_decode_one_deletion(B(y), a, 2, n) == B(x)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +394,14 @@ def outcome(decode, *args):
 
 @st.composite
 def received_rows(draw):
-    """(y, n, q): a row of length n - 1, sometimes holding a digit outside Sigma_q."""
+    """(y, n, q): a packed row of length n - 1, sometimes holding a digit
+    outside Sigma_q."""
     q = draw(st.integers(2, 5))
     n = draw(st.integers(1, 12))
     y = draw(st.lists(st.integers(0, q - 1), min_size=n - 1, max_size=n - 1))
     if y and draw(st.integers(0, 19)) == 0:
-        y[draw(st.integers(0, n - 2))] = draw(st.sampled_from((-1, q)))
-    return tuple(y), n, q
+        y[draw(st.integers(0, n - 2))] = draw(st.sampled_from((q, 255)))
+    return B(y), n, q
 
 
 @settings(max_examples=400, deadline=None)
@@ -382,7 +431,7 @@ def test_vt_decode_matches_reference_exhaustively(n):
     # every binary row, every residue, with moduli at and above n + 1 (the
     # larger one leaves residues that no insertion reaches)
     for modulus in (n + 1, 2 * n + 1):
-        for y in product(range(2), repeat=n - 1):
+        for y in map(B, product(range(2), repeat=n - 1)):
             for a in range(modulus):
                 assert outcome(vt_decode_one_deletion, y, a, modulus) == outcome(
                     _reference_vt_decode_one_deletion, y, a, modulus
@@ -393,7 +442,7 @@ def test_vt_decode_matches_reference_exhaustively(n):
 def test_qary_decode_matches_reference_exhaustively(q, n):
     # q > n reaches every symbol offset on both sides of c at the end positions
     for length in range(1, n + 1):
-        for y in product(range(q), repeat=length - 1):
+        for y in map(B, product(range(q), repeat=length - 1)):
             for a in range(q * length):
                 assert outcome(qary_decode_one_deletion, y, a, q, length) == outcome(
                     _reference_qary_decode_one_deletion, y, a, q, length
@@ -417,13 +466,13 @@ def test_qary_decode_matches_reference_on_long_rows(q, n):
         tuple(i % q for i in range(n)),
     ):
         pos = rng.randrange(n)
-        y = x[:pos] + x[pos + 1 :]
-        true = qary_vt_syndrome(x, q)
+        y = B(x[:pos] + x[pos + 1 :])
+        true = qary_vt_syndrome(B(x), q)
         for a in [true] + [rng.randrange(q * n) for _ in range(3)]:
             got = outcome(qary_decode_one_deletion, y, a, q, n)
             assert got == outcome(_reference_qary_decode_one_deletion, y, a, q, n)
             if a == true:
-                assert got == x
+                assert got == B(x)
             kinds.add(got[1] if got[0] is DecodeFailure else "decoded")
     assert kinds == {"decoded", "expected exactly one candidate, found 0"}
 
@@ -431,24 +480,21 @@ def test_qary_decode_matches_reference_on_long_rows(q, n):
 @pytest.mark.parametrize("q", [3, 4, 7])
 @pytest.mark.parametrize("n", [vt_core._WIDE - 1, vt_core._WIDE, 200, 1030])
 def test_qary_decode_matches_reference_on_long_bytes_rows(q, n):
-    # bytes rows on both sides of the length that selects the bit planes,
-    # in the three shapes above, each losing its first, a middle or its
-    # last symbol, decoded at the true residue and at a random one; each
-    # outcome is the reference's and the tuple row's (the list path)
+    # rows on both sides of the length that selects the bit planes, in the
+    # three shapes above, each losing its first, a middle or its last
+    # symbol, decoded at the true residue and at a random one; each outcome
+    # is the reference's
     rng = random.Random(3000 + 10 * n + q)
     for x in (
-        tuple(rng.randrange(q) for _ in range(n)),
-        tuple((i // 7) % q for i in range(n)),
-        tuple(i % q for i in range(n)),
+        B(rng.randrange(q) for _ in range(n)),
+        B((i // 7) % q for i in range(n)),
+        B(i % q for i in range(n)),
     ):
         for pos in (0, rng.randrange(1, n - 1), n - 1):
             y = x[:pos] + x[pos + 1 :]
             true = qary_vt_syndrome(x, q)
             for a in (true, rng.randrange(q * n)):
-                got = outcome(qary_decode_one_deletion, bytes(y), a, q, n)
-                if type(got) is bytes:
-                    got = tuple(got)
-                assert got == outcome(qary_decode_one_deletion, y, a, q, n)
+                got = outcome(qary_decode_one_deletion, y, a, q, n)
                 assert got == outcome(_reference_qary_decode_one_deletion, y, a, q, n)
                 if a == true:
                     assert got == x
@@ -456,26 +502,24 @@ def test_qary_decode_matches_reference_on_long_bytes_rows(q, n):
 
 @pytest.mark.parametrize("n", [200, 1030])
 def test_vt_decode_matches_reference_on_long_rows(n):
-    # the binary counterpart on bytes rows, whose syndromes come from bit
-    # planes at these lengths: random bits, runs and alternating bits, each
+    # the binary counterpart, whose syndromes come from bit planes at these
+    # lengths: random bits, runs and alternating bits, each
     # losing its first, a middle or its last symbol, decoded at the true
     # residue and at random ones; modulus 2n + 1 leaves residues that no
     # insertion reaches
     rng = random.Random(2000 + n)
     kinds = set()
     for x in (
-        tuple(rng.randrange(2) for _ in range(n)),
-        tuple((i // 9) % 2 for i in range(n)),
-        tuple(i % 2 for i in range(n)),
+        B(rng.randrange(2) for _ in range(n)),
+        B((i // 9) % 2 for i in range(n)),
+        B(i % 2 for i in range(n)),
     ):
         for pos in (0, rng.randrange(1, n - 1), n - 1):
-            y = bytes(x[:pos] + x[pos + 1 :])
+            y = x[:pos] + x[pos + 1 :]
             for modulus in (n + 1, 2 * n + 1):
                 true = vt_syndrome(x) % modulus
                 for a in (true, rng.randrange(modulus)):
                     got = outcome(vt_decode_one_deletion, y, a, modulus)
-                    if type(got) is bytes:
-                        got = tuple(got)
                     assert got == outcome(_reference_vt_decode_one_deletion, y, a, modulus)
                     if a == true:
                         assert got == x
@@ -484,8 +528,8 @@ def test_vt_decode_matches_reference_on_long_rows(n):
 
 
 def _row_400(q):
-    """A fixed row of length 400 over Sigma_q."""
-    return tuple((7 * i * i + 3 * i) % q for i in range(400))
+    """A fixed packed row of length 400 over Sigma_q."""
+    return B((7 * i * i + 3 * i) % q for i in range(400))
 
 
 @pytest.mark.parametrize(
@@ -494,12 +538,9 @@ def _row_400(q):
         # binary VT: Levenshtein's placement rule
         (vt_decode_one_deletion, _reference_vt_decode_one_deletion,
          lambda x: (x[:-1], vt_syndrome(x), 401), 2, True),
-        # VT(psi) over Sigma_4: prefix and suffix sums of psi(y)
+        # VT(psi) over Sigma_4, whose ascent counts come from bit planes
         (qary_decode_one_deletion, _reference_qary_decode_one_deletion,
          lambda x: (x[:-1], qary_vt_syndrome(x, 4), 4, 400), 4, True),
-        # the same on a bytes row, whose ascent counts come from bit planes
-        (qary_decode_one_deletion, _reference_qary_decode_one_deletion,
-         lambda x: (bytes(x[:-1]), qary_vt_syndrome(x, 4), 4, 400), 4, True),
     ],
 )
 def test_row_decode_makes_constant_syndrome_evaluations(
@@ -521,8 +562,6 @@ def test_row_decode_makes_constant_syndrome_evaluations(
         monkeypatch.setattr(vt_core, name, counting(getattr(vt_core, name)))
     got = outcome(decode, *args)
     assert len(calls) <= 1
-    if type(got) is bytes:
-        got = tuple(got)
     assert (got == x) is unique
     calls.clear()
     assert outcome(reference, *args) == got
@@ -552,28 +591,26 @@ def line_events(func, *args):
 
 
 def test_qary_decode_interprets_no_per_symbol_loop():
-    # O(n): the alphabet size must not multiply the interpreted work, on
-    # tuple rows and on bytes rows, whose bit planes grow with log2(q)
-    def events(q, pack):
-        x = tuple(random.Random(q).randrange(q) for _ in range(400))
-        y, a = pack(x[:150] + x[151:]), qary_vt_syndrome(x, q)
+    # O(n): the alphabet size must not multiply the interpreted work,
+    # though the bit planes grow with log2(q)
+    def events(q):
+        x = B(random.Random(q).randrange(q) for _ in range(400))
+        y, a = x[:150] + x[151:], qary_vt_syndrome(x, q)
         return line_events(qary_decode_one_deletion, y, a, q, 400)
 
-    for pack in (tuple, bytes):
-        assert events(16, pack) <= 1.5 * events(2, pack)
+    assert events(16) <= 1.5 * events(2)
 
 
 def test_qary_decode_interprets_sublinear_work():
     # a bisection over the positions, not a pass: 8x the row length must
     # not double the interpreted steps
-    def events(n, pack):
-        x = tuple(random.Random(n).randrange(4) for _ in range(n))
-        y, a = pack(x[: n // 3] + x[n // 3 + 1 :]), qary_vt_syndrome(x, 4)
-        assert qary_decode_one_deletion(y, a, 4, n) == pack(x)
+    def events(n):
+        x = B(random.Random(n).randrange(4) for _ in range(n))
+        y, a = x[: n // 3] + x[n // 3 + 1 :], qary_vt_syndrome(x, 4)
+        assert qary_decode_one_deletion(y, a, 4, n) == x
         return line_events(qary_decode_one_deletion, y, a, 4, n)
 
-    for pack in (tuple, bytes):
-        assert events(4096, pack) <= 2 * events(512, pack)
+    assert events(4096) <= 2 * events(512)
 
 
 def test_supersequence_check_interprets_sublinear_work():
