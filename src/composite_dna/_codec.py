@@ -9,9 +9,9 @@
   read from the ranks that alphabet.column_ranks gives the columns of its
   packed rows, so a decoder looks each column up once and re-ranks only a
   column it repairs;
-* compose: the value of base-`base` digits that the codec built itself,
-  without algebra.compose_base's digit check;
-* block_value: the value that a block of digit columns spells;
+* block_value: the value that a block of digit columns spells, composed
+  by algebra.compose without compose_base's digit check, since the ranks
+  it composes lie below the alphabet size;
 * out_of_model: a ValueError from a lower layer, met after the intake,
   means the received word lay outside the model, so it becomes a
   DecodeFailure;
@@ -22,7 +22,9 @@
 * repair_rows: the row-repair core of every t-row syndrome decoder, on
   clean and damaged words alike; it returns the repaired word and the
   syndromes of all its rows, so a re-encode or a certificate needs no
-  second pass over the intact rows.
+  second pass over the intact rows.  The rows it holds, received slices
+  and row-decoder output, are all bytes, so the word is built from them
+  by alphabet.Word._of_rows, without packing or checking them again.
 
 Everything in a repair that depends only on the spec is read from tables
 that the spec's RowCode keeps: the weights (i + 1)^j mod p of the power
@@ -38,7 +40,7 @@ from __future__ import annotations
 from operator import mul
 
 from .alphabet import Word, column_rank, column_ranks
-from .algebra import solve_mod_p
+from .algebra import compose, solve_mod_p
 from .vt_core import DecodeFailure
 
 
@@ -79,15 +81,6 @@ def invalid_column(ranks) -> int | None:
     if invalid > 1:
         raise DecodeFailure("more than one invalid column; model breach")
     return ranks.index(None) if invalid else None
-
-
-def compose(digits, base: int) -> int:
-    """The value of digits, least significant first, each an int below base
-    (unchecked: the caller built or checked them)."""
-    value = 0
-    for d in reversed(digits):
-        value = value * base + d
-    return value
 
 
 def block_value(segments, q: int, base: int) -> int:
@@ -199,4 +192,4 @@ def repair_rows(
                 raise DecodeFailure("solved syndrome residue does not lift; breach")
             rows[i] = decode_row(i, value)
             values[i] = code.syndrome(rows[i])
-    return out_of_model(Word.from_rows, rows, q), values
+    return out_of_model(Word._of_rows, tuple(rows), q), values

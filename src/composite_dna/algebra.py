@@ -1,8 +1,10 @@
 """Number-theoretic and combinatorial helpers shared by the code constructions.
 
 Contents: primality and Bertrand-interval prime search, the one digit rule
-(are_digits) that the row kernels, the encoders and Word apply, base-Q
-expansions of a given width (the check blocks of the systematic codes),
+(are_digits) that the row kernels, the encoders and Word apply, the one
+integer log (digit_width), base-Q expansions of a given width (the check
+blocks of the systematic codes) and the one Horner loop that composes
+them back (compose, which compose_base calls after its digit check),
 ranking/unranking of constant-weight binary sequences,
 semistandard tableau enumeration with Schur polynomial evaluation,
 shape-shifted Vandermonde determinants, one linear-algebra kernel pair (an
@@ -136,6 +138,12 @@ def compose_base(digits, base: int) -> int:
     if not are_digits(digits, base):
         bad = next(d for d in reversed(digits) if not are_digits((d,), base))
         raise ValueError(f"digit {bad} out of range for base {base}")
+    return compose(digits, base)
+
+
+def compose(digits, base: int) -> int:
+    """compose_base unchecked, for digits that the caller built or checked:
+    the value of digits, least significant first, by one Horner loop."""
     value = 0
     for d in reversed(digits):
         value = value * base + d

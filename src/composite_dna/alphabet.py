@@ -16,11 +16,12 @@ this package.  For q = 2 the rank of a column is simply its number of ones.
 
 A word is a sequence of n letters, equivalently a k x n matrix whose rows are
 length-n digit strings and whose columns are all nondecreasing.  A Word
-holds its rank sequence (an int tuple, which equality and hashing read) and
-its digit rows packed, one bytes object per row (Word.packed), and builds
-each only once.  Word.rows() is the int-tuple view, made on its first call
-and kept; the library itself reads only the packed rows, where a deletion
-is a C-level slice and a row hashes once.
+holds two views: its rank sequence (an int tuple, which equality and
+hashing read) and its digit rows packed, one bytes object per row
+(Word.packed), and builds each only once.  Word.rows() is the int-tuple
+view, made on each read, as ReceivedRows.rows is; the library itself reads
+only the packed rows, where a deletion is a C-level slice and a row hashes
+once.
 
 This module owns the row format, for words and for channel outputs alike:
 
@@ -44,21 +45,28 @@ The two views of a word convert with byte tables while they fit a byte:
   int(row_i) reads the row's bytes as one big integer, has column j's
   sum_i digit_i * q^i <= q^k - 1 as its byte j, so no byte carries; one
   translate of the key's bytes through a table of letter ranks, with 255
-  for "no letter", ranks every column of rows that pack_rows has checked.
+  for "no letter", ranks every column of rows whose digits lie in Sigma_q.
 
 Larger shapes (q = 2 with k >= 9, q = 3 with k >= 6, q = 4 with k >= 5,
 q = 10 with k = 4 and Q = 715, ...) take the same constructors through the
 rank table's dict and a transposition of its letters instead.
 
-Word(q, k, ranks) checks the ranks against the table; Word.from_rows packs
-the given rows and ranks their columns, and only if that fails (a digit
-string, 1.0, a digit outside Sigma_q, a shape that is no word) are the
-digits normalised to the ints they stand for (_whole) and checked, so the
-result, word or error, is the one those ints give; a digit that stands for
-no int, as 1.5 or [1], is a ValueError.  word + word (the systematic
-encoders' payload followed by their tail) concatenates the two words'
-ranks and packed rows, so only the tail is ever checked and spelled.  Its
-letters are the shared ones of all_letters.
+Word(q, k, ranks) checks the ranks against the table.  Packed rows that
+the library already holds, k >= 2 bytes objects of one length n >= 1,
+become a word through one step, Word._of_rows: one translate tests that
+every digit lies in Sigma_q, the columns are ranked (_ranks_of_rows) and
+the rows are kept as they are, so they are neither copied nor spelled
+again from the ranks; a column that is no letter is the ValueError that
+names it.  Word.from_rows packs the rows it is given (pack_rows) and
+takes that step; only if packing fails (a digit string, 1.0, a digit
+outside Sigma_q, a shape that is no word) are the digits normalised to the
+ints they stand for (_whole) and checked, so the result, word or error, is
+the one those ints give.  A digit string is read as the text readers read
+it, ASCII decimal only (_decimal); a digit that stands for no int, as 1.5
+or [1], is a ValueError.  word + word (the systematic encoders' payload
+followed by their tail) concatenates the two words' ranks and packed rows,
+so only the tail is ever checked and spelled.  Its letters are the shared
+ones of all_letters.
 
 A letter keeps the digits it is given, and column_rank, which Letter ranks
 them with, applies the package's one digit rule (algebra.are_digits), as
@@ -260,14 +268,12 @@ class Word:
 
     Equality and hashing look at (q, k, ranks); packed, the k digit rows as
     bytes, is the view kept beside them.  rows() makes the int tuples of
-    the packed rows on its first call and keeps them, so a caller that
-    holds the rows of many words shares them with the words."""
+    the packed rows on each read."""
 
     q: int
     k: int
     _ranks: tuple[int, ...]
     packed: tuple[bytes, ...] = field(compare=False, repr=False)
-    _int_rows: tuple | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, q: int, k: int, ranks):
         tuples, _ = _rank_tables(q, k)
@@ -294,6 +300,19 @@ class Word:
         word._set(q, k, ranks, packed)
         return word
 
+    @classmethod
+    def _of_rows(cls, packed: tuple, q: int) -> "Word":
+        """The word with these packed rows, k >= 2 bytes objects of one
+        length n >= 1 that the library holds.  A digit outside Sigma_q (one
+        translate, as in pack_rows) or a column that is no letter is the
+        ValueError that from_rows gives for the same rows."""
+        ranks = None
+        if not b"".join(packed).translate(None, _SIGMA[:q]):
+            ranks = _ranks_of_rows(packed, q)
+        if ranks is None:  # names the first column that is no letter
+            ranks = _checked_ranks(tuple(map(tuple, packed)), q)
+        return cls._of(q, len(packed), ranks, packed)
+
     def __add__(self, other: "Word") -> "Word":
         """The concatenation: this word's letters, then other's."""
         if not isinstance(other, Word):
@@ -317,9 +336,7 @@ class Word:
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Row view: row i collects digit i of every column, as ints."""
-        if self._int_rows is None:
-            object.__setattr__(self, "_int_rows", tuple(map(tuple, self.packed)))
-        return self._int_rows
+        return tuple(map(tuple, self.packed))
 
     def ranks(self) -> tuple[int, ...]:
         """Rank-sequence view over {0, ..., Q_{q,k}-1}."""
@@ -328,10 +345,10 @@ class Word:
     @classmethod
     def from_rows(cls, rows, q: int) -> "Word":
         """The word with these digit rows, bytes or int sequences.  They are
-        packed (pack_rows) and their columns ranked as given; only if that
-        fails (a digit string, 1.0, a digit outside Sigma_q, a shape that is
-        no word) are the digits normalised (_whole) and checked, so the
-        result, word or error, is the one the ints they stand for give."""
+        packed (pack_rows) and ranked by _of_rows; only if packing fails (a
+        digit string, 1.0, a digit outside Sigma_q, a shape that is no word)
+        are the digits normalised (_whole) and checked, so the result, word
+        or error, is the one the ints they stand for give."""
         # an iterator row is read once, here, so the fallback sees its digits
         rows = tuple(row if type(row) is bytes else tuple(row) for row in rows)
         k = len(rows)
@@ -341,9 +358,7 @@ class Word:
             except ValueError:
                 pass  # a digit that is no int of Sigma_q, or a bad q: reported below
             else:
-                ranks = _ranks_of_rows(packed, q)
-                if ranks is not None:
-                    return cls._of(q, k, ranks, packed)
+                return cls._of_rows(packed, q)
         ranks = _checked_ranks(tuple(tuple(map(_whole, row)) for row in rows), q)
         return cls._of(q, k, ranks, _rows_of_ranks(ranks, q, k))
 
@@ -364,10 +379,13 @@ class Word:
 
 def _whole(digit) -> int:
     """The int that a digit stands for: an int, a bool, a whole float, or
-    a digit string that int() reads.  A digit that stands for no int, as
-    1.5 or [1], is a ValueError."""
+    a string of ASCII decimal digits, read as the text readers read it
+    (_decimal).  A digit that stands for no int, as 1.5 or [1], and a
+    string that is no ASCII decimal, as '+1' or ' 1', are ValueErrors."""
+    if type(digit) is str:
+        return _decimal(digit)
     try:
-        if type(digit) is str or int(digit) == digit:
+        if int(digit) == digit:
             return int(digit)
     except (TypeError, OverflowError):  # [1], inf
         pass

@@ -571,8 +571,8 @@ def valid_sub_ball(word: Word, model: ErrorModel) -> set[Word]:
     if model.kind not in ("sub-per-row", "sub-total"):
         raise ValueError(f"valid_sub_ball takes sub-per-row or sub-total models, not {model.kind}")
     q, k = word.q, word.k
-    ranked = (column_ranks(rows, q) for rows in _raw_rows(word, model))
-    return {Word(q, k, ranks) for ranks in ranked if None not in ranks}
+    ranked = ((rows, column_ranks(rows, q)) for rows in _raw_rows(word, model))
+    return {Word._of(q, k, ranks, rows) for rows, ranks in ranked if None not in ranks}
 
 
 # ---------------------------------------------------------------------------

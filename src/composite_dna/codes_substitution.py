@@ -47,7 +47,6 @@ from ._codec import (
     block_value,
     check_payload,
     check_t_rows,
-    compose,
     intake,
     invalid_column,
     out_of_model,
@@ -56,6 +55,7 @@ from ._codec import (
 from .alphabet import Word, alphabet_size, column_rank, column_ranks, letter_unrank
 from .algebra import (
     are_digits,
+    compose,
     cw_rank,
     cw_unrank,
     digit_width,
@@ -215,11 +215,8 @@ def _reference_hamming_decode(fam: HammingFamily, word) -> tuple[int, ...]:
 
 def _checks(l: int, field: int) -> int:
     """r of C(l), l >= 3: the least r with (field^r - 1)/(field - 1) >= l,
-    so that F_field^r has l projective points."""
-    r = 1
-    while (field**r - 1) // (field - 1) < l:
-        r += 1
-    return r
+    so that F_field^r has l projective points: field^r >= l(field - 1) + 1."""
+    return digit_width(field, l * (field - 1) + 1)
 
 
 def hamming_size(l: int, field: int = 2) -> int:
@@ -335,17 +332,14 @@ class DollSpec:
 
     @cached_property
     def m(self) -> int:
-        base = self.base
+        """The largest m with base^m <= num / den, the code size or, for
+        q = 2, its closed-form lower bound, in exact arithmetic."""
         if self.q == 2:
-            # floor log of the closed-form lower bound, in exact arithmetic
             num = (self.k + 1) ** (self.n + 1) - (self.k - 1) ** (self.n + 1)
             den = 4 * (self.n + 1)
         else:
             num, den = self.size, 1
-        m, reach = 0, base
-        while reach * den <= num:
-            m, reach = m + 1, reach * base
-        return m
+        return digit_width(self.base, num // den + 1) - 1
 
     @cached_property
     def message_count(self) -> int:
@@ -650,13 +644,13 @@ def c1s_decode(received: ReceivedRows, spec: C1SSpec) -> Word:
         raise DecodeFailure("both marker columns disagree; model breach")
     if len(marker_a) > 1 or len(marker_b) > 1:
         # the lone substitution hit a marker column; the rest is intact
-        return out_of_model(Word.from_rows, payload_rows, q)
+        return out_of_model(Word._of_rows, payload_rows, q)
     a, b = marker_a.pop(), marker_b.pop()
     if a not in (0, 1):
         raise DecodeFailure("first marker digit outside {0, 1}; breach")
     a1 = a * q + b
     if sum(map(sum, payload_rows)) % (2 * q - 1) == a1:
-        return out_of_model(Word.from_rows, payload_rows, q)
+        return out_of_model(Word._of_rows, payload_rows, q)
     # payload checksum is off, so the error is there and the digits are clean
     packed = out_of_model(
         block_value, [row[m + 2 :] for row in rows], q, alphabet_size(q, spec.k)
@@ -665,7 +659,7 @@ def c1s_decode(received: ReceivedRows, spec: C1SSpec) -> Word:
         raise DecodeFailure("packed checksum value out of range; breach")
     a3, a2 = divmod(packed, spec.p1)
     return q1cecc_decode(
-        ReceivedRows(payload_rows, q, m), a1, a2, a3, spec.p1, spec.p2
+        ReceivedRows._of(payload_rows, q, m), a1, a2, a3, spec.p1, spec.p2
     )
 
 
@@ -746,9 +740,9 @@ def c2s_decode(received: ReceivedRows, spec: C2SSpec) -> Word:
     ]
     if len(dirty) > t:
         raise DecodeFailure(f"{len(dirty)} corrupted payload rows; handles {t}")
-    payload_rows = [row[:m] for row in rows]
+    payload_rows = tuple(row[:m] for row in rows)
     if not dirty:
-        return out_of_model(Word.from_rows, payload_rows, q)
+        return out_of_model(Word._of_rows, payload_rows, q)
     starts = [m + 2 * k + j * (spec.delta + k) for j in range(t)]
     intact = [
         j

@@ -11,12 +11,11 @@ sweeps.  The command-line front end derives its verbs from this table.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Callable
 
 from .alphabet import Word, alphabet_size
-from .channel import del_t_rows, del_total, sub_per_row, sub_t_rows, sub_total
+from .channel import SplitMix64, del_t_rows, del_total, sub_per_row, sub_t_rows, sub_total
 from .codes_deletion import (
     C2DSpec,
     C3DSpec,
@@ -88,16 +87,18 @@ class Family:
 
     def messages(self, spec, trials: int, seed: int):
         """(label, message) pairs of a sweep: every message of a message
-        family, or ``trials`` payloads drawn with ``seed``."""
+        family, or ``trials`` payloads whose ranks are drawn in turn by one
+        channel.SplitMix64(seed), the generator of the channel's seeded
+        corruption."""
         if self.message_space is not None:
             symbols, length = self.message_space(spec)
             return (
                 (f"message={message}", message)
                 for message in itertools.product(range(symbols), repeat=length)
             )
-        rng = random.Random(seed)
+        rng = SplitMix64(seed)
         big_q = alphabet_size(spec.q, spec.k)
-        draws = ([rng.randrange(big_q) for _ in range(spec.m)] for _ in range(trials))
+        draws = ([rng.below(big_q) for _ in range(spec.m)] for _ in range(trials))
         return [
             (f"payload#{index}", Word.from_ranks(ranks, spec.q, spec.k))
             for index, ranks in enumerate(draws)

@@ -396,6 +396,15 @@ FROM_ROWS_CASES = {
     "unhashable-digit": (
         lambda: [[0, [1]], [1, 1]], 2, (ValueError, "digit [1] is not a whole number"),
     ),
+    # digit strings are ASCII decimal, as the text readers take them (_decimal)
+    "arabic-indic-digit": (
+        lambda: ["0\u0661", "11"], 2,
+        (ValueError, "invalid literal for int() with base 10: '\u0661'"),
+    ),
+    "signed-and-spaced-digits": (
+        lambda: [["0", "+1"], ["1", " 1"]], 2,
+        (ValueError, "invalid literal for int() with base 10: '+1'"),
+    ),
 }
 
 

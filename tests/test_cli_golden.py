@@ -951,7 +951,7 @@ FIRST_FAILURES = {
     ),
     "first-failure-c2d": (
         "c2d_decode",
-        _rows("00000000110", "001001100110", "101001100110"),
+        _rows("01010000100", "011101000100", "111101000101"),
         "roundtrip --family c2d --k 3 --t 2 --m 4 --trials 1 --seed 1",
         ("family=c2d\n"
          "cases=469 failures=1\n"
@@ -959,13 +959,13 @@ FIRST_FAILURES = {
          "first failure: payload#0 pattern=[(0, 5)]\n"
          "received rows were:\n"
          "2 3 12\n"
-         "00000000110\n"
-         "001001100110\n"
-         "101001100110\n"),
+         "01010000100\n"
+         "011101000100\n"
+         "111101000101\n"),
     ),
     "first-failure-c4d-two-runs": (
         "c4d_decode",
-        _rows("0200100100", "1201200110", "12101200120"),
+        _rows("0200100100", "1201000120", "22001200120"),
         "roundtrip --family c4d --q 3 --k 3 --t 2 --m 3 --trials 1 --seed 1",
         ("family=c4d\n"
          "cases=397 failures=6\n"
@@ -974,8 +974,8 @@ FIRST_FAILURES = {
          "received rows were:\n"
          "3 3 11\n"
          "0200100100\n"
-         "1201200110\n"
-         "12101200120\n"),
+         "1201000120\n"
+         "22001200120\n"),
     ),
 }
 

@@ -44,7 +44,7 @@ from composite_dna.codes_substitution import (
     q1cecc_checksums,
     q1cecc_decode,
 )
-from composite_dna.codes_substitution import _doll_unrank, _reference_hamming_decode
+from composite_dna.codes_substitution import _checks, _doll_unrank, _reference_hamming_decode
 from composite_dna.vt_core import DecodeFailure
 
 
@@ -163,6 +163,16 @@ class TestHammingFamily:
             assert hamming_size(l, field) == fam.size == field ** len(fam.message_coords), l
             assert len(fam.parity_coords) == fam.r or l <= 2
 
+    def test_check_count_is_the_loop_it_replaced(self):
+        """_checks(l, field), one digit_width call, is the least r >= 1 with
+        (field^r - 1) / (field - 1) >= l, found by counting r up."""
+        for field in range(2, 14):
+            for l in range(1, 5000):
+                r = 1
+                while (field**r - 1) // (field - 1) < l:
+                    r += 1
+                assert _checks(l, field) == r, (l, field)
+
     @pytest.mark.parametrize(
         "field, l", [(2, l) for l in range(3, 9)] + [(3, l) for l in range(3, 6)]
     )
@@ -216,6 +226,29 @@ class TestDollCode:
         assert doll_F((0, 2, 1, 2), 2) == (1, 0, 1)
         assert doll_F((0, 0), 3) == ()
         assert doll_F((3,) * 4, 3) == (1, 1, 1, 1)
+
+    def test_message_length_is_the_loop_it_replaced(self):
+        """DollSpec.m, one digit_width call, is the largest m with
+        base^m <= num / den (the size, or at q = 2 its closed-form lower
+        bound), found by counting m up.  A (q, k) whose |A2| is not prime
+        has no spec."""
+        checked = 0
+        for q, k in itertools.product((2, 3), range(2, 7)):
+            for n in range(1, 120):
+                try:
+                    spec = DollSpec(q, k, n)
+                except ValueError:
+                    break
+                if q == 2:
+                    num, den = (k + 1) ** (n + 1) - (k - 1) ** (n + 1), 4 * (n + 1)
+                else:
+                    num, den = spec.size, 1
+                m, reach = 0, spec.base
+                while reach * den <= num:
+                    m, reach = m + 1, reach * spec.base
+                assert spec.m == m, (q, k, n)
+                checked += 1
+        assert checked == 9 * 119  # every (q, k) but (3, 4), whose |A2| = 9
 
     def test_size_matches_direct_enumeration(self):
         for n in (2, 3, 4):

@@ -20,6 +20,8 @@ from composite_dna.alphabet import (
     Word,
     all_letters,
     alphabet_size,
+    column_rank,
+    letter_is_valid,
     rows_to_text,
     word_from_text,
     word_to_text,
@@ -112,6 +114,70 @@ def test_packed_rows_that_are_no_word_fail_as_int_rows_do(q, k):
         rows[i][j] = rng.choice([q, q + 1, (rows[i][j] + 1) % q])  # out of Sigma_q or unordered
         as_tuples = outcome(Word.from_rows, [tuple(row) for row in rows], q)
         assert outcome(Word.from_rows, [bytes(row) for row in rows], q) == as_tuples
+
+
+def reference_word(rows, q):
+    """The outcome of a word built from these rows the plain way: each
+    column ranked alone, or the error naming the first that is no letter."""
+    columns = list(zip(*rows))
+    for j, column in enumerate(columns):
+        if not letter_is_valid(column, q):
+            return ValueError, f"column {j} is not nondecreasing over Sigma_{q}: {column}"
+    return "ok", tuple(column_rank(column, q) for column in columns)
+
+
+def step_outcome(build, rows, q):
+    """build(rows, q) as ("ok", ranks, packed rows) or the error's type and text."""
+    result = outcome(build, rows, q)
+    return result if result[0] != "ok" else ("ok", result[1].ranks(), result[1].packed)
+
+
+def step_row_sets(q, k, rng):
+    """Packed row sets of n = 1..4 columns: over Sigma_q, and over Sigma_q
+    with q and 255, so with bytes that are no digit.  Every set while there
+    are at most 7000 of them, else 2000 seeded ones."""
+    for n in range(1, 5):
+        for digits in (range(q), (*range(q + 1), 255)):
+            columns = list(product(digits, repeat=k))
+            if len(columns) ** n <= 7000:
+                sets = product(columns, repeat=n)
+            else:
+                sets = ([rng.choice(columns) for _ in range(n)] for _ in range(2000))
+            yield from (tuple(map(bytes, zip(*chosen))) for chosen in sets)
+
+
+def seeded_row_sets(q, k, rng):
+    """Rows of random words of n = 1..40 columns, as they are and with one
+    digit set to another digit, to q or to 255."""
+    size = alphabet_size(q, k)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        rows = [list(row) for row in transposed([rng.randrange(size) for _ in range(n)], q, k)]
+        yield tuple(map(bytes, rows))
+        rows[rng.randrange(k)][rng.randrange(n)] = rng.choice([rng.randrange(q), q, 255])
+        yield tuple(map(bytes, rows))
+
+
+@pytest.mark.parametrize(
+    "q,k,row_sets",
+    [(2, 2, step_row_sets), (2, 3, step_row_sets), (3, 2, step_row_sets),
+     (4, 3, step_row_sets), (2, 9, seeded_row_sets), (3, 6, seeded_row_sets)],
+)
+def test_word_of_rows_matches_from_rows(q, k, row_sets):
+    """Word._of_rows, the step that builds a word from packed rows the
+    library holds, gives what Word.from_rows gives on the same rows, and
+    what ranking each column alone gives: the word, keeping the very rows
+    it was given, or the same error.  A byte >= q is refused although at
+    (2, 2) the column (2, 0) has the key of the letter (0, 1); at (2, 9) and
+    (3, 6) q^k > 256, so the columns are ranked by column_ranks."""
+    rng = random.Random(f"of_rows {q} {k}")
+    for rows in row_sets(q, k, rng):
+        got = step_outcome(Word._of_rows, rows, q)
+        assert got == step_outcome(Word.from_rows, rows, q), rows
+        want = reference_word(rows, q)
+        assert got[:2] == want, rows
+        if got[0] == "ok":
+            assert all(a is b for a, b in zip(got[2], rows))
 
 
 def test_q_above_256_is_refused():
