@@ -32,7 +32,10 @@ class SingularMatrixError(ValueError):
 # primes
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division; each verdict is cached, so a
+    spec's fixed modulus is divided out once however often it is checked."""
     if n < 2:
         return False
     if n < 4:

@@ -118,14 +118,6 @@ class Letter:
     def k(self) -> int:
         return len(self.digits)
 
-    def weight(self, digit: int) -> int:
-        """w_digit: multiplicity of the given digit in the column."""
-        return self.digits.count(digit)
-
-    @property
-    def rank(self) -> int:
-        return letter_rank(self)
-
 
 def _v_value(digits: tuple[int, ...], q: int) -> int:
     k = len(digits)

@@ -3,9 +3,9 @@
 Four groups of constructions:
 
 * HammingFamily / hamming_build: shortened Hamming codes C(l) over a prime
-  field, the inner layer of the enumeration code below.  The check matrix
-  keeps all weight-1 columns and drops the lexicographically largest
-  heavier columns, so ranks are reproducible across implementations.
+  field, the inner layer of the enumeration code below.  The check columns
+  are the first l projective points of F_field^r in lexicographic order;
+  r is the least with l such points, so every unit column is among them.
 * DollSpec / enc_doll / dec_doll: the enumeration-encoded code correcting
   one substitution confined to row 1.  Letters split into A1 (second digit
   zero, untouchable by a detectable row-1 error only up to repair) and A2
@@ -86,14 +86,15 @@ from .vt_core import (
 class HammingFamily:
     """The inner check code C(l) over F_field.
 
-    For l >= 3 the columns are the projective representatives (first
-    nonzero entry 1) of F_field^r in lexicographic order, shortened down to
-    l columns.  l <= 2 uses the fixed singletons C(0) = {eps}, C(1) = {1},
-    C(2) = {11}.  The code is table-driven: a syndrome entry is one C-level
-    sum over a row of the check matrix, and a nonzero syndrome is looked up
-    in a dict of every beta * column, which names the position and the
-    error value beta (every column's first nonzero entry is 1, so each
-    multiple is one key).
+    For l >= 3 the columns are the first l projective points (first nonzero
+    entry 1) of F_field^r in lexicographic order.  Block i of the points,
+    those with r - 1 - i zeros before the leading 1, starts at
+    (field^i - 1)/(field - 1) with its unit column, and a point's tail of i
+    entries read in base field is its offset in the block.  l <= 2 uses the
+    fixed singletons C(0) = {eps}, C(1) = {1}, C(2) = {11}.  A syndrome
+    entry is one C-level sum over a row of the check matrix; a nonzero
+    syndrome is beta times the error's column, beta its first nonzero entry,
+    so its row names the block and its tail over beta the offset.
     """
 
     l: int
@@ -113,24 +114,14 @@ class HammingFamily:
         return tuple(zip(*self.columns))
 
     @cached_property
-    def _errors(self) -> dict:
-        """{beta * column: (its position, beta)} for every nonzero beta."""
+    def parity_coords(self) -> tuple[int, ...]:
+        """The unit columns, the block starts; parity i has its 1 in row r - 1 - i."""
         field = self.field
-        return {  # times[v] = beta * v, and times[1] = beta
-            tuple(map(times.__getitem__, column)): (pos, times[1])
-            for times in ([beta * v % field for v in range(field)] for beta in range(1, field))
-            for pos, column in enumerate(self.columns)
-        }
+        return tuple((field**i - 1) // (field - 1) for i in range(self.r if self.columns else 0))
 
     @cached_property
     def message_coords(self) -> tuple[int, ...]:
-        zeros = self.r - 1  # in a unit column
-        return tuple(i for i, c in enumerate(self.columns) if c.count(0) < zeros)
-
-    @cached_property
-    def parity_coords(self) -> tuple[int, ...]:
-        zeros = self.r - 1
-        return tuple(i for i, c in enumerate(self.columns) if c.count(0) == zeros)
+        return tuple(i for i in range(len(self.columns)) if i not in self.parity_coords)
 
     def encode(self, message) -> tuple[int, ...]:
         message = tuple(message)
@@ -150,8 +141,8 @@ class HammingFamily:
             word[pos] = v
         # a parity column is a unit vector, so its check row reads no other
         # parity position
-        for pos in self.parity_coords:
-            row = self.check_rows[self.columns[pos].index(1)]
+        for i, pos in enumerate(self.parity_coords):
+            row = self.check_rows[self.r - 1 - i]
             word[pos] = -sum(map(mul, row, word)) % self.field
         return tuple(word)
 
@@ -174,14 +165,19 @@ class HammingFamily:
                 raise DecodeFailure("C(2) = {11}: received differs in both symbols")
             return (1, 1)
         s = self.syndrome(word)
-        if not any(s):
+        lead = next((i for i, v in enumerate(s) if v), None)
+        if lead is None:
             return word
-        hit = self._errors.get(s)
-        if hit is None:
+        # s is beta times the error's column, beta = s[lead]: the column's
+        # leading 1 in row lead puts it in block r - 1 - lead, at the offset
+        # its tail, s's over beta, reads in base field
+        field, inverse = self.field, pow(s[lead], -1, self.field)
+        tail = [v * inverse % field for v in reversed(s[lead + 1 :])]
+        pos = self.parity_coords[self.r - 1 - lead] + compose(tail, field)
+        if pos >= self.l:
             raise DecodeFailure("syndrome matches no check column")
-        pos, beta = hit
         fixed = list(word)
-        fixed[pos] = (fixed[pos] - beta) % self.field
+        fixed[pos] = (fixed[pos] - s[lead]) % field
         return tuple(fixed)
 
     def message(self, word) -> tuple[int, ...]:
@@ -236,16 +232,12 @@ def hamming_build(l: int, field: int = 2) -> HammingFamily:
     r = _checks(l, field)
     # the projective points of F_field^r in lexicographic order: zeros, a
     # leading 1, then any tail; a zero tail makes a unit column
-    cols = [
+    points = (
         (0,) * (r - 1 - i) + (1,) + tail
         for i in range(r)
         for tail in itertools.product(range(field), repeat=i)
-    ]
-    heavy = [c for c in cols if c.count(0) < r - 1]
-    dropped = set(heavy[len(heavy) - (len(cols) - l) :])  # the largest ones
-    return HammingFamily(
-        l=l, field=field, columns=tuple(c for c in cols if c not in dropped)
     )
+    return HammingFamily(l=l, field=field, columns=tuple(itertools.islice(points, l)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Tests for the shared algebra helpers."""
 
-import functools
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -460,15 +459,10 @@ def spec_primes(k, t):
     return primes | {C2SSpec(q, k, t, m).p for q in (2, 4) for m in (1, 40, 300)}
 
 
-def test_cached_power_sum_solve_matches_the_explicit_solve(monkeypatch):
+def test_cached_power_sum_solve_matches_the_explicit_solve():
     """At every spec prime for 2 <= t <= k <= 6, every subsystem is
     invertible (p > f(k, t)), and the multiply by the cached inverse gives
-    solve_mod_p's solution, cold and warm.  Each inverse is one
-    solve_mod_p, and so one primality test; at k = t = 6 the primes exceed
-    f(6, 6) > 4.7e11, where a test divides by some 3.4e5 odd numbers, and
-    each prime meets some 900 systems, so the test remembers the
-    verdicts."""
-    monkeypatch.setattr(algebra, "is_prime", functools.lru_cache(maxsize=None)(is_prime))
+    solve_mod_p's solution, cold and warm."""
     rng = random.Random(32)
     systems = 0
     for k in range(2, 7):

@@ -182,7 +182,7 @@ def test_word_views_agree(w):
     assert len(ranks) == len(letters) == w.n
     for j, lt in enumerate(letters):
         assert (lt.q, lt.k) == (w.q, w.k)
-        assert ranks[j] == lt.rank
+        assert ranks[j] == letter_rank(lt)
         for i in range(w.k):
             assert rows[i][j] == lt.digits[i]
     for again in (
@@ -494,7 +494,7 @@ def test_alphabet_size_validation():
 
 def test_letter_weight_counts():
     lt = Letter((0, 1, 1, 2), 3)
-    assert lt.weight(0) == 1 and lt.weight(1) == 2 and lt.weight(2) == 1
+    assert lt.digits.count(0) == 1 and lt.digits.count(1) == 2 and lt.digits.count(2) == 1
     assert alphabet_size(3, 4) == comb(6, 2)
 
 

@@ -163,6 +163,29 @@ class TestHammingFamily:
             assert hamming_size(l, field) == fam.size == field ** len(fam.message_coords), l
             assert len(fam.parity_coords) == fam.r or l <= 2
 
+    @pytest.mark.parametrize("field, top", [(2, 400), (3, 400), (5, 200), (7, 200), (11, 200)])
+    def test_columns_are_the_listed_points_less_the_largest_heavy_ones(self, field, top):
+        """The first l projective points are the columns that listing every
+        point of F_field^r and dropping the lexicographically largest heavy
+        ones (two or more nonzero entries) gives; the parities are its unit
+        columns.  Built uncached, so the test keeps no family."""
+        for l in range(3, top):
+            r = _checks(l, field)
+            points = [
+                (0,) * (r - 1 - i) + (1,) + tail
+                for i in range(r)
+                for tail in itertools.product(range(field), repeat=i)
+            ]
+            heavy = [c for c in points if c.count(0) < r - 1]
+            dropped = set(heavy[len(heavy) - (len(points) - l) :])
+            columns = tuple(c for c in points if c not in dropped)
+            units = tuple(i for i, c in enumerate(columns) if c.count(0) == r - 1)
+            fam = hamming_build.__wrapped__(l, field)
+            assert fam.columns == columns, (l, field)
+            assert fam.parity_coords == units, (l, field)
+            assert fam.message_coords == tuple(i for i in range(l) if i not in units)
+            assert (fam.r, fam.size) == (r, field ** (l - r))
+
     def test_check_count_is_the_loop_it_replaced(self):
         """_checks(l, field), one digit_width call, is the least r >= 1 with
         (field^r - 1) / (field - 1) >= l, found by counting r up."""
@@ -174,12 +197,17 @@ class TestHammingFamily:
                 assert _checks(l, field) == r, (l, field)
 
     @pytest.mark.parametrize(
-        "field, l", [(2, l) for l in range(3, 9)] + [(3, l) for l in range(3, 6)]
+        "field, l",
+        [(2, l) for l in range(3, 9)]
+        + [(3, l) for l in range(3, 6)]
+        + [(5, l) for l in range(3, 6)]
+        + [(7, l) for l in range(3, 5)],
     )
     def test_decode_matches_the_column_search_on_every_word(self, field, l):
-        """The syndrome table names the error that a search of the check
-        columns for the syndrome's normalised multiple names, on every word
-        of F_field^l, the words no single error explains included."""
+        """The position the syndrome's block and offset name is the one a
+        search of the check columns for its normalised multiple finds, on
+        every word of F_field^l, the words no single error explains
+        included.  F_5 and F_7 are |A2| of the q = 3 doll at k = 2 and 3."""
         fam = hamming_build(l, field)
 
         def outcome(decode, word):

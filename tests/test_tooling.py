@@ -283,8 +283,6 @@ NO_CALLER_ALLOWED = {
     "doll_F": "the paper's binary F-map of the enumeration code",
     "HammingFamily.codewords": "enumerates the inner code C(l) for its tests",
     "EquivalenceMap.inverse": "the inverse of each equivalence map, for its tests",
-    "Letter.rank": "letter_rank as a property of the exported Letter, for its tests",
-    "Letter.weight": "the paper's w_i, a digit's multiplicity in a letter, for its tests",
 }
 
 
