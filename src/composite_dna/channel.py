@@ -30,10 +30,11 @@ their first error patterns, cells by position and value.  count is the
 number of error patterns that give the output and errors the first of them,
 as (row, cell) pairs.  Distinct count vectors give disjoint outputs, so each
 output is built once.  _raw_rows is the same sweep without errors and
-counts, packed rows only; raw_received_set is its set, hamming_sphere and
-deletion_ball are set views of the same rows' outputs, and
-valid_sub_ball(word, model) keeps the outputs of a sub-per-row or sub-total
-model whose columns are all letters.
+counts, packed rows only, over each row's bare outputs (_row_balls: the
+outputs of _row_levels in the same order, with no cells or counts);
+raw_received_set is its set, hamming_sphere and deletion_ball are set
+views of one row's bare outputs, and valid_sub_ball(word, model) keeps the
+outputs of a sub-per-row or sub-total model whose columns are all letters.
 
 A channel output is a ReceivedRows: k >= 2 rows over Sigma_q of lengths
 0..n, n >= 1.  alphabet owns that row format: ReceivedRows packs and
@@ -48,16 +49,18 @@ requirement, because a decoder must handle every channel output.  The
 column-valid substitution balls from the bound analysis are provided
 separately (valid_sub_ball).  For the per-row and total kinds it hashes
 the packed rows of every codeword's outputs once (_raw_rows), M·|ball|
-tuples of bytes in one table per (q, n), and builds a ReceivedRows for the
-witness alone; bytes order as the int tuples do, so the witness is the
-same.  Beside each table it keeps, for that call only, each distinct
-(row, count)'s output rows at every error level, so a row that many
-codewords share has its outputs built (_row_levels) once; a binary row of
-length 8 has at most 256 values, however large the codebook.  A
-codeword's sweep is one generator: it takes the model's count vectors
-once, each of its rows' outputs from that memo, and yields each vector's
-outputs as one itertools.product, so the Python work per codeword is per
-row and per vector, not per output.  For the t-rows kinds, whose balls
+tuples of bytes in one table per (q, k, n), and builds a ReceivedRows for
+the witness alone; bytes order as the int tuples do, so the witness is the
+same.  What depends on the model and the shape alone (the count vectors,
+each row's largest count, the kind) it reads once per (q, k, n), in that
+shape's sweep (_row_sweep).  Each sweep keeps, for that call only, each
+distinct (row, count)'s bare outputs at every error level, so a
+row that many codewords share has its outputs built (_row_balls) once; a
+binary row of length 8 has at most 256 values, however large the codebook.
+The loop over codewords is flat: a codeword's outputs are one
+itertools.chain of one itertools.product per count vector, and each output
+costs one dict.setdefault, so the rest of the Python work per codeword is
+per row and per vector, not per output.  For the t-rows kinds, whose balls
 grow as Σ_{s≤t} C(k,s)·n^s, it tests the M²/2 pairs instead: two words
 collide iff count vectors that fit the model cover their per-row
 distances.  Under deletions one vector c must have c_i >= n - LCS_i on
@@ -78,7 +81,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 
 from .algebra import are_digits
@@ -319,12 +322,55 @@ def _row_levels(row, index: int, c: int, q: int, deletion: bool) -> list[dict]:
     return levels
 
 
+@lru_cache(maxsize=None)
+def _other_digits(q: int) -> tuple[tuple[bytes, ...], ...]:
+    """For each digit x of Sigma_q, the other digits as one-symbol rows, in
+    value order: what a substitution may write over x."""
+    return tuple(SYMBOL_ROWS[:x] + SYMBOL_ROWS[x + 1:q] for x in range(q))
+
+
+def _row_balls(row, c: int, q: int, deletion: bool) -> tuple[tuple[bytes, ...], ...]:
+    """The distinct outputs of packed row under exactly 0, 1, ..., c
+    deletions, or substitutions over Sigma_q: _row_levels' outputs, level
+    by level and in the same order, with no cells and no counts.
+
+    The walk is _row_levels' own.  A substitution pattern is its output and
+    the next position; a deletion pattern its output, its last run and the
+    symbols taken of that run, so a row of r runs has r outputs at one
+    deletion, one per run start (Levenshtein, 1966).  From two deletions on
+    patterns can meet, and dict.fromkeys keeps each output's first."""
+    balls = [(row,)]
+    if deletion:
+        spans, level = run_spans(row), [(row, 0, 0)]
+        for j in range(1, c + 1):
+            level = [
+                (out[:start + t - j + 1] + out[start + t - j + 2:], r, t + 1)
+                for out, last, taken in level
+                for r, (start, length) in enumerate(spans[last:], last)
+                for t in (taken if r == last else 0,)
+                if t < length
+            ]
+            outs = [out for out, _, _ in level]
+            balls.append(tuple(dict.fromkeys(outs) if j > 1 else outs))
+        return tuple(balls)
+    others, n, level = _other_digits(q), len(row), [(row, 0)]
+    for _ in range(c):
+        level = [
+            (out[:p] + digit + out[p + 1:], p + 1)
+            for out, first in level
+            for p in range(first, n)
+            for digit in others[row[p]]
+        ]
+        balls.append(tuple([out for out, _ in level]))
+    return tuple(balls)
+
+
 def deletion_ball(x, t: int) -> set[tuple[int, ...]]:
     """D_t(x): all distinct subsequences of x with exactly t symbols removed."""
     (x,) = pack_rows((x,), 256)
     if t < 0 or t > len(x):
         raise ValueError(f"cannot delete {t} symbols from length {len(x)}")
-    return set(map(tuple, _row_levels(x, 0, t, 0, True)[t]))
+    return set(map(tuple, _row_balls(x, t, 0, True)[t]))
 
 
 def hamming_sphere(row, d: int, q: int) -> set[tuple[int, ...]]:
@@ -332,7 +378,7 @@ def hamming_sphere(row, d: int, q: int) -> set[tuple[int, ...]]:
     if d < 0:
         raise ValueError(f"cannot change {d} symbols")
     (row,) = pack_rows((row,), q)
-    return set(map(tuple, _row_levels(row, 0, d, q, False)[d]))
+    return set(map(tuple, _row_balls(row, d, q, False)[d]))
 
 
 # ---------------------------------------------------------------------------
@@ -523,35 +569,44 @@ def packed_outputs(word: Word, model: ErrorModel):
             yield errors, tuple(received), count
 
 
-def _raw_rows(word: Word, model: ErrorModel, row_outputs: dict | None = None):
+def _raw_rows(word: Word, model: ErrorModel):
     """The packed rows of every raw output of word under the model, each
     once, in outputs' order: per fitting count vector, the product of the
-    hit rows' outputs, every other row as sent.
+    hit rows' outputs, every other row as sent (_row_sweep)."""
+    return _row_sweep(model, word.q, word.k, word.n)(word.packed)
 
-    row_outputs maps (row, count) to the row's output rows at 0, 1, ...,
-    count errors, and a row's are built (_row_levels) only when they are
-    missing.  The ball oracle passes one dict for all the words of a
-    (q, n), so each distinct row's outputs are built once per call; every
-    other caller gets a fresh one."""
-    if row_outputs is None:
-        row_outputs = {}
-    rows, q, deletion = word.packed, word.q, not model.is_substitution
-    vectors, tops = _count_vectors(model, len(rows), len(rows[0]))
-    built = [None] * len(rows)
-    for i, (row, top) in enumerate(zip(rows, tops)):
-        if top:
-            found = row_outputs.get((row, top))
+
+def _row_sweep(model: ErrorModel, q: int, k: int, n: int):
+    """_raw_rows for every word over Phi_{q,k} of length n: a function of
+    a word's packed rows that returns its outputs as one iterator.
+
+    The count vectors, each row's largest count and the kind depend on
+    (model, q, k, n) alone, so they are read here, once; the ball oracle
+    keeps one sweep per shape.  A sweep keeps, in its own memo, each
+    distinct (row, count)'s outputs at 0, 1, ..., count errors, built
+    (_row_balls) the first time a word has that row, and per word chains
+    one itertools.product per count vector."""
+    vectors, tops = _count_vectors(model, k, n)
+    deletion = not model.is_substitution
+    memo = {}
+    hit = [(i, top) for i, top in enumerate(tops) if top]
+
+    def sweep(rows):
+        built = {}
+        for i, top in hit:
+            found = memo.get((rows[i], top))
             if found is None:
-                found = row_outputs[row, top] = tuple(
-                    map(tuple, _row_levels(row, 0, top, q, deletion))
-                )
+                found = memo[rows[i], top] = _row_balls(rows[i], top, q, deletion)
             built[i] = found
-    unhit = [(row,) for row in rows]
-    for hits in vectors:
-        spread = unhit.copy()
-        for i, c in hits:
-            spread[i] = built[i][c]
-        yield from product(*spread)
+        sent, products = [(row,) for row in rows], []
+        for hits in vectors:
+            spread = sent.copy()
+            for i, c in hits:
+                spread[i] = built[i][c]
+            products.append(product(*spread))
+        return chain.from_iterable(products)
+
+    return sweep
 
 
 def raw_received_set(word: Word, model: ErrorModel) -> set[ReceivedRows]:
@@ -607,10 +662,10 @@ def oracle_is_code(codebook, model: ErrorModel) -> OracleResult:
     choice goes by kind because the other kinds have large books with small
     balls, where the pairs cost more.  On a 2-core x86-64 VM (best of 15), a
     12-word binary c2d book (k = 3, t = 2, m = 8, so n = 16) under
-    del-t-rows 1,1 takes 0.61 ms by balls and 0.13 ms by pairs.  A 360-word
-    c1d book (n = 8) under del-total 1 takes 2.31 to 2.35 ms by balls at
-    best and 2.33 to 2.37 ms at the median of 21 calls, over five sampled
-    books, about 6.5 us per codeword, where a pair-by-pair prototype took
+    del-t-rows 1,1 takes 0.72 ms by balls and 0.16 ms by pairs.  A 360-word
+    c1d book (n = 8) under del-total 1 takes 2.42 to 2.59 ms by balls at
+    best and 2.46 to 2.70 ms at the median of 21 calls, over five sampled
+    books, about 7 us per codeword, where a pair-by-pair prototype took
     1.85 s.  Both ways give the same witness.
     """
     if model.kind.endswith("-t-rows"):
@@ -620,15 +675,20 @@ def oracle_is_code(codebook, model: ErrorModel) -> OracleResult:
 
 def _oracle_by_balls(codebook, model: ErrorModel) -> OracleResult:
     """oracle_is_code by hashing the digit rows of every codeword's raw
-    outputs.  Equal rows of words over another q are other outputs, so each
-    (q, n) has its own table; only the witness becomes a ReceivedRows."""
+    outputs.  Words over another (q, k, n) have other outputs, so each
+    shape has its own sweep (_row_sweep) and table; only the witness
+    becomes a ReceivedRows."""
     keyed = sorted(((w.ranks(), w) for w in set(codebook)), key=itemgetter(0))
-    # per (q, n): the first owner of each output, and each row's outputs
-    tables: dict[tuple[int, int], tuple[dict, dict]] = {}
+    # per (q, k, n): its words' sweep and the first owner of each output
+    shapes: dict[tuple[int, int, int], tuple] = {}
     best_key = best = None  # the smallest collision seen so far
     for idx, (ranks, w) in enumerate(keyed):
-        first_owner, row_outputs = tables.setdefault((w.q, w.n), ({}, {}))
-        for rows in _raw_rows(w, model, row_outputs):
+        shape = (w.q, w.k, len(ranks))
+        found = shapes.get(shape)
+        if found is None:
+            found = shapes[shape] = (_row_sweep(model, *shape), {})
+        sweep, first_owner = found
+        for rows in sweep(w.packed):
             owner = first_owner.setdefault(rows, idx)
             if owner == idx:
                 continue

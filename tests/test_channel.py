@@ -110,6 +110,19 @@ def test_hamming_sphere_sizes():
     assert hamming_sphere((0, 0), 1, 2) == {(1, 0), (0, 1)}
 
 
+def test_bare_row_outputs_follow_the_row_levels():
+    """_row_balls gives _row_levels' outputs, level by level and in the
+    same order, for every row of length <= 6 over Sigma_2 and Sigma_3 and
+    <= 4 over Sigma_4, at every count up to min(n, 3), under deletions and
+    substitutions."""
+    for q, longest in ((2, 6), (3, 6), (4, 4)):
+        for n in range(longest + 1):
+            for row in map(bytes, product(range(q), repeat=n)):
+                for c, deletion in product(range(min(n, 3) + 1), (True, False)):
+                    levels = tuple(map(tuple, channel._row_levels(row, 0, c, q, deletion)))
+                    assert channel._row_balls(row, c, q, deletion) == levels, (row, c, deletion)
+
+
 # ---------------------------------------------------------------------------
 # error models
 # ---------------------------------------------------------------------------
@@ -882,6 +895,39 @@ def test_ball_oracle_matches_the_brute_force_reference(kind, q, k):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("kind", ["sub-per-row", "sub-total", "del-per-row", "del-total"])
+def test_ball_oracle_on_books_of_mixed_shapes(kind):
+    """Books that mix q and n, and k under the total kinds (a per-row
+    model fixes k), get the pair-by-pair reference's verdict and witness:
+    words of one shape collide only with each other, each under the count
+    vectors of its own k.  Under sub-total the first book is fixed: a
+    one-letter word over Phi_{2,2}, then two over Phi_{2,3} one
+    substitution apart, which a sweep keyed by (q, n) alone, with the
+    first word's k, misses."""
+    rng = random.Random(kind)
+    cases = []
+    if kind == "sub-total":
+        book = [Word.from_ranks([0], 2, 2), Word.from_ranks([0], 2, 3), Word.from_ranks([1], 2, 3)]
+        assert brute_force_witness(book, sub_total(1)) is not None
+        cases.append((book, sub_total(1)))
+    for _ in range(24):
+        k = rng.choice((2, 3))
+        model = random_ball_model(kind, rng, k)
+        book = []
+        for _ in range(rng.randint(3, 6)):
+            q, n = rng.choice((2, 3)), rng.randint(1, 2)
+            rows = rng.choice((2, 3)) if kind.endswith("-total") else k
+            ranks = [rng.randrange(alphabet_size(q, rows)) for _ in range(n)]
+            book.append(Word.from_ranks(ranks, q, rows))
+        cases.append((book, model))
+    verdicts = set()
+    for book, model in cases:
+        reference = brute_force_witness(book, model)
+        assert oracle_is_code(book, model) == channel.OracleResult(reference), (book, model)
+        verdicts.add(reference is None)
+    assert verdicts == {True, False}
+
+
 def test_trusted_outputs_equal_checked_ones():
     """ReceivedRows._of, which skips the checks, gives the object the
     checked constructor gives for every output of seeded words under all
@@ -917,16 +963,16 @@ def c1d_code(n):
     ids=["c1d-del-total-1", "lme1-sub-total-1"],
 )
 def test_ball_oracle_builds_each_distinct_rows_outputs_once(book, model, monkeypatch):
-    """One oracle call builds a row's outputs (_row_levels) once per
+    """One oracle call builds a row's outputs (_row_balls) once per
     distinct (row, count), however many codewords share the row."""
     calls = Counter()
-    original = channel._row_levels
+    original = channel._row_balls
 
-    def counting(row, index, c, q, deletion):
+    def counting(row, c, q, deletion):
         calls[row, c] += 1
-        return original(row, index, c, q, deletion)
+        return original(row, c, q, deletion)
 
-    monkeypatch.setattr(channel, "_row_levels", counting)
+    monkeypatch.setattr(channel, "_row_balls", counting)
     assert oracle_is_code(book, model).is_code
     distinct = {(row, 1) for word in book for row in word.packed}
     assert len(distinct) < 2 * len(book)
@@ -935,22 +981,25 @@ def test_ball_oracle_builds_each_distinct_rows_outputs_once(book, model, monkeyp
 
 @pytest.mark.parametrize("kind", ["sub-per-row", "sub-total", "del-per-row", "del-total"])
 def test_raw_rows_with_a_shared_row_memo_equal_fresh_ones(kind):
-    """_raw_rows yields the same sequence whether a row's outputs come from
-    a dict shared by many words or are built afresh, and that sequence is
-    the received rows of packed_outputs, in order."""
+    """One shape's sweep (_row_sweep), whose row memo the ball oracle
+    shares among all the words of that shape, yields the same sequence as
+    a fresh _raw_rows, and that sequence is the received rows of
+    packed_outputs, in order."""
     rng = random.Random(kind)
-    reused = 0  # (row, count) entries a word found in the shared dict
+    reused = 0  # (row, count) entries a word found in the sweep's memo
     for q, k in product((2, 3), (2, 3)):
         size = alphabet_size(q, k)
         for _ in range(3):
             model = random_ball_model(kind, rng, k)
             tops = channel._count_vectors(model, k, 3)[1]
-            shared = {}
+            sweep, seen = channel._row_sweep(model, q, k, 3), set()
             for _ in range(12):
                 word = Word.from_ranks([rng.randrange(size) for _ in range(3)], q, k)
-                reused += sum((row, top) in shared for row, top in zip(word.packed, tops) if top)
-                memo = list(channel._raw_rows(word, model, shared))
-                assert memo == list(channel._raw_rows(word, model, {})), (word, model)
+                hit = {(row, top) for row, top in zip(word.packed, tops) if top}
+                reused += len(hit & seen)
+                seen |= hit
+                memo = list(sweep(word.packed))
+                assert memo == list(channel._raw_rows(word, model)), (word, model)
                 assert memo == [
                     rows for _, rows, _ in channel.packed_outputs(word, model)
                 ], (word, model)

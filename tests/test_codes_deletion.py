@@ -255,6 +255,31 @@ class TestCongruenceFamilies:
         with pytest.raises(ValueError, match="rows lost symbols"):
             congruence_decode_binary_t(ReceivedRows(rows, 2, 4), (0, 0), 5)
 
+    @pytest.mark.parametrize(
+        "q, k, n, p, psi_rows",
+        [
+            (2, 2, 7, 7, False),  # the row syndromes' range n
+            (2, 8, 5, 7, False),  # k - 1, above n
+            (3, 2, 1, 3, True),  # qn for psi rows
+        ],
+    )
+    def test_a_prime_equal_to_the_floor_is_refused(self, q, k, n, p, psi_rows):
+        """p must exceed max(k - 1, n), or qn for psi rows: a prime equal
+        to that floor is refused by the contains and the decode entry
+        points alike."""
+        word = Word.from_ranks([0] * n, q, k)
+        received = received_after(word, {})
+        if psi_rows:
+            calls = (congruence_contains_qary_t, congruence_decode_qary_t)
+            family = "the q-ary t-row family"
+        else:
+            calls = (congruence_contains_binary_t, congruence_decode_binary_t)
+            family = "the binary t-row family"
+        for call, arg in zip(calls, (word, received)):
+            with pytest.raises(ValueError) as refused:
+                call(arg, (0, 0), p)
+            assert str(refused.value) == f"{family} needs p > {p}, got {p}"
+
 
 # ---------------------------------------------------------------------------
 # C2D

@@ -271,9 +271,9 @@ NO_CALLER_ALLOWED = {
     "schur_eval": "the paper's Schur polynomial, checked against tableau counts",
     "vandermonde_shape_det": "the paper's shape-shifted Vandermonde determinant",
     "all_submatrices_invertible": "the exhaustive check behind f(k, t), ROADMAP item 2",
-    "asym_bound_thm3": "a paper bound with no CLI family yet, ROADMAP item 9",
-    "asym_bound_even_e": "a paper bound with no CLI family yet, ROADMAP item 9",
-    "bound_m_gt_q": "a paper bound with no CLI family yet, ROADMAP item 9",
+    "asym_bound_thm3": "a paper bound with no CLI family yet, ROADMAP item 10",
+    "asym_bound_even_e": "a paper bound with no CLI family yet, ROADMAP item 10",
+    "bound_m_gt_q": "a paper bound with no CLI family yet, ROADMAP item 10",
     "deletion_ball": "the paper's D_t(x), a set view of the row outputs",
     "hamming_sphere": "the Hamming sphere, a set view of the row outputs",
     "runs": "the paper's r(x), in the deletion ball size formulas",
