@@ -58,13 +58,11 @@ from .channel import (
     MODEL_KINDS,  # the --model choices
     ErrorModel,
     ReceivedRows,
-    del_t_rows,
     oracle_is_code,
     packed_outputs,
     random_errors,
     received_from_text,
     received_to_text,
-    sub_t_rows,
 )
 from .codes_substitution import DollSpec
 from .equivalence import MAP_NAMES, EquivalenceMap
@@ -84,14 +82,6 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _write_text(path: str, data: str):
-    if path == "-":
-        sys.stdout.write(data)
-    else:
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write(data)
-
-
 def _ints(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -108,16 +98,14 @@ def _default_seed(args) -> int:
 def build_model(name: str, e: str, t: int | None) -> ErrorModel:
     """The model of the --model, --e and --t flags: the kind --model with
     the budgets --e, which ErrorModel checks.  Only the t-rows kinds read
-    --t, and their constructors check that it counts the budgets."""
-    values = _ints(e)
-    shape = name.split("-", 1)[1]  # per-row, total or t-rows
-    if shape == "total" and len(values) != 1:
-        raise ValueError(f"model {name} takes a single --e value")
-    if shape != "t-rows":
-        return ErrorModel(name, values)
-    if t is None:
+    --t, which must be given and count the budgets."""
+    t_rows = name.endswith("-t-rows")
+    if t_rows and t is None:
         raise ValueError(f"model {name} requires --t")
-    return (sub_t_rows if name == "sub-t-rows" else del_t_rows)(t, values)
+    model = ErrorModel(name, _ints(e))
+    if t_rows and len(model.budgets) != t:
+        raise ValueError(f"expected {t} budgets, got {len(model.budgets)}")
+    return model
 
 
 def _spec_text(args, spec, n: int) -> str:
@@ -181,16 +169,16 @@ def _read_message(family: Family, args, spec):
     return word_from_text(_read_text(args.infile))
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> list[tuple[str, str]]:
     family, spec = _family_spec(args, "encode")
     word = family.encode(_read_message(family, args, spec), spec)
-    _write_text(args.out, word_to_text(word))
+    writes = [(args.out, word_to_text(word))]
     if args.spec_out:
-        _write_text(args.spec_out, _spec_text(args, spec, word.n))
-    return 0
+        writes.append((args.spec_out, _spec_text(args, spec, word.n)))
+    return writes
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> list[tuple[str, str]]:
     if args.spec:
         _load_spec_file(args)
     if args.family is None:
@@ -201,30 +189,26 @@ def cmd_decode(args) -> int:
     family, spec = _family_spec(args, "decode")
     decoded = family.decode(received, spec)
     if isinstance(decoded, Word):
-        _write_text(args.out, word_to_text(decoded))
-    else:
-        _write_text(args.out, ",".join(map(str, decoded)) + "\n")
-    return 0
+        return [(args.out, word_to_text(decoded))]
+    return [(args.out, ",".join(map(str, decoded)) + "\n")]
 
 
-def cmd_contains(args) -> int:
+def cmd_contains(args) -> list[tuple[str, str]]:
     word = word_from_text(_read_text(args.infile))
     family, spec = _family_spec(args, "contains")
     verdict = family.contains(word, spec)
-    _write_text(args.out, ("true" if verdict else "false") + "\n")
-    return 0
+    return [(args.out, ("true" if verdict else "false") + "\n")]
 
 
 # ---------------------------------------------------------------------------
 # corrupt / verify-code / transform
 # ---------------------------------------------------------------------------
 
-def cmd_corrupt(args) -> int:
+def cmd_corrupt(args) -> list[tuple[str, str]]:
     word = word_from_text(_read_text(args.infile))
     model = build_model(args.model, args.e, args.t)
     received, _plan = random_errors(word, model, _default_seed(args))
-    _write_text(args.out, received_to_text(received))
-    return 0
+    return [(args.out, received_to_text(received))]
 
 
 def _read_codebook(text: str) -> list[Word]:
@@ -237,7 +221,7 @@ def _read_codebook(text: str) -> list[Word]:
     return words_from_blocks(blocks)
 
 
-def cmd_verify_code(args) -> int:
+def cmd_verify_code(args) -> list[tuple[str, str]]:
     codebook = _read_codebook(_read_text(args.infile))
     model = build_model(args.model, args.e, args.t)
     result = oracle_is_code(codebook, model)
@@ -250,15 +234,13 @@ def cmd_verify_code(args) -> int:
         lines.append(word_to_text(second).rstrip("\n"))
         lines.append("shared received:")
         lines.append(received_to_text(shared).rstrip("\n"))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+    return [(args.out, "\n".join(lines) + "\n")]
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> list[tuple[str, str]]:
     word = word_from_text(_read_text(args.infile))
     mapped = EquivalenceMap(args.map).on_word(word)
-    _write_text(args.out, word_to_text(mapped))
-    return 0
+    return [(args.out, word_to_text(mapped))]
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +294,7 @@ BOUND_FAMILIES = {
 }
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> list[tuple[str, str]]:
     flags, calculate, extra = BOUND_FAMILIES[args.family]
     _require(args, *flags)
     if "q" not in flags and args.q not in (None, 2):
@@ -326,24 +308,22 @@ def cmd_bounds(args) -> int:
         f"{q},{args.k},{args.n},{extra(args, report)},{report.family},{report.value},"
         f"{report.floor},{'true' if report.asymptotic else 'false'}",
     ]
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+    return [(args.out, "\n".join(lines) + "\n")]
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> list[tuple[str, str]]:
     q = args.q if args.q is not None else 2
     spec = DollSpec(q, args.k, args.n)
     lines = ["l,supports,fills,inner,class_size"]
     lines += [",".join(map(str, row)) for row in spec.table()]
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+    return [(args.out, "\n".join(lines) + "\n")]
 
 
 # ---------------------------------------------------------------------------
 # roundtrip
 # ---------------------------------------------------------------------------
 
-def cmd_roundtrip(args) -> int:
+def cmd_roundtrip(args) -> list[tuple[str, str]]:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     family, spec = _family_spec(args, "roundtrip")
@@ -375,8 +355,7 @@ def cmd_roundtrip(args) -> int:
         lines.append(f"first failure: {label} pattern={list(errors)}")
         lines.append("received rows were:")
         lines.append(received_to_text(received).rstrip("\n"))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+    return [(args.out, "\n".join(lines) + "\n")]
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +370,13 @@ def _add_io(parser):
         help="input file (word or received rows text); - for stdin",
     )
     parser.add_argument("--out", default="-", help="output file; - for stdout")
+
+
+def _add_model(parser):
+    """The --model, --e and --t flags that build_model reads."""
+    parser.add_argument("--model", required=True, choices=MODEL_KINDS)
+    parser.add_argument("--e", required=True, help="budget or comma list")
+    parser.add_argument("--t", type=int, default=None)
 
 
 def _add_params(parser, verb: str):
@@ -439,17 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     con.set_defaults(func=cmd_contains)
 
     cor = sub.add_parser("corrupt", help="apply seeded random channel errors")
-    cor.add_argument("--model", required=True, choices=MODEL_KINDS)
-    cor.add_argument("--e", required=True, help="budget or comma list")
-    cor.add_argument("--t", type=int, default=None)
+    _add_model(cor)
     cor.add_argument("--seed", type=int, default=None)
     _add_io(cor)
     cor.set_defaults(func=cmd_corrupt)
 
     ver = sub.add_parser("verify-code", help="oracle a codebook file")
-    ver.add_argument("--model", required=True, choices=MODEL_KINDS)
-    ver.add_argument("--e", required=True, help="budget or comma list")
-    ver.add_argument("--t", type=int, default=None)
+    _add_model(ver)
     _add_io(ver)
     ver.set_defaults(func=cmd_verify_code)
 
@@ -492,13 +474,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the verb of argv.  Its cmd_* function returns its writes as
+    (path, text) pairs, - for stdout, and main makes them in that order;
+    a ValueError or OSError on the way is one error line and exit 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        for path, text in args.func(args):
+            if path == "-":
+                sys.stdout.write(text)
+            else:
+                with open(path, "w", encoding="ascii") as handle:
+                    handle.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

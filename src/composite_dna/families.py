@@ -164,19 +164,19 @@ FAMILIES = {
         _PAYLOAD_VERBS, C2DSpec, "k", "t", "m",
         encode=lambda payload, spec: c2d_encode(payload, spec),
         decode=lambda received, spec: c2d_decode(received, spec),
-        model=lambda spec: del_t_rows(spec.t, [1] * spec.t),
+        model=lambda spec: del_t_rows(*[1] * spec.t),
     ),
     "c3d": _uniform(
         _PAYLOAD_VERBS, C3DSpec, "q", "k", "m",
         encode=lambda payload, spec: c3d_encode(payload, spec),
         decode=lambda received, spec: c3d_decode(received, spec),
-        model=lambda _: del_t_rows(1, [1]),
+        model=lambda _: del_t_rows(1),
     ),
     "c4d": _uniform(
         _PAYLOAD_VERBS, C4DSpec, "q", "k", "m", "t",
         encode=lambda payload, spec: c4d_encode(payload, spec),
         decode=lambda received, spec: c4d_decode(received, spec),
-        model=lambda spec: del_t_rows(spec.t, [1] * spec.t),
+        model=lambda spec: del_t_rows(*[1] * spec.t),
     ),
     "c1s": _uniform(
         _PAYLOAD_VERBS, C1SSpec, "q", "k", "m",
@@ -188,7 +188,7 @@ FAMILIES = {
         _PAYLOAD_VERBS, C2SSpec, "q", "k", "m", "t",
         encode=lambda payload, spec: c2s_encode(payload, spec),
         decode=lambda received, spec: c2s_decode(received, spec),
-        model=lambda spec: sub_t_rows(spec.t, [1] * spec.t),
+        model=lambda spec: sub_t_rows(*[1] * spec.t),
     ),
     "cong-binary-t": _uniform(
         _CONGRUENCE_VERBS, lambda p, targets: (targets, p), "p", "targets",

@@ -319,7 +319,7 @@ def test_criterion_11_two_row_substitution_code():
         book.append(word)
         for received in binary_t_row_flips(word, 2):
             assert c2s_decode(received, spec) == payload
-    verdict = oracle_is_code(book, sub_t_rows(2, (1, 1)))
+    verdict = oracle_is_code(book, sub_t_rows(1, 1))
     assert verdict.is_code, verdict.witness
 
 

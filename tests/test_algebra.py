@@ -158,6 +158,40 @@ def test_entry_points_refuse_a_digit_that_is_no_int(entry):
     assert str(info.value) == message
 
 
+# Arguments outside an entry point's domain, each with the message it gives.
+OUT_OF_DOMAIN = {
+    "digit_width": (lambda: digit_width(1, 5), "need base >= 2 and bound >= 1, got 1, 5"),
+    "cw_unrank": (lambda: cw_unrank(1, 2, 3), "need 0 <= w <= n, got w=3, n=2"),
+    "enumerate_ssts": (lambda: list(enumerate_ssts((1,), -1)), "alphabet size s must be >= 0"),
+    "vandermonde-not-a-partition": (
+        lambda: vandermonde_shape_det((1, 2), (1, 2)), "not a partition: (1, 2)",
+    ),
+    "vandermonde-lengths": (
+        lambda: vandermonde_shape_det((1,), (1, 2)), "shape and point must have equal length",
+    ),
+    "solve-not-square": (
+        lambda: solve_mod_p([[1, 2]], [1], 5), "solve_mod_p expects a square system",
+    ),
+    "solve-modulus": (lambda: solve_mod_p([[1]], [1], 1), "modulus must be >= 2, got 1"),
+    "all_submatrices_invertible": (
+        lambda: all_submatrices_invertible(2, 1, 5), "need 2 <= t <= k, got t=1, k=2",
+    ),
+    "RowCode.solve-sums": (
+        lambda: RowCode(None, 37, 37).solve([None, 1], (0, 1), [3]),
+        "need one power sum per exponent, got 1 for 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", OUT_OF_DOMAIN)
+def test_entry_points_refuse_arguments_outside_their_domain(entry):
+    call, message = OUT_OF_DOMAIN[entry]
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "digits, base, expected",
     [

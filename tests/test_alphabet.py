@@ -285,6 +285,7 @@ WORD_ERRORS = {
         lambda: Word(2, 3, (0,)) + Word(3, 3, (0,)),
         "cannot concatenate a word over Phi_{2,3} and one over Phi_{3,3}",
     ),
+    "word-text-blank": (lambda: word_from_text(" \n\n"), "empty word file"),
 }
 
 
@@ -294,6 +295,12 @@ def test_word_constructor_error_messages(case):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+def test_a_word_plus_what_is_no_word_is_a_type_error():
+    with pytest.raises(TypeError) as info:
+        Word(2, 2, (0,)) + 1
+    assert str(info.value) == "unsupported operand type(s) for +: 'Word' and 'int'"
 
 
 def test_direct_word_constructor_validates():

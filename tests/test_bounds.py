@@ -351,3 +351,37 @@ def test_bound_report_validation():
         BoundReport("x", Fraction(0), False)
     rep = BoundReport("x", Fraction(7, 2), False, {"n": 3})
     assert rep.floor == 3
+
+
+# Budgets and parameters a bound does not take, each with the message it gives.
+BOUND_REFUSALS = {
+    "asym-general-negative": (
+        lambda: asym_bound_general(2, 2, 5, (1, -1)), "budgets must be nonnegative",
+    ),
+    "sp-per-row-long-budget": (
+        lambda: sp_bound_per_row(2, 2, 2, (3, 3)), "smallest budget 3 exceeds the length 2",
+    ),
+    "thm3-i-apart": (
+        lambda: asym_bound_thm3(2, 3, 10, (1, 0, 1), "i"),
+        "variant i needs the last two nonzero rows adjacent",
+    ),
+    "thm3-ii-two-rows": (
+        lambda: asym_bound_thm3(2, 2, 10, (1, 1), "ii"),
+        "variant ii needs exactly one nonzero budget",
+    ),
+    "thm3-iii-one-row": (
+        lambda: asym_bound_thm3(2, 2, 10, (1, 0), "iii"),
+        "variant iii needs exactly two nonzero budgets",
+    ),
+    "c_count-no-runs": (lambda: c_count(3, 0, 1), "need r >= 1 and 0 <= w <= n"),
+    "m_qk-q": (lambda: m_qk(1, 2), "need q, k >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", BOUND_REFUSALS)
+def test_bounds_refuse_what_they_do_not_take(case):
+    call, message = BOUND_REFUSALS[case]
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

@@ -134,10 +134,10 @@ BUILT_MODELS = [
     sub_total(0),
     sub_total(2),
     del_total(1),
-    sub_t_rows(0, ()),
-    sub_t_rows(2, (1, 2)),
-    del_t_rows(1, [1]),
-    del_t_rows(2, (2, 1)),
+    sub_t_rows(),
+    sub_t_rows(1, 2),
+    del_t_rows(1),
+    del_t_rows(2, 1),
     cli.build_model("sub-per-row", "1,1", None),
     cli.build_model("del-per-row", "0,1", 2),
     cli.build_model("sub-total", "1", None),
@@ -169,14 +169,27 @@ def test_a_model_is_its_kind_and_budgets():
         (lambda: ErrorModel("sub-row", (1,)), "unknown error model kind 'sub-row'"),
         (lambda: del_total(-1), "budgets must be nonnegative"),
         (lambda: sub_per_row(1, -1), "budgets must be nonnegative"),
-        (lambda: sub_t_rows(-1, ()), "t-rows models need t >= 0"),
-        (lambda: del_t_rows(2, (1,)), "expected 2 budgets, got 1"),
-        (lambda: sub_t_rows(1, (-1, 1)), "budgets must be nonnegative"),
+        (lambda: sub_t_rows(-1, 1), "budgets must be nonnegative"),
     ],
 )
 def test_models_refuse_budgets_their_kind_cannot_take(build, message):
     with pytest.raises(ValueError) as info:
         build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hamming_sphere((0, 1), -1, 2), "cannot change -1 symbols"),
+        (lambda: SplitMix64(1).below(0), "bound must be positive"),
+        (lambda: SplitMix64(1).distinct(3, 2), "cannot draw 3 distinct values below 2"),
+    ],
+)
+def test_counts_out_of_range_are_refused(call, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is ValueError
     assert str(info.value) == message
 
 
@@ -268,13 +281,13 @@ def test_apply_deletions_are_exact():
 def test_apply_t_rows_budget_matching():
     w = Word.from_rows(["0011", "0111"], q=2)
     # two edits in one row fit the (2,) budget; spread over two rows does not
-    apply_errors(w, sub_t_rows(1, (2,)), Plan(substitutions=((0, 0, 1), (0, 1, 1))))
+    apply_errors(w, sub_t_rows(2), Plan(substitutions=((0, 0, 1), (0, 1, 1))))
     with pytest.raises(ValueError):
-        apply_errors(w, sub_t_rows(1, (2,)), Plan(substitutions=((0, 0, 1), (1, 0, 1))))
+        apply_errors(w, sub_t_rows(2), Plan(substitutions=((0, 0, 1), (1, 0, 1))))
     # deletion budgets are an exact multiset
-    apply_errors(w, del_t_rows(2, (2, 1)), Plan(deletions=((0, 0), (1, 0), (1, 3))))
+    apply_errors(w, del_t_rows(2, 1), Plan(deletions=((0, 0), (1, 0), (1, 3))))
     with pytest.raises(ValueError):
-        apply_errors(w, del_t_rows(2, (2, 1)), Plan(deletions=((0, 0), (1, 0))))
+        apply_errors(w, del_t_rows(2, 1), Plan(deletions=((0, 0), (1, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +327,7 @@ def test_random_errors_spends_full_budget():
     got, plan = random_errors(w, del_per_row(1, 0), seed=9)
     assert [len(r) for r in got.rows] == [4, 5]
 
-    got, plan = random_errors(w, del_t_rows(2, (2, 1)), seed=11)
+    got, plan = random_errors(w, del_t_rows(2, 1), seed=11)
     assert sorted(len(r) for r in got.rows) == [3, 4]
 
 
@@ -334,7 +347,7 @@ def test_random_errors_rejects_impossible_budget():
 def test_random_errors_plan_reapplies():
     w = Word.from_rows(["0012", "0112"], q=3)
     for seed in range(20):
-        for model in (sub_per_row(2, 1), sub_t_rows(2, (1, 1)), del_total(2)):
+        for model in (sub_per_row(2, 1), sub_t_rows(1, 1), del_total(2)):
             got, plan = random_errors(w, model, seed=seed)
             assert apply_errors(w, model, plan) == got
 
@@ -400,14 +413,14 @@ def test_raw_set_sub_total_counts():
 
 def test_raw_set_t_rows_full_budget_matches_per_row():
     w = Word.from_rows(["012", "022"], q=3)
-    via_t = raw_received_set(w, sub_t_rows(2, (1, 1)))
+    via_t = raw_received_set(w, sub_t_rows(1, 1))
     via_rows = raw_received_set(w, sub_per_row(1, 1))
     assert via_t == via_rows  # balls already contain the smaller subsets
 
 
 def test_raw_set_del_t_rows_frozen():
     w = Word.from_rows(["01", "01"], q=2)
-    got = {r.rows for r in raw_received_set(w, del_t_rows(1, (1,)))}
+    got = {r.rows for r in raw_received_set(w, del_t_rows(1))}
     assert got == {
         ((0, 1), (0, 1)),  # no row affected
         ((1,), (0, 1)),
@@ -422,14 +435,14 @@ def test_raw_set_exact_deletions_exclude_identity():
     outs = raw_received_set(w, del_per_row(1, 0))
     assert received_from_word(w) not in outs
     # but the t-rows variant allows zero affected rows
-    outs = raw_received_set(w, del_t_rows(1, (1,)))
+    outs = raw_received_set(w, del_t_rows(1))
     assert received_from_word(w) in outs
 
 
 def test_raw_set_del_t_rows_budget_assignment_union():
     # budgets (2, 1) on a single affected row must produce both D_2 and D_1
     w = Word.from_rows(["0011", "0111"], q=2)
-    outs = {r.rows for r in raw_received_set(w, del_t_rows(2, (2, 1)))}
+    outs = {r.rows for r in raw_received_set(w, del_t_rows(2, 1))}
     for y in deletion_ball(w.rows()[0], 2) | deletion_ball(w.rows()[0], 1):
         assert (y, w.rows()[1]) in outs
 
@@ -496,33 +509,33 @@ def brute_received_set(word, model):
             2,
             [sub_per_row(1, 0), sub_per_row(2, 1), del_per_row(1, 0), del_per_row(2, 1),
              sub_total(1), sub_total(2), del_total(1), del_total(2),
-             sub_t_rows(1, (2,)), sub_t_rows(2, (2, 1)), sub_t_rows(2, (1, 2)),
-             sub_t_rows(2, (1, 1)), del_t_rows(1, (1,)), del_t_rows(2, (2, 1)),
-             del_t_rows(2, (1, 1))],
+             sub_t_rows(2), sub_t_rows(2, 1), sub_t_rows(1, 2),
+             sub_t_rows(1, 1), del_t_rows(1), del_t_rows(2, 1),
+             del_t_rows(1, 1)],
         ),
         (
             ["012", "112"],
             3,
             [sub_per_row(0, 2), del_per_row(0, 2), sub_total(2), del_total(2),
-             sub_t_rows(1, (1,)), sub_t_rows(2, (2, 1)), del_t_rows(2, (2, 1))],
+             sub_t_rows(1), sub_t_rows(2, 1), del_t_rows(2, 1)],
         ),
         (
             ["01", "12", "22"],
             3,
             [sub_per_row(1, 0, 1), del_per_row(1, 0, 2), sub_total(1), del_total(2),
-             sub_t_rows(2, (2, 1)), sub_t_rows(1, (1,)), del_t_rows(2, (2, 1)),
-             del_t_rows(2, (1, 1)), del_t_rows(3, (1, 0, 2))],
+             sub_t_rows(2, 1), sub_t_rows(1), del_t_rows(2, 1),
+             del_t_rows(1, 1), del_t_rows(1, 0, 2)],
         ),
         (
             ["001", "011", "111"],
             2,
             [sub_per_row(1, 1, 0), del_per_row(2, 0, 1), sub_total(2), del_total(1),
-             sub_t_rows(2, (2, 1)), del_t_rows(2, (2, 1)), del_t_rows(2, (1, 1))],
+             sub_t_rows(2, 1), del_t_rows(2, 1), del_t_rows(1, 1)],
         ),
         (
             ["001", "012", "122"],
             3,
-            [sub_per_row(2, 0, 1), del_total(2), sub_t_rows(2, (2, 1)), del_t_rows(2, (2, 1))],
+            [sub_per_row(2, 0, 1), del_total(2), sub_t_rows(2, 1), del_t_rows(2, 1)],
         ),
     ],
 )
@@ -544,8 +557,8 @@ def test_raw_set_budgets_beyond_the_word():
     # elsewhere a budget past the row length just never applies in full
     assert raw_received_set(w, sub_per_row(5, 0)) == raw_received_set(w, sub_per_row(3, 0))
     assert raw_received_set(w, sub_total(9)) == raw_received_set(w, sub_total(6))
-    assert raw_received_set(w, sub_t_rows(1, (4,))) == raw_received_set(w, sub_t_rows(1, (3,)))
-    assert raw_received_set(w, del_t_rows(2, (4, 1))) == raw_received_set(w, del_t_rows(1, (1,)))
+    assert raw_received_set(w, sub_t_rows(4)) == raw_received_set(w, sub_t_rows(3))
+    assert raw_received_set(w, del_t_rows(4, 1)) == raw_received_set(w, del_t_rows(1))
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +619,10 @@ def tiny_words_and_models(seed, count):
         t = rng.randint(1, k)
         yield word, sub_per_row(*(rng.randint(0, 2) for _ in range(k)))
         yield word, sub_total(rng.randint(0, 2))
-        yield word, sub_t_rows(t, [rng.randint(1, 2) for _ in range(t)])
+        yield word, sub_t_rows(*(rng.randint(1, 2) for _ in range(t)))
         yield word, del_per_row(*(rng.randint(0, min(n, 2)) for _ in range(k)))
         yield word, del_total(rng.randint(1, 2))
-        yield word, del_t_rows(t, [rng.randint(1, min(n, 2)) for _ in range(t)])
+        yield word, del_t_rows(*(rng.randint(1, min(n, 2)) for _ in range(t)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -662,7 +675,7 @@ def test_outputs_reject_what_the_model_cannot_apply():
     with pytest.raises(ValueError, match="cannot delete 4 symbols from length 3"):
         list(outputs(word, del_per_row(4, 0)))
     with pytest.raises(ValueError, match="t=3 exceeds the number of rows k=2"):
-        list(outputs(word, sub_t_rows(3, (1, 1, 1))))
+        list(outputs(word, sub_t_rows(1, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +744,7 @@ def test_valid_ball_argument_validation():
     for model, message in [
         (del_total(1), "takes sub-per-row or sub-total models, not del-total"),
         (del_per_row(1, 0), "takes sub-per-row or sub-total models, not del-per-row"),
-        (sub_t_rows(1, [1]), "takes sub-per-row or sub-total models, not sub-t-rows"),
+        (sub_t_rows(1), "takes sub-per-row or sub-total models, not sub-t-rows"),
         (sub_per_row(1, 1, 1), "model has 3 row budgets but word has 2 rows"),
     ]:
         with pytest.raises(ValueError, match=message):
@@ -822,8 +835,8 @@ def brute_force_witness(codebook, model):
         ([Word.from_ranks(r, 2, 3) for r in product(range(4), repeat=2)], sub_per_row(1, 0, 1)),
         ([Word.from_ranks(r, 3, 2) for r in product(range(6), repeat=2)][::5], sub_total(1)),
         # the t-rows kinds, decided pair by pair; neither witness is the first pair
-        (all_words(2, 3, 3)[::7], del_t_rows(2, (2, 1))),
-        (all_words(3, 2, 2)[::8], sub_t_rows(1, (1,))),
+        (all_words(2, 3, 3)[::7], del_t_rows(2, 1)),
+        (all_words(3, 2, 2)[::8], sub_t_rows(1)),
     ],
 )
 def test_oracle_witness_is_the_smallest_collision(codebook, model):
@@ -843,7 +856,7 @@ def test_pairwise_oracle_matches_the_enumerator(kind, k):
     verdicts = []
     for t in range(1, k + 1):
         for budgets in combinations_with_replacement(range(3), t):
-            model = kind(t, rng.sample(budgets, t))
+            model = kind(*rng.sample(budgets, t))
             for _ in range(4):
                 q, n = rng.choice((2, 3)), rng.randint(1, 3)
                 size = alphabet_size(q, k)
@@ -857,8 +870,8 @@ def test_pairwise_oracle_matches_the_enumerator(kind, k):
     assert True in verdicts and False in verdicts
     # words of unequal length share no output, however close their rows
     mixed = [Word.from_ranks([0], 2, k), Word.from_ranks([0, 0], 2, k)]
-    assert channel._oracle_by_pairs(mixed, kind(k, [2] * k)).is_code
-    assert channel._oracle_by_balls(mixed, kind(k, [2] * k)).is_code
+    assert channel._oracle_by_pairs(mixed, kind(*[2] * k)).is_code
+    assert channel._oracle_by_balls(mixed, kind(*[2] * k)).is_code
 
 
 def random_ball_model(kind, rng, k):
@@ -934,8 +947,8 @@ def test_trusted_outputs_equal_checked_ones():
     six models; both enumerators yield the same outputs, each once."""
     rng = random.Random(1709)
     models = [
-        sub_per_row(1, 0, 1), sub_total(2), sub_t_rows(2, (1, 1)),
-        del_per_row(1, 0, 1), del_total(2), del_t_rows(2, (1, 2)),
+        sub_per_row(1, 0, 1), sub_total(2), sub_t_rows(1, 1),
+        del_per_row(1, 0, 1), del_total(2), del_t_rows(1, 2),
     ]
     for model in models:
         for q in (2, 3):
@@ -1065,23 +1078,23 @@ def test_verify_code_output_is_fixed(book, model, e, expected, capsys, tmp_path)
         # the C2S (q=2, k=3, t=2, m=1) code: a true verdict builds no ball
         (
             [c2s_encode(p, C2SSpec(2, 3, 2, 1)) for p in all_words(2, 3, 1)],
-            sub_t_rows(2, (1, 1)),
+            sub_t_rows(1, 1),
             0,
         ),
         # a false verdict builds the balls of the witness pair only
-        (all_words(2, 3, 2), sub_t_rows(2, (1, 1)), 2),
-        (all_words(2, 3, 2), del_t_rows(2, (1, 1)), 2),
+        (all_words(2, 3, 2), sub_t_rows(1, 1), 2),
+        (all_words(2, 3, 2), del_t_rows(1, 1), 2),
     ],
 )
 def test_t_rows_oracle_builds_balls_only_for_the_witness(codebook, model, calls, monkeypatch):
     seen = []
-    original = channel.raw_received_set
+    original = channel._raw_rows
 
     def counting(word, model):
         seen.append(word)
         return original(word, model)
 
-    monkeypatch.setattr(channel, "raw_received_set", counting)
+    monkeypatch.setattr(channel, "_raw_rows", counting)
     result = oracle_is_code(codebook, model)
     assert len(seen) == calls
     assert result.is_code == (calls == 0)
@@ -1128,7 +1141,9 @@ def test_received_from_text_rejects_garbage():
         received_from_text("2 2\n01\n01\n")
     with pytest.raises(ValueError):
         received_from_text("2 2 2\n0a\n01\n")
-    # trailing blank lines are fine, trailing content is not
+    # blank lines before the header and after the rows are fine, trailing
+    # content is not
+    assert received_from_text("\n \n2 2 2\n01\n01\n").rows == ((0, 1), (0, 1))
     assert received_from_text("2 2 2\n01\n01\n\n\n").rows == ((0, 1), (0, 1))
     with pytest.raises(ValueError):
         received_from_text("2 2 2\n01\n01\n\n2 2 2\n00\n00\n")
@@ -1213,8 +1228,8 @@ def test_every_received_text_written_reads_back(received):
 @pytest.mark.parametrize(
     "family, model, built, distinct",
     [
-        ("c2s", sub_t_rows(2, (1, 1)), 1141, 1141),
-        ("c2d", del_t_rows(2, (1, 1)), 309, 309),
+        ("c2s", sub_t_rows(1, 1), 1141, 1141),
+        ("c2d", del_t_rows(1, 1), 309, 309),
     ],
 )
 def test_raw_set_t_rows_builds_each_budget_assignment_once(

@@ -5,9 +5,11 @@ through capsys, files go through tmp_path.  Determinism assertions compare
 raw bytes of repeated runs.
 """
 
+import io
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -34,8 +36,8 @@ def run(capsys, *argv):
         ("del-per-row", "0,2", 3, channel.del_per_row(0, 2)),
         ("sub-total", "2", None, channel.sub_total(2)),
         ("del-total", "1", None, del_total(1)),
-        ("sub-t-rows", "1,1", 2, channel.sub_t_rows(2, (1, 1))),
-        ("del-t-rows", "1", 1, del_t_rows(1, (1,))),
+        ("sub-t-rows", "1,1", 2, channel.sub_t_rows(1, 1)),
+        ("del-t-rows", "1", 1, del_t_rows(1)),
     ],
 )
 def test_build_model_gives_the_kinds_model(kind, e, t, want):
@@ -45,10 +47,11 @@ def test_build_model_gives_the_kinds_model(kind, e, t, want):
 @pytest.mark.parametrize(
     "kind, e, t, message",
     [
-        ("sub-total", "1,1", None, "model sub-total takes a single --e value"),
-        ("del-total", "", None, "model del-total takes a single --e value"),
+        ("sub-total", "1,1", None, "sub-total models need exactly one budget"),
+        ("del-total", "", None, "del-total models need exactly one budget"),
         ("sub-t-rows", "1", None, "model sub-t-rows requires --t"),
         ("del-t-rows", "1,1", 1, "expected 1 budgets, got 2"),
+        ("del-t-rows", "", -1, "expected -1 budgets, got 0"),
         ("sub-per-row", "", None, "per-row models need a budget per row"),
     ],
 )
@@ -205,6 +208,21 @@ class TestEncodeDecode:
         )
         assert code == 0
         assert word_from_text(out).ranks() == (1, 0, 2, 1)
+
+    def test_spec_file_blank_lines_and_stdin_rows(self, capsys, monkeypatch, tmp_path):
+        """decode --spec skips the spec file's blank lines, and --in -
+        reads the received rows from stdin."""
+        spec_file = tmp_path / "codeword.spec"
+        code, word_text, _ = run(
+            capsys,
+            "encode", "--family", "c2d", "--k", "2", "--t", "2", "--m", "4",
+            "--message", "1,0,2,1", "--spec-out", str(spec_file),
+        )
+        assert code == 0
+        spec_file.write_text("\n" + spec_file.read_text().replace("\n", "\n \n"))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(word_text))
+        decoded = run(capsys, "decode", "--spec", str(spec_file), "--in", "-")
+        assert decoded == (0, word_to_text(Word.from_ranks((1, 0, 2, 1), 2, 2)), "")
 
     def test_spec_file_states_the_built_spec(self, capsys):
         # c2d is binary and takes no --a: the spec says q=2 and leaves a out
@@ -619,7 +637,7 @@ class TestDeletionPatterns:
     @pytest.mark.parametrize("seed", range(4))
     def test_t_row_deletions_match_the_position_sweep(self, seed):
         for word, t in _random_words(seed, 40):
-            counts, labels = _tally(channel.outputs(word, del_t_rows(t, [1] * t)))
+            counts, labels = _tally(channel.outputs(word, del_t_rows(*[1] * t)))
             reference = list(_reference_deletions(word, t))
             assert counts == Counter(rows for _, rows in reference)
             assert labels == _first_labels(reference)

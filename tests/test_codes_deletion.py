@@ -200,7 +200,7 @@ class TestCongruenceFamilies:
 
     def test_binary_t_class_is_a_code(self):
         members = self.binary_members(3, 4, 5, (0, 0))
-        assert oracle_is_code(members, del_t_rows(2, (1, 1)))
+        assert oracle_is_code(members, del_t_rows(1, 1))
 
     def test_binary_t_threshold_warning(self):
         """A prime p <= f(k, t) draws no warning: the decode solves on
@@ -872,3 +872,28 @@ def test_marker_decode_certifies_a_wrong_repaired_row(monkeypatch, spec, encode,
             with pytest.raises(DecodeFailure, match="inconsistent with the received"):
                 decode(received, spec)
         assert decode(received, spec) == payload
+
+
+# Inputs the deletion codes do not take, each with the message it gives.
+DELETION_REFUSALS = {
+    "c1d-message-length": (
+        lambda: c1d_encode((0,), 0, 2, 5), "message must have 3 ranks, got 1",
+    ),
+    "c1d-decode-q": (
+        lambda: c1d_decode(ReceivedRows(((0,), (1,)), 3, 1), 0), "c1d is a binary family",
+    ),
+    "binary-t-q": (
+        lambda: congruence_decode_binary_t(ReceivedRows(((0,), (1,)), 3, 1), (0,), 5),
+        "binary congruence family needs q = 2",
+    ),
+    "c2d-k": (lambda: C2DSpec(1, 1, 4), "need k >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", DELETION_REFUSALS)
+def test_deletion_codes_refuse_what_they_do_not_take(case):
+    call, message = DELETION_REFUSALS[case]
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

@@ -742,7 +742,7 @@ class TestC2S:
         spec = C2SSpec(2, 3, 2, 1)
         codebook = [c2s_encode(p, spec) for p in all_words(2, 3, 1)]
         assert len(codebook) == 4
-        assert oracle_is_code(codebook, sub_t_rows(2, (1, 1)))
+        assert oracle_is_code(codebook, sub_t_rows(1, 1))
 
     def test_q3_instance_sampled(self):
         spec = C2SSpec(3, 3, 2, 3)
@@ -805,3 +805,46 @@ def test_systematic_encoders_transpose_only_their_tail(monkeypatch):
         word = encode(payload, spec)
         assert word.ranks()[: spec.m] == payload.ranks() and word.n == spec.n
         assert seen and max(seen) <= spec.n - spec.m
+
+
+# Inputs the substitution codes do not take, each with the message it gives.
+SUBSTITUTION_REFUSALS = {
+    "hamming-singleton-message": (
+        lambda: hamming_build(2).encode((1,)), "C(2) carries no message symbols",
+    ),
+    "hamming-message-length": (
+        lambda: hamming_build(5, 3).encode((1,)), "need 2 message symbols, got 1",
+    ),
+    "hamming-decode-length": (
+        lambda: hamming_build(5, 3).decode((0, 0)), "expected length 5, got 2",
+    ),
+    "hamming-decode-symbol": (
+        lambda: hamming_build(5, 3).decode((0, 0, 0, 0, 3)), "symbols must lie in F_3",
+    ),
+    "hamming-l": (lambda: hamming_build(-1), "need l >= 0"),
+    "doll-q": (lambda: DollSpec(1, 2, 1), "need q >= 2, k >= 2, n >= 1"),
+    "doll-F-rank": (lambda: doll_F((0, 3), 2), "ranks must lie in [0, 2]"),
+    "doll-unrank-index": (lambda: _doll_unrank(0, DollSpec(2, 2, 4)), "index 0 out of [1, 21]"),
+    "doll-message-length": (
+        lambda: enc_doll((0,), DollSpec(2, 2, 4)), "message must have 2 symbols, got 1",
+    ),
+    "cecc1-q": (
+        lambda: cecc1_decode(ReceivedRows(((0,), (1,)), 3, 1), 0), "this family is binary",
+    ),
+    "q1cecc-short": (
+        lambda: q1cecc_decode(ReceivedRows(((0, 1), (1, 1)), 3, 2), 0, 0, 0, 3, 3),
+        "the three-checksum decoder needs n >= q",
+    ),
+    "c1s-k": (lambda: C1SSpec(3, 1, 3), "need k >= 2"),
+    "c2s-q": (lambda: C2SSpec(1, 2, 2, 3), "need q >= 2"),
+    "c2s-m": (lambda: C2SSpec(2, 3, 2, 0), "need m >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", SUBSTITUTION_REFUSALS)
+def test_substitution_codes_refuse_what_they_do_not_take(case):
+    call, message = SUBSTITUTION_REFUSALS[case]
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

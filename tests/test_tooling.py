@@ -10,7 +10,8 @@ patched decoders, and a traced deletion decode must still count each row
 syndrome it evaluates; each demo, and the README's library quick start,
 must still run to completion.  ``python -O`` strips assert statements, so
 no module of the package may hold one.  The code-line counter,
-``tools/code_lines.py``, is pinned on a small fixture.  Every brute-force
+``tools/code_lines.py``, and the unreached-statement lister,
+``tools/unreached.py``, are pinned on small fixtures.  Every brute-force
 ``_reference_*`` oracle in the package is named by a test, every package
 definition is reached by a walk from the package's roots (``cli.main``,
 module-level code, the exports, the oracles and the dunders) or has a
@@ -425,4 +426,62 @@ def test_code_line_counter_counts_the_fixture(tmp_path, capsys):
         ["0", str(tmp_path / "pkg" / "empty.py")],
         ["6", str(module)],
         ["6", "total"],
+    ]
+
+
+# a module whose statements start on lines 3, 8, 9, 10, 16 and 20: not its
+# docstrings, def and class lines, global declaration or __main__ guard
+UNREACHED_FIXTURE = '''"""Module docstring."""
+
+import sys
+
+
+def area(width, height):
+    """Function docstring."""
+    if width < 0:
+        raise ValueError("negative width")
+    return (width *
+            height)
+
+
+class Box:
+    """Class docstring."""
+    side = 1
+
+    def grow(self):
+        global GROWN
+        GROWN = True
+
+
+if __name__ == "__main__":
+    sys.exit(area(1, 2))
+'''
+
+
+def test_unreached_lister_names_the_statements_a_run_missed(tmp_path):
+    """tools/unreached.py lists a fixture module's statements, and after an
+    import and one call under its tracer, the two that did not run; a
+    __main__.py is a script, which it leaves out."""
+    spec = importlib.util.spec_from_file_location("unreached", ROOT / "tools" / "unreached.py")
+    lister = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lister)
+    assert lister.statement_lines(UNREACHED_FIXTURE) == [3, 8, 9, 10, 16, 20]
+    (tmp_path / "pkg").mkdir()
+    module = tmp_path / "pkg" / "shape.py"
+    module.write_text(UNREACHED_FIXTURE)
+    (tmp_path / "pkg" / "__main__.py").write_text("import sys\n")
+    tracer = lister.LineTracer(tmp_path / "pkg")
+    before = sys.gettrace()
+    tracer.start()
+    try:
+        spec = importlib.util.spec_from_file_location("shape", module)
+        shape = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(shape)
+        assert shape.area(2, 3) == 6
+    finally:
+        tracer.stop()
+    assert sys.gettrace() is before
+    assert tracer.report() == [
+        'pkg/shape.py:9 raise ValueError("negative width")',
+        "pkg/shape.py:20 GROWN = True",
     ]

@@ -367,6 +367,25 @@ def test_qary_substitution_outside_the_model_is_typed(y, vt_mod, sum_mod, q, mes
         qary_decode_one_substitution(B(y), vt_mod, sum_mod, q)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: psi((), 3), "psi of an empty sequence"),
+        (lambda: psi_inverse((), 3), "psi_inverse of an empty sequence"),
+        (lambda: qary_vt_syndrome(b"", 3), "psi of an empty sequence"),
+        (lambda: qary_decode_one_substitution(b"", 0, 0, 3), "empty row"),
+        (lambda: lme_decode((), 0, 3), "empty row"),
+        (lambda: lme_message_length(1, 3), "need n >= 2"),
+        (lambda: lme_encode((0,), 0, 3, 8), "message length 1 != 5"),
+    ],
+)
+def test_row_kernels_refuse_an_empty_row_or_a_wrong_length(call, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 @settings(max_examples=100)
 @given(st.data())
 def test_qary_deletion_cross_checks_binary(data):
