@@ -70,8 +70,6 @@ from .codes_substitution import (
     cecc1_message,
     cecc1_message_length,
     dec_doll,
-    doll_m,
-    doll_size,
     enc_doll,
 )
 from .equivalence import EquivalenceMap, transport_code

@@ -17,8 +17,9 @@
   DecodeFailure;
 * RowCode: the single-error code that every row of a t-row construction
   carries: the weighted power sums of its syndromes that the codeword
-  stores, their check against the targets, and the one Vandermonde solve
-  that recovers unknown rows' syndromes from them;
+  stores (RowCode.row_sums of the payload rows), their check against the
+  targets, and the one Vandermonde solve that recovers unknown rows'
+  syndromes from them;
 * repair_rows: the row-repair core of every t-row syndrome decoder, on
   clean and damaged words alike; it returns the repaired word and the
   syndromes of all its rows, so a re-encode or a certificate needs no
@@ -131,6 +132,11 @@ class RowCode:
             out.append(sum(map(mul, weights, values)) % p)
         return out
 
+    def row_sums(self, rows, count: int) -> list[int]:
+        """The first count power sums of the rows' syndromes, the values
+        that a codeword stores for its payload rows."""
+        return self.sums(list(map(self.syndrome, rows)), range(count))
+
     def holds(self, values, targets) -> bool:
         """Whether the row syndromes values give the targets as their first
         len(targets) power sums."""
@@ -148,11 +154,11 @@ class RowCode:
         there is one unknown and the exponent is 0, for any modulus.
         """
         p, exponents = self.modulus, tuple(exponents)
+        if len(sums) != len(exponents):
+            raise ValueError(f"need one power sum per exponent, got {len(sums)} for {len(exponents)}")
         unknown = tuple(i for i, v in enumerate(values) if v is None)
         known = self.sums([0 if v is None else v for v in values], exponents)
         rhs = [s - c for s, c in zip(sums, known)]
-        if len(rhs) != len(exponents):
-            raise ValueError(f"need one power sum per exponent, got {len(rhs)} for {len(exponents)}")
         inverse = self._inverses.get((unknown, exponents))
         if inverse is None:
             matrix = [[pow(i + 1, j, p) for i in unknown] for j in exponents]

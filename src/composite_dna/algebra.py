@@ -50,24 +50,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_from(p: int) -> int:
+    """The least prime >= p."""
+    while not is_prime(p):
+        p += 1
+    return p
+
+
 def next_prime_bertrand(m: int) -> int:
     """Smallest prime p with m < p < 2m (exists for m >= 2 by Bertrand)."""
     if m < 2:
         raise ValueError(f"Bertrand interval needs m >= 2, got {m}")
-    for p in range(m + 1, 2 * m):
-        if is_prime(p):
-            return p
-    raise AssertionError("unreachable: Bertrand's postulate")
+    return _prime_from(m + 1)
 
 
 def smallest_prime_at_least(m: int) -> int:
     """Smallest prime p >= m (m >= 2)."""
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    p = m
-    while not is_prime(p):
-        p += 1
-    return p
+    return _prime_from(m)
 
 
 # ---------------------------------------------------------------------------

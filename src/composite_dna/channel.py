@@ -176,11 +176,11 @@ def _check_model_fits(model: ErrorModel, k: int):
         raise ValueError(f"t={len(model.budgets)} exceeds the number of rows k={k}")
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class ReceivedRows:
     """Raw channel output: k digit rows over Sigma_q, lengths in [0, n].
 
-    ReceivedRows(rows, q, n) takes bytes or int sequences and keeps them
+    ReceivedRows(packed, q, n) takes bytes or int sequences and keeps them
     packed (alphabet.pack_rows), one bytes object per row; rows is the
     int-tuple view, made on each read.  Equality and hashing read the
     packed rows, whose order is that of the int tuples."""
@@ -188,11 +188,6 @@ class ReceivedRows:
     packed: tuple[bytes, ...]
     q: int
     n: int
-
-    def __init__(self, rows, q: int, n: int):
-        for name, value in (("packed", rows), ("q", q), ("n", n)):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
 
     def __post_init__(self):
         packed = pack_rows(self.packed, self.q)

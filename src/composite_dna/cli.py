@@ -315,7 +315,7 @@ def cmd_table(args) -> list[tuple[str, str]]:
     q = args.q if args.q is not None else 2
     spec = DollSpec(q, args.k, args.n)
     lines = ["l,supports,fills,inner,class_size"]
-    lines += [",".join(map(str, row)) for row in spec.table()]
+    lines += [",".join(map(str, row)) for row in spec.classes]
     return [(args.out, "\n".join(lines) + "\n")]
 
 
@@ -362,13 +362,15 @@ def cmd_roundtrip(args) -> list[tuple[str, str]]:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_io(parser):
-    parser.add_argument(
-        "--in",
-        dest="infile",
-        default="-",
-        help="input file (word or received rows text); - for stdin",
-    )
+def _add_io(parser, reads: bool = True):
+    """--out, and --in for a verb that reads an input file."""
+    if reads:
+        parser.add_argument(
+            "--in",
+            dest="infile",
+            default="-",
+            help="input file (word or received rows text); - for stdin",
+        )
     parser.add_argument("--out", default="-", help="output file; - for stdout")
 
 
@@ -442,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     bou.add_argument("--budgets", default=None, help="comma-separated budgets")
     for name in ("q", "k", "n"):
         bou.add_argument(f"--{name}", type=int, default=None)
-    _add_io(bou)
+    _add_io(bou, reads=False)
     bou.set_defaults(func=cmd_bounds)
 
     tra = sub.add_parser(
@@ -459,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--q", type=int, default=None)
     tab.add_argument("--k", type=int, required=True)
     tab.add_argument("--n", type=int, required=True)
-    _add_io(tab)
+    _add_io(tab, reads=False)
     tab.set_defaults(func=cmd_table)
 
     rou = sub.add_parser("roundtrip", help="encode->corrupt->decode sweep")
@@ -467,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     rou.add_argument("--trials", type=int, default=20, help="sampled payloads")
     rou.add_argument("--seed", type=int, default=None)
     _add_params(rou, "roundtrip")
-    _add_io(rou)
+    _add_io(rou, reads=False)
     rou.set_defaults(func=cmd_roundtrip)
 
     return parser

@@ -354,10 +354,6 @@ class MarkerSpec:
     def n(self) -> int:
         return self.m + self.t * (self.delta + 2)
 
-    def syndromes(self, payload: Word) -> list[int]:
-        code = self.row_code
-        return code.sums(list(map(code.syndrome, payload.packed)), range(self.t))
-
 
 def C2DSpec(k: int, t: int, m: int) -> MarkerSpec:
     """Binary t-row single-deletion code: payload length m, prime in (m, 2m)."""
@@ -398,7 +394,7 @@ def _marker_tail(sums, spec: MarkerSpec) -> Word:
 
 def _marker_encode(payload: Word, spec: MarkerSpec) -> Word:
     check_payload(payload, spec)
-    return payload + _marker_tail(spec.syndromes(payload), spec)
+    return payload + _marker_tail(spec.row_code.row_sums(payload.packed, spec.t), spec)
 
 
 def c2d_encode(payload: Word, spec: MarkerSpec) -> Word:
@@ -413,8 +409,8 @@ def c4d_encode(payload: Word, spec: MarkerSpec) -> Word:
     return _marker_encode(payload, spec)
 
 
-def _segment_of(row, spec: MarkerSpec) -> int | None:
-    """Which block a short row's deletion damaged, or None for a payload hit.
+def _segment_of(row, spec: MarkerSpec) -> int:
+    """Which block a short row's deletion damaged, or -1 for a payload hit.
 
     The zero/one marker pair opening block j sits at positions P_j
     (spec.starts) and P_j + 1; after one deletion at or before P_j the
@@ -426,22 +422,22 @@ def _segment_of(row, spec: MarkerSpec) -> int | None:
     flags = [row[at] == 1 for at in spec.starts]
     if flags != sorted(flags):
         raise DecodeFailure("marker flags are not monotone; more than one deletion?")
-    return None if flags[0] else flags.count(False) - 1
+    return flags.count(False) - 1
 
 
 def _read_block_digits(received, spec: MarkerSpec, damage, j: int) -> int:
     """Assemble block j's digit columns across rows, undoing per-row shifts.
 
     A row shifted at block j's digits is one whose deletion happened earlier
-    in the row: every payload-hit row, and every row whose damaged block
-    precedes j.  Rows damaged at or after block j (and clean rows, seg = -1)
-    read in place.
+    in the row, so one whose damage code is below j: every payload-hit row
+    (-1), and every row whose damaged block precedes j.  Rows damaged at or
+    after block j, and clean rows (t), read in place.
     """
     width = spec.delta
     start = spec.starts[j] + 2
     segments = []
     for row, seg in zip(received.packed, damage):
-        at = start - (1 if (seg is None or 0 <= seg < j) else 0)
+        at = start - 1 if seg < j else start
         segments.append(row[at : at + width])
     return out_of_model(block_value, segments, received.q, spec.base)
 
@@ -458,13 +454,13 @@ def _marker_decode(received: ReceivedRows, spec: MarkerSpec) -> Word:
     followed by its tail row."""
     check_shape(received, spec)
     t, m, code, packed = spec.t, spec.m, spec.row_code, received.packed
-    # damage[i]: -1 clean, None payload hit, j >= 0 block j hit
-    damage = [-1] * spec.k
+    # damage[i]: t clean, -1 payload hit, j >= 0 block j hit
+    damage = [t] * spec.k
     for i in _row_deficits(received, t):
         damage[i] = _segment_of(packed[i], spec)
     payload, syndromes = repair_rows(
-        [None if seg is None else row[:m] for row, seg in zip(packed, damage)],
-        received.q, [i for i, seg in enumerate(damage) if seg is None],
+        [None if seg < 0 else row[:m] for row, seg in zip(packed, damage)],
+        received.q, [i for i, seg in enumerate(damage) if seg < 0],
         [j for j in range(t) if j not in damage],
         lambda j: _read_block_digits(received, spec, damage, j), code,
         lambda i, value: code.decode(packed[i][: m - 1], value),

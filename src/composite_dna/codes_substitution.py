@@ -95,6 +95,13 @@ class HammingFamily:
     entry is one C-level sum over a row of the check matrix; a nonzero
     syndrome is beta times the error's column, beta its first nonzero entry,
     so its row names the block and its tail over beta the offset.
+
+    The singletons stay apart from the construction, though its all-ones
+    coset would give them too: folded in, they saved 15 code lines but made
+    `composite-dna roundtrip --family doll --k 3 --n 6`, whose 256 messages
+    all lie in classes l <= 1, 25-30 % slower (about 26 against 33-35 ms a
+    call).  That call is the slowest of the perfbench sweep-short-rows
+    workload and sets its op_tail_ms.
     """
 
     l: int
@@ -300,9 +307,21 @@ class DollSpec:
 
     @cached_property
     def classes(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """The rows of table(), built once: the encoder and decoder read
-        class l's support count binom(n, l) and fill count from row l."""
-        return tuple(self.table())
+        """Per-class counts: (l, supports, fills, inner codewords, class size),
+        the class size being the product of the three counts before it.
+        Each count comes from the last class's: binom(n, l) by one multiply
+        and one exact divide, fill ** (n - l) by one divide, and the inner
+        code's size in closed form (hamming_size).  The encoder and decoder
+        read class l's support count binom(n, l) and fill count from row l,
+        and the CLI's class table prints the rows."""
+        n, fill, field = self.n, self.fill, self.field
+        rows, supports, fills = [], 1, fill**n
+        for l in range(n + 1):
+            three = (supports, fills, hamming_size(l, field))
+            rows.append((l, *three, prod(three)))
+            supports = supports * (n - l) // (l + 1)
+            fills //= fill
+        return tuple(rows)
 
     @cached_property
     def class_sizes(self) -> tuple[int, ...]:
@@ -336,29 +355,6 @@ class DollSpec:
     @cached_property
     def message_count(self) -> int:
         return self.base**self.m
-
-    def table(self):
-        """Per-class counts: (l, supports, fills, inner codewords, class size),
-        the class size being the product of the three counts before it.
-        Each count comes from the last class's: binom(n, l) by one multiply
-        and one exact divide, fill ** (n - l) by one divide, and the inner
-        code's size in closed form (hamming_size)."""
-        n, fill, field = self.n, self.fill, self.field
-        rows, supports, fills = [], 1, fill**n
-        for l in range(n + 1):
-            three = (supports, fills, hamming_size(l, field))
-            rows.append((l, *three, prod(three)))
-            supports = supports * (n - l) // (l + 1)
-            fills //= fill
-        return rows
-
-
-def doll_size(n: int, k: int) -> int:
-    return DollSpec(2, k, n).size
-
-
-def doll_m(n: int, k: int) -> int:
-    return DollSpec(2, k, n).m
 
 
 def doll_F(s, k: int) -> tuple[int, ...]:
@@ -699,10 +695,6 @@ class C2SSpec:
         span = self.span
         return RowCode(lambda row: vt_syndrome(row) % span, self.p, span)
 
-    def syndromes(self, payload: Word) -> list[int]:
-        code = self.row_code
-        return code.sums(list(map(code.syndrome, payload.packed)), range(self.t))
-
 
 def c2s_encode(payload: Word, spec: C2SSpec) -> Word:
     check_payload(payload, spec)
@@ -711,7 +703,7 @@ def c2s_encode(payload: Word, spec: C2SSpec) -> Word:
     tail = []
     for row in payload.packed:
         tail += [column_rank((sum(row) % q,) * k, q)] * 2
-    for value in spec.syndromes(payload):
+    for value in spec.row_code.row_sums(payload.packed, spec.t):
         block = expand_base(value, big_q, spec.delta)
         tail += block
         block_rows = zip(*(letter_unrank(d, q, k).digits for d in block))

@@ -453,10 +453,7 @@ def lme_message_length(n: int, q: int) -> int:
         raise ValueError("systematic 1-LME encoding needs Q >= 3")
     if n < 2:
         raise ValueError("need n >= 2")
-    m = digit_width(q, n)
-    if n <= q ** (m - 1):
-        raise ValueError(f"length n={n} violates n > Q^(m-1)")
-    return n - m - 1
+    return n - digit_width(q, n) - 1
 
 
 def lme_encode(message, a: int, q: int, n: int):

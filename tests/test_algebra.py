@@ -180,6 +180,10 @@ OUT_OF_DOMAIN = {
         lambda: RowCode(None, 37, 37).solve([None, 1], (0, 1), [3]),
         "need one power sum per exponent, got 1 for 2",
     ),
+    "RowCode.solve-extra-sums": (
+        lambda: RowCode(None, 37, 37).solve([None, 1], (0,), [3, 9]),
+        "need one power sum per exponent, got 2 for 1",
+    ),
 }
 
 

@@ -19,7 +19,7 @@ from composite_dna.alphabet import Word, alphabet_size, word_from_text, word_to_
 from composite_dna.channel import del_t_rows, del_total, oracle_is_code
 from composite_dna.cli import main
 from composite_dna.codes_deletion import c1d_contains, c1d_encode
-from composite_dna.codes_substitution import doll_size
+from composite_dna.codes_substitution import DollSpec
 from composite_dna.vt_core import vt_syndrome
 
 
@@ -515,7 +515,7 @@ class TestTransformAndTable:
         assert lines[0] == "l,supports,fills,inner,class_size"
         assert len(lines) == 5
         total = sum(int(line.split(",")[-1]) for line in lines[1:])
-        assert total == doll_size(3, 2)
+        assert total == DollSpec(2, 2, 3).size
 
     def test_doll_table_at_long_length_sums_to_the_code_size(self, capsys):
         # for k = 2 the fill alphabet has one letter, and the binary C(l)
@@ -526,7 +526,7 @@ class TestTransformAndTable:
         assert len(lines) == 514
         total = sum(int(line.split(",")[-1]) for line in lines[1:])
         inner = [1, 1, 1] + [2 ** (l - l.bit_length()) for l in range(3, 513)]
-        assert total == doll_size(512, 2) == sum(math.comb(512, l) * inner[l] for l in range(513))
+        assert total == DollSpec(2, 2, 512).size == sum(math.comb(512, l) * inner[l] for l in range(513))
 
 
 class TestRoundtrip:
@@ -934,6 +934,10 @@ class TestUsageErrors:
             "roundtrip --family c1s --q 3 --k 2 --m 5 --targets 1,2",
             "contains --family c1d --k 2 --n 6 --a 0 --q 2",
             "contains --family cong-qary-1 --a 0 --m 4",
+            # only the verbs that read an input file take --in
+            "bounds --family sp-total --q 2 --k 2 --n 4 --e 1 --in x",
+            "table doll --k 2 --n 3 --in x",
+            "roundtrip --family c1d --k 2 --n 6 --a 0 --in x",
         ],
     )
     def test_a_flag_no_family_of_the_verb_reads_is_exit_2(self, argv, capsys):

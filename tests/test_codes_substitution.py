@@ -36,8 +36,6 @@ from composite_dna.codes_substitution import (
     cecc1_message_length,
     dec_doll,
     doll_F,
-    doll_m,
-    doll_size,
     enc_doll,
     hamming_build,
     hamming_size,
@@ -247,8 +245,8 @@ def doll_members(spec):
 
 class TestDollCode:
     def test_frozen_scalars(self):
-        assert doll_m(3, 2) == 1
-        assert doll_size(1, 2) == 2
+        assert DollSpec(2, 2, 3).m == 1
+        assert DollSpec(2, 2, 1).size == 2
 
     def test_doll_F(self):
         assert doll_F((0, 2, 1, 2), 2) == (1, 0, 1)
@@ -291,7 +289,7 @@ class TestDollCode:
         for k in (2, 3, 4):
             for n in range(1, 11):
                 num = (k + 1) ** (n + 1) - (k - 1) ** (n + 1)
-                assert doll_size(n, k) * 4 * (n + 1) >= num
+                assert DollSpec(2, k, n).size * 4 * (n + 1) >= num
 
     def test_frozen_encodings(self):
         spec = DollSpec(2, 2, 3)
@@ -383,7 +381,7 @@ class TestDollCode:
 
     def test_table_rows(self):
         spec = DollSpec(2, 2, 3)
-        table = spec.table()
+        table = spec.classes
         assert [row[0] for row in table] == [0, 1, 2, 3]
         assert sum(row[4] for row in table) == spec.size
         for l, supports, fills, inner, total in table:
@@ -426,7 +424,7 @@ class TestDollCode:
         monkeypatch.setattr(codes_substitution.HammingFamily, "__init__", counting_init)
         monkeypatch.setattr(codes_substitution, "hamming_build", counting_build)
         spec = DollSpec(2, 2, 512)
-        assert len(spec.table()) == 513 and built == []
+        assert len(spec.classes) == 513 and built == []
         enc_doll((0,) * spec.m, spec)  # the encoder builds the one class it uses
         assert built.count("hamming_build") == 1
 

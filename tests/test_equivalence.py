@@ -54,8 +54,8 @@ def test_equivalence_map_objects():
     assert sh.inverse.inverse == sh
 
     w = Word.from_rows(["001", "011"], q=2)
-    assert cr.inverse(cr(w)) == w
-    assert sh.inverse(sh(w)) == w
+    assert cr.inverse.on_word(cr.on_word(w)) == w
+    assert sh.inverse.on_word(sh.on_word(w)) == w
 
 
 def test_transport_code_basics():

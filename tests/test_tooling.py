@@ -26,6 +26,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -259,7 +260,7 @@ def test_all_is_the_sorted_init_imports():
         for node in init.body if isinstance(node, ast.ImportFrom) and node.level
         for alias in node.names
     )
-    assert composite_dna.__all__ == imported and len(imported) == 65
+    assert composite_dna.__all__ == imported and len(imported) == 63
     assert not any(isinstance(getattr(composite_dna, name), types.ModuleType)
                    for name in composite_dna.__all__)
 
@@ -485,3 +486,52 @@ def test_unreached_lister_names_the_statements_a_run_missed(tmp_path):
         'pkg/shape.py:9 raise ValueError("negative width")',
         "pkg/shape.py:20 GROWN = True",
     ]
+
+
+def test_unreached_lister_fails_a_passing_session_that_missed_a_statement(tmp_path):
+    """The plugin of tools/unreached.py prints its count and list in the
+    terminal summary and sets a passing session's exit status to 1 when
+    the list is not empty; a run that reached every statement stays 0."""
+    spec = importlib.util.spec_from_file_location("unreached", ROOT / "tools" / "unreached.py")
+    lister = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lister)
+    (tmp_path / "pkg").mkdir()
+    module = tmp_path / "pkg" / "shape.py"
+    module.write_text(UNREACHED_FIXTURE)
+
+    class Reporter:
+        def __init__(self):
+            self.lines = []
+
+        def section(self, title):
+            self.lines.append(f"== {title}")
+
+        def write_line(self, line):
+            self.lines.append(line)
+
+    def summary(reach_all):
+        before = sys.gettrace()
+        plugin = lister._Plugin(tmp_path / "pkg")
+        try:
+            spec = importlib.util.spec_from_file_location("shape", module)
+            shape = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(shape)
+            shape.area(2, 3)
+            if reach_all:
+                with pytest.raises(ValueError):
+                    shape.area(-1, 3)
+                shape.Box().grow()
+        finally:
+            plugin.tracer.stop()
+        session, reporter = types.SimpleNamespace(exitstatus=0), Reporter()
+        plugin.pytest_sessionstart(session)
+        plugin.pytest_terminal_summary(reporter)
+        assert sys.gettrace() is before
+        return session.exitstatus, reporter.lines
+
+    assert summary(False) == (1, [
+        "== 2 package statements no test ran",
+        'pkg/shape.py:9 raise ValueError("negative width")',
+        "pkg/shape.py:20 GROWN = True",
+    ])
+    assert summary(True) == (0, ["== 0 package statements no test ran"])

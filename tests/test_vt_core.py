@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_dna import vt_core
+from composite_dna.algebra import digit_width
 from composite_dna.codes_deletion import _is_subsequence
 from composite_dna.vt_core import (
     _reference_qary_decode_one_deletion,
@@ -234,6 +235,17 @@ def test_lme_message_length():
     assert lme_message_length(2, 3) == 0
     with pytest.raises(ValueError):
         lme_message_length(7, 2)
+
+
+def test_lme_message_length_has_no_length_refusal():
+    """With m = digit_width(q, n), the least D with q^D >= n, every n >= 2
+    already has q^(m-1) < n, so the encoder's n > Q^(m-1) needs no check of
+    its own: the payload length is n - m - 1 throughout."""
+    for q in range(3, 12):
+        for n in range(2, 3000):
+            m = digit_width(q, n)
+            assert lme_message_length(n, q) == n - m - 1
+            assert q ** (m - 1) < n
 
 
 def test_lme_encode_small_code():

@@ -11,7 +11,9 @@ a docstring, a def or class line, a global or nonlocal declaration (which
 compiles to no code), the body of an ``if __name__ == "__main__":`` guard
 and a __main__.py module, which run only as a script.  Code that tests run
 in a subprocess, such as the demos, is not traced, so what only they reach
-is listed.  Tracing every line makes the run several times slower.
+is listed.  A run that lists any statement exits 1, as failed tests do,
+so a CI step can require that every package statement runs.  Tracing
+every line makes the run several times slower.
 """
 
 from __future__ import annotations
@@ -109,9 +111,15 @@ class LineTracer:
 
 
 class _Plugin:
-    def __init__(self):
-        self.tracer = LineTracer(PACKAGE)
+    """Traces root from its creation to the terminal summary, which lists
+    what did not run and then fails a session that had passed."""
+
+    def __init__(self, root: Path = PACKAGE):
+        self.tracer = LineTracer(root)
         self.tracer.start()
+
+    def pytest_sessionstart(self, session):
+        self.session = session
 
     def pytest_terminal_summary(self, terminalreporter):
         self.tracer.stop()
@@ -119,6 +127,8 @@ class _Plugin:
         terminalreporter.section(f"{len(found)} package statements no test ran")
         for line in found:
             terminalreporter.write_line(line)
+        if found and self.session.exitstatus == 0:
+            self.session.exitstatus = 1
 
 
 def pytest_configure(config):
